@@ -26,7 +26,10 @@
 //!   software-visible [`config::RegisterFile`].
 //! * [`log`] — error and performance logs.
 //! * [`monitor`] — the top-level [`Tmu`] tying it all together, including
-//!   path severing, `SLVERR` abort, interrupt and reset-request logic.
+//!   fault detection, interrupt and reset-request logic.
+//! * [`terminator`] — the [`Terminator`]: path severing, `SLVERR` abort,
+//!   residual W drain and held-address acceptance, shared with the
+//!   traffic regulator's isolation path.
 //! * [`wheel`] — the event-driven [`wheel::DeadlineWheel`] backing the
 //!   deadline-scheduled counter engine ([`CounterEngine::DeadlineWheel`]).
 //! * [`report`] — summary reporting.
@@ -81,6 +84,7 @@ pub mod ott;
 pub mod phase;
 pub mod remap;
 pub mod report;
+pub mod terminator;
 pub mod wheel;
 
 pub use budget::BudgetConfig;
@@ -90,4 +94,5 @@ pub use log::{ErrorLog, ErrorRecord, FaultKind, PerfLog, PerfRecord};
 pub use monitor::{Tmu, TmuState};
 pub use phase::{ReadPhase, TxnPhase, WritePhase};
 pub use report::TmuReport;
+pub use terminator::{Terminator, TerminatorEvent};
 pub use tmu_telemetry::{self as telemetry, TelemetryConfig, TelemetryHub, TraceEvent};

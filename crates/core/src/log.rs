@@ -24,8 +24,8 @@ pub enum FaultKind {
     Timeout,
     /// A protocol rule fired.
     Protocol(Rule),
-    /// An external supervisor (e.g. a traffic regulator) commanded the
-    /// TMU to sever and abort the link; the string names the policy.
+    /// An external supervisor (e.g. a traffic regulator) severed and
+    /// aborted a link; the string names the policy.
     External(&'static str),
 }
 

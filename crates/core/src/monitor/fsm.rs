@@ -1,13 +1,15 @@
 //! The clocked commit path and the fault/recovery state machine:
 //! collects guard timeouts and checker violations into error records,
-//! severs the link and builds the abort obligations on a fault, walks
-//! Monitoring → Aborting → WaitReset, and handshakes with the external
-//! reset unit before resuming.
+//! severs the link through the [`Terminator`](crate::terminator::Terminator)
+//! on a fault, requests the subordinate reset once the aborts are
+//! delivered, and handshakes with the external reset unit before
+//! resuming.
 
 use tmu_telemetry::{FaultClass, RecoveryStage, TraceEvent};
 
-use super::{Tmu, TmuState};
+use super::Tmu;
 use crate::log::{ErrorRecord, FaultKind};
+use crate::terminator::TerminatorEvent;
 
 impl Tmu {
     /// Pass 4: clock commit for `cycle`.
@@ -16,37 +18,20 @@ impl Tmu {
         if !self.regs.enabled() {
             return;
         }
-        if std::mem::take(&mut self.drain_w_fired) {
-            self.w_drain_beats -= 1;
-        }
-        if std::mem::take(&mut self.accept_aw_fired) {
-            self.accept_aw = false;
-        }
-        if std::mem::take(&mut self.accept_ar_fired) {
-            self.accept_ar = false;
-        }
-        match self.state {
-            TmuState::Monitoring => self.commit_monitoring(cycle),
-            TmuState::Aborting => self.commit_aborting(),
-            TmuState::WaitReset => {}
-        }
-        // A completed reset only re-opens monitoring once the held
-        // address beats have been accepted (they belong to aborted
-        // transactions and must not be re-tracked).
-        if self.state == TmuState::WaitReset
-            && self.reset_completed
-            && !self.accept_aw
-            && !self.accept_ar
-        {
-            self.state = TmuState::Monitoring;
-            self.reset_completed = false;
-            self.telemetry.record(
+        let monitoring = !self.term.is_severed();
+        match self.term.commit() {
+            Some(TerminatorEvent::AbortsDelivered) => self.request_reset(),
+            Some(TerminatorEvent::Resumed) => self.telemetry.record(
                 self.cycles,
                 "tmu",
                 TraceEvent::Recovery {
                     stage: RecoveryStage::Resumed,
                 },
-            );
+            ),
+            None => {}
+        }
+        if monitoring {
+            self.commit_monitoring(cycle);
         }
         if self.telemetry.should_sample(cycle) {
             self.publish_gauges();
@@ -55,7 +40,7 @@ impl Tmu {
     }
 
     fn commit_monitoring(&mut self, cycle: u64) {
-        self.write_guard.set_pending_drain(self.w_drain_beats);
+        self.write_guard.set_pending_drain(self.term.drain_beats());
         let mut records: Vec<ErrorRecord> = Vec::new();
 
         for fault in self
@@ -97,19 +82,6 @@ impl Tmu {
             });
         }
 
-        if let Some(reason) = self.pending_isolation.take() {
-            self.trace
-                .record(cycle, "tmu", "externally commanded isolation");
-            records.push(ErrorRecord {
-                cycle,
-                kind: FaultKind::External(reason),
-                phase: None,
-                id: None,
-                addr: None,
-                inflight_cycles: 0,
-            });
-        }
-
         if records.is_empty() {
             return;
         }
@@ -124,22 +96,17 @@ impl Tmu {
         if self.regs.irq_enabled() {
             self.regs.hw_raise_irq();
         }
-        // Sever and abort: collect every outstanding transaction's
+        // Sever and abort: hand every outstanding transaction's
         // obligations (SLVERR responses, residual W drain, held-address
-        // accepts).
+        // accepts) to the terminator.
         let write_set = self.write_guard.drain_for_abort();
         let read_set = self.read_guard.drain_for_abort();
-        self.abort_b = write_set.responses.into();
-        self.abort_r = read_set.responses.into();
-        self.w_drain_beats += write_set.drain_w_beats;
-        self.accept_aw = write_set.accept_pending_addr;
-        self.accept_ar = read_set.accept_pending_addr;
+        let (aborted_writes, aborted_reads) = (write_set.responses.len(), read_set.responses.len());
+        self.term.sever(write_set, read_set);
         self.checker.flush();
-        self.state = TmuState::Aborting;
         self.stall_aw = false;
         self.stall_ar = false;
-        let (aborted_writes, aborted_reads, drain) =
-            (self.abort_b.len(), self.abort_r.len(), self.w_drain_beats);
+        let drain = self.term.drain_beats();
         self.trace.record_with(cycle, "tmu", || {
             format!(
                 "severed link: aborting {aborted_writes} writes / {aborted_reads} reads, \
@@ -156,45 +123,31 @@ impl Tmu {
         );
     }
 
-    fn commit_aborting(&mut self) {
-        if self.abort_b_fired {
-            self.abort_b.pop_front();
-        }
-        if self.abort_r_fired {
-            if let Some(front) = self.abort_r.front_mut() {
-                front.beats_remaining -= 1;
-                if front.beats_remaining == 0 {
-                    self.abort_r.pop_front();
-                }
-            }
-        }
-        self.abort_b_fired = false;
-        self.abort_r_fired = false;
-        if self.abort_b.is_empty() && self.abort_r.is_empty() {
-            self.reset_request = true;
-            self.resets_requested += 1;
-            self.regs.hw_note_reset();
-            self.state = TmuState::WaitReset;
-            self.trace.record(
-                self.cycles,
-                "tmu",
-                "aborts delivered: requesting subordinate reset",
-            );
-            self.telemetry.record(
-                self.cycles,
-                "tmu",
-                TraceEvent::Recovery {
-                    stage: RecoveryStage::AbortsDelivered,
-                },
-            );
-            self.telemetry.record(
-                self.cycles,
-                "tmu",
-                TraceEvent::Recovery {
-                    stage: RecoveryStage::ResetRequested,
-                },
-            );
-        }
+    /// All aborts are delivered: raise the reset-request pulse towards
+    /// the external reset unit.
+    fn request_reset(&mut self) {
+        self.reset_request = true;
+        self.resets_requested += 1;
+        self.regs.hw_note_reset();
+        self.trace.record(
+            self.cycles,
+            "tmu",
+            "aborts delivered: requesting subordinate reset",
+        );
+        self.telemetry.record(
+            self.cycles,
+            "tmu",
+            TraceEvent::Recovery {
+                stage: RecoveryStage::AbortsDelivered,
+            },
+        );
+        self.telemetry.record(
+            self.cycles,
+            "tmu",
+            TraceEvent::Recovery {
+                stage: RecoveryStage::ResetRequested,
+            },
+        );
     }
 
     /// Consumes the single-cycle reset-request pulse towards the
@@ -207,21 +160,16 @@ impl Tmu {
     /// been reinitialized: monitoring resumes (deferred while a held
     /// address beat of an aborted transaction is still being accepted).
     pub fn reset_done(&mut self) {
-        if self.state == TmuState::WaitReset {
-            if self.accept_aw || self.accept_ar {
-                self.reset_completed = true;
-            } else {
-                self.state = TmuState::Monitoring;
-                self.trace
-                    .record(self.cycles, "tmu", "reset complete: monitoring resumed");
-                self.telemetry.record(
-                    self.cycles,
-                    "tmu",
-                    TraceEvent::Recovery {
-                        stage: RecoveryStage::Resumed,
-                    },
-                );
-            }
+        if self.term.reset_done() {
+            self.trace
+                .record(self.cycles, "tmu", "reset complete: monitoring resumed");
+            self.telemetry.record(
+                self.cycles,
+                "tmu",
+                TraceEvent::Recovery {
+                    stage: RecoveryStage::Resumed,
+                },
+            );
         }
     }
 }

@@ -30,11 +30,12 @@
 //! concern into focused submodules, all implementing on the same type:
 //!
 //! * `datapath.rs` — the combinational forwarding passes:
-//!   request/response forwarding with stall gating, sever/abort
-//!   response driving, drain absorption, and wire observation;
-//! * `fsm.rs` — the clocked commit path: fault collection, the
-//!   Monitoring → Aborting → WaitReset recovery state machine, and reset
-//!   handshaking;
+//!   request/response forwarding with stall gating and wire
+//!   observation, handing the severed drive to the
+//!   [`Terminator`];
+//! * `fsm.rs` — the clocked commit path: fault collection, severing
+//!   through the terminator, and the reset request and trace around its
+//!   Monitoring → Aborting → WaitReset walk;
 //! * `regs.rs` — the software view: register reads/writes (error-report
 //!   assembly into `ErrHeadInfo`) and interrupt management;
 //! * `publish.rs` — telemetry publication: occupancy gauges, trace/span
@@ -47,29 +48,15 @@ mod regs;
 #[cfg(test)]
 mod tests;
 
-use std::collections::VecDeque;
-
 use axi4::checker::ProtocolChecker;
-use serde::{Deserialize, Serialize};
 use sim::EventTrace;
 use tmu_telemetry::TelemetryHub;
 
 use crate::config::{RegisterFile, TmuConfig, TmuVariant};
-use crate::guard::{AbortTxn, ReadGuard, WriteGuard};
+use crate::guard::{ReadGuard, WriteGuard};
 use crate::log::{ErrorLog, ErrorRecord, PerfLog};
-
-/// The TMU's recovery state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TmuState {
-    /// Normal operation: pass-through forwarding, parallel monitoring.
-    Monitoring,
-    /// Fault detected: paths severed, outstanding transactions being
-    /// aborted with `SLVERR` towards the manager.
-    Aborting,
-    /// All transactions aborted; waiting for the external reset unit to
-    /// reinitialize the subordinate.
-    WaitReset,
-}
+use crate::terminator::Terminator;
+pub use crate::terminator::TmuState;
 
 /// The Transaction Monitoring Unit. See the [module docs](self) for the
 /// per-cycle protocol and the crate docs for an end-to-end example.
@@ -80,31 +67,15 @@ pub struct Tmu {
     write_guard: WriteGuard,
     read_guard: ReadGuard,
     checker: ProtocolChecker,
-    state: TmuState,
+    /// Recovery state machine: severing, `SLVERR` aborts, drain and
+    /// held-address acceptance.
+    term: Terminator,
     err_log: ErrorLog,
     perf_log: PerfLog,
-    abort_b: VecDeque<AbortTxn>,
-    abort_r: VecDeque<AbortTxn>,
-    /// Residual W beats of aborted writes still owed by the manager
-    /// (AXI forbids cancelling an issued burst): absorbed and discarded.
-    w_drain_beats: u64,
-    /// A held AW/AR the TMU must accept itself while severed.
-    accept_aw: bool,
-    accept_ar: bool,
-    /// Reset completion arrived while address accepts were pending.
-    reset_completed: bool,
     reset_request: bool,
     stall_aw: bool,
     stall_ar: bool,
-    abort_b_fired: bool,
-    abort_r_fired: bool,
-    drain_w_fired: bool,
-    accept_aw_fired: bool,
-    accept_ar_fired: bool,
     pending_violations: Vec<axi4::checker::Violation>,
-    /// An externally commanded isolation (traffic regulator escalation)
-    /// waiting to be folded into the next commit's fault collection.
-    pending_isolation: Option<&'static str>,
     faults_detected: u64,
     resets_requested: u64,
     /// Committed state: cycles this monitor has committed.
@@ -125,25 +96,13 @@ impl Tmu {
             checker: ProtocolChecker::new(),
             regs,
             cfg,
-            state: TmuState::Monitoring,
+            term: Terminator::new(),
             err_log: ErrorLog::new(),
             perf_log: PerfLog::new(),
-            abort_b: VecDeque::new(),
-            abort_r: VecDeque::new(),
-            w_drain_beats: 0,
-            accept_aw: false,
-            accept_ar: false,
-            reset_completed: false,
             reset_request: false,
             stall_aw: false,
             stall_ar: false,
-            abort_b_fired: false,
-            abort_r_fired: false,
-            drain_w_fired: false,
-            accept_aw_fired: false,
-            accept_ar_fired: false,
             pending_violations: Vec::new(),
-            pending_isolation: None,
             faults_detected: 0,
             resets_requested: 0,
             cycles: 0,
@@ -161,7 +120,7 @@ impl Tmu {
     /// The recovery state machine's current state.
     #[must_use]
     pub fn state(&self) -> TmuState {
-        self.state
+        self.term.state()
     }
 
     /// Outstanding transactions currently tracked (both directions).
@@ -181,7 +140,7 @@ impl Tmu {
     /// this cycle. Deadlines only move earlier in response to new beats,
     /// so a stale bound is always conservative.
     pub fn next_deadline(&mut self) -> Option<u64> {
-        if !self.regs.enabled() || self.state != TmuState::Monitoring {
+        if !self.regs.enabled() || self.term.is_severed() {
             return None;
         }
         match (
@@ -191,29 +150,6 @@ impl Tmu {
             (Some(w), Some(r)) => Some(w.min(r)),
             (w, r) => w.or(r),
         }
-    }
-
-    /// Commands the TMU to sever and abort the link at its next commit,
-    /// exactly as if a fault had been detected, logging the event as
-    /// [`crate::log::FaultKind::External`] with the given policy name.
-    ///
-    /// This is the escalation hook for external supervisors (the
-    /// `tmu-regulate` isolation mode): instead of duplicating the
-    /// sever/abort/drain machinery, a regulator points its verdict at the
-    /// TMU already sitting on the port. Ignored unless the TMU is
-    /// enabled and currently `Monitoring` (a recovery already in flight
-    /// subsumes the request).
-    pub fn trigger_isolation(&mut self, reason: &'static str) {
-        if self.state == TmuState::Monitoring && self.regs.enabled() {
-            self.pending_isolation = Some(reason);
-        }
-    }
-
-    /// Residual W beats of aborted writes still being absorbed
-    /// (diagnostics; nonzero only around a recovery).
-    #[must_use]
-    pub fn drain_beats_pending(&self) -> u64 {
-        self.w_drain_beats
     }
 
     /// The error log.

@@ -17,7 +17,7 @@ impl Tmu {
         let write_depth = self.write_guard.wheel_depth() as u64;
         let read_depth = self.read_guard.wheel_depth() as u64;
         let faults = self.faults_detected;
-        let drain = self.w_drain_beats;
+        let drain = self.term.drain_beats();
         let gauges: [(&'static str, u64); 7] = [
             ("tmu.write.ott_occupancy", write_out),
             ("tmu.read.ott_occupancy", read_out),

@@ -1,6 +1,6 @@
 //! Elaboration-time configuration of one manager's traffic regulator:
 //! per-direction credit budgets, the replenishment window, the reaction
-//! mode on sustained overrun, and the tracker sizing.
+//! mode on sustained overrun, and the open-transaction ledger sizing.
 
 use serde::{Deserialize, Serialize};
 
@@ -41,7 +41,7 @@ pub enum RegulationMode {
     BackPressure,
     /// Back-pressure plus isolation: a manager denied in `overrun_windows`
     /// *consecutive* windows is severed — its outstanding transactions
-    /// are `SLVERR`-aborted through the embedded tracker TMU and no new
+    /// are `SLVERR`-aborted through a [`tmu::Terminator`] and no new
     /// traffic passes until software calls [`crate::Regulator::release`].
     Isolate {
         /// Consecutive overrun windows tolerated before severing.
@@ -60,10 +60,10 @@ pub enum RegulatorConfigError {
     /// `Isolate { overrun_windows: 0 }` would isolate on the first
     /// window; require at least one full overrun window.
     ZeroOverrunWindows,
-    /// The embedded tracker needs at least one trackable ID.
+    /// The open-transaction ledger needs at least one trackable ID.
     ZeroTrackerCapacity,
-    /// `max_uniq_ids * txn_per_id` exceeds the TMU's outstanding-table
-    /// ceiling (1024 slots).
+    /// `max_uniq_ids * txn_per_id` exceeds the outstanding-transaction
+    /// ceiling a TMU accepts (1024 slots).
     TrackerTooLarge,
 }
 
@@ -78,7 +78,7 @@ impl std::fmt::Display for RegulatorConfigError {
                 write!(f, "isolation requires overrun_windows >= 1")
             }
             RegulatorConfigError::ZeroTrackerCapacity => {
-                write!(f, "tracker needs max_uniq_ids >= 1 and txn_per_id >= 1")
+                write!(f, "ledger needs max_uniq_ids >= 1 and txn_per_id >= 1")
             }
             RegulatorConfigError::TrackerTooLarge => {
                 write!(f, "max_uniq_ids * txn_per_id must not exceed 1024")
@@ -153,13 +153,14 @@ impl RegulatorConfig {
         self.mode
     }
 
-    /// Distinct-ID capacity of the embedded tracker TMU.
+    /// Distinct IDs the open-transaction ledger admits at once; a new ID
+    /// beyond them stalls.
     #[must_use]
     pub fn max_uniq_ids(&self) -> usize {
         self.max_uniq_ids
     }
 
-    /// Per-ID outstanding-transaction capacity of the tracker TMU.
+    /// Open transactions the ledger admits per ID; one more stalls.
     #[must_use]
     pub fn txn_per_id(&self) -> u32 {
         self.txn_per_id
@@ -251,14 +252,14 @@ impl RegulatorConfigBuilder {
         self
     }
 
-    /// Sets the tracker TMU's distinct-ID capacity.
+    /// Sets the ledger's distinct-ID capacity.
     #[must_use]
     pub fn max_uniq_ids(mut self, ids: usize) -> Self {
         self.max_uniq_ids = ids;
         self
     }
 
-    /// Sets the tracker TMU's per-ID outstanding capacity.
+    /// Sets the ledger's per-ID outstanding capacity.
     #[must_use]
     pub fn txn_per_id(mut self, txns: u32) -> Self {
         self.txn_per_id = txns;
@@ -271,7 +272,7 @@ impl RegulatorConfigBuilder {
     ///
     /// Returns a [`RegulatorConfigError`] for a zero window, a zero
     /// byte/transaction budget on an enabled regulator, an
-    /// `Isolate { overrun_windows: 0 }` mode, or a zero-capacity tracker.
+    /// `Isolate { overrun_windows: 0 }` mode, or a zero-capacity ledger.
     pub fn build(self) -> Result<RegulatorConfig, RegulatorConfigError> {
         if self.window_cycles == 0 {
             return Err(RegulatorConfigError::ZeroWindow);

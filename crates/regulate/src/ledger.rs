@@ -1,0 +1,277 @@
+//! The regulator's ledger of open transactions, one per direction.
+//!
+//! Isolating a manager needs to know what it still has in flight: which
+//! transactions to answer with `SLVERR`, how many beats each read still
+//! owes, and whether an address beat was being offered at the moment of
+//! the sever. The ledger keeps exactly that — raw ID and owed beats per
+//! transaction, in allocation order — and nothing a timeout monitor
+//! would add on top.
+//!
+//! It also sizes the port the way a TMU's outstanding-transaction table
+//! would: admission of a new address stalls while `max_uniq_ids`
+//! distinct IDs are live, or `txn_per_id` transactions are live for the
+//! offered ID.
+//!
+//! Bookkeeping follows the TMU guards' commit order:
+//!
+//! 1. an offered (not credit-denied, not stalled) address allocates an
+//!    entry, which stays *pending* until its handshake fires — at most
+//!    one entry is pending, and it is always the newest;
+//! 2. a fired address handshake clears the pending mark;
+//! 3. a response beat taken by the manager is charged to the oldest open
+//!    entry of its ID; a pending entry never retires. Writes retire on
+//!    their B, reads on `RLAST` or on their final beat.
+
+use axi4::AxiId;
+use tmu::guard::{AbortSet, AbortTxn};
+
+use crate::config::RegulatorConfig;
+
+/// One open transaction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Open {
+    /// Raw AXI ID.
+    pub(crate) id: u16,
+    /// Beats still owed: the R beats of a read; the W beats of a write
+    /// (only consulted while its address is pending).
+    pub(crate) beats: u16,
+}
+
+/// One cycle's settled handshakes of one direction.
+#[derive(Debug, Clone, Copy, Default)]
+struct Obs {
+    offered: Option<Open>,
+    fired: bool,
+    /// A response beat taken by the manager: its ID and whether it
+    /// closes the transaction (`RLAST`; always true for a B).
+    response: Option<(u16, bool)>,
+}
+
+/// Open transactions of one direction. See the [module docs](self).
+#[derive(Debug, Clone)]
+pub(crate) struct Ledger {
+    /// Committed state: open transactions in allocation order.
+    open: Vec<Open>,
+    /// Committed state: the newest entry's address is offered but not
+    /// yet accepted.
+    pending: bool,
+    /// Live IDs and their open-transaction counts.
+    live: Vec<(u16, u32)>,
+    max_uniq_ids: usize,
+    txn_per_id: u32,
+    /// This cycle's admission stall, decided by the drive pass.
+    stalled: bool,
+    obs: Obs,
+}
+
+impl Ledger {
+    pub(crate) fn new(cfg: &RegulatorConfig) -> Self {
+        Ledger {
+            open: Vec::with_capacity(cfg.max_uniq_ids() * cfg.txn_per_id() as usize),
+            pending: false,
+            live: Vec::with_capacity(cfg.max_uniq_ids()),
+            max_uniq_ids: cfg.max_uniq_ids(),
+            txn_per_id: cfg.txn_per_id(),
+            stalled: false,
+            obs: Obs::default(),
+        }
+    }
+
+    /// Open transactions, the pending one included.
+    pub(crate) fn len(&self) -> usize {
+        self.open.len()
+    }
+
+    /// Open transactions whose address was accepted (all but a pending
+    /// one): the subordinate owes each its response.
+    pub(crate) fn accepted(&self) -> u64 {
+        (self.open.len() - usize::from(self.pending)) as u64
+    }
+
+    /// Whether a new transaction with `id` fits the ID and per-ID
+    /// capacity.
+    fn admits(&self, id: u16) -> bool {
+        match self.live.iter().find(|&&(live, _)| live == id) {
+            Some(&(_, count)) => count < self.txn_per_id,
+            None => self.live.len() < self.max_uniq_ids,
+        }
+    }
+
+    /// Drive pass: whether the address offered with `id` must be held
+    /// off this cycle. An already pending address is never stalled.
+    #[inline]
+    pub(crate) fn decide_stall(&mut self, id: Option<u16>) -> bool {
+        self.stalled = !self.pending && id.is_some_and(|id| !self.admits(id));
+        self.stalled
+    }
+
+    /// This cycle's stall decision.
+    #[inline]
+    pub(crate) fn stalled(&self) -> bool {
+        self.stalled
+    }
+
+    /// Observe pass: records the settled handshakes for the commit.
+    #[inline]
+    pub(crate) fn observe(
+        &mut self,
+        offered: Option<Open>,
+        fired: bool,
+        response: Option<(u16, bool)>,
+    ) {
+        self.obs = Obs {
+            offered,
+            fired,
+            response,
+        };
+    }
+
+    /// Clock commit: allocates, accepts and retires per the module
+    /// docs' order.
+    pub(crate) fn commit(&mut self) {
+        let obs = std::mem::take(&mut self.obs);
+        if let Some(txn) = obs.offered {
+            if !self.pending && !self.stalled && self.admits(txn.id) {
+                self.open.push(txn);
+                match self.live.iter_mut().find(|(live, _)| *live == txn.id) {
+                    Some((_, count)) => *count += 1,
+                    None => self.live.push((txn.id, 1)),
+                }
+                self.pending = true;
+            }
+        }
+        if obs.fired {
+            self.pending = false;
+        }
+        if let Some((id, last)) = obs.response {
+            self.respond(id, last);
+        }
+        self.stalled = false;
+    }
+
+    /// Charges one response beat to the oldest open entry of `id`.
+    fn respond(&mut self, id: u16, last: bool) {
+        let Some(at) = self.open.iter().position(|t| t.id == id) else {
+            return;
+        };
+        if self.pending && at + 1 == self.open.len() {
+            return;
+        }
+        let txn = &mut self.open[at];
+        txn.beats = txn.beats.saturating_sub(1);
+        if last || txn.beats == 0 {
+            self.open.remove(at);
+            if let Some(slot) = self.live.iter().position(|&(live, _)| live == id) {
+                self.live[slot].1 -= 1;
+                if self.live[slot].1 == 0 {
+                    self.live.swap_remove(slot);
+                }
+            }
+        }
+    }
+
+    /// W beats of the pending write address (0 when none is pending).
+    pub(crate) fn pending_beats(&self) -> u64 {
+        match self.open.last() {
+            Some(txn) if self.pending => u64::from(txn.beats),
+            _ => 0,
+        }
+    }
+
+    /// The abort obligations of every open transaction, in allocation
+    /// order: `responses(txn)` `SLVERR` beats each, plus `drain_w_beats`
+    /// residual W beats.
+    pub(crate) fn abort_set(&self, drain_w_beats: u64, responses: fn(&Open) -> u16) -> AbortSet {
+        AbortSet {
+            responses: self
+                .open
+                .iter()
+                .map(|txn| AbortTxn {
+                    id: AxiId(txn.id),
+                    beats_remaining: responses(txn),
+                })
+                .collect(),
+            drain_w_beats,
+            accept_pending_addr: self.pending,
+        }
+    }
+
+    /// Forgets every open transaction (the sever hands them to the
+    /// terminator).
+    pub(crate) fn reset(&mut self) {
+        self.open.clear();
+        self.pending = false;
+        self.live.clear();
+        self.stalled = false;
+        self.obs = Obs::default();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ledger(ids: usize, per_id: u32) -> Ledger {
+        Ledger::new(
+            &RegulatorConfig::builder()
+                .max_uniq_ids(ids)
+                .txn_per_id(per_id)
+                .build()
+                .expect("small ledger sizing is valid"),
+        )
+    }
+
+    /// Offers and accepts one transaction in a single cycle.
+    fn issue(l: &mut Ledger, id: u16, beats: u16) {
+        assert!(!l.decide_stall(Some(id)));
+        l.observe(Some(Open { id, beats }), true, None);
+        l.commit();
+    }
+
+    #[test]
+    fn admission_stalls_on_id_and_per_id_capacity() {
+        let mut l = ledger(2, 2);
+        issue(&mut l, 1, 1);
+        issue(&mut l, 1, 1);
+        assert!(l.decide_stall(Some(1)), "per-ID quota full");
+        issue(&mut l, 2, 1);
+        assert!(l.decide_stall(Some(3)), "both ID slots live");
+        l.observe(None, false, Some((1, true)));
+        l.commit();
+        assert!(!l.decide_stall(Some(1)));
+        assert_eq!(l.len(), 2);
+    }
+
+    #[test]
+    fn responses_retire_the_oldest_entry_of_their_id() {
+        let mut l = ledger(4, 4);
+        issue(&mut l, 7, 3);
+        issue(&mut l, 7, 1);
+        // Two beats of the first read, then an early RLAST.
+        for last in [false, false] {
+            l.observe(None, false, Some((7, last)));
+            l.commit();
+        }
+        assert_eq!(l.len(), 2);
+        let set = l.abort_set(0, |t| t.beats.max(1));
+        assert_eq!(set.responses[0].beats_remaining, 1);
+        l.observe(None, false, Some((7, true)));
+        l.commit();
+        assert_eq!(l.len(), 1);
+    }
+
+    #[test]
+    fn pending_entry_never_retires_and_is_reported_for_abort() {
+        let mut l = ledger(4, 4);
+        assert!(!l.decide_stall(Some(2)));
+        l.observe(Some(Open { id: 2, beats: 4 }), false, Some((2, true)));
+        l.commit();
+        assert_eq!(l.len(), 1, "a pending entry never retires");
+        assert_eq!(l.pending_beats(), 4);
+        let set = l.abort_set(4, |_| 1);
+        assert!(set.accept_pending_addr);
+        assert_eq!(set.drain_w_beats, 4);
+        l.reset();
+        assert_eq!((l.len(), l.pending_beats()), (0, 0));
+    }
+}

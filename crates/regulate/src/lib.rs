@@ -25,13 +25,16 @@
 //! # Isolation
 //!
 //! In [`RegulationMode::Isolate`], a manager whose traffic is denied in
-//! N *consecutive* windows is severed: the regulator's embedded tracker
-//! TMU — which has been following every granted transaction — aborts
-//! the backlog with `SLVERR`, keeps absorbing the data beats the
-//! interconnect is still owed, and holds the port closed until software
-//! re-admits it with [`Regulator::release`]. The sever/abort/drain logic
-//! is the TMU's own ([`tmu::Tmu::trigger_isolation`]); the regulator
-//! only renders the verdict.
+//! N *consecutive* windows is severed. The regulator keeps a small
+//! ledger of the transactions it let through — raw ID and owed beats,
+//! per direction — and on the verdict hands it to a [`tmu::Terminator`],
+//! the sever/abort/drain unit the TMU's own recovery uses. The
+//! terminator answers the backlog with `SLVERR`, accepts a still-held
+//! address beat and absorbs the W beats the manager still owes, while
+//! the regulator forwards exactly the beats the subordinate is owed and
+//! absorbs the subordinate's late responses. The port stays closed until
+//! software re-admits it with [`Regulator::release`]; no subordinate
+//! reset is requested, since the manager is the faulty party.
 //!
 //! # Example
 //!
@@ -72,6 +75,7 @@
 
 pub mod budget;
 pub mod config;
+mod ledger;
 pub mod regulator;
 
 pub use budget::{BudgetUnit, CycleSpend, WindowRollover};

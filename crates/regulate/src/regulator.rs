@@ -1,12 +1,18 @@
 //! The per-manager regulator: a cycle-accurate two-phase component that
 //! sits between one manager and the interconnect, gates its AW/AR
 //! handshakes when the credit bucket runs dry, and — in isolation mode —
-//! severs a persistently overrunning manager through an embedded tracker
-//! TMU, reusing its `SLVERR` abort and drain machinery wholesale.
+//! severs a persistently overrunning manager.
+//!
+//! To isolate cleanly the regulator keeps a ledger of the transactions
+//! it let through: raw ID and owed beats per transaction, per direction.
+//! On the isolation verdict the ledger becomes the abort obligations
+//! handed to a [`Terminator`] — the same sever/`SLVERR`-abort/drain unit
+//! the TMU's recovery uses — which answers the manager until software
+//! calls [`Regulator::release`].
 //!
 //! # Per-cycle protocol
 //!
-//! The harness calls, in the same order as for a [`Tmu`]:
+//! The harness calls, in the same order as for a [`tmu::Tmu`]:
 //!
 //! 1. [`Regulator::forward_request`] after the manager drives;
 //! 2. [`Regulator::forward_response`] after the downstream side drives;
@@ -15,11 +21,12 @@
 //! 5. [`Regulator::commit`] at the clock edge.
 
 use axi4::channel::AxiPort;
-use tmu::{BudgetConfig, CounterEngine, Tmu, TmuConfig, TmuState, TmuVariant};
+use tmu::{ErrorRecord, FaultKind, Terminator, TmuState};
 use tmu_telemetry::{Dir, TelemetryConfig, TelemetryHub, TraceEvent};
 
 use crate::budget::{BudgetUnit, CycleSpend};
 use crate::config::{RegulationMode, RegulatorConfig};
+use crate::ledger::{Ledger, Open};
 
 /// The policy name logged (as `FaultKind::External`) when the regulator
 /// commands an isolation.
@@ -41,12 +48,13 @@ struct Grant {
 pub struct Regulator {
     cfg: RegulatorConfig,
     budget: BudgetUnit,
-    /// Embedded tracker TMU: follows every transaction the regulator
-    /// lets through so that an isolation verdict can sever the port and
-    /// abort the backlog without duplicating the recovery machinery.
-    /// Its timeout budget is effectively infinite; it never faults on
-    /// its own.
-    tracker: Tmu,
+    /// Open write transactions the regulator let through.
+    writes: Ledger,
+    /// Open read transactions the regulator let through.
+    reads: Ledger,
+    /// Severs the port on an isolation verdict and answers the manager
+    /// with `SLVERR` aborts until [`Regulator::release`].
+    term: Terminator,
     telemetry: TelemetryHub,
     // ---- per-cycle wire state, recomputed by every drive pass ----
     deny_aw: bool,
@@ -56,11 +64,22 @@ pub struct Regulator {
     saw_aw_grant: Option<Grant>,
     saw_ar_grant: Option<Grant>,
     saw_w_downstream: bool,
+    absorbed_b: bool,
+    absorbed_r_last: bool,
     /// Committed state: W beats of bursts whose AW already fired towards
     /// the subordinate but whose data has not yet followed. While
     /// severed, exactly this many beats are still forwarded downstream
-    /// (the tracker's drain count also covers never-forwarded bursts).
+    /// (the terminator's drain count also covers never-forwarded
+    /// bursts).
     q_w_owed: u64,
+    /// Committed state: B responses the subordinate still owes to
+    /// writes aborted by the last isolation. They are absorbed, and
+    /// [`Regulator::release`] waits for them so none reaches the
+    /// re-admitted manager.
+    q_stale_b: u64,
+    /// Committed state: reads aborted by the last isolation whose
+    /// `RLAST` the subordinate has yet to send; likewise absorbed.
+    q_stale_r: u64,
     /// Committed state: cycle the currently denied AW started waiting.
     q_aw_wait_since: Option<u64>,
     /// Committed state: cycle the currently denied AR started waiting.
@@ -68,6 +87,8 @@ pub struct Regulator {
     /// Committed state: the isolation verdict, latched until
     /// [`Regulator::release`].
     q_isolated: bool,
+    /// Committed state: the record of the most recent sever.
+    q_last_fault: Option<ErrorRecord>,
     /// Committed state: address handshakes granted since construction.
     q_grants: u64,
     /// Committed state: denial episodes (a denied handshake newly
@@ -80,34 +101,15 @@ pub struct Regulator {
 }
 
 impl Regulator {
-    /// Builds a regulator (full credit bucket, tracker idle) from its
+    /// Builds a regulator (full credit bucket, nothing open) from its
     /// validated configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if the tracker TMU rejects a sizing that
-    /// [`RegulatorConfig`] validation has already accepted — unreachable
-    /// for any configuration a builder can produce.
     #[must_use]
     pub fn new(cfg: RegulatorConfig) -> Self {
-        let tracker_cfg = TmuConfig::builder()
-            .variant(TmuVariant::TinyCounter)
-            .engine(CounterEngine::PerCycle)
-            .check_protocol(false)
-            .max_uniq_ids(cfg.max_uniq_ids())
-            .txn_per_id(cfg.txn_per_id())
-            .budgets(BudgetConfig {
-                // The tracker exists for its transaction table and abort
-                // path, not for timeout detection: give it a practically
-                // infinite budget so it never faults on its own.
-                tiny_total_override: Some(1 << 40),
-                ..BudgetConfig::default()
-            })
-            .build()
-            .expect("regulator config validation bounds the tracker sizing");
         Regulator {
             budget: BudgetUnit::new(&cfg),
-            tracker: Tmu::new(tracker_cfg),
+            writes: Ledger::new(&cfg),
+            reads: Ledger::new(&cfg),
+            term: Terminator::new(),
             telemetry: TelemetryHub::default(),
             cfg,
             deny_aw: false,
@@ -117,10 +119,15 @@ impl Regulator {
             saw_aw_grant: None,
             saw_ar_grant: None,
             saw_w_downstream: false,
+            absorbed_b: false,
+            absorbed_r_last: false,
             q_w_owed: 0,
+            q_stale_b: 0,
+            q_stale_r: 0,
             q_aw_wait_since: None,
             q_ar_wait_since: None,
             q_isolated: false,
+            q_last_fault: None,
             q_grants: 0,
             q_denies: 0,
             q_isolations: 0,
@@ -128,28 +135,11 @@ impl Regulator {
         }
     }
 
-    fn severed(&self) -> bool {
-        self.tracker.state() != TmuState::Monitoring
-    }
-
-    /// The manager-side wires with credit-denied address channels masked
-    /// out, as both the forwarding and the observe pass must present
-    /// them to the tracker.
-    fn masked(&self, mgr: &AxiPort) -> AxiPort {
-        let mut masked = mgr.clone();
-        if self.deny_aw {
-            masked.aw.suppress_valid();
-        }
-        if self.deny_ar {
-            masked.ar.suppress_valid();
-        }
-        masked
-    }
-
     /// Pass 1: forward manager-driven wires downstream, suppressing
-    /// credit-denied address handshakes; while severed, keep the
-    /// downstream side response-ready and forward only the residual W
-    /// beats the subordinate is still owed.
+    /// credit-denied address handshakes and holding off addresses the
+    /// ledger has no room for; while severed, keep the downstream side
+    /// response-ready and forward only the residual W beats the
+    /// subordinate is still owed.
     #[inline]
     pub fn forward_request(&mut self, mgr: &AxiPort, out: &mut AxiPort) {
         if !self.cfg.enabled() {
@@ -160,13 +150,13 @@ impl Regulator {
     }
 
     fn forward_request_enabled(&mut self, mgr: &AxiPort, out: &mut AxiPort) {
-        if self.severed() {
+        if self.term.is_severed() {
             self.deny_aw = false;
             self.deny_ar = false;
-            // The tracker leaves `out` idle; stray responses still in
-            // flight from the shared subordinate must not back up the
-            // interconnect, so absorb them here (the manager is answered
-            // by the tracker's SLVERR aborts instead).
+            // The terminator drives the manager side only; stray
+            // responses still in flight from the shared subordinate must
+            // not back up the interconnect, so absorb them here (the
+            // manager is answered by the SLVERR aborts instead).
             out.b.set_ready(true);
             out.r.set_ready(true);
             if self.q_w_owed > 0 {
@@ -178,17 +168,28 @@ impl Regulator {
         self.deny_ar = mgr.ar.valid() && !self.budget.may_grant(Dir::Read);
         self.denied_aw_id = mgr.aw.beat().map_or(0, |b| b.id.0);
         self.denied_ar_id = mgr.ar.beat().map_or(0, |b| b.id.0);
-        if self.deny_aw || self.deny_ar {
-            let masked = self.masked(mgr);
-            self.tracker.forward_request(&masked, out);
-        } else {
-            self.tracker.forward_request(mgr, out);
+        // A denied address goes downstream with valid low and no
+        // payload; it is invisible to the ledger.
+        let aw_id = mgr.aw.beat().filter(|_| !self.deny_aw).map(|b| b.id.0);
+        if self.deny_aw {
+            out.aw.suppress_valid();
+        } else if !self.writes.decide_stall(aw_id) {
+            out.aw.forward_driver_from(&mgr.aw);
         }
+        self.term.forward_w(mgr, out);
+        let ar_id = mgr.ar.beat().filter(|_| !self.deny_ar).map(|b| b.id.0);
+        if self.deny_ar {
+            out.ar.suppress_valid();
+        } else if !self.reads.decide_stall(ar_id) {
+            out.ar.forward_driver_from(&mgr.ar);
+        }
+        out.b.forward_ready_from(&mgr.b);
+        out.r.forward_ready_from(&mgr.r);
     }
 
     /// Pass 2: forward downstream-driven wires back to the manager (or
-    /// the tracker's abort responses while severed), and pull the
-    /// address `ready` low on a credit denial.
+    /// the terminator's abort responses while severed), and hold the
+    /// address `ready` low on a credit denial or an admission stall.
     #[inline]
     pub fn forward_response(&mut self, out: &AxiPort, mgr: &mut AxiPort) {
         if !self.cfg.enabled() {
@@ -199,21 +200,32 @@ impl Regulator {
     }
 
     fn forward_response_enabled(&mut self, out: &AxiPort, mgr: &mut AxiPort) {
-        self.tracker.forward_response(out, mgr);
-        if self.severed() {
+        if self.term.is_severed() {
+            // Pass 1 holds the downstream response `ready`s high, so a
+            // valid response is absorbed this cycle.
+            self.absorbed_b = out.b.fires();
+            self.absorbed_r_last = out.r.fired_beat().is_some_and(|r| r.last);
+            self.term.drive_severed(mgr);
             if self.q_w_owed > 0 {
                 // Owed beats must genuinely transfer downstream: gate
                 // the manager on the real downstream ready instead of
-                // the tracker's unconditional drain absorb.
+                // the terminator's unconditional drain absorb.
                 mgr.w.set_ready(out.w.ready());
             }
-        } else {
-            if self.deny_aw {
-                mgr.aw.set_ready(false);
-            }
-            if self.deny_ar {
-                mgr.ar.set_ready(false);
-            }
+            return;
+        }
+        mgr.b.forward_driver_from(&out.b);
+        mgr.r.forward_driver_from(&out.r);
+        if self.deny_aw {
+            mgr.aw.set_ready(false);
+        } else if !self.writes.stalled() {
+            mgr.aw.forward_ready_from(&out.aw);
+        }
+        self.term.forward_w_ready(out, mgr);
+        if self.deny_ar {
+            mgr.ar.set_ready(false);
+        } else if !self.reads.stalled() {
+            mgr.ar.forward_ready_from(&out.ar);
         }
     }
 
@@ -221,19 +233,17 @@ impl Regulator {
     /// side's B/R `ready` settles late (below an interconnect mux).
     #[inline]
     pub fn backprop_response_ready(&mut self, mgr: &AxiPort, out: &mut AxiPort) {
-        if !self.cfg.enabled() {
+        // While severed this is a no-op, which preserves the absorbing
+        // readys driven in pass 1.
+        if !self.cfg.enabled() || !self.term.is_severed() {
             out.b.forward_ready_from(&mgr.b);
             out.r.forward_ready_from(&mgr.r);
-            return;
         }
-        // While severed the tracker's pass is a no-op, which preserves
-        // the absorbing readys driven in pass 1.
-        self.tracker.backprop_response_ready(mgr, out);
     }
 
     /// Pass 3: tap the settled manager-side wires — records granted
-    /// handshakes and owed-beat movement for the commit pass and feeds
-    /// the tracker the same masked view pass 1 forwarded.
+    /// handshakes, owed-beat movement and the ledger's handshakes for
+    /// the commit pass.
     #[inline]
     pub fn observe(&mut self, mgr: &AxiPort) {
         if !self.cfg.enabled() {
@@ -245,43 +255,52 @@ impl Regulator {
     fn observe_enabled(&mut self, mgr: &AxiPort) {
         self.saw_aw_grant = None;
         self.saw_ar_grant = None;
-        self.saw_w_downstream = false;
-        if self.severed() {
+        self.term.observe(mgr);
+        if self.term.is_severed() {
             self.saw_w_downstream = self.q_w_owed > 0 && mgr.w.fires();
-            self.tracker.observe(mgr);
             return;
         }
-        if !self.deny_aw {
-            if let Some(aw) = mgr.aw.fired_beat() {
-                self.saw_aw_grant = Some(Grant {
-                    id: aw.id.0,
-                    bytes: aw.total_bytes(),
-                    beats: u64::from(aw.len.beats()),
-                });
-            }
+        self.saw_w_downstream = self.term.drain_beats() == 0 && mgr.w.fires();
+        let aw = mgr.aw.beat().filter(|_| !self.deny_aw);
+        let aw_fired = aw.is_some() && mgr.aw.fires();
+        if let Some(aw) = aw.filter(|_| aw_fired) {
+            self.saw_aw_grant = Some(Grant {
+                id: aw.id.0,
+                bytes: aw.total_bytes(),
+                beats: u64::from(aw.len.beats()),
+            });
         }
-        if !self.deny_ar {
-            if let Some(ar) = mgr.ar.fired_beat() {
-                self.saw_ar_grant = Some(Grant {
-                    id: ar.id.0,
-                    bytes: ar.total_bytes(),
-                    beats: u64::from(ar.len.beats()),
-                });
-            }
+        self.writes.observe(
+            aw.map(|b| Open {
+                id: b.id.0,
+                beats: b.len.beats(),
+            }),
+            aw_fired,
+            mgr.b.fired_beat().map(|b| (b.id.0, true)),
+        );
+        let ar = mgr.ar.beat().filter(|_| !self.deny_ar);
+        let ar_fired = ar.is_some() && mgr.ar.fires();
+        if let Some(ar) = ar.filter(|_| ar_fired) {
+            self.saw_ar_grant = Some(Grant {
+                id: ar.id.0,
+                bytes: ar.total_bytes(),
+                beats: u64::from(ar.len.beats()),
+            });
         }
-        self.saw_w_downstream = self.tracker.drain_beats_pending() == 0 && mgr.w.fires();
-        if self.deny_aw || self.deny_ar {
-            let masked = self.masked(mgr);
-            self.tracker.observe(&masked);
-        } else {
-            self.tracker.observe(mgr);
-        }
+        self.reads.observe(
+            ar.map(|b| Open {
+                id: b.id.0,
+                beats: b.len.beats(),
+            }),
+            ar_fired,
+            mgr.r.fired_beat().map(|r| (r.id.0, r.last)),
+        );
     }
 
     /// Pass 4: clock commit for `cycle` — charges the budget with the
     /// cycle's grants, latches denial episodes, rolls the window,
     /// escalates to isolation when the overrun streak crosses the
-    /// configured threshold, and commits the tracker.
+    /// configured threshold, and commits the ledgers and the terminator.
     #[inline]
     pub fn commit(&mut self, cycle: u64) {
         self.q_cycles = cycle + 1;
@@ -340,6 +359,12 @@ impl Regulator {
         if std::mem::take(&mut self.saw_w_downstream) {
             self.q_w_owed = self.q_w_owed.saturating_sub(1);
         }
+        if std::mem::take(&mut self.absorbed_b) {
+            self.q_stale_b = self.q_stale_b.saturating_sub(1);
+        }
+        if std::mem::take(&mut self.absorbed_r_last) {
+            self.q_stale_r = self.q_stale_r.saturating_sub(1);
+        }
         if self.deny_aw {
             spend.denied = true;
             if self.q_aw_wait_since.is_none() {
@@ -370,6 +395,7 @@ impl Regulator {
                 );
             }
         }
+        let mut isolate = false;
         if let Some(roll) = self.budget.commit(&spend, cycle) {
             self.telemetry.record(
                 cycle,
@@ -383,7 +409,7 @@ impl Regulator {
                 if !self.q_isolated && roll.streak >= overrun_windows {
                     self.q_isolated = true;
                     self.q_isolations += 1;
-                    self.tracker.trigger_isolation(ISOLATION_REASON);
+                    isolate = true;
                     self.telemetry.record(
                         cycle,
                         "regulate",
@@ -394,11 +420,38 @@ impl Regulator {
                 }
             }
         }
-        self.tracker.commit(cycle);
-        // A commanded isolation must not reset the subordinate — the
-        // manager is the faulty party, and the port stays severed until
-        // software re-admits it. Swallow the tracker's reset request.
-        let _ = self.tracker.take_reset_request();
+        // The terminator's milestones need no reaction: the manager is
+        // the faulty party, so no subordinate reset is requested, and
+        // the port stays severed until software re-admits it.
+        let monitoring = !self.term.is_severed();
+        self.term.commit();
+        if monitoring {
+            self.writes.commit();
+            self.reads.commit();
+            if isolate {
+                // Severing hands every open transaction to the
+                // terminator: the owed W beats of granted bursts plus
+                // those of a still-offered AW drain, and each write
+                // gets one SLVERR B, each read its remaining R beats.
+                // The subordinate still answers the accepted ones.
+                self.q_stale_b = self.writes.accepted();
+                self.q_stale_r = self.reads.accepted();
+                let drain = self.q_w_owed + self.writes.pending_beats();
+                let write = self.writes.abort_set(drain, |_| 1);
+                let read = self.reads.abort_set(0, |txn| txn.beats.max(1));
+                self.writes.reset();
+                self.reads.reset();
+                self.term.sever(write, read);
+                self.q_last_fault = Some(ErrorRecord {
+                    cycle,
+                    kind: FaultKind::External(ISOLATION_REASON),
+                    phase: None,
+                    id: None,
+                    addr: None,
+                    inflight_cycles: 0,
+                });
+            }
+        }
         if self.telemetry.should_sample(cycle) {
             self.publish_gauges(cycle);
             self.telemetry.take_sample(cycle);
@@ -406,15 +459,21 @@ impl Regulator {
     }
 
     /// Software re-admission of an isolated manager: refills the bucket,
-    /// clears the overrun history, and lets the tracker resume
-    /// monitoring. Returns `false` (and does nothing) while the port is
-    /// not isolated, the tracker is still delivering aborts, or owed W
-    /// beats are still draining downstream.
+    /// clears the overrun history, and re-opens the port. Returns
+    /// `false` (and does nothing) while the port is not isolated, the
+    /// terminator is still delivering aborts, owed W beats are still
+    /// draining downstream, or the subordinate still owes responses to
+    /// aborted transactions.
     pub fn release(&mut self) -> bool {
-        if !self.q_isolated || self.tracker.state() != TmuState::WaitReset || self.q_w_owed > 0 {
+        if !self.q_isolated
+            || self.term.state() != TmuState::WaitReset
+            || self.q_w_owed > 0
+            || self.q_stale_b > 0
+            || self.q_stale_r > 0
+        {
             return false;
         }
-        self.tracker.reset_done();
+        self.term.reset_done();
         self.budget.reset();
         self.q_isolated = false;
         self.q_aw_wait_since = None;
@@ -471,10 +530,19 @@ impl Regulator {
         &self.budget
     }
 
-    /// Diagnostic access to the embedded tracker TMU.
+    /// The isolation path's recovery state: `Monitoring` while the port
+    /// is open, `Aborting` while `SLVERR` aborts are delivered,
+    /// `WaitReset` until [`Regulator::release`] takes effect.
     #[must_use]
-    pub fn tracker(&self) -> &Tmu {
-        &self.tracker
+    pub fn state(&self) -> TmuState {
+        self.term.state()
+    }
+
+    /// The record of the most recent isolation, logged as
+    /// [`FaultKind::External`] with [`ISOLATION_REASON`].
+    #[must_use]
+    pub fn last_fault(&self) -> Option<&ErrorRecord> {
+        self.q_last_fault.as_ref()
     }
 
     /// True while the manager is severed awaiting [`Regulator::release`].
@@ -502,10 +570,11 @@ impl Regulator {
         self.q_isolations
     }
 
-    /// Transactions the tracker currently holds open for this manager.
+    /// Transactions currently open for this manager (both directions,
+    /// a still-offered address included).
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.tracker.outstanding()
+        self.writes.len() + self.reads.len()
     }
 
     /// Switches the regulator's telemetry on (credit events, gauges and
@@ -680,7 +749,7 @@ mod tests {
         // Windows 0 and 1 both overran: the commit of cycle 7 severed.
         assert!(reg.is_isolated());
         assert_eq!(reg.isolations(), 1);
-        let fault = reg.tracker().last_fault().expect("isolation logs a fault");
+        let fault = reg.last_fault().expect("isolation logs a fault");
         assert!(
             matches!(fault.kind, tmu::FaultKind::External(ISOLATION_REASON)),
             "fault must be the commanded isolation, got {:?}",
@@ -718,12 +787,12 @@ mod tests {
         }
         assert!(reg.is_isolated());
         assert_eq!(
-            reg.tracker().state(),
+            reg.state(),
             TmuState::Aborting,
             "the open write must put the tracker into its abort phase"
         );
         // The withheld W beat is owed downstream and must drain there;
-        // afterwards the tracker answers the write with SLVERR.
+        // afterwards the terminator answers the write with SLVERR.
         let mut saw_slverr = false;
         for cycle in 4..12 {
             step(&mut reg, &mut mgr, &mut out, &mut b_queue, cycle, |m| {

@@ -326,7 +326,7 @@ impl<S: AxiSubordinate> RegulatedLink<S> {
                 self.sub_port.r.forward_ready_from(&self.trunk.r);
             }
         }
-        // Pass 9: regulators forward the responses (or their tracker's
+        // Pass 9: regulators forward the responses (or their terminator's
         // aborts) and the granted request readys to the managers.
         for i in 0..self.mgrs.len() {
             self.fabric

@@ -153,7 +153,7 @@ fn localization_granularity_matches_variant() {
 /// floods the interconnect with back-to-back bursts. The TMU cannot
 /// (and must not) flag it — every handshake is protocol-clean — so the
 /// traffic *regulator* is the detector: it must isolate the offender,
-/// log the policy fault on its embedded tracker, and leave both the
+/// log the policy fault, and leave both the
 /// trunk TMU and the victim manager untouched.
 #[test]
 fn budget_exhaustion_is_isolated_by_the_regulator_not_the_tmu() {
@@ -206,7 +206,6 @@ fn budget_exhaustion_is_isolated_by_the_regulator_not_the_tmu() {
         .expect("port 1 carries the isolating regulator");
     assert_eq!(reg.isolations(), 1, "exactly one isolation event");
     let fault = reg
-        .tracker()
         .last_fault()
         .expect("isolation logs a policy fault on the embedded tracker");
     assert!(
