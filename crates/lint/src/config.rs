@@ -18,6 +18,8 @@ pub struct TypeAllow {
     pub methods: Vec<String>,
     /// Mandatory human justification.
     pub reason: String,
+    /// 1-based line of the entry's `[[two_phase.allow]]` header.
+    pub line: u32,
 }
 
 /// Configuration for the two-phase discipline lint (L1).
@@ -171,6 +173,7 @@ impl Config {
                             type_name: String::new(),
                             methods: Vec::new(),
                             reason: String::new(),
+                            line: n as u32,
                         });
                         Section::TwoPhaseAllow
                     }

@@ -14,6 +14,10 @@
 //! Matching is name-based (the parser does not resolve types), scoped
 //! to the crate declaring the field — committed field names are kept
 //! distinctive for exactly this reason. Test code is exempt.
+//!
+//! An allowance whose `type` names no struct or enum in the workspace is
+//! itself a finding (reported at its `lint.toml` line): a renamed or
+//! deleted type must not leave a dead exemption behind.
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -33,6 +37,30 @@ pub fn check(ws: &Workspace, cfg: &Config, root: &Path) -> Vec<Diagnostic> {
             continue;
         }
         scan_crate(krate, cfg, &tagged, root, &mut diags);
+    }
+    let types: HashSet<&str> = ws
+        .crates
+        .iter()
+        .flat_map(|k| &k.sources)
+        .flat_map(|src| {
+            let structs = src.structs.iter().map(|st| st.name.as_str());
+            structs.chain(src.enums.iter().map(|en| en.name.as_str()))
+        })
+        .collect();
+    for allow in &cfg.two_phase.allow {
+        if !types.contains(allow.type_name.as_str()) {
+            diags.push(Diagnostic::new(
+                Lint::TwoPhase,
+                root,
+                &root.join("lint.toml"),
+                allow.line,
+                format!(
+                    "[[two_phase.allow]] names type `{}`, which no longer exists in the \
+                     workspace; remove the dead exemption",
+                    allow.type_name
+                ),
+            ));
+        }
     }
     diags
 }

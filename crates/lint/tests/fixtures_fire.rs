@@ -50,6 +50,29 @@ fn two_phase_fires_on_fixture() {
 }
 
 #[test]
+fn two_phase_reports_allowances_for_missing_types() {
+    let cfg = Config::parse(
+        "[[two_phase.allow]]\n\
+         type = \"FxRegs\"\n\
+         methods = [\"drive\"]\n\
+         reason = \"fixture: drive doubles as a commit edge\"\n\
+         [[two_phase.allow]]\n\
+         type = \"GoneFx\"\n\
+         methods = [\"step\"]\n\
+         reason = \"fixture: the type was renamed away\"\n",
+    )
+    .expect("inline two-phase config parses");
+    let ws = ws_of("fx", &["two_phase_bad.rs"]);
+    let mut diags = run_lints(&ws, &cfg, &fixture("")).diags;
+    diags.retain(|d| d.lint == Lint::TwoPhase);
+    // The live allowance silences `drive`; only the dead one is left,
+    // reported at its own `lint.toml` entry.
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!((diags[0].file.as_str(), diags[0].line), ("lint.toml", 5));
+    assert!(diags[0].message.contains("`GoneFx`"), "{diags:?}");
+}
+
+#[test]
 fn panic_hygiene_fires_on_fixture() {
     let ws = ws_of("fx", &["panic_bad.rs"]);
     let found = lints_of(&ws, &Config::default());

@@ -8,8 +8,7 @@
 //!   until a condition or limit.
 //! * [`trace`] — a bounded [`EventTrace`] of timestamped events for
 //!   debugging and assertions.
-//! * [`stats`] — named [`Stats`] counters and the [`Histogram`] used by
-//!   the TMU's performance logs.
+//! * [`stats`] — the [`Histogram`] used by the TMU's performance logs.
 //! * [`rng`] — a seeded, splittable [`SimRng`] so every experiment is
 //!   bit-reproducible.
 //! * [`vcd`] — a minimal value-change-dump writer for waveform inspection
@@ -19,9 +18,14 @@
 //!
 //! A cycle consists of one or more ordered *drive* passes (combinational
 //! settling, sequenced by the harness) followed by a single *commit*
-//! (clock edge). The kernel does not impose a component trait — harnesses
-//! like `soc::System` hand-wire the pass order, which keeps combinational
-//! dependencies explicit and the simulation deterministic.
+//! (clock edge). The kernel itself stays trait-free: it only counts
+//! cycles. The per-link units that sit between a manager and a
+//! subordinate (the TMU with its reset line, the traffic regulator)
+//! share one five-pass protocol, `soc::stage::LinkStage`, and a
+//! `soc::stage::StageBank` runs each pass across many ports. Harnesses
+//! like `soc::System` order those passes around their managers,
+//! interconnect and subordinates, which keeps combinational dependencies
+//! explicit and the simulation deterministic.
 //!
 //! # Example
 //!
@@ -51,6 +55,6 @@ pub mod vcd;
 pub use clock::{Clock, Reset};
 pub use rng::SimRng;
 pub use runner::{RunOutcome, Simulation, StepStatus};
-pub use stats::{Histogram, Stats};
+pub use stats::Histogram;
 pub use trace::{Event, EventMsg, EventTrace};
 pub use vcd::VcdWriter;

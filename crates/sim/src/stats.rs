@@ -1,73 +1,9 @@
-//! Named counters and latency histograms.
+//! Latency histograms.
 //!
-//! [`Stats`] is a tiny string-keyed counter map used by components to
-//! report throughput-style quantities; [`Histogram`] collects cycle-count
-//! samples (latencies) and summarizes them — the backing store of the
-//! Full-Counter TMU's performance logs.
+//! [`Histogram`] collects cycle-count samples (latencies) and summarizes
+//! them — the backing store of the Full-Counter TMU's performance logs.
 
-use std::collections::BTreeMap;
 use std::fmt;
-
-/// String-keyed monotonically increasing counters.
-///
-/// Keys are `&'static str` so hot-path increments never allocate.
-///
-/// ```
-/// use sim::Stats;
-/// let mut stats = Stats::new();
-/// stats.add("beats", 4);
-/// stats.incr("txns");
-/// assert_eq!(stats.get("beats"), 4);
-/// assert_eq!(stats.get("txns"), 1);
-/// assert_eq!(stats.get("missing"), 0);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Stats {
-    counters: BTreeMap<&'static str, u64>,
-}
-
-impl Stats {
-    /// An empty counter set.
-    #[must_use]
-    pub fn new() -> Self {
-        Stats::default()
-    }
-
-    /// Adds `n` to counter `key` (creating it at zero).
-    pub fn add(&mut self, key: &'static str, n: u64) {
-        *self.counters.entry(key).or_insert(0) += n;
-    }
-
-    /// Adds one to counter `key`.
-    pub fn incr(&mut self, key: &'static str) {
-        self.add(key, 1);
-    }
-
-    /// Current value of `key` (zero if never touched).
-    #[must_use]
-    pub fn get(&self, key: &str) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
-    }
-
-    /// Iterates `(key, value)` in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Resets every counter to zero (keys are dropped).
-    pub fn clear(&mut self) {
-        self.counters.clear();
-    }
-}
-
-impl fmt::Display for Stats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (k, v) in &self.counters {
-            writeln!(f, "{k:<28} {v}")?;
-        }
-        Ok(())
-    }
-}
 
 /// A latency histogram over `u64` cycle counts with power-of-two buckets.
 ///
@@ -236,26 +172,6 @@ impl fmt::Display for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_basics() {
-        let mut s = Stats::new();
-        s.incr("a");
-        s.add("a", 2);
-        s.incr("b");
-        assert_eq!(s.get("a"), 3);
-        let pairs: Vec<_> = s.iter().collect();
-        assert_eq!(pairs, vec![("a", 3), ("b", 1)]);
-        s.clear();
-        assert_eq!(s.get("a"), 0);
-    }
-
-    #[test]
-    fn stats_display_lists_counters() {
-        let mut s = Stats::new();
-        s.add("txns", 12);
-        assert!(s.to_string().contains("txns"));
-    }
 
     #[test]
     fn histogram_bucket_boundaries() {

@@ -19,11 +19,13 @@
 //!   pacing, frame accounting and a hardware reset input.
 //! * [`link`] — a single guarded manager↔subordinate link, the
 //!   IP-level fault-injection harness of Fig. 9.
-//! * [`fabric`] — a sharded bank of per-port TMUs behind the demux, with
-//!   merged fault/interrupt views and independent per-port recovery.
-//! * [`regulated`] — per-manager credit regulators upstream of the mux
-//!   (bandwidth budgeting and misbehaving-manager isolation) and the
-//!   regulated shared-subordinate link assembly.
+//! * [`stage`] — the [`LinkStage`] protocol every per-link unit (TMU +
+//!   reset line, regulator) follows, and the [`StageBank`] that puts one
+//!   optional stage on each of N ports with wire-copy fallback, merged
+//!   fault/interrupt views and independent per-port recovery.
+//! * [`regulated`] — the regulated shared-subordinate link: per-manager
+//!   credit regulators in a stage bank upstream of the mux (bandwidth
+//!   budgeting and misbehaving-manager isolation) and a trunk TMU.
 //! * [`probe`] — VCD waveform probing of any port's wires.
 //! * [`system`] — the full assembly: two managers → mux → demux →
 //!   {memory, TMU + Ethernet}, plus the reset controller and interrupt
@@ -46,23 +48,23 @@
 pub mod demux;
 pub mod dma;
 pub mod ethernet;
-pub mod fabric;
 pub mod link;
 pub mod manager;
 pub mod memory;
 pub mod mux;
 pub mod probe;
 pub mod regulated;
+pub mod stage;
 pub mod system;
 
 pub use demux::{AddrRegion, Demux};
 pub use dma::{Descriptor, DmaEngine, DmaOutcome};
 pub use ethernet::{EthConfig, EthSub};
-pub use fabric::MonitorFabric;
 pub use link::{AxiSubordinate, DeadSub, GuardedLink};
 pub use manager::{MgrStats, TrafficGen, TrafficPattern};
 pub use memory::{MemConfig, MemSub};
 pub use mux::Mux;
 pub use probe::WaveProbe;
-pub use regulated::{RegulatedFabric, RegulatedLink};
+pub use regulated::RegulatedLink;
+pub use stage::{LinkStage, StageBank, TmuStage};
 pub use system::{System, SystemConfig};

@@ -17,6 +17,7 @@ use crate::ethernet::EthSub;
 use crate::manager::{TrafficGen, TrafficPattern};
 use crate::memory::MemSub;
 use crate::probe::WaveProbe;
+use crate::stage::commit_guarded;
 
 /// Behaviour every AXI subordinate model exposes to a harness.
 pub trait AxiSubordinate {
@@ -210,16 +211,9 @@ impl<S: AxiSubordinate> GuardedLink<S> {
                 probe.publish_metrics(metrics);
             }
         }
-        self.tmu.commit(cycle);
-
-        if self.tmu.take_reset_request() {
-            self.reset.request();
-        }
-        self.reset.tick();
-        if self.reset.is_done_pulse() {
+        if commit_guarded(&mut self.tmu, &mut self.reset, cycle) {
             self.sub.reset();
             self.injector.disarm();
-            self.tmu.reset_done();
         }
         if self.irq_first_at.is_none() && self.tmu.irq_pending() {
             self.irq_first_at = Some(cycle);

@@ -4,191 +4,29 @@
 //!
 //! The paper's TMU protects a link against a *hanging* endpoint; the
 //! [`tmu_regulate`] crate adds AXI-REALM-style protection against a
-//! *greedy* one. This module composes both: every manager port can carry
-//! a [`Regulator`] (credit gating + isolation), the regulated ports meet
-//! in a [`Mux`] (optionally with static priorities taken from the
-//! regulator configs), and the trunk can carry an ordinary [`Tmu`]
-//! guarding the shared subordinate. A misbehaving manager is therefore
-//! throttled or severed *upstream* of the arbitration point, before it
-//! can starve its neighbours — and the trunk TMU, which would otherwise
-//! time the victim transactions out, never sees a fault.
-//!
-//! * [`RegulatedFabric`] — a bank of per-manager regulator slots with
-//!   pass-through on unregulated ports (mirrors
-//!   [`crate::fabric::MonitorFabric`]).
-//! * [`RegulatedLink`] — N traffic generators → regulators → mux →
-//!   optional trunk TMU → one subordinate; the A/B harness used by the
-//!   mixed-criticality example, the recovery matrix and the benches.
+//! *greedy* one. [`RegulatedLink`] composes both from
+//! [`StageBank`]s: every manager port can carry a [`Regulator`] (credit
+//! gating + isolation), the regulated ports meet in a [`Mux`]
+//! (optionally with static priorities taken from the regulator
+//! configs), and the trunk can carry a [`TmuStage`] guarding the shared
+//! subordinate. A misbehaving manager is therefore throttled or severed
+//! *upstream* of the arbitration point, before it can starve its
+//! neighbours — and the trunk TMU, which would otherwise time the victim
+//! transactions out, never sees a fault. The link is the A/B harness
+//! used by the mixed-criticality example, the recovery matrix and the
+//! benches.
+
+use std::slice::{from_mut, from_ref};
 
 use axi4::channel::AxiPort;
 use faults::BudgetExhaustion;
-use sim::Reset;
 use tmu::{Tmu, TmuConfig};
 use tmu_regulate::{Regulator, RegulatorConfig};
-use tmu_telemetry::TelemetryConfig;
 
 use crate::link::AxiSubordinate;
 use crate::manager::{MgrStats, TrafficGen, TrafficPattern};
 use crate::mux::Mux;
-
-/// A bank of per-manager-port regulator slots. Unregulated ports are
-/// plain wire copies, so the fabric can front any mux without caring
-/// which ports opted in.
-///
-/// The per-cycle protocol per port is the [`Regulator`]'s; the fabric
-/// only adds the slot indirection and the merged commit.
-#[derive(Debug)]
-pub struct RegulatedFabric {
-    slots: Vec<Option<Regulator>>,
-    /// Per-port fast-path gate: true only when the slot carries an
-    /// *enabled* regulator. Disabled regulators are wire-exact
-    /// pass-throughs, so the per-cycle hot loop skips them without
-    /// touching the (large) regulator state at all.
-    active: Vec<bool>,
-}
-
-impl RegulatedFabric {
-    /// A fabric spanning `ports` manager ports, all unregulated.
-    #[must_use]
-    pub fn new(ports: usize) -> Self {
-        RegulatedFabric {
-            slots: (0..ports).map(|_| None).collect(),
-            active: vec![false; ports],
-        }
-    }
-
-    /// Instantiates a regulator on `port`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` is out of range.
-    pub fn attach(&mut self, port: usize, cfg: RegulatorConfig) {
-        self.active[port] = cfg.enabled();
-        self.slots[port] = Some(Regulator::new(cfg));
-    }
-
-    /// Number of manager ports spanned.
-    #[must_use]
-    pub fn ports(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True if `port` carries a regulator.
-    #[must_use]
-    pub fn is_regulated(&self, port: usize) -> bool {
-        self.slots.get(port).is_some_and(Option::is_some)
-    }
-
-    /// The regulator on `port`, if any.
-    #[must_use]
-    pub fn regulator(&self, port: usize) -> Option<&Regulator> {
-        self.slots.get(port).and_then(Option::as_ref)
-    }
-
-    /// Mutable regulator access (telemetry, release).
-    pub fn regulator_mut(&mut self, port: usize) -> Option<&mut Regulator> {
-        self.slots.get_mut(port).and_then(Option::as_mut)
-    }
-
-    /// Static mux priorities gathered from the attached configurations
-    /// (unregulated ports get priority 0), or `None` when every port is
-    /// priority 0 and plain round-robin suffices.
-    #[must_use]
-    pub fn priorities(&self) -> Option<Vec<u8>> {
-        let prio: Vec<u8> = self
-            .slots
-            .iter()
-            .map(|s| s.as_ref().map_or(0, |r| r.config().priority()))
-            .collect();
-        if prio.iter().all(|&p| p == 0) {
-            None
-        } else {
-            Some(prio)
-        }
-    }
-
-    /// Pass 1 on `port`: gate the manager's request wires onto the
-    /// mux-side port (wire copy when unregulated).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` is out of range.
-    pub fn forward_request(&mut self, port: usize, mgr: &AxiPort, out: &mut AxiPort) {
-        if self.active[port] {
-            self.slots[port]
-                .as_mut()
-                .expect("active implies an attached regulator")
-                .forward_request(mgr, out);
-        } else {
-            out.forward_request_from(mgr);
-        }
-    }
-
-    /// Pass 2 on `port`: forward the mux-side response wires back to the
-    /// manager (wire copy when unregulated).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` is out of range.
-    pub fn forward_response(&mut self, port: usize, out: &AxiPort, mgr: &mut AxiPort) {
-        if self.active[port] {
-            self.slots[port]
-                .as_mut()
-                .expect("active implies an attached regulator")
-                .forward_response(out, mgr);
-        } else {
-            mgr.forward_response_from(out);
-        }
-    }
-
-    /// Pass 3 on `port`: tap the settled manager-side wires.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` is out of range.
-    pub fn observe(&mut self, port: usize, mgr: &AxiPort) {
-        if self.active[port] {
-            self.slots[port]
-                .as_mut()
-                .expect("active implies an attached regulator")
-                .observe(mgr);
-        }
-    }
-
-    /// Clock commit for every active regulator.
-    pub fn commit(&mut self, cycle: u64) {
-        for (slot, &active) in self.slots.iter_mut().zip(&self.active) {
-            if !active {
-                continue;
-            }
-            if let Some(reg) = slot.as_mut() {
-                reg.commit(cycle);
-            }
-        }
-    }
-
-    /// True while any port is isolated.
-    #[must_use]
-    pub fn any_isolated(&self) -> bool {
-        self.slots
-            .iter()
-            .flatten()
-            .any(tmu_regulate::Regulator::is_isolated)
-    }
-
-    /// Re-admits an isolated `port`; returns `false` when the port has
-    /// no regulator or its release preconditions are not met yet.
-    pub fn release(&mut self, port: usize) -> bool {
-        self.regulator_mut(port).is_some_and(Regulator::release)
-    }
-
-    /// Switches telemetry on for every attached regulator.
-    pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
-        for reg in self.slots.iter_mut().flatten() {
-            reg.enable_telemetry(config);
-        }
-    }
-}
+use crate::stage::{StageBank, TmuStage};
 
 /// N managers sharing one subordinate through per-manager regulators, an
 /// arbitration mux and an optional trunk TMU. See the
@@ -196,10 +34,11 @@ impl RegulatedFabric {
 #[derive(Debug)]
 pub struct RegulatedLink<S> {
     mgrs: Vec<TrafficGen>,
-    fabric: RegulatedFabric,
+    fabric: StageBank<Regulator>,
     mux: Mux,
-    tmu: Option<Tmu>,
-    reset: Reset,
+    /// A one-port bank: the trunk TMU, if any, between `trunk` and
+    /// `sub_port`.
+    guard: StageBank<TmuStage>,
     sub: S,
     // Ports, outermost to innermost.
     mgr_ports: Vec<AxiPort>,
@@ -229,24 +68,29 @@ impl<S: AxiSubordinate> RegulatedLink<S> {
         seed: u64,
     ) -> Self {
         let n = managers.len();
-        let mut fabric = RegulatedFabric::new(n);
+        let mut fabric = StageBank::new(n);
         let mut mgrs = Vec::with_capacity(n);
+        let mut priorities = vec![0; n];
         for (i, (pattern, reg_cfg)) in managers.into_iter().enumerate() {
             mgrs.push(TrafficGen::new(pattern, seed ^ (i as u64 + 1)));
             if let Some(cfg) = reg_cfg {
-                fabric.attach(i, cfg);
+                priorities[i] = cfg.priority();
+                fabric.attach(i, Regulator::new(cfg));
             }
         }
         let mut mux = Mux::new(n, 12);
-        if let Some(priorities) = fabric.priorities() {
+        if priorities.iter().any(|&p| p != 0) {
             mux.set_priorities(priorities);
+        }
+        let mut guard = StageBank::new(1);
+        if let Some(cfg) = trunk_tmu {
+            guard.attach(0, TmuStage::new(cfg, 8));
         }
         RegulatedLink {
             mgrs,
             fabric,
             mux,
-            tmu: trunk_tmu.map(Tmu::new),
-            reset: Reset::with_duration(8),
+            guard,
             sub,
             mgr_ports: (0..n).map(|_| AxiPort::new()).collect(),
             reg_ports: (0..n).map(|_| AxiPort::new()).collect(),
@@ -296,68 +140,41 @@ impl<S: AxiSubordinate> RegulatedLink<S> {
         }
         // Pass 2: regulators gate the requests onto the mux-side ports
         // (this also settles the mux-side B/R readys the mux reads).
-        for i in 0..self.mgrs.len() {
-            self.fabric
-                .forward_request(i, &self.mgr_ports[i], &mut self.reg_ports[i]);
-        }
+        self.fabric
+            .forward_requests(&self.mgr_ports, &mut self.reg_ports);
         // Pass 3: mux arbitration onto the trunk.
         self.mux.forward_requests(&self.reg_ports, &mut self.trunk);
         // Pass 4: the trunk TMU forwards onto the subordinate port.
-        match &mut self.tmu {
-            Some(tmu) => tmu.forward_request(&self.trunk, &mut self.sub_port),
-            None => self.sub_port.forward_request_from(&self.trunk),
-        }
+        self.guard
+            .forward_requests(from_ref(&self.trunk), from_mut(&mut self.sub_port));
         // Pass 5: the subordinate drives.
         self.sub.drive(&mut self.sub_port);
         // Pass 6: responses back up to the trunk.
-        match &mut self.tmu {
-            Some(tmu) => tmu.forward_response(&self.sub_port, &mut self.trunk),
-            None => self.trunk.forward_response_from(&self.sub_port),
-        }
+        self.guard
+            .forward_responses(from_ref(&self.sub_port), from_mut(&mut self.trunk));
         // Pass 7: mux routes the responses to the regulator ports and
         // settles the trunk's response readys.
         self.mux
             .forward_responses(&mut self.trunk, &mut self.reg_ports);
         // Pass 8: response-ready back-propagation to the subordinate.
-        match &mut self.tmu {
-            Some(tmu) => tmu.backprop_response_ready(&self.trunk, &mut self.sub_port),
-            None => {
-                self.sub_port.b.forward_ready_from(&self.trunk.b);
-                self.sub_port.r.forward_ready_from(&self.trunk.r);
-            }
-        }
+        self.guard
+            .backprop_response_ready(from_ref(&self.trunk), from_mut(&mut self.sub_port));
         // Pass 9: regulators forward the responses (or their terminator's
         // aborts) and the granted request readys to the managers.
-        for i in 0..self.mgrs.len() {
-            self.fabric
-                .forward_response(i, &self.reg_ports[i], &mut self.mgr_ports[i]);
-        }
+        self.fabric
+            .forward_responses(&self.reg_ports, &mut self.mgr_ports);
         // Pass 10: observers tap the settled wires.
-        for i in 0..self.mgrs.len() {
-            self.fabric.observe(i, &self.mgr_ports[i]);
-        }
-        if let Some(tmu) = &mut self.tmu {
-            tmu.observe(&self.trunk);
-        }
+        self.fabric.observe(&self.mgr_ports);
+        self.guard.observe(from_ref(&self.trunk));
 
         // Clock commit.
-        for i in 0..self.mgrs.len() {
-            self.mgrs[i].commit(&self.mgr_ports[i], cycle);
+        for (mgr, port) in self.mgrs.iter_mut().zip(&self.mgr_ports) {
+            mgr.commit(port, cycle);
         }
         self.mux.commit(&self.trunk);
         self.sub.commit(&self.sub_port);
-        self.fabric.commit(cycle);
-        if let Some(tmu) = &mut self.tmu {
-            tmu.commit(cycle);
-            if tmu.take_reset_request() {
-                self.reset.request();
-            }
-            self.reset.tick();
-            if self.reset.is_done_pulse() {
-                self.sub.reset();
-                tmu.reset_done();
-            }
-        }
+        self.fabric.commit(cycle, |_| {});
+        self.guard.commit(cycle, |_| self.sub.reset());
         self.cycle += 1;
     }
 
@@ -400,25 +217,25 @@ impl<S: AxiSubordinate> RegulatedLink<S> {
 
     /// The regulator bank.
     #[must_use]
-    pub fn fabric(&self) -> &RegulatedFabric {
+    pub fn fabric(&self) -> &StageBank<Regulator> {
         &self.fabric
     }
 
-    /// Mutable regulator-bank access (release, telemetry).
-    pub fn fabric_mut(&mut self) -> &mut RegulatedFabric {
+    /// Mutable regulator-bank access (release).
+    pub fn fabric_mut(&mut self) -> &mut StageBank<Regulator> {
         &mut self.fabric
     }
 
     /// The regulator on `port`, if any.
     #[must_use]
     pub fn regulator(&self, port: usize) -> Option<&Regulator> {
-        self.fabric.regulator(port)
+        self.fabric.get(port)
     }
 
     /// The trunk TMU, if one was configured.
     #[must_use]
     pub fn tmu(&self) -> Option<&Tmu> {
-        self.tmu.as_ref()
+        self.guard.tmu(0)
     }
 
     /// The shared subordinate.

@@ -2,9 +2,9 @@
 //!
 //! Two traffic-generating managers (the "CPU" and "DMA" roles) feed an
 //! AXI mux; its trunk is demultiplexed by address onto a memory
-//! subordinate and an Ethernet-like peripheral. A sharded
-//! [`MonitorFabric`] sits between the crossbar and the subordinates with
-//! one TMU slot per demux port: the Ethernet port is always monitored,
+//! subordinate and an Ethernet-like peripheral. A [`StageBank`] of
+//! [`TmuStage`]s sits between the crossbar and the subordinates with one
+//! TMU slot per demux port: the Ethernet port is always monitored,
 //! the memory port optionally (the paper's mixed-criticality
 //! deployment). Per-port reset lines and the merged interrupt line close
 //! the recovery loop: on a fault a slot's TMU severs its link, aborts
@@ -23,11 +23,11 @@ use tmu_telemetry::TelemetryConfig;
 
 use crate::demux::{AddrRegion, Demux};
 use crate::ethernet::{EthConfig, EthSub};
-use crate::fabric::MonitorFabric;
 use crate::manager::{MgrStats, TrafficGen, TrafficPattern};
 use crate::memory::{MemConfig, MemSub};
 use crate::mux::Mux;
 use crate::probe::WaveProbe;
+use crate::stage::{StageBank, TmuStage};
 
 /// Base address of the memory region.
 pub const MEM_BASE: u64 = 0x8000_0000;
@@ -111,15 +111,15 @@ pub struct System {
     demux: Demux,
     mem: MemSub,
     eth: EthSub,
-    fabric: MonitorFabric,
+    fabric: StageBank<TmuStage>,
     injector: Injector,
     mem_injector: Injector,
     // Ports.
     mgr_ports: Vec<AxiPort>,
     trunk: AxiPort,
     sub_ports: Vec<AxiPort>,
-    eth_port: AxiPort,
-    mem_port: AxiPort,
+    /// The subordinates' own ports, below the monitor bank.
+    dev_ports: Vec<AxiPort>,
     // Plumbing state.
     /// Committed state: the system's cycle counter.
     cycle: u64,
@@ -132,10 +132,10 @@ impl System {
     /// Assembles the system.
     #[must_use]
     pub fn new(cfg: SystemConfig) -> Self {
-        let mut fabric = MonitorFabric::new(2);
-        fabric.attach(ETH_IDX, cfg.tmu, cfg.reset_duration);
+        let mut fabric = StageBank::new(2);
+        fabric.attach(ETH_IDX, TmuStage::new(cfg.tmu, cfg.reset_duration));
         if let Some(mem_cfg) = cfg.mem_tmu {
-            fabric.attach(MEM_IDX, mem_cfg, cfg.reset_duration);
+            fabric.attach(MEM_IDX, TmuStage::new(mem_cfg, cfg.reset_duration));
         }
         System {
             cpu: TrafficGen::new(cfg.cpu_pattern, cfg.seed ^ 0x1),
@@ -159,8 +159,7 @@ impl System {
             mgr_ports: vec![AxiPort::new(), AxiPort::new()],
             trunk: AxiPort::new(),
             sub_ports: vec![AxiPort::new(), AxiPort::new()],
-            eth_port: AxiPort::new(),
-            mem_port: AxiPort::new(),
+            dev_ports: vec![AxiPort::new(), AxiPort::new()],
             cycle: 0,
             irq: IrqInfo::default(),
             irq_level_last: false,
@@ -223,11 +222,9 @@ impl System {
             p.begin_cycle();
         }
         self.trunk.begin_cycle();
-        for p in &mut self.sub_ports {
+        for p in self.sub_ports.iter_mut().chain(&mut self.dev_ports) {
             p.begin_cycle();
         }
-        self.eth_port.begin_cycle();
-        self.mem_port.begin_cycle();
 
         // Pass 1: managers drive requests and response readys.
         self.cpu.drive(&mut self.mgr_ports[0], cycle);
@@ -245,22 +242,18 @@ impl System {
         // Pass 4: fabric request forwarding (possibly severed; plain
         // wire copy on unmonitored ports).
         self.fabric
-            .forward_request(ETH_IDX, &self.sub_ports[ETH_IDX], &mut self.eth_port);
-        self.fabric
-            .forward_request(MEM_IDX, &self.sub_ports[MEM_IDX], &mut self.mem_port);
+            .forward_requests(&self.sub_ports, &mut self.dev_ports);
         // Pass 5: subordinates drive.
-        self.mem.drive(&mut self.mem_port);
-        self.eth.drive(&mut self.eth_port);
+        self.mem.drive(&mut self.dev_ports[MEM_IDX]);
+        self.eth.drive(&mut self.dev_ports[ETH_IDX]);
         // Subordinate-side fault injection below the TMUs.
         self.injector
-            .corrupt_subordinate_side(&mut self.eth_port, cycle);
+            .corrupt_subordinate_side(&mut self.dev_ports[ETH_IDX], cycle);
         self.mem_injector
-            .corrupt_subordinate_side(&mut self.mem_port, cycle);
+            .corrupt_subordinate_side(&mut self.dev_ports[MEM_IDX], cycle);
         // Pass 6: fabric response forwarding (possibly SLVERR aborts).
         self.fabric
-            .forward_response(ETH_IDX, &self.eth_port, &mut self.sub_ports[ETH_IDX]);
-        self.fabric
-            .forward_response(MEM_IDX, &self.mem_port, &mut self.sub_ports[MEM_IDX]);
+            .forward_responses(&self.dev_ports, &mut self.sub_ports);
         // Pass 7: demux response arbitration onto the trunk.
         self.demux
             .forward_responses(&self.sub_ports, &mut self.trunk);
@@ -271,26 +264,24 @@ impl System {
         self.demux
             .backprop_response_ready(&self.trunk, &mut self.sub_ports);
         self.fabric
-            .backprop_response_ready(ETH_IDX, &self.sub_ports[ETH_IDX], &mut self.eth_port);
-        self.fabric
-            .backprop_response_ready(MEM_IDX, &self.sub_ports[MEM_IDX], &mut self.mem_port);
+            .backprop_response_ready(&self.sub_ports, &mut self.dev_ports);
         if let Some(probe) = &mut self.probe {
             probe.sample(cycle, &self.sub_ports[ETH_IDX]);
         }
         // Pass 10: the fabric's TMUs tap their settled manager-side
         // wires.
-        self.fabric.observe(ETH_IDX, &self.sub_ports[ETH_IDX]);
-        self.fabric.observe(MEM_IDX, &self.sub_ports[MEM_IDX]);
+        self.fabric.observe(&self.sub_ports);
 
         // Clock commit.
         self.cpu.commit(&self.mgr_ports[0], cycle);
         self.dma.commit(&self.mgr_ports[1], cycle);
         self.mux.commit(&self.trunk);
         self.demux.commit(&self.trunk);
-        self.mem.commit(&self.mem_port);
-        self.eth.commit(&self.eth_port);
-        self.injector.note_commit(&self.eth_port, cycle);
-        self.mem_injector.note_commit(&self.mem_port, cycle);
+        self.mem.commit(&self.dev_ports[MEM_IDX]);
+        self.eth.commit(&self.dev_ports[ETH_IDX]);
+        self.injector.note_commit(&self.dev_ports[ETH_IDX], cycle);
+        self.mem_injector
+            .note_commit(&self.dev_ports[MEM_IDX], cycle);
         // Publish system-level gauges just before the Ethernet TMU's
         // sampler runs, so each sample carries fresh SoC-wide levels.
         if self.tmu().telemetry().should_sample(cycle) {
@@ -317,19 +308,15 @@ impl System {
         // Note: no demux route flush is needed on a fault — the TMU
         // drains the remaining W beats of aborted bursts through the
         // normal path, so every route entry retires on its own WLAST.
-        for port in self.fabric.commit(cycle) {
-            match port {
-                ETH_IDX => {
-                    self.eth.reset();
-                    self.injector.disarm();
-                }
-                MEM_IDX => {
-                    self.mem.reset();
-                    self.mem_injector.disarm();
-                }
-                _ => unreachable!("the system fabric spans two ports"),
+        self.fabric.commit(cycle, |port| {
+            if port == ETH_IDX {
+                self.eth.reset();
+                self.injector.disarm();
+            } else {
+                self.mem.reset();
+                self.mem_injector.disarm();
             }
-        }
+        });
 
         // Interrupt-line edge bookkeeping (the lines are ORed towards
         // the CPU, like a shared interrupt controller input).
@@ -370,15 +357,15 @@ impl System {
         self.cycle
     }
 
-    /// The sharded monitoring fabric (one TMU slot per demux port).
+    /// The monitor bank (one TMU slot per demux port).
     #[must_use]
-    pub fn fabric(&self) -> &MonitorFabric {
+    pub fn fabric(&self) -> &StageBank<TmuStage> {
         &self.fabric
     }
 
     /// Mutable fabric access (merged deadline queries, per-slot register
     /// writes).
-    pub fn fabric_mut(&mut self) -> &mut MonitorFabric {
+    pub fn fabric_mut(&mut self) -> &mut StageBank<TmuStage> {
         &mut self.fabric
     }
 

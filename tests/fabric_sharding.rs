@@ -30,8 +30,8 @@ fn dual_monitor_cfg() -> SystemConfig {
 #[test]
 fn overlapping_faults_recover_independently() {
     let mut system = System::new(dual_monitor_cfg());
-    assert!(system.fabric().is_monitored(0), "memory port monitored");
-    assert!(system.fabric().is_monitored(1), "ethernet port monitored");
+    assert!(system.fabric().is_attached(0), "memory port monitored");
+    assert!(system.fabric().is_attached(1), "ethernet port monitored");
 
     // Healthy warm-up.
     system.run(1500);

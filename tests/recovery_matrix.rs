@@ -293,3 +293,94 @@ fn fc_beats_tc_on_early_faults() {
         latencies[1]
     );
 }
+
+/// A subordinate that answers nothing, not even `ready`, until its
+/// first hardware reset; from then on it is an ordinary memory. Counts
+/// the resets it receives.
+#[derive(Debug, Default)]
+struct HangsUntilReset {
+    mem: MemSub,
+    resets: u64,
+}
+
+impl axi_tmu::soc::link::AxiSubordinate for HangsUntilReset {
+    fn drive(&mut self, port: &mut axi_tmu::axi4::channel::AxiPort) {
+        if self.resets > 0 {
+            self.mem.drive(port);
+        }
+    }
+
+    fn commit(&mut self, port: &axi_tmu::axi4::channel::AxiPort) {
+        if self.resets > 0 {
+            self.mem.commit(port);
+        }
+    }
+
+    fn reset(&mut self) {
+        self.resets += 1;
+        self.mem.reset();
+    }
+}
+
+/// The trunk TMU of a regulated link guards the shared subordinate: when
+/// that subordinate hangs, the trunk TMU must fault once, reset the
+/// subordinate through its reset line, resume monitoring, and let every
+/// manager complete transactions again.
+#[test]
+fn regulated_trunk_tmu_faults_and_recovers() {
+    use axi_tmu::soc::regulated::RegulatedLink;
+    use axi_tmu::tmu::TmuState;
+
+    let manager = |addr_base| TrafficPattern {
+        write_ratio: 0.5,
+        burst_lens: vec![1, 4],
+        ids: vec![0, 1],
+        addr_base,
+        addr_span: 0x1000,
+        max_outstanding: 2,
+        issue_gap: 8,
+        total_txns: None,
+        verify_data: false,
+    };
+    let mut link = RegulatedLink::new(
+        vec![(manager(0x1000), None), (manager(0x8000), None)],
+        Some(TmuConfig::default()),
+        HangsUntilReset::default(),
+        0x7A0C,
+    );
+    let ok = |l: &RegulatedLink<HangsUntilReset>, port: usize| {
+        let s = l.stats(port);
+        s.writes_completed + s.reads_completed
+    };
+
+    let trunk = |l: &RegulatedLink<HangsUntilReset>| {
+        l.tmu().expect("the link has a trunk TMU").faults_detected()
+    };
+    assert!(
+        link.run_until(100_000, |l| trunk(l) > 0),
+        "the trunk TMU must time out the hung subordinate"
+    );
+    assert!(
+        link.run_until(100_000, |l| {
+            l.sub().resets > 0
+                && l.tmu().expect("the link has a trunk TMU").state() == TmuState::Monitoring
+        }),
+        "the trunk TMU must reset the subordinate and resume monitoring"
+    );
+    let before = [ok(&link, 0), ok(&link, 1)];
+    assert_eq!(
+        before,
+        [0, 0],
+        "nothing completed while the subordinate hung"
+    );
+    assert!(
+        link.run_until(100_000, |l| ok(l, 0) > 10 && ok(l, 1) > 10),
+        "both managers must complete transactions after the recovery"
+    );
+    assert_eq!(trunk(&link), 1, "exactly one trunk fault");
+    assert_eq!(link.sub().resets, 1, "exactly one subordinate reset");
+    assert_eq!(
+        link.tmu().expect("the link has a trunk TMU").state(),
+        TmuState::Monitoring
+    );
+}
