@@ -33,7 +33,7 @@
 //! assert_eq!(v[0].rule, Rule::WlastEarly);
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -41,6 +41,7 @@ use serde::{Deserialize, Serialize};
 use crate::beat::{ArBeat, AwBeat, BBeat, RBeat, WBeat};
 use crate::burst::crosses_4k_boundary;
 use crate::channel::{AxiPort, Channel};
+use crate::hash::FoldHashMap;
 use crate::types::{AxiId, BurstKind};
 
 /// Identifiers for every protocol rule the checker enforces.
@@ -250,9 +251,9 @@ pub struct ProtocolChecker {
     // Early W beats observed before any AW (only if allowed).
     early_w: VecDeque<WBeat>,
     // Writes with all data received, awaiting B, per ID in order.
-    awaiting_b: HashMap<AxiId, VecDeque<AwBeat>>,
+    awaiting_b: FoldHashMap<AxiId, VecDeque<AwBeat>>,
     // Reads in flight per ID in order.
-    r_inflight: HashMap<AxiId, VecDeque<ReadCtx>>,
+    r_inflight: FoldHashMap<AxiId, VecDeque<ReadCtx>>,
     stats: CheckerStats,
 }
 
@@ -281,8 +282,8 @@ impl ProtocolChecker {
             held_r: None,
             w_inflight: VecDeque::new(),
             early_w: VecDeque::new(),
-            awaiting_b: HashMap::new(),
-            r_inflight: HashMap::new(),
+            awaiting_b: FoldHashMap::default(),
+            r_inflight: FoldHashMap::default(),
             stats: CheckerStats::default(),
         }
     }

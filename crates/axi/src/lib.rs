@@ -17,6 +17,8 @@
 //! * [`checker`] — a synthesizable-style protocol rule checker in the
 //!   spirit of AXIChecker \[Chen et al., ISOCC 2010\], used by the TMU's
 //!   guard modules to flag protocol violations.
+//! * [`hash`] — the fixed-key hasher behind the simulator's per-beat
+//!   maps ([`hash::FoldHashMap`]).
 //!
 //! # Simulation model
 //!
@@ -47,6 +49,7 @@ pub mod beat;
 pub mod burst;
 pub mod channel;
 pub mod checker;
+pub mod hash;
 pub mod txn;
 pub mod types;
 

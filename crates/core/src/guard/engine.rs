@@ -196,6 +196,12 @@ pub struct GuardCore<D: Direction> {
     /// of any new transaction's data (set by the TMU each cycle; only
     /// ever non-zero on the write guard).
     pending_drain_beats: u64,
+    /// Data beats the tracked transactions still owe: the running sum
+    /// of [`TxnTracker::beats_remaining`] over the OTT, kept the way
+    /// hardware keeps an occupancy count (up by the burst length at
+    /// enqueue, down by one per counted data beat, down by the rest at
+    /// retirement) so the adaptive budget reads it in O(1).
+    pub(in crate::guard) beats_owed: u64,
     /// Entry allocated on address `valid`, still waiting for `ready`.
     addr_pending: Option<LdIndex>,
     /// Whether this cycle's address beat was stalled by saturation
@@ -219,6 +225,7 @@ impl<D: Direction> GuardCore<D> {
             wheel: DeadlineWheel::new(cfg.max_outstanding()),
             last_commit: 0,
             pending_drain_beats: 0,
+            beats_owed: 0,
             addr_pending: None,
             stalled_this_cycle: false,
             obs: CoreObs::default(),
@@ -277,15 +284,10 @@ impl<D: Direction> GuardCore<D> {
     }
 
     /// The queue load ahead of a new arrival (adaptive-budget input).
-    fn queue_load(&self) -> QueueLoad {
+    pub(in crate::guard) fn queue_load(&self) -> QueueLoad {
         QueueLoad {
             txns_ahead: self.ott.len(),
-            beats_ahead: self.pending_drain_beats
-                + self
-                    .ott
-                    .iter()
-                    .map(|(_, e)| u64::from(e.tracker.beats_remaining()))
-                    .sum::<u64>(),
+            beats_ahead: self.pending_drain_beats + self.beats_owed,
         }
     }
 
@@ -377,6 +379,8 @@ impl<D: Direction> GuardCore<D> {
         self.remap.release(uid);
         self.wheel.disarm(idx);
         let mut t = entry.tracker;
+        // A read retired early by `RLAST` takes its unsent beats with it.
+        self.beats_owed -= u64::from(t.beats_remaining());
         Self::transition(
             &mut self.wheel,
             self.engine,
@@ -465,6 +469,7 @@ impl<D: Direction> GuardCore<D> {
                     .ott
                     .enqueue(uid, tracker)
                     .expect("stall decision guaranteed capacity");
+                self.beats_owed += u64::from(beats);
                 self.addr_pending = Some(idx);
                 telemetry.record(
                     cycle,
@@ -660,6 +665,7 @@ impl<D: Direction> GuardCore<D> {
         self.ott.clear();
         self.remap.clear();
         self.wheel.clear();
+        self.beats_owed = 0;
         self.addr_pending = None;
         self.stalled_this_cycle = false;
         self.obs = CoreObs::default();
@@ -711,7 +717,8 @@ impl<D: Direction> GuardCore<D> {
     ///
     /// # Panics
     ///
-    /// Panics on OTT inconsistencies.
+    /// Panics on OTT inconsistencies, or when the running queue-load
+    /// count disagrees with the beats the OTT entries still owe.
     pub fn assert_consistent(&self) {
         self.ott.assert_consistent();
         assert_eq!(
@@ -719,5 +726,19 @@ impl<D: Direction> GuardCore<D> {
             self.ott.len(),
             "remapper refcounts must match OTT occupancy"
         );
+        assert_eq!(
+            self.beats_owed,
+            self.scan_beats_owed(),
+            "running beats-owed count must match the OTT's remaining beats"
+        );
+    }
+
+    /// The beats the OTT entries still owe, by scanning every LD row:
+    /// the reference for the running [`GuardCore::beats_owed`] count.
+    pub(in crate::guard) fn scan_beats_owed(&self) -> u64 {
+        self.ott
+            .iter()
+            .map(|(_, e)| u64::from(e.tracker.beats_remaining()))
+            .sum()
     }
 }

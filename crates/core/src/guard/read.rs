@@ -175,6 +175,7 @@ impl Direction for ReadDir {
                         let t = &mut entry.tracker;
                         if !t.phase.is_done() && t.phase != ReadPhase::ArHandshake {
                             t.beats_done += 1;
+                            core.beats_owed -= 1;
                             // The subordinate's RLAST drives completion;
                             // reaching the expected count does likewise
                             // (an RLAST mismatch is a checker violation).

@@ -4,8 +4,8 @@
 
 use axi4::prelude::*;
 
-use super::{ReadGuard, WriteGuard};
-use crate::budget::BudgetConfig;
+use super::{Direction, GuardCore, ReadGuard, WriteGuard};
+use crate::budget::{BudgetConfig, QueueLoad};
 use crate::config::{TmuConfig, TmuVariant};
 use crate::log::PerfLog;
 use crate::phase::{ReadPhase, WritePhase};
@@ -422,4 +422,167 @@ fn read_guard_drain_counts_remaining_beats() {
         "4 beats minus 1 delivered"
     );
     assert_eq!(set.drain_w_beats, 0, "reads owe no W drain");
+}
+
+/// The queue load as a scan of every LD row's remaining beats: the
+/// reference the running `beats_owed` count must reproduce.
+fn scanned_load<D: Direction>(guard: &GuardCore<D>) -> QueueLoad {
+    QueueLoad {
+        txns_ahead: guard.ott.len(),
+        beats_ahead: guard.scan_beats_owed(),
+    }
+}
+
+/// One guard cycle that also checks the adaptive-budget input: a
+/// transaction allocated this cycle must carry the budgets of the load
+/// the scan saw before the cycle, and afterwards the running count must
+/// still equal the scan.
+fn checked_cycle<D: Direction>(
+    guard: &mut GuardCore<D>,
+    cycle: u64,
+    perf: &mut PerfLog,
+    setup: impl FnOnce(&mut AxiPort),
+) {
+    let before = scanned_load(guard);
+    assert_eq!(guard.queue_load(), before, "cycle {cycle}: load before");
+    let mut port = AxiPort::new();
+    port.begin_cycle();
+    setup(&mut port);
+    let (req, _) = D::observe_addr(&port);
+    guard.decide_stall(req.as_ref());
+    guard.observe(&port);
+    guard.commit(cycle, perf, &mut TelemetryHub::default());
+    for (_, e) in guard.ott.iter() {
+        if e.tracker.enqueued_at == cycle {
+            let beats = D::beats(&e.tracker.req);
+            assert_eq!(
+                e.tracker.budgets,
+                D::budgets(&BudgetConfig::default(), beats, before),
+                "cycle {cycle}: budgets must come from the scanned load"
+            );
+        }
+    }
+    assert_eq!(guard.queue_load(), scanned_load(guard), "cycle {cycle}");
+}
+
+fn load(txns_ahead: usize, beats_ahead: u64) -> QueueLoad {
+    QueueLoad {
+        txns_ahead,
+        beats_ahead,
+    }
+}
+
+#[test]
+fn early_rlast_takes_unsent_beats_out_of_the_load() {
+    let mut guard = ReadGuard::new(&cfg(TmuVariant::FullCounter));
+    let mut perf = PerfLog::new();
+    checked_cycle(&mut guard, 0, &mut perf, |p| {
+        p.ar.drive(ar(1, 8));
+        p.ar.set_ready(true);
+    });
+    checked_cycle(&mut guard, 1, &mut perf, |p| {
+        p.ar.drive(ar(2, 4));
+        p.ar.set_ready(true);
+    });
+    assert_eq!(guard.queue_load(), load(2, 12));
+    for cycle in 2..4 {
+        checked_cycle(&mut guard, cycle, &mut perf, |p| {
+            p.r.drive(RBeat::new(AxiId(1), 0, Resp::Okay, false));
+            p.r.set_ready(true);
+        });
+    }
+    assert_eq!(guard.queue_load(), load(2, 10));
+    // RLAST on the third of eight beats retires the read: its five
+    // unsent beats leave the count with it.
+    checked_cycle(&mut guard, 4, &mut perf, |p| {
+        p.r.drive(RBeat::new(AxiId(1), 0, Resp::Okay, true));
+        p.r.set_ready(true);
+    });
+    assert_eq!(perf.reads(), 1);
+    assert_eq!(guard.queue_load(), load(1, 4));
+    // The next arrival is budgeted against the surviving read only.
+    checked_cycle(&mut guard, 5, &mut perf, |p| {
+        p.ar.drive(ar(3, 2));
+        p.ar.set_ready(true);
+    });
+    assert_eq!(guard.queue_load(), load(2, 6));
+}
+
+#[test]
+fn severed_write_resets_the_load() {
+    let mut guard = WriteGuard::new(&cfg(TmuVariant::FullCounter));
+    let mut perf = PerfLog::new();
+    checked_cycle(&mut guard, 0, &mut perf, |p| {
+        p.aw.drive(aw(1, 4));
+        p.aw.set_ready(true);
+    });
+    for cycle in 1..3 {
+        checked_cycle(&mut guard, cycle, &mut perf, |p| {
+            p.w.drive(WBeat::new(0, false));
+            p.w.set_ready(true);
+        });
+    }
+    // A second AW held (valid, no ready) while the first is mid-burst.
+    checked_cycle(&mut guard, 3, &mut perf, |p| p.aw.drive(aw(2, 8)));
+    assert_eq!(guard.queue_load(), load(2, 2 + 8));
+    let set = guard.drain_for_abort();
+    assert_eq!(set.drain_w_beats, 2 + 8);
+    assert_eq!(guard.queue_load(), QueueLoad::empty());
+    // After the sever a fresh write is budgeted against an empty OTT.
+    checked_cycle(&mut guard, 4, &mut perf, |p| {
+        p.aw.drive(aw(3, 2));
+        p.aw.set_ready(true);
+    });
+    assert_eq!(guard.queue_load(), load(1, 2));
+    guard.clear();
+    assert_eq!(guard.queue_load(), QueueLoad::empty());
+    guard.assert_consistent();
+}
+
+#[test]
+fn load_count_matches_scan_for_both_variants() {
+    for variant in [TmuVariant::TinyCounter, TmuVariant::FullCounter] {
+        // Back-to-back bursts: a new AW and AR every cycle while earlier
+        // bursts stream their data, and the writes then collect their
+        // B responses.
+        let mut wg = WriteGuard::new(&cfg(variant));
+        let mut rg = ReadGuard::new(&cfg(variant));
+        let mut perf = PerfLog::new();
+        for cycle in 0..4u64 {
+            checked_cycle(&mut wg, cycle, &mut perf, |p| {
+                p.aw.drive(aw(cycle as u16, 2));
+                p.aw.set_ready(true);
+                if cycle > 0 {
+                    p.w.drive(WBeat::new(cycle, cycle % 2 == 0));
+                    p.w.set_ready(true);
+                }
+            });
+            checked_cycle(&mut rg, cycle, &mut perf, |p| {
+                p.ar.drive(ar(cycle as u16, 3));
+                p.ar.set_ready(true);
+                if cycle > 0 {
+                    p.r.drive(RBeat::new(AxiId(0), cycle, Resp::Okay, cycle == 3));
+                    p.r.set_ready(true);
+                }
+            });
+        }
+        assert_eq!(wg.queue_load(), load(4, 8 - 3), "{variant:?}");
+        assert_eq!(rg.queue_load(), load(3, 9), "{variant:?}");
+        for cycle in 4..9u64 {
+            checked_cycle(&mut wg, cycle, &mut perf, |p| {
+                p.w.drive(WBeat::new(cycle, cycle % 2 == 0));
+                p.w.set_ready(true);
+                p.b.drive(BBeat::new(AxiId((cycle - 4) as u16), Resp::Okay));
+                p.b.set_ready(true);
+            });
+        }
+        // ID 3's B came a cycle before its data finished: it still
+        // waits for a response but owes no beats.
+        assert_eq!(wg.queue_load(), load(1, 0), "{variant:?}");
+        checked_cycle(&mut wg, 9, &mut perf, |p| {
+            p.b.drive(BBeat::new(AxiId(3), Resp::Okay));
+            p.b.set_ready(true);
+        });
+        assert_eq!(wg.queue_load(), QueueLoad::empty(), "{variant:?}");
+    }
 }

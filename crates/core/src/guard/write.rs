@@ -159,6 +159,7 @@ impl Direction for WriteDir {
                         match t.phase {
                             WritePhase::FirstData => {
                                 t.beats_done = 1;
+                                core.beats_owed -= 1;
                                 if t.beats_done == t.req.len.beats() {
                                     complete_data = true;
                                 } else {
@@ -176,6 +177,7 @@ impl Direction for WriteDir {
                             }
                             WritePhase::BurstTransfer => {
                                 t.beats_done += 1;
+                                core.beats_owed -= 1;
                                 complete_data = t.beats_done == t.req.len.beats();
                             }
                             // Early data for a transaction whose address

@@ -63,6 +63,28 @@ pub struct PairCfg {
     pub right: String,
 }
 
+/// One front-eviction (L6) exemption: a receiver, in files under a
+/// path prefix, whose `remove(0)`/`insert(0, ..)` is O(1) (a
+/// `VecDeque`).
+#[derive(Debug, Clone)]
+pub struct ReceiverAllow {
+    /// Path prefix, relative to the workspace root, `/`-separated.
+    pub path: String,
+    /// Identifier before the `.remove(0)` / `.insert(0, ..)` call.
+    pub receiver: String,
+    /// Mandatory human justification.
+    pub reason: String,
+    /// 1-based line of the entry's `[[front_eviction.allow]]` header.
+    pub line: u32,
+}
+
+/// Configuration for the front-eviction lint (L6).
+#[derive(Debug, Clone, Default)]
+pub struct FrontEvictionCfg {
+    /// Exempted receivers.
+    pub allow: Vec<ReceiverAllow>,
+}
+
 /// Path-scoped suppression of whole lints.
 #[derive(Debug, Clone)]
 pub struct PathAllow {
@@ -88,6 +110,8 @@ pub struct Config {
     pub telemetry: TelemetryCfg,
     /// L5 pairs.
     pub parity: Vec<PairCfg>,
+    /// L6 settings.
+    pub front_eviction: FrontEvictionCfg,
     /// Path-scoped suppressions.
     pub allows: Vec<PathAllow>,
 }
@@ -115,6 +139,7 @@ impl Default for Config {
                 event_crate: "tmu-telemetry".to_string(),
             },
             parity: Vec::new(),
+            front_eviction: FrontEvictionCfg::default(),
             allows: Vec::new(),
         }
     }
@@ -147,6 +172,7 @@ enum Section {
     CrateHeader,
     Telemetry,
     ParityPair,
+    FrontEvictionAllow,
     Allow,
 }
 
@@ -183,6 +209,15 @@ impl Config {
                             right: String::new(),
                         });
                         Section::ParityPair
+                    }
+                    "front_eviction.allow" => {
+                        cfg.front_eviction.allow.push(ReceiverAllow {
+                            path: String::new(),
+                            receiver: String::new(),
+                            reason: String::new(),
+                            line: n as u32,
+                        });
+                        Section::FrontEvictionAllow
                     }
                     "allow" => {
                         cfg.allows.push(PathAllow {
@@ -242,6 +277,15 @@ impl Config {
                 (Section::ParityPair, "right") => {
                     last(&mut cfg.parity, n)?.right = value.string(n)?;
                 }
+                (Section::FrontEvictionAllow, "path") => {
+                    last(&mut cfg.front_eviction.allow, n)?.path = value.string(n)?;
+                }
+                (Section::FrontEvictionAllow, "receiver") => {
+                    last(&mut cfg.front_eviction.allow, n)?.receiver = value.string(n)?;
+                }
+                (Section::FrontEvictionAllow, "reason") => {
+                    last(&mut cfg.front_eviction.allow, n)?.reason = value.string(n)?;
+                }
                 (Section::Allow, "path") => last(&mut cfg.allows, n)?.path = value.string(n)?,
                 (Section::Allow, "lints") => last(&mut cfg.allows, n)?.lints = value.strings(n)?,
                 (Section::Allow, "reason") => last(&mut cfg.allows, n)?.reason = value.string(n)?,
@@ -258,6 +302,23 @@ impl Config {
             }
             if a.path.is_empty() {
                 return Err(err(0, "[[allow]] entry has no path".to_string()));
+            }
+        }
+        for a in &cfg.front_eviction.allow {
+            if a.reason.trim().is_empty() {
+                return Err(err(
+                    a.line as usize,
+                    format!(
+                        "[[front_eviction.allow]] for receiver `{}` has no reason",
+                        a.receiver
+                    ),
+                ));
+            }
+            if a.path.is_empty() || a.receiver.is_empty() {
+                return Err(err(
+                    a.line as usize,
+                    "[[front_eviction.allow]] needs both `path` and `receiver`".to_string(),
+                ));
             }
         }
         for a in &cfg.two_phase.allow {

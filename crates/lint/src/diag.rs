@@ -16,6 +16,8 @@ pub enum Lint {
     Telemetry,
     /// L5: direction pair exposes asymmetric inherent APIs.
     DirectionParity,
+    /// L6: `.remove(0)` / `.insert(0, ..)` shifting a whole buffer.
+    FrontEviction,
 }
 
 impl Lint {
@@ -28,16 +30,18 @@ impl Lint {
             Lint::CrateHeader => "crate-header",
             Lint::Telemetry => "telemetry",
             Lint::DirectionParity => "direction-parity",
+            Lint::FrontEviction => "front-eviction",
         }
     }
 
     /// All lints, for `--list` style output and tests.
-    pub const ALL: [Lint; 5] = [
+    pub const ALL: [Lint; 6] = [
         Lint::TwoPhase,
         Lint::PanicHygiene,
         Lint::CrateHeader,
         Lint::Telemetry,
         Lint::DirectionParity,
+        Lint::FrontEviction,
     ];
 }
 

@@ -5,7 +5,7 @@
 //! miscount a cycle or mis-order a handshake. The Rust reproduction
 //! encodes that as conventions — the two-phase drive/commit discipline,
 //! allocation-free telemetry gating, the `Direction`-generic guard
-//! engine — and this tool makes the conventions machine-checked. Five
+//! engine — and this tool makes the conventions machine-checked. Six
 //! deny-by-default lints:
 //!
 //! | name | invariant |
@@ -15,6 +15,7 @@
 //! | `crate-header` | crate roots forbid `unsafe` and warn on missing docs |
 //! | `telemetry` | every `TraceEvent` variant is recorded; record sites never allocate ungated |
 //! | `direction-parity` | `WriteGuard`/`ReadGuard` expose identical inherent APIs |
+//! | `front-eviction` | no `.remove(0)`/`.insert(0, ..)` shifting a whole buffer in non-test code |
 //!
 //! Suppressions live in the checked-in `lint.toml` and each must carry
 //! a `reason` string. The parser is a hand-rolled `syn` stand-in (the
@@ -57,6 +58,7 @@ pub fn run_lints(ws: &Workspace, cfg: &Config, root: &Path) -> Outcome {
     diags.extend(lints::crate_header::check(ws, cfg, root));
     diags.extend(lints::telemetry::check(ws, cfg, root));
     diags.extend(lints::parity::check(ws, cfg, root));
+    diags.extend(lints::front_eviction::check(ws, cfg, root));
 
     let before = diags.len();
     diags.retain(|d| !suppressed(d, cfg));

@@ -1,6 +1,7 @@
-//! The lint passes (L1–L5) and shared token-scanning helpers.
+//! The lint passes (L1–L6) and shared token-scanning helpers.
 
 pub mod crate_header;
+pub mod front_eviction;
 pub mod panic_hygiene;
 pub mod parity;
 pub mod telemetry;

@@ -140,6 +140,57 @@ fn parity_fires_on_fixture() {
     );
 }
 
+#[test]
+fn front_eviction_fires_on_fixture() {
+    let ws = ws_of("fx", &["front_eviction_bad.rs"]);
+    let found = lints_of(&ws, &Config::default());
+    let fired: Vec<u32> = found
+        .iter()
+        .filter(|(l, _)| *l == Lint::FrontEviction)
+        .map(|(_, line)| *line)
+        .collect();
+    assert_eq!(
+        fired,
+        [16, 23, 29],
+        "`remove(0)`, `insert(0, ..)` and the unexempted deque removal \
+         must fire (other indices, other methods and test code must not): {found:?}"
+    );
+}
+
+#[test]
+fn front_eviction_honours_reasoned_allowances() {
+    let cfg = Config::parse(
+        "[[front_eviction.allow]]\n\
+         path = \"front_eviction_bad.rs\"\n\
+         receiver = \"queue\"\n\
+         reason = \"fixture: queue is a VecDeque, remove(0) is O(1)\"\n\
+         [[front_eviction.allow]]\n\
+         path = \"front_eviction_bad.rs\"\n\
+         receiver = \"gone\"\n\
+         reason = \"fixture: the receiver was renamed away\"\n",
+    )
+    .expect("inline front-eviction config parses");
+    let ws = ws_of("fx", &["front_eviction_bad.rs"]);
+    let mut diags = run_lints(&ws, &cfg, &fixture("")).diags;
+    diags.retain(|d| d.lint == Lint::FrontEviction);
+    let at: Vec<(&str, u32)> = diags.iter().map(|d| (d.file.as_str(), d.line)).collect();
+    // The deque removal is exempted; the dead entry is reported at its
+    // own `lint.toml` line.
+    assert_eq!(
+        at,
+        [
+            ("front_eviction_bad.rs", 16),
+            ("front_eviction_bad.rs", 23),
+            ("lint.toml", 5)
+        ],
+        "{diags:?}"
+    );
+    assert!(
+        Config::parse("[[front_eviction.allow]]\npath = \"a.rs\"\nreceiver = \"q\"\n").is_err(),
+        "an allowance without a reason must be rejected"
+    );
+}
+
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()

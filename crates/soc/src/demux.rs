@@ -19,8 +19,9 @@
 //!    wires settle (they come from the manager side),
 //! 4. [`Demux::commit`] at the clock edge.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use axi4::hash::FoldHashMap;
 use axi4::prelude::*;
 
 /// One decoded address window.
@@ -60,8 +61,8 @@ pub struct Demux {
     regions: Vec<AddrRegion>,
     // W beats follow AW order: (target, id) per accepted write.
     w_route: VecDeque<(Route, AxiId)>,
-    write_outstanding: HashMap<AxiId, (Route, u32)>,
-    read_outstanding: HashMap<AxiId, (Route, u32)>,
+    write_outstanding: FoldHashMap<AxiId, (Route, u32)>,
+    read_outstanding: FoldHashMap<AxiId, (Route, u32)>,
     err: ErrSub,
     // Response arbitration (sticky until fire, then round-robin).
     b_lock: Option<Route>,
@@ -97,8 +98,8 @@ impl Demux {
         Demux {
             regions,
             w_route: VecDeque::new(),
-            write_outstanding: HashMap::new(),
-            read_outstanding: HashMap::new(),
+            write_outstanding: FoldHashMap::default(),
+            read_outstanding: FoldHashMap::default(),
             err: ErrSub::default(),
             b_lock: None,
             b_rr: 0,

@@ -6,9 +6,10 @@
 //! and keeps completion statistics including `SLVERR` aborts — which is
 //! how system-level experiments see the TMU's recovery actions.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use axi4::burst::beat_address;
+use axi4::hash::FoldHashMap;
 use axi4::prelude::*;
 use sim::{Histogram, SimRng};
 
@@ -189,7 +190,7 @@ pub struct TrafficGen {
     // Reads awaiting data, per the global issue order; routed by ID.
     await_r: Vec<AwaitR>,
     // Data-integrity scoreboard (written words), when enabled.
-    scoreboard: HashMap<u64, u64>,
+    scoreboard: FoldHashMap<u64, u64>,
 }
 
 impl TrafficGen {
@@ -207,7 +208,7 @@ impl TrafficGen {
             await_b: Vec::new(),
             ar_queue: VecDeque::new(),
             await_r: Vec::new(),
-            scoreboard: HashMap::new(),
+            scoreboard: FoldHashMap::default(),
         }
     }
 

@@ -6,9 +6,10 @@
 //! data is always verifiable). Latencies are configurable to emulate
 //! anything from an SRAM to a busy DRAM channel.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use axi4::burst::beat_address;
+use axi4::hash::FoldHashMap;
 use axi4::prelude::*;
 
 /// Latency/throughput knobs of the memory model.
@@ -67,7 +68,7 @@ struct ReadJob {
 #[derive(Debug)]
 pub struct MemSub {
     cfg: MemConfig,
-    store: HashMap<u64, u64>,
+    store: FoldHashMap<u64, u64>,
     writes: VecDeque<WriteJob>,
     b_queue: VecDeque<BJob>,
     reads: VecDeque<ReadJob>,
@@ -81,7 +82,7 @@ impl MemSub {
     pub fn new(cfg: MemConfig) -> Self {
         MemSub {
             cfg,
-            store: HashMap::new(),
+            store: FoldHashMap::default(),
             writes: VecDeque::new(),
             b_queue: VecDeque::new(),
             reads: VecDeque::new(),

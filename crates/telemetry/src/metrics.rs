@@ -5,8 +5,8 @@
 //! **gauges** (`tmu.write.ott_occupancy`), and latency **histograms**
 //! (`tmu.latency.total`, backed by [`sim::Histogram`] so p50/p99 come
 //! for free). A periodic sampler snapshots the hub every N cycles into
-//! bounded [`MetricsSample`]s whose counter fields are *deltas* since
-//! the previous sample — ready to stream as JSON lines.
+//! a bounded ring of [`MetricsSample`]s whose counter fields are
+//! *deltas* since the previous sample — ready to stream as JSON lines.
 //!
 //! # Naming convention
 //!
@@ -14,7 +14,7 @@
 //! `tmu.write.stall_cycles`, `soc.eth.frames_txed`, `wheel.write.depth`.
 //! Counters are monotonic totals; gauges are instantaneous levels.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -62,6 +62,10 @@ impl MetricsSample {
 }
 
 /// Typed counters, gauges and histograms with periodic sampling.
+///
+/// Periodic samples live in a bounded ring: once `max_samples` are
+/// held, each new sample evicts the oldest in O(1) and counts it in
+/// [`MetricsHub::samples_dropped`].
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct MetricsHub {
     counters: BTreeMap<&'static str, u64>,
@@ -69,7 +73,8 @@ pub struct MetricsHub {
     histograms: BTreeMap<&'static str, Histogram>,
     /// Counter values at the previous sample, for delta computation.
     last_sampled: BTreeMap<&'static str, u64>,
-    samples: Vec<MetricsSample>,
+    /// Bounded ring of periodic samples, oldest first.
+    samples: VecDeque<MetricsSample>,
     max_samples: usize,
     samples_dropped: u64,
 }
@@ -84,8 +89,9 @@ impl MetricsHub {
         Self::with_max_samples(Self::DEFAULT_MAX_SAMPLES)
     }
 
-    /// An empty hub retaining at most `max_samples` periodic samples
-    /// (minimum 1; oldest are evicted).
+    /// An empty hub retaining at most `max_samples` periodic samples in
+    /// a bounded ring (minimum 1; the oldest is evicted in O(1) once
+    /// full).
     #[must_use]
     pub fn with_max_samples(max_samples: usize) -> Self {
         MetricsHub {
@@ -170,16 +176,16 @@ impl MetricsHub {
             gauges,
         };
         if self.samples.len() == self.max_samples {
-            self.samples.remove(0);
+            self.samples.pop_front();
             self.samples_dropped += 1;
         }
-        self.samples.push(sample.clone());
+        self.samples.push_back(sample.clone());
         sample
     }
 
     /// The retained periodic samples, oldest first.
     #[must_use]
-    pub fn samples(&self) -> &[MetricsSample] {
+    pub fn samples(&self) -> &VecDeque<MetricsSample> {
         &self.samples
     }
 

@@ -13,7 +13,7 @@
 //! the trace-event format), so timeline coordinates read directly as
 //! cycle numbers.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
@@ -82,12 +82,18 @@ struct OpenTxn {
 
 /// Folds [`TraceEvent`]s into [`TxnSpan`]s and exports Chrome
 /// trace-event JSON.
+///
+/// Finished spans live in a bounded ring: once `max_spans` are held,
+/// each retirement evicts the oldest span in O(1) and counts it in
+/// [`SpanCollector::dropped_spans`], so per-event cost does not grow
+/// with run length.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SpanCollector {
     /// Open transactions keyed by `(dir index, LD slot)` — the slot is
     /// unique among in-flight transactions of one direction.
     open: BTreeMap<(u8, u32), OpenTxn>,
-    finished: Vec<TxnSpan>,
+    /// Bounded ring of finished spans, oldest first.
+    finished: VecDeque<TxnSpan>,
     max_spans: usize,
     dropped_spans: u64,
 }
@@ -103,13 +109,13 @@ impl SpanCollector {
     /// Default bound on retained finished spans.
     pub const DEFAULT_MAX_SPANS: usize = 4096;
 
-    /// A collector retaining at most `max_spans` finished spans
-    /// (minimum 1; oldest are evicted).
+    /// A collector retaining at most `max_spans` finished spans in a
+    /// bounded ring (minimum 1; the oldest is evicted in O(1) once full).
     #[must_use]
     pub fn new(max_spans: usize) -> Self {
         SpanCollector {
             open: BTreeMap::new(),
-            finished: Vec::new(),
+            finished: VecDeque::new(),
             max_spans: max_spans.max(1),
             dropped_spans: 0,
         }
@@ -188,10 +194,10 @@ impl SpanCollector {
 
     fn finish(&mut self, dir: Dir, txn: OpenTxn, end: u64, aborted: bool) {
         if self.finished.len() == self.max_spans {
-            self.finished.remove(0);
+            self.finished.pop_front();
             self.dropped_spans += 1;
         }
-        self.finished.push(TxnSpan {
+        self.finished.push_back(TxnSpan {
             dir,
             id: txn.id,
             addr: txn.addr,
@@ -205,7 +211,7 @@ impl SpanCollector {
 
     /// Finished spans, oldest first.
     #[must_use]
-    pub fn spans(&self) -> &[TxnSpan] {
+    pub fn spans(&self) -> &VecDeque<TxnSpan> {
         &self.finished
     }
 
