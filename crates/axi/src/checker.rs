@@ -250,9 +250,11 @@ pub struct ProtocolChecker {
     w_inflight: VecDeque<WriteCtx>,
     // Early W beats observed before any AW (only if allowed).
     early_w: VecDeque<WBeat>,
-    // Writes with all data received, awaiting B, per ID in order.
+    // Writes with all data received, awaiting B, per ID in order. Queues
+    // are kept when they empty (bounded by the ID space), so a busy ID
+    // does not reallocate per transaction.
     awaiting_b: FoldHashMap<AxiId, VecDeque<AwBeat>>,
-    // Reads in flight per ID in order.
+    // Reads in flight per ID in order; emptied queues kept likewise.
     r_inflight: FoldHashMap<AxiId, VecDeque<ReadCtx>>,
     stats: CheckerStats,
 }
@@ -526,11 +528,10 @@ impl ProtocolChecker {
         let Some(b) = ch.fired_beat().copied() else {
             return;
         };
+        // An emptied queue stays in the map, so the ID's next write
+        // reuses its buffer.
         if let Some(queue) = self.awaiting_b.get_mut(&b.id) {
             if queue.pop_front().is_some() {
-                if queue.is_empty() {
-                    self.awaiting_b.remove(&b.id);
-                }
                 self.stats.writes_completed += 1;
                 return;
             }
@@ -656,11 +657,9 @@ impl ProtocolChecker {
         }
         // RLAST terminates the burst from the checker's perspective even
         // when early; reaching the expected count does likewise.
+        // The emptied queue stays in the map, as in `check_b`.
         if r.last || is_final {
             queue.pop_front();
-            if queue.is_empty() {
-                self.r_inflight.remove(&r.id);
-            }
             self.stats.reads_completed += 1;
         }
     }
@@ -996,6 +995,62 @@ mod tests {
         ))
         .is_empty());
         assert_eq!(chk.outstanding_reads(), 0);
+    }
+
+    #[test]
+    fn emptied_id_queue_still_flags_stray_responses() {
+        let mut chk = ProtocolChecker::new();
+        // One clean write and one clean read on ID 6 leave its (now
+        // empty) queues in the maps.
+        cycle(&mut chk, 0, |p| {
+            fire_aw(p, aw(6, 1));
+            fire_ar(p, ar(6, 1));
+        });
+        cycle(&mut chk, 1, |p| {
+            fire_w(p, WBeat::new(0, true));
+            fire_r(p, RBeat::new(AxiId(6), 0, Resp::Okay, true));
+        });
+        assert!(cycle(&mut chk, 2, |p| fire_b(p, BBeat::new(AxiId(6), Resp::Okay))).is_empty());
+        let v = cycle(&mut chk, 3, |p| fire_b(p, BBeat::new(AxiId(6), Resp::Okay)));
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].rule, Rule::BWithoutTxn);
+        assert_eq!(v[0].id, Some(AxiId(6)));
+        let v = cycle(&mut chk, 4, |p| {
+            fire_r(p, RBeat::new(AxiId(6), 0, Resp::Okay, true));
+        });
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].rule, Rule::RWithoutTxn);
+        assert_eq!(v[0].id, Some(AxiId(6)));
+    }
+
+    #[test]
+    fn long_same_id_run_returns_to_zero_outstanding() {
+        let mut chk = ProtocolChecker::new();
+        let mut n = 0;
+        for _ in 0..200 {
+            cycle(&mut chk, n, |p| {
+                fire_aw(p, aw(2, 2));
+                fire_ar(p, ar(2, 2));
+            });
+            cycle(&mut chk, n + 1, |p| {
+                fire_w(p, WBeat::new(0, false));
+                fire_r(p, RBeat::new(AxiId(2), 0, Resp::Okay, false));
+            });
+            cycle(&mut chk, n + 2, |p| {
+                fire_w(p, WBeat::new(1, true));
+                fire_r(p, RBeat::new(AxiId(2), 1, Resp::Okay, true));
+            });
+            assert_eq!(chk.outstanding_reads(), 0);
+            assert_eq!(chk.outstanding_writes(), 1, "awaiting B");
+            cycle(&mut chk, n + 3, |p| {
+                fire_b(p, BBeat::new(AxiId(2), Resp::Okay));
+            });
+            assert_eq!(chk.outstanding_writes(), 0);
+            n += 4;
+        }
+        let s = chk.stats();
+        assert_eq!(s.violations, 0);
+        assert_eq!((s.writes_completed, s.reads_completed), (200, 200));
     }
 
     #[test]

@@ -256,6 +256,18 @@ impl TxnBuilder {
         })
     }
 
+    /// Finishes as a write's address beat alone, for a producer that
+    /// computes each W beat's data as it drives it instead of buffering a
+    /// [`WriteTxn`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`BuildTxnError`] if the burst violates an AXI4 rule.
+    pub fn aw_beat(self) -> Result<AwBeat, BuildTxnError> {
+        let len = self.validate()?;
+        Ok(AwBeat::new(self.id, self.addr, len, self.size, self.burst))
+    }
+
     /// Finishes as a read transaction.
     ///
     /// # Errors
@@ -276,6 +288,17 @@ impl TxnBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn aw_beat_matches_write_txn_and_validates() {
+        let builder = TxnBuilder::new(AxiId(2), Addr(0x40)).size_bytes(4).incr(4);
+        let wr = builder.clone().write(vec![0; 4]).unwrap();
+        assert_eq!(builder.aw_beat().unwrap(), wr.aw_beat());
+        assert_eq!(
+            TxnBuilder::new(AxiId(0), Addr(0xFF8)).incr(2).aw_beat(),
+            Err(BuildTxnError::Crosses4k)
+        );
+    }
 
     #[test]
     fn write_txn_lowering() {

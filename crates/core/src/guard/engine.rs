@@ -252,9 +252,9 @@ impl<D: Direction> GuardCore<D> {
         self.ott.len()
     }
 
-    /// Entries currently held by this guard's deadline wheel, including
-    /// lazily-invalidated ones (telemetry gauge; 0 under the per-cycle
-    /// reference engine).
+    /// Deadlines currently armed in this guard's deadline wheel, at most
+    /// one per LD slot (telemetry gauge; 0 under the per-cycle reference
+    /// engine).
     #[must_use]
     pub fn wheel_depth(&self) -> usize {
         self.wheel.depth()

@@ -6,11 +6,13 @@ use tmu_telemetry::{MetricsHub, TelemetryConfig, TelemetryHub, TraceEvent};
 use super::Tmu;
 
 impl Tmu {
-    /// Publishes the TMU's occupancy gauges. With telemetry enabled the
-    /// levels travel as [`TraceEvent::Gauge`] events — visible in the
-    /// ring and routed into the metrics hub by the dispatcher; with it
-    /// disabled they are set directly so snapshots and reports stay
-    /// live either way.
+    /// Publishes the TMU's occupancy gauges: OTT occupancy, armed
+    /// deadlines per guard (`tmu.{write,read}.wheel_depth`, at most one
+    /// per LD slot), faults and pending drain beats. With telemetry
+    /// enabled the levels travel as [`TraceEvent::Gauge`] events —
+    /// visible in the ring and routed into the metrics hub by the
+    /// dispatcher; with it disabled they are set directly so snapshots
+    /// and reports stay live either way.
     pub(super) fn publish_gauges(&mut self) {
         let write_out = self.write_guard.outstanding() as u64;
         let read_out = self.read_guard.outstanding() as u64;

@@ -222,11 +222,15 @@ impl<S> Ott<S> {
             assert_eq!(hops, row.count as usize, "chain length vs count mismatch");
             assert_eq!(last, row.tail, "tail pointer mismatch");
         }
-        // EI entries must reference live rows, no duplicates.
-        let mut seen = std::collections::HashSet::new();
-        for idx in self.ei.iter() {
+        // EI entries must reference live rows, no duplicates. Checked
+        // pairwise so that debug builds, which run this after every
+        // commit, do not allocate on the busy path.
+        for (pos, idx) in self.ei.iter().enumerate() {
             assert!(self.ld.get(idx).is_some(), "EI references freed row");
-            assert!(seen.insert(idx), "duplicate EI entry");
+            assert!(
+                self.ei.iter().skip(pos + 1).all(|other| other != idx),
+                "duplicate EI entry"
+            );
         }
     }
 }

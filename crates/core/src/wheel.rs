@@ -10,44 +10,50 @@
 //! registers that deadline here. The per-cycle commit pass then touches
 //! only counters whose deadline is due.
 //!
-//! # Lazy invalidation
+//! # A per-slot table
 //!
-//! Full-Counter guards restart a transaction's counter at every phase
-//! transition, and LD slots are recycled as transactions retire. Rather
-//! than deleting superseded heap entries (a `BinaryHeap` cannot), each
-//! arm is tagged with a globally unique, monotonically increasing
-//! *stamp*; the slot records its current stamp and a popped entry whose
-//! stamp no longer matches is silently discarded. This makes re-arm and
-//! disarm O(1) (plus an O(log n) push on arm) and immunizes the wheel
-//! against slot reuse.
+//! Each OTT row in the hardware holds one timeout counter, and the
+//! Full-Counter restarts it in place at every phase transition (paper
+//! §II-G). The wheel keeps the same shape: one deadline per LD slot
+//! (`u64::MAX` = disarmed) next to the cycle it was armed at. Arming
+//! overwrites the slot's deadline, so a restart or a recycled slot never
+//! leaves a stale entry behind, and `arm`/`disarm` are O(1) writes with
+//! no allocation.
+//!
+//! # The cached lower bound
+//!
+//! `earliest` is a lower bound on every armed deadline: `arm` lowers it,
+//! `disarm` leaves it alone (a disarmed slot only makes it looser). While
+//! `now < earliest` nothing can be due, so on most cycles
+//! [`DeadlineWheel::pop_expired`] is one comparison. Once `now` reaches
+//! the bound, one scan over the slots either returns the smallest due
+//! deadline or, if none is due (the bound belonged to a deadline since
+//! superseded or disarmed), tightens `earliest` to the exact minimum.
 //!
 //! # Ordering
 //!
 //! The reference engine reports simultaneous expiries in LD-index order
-//! (its tick loop iterates the LD table in index order). Heap entries
-//! sort by `(fire_cycle, slot, stamp)`, so draining due deadlines yields
-//! the same order — a requirement for cycle-for-cycle log equivalence.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! (its tick loop iterates the LD table in index order). The scan picks
+//! the smallest `(fire_cycle, slot)` pair — it walks the slots in index
+//! order and only replaces its pick on a strictly earlier deadline — so
+//! due deadlines drain in exactly the order a min-heap of `(fire_cycle,
+//! slot)` would yield, a requirement for cycle-for-cycle log equivalence.
 
 use crate::ott::LdIndex;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct SlotState {
-    /// Stamp of the current arm; 0 = disarmed.
-    stamp: u64,
-    /// Cycle whose commit delivers the armed counter's first tick.
-    armed_at: u64,
-}
+/// `fire_at` value of a disarmed slot.
+const DISARMED: u64 = u64::MAX;
 
-/// A min-heap of counter deadlines with stamp-based lazy invalidation.
-/// See the [module docs](self).
+/// One timeout deadline per LD slot with a cached lower bound. See the
+/// [module docs](self).
 #[derive(Debug, Clone, Default)]
 pub struct DeadlineWheel {
-    heap: BinaryHeap<Reverse<(u64, LdIndex, u64)>>,
-    slots: Vec<SlotState>,
-    next_stamp: u64,
+    /// Commit during which each slot's expiry fires; [`DISARMED`] if none.
+    fire_at: Vec<u64>,
+    /// Commit that delivers the first tick of each slot's most recent arm.
+    armed_at: Vec<u64>,
+    /// Lower bound on every armed deadline ([`DISARMED`] when none can be).
+    earliest: u64,
 }
 
 impl DeadlineWheel {
@@ -55,9 +61,9 @@ impl DeadlineWheel {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         DeadlineWheel {
-            heap: BinaryHeap::with_capacity(capacity),
-            slots: vec![SlotState::default(); capacity],
-            next_stamp: 0,
+            fire_at: vec![DISARMED; capacity],
+            armed_at: vec![0; capacity],
+            earliest: DISARMED,
         }
     }
 
@@ -65,37 +71,43 @@ impl DeadlineWheel {
     /// lands at commit `armed_at`, and its expiry fires during commit
     /// `fire_at`. Supersedes any previous arm of the slot.
     pub fn arm(&mut self, slot: LdIndex, armed_at: u64, fire_at: u64) {
-        self.next_stamp += 1;
-        self.slots[slot] = SlotState {
-            stamp: self.next_stamp,
-            armed_at,
-        };
-        self.heap.push(Reverse((fire_at, slot, self.next_stamp)));
+        debug_assert!(fire_at != DISARMED, "deadline at the disarmed sentinel");
+        self.fire_at[slot] = fire_at;
+        self.armed_at[slot] = armed_at;
+        self.earliest = self.earliest.min(fire_at);
     }
 
     /// Cancels `slot`'s pending deadline (transaction retired or timed
-    /// out). The heap entry is left behind and discarded lazily.
+    /// out).
     pub fn disarm(&mut self, slot: LdIndex) {
-        self.slots[slot].stamp = 0;
+        self.fire_at[slot] = DISARMED;
     }
 
     /// The cycle whose commit delivered (or will deliver) the first tick
     /// of `slot`'s most recent arm.
     #[must_use]
     pub fn armed_at(&self, slot: LdIndex) -> u64 {
-        self.slots[slot].armed_at
+        self.armed_at[slot]
     }
 
-    /// The earliest pending deadline, if any. Cleans superseded entries
-    /// off the top of the heap.
-    pub fn next_deadline(&mut self) -> Option<u64> {
-        while let Some(&Reverse((fire, slot, stamp))) = self.heap.peek() {
-            if self.slots[slot].stamp == stamp {
-                return Some(fire);
+    /// The smallest `(fire_cycle, slot)` over all slots: the first slot
+    /// holding the minimum deadline, or `(DISARMED, _)` when none is
+    /// armed.
+    fn min_slot(&self) -> (u64, LdIndex) {
+        let mut best = (DISARMED, 0);
+        for (slot, &fire) in self.fire_at.iter().enumerate() {
+            if fire < best.0 {
+                best = (fire, slot);
             }
-            self.heap.pop();
         }
-        None
+        best
+    }
+
+    /// The earliest pending deadline, if any. Tightens the cached bound
+    /// to it.
+    pub fn next_deadline(&mut self) -> Option<u64> {
+        self.earliest = self.min_slot().0;
+        (self.earliest != DISARMED).then_some(self.earliest)
     }
 
     /// Pops the next deadline due at or before `now`, returning the slot
@@ -103,39 +115,41 @@ impl DeadlineWheel {
     /// Simultaneous deadlines come out in ascending slot order. The
     /// popped slot is disarmed.
     pub fn pop_expired(&mut self, now: u64) -> Option<(LdIndex, u64)> {
-        while let Some(&Reverse((fire, slot, stamp))) = self.heap.peek() {
-            if self.slots[slot].stamp == stamp {
-                if fire > now {
-                    return None;
-                }
-                self.heap.pop();
-                self.slots[slot].stamp = 0;
-                return Some((slot, self.slots[slot].armed_at));
-            }
-            self.heap.pop();
+        if now < self.earliest {
+            return None;
         }
-        None
+        let (fire, slot) = self.min_slot();
+        // Exact after the scan: every other deadline is at or after it.
+        self.earliest = fire;
+        if fire > now || fire == DISARMED {
+            return None;
+        }
+        self.fire_at[slot] = DISARMED;
+        Some((slot, self.armed_at[slot]))
     }
 
-    /// Number of entries currently in the heap. Telemetry gauge: this
-    /// counts lazily-invalidated (superseded/disarmed) entries too, so it
-    /// measures the wheel's real memory pressure, not just live arms.
+    /// Number of armed deadlines (telemetry gauge).
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.heap.len()
+        self.fire_at
+            .iter()
+            .filter(|&&fire| fire != DISARMED)
+            .count()
     }
 
     /// Discards every pending deadline (abort/reset path).
     pub fn clear(&mut self) {
-        self.heap.clear();
-        for slot in &mut self.slots {
-            slot.stamp = 0;
-        }
+        self.fire_at.fill(DISARMED);
+        self.earliest = DISARMED;
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use sim::SimRng;
+
     use super::*;
 
     #[test]
@@ -191,14 +205,136 @@ mod tests {
     }
 
     #[test]
-    fn depth_counts_stale_entries_until_cleaned() {
-        let mut wheel = DeadlineWheel::new(2);
+    fn depth_counts_live_arms_only() {
+        let mut wheel = DeadlineWheel::new(3);
         wheel.arm(0, 0, 5);
-        wheel.arm(0, 1, 9); // supersedes, stale entry lingers
-        assert_eq!(wheel.depth(), 2);
-        wheel.next_deadline(); // cleans the stale top
+        wheel.arm(0, 1, 9); // restart in place: still one deadline
         assert_eq!(wheel.depth(), 1);
+        wheel.arm(2, 1, 7);
+        assert_eq!(wheel.depth(), 2);
+        wheel.disarm(2);
+        assert_eq!(wheel.depth(), 1);
+        assert_eq!(wheel.pop_expired(9), Some((0, 1)));
+        assert_eq!(wheel.depth(), 0);
+        wheel.arm(1, 2, 4);
         wheel.clear();
         assert_eq!(wheel.depth(), 0);
+    }
+
+    /// Test-local reference: the ordered set of armed `(fire, slot)`
+    /// pairs a min-heap drains from, plus per-slot arm cycles.
+    #[derive(Debug, Default)]
+    struct Reference {
+        armed: BTreeSet<(u64, LdIndex)>,
+        fire_of: Vec<Option<u64>>,
+        armed_at: Vec<u64>,
+    }
+
+    impl Reference {
+        fn new(capacity: usize) -> Self {
+            Reference {
+                armed: BTreeSet::new(),
+                fire_of: vec![None; capacity],
+                armed_at: vec![0; capacity],
+            }
+        }
+
+        fn disarm(&mut self, slot: LdIndex) {
+            if let Some(fire) = self.fire_of[slot].take() {
+                self.armed.remove(&(fire, slot));
+            }
+        }
+
+        fn arm(&mut self, slot: LdIndex, armed_at: u64, fire_at: u64) {
+            self.disarm(slot);
+            self.armed.insert((fire_at, slot));
+            self.fire_of[slot] = Some(fire_at);
+            self.armed_at[slot] = armed_at;
+        }
+
+        fn pop_expired(&mut self, now: u64) -> Option<(LdIndex, u64)> {
+            let &(fire, slot) = self.armed.first()?;
+            if fire > now {
+                return None;
+            }
+            self.disarm(slot);
+            Some((slot, self.armed_at[slot]))
+        }
+
+        fn next_deadline(&self) -> Option<u64> {
+            self.armed.first().map(|&(fire, _)| fire)
+        }
+
+        fn clear(&mut self) {
+            self.armed.clear();
+            self.fire_of.fill(None);
+        }
+    }
+
+    /// Random arm/re-arm/disarm/pop/peek/clear sequences agree with the
+    /// ordered-set reference at every step: pop order (including several
+    /// deadlines due in one cycle), arm cycles, next deadline and depth.
+    #[test]
+    fn random_sequences_match_ordered_set_reference() {
+        for seed in 0..300 {
+            let mut rng = SimRng::seed(seed);
+            let capacity = 1 + rng.below(8) as usize;
+            let mut wheel = DeadlineWheel::new(capacity);
+            let mut reference = Reference::new(capacity);
+            let mut now = 0u64;
+            for step in 0..400 {
+                let slot = rng.below(capacity as u64) as usize;
+                match rng.below(10) {
+                    // Arm or re-arm, with deadlines bunched so that
+                    // several slots fall due in the same cycle.
+                    0..=3 => {
+                        let fire = now + rng.below(6);
+                        wheel.arm(slot, now, fire);
+                        reference.arm(slot, now, fire);
+                    }
+                    4 => {
+                        wheel.disarm(slot);
+                        reference.disarm(slot);
+                    }
+                    5 => assert_eq!(
+                        wheel.next_deadline(),
+                        reference.next_deadline(),
+                        "seed {seed} step {step}: next_deadline"
+                    ),
+                    6 if rng.below(20) == 0 => {
+                        wheel.clear();
+                        reference.clear();
+                    }
+                    // Advance time and drain everything due, as the
+                    // guard's commit pass does.
+                    _ => {
+                        now += rng.below(4);
+                        loop {
+                            let popped = wheel.pop_expired(now);
+                            assert_eq!(
+                                popped,
+                                reference.pop_expired(now),
+                                "seed {seed} step {step}: pop at {now}"
+                            );
+                            if popped.is_none() {
+                                break;
+                            }
+                        }
+                    }
+                }
+                assert_eq!(
+                    wheel.depth(),
+                    reference.armed.len(),
+                    "seed {seed} step {step}: depth"
+                );
+                for s in 0..capacity {
+                    assert_eq!(
+                        wheel.armed_at(s),
+                        reference.armed_at[s],
+                        "seed {seed} step {step}: armed_at({s})"
+                    );
+                }
+            }
+        }
     }
 }

@@ -172,29 +172,33 @@ impl Demux {
         }
     }
 
-    fn arbitrate(lock: &mut Option<Route>, rr: usize, candidates: &[Route]) -> Option<Route> {
-        if let Some(locked) = lock {
-            if candidates.contains(locked) {
-                return Some(*locked);
-            }
-            *lock = None;
-        }
-        if candidates.is_empty() {
-            return None;
-        }
-        // Round-robin over sub indices then Err.
-        let key = |r: &Route| match r {
-            Route::Sub(i) => *i,
+    /// Picks this cycle's response source from `candidates`, the valid
+    /// sources in round-robin order (subordinates by index, then the
+    /// DECERR responder): an unfired pick stays locked while still
+    /// valid, otherwise the first candidate at or after `rr`, wrapping
+    /// to the first.
+    fn arbitrate(
+        lock: &mut Option<Route>,
+        rr: usize,
+        candidates: impl Iterator<Item = Route>,
+    ) -> Option<Route> {
+        let key = |r: Route| match r {
+            Route::Sub(i) => i,
             Route::Err => usize::MAX,
         };
-        let mut sorted: Vec<Route> = candidates.to_vec();
-        sorted.sort_by_key(key);
-        let pick = sorted
-            .iter()
-            .find(|r| key(r) >= rr)
-            .or_else(|| sorted.first())
-            .copied();
-        pick
+        let mut first = None;
+        let mut at_or_after_rr = None;
+        for candidate in candidates {
+            if *lock == Some(candidate) {
+                return Some(candidate);
+            }
+            first = first.or(Some(candidate));
+            if at_or_after_rr.is_none() && key(candidate) >= rr {
+                at_or_after_rr = Some(candidate);
+            }
+        }
+        *lock = None;
+        at_or_after_rr.or(first)
     }
 
     /// Pass 2: select and forward subordinate responses onto the trunk,
@@ -226,16 +230,13 @@ impl Demux {
         trunk.ar.set_ready(ar_ready);
 
         // B arbitration.
-        let mut b_candidates: Vec<Route> = subs
+        let b_candidates = subs
             .iter()
             .enumerate()
             .filter(|(_, p)| p.b.valid())
             .map(|(i, _)| Route::Sub(i))
-            .collect();
-        if !self.err.b_owed.is_empty() {
-            b_candidates.push(Route::Err);
-        }
-        self.cur_b_sel = Self::arbitrate(&mut self.b_lock, self.b_rr, &b_candidates);
+            .chain((!self.err.b_owed.is_empty()).then_some(Route::Err));
+        self.cur_b_sel = Self::arbitrate(&mut self.b_lock, self.b_rr, b_candidates);
         match self.cur_b_sel {
             Some(Route::Sub(i)) => trunk.b.forward_driver_from(&subs[i].b),
             Some(Route::Err) => {
@@ -246,16 +247,13 @@ impl Demux {
         }
 
         // R arbitration.
-        let mut r_candidates: Vec<Route> = subs
+        let r_candidates = subs
             .iter()
             .enumerate()
             .filter(|(_, p)| p.r.valid())
             .map(|(i, _)| Route::Sub(i))
-            .collect();
-        if !self.err.r_owed.is_empty() {
-            r_candidates.push(Route::Err);
-        }
-        self.cur_r_sel = Self::arbitrate(&mut self.r_lock, self.r_rr, &r_candidates);
+            .chain((!self.err.r_owed.is_empty()).then_some(Route::Err));
+        self.cur_r_sel = Self::arbitrate(&mut self.r_lock, self.r_rr, r_candidates);
         match self.cur_r_sel {
             Some(Route::Sub(i)) => trunk.r.forward_driver_from(&subs[i].r),
             Some(Route::Err) => {
@@ -654,6 +652,115 @@ mod tests {
             readies.iter().filter(|r| **r).count(),
             1,
             "exactly one granted"
+        );
+    }
+
+    /// One demux cycle with `drive` setting the subordinates' response
+    /// wires and the trunk's B/R `ready` at `ready`; returns the B and R
+    /// beats that fired on the trunk.
+    fn response_cycle(
+        demux: &mut Demux,
+        trunk: &mut AxiPort,
+        subs: &mut [AxiPort],
+        ready: bool,
+        drive: impl FnOnce(&mut [AxiPort]),
+    ) -> (Option<BBeat>, Option<RBeat>) {
+        trunk.begin_cycle();
+        subs.iter_mut().for_each(AxiPort::begin_cycle);
+        drive(subs);
+        trunk.b.set_ready(ready);
+        trunk.r.set_ready(ready);
+        demux.forward_requests(trunk, subs);
+        demux.forward_responses(subs, trunk);
+        demux.backprop_response_ready(trunk, subs);
+        let fired = (trunk.b.fired_beat().copied(), trunk.r.fired_beat().copied());
+        demux.commit(trunk);
+        fired
+    }
+
+    #[test]
+    fn round_robin_alternates_between_two_valid_subordinates() {
+        let mut demux = Demux::new(regions());
+        let mut trunk = AxiPort::new();
+        let mut subs = vec![AxiPort::new(), AxiPort::new()];
+        let served: Vec<u16> = (0..4)
+            .map(|_| {
+                let (b, _) = response_cycle(&mut demux, &mut trunk, &mut subs, true, |s| {
+                    s[0].b.drive(BBeat::new(AxiId(1), Resp::Okay));
+                    s[1].b.drive(BBeat::new(AxiId(2), Resp::Okay));
+                });
+                b.expect("a B fires every cycle").id.0
+            })
+            .collect();
+        assert_eq!(served, vec![1, 2, 1, 2]);
+    }
+
+    #[test]
+    fn locked_pick_holds_over_a_lower_index_newcomer() {
+        let mut demux = Demux::new(regions());
+        let mut trunk = AxiPort::new();
+        let mut subs = vec![AxiPort::new(), AxiPort::new()];
+        let sub1_only = |s: &mut [AxiPort]| {
+            s[1].r.drive(RBeat::new(AxiId(2), 0xB, Resp::Okay, true));
+        };
+        let both = |s: &mut [AxiPort]| {
+            s[0].r.drive(RBeat::new(AxiId(1), 0xA, Resp::Okay, true));
+            s[1].r.drive(RBeat::new(AxiId(2), 0xB, Resp::Okay, true));
+        };
+        // Only subordinate 1 is valid: it is picked and locked unfired.
+        response_cycle(&mut demux, &mut trunk, &mut subs, false, sub1_only);
+        assert_eq!(trunk.r.beat().map(|r| r.id), Some(AxiId(2)));
+        // Subordinate 0 becomes valid; round-robin alone would pick it,
+        // but the unfired pick stays on subordinate 1.
+        response_cycle(&mut demux, &mut trunk, &mut subs, false, both);
+        assert_eq!(trunk.r.beat().map(|r| r.id), Some(AxiId(2)));
+        let (_, r) = response_cycle(&mut demux, &mut trunk, &mut subs, true, both);
+        assert_eq!(r.map(|r| r.id), Some(AxiId(2)), "locked beat fires");
+        let (_, r) = response_cycle(&mut demux, &mut trunk, &mut subs, true, both);
+        assert_eq!(r.map(|r| r.id), Some(AxiId(1)), "then the other turn");
+    }
+
+    #[test]
+    fn decerr_responder_takes_its_turn_last() {
+        let mut demux = Demux::new(regions());
+        let mut trunk = AxiPort::new();
+        let mut subs = vec![AxiPort::new(), AxiPort::new()];
+        // A single-beat write to an unmapped address: the DECERR
+        // responder now owes a B.
+        trunk.begin_cycle();
+        subs.iter_mut().for_each(AxiPort::begin_cycle);
+        trunk.aw.drive(aw(3, 0x0000_1000, 1));
+        trunk.w.drive(WBeat::new(0, true));
+        demux.forward_requests(&trunk, &mut subs);
+        demux.forward_responses(&subs, &mut trunk);
+        assert!(trunk.aw.fires());
+        demux.commit(&trunk);
+        trunk.begin_cycle();
+        subs.iter_mut().for_each(AxiPort::begin_cycle);
+        trunk.w.drive(WBeat::new(0, true));
+        demux.forward_requests(&trunk, &mut subs);
+        demux.forward_responses(&subs, &mut trunk);
+        assert!(trunk.w.fires());
+        demux.commit(&trunk);
+        // Both subordinates and the responder are valid every cycle.
+        let served: Vec<(u16, Resp)> = (0..4)
+            .map(|_| {
+                let (b, _) = response_cycle(&mut demux, &mut trunk, &mut subs, true, |s| {
+                    s[0].b.drive(BBeat::new(AxiId(1), Resp::Okay));
+                    s[1].b.drive(BBeat::new(AxiId(2), Resp::Okay));
+                });
+                let b = b.expect("a B fires every cycle");
+                (b.id.0, b.resp)
+            })
+            .collect();
+        assert_eq!(
+            served,
+            vec![
+                (1, Resp::Okay),
+                (2, Resp::Okay),
+                (3, Resp::DecErr),
+                (1, Resp::Okay)
+            ]
         );
     }
 

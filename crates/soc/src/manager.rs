@@ -121,13 +121,13 @@ impl MgrStats {
 
 #[derive(Debug)]
 struct PendingWrite {
-    txn: WriteTxn,
+    aw: AwBeat,
     issued_at: u64,
 }
 
 #[derive(Debug)]
 struct DataWrite {
-    txn: WriteTxn,
+    aw: AwBeat,
     sent: u16,
     issued_at: u64,
     /// A response (normally a TMU `SLVERR` abort) already arrived; the
@@ -168,6 +168,13 @@ impl AwaitR {
 
 fn ranges_overlap(a_base: u64, a_bytes: u64, b_base: u64, b_bytes: u64) -> bool {
     a_base < b_base + b_bytes && b_base < a_base + a_bytes
+}
+
+/// The data word a [`TrafficGen`] writes on beat `beat` of the burst
+/// announced by `aw`. Computed where the beat is driven and where the
+/// scoreboard records it, so no per-write data buffer exists.
+fn beat_data(aw: &AwBeat, beat: u16) -> u64 {
+    aw.addr.0 ^ (u64::from(beat) << 32) ^ 0xA5A5
 }
 
 /// A traffic-generating AXI manager. See the [module docs](self).
@@ -295,23 +302,20 @@ impl TrafficGen {
         let addr = self.pick_addr(beats);
         let is_write = self.rng.chance(self.pattern.write_ratio);
         if is_write {
-            let data = (0..u64::from(beats))
-                .map(|i| addr.0 ^ (i << 32) ^ 0xA5A5)
-                .collect();
-            let txn = TxnBuilder::new(id, addr)
+            let aw = TxnBuilder::new(id, addr)
                 .size_bytes(8)
                 .incr(beats)
-                .write(data)
+                .aw_beat()
                 .expect("generated burst is legal");
-            let wr_bytes = u64::from(txn.beats()) * u64::from(txn.size.bytes());
+            let wr_bytes = aw.total_bytes();
             for rd in &mut self.await_r {
                 let rd_bytes = u64::from(rd.txn.beats()) * u64::from(rd.txn.size.bytes());
-                if ranges_overlap(txn.addr.0, wr_bytes, rd.txn.addr.0, rd_bytes) {
+                if ranges_overlap(aw.addr.0, wr_bytes, rd.txn.addr.0, rd_bytes) {
                     rd.check_data = false;
                 }
             }
             self.aw_queue.push_back(PendingWrite {
-                txn,
+                aw,
                 issued_at: cycle,
             });
         } else {
@@ -334,11 +338,13 @@ impl TrafficGen {
     pub fn drive(&mut self, port: &mut AxiPort, cycle: u64) {
         self.generate(cycle);
         if let Some(front) = self.aw_queue.front() {
-            port.aw.drive(front.txn.aw_beat());
+            port.aw.drive(front.aw);
         }
         if let Some(front) = self.data_queue.front() {
-            if front.sent < front.txn.beats() {
-                port.w.drive(front.txn.w_beat(front.sent));
+            let beats = front.aw.len.beats();
+            if front.sent < beats {
+                let data = beat_data(&front.aw, front.sent);
+                port.w.drive(WBeat::new(data, front.sent + 1 == beats));
             }
         }
         if let Some(front) = self.ar_queue.front() {
@@ -359,7 +365,7 @@ impl TrafficGen {
             let pending = self.aw_queue.pop_front().expect("AW fired while queued");
             self.stats.writes_issued += 1;
             self.data_queue.push_back(DataWrite {
-                txn: pending.txn,
+                aw: pending.aw,
                 sent: 0,
                 issued_at: pending.issued_at,
                 aborted: false,
@@ -369,17 +375,16 @@ impl TrafficGen {
             self.stats.w_beats += 1;
             let front = self.data_queue.front_mut().expect("W fired while sending");
             if self.pattern.verify_data && !front.aborted {
-                let txn = &front.txn;
-                let addr = beat_address(txn.addr, txn.size, txn.len, txn.burst, front.sent);
-                self.scoreboard
-                    .insert(addr.0, txn.data[usize::from(front.sent)]);
+                let aw = &front.aw;
+                let addr = beat_address(aw.addr, aw.size, aw.len, aw.burst, front.sent);
+                self.scoreboard.insert(addr.0, beat_data(aw, front.sent));
             }
             front.sent += 1;
-            if front.sent == front.txn.beats() {
+            if front.sent == front.aw.len.beats() {
                 let done = self.data_queue.pop_front().expect("front exists");
                 if !done.aborted {
                     self.await_b.push(AwaitB {
-                        id: done.txn.id,
+                        id: done.aw.id,
                         issued_at: done.issued_at,
                     });
                 }
@@ -395,21 +400,9 @@ impl TrafficGen {
             let hazard = self
                 .aw_queue
                 .iter()
-                .map(|w| &w.txn)
-                .chain(
-                    self.data_queue
-                        .iter()
-                        .filter(|w| !w.aborted)
-                        .map(|w| &w.txn),
-                )
-                .any(|w| {
-                    ranges_overlap(
-                        pending.txn.addr.0,
-                        rd_bytes,
-                        w.addr.0,
-                        u64::from(w.beats()) * u64::from(w.size.bytes()),
-                    )
-                });
+                .map(|w| &w.aw)
+                .chain(self.data_queue.iter().filter(|w| !w.aborted).map(|w| &w.aw))
+                .any(|w| ranges_overlap(pending.txn.addr.0, rd_bytes, w.addr.0, w.total_bytes()));
             self.await_r.push(AwaitR {
                 txn: pending.txn,
                 beats_done: 0,
@@ -442,7 +435,7 @@ impl TrafficGen {
         if let Some(pos) = self
             .data_queue
             .iter()
-            .position(|w| w.txn.id == id && !w.aborted)
+            .position(|w| w.aw.id == id && !w.aborted)
         {
             let entry = self.data_queue.get_mut(pos).expect("position valid");
             entry.aborted = true;
@@ -585,6 +578,35 @@ mod tests {
         assert!(gen.is_done());
         assert_eq!(gen.stats().writes_completed, 1);
         assert_eq!(gen.stats().w_beats, 16);
+    }
+
+    #[test]
+    fn w_beats_equal_the_buffered_write_data() {
+        let (id, addr) = (3, 0x9000_0000);
+        let mut gen = TrafficGen::new(TrafficPattern::single_write(id, addr, 16), 1);
+        // The burst as the generator used to buffer it.
+        let expected = TxnBuilder::new(AxiId(id), Addr(addr))
+            .size_bytes(8)
+            .incr(16)
+            .write((0..16u64).map(|i| addr ^ (i << 32) ^ 0xA5A5).collect())
+            .unwrap();
+        let mut lb = Loopback::default();
+        let mut port = AxiPort::new();
+        let mut aws = Vec::new();
+        let mut ws = Vec::new();
+        for n in 0..200 {
+            port.begin_cycle();
+            gen.drive(&mut port, n);
+            lb.drive(&mut port);
+            aws.extend(port.aw.fired_beat().copied());
+            ws.extend(port.w.fired_beat().copied());
+            gen.commit(&port, n);
+            lb.commit(&port);
+        }
+        assert!(gen.is_done());
+        assert_eq!(aws, vec![expected.aw_beat()]);
+        let want: Vec<WBeat> = (0..16).map(|i| expected.w_beat(i)).collect();
+        assert_eq!(ws, want);
     }
 
     #[test]
