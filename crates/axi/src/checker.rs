@@ -1,14 +1,27 @@
-//! Synthesizable-style AXI4 protocol rule checker.
+//! AXI4 protocol rules, split by what they need to know.
 //!
-//! [`ProtocolChecker`] observes the settled wires of an [`AxiPort`] once
-//! per cycle and reports [`Violation`]s of the AXI4 ordering, stability
-//! and burst-legality rules. It is the behavioural equivalent of the
-//! rule-based checkers the paper cites (AXIChecker et al.) and is embedded
-//! in the TMU's Write/Read Guard modules to provide the "Prot Check"
-//! capability of Table II.
+//! The rules the paper's "Prot Check" capability covers (Table II, in the
+//! spirit of AXIChecker et al.) fall into two groups:
 //!
-//! The checker is purely an observer: it never drives wires and keeps its
-//! own shadow bookkeeping of outstanding transactions.
+//! * **Wire rules** need no transaction context: stability on all five
+//!   channels (payload and `valid` held while waiting for `ready`),
+//!   burst legality when AW or AR fires (reserved encoding, 4 KiB
+//!   crossing, FIXED longer than 16 beats, beat size wider than the bus,
+//!   WRAP length and alignment) and an all-zero strobe when W fires.
+//!   [`WireRules`] checks them with one held beat per channel. It is
+//!   shared with the TMU.
+//! * **Context rules** need the outstanding transactions: W without an
+//!   address, WLAST early or missing, B without a transaction or before
+//!   WLAST, R without a transaction, RLAST early or missing. Inside the
+//!   TMU the guards answer them from the lookups their Outstanding
+//!   Transaction Table already makes.
+//!
+//! [`ProtocolChecker`] is [`WireRules`] plus its own shadow queues of
+//! outstanding transactions for the context rules. It is the standalone
+//! reference oracle: it needs nothing but the wires, so property tests
+//! use it to check the TMU and any other port.
+//!
+//! Both are pure observers: they never drive wires.
 //!
 //! # Example
 //!
@@ -42,7 +55,7 @@ use crate::beat::{ArBeat, AwBeat, BBeat, RBeat, WBeat};
 use crate::burst::crosses_4k_boundary;
 use crate::channel::{AxiPort, Channel};
 use crate::hash::FoldHashMap;
-use crate::types::{AxiId, BurstKind};
+use crate::types::{Addr, AxiId, BurstKind, BurstLen, BurstSize};
 
 /// Identifiers for every protocol rule the checker enforces.
 ///
@@ -170,13 +183,6 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Snapshot of one channel's driver wires from the previous cycle, for
-/// stability checking.
-#[derive(Debug, Clone)]
-struct Held<T> {
-    payload: T,
-}
-
 /// Shadow bookkeeping for one in-flight write burst.
 #[derive(Debug, Clone)]
 struct WriteCtx {
@@ -235,17 +241,262 @@ impl Default for CheckerConfig {
     }
 }
 
-/// The protocol checker. See the [module documentation](self) for an
-/// overview and example.
+/// Whether `ch` holds a beat waiting for `ready`.
+#[inline]
+fn waits<T>(ch: &Channel<T>) -> bool {
+    ch.valid() && !ch.ready()
+}
+
+/// Whether any of the five channels holds a beat waiting for `ready`.
+#[inline]
+fn any_waits(port: &AxiPort) -> bool {
+    waits(&port.aw) | waits(&port.w) | waits(&port.b) | waits(&port.ar) | waits(&port.r)
+}
+
+/// The rules one address channel's burst legality reports under.
+struct BurstRules {
+    reserved: Rule,
+    cross_4k: Rule,
+    fixed_len: Rule,
+    size_too_wide: Rule,
+    wrap_len: Rule,
+    wrap_unaligned: Rule,
+}
+
+/// An address beat, as the burst-legality rules read it.
+trait AddrBeat: fmt::Display {
+    /// The rules its channel reports under.
+    const RULES: BurstRules;
+    /// ID, start address, length, beat size and burst kind.
+    fn burst(&self) -> (AxiId, Addr, BurstLen, BurstSize, BurstKind);
+}
+
+impl AddrBeat for AwBeat {
+    const RULES: BurstRules = BurstRules {
+        reserved: Rule::AwBurstReserved,
+        cross_4k: Rule::AwCross4k,
+        fixed_len: Rule::AwFixedLen,
+        size_too_wide: Rule::AwSizeTooWide,
+        wrap_len: Rule::AwWrapLen,
+        wrap_unaligned: Rule::AwWrapUnaligned,
+    };
+
+    fn burst(&self) -> (AxiId, Addr, BurstLen, BurstSize, BurstKind) {
+        (self.id, self.addr, self.len, self.size, self.burst)
+    }
+}
+
+impl AddrBeat for ArBeat {
+    const RULES: BurstRules = BurstRules {
+        reserved: Rule::ArBurstReserved,
+        cross_4k: Rule::ArCross4k,
+        fixed_len: Rule::ArFixedLen,
+        size_too_wide: Rule::ArSizeTooWide,
+        wrap_len: Rule::ArWrapLen,
+        wrap_unaligned: Rule::ArWrapUnaligned,
+    };
+
+    fn burst(&self) -> (AxiId, Addr, BurstLen, BurstSize, BurstKind) {
+        (self.id, self.addr, self.len, self.size, self.burst)
+    }
+}
+
+/// The stateless wire rules: stability, burst legality and strobes. See
+/// the [module documentation](self) for the rule split.
+///
+/// The only state is one held beat per channel, captured while the beat
+/// waits for `ready`.
+///
+/// ```
+/// use axi4::checker::WireRules;
+/// use axi4::prelude::*;
+///
+/// let mut rules = WireRules::default();
+/// let mut out = Vec::new();
+/// let mut port = AxiPort::new();
+/// port.begin_cycle();
+/// port.w.drive(WBeat::new(1, true)); // waits: no ready
+/// rules.observe(&port, 0, &mut out);
+/// port.begin_cycle(); // valid dropped before ready
+/// rules.observe(&port, 1, &mut out);
+/// assert_eq!(out[0].rule, Rule::WStable);
+/// ```
+#[derive(Debug, Clone)]
+pub struct WireRules {
+    bus_bytes: u32,
+    // Stability registers: Some(payload) iff last cycle had valid && !ready.
+    held_aw: Option<AwBeat>,
+    held_w: Option<WBeat>,
+    held_b: Option<BBeat>,
+    held_ar: Option<ArBeat>,
+    held_r: Option<RBeat>,
+    /// Whether any stability register is set.
+    holding: bool,
+}
+
+impl Default for WireRules {
+    fn default() -> Self {
+        Self::new(CheckerConfig::default().bus_bytes)
+    }
+}
+
+impl WireRules {
+    /// Wire rules for a data bus `bus_bytes` wide.
+    #[must_use]
+    pub fn new(bus_bytes: u32) -> Self {
+        WireRules {
+            bus_bytes,
+            held_aw: None,
+            held_w: None,
+            held_b: None,
+            held_ar: None,
+            held_r: None,
+            holding: false,
+        }
+    }
+
+    /// Forgets the held beats, so the next cycle checks no stability
+    /// (after a reset, or when checking resumes after a pause).
+    pub fn flush(&mut self) {
+        *self = Self::new(self.bus_bytes);
+    }
+
+    /// Checks the settled wires of `port` for `cycle` and appends any
+    /// violations to `out`. Call once per simulated cycle, after all
+    /// drive passes and before the clock commit.
+    ///
+    /// A legal busy cycle costs a few comparisons: stability work only
+    /// runs while a beat is held or waits, and a fired INCR burst within
+    /// its 4 KiB page and the bus width skips the other burst rules.
+    #[inline]
+    pub fn observe(&mut self, port: &AxiPort, cycle: u64, out: &mut Vec<Violation>) {
+        let waiting = any_waits(port);
+        if self.holding || waiting {
+            self.stability(port, waiting, cycle, out);
+        }
+        if let Some(aw) = port.aw.fired_beat() {
+            self.check_burst(aw, cycle, out);
+        }
+        if let Some(w) = port.w.fired_beat() {
+            Self::w_strobes(w, cycle, out);
+        }
+        if let Some(ar) = port.ar.fired_beat() {
+            self.check_burst(ar, cycle, out);
+        }
+    }
+
+    /// Burst legality of one fired address beat. An INCR burst within
+    /// one 4 KiB page and the bus width, the common case, is legal under
+    /// every rule.
+    #[inline]
+    fn check_burst<B: AddrBeat>(&self, beat: &B, cycle: u64, out: &mut Vec<Violation>) {
+        let (_, addr, len, size, kind) = beat.burst();
+        let plain = kind == BurstKind::Incr
+            && size.bytes() <= self.bus_bytes
+            && !crosses_4k_boundary(addr, size, len, kind);
+        if !plain {
+            self.report_burst(beat, cycle, out);
+        }
+    }
+
+    /// Checks last cycle's held beats against the wires, then captures
+    /// the beats `waiting` this cycle.
+    fn stability(&mut self, port: &AxiPort, waiting: bool, cycle: u64, out: &mut Vec<Violation>) {
+        fn hold<T: Copy + PartialEq + fmt::Debug>(
+            held: &mut Option<T>,
+            ch: &Channel<T>,
+            rule: Rule,
+            cycle: u64,
+            out: &mut Vec<Violation>,
+        ) {
+            if let Some(h) = *held {
+                match ch.beat() {
+                    None => out.push(Violation {
+                        rule,
+                        cycle,
+                        id: None,
+                        detail: "valid deasserted before ready".to_string(),
+                    }),
+                    Some(p) if *p != h => out.push(Violation {
+                        rule,
+                        cycle,
+                        id: None,
+                        detail: format!("payload changed while waiting for ready: {h:?} -> {p:?}"),
+                    }),
+                    Some(_) => {}
+                }
+            }
+            *held = if waits(ch) { ch.beat().copied() } else { None };
+        }
+        hold(&mut self.held_aw, &port.aw, Rule::AwStable, cycle, out);
+        hold(&mut self.held_w, &port.w, Rule::WStable, cycle, out);
+        hold(&mut self.held_b, &port.b, Rule::BStable, cycle, out);
+        hold(&mut self.held_ar, &port.ar, Rule::ArStable, cycle, out);
+        hold(&mut self.held_r, &port.r, Rule::RStable, cycle, out);
+        self.holding = waiting;
+    }
+
+    /// Reports every burst rule `beat` breaks.
+    #[cold]
+    fn report_burst<B: AddrBeat>(&self, beat: &B, cycle: u64, out: &mut Vec<Violation>) {
+        let rules = &B::RULES;
+        let (id, addr, len, size, burst) = beat.burst();
+        let mut flag = |rule: Rule, detail: String| {
+            out.push(Violation {
+                rule,
+                cycle,
+                id: Some(id),
+                detail,
+            });
+        };
+        if burst == BurstKind::Reserved {
+            flag(rules.reserved, format!("reserved burst encoding on {beat}"));
+        }
+        if crosses_4k_boundary(addr, size, len, burst) {
+            flag(rules.cross_4k, format!("{beat} crosses 4 KiB boundary"));
+        }
+        if burst == BurstKind::Fixed && len.beats() > 16 {
+            flag(rules.fixed_len, format!("FIXED burst of {len}"));
+        }
+        if size.bytes() > self.bus_bytes {
+            flag(
+                rules.size_too_wide,
+                format!("{size} exceeds the {}-byte bus", self.bus_bytes),
+            );
+        }
+        if burst == BurstKind::Wrap {
+            if !len.is_legal_wrap() {
+                flag(rules.wrap_len, format!("wrap burst of {len}"));
+            }
+            if !addr.is_aligned(u64::from(size.bytes())) {
+                flag(
+                    rules.wrap_unaligned,
+                    format!("wrap burst start {addr} unaligned to {size}"),
+                );
+            }
+        }
+    }
+
+    #[inline]
+    fn w_strobes(w: &WBeat, cycle: u64, out: &mut Vec<Violation>) {
+        if w.strb == 0 {
+            out.push(Violation {
+                rule: Rule::WStrbAllZero,
+                cycle,
+                id: None,
+                detail: "write data beat with all strobes low".to_string(),
+            });
+        }
+    }
+}
+
+/// The standalone protocol checker: [`WireRules`] plus shadow queues of
+/// the outstanding transactions for the context rules. See the
+/// [module documentation](self) for an overview and example.
 #[derive(Debug, Clone)]
 pub struct ProtocolChecker {
     cfg: CheckerConfig,
-    // Stability shadows: Some(payload) iff last cycle had valid && !ready.
-    held_aw: Option<Held<AwBeat>>,
-    held_w: Option<Held<WBeat>>,
-    held_b: Option<Held<BBeat>>,
-    held_ar: Option<Held<ArBeat>>,
-    held_r: Option<Held<RBeat>>,
+    wire: WireRules,
     // Write bursts in AW order whose data is still arriving.
     w_inflight: VecDeque<WriteCtx>,
     // Early W beats observed before any AW (only if allowed).
@@ -277,11 +528,7 @@ impl ProtocolChecker {
     pub fn with_config(cfg: CheckerConfig) -> Self {
         ProtocolChecker {
             cfg,
-            held_aw: None,
-            held_w: None,
-            held_b: None,
-            held_ar: None,
-            held_r: None,
+            wire: WireRules::new(cfg.bus_bytes),
             w_inflight: VecDeque::new(),
             early_w: VecDeque::new(),
             awaiting_b: FoldHashMap::default(),
@@ -311,11 +558,7 @@ impl ProtocolChecker {
     /// Discards all shadow transaction state (used after the TMU aborts a
     /// subordinate and resets it). Stability shadows are also cleared.
     pub fn flush(&mut self) {
-        self.held_aw = None;
-        self.held_w = None;
-        self.held_b = None;
-        self.held_ar = None;
-        self.held_r = None;
+        self.wire.flush();
         self.w_inflight.clear();
         self.early_w.clear();
         self.awaiting_b.clear();
@@ -326,126 +569,40 @@ impl ProtocolChecker {
     /// returns any violations detected this cycle.
     ///
     /// Must be called exactly once per simulated cycle, after all drive
-    /// passes and before the clock commit.
+    /// passes and before the clock commit. Violations come in channel
+    /// order: stability first, then AW, W, B, AR and R.
     pub fn observe(&mut self, port: &AxiPort, cycle: u64) -> Vec<Violation> {
         let mut out = Vec::new();
-        self.check_stability(port, cycle, &mut out);
-        self.check_aw(&port.aw, cycle, &mut out);
-        self.check_w(&port.w, cycle, &mut out);
-        self.check_b(&port.b, cycle, &mut out);
-        self.check_ar(&port.ar, cycle, &mut out);
-        self.check_r(&port.r, cycle, &mut out);
-        self.capture_stability(port);
+        self.wire.stability(port, any_waits(port), cycle, &mut out);
+        if let Some(aw) = port.aw.fired_beat().copied() {
+            self.stats.writes_started += 1;
+            self.wire.check_burst(&aw, cycle, &mut out);
+            self.track_aw(aw, cycle, &mut out);
+        }
+        if let Some(w) = port.w.fired_beat().copied() {
+            self.stats.w_beats += 1;
+            WireRules::w_strobes(&w, cycle, &mut out);
+            self.check_w(w, cycle, &mut out);
+        }
+        if let Some(b) = port.b.fired_beat().copied() {
+            self.check_b(b, cycle, &mut out);
+        }
+        if let Some(ar) = port.ar.fired_beat().copied() {
+            self.stats.reads_started += 1;
+            self.wire.check_burst(&ar, cycle, &mut out);
+            self.r_inflight
+                .entry(ar.id)
+                .or_default()
+                .push_back(ReadCtx { ar, beats_done: 0 });
+        }
+        if let Some(r) = port.r.fired_beat().copied() {
+            self.check_r(r, cycle, &mut out);
+        }
         self.stats.violations += out.len() as u64;
         out
     }
 
-    fn check_stability(&mut self, port: &AxiPort, cycle: u64, out: &mut Vec<Violation>) {
-        fn check<T: Clone + PartialEq + fmt::Debug>(
-            held: &Option<Held<T>>,
-            ch: &Channel<T>,
-            rule: Rule,
-            cycle: u64,
-            out: &mut Vec<Violation>,
-        ) {
-            if let Some(h) = held {
-                match ch.beat() {
-                    None => out.push(Violation {
-                        rule,
-                        cycle,
-                        id: None,
-                        detail: "valid deasserted before ready".to_string(),
-                    }),
-                    Some(p) if *p != h.payload => out.push(Violation {
-                        rule,
-                        cycle,
-                        id: None,
-                        detail: format!(
-                            "payload changed while waiting for ready: {:?} -> {:?}",
-                            h.payload, p
-                        ),
-                    }),
-                    Some(_) => {}
-                }
-            }
-        }
-        check(&self.held_aw, &port.aw, Rule::AwStable, cycle, out);
-        check(&self.held_w, &port.w, Rule::WStable, cycle, out);
-        check(&self.held_b, &port.b, Rule::BStable, cycle, out);
-        check(&self.held_ar, &port.ar, Rule::ArStable, cycle, out);
-        check(&self.held_r, &port.r, Rule::RStable, cycle, out);
-    }
-
-    fn capture_stability(&mut self, port: &AxiPort) {
-        fn capture<T: Clone>(ch: &Channel<T>) -> Option<Held<T>> {
-            if ch.valid() && !ch.ready() {
-                ch.beat().map(|p| Held { payload: p.clone() })
-            } else {
-                None
-            }
-        }
-        self.held_aw = capture(&port.aw);
-        self.held_w = capture(&port.w);
-        self.held_b = capture(&port.b);
-        self.held_ar = capture(&port.ar);
-        self.held_r = capture(&port.r);
-    }
-
-    fn check_aw(&mut self, ch: &Channel<AwBeat>, cycle: u64, out: &mut Vec<Violation>) {
-        let Some(aw) = ch.fired_beat().copied() else {
-            return;
-        };
-        self.stats.writes_started += 1;
-        if aw.burst == BurstKind::Reserved {
-            out.push(Violation {
-                rule: Rule::AwBurstReserved,
-                cycle,
-                id: Some(aw.id),
-                detail: format!("reserved burst encoding on {aw}"),
-            });
-        }
-        if crosses_4k_boundary(aw.addr, aw.size, aw.len, aw.burst) {
-            out.push(Violation {
-                rule: Rule::AwCross4k,
-                cycle,
-                id: Some(aw.id),
-                detail: format!("{aw} crosses 4 KiB boundary"),
-            });
-        }
-        if aw.burst == BurstKind::Fixed && aw.len.beats() > 16 {
-            out.push(Violation {
-                rule: Rule::AwFixedLen,
-                cycle,
-                id: Some(aw.id),
-                detail: format!("FIXED burst of {}", aw.len),
-            });
-        }
-        if aw.size.bytes() > self.cfg.bus_bytes {
-            out.push(Violation {
-                rule: Rule::AwSizeTooWide,
-                cycle,
-                id: Some(aw.id),
-                detail: format!("{} exceeds the {}-byte bus", aw.size, self.cfg.bus_bytes),
-            });
-        }
-        if aw.burst == BurstKind::Wrap {
-            if !aw.len.is_legal_wrap() {
-                out.push(Violation {
-                    rule: Rule::AwWrapLen,
-                    cycle,
-                    id: Some(aw.id),
-                    detail: format!("wrap burst of {}", aw.len),
-                });
-            }
-            if !aw.addr.is_aligned(u64::from(aw.size.bytes())) {
-                out.push(Violation {
-                    rule: Rule::AwWrapUnaligned,
-                    cycle,
-                    id: Some(aw.id),
-                    detail: format!("wrap burst start {} unaligned to {}", aw.addr, aw.size),
-                });
-            }
-        }
+    fn track_aw(&mut self, aw: AwBeat, cycle: u64, out: &mut Vec<Violation>) {
         self.w_inflight.push_back(WriteCtx { aw, beats_done: 0 });
         // Attach any buffered early data beats.
         while !self.early_w.is_empty() && !self.w_inflight.is_empty() {
@@ -457,19 +614,7 @@ impl ProtocolChecker {
         }
     }
 
-    fn check_w(&mut self, ch: &Channel<WBeat>, cycle: u64, out: &mut Vec<Violation>) {
-        let Some(w) = ch.fired_beat().copied() else {
-            return;
-        };
-        self.stats.w_beats += 1;
-        if w.strb == 0 {
-            out.push(Violation {
-                rule: Rule::WStrbAllZero,
-                cycle,
-                id: None,
-                detail: "write data beat with all strobes low".to_string(),
-            });
-        }
+    fn check_w(&mut self, w: WBeat, cycle: u64, out: &mut Vec<Violation>) {
         if self.w_inflight.is_empty() {
             if self.cfg.allow_early_w && self.early_w.len() < self.cfg.early_w_depth {
                 self.early_w.push_back(w);
@@ -524,10 +669,7 @@ impl ProtocolChecker {
         }
     }
 
-    fn check_b(&mut self, ch: &Channel<BBeat>, cycle: u64, out: &mut Vec<Violation>) {
-        let Some(b) = ch.fired_beat().copied() else {
-            return;
-        };
+    fn check_b(&mut self, b: BBeat, cycle: u64, out: &mut Vec<Violation>) {
         // An emptied queue stays in the map, so the ID's next write
         // reuses its buffer.
         if let Some(queue) = self.awaiting_b.get_mut(&b.id) {
@@ -552,82 +694,9 @@ impl ProtocolChecker {
         });
     }
 
-    fn check_ar(&mut self, ch: &Channel<ArBeat>, cycle: u64, out: &mut Vec<Violation>) {
-        let Some(ar) = ch.fired_beat().copied() else {
-            return;
-        };
-        self.stats.reads_started += 1;
-        if ar.burst == BurstKind::Reserved {
-            out.push(Violation {
-                rule: Rule::ArBurstReserved,
-                cycle,
-                id: Some(ar.id),
-                detail: format!("reserved burst encoding on {ar}"),
-            });
-        }
-        if crosses_4k_boundary(ar.addr, ar.size, ar.len, ar.burst) {
-            out.push(Violation {
-                rule: Rule::ArCross4k,
-                cycle,
-                id: Some(ar.id),
-                detail: format!("{ar} crosses 4 KiB boundary"),
-            });
-        }
-        if ar.burst == BurstKind::Fixed && ar.len.beats() > 16 {
-            out.push(Violation {
-                rule: Rule::ArFixedLen,
-                cycle,
-                id: Some(ar.id),
-                detail: format!("FIXED burst of {}", ar.len),
-            });
-        }
-        if ar.size.bytes() > self.cfg.bus_bytes {
-            out.push(Violation {
-                rule: Rule::ArSizeTooWide,
-                cycle,
-                id: Some(ar.id),
-                detail: format!("{} exceeds the {}-byte bus", ar.size, self.cfg.bus_bytes),
-            });
-        }
-        if ar.burst == BurstKind::Wrap {
-            if !ar.len.is_legal_wrap() {
-                out.push(Violation {
-                    rule: Rule::ArWrapLen,
-                    cycle,
-                    id: Some(ar.id),
-                    detail: format!("wrap burst of {}", ar.len),
-                });
-            }
-            if !ar.addr.is_aligned(u64::from(ar.size.bytes())) {
-                out.push(Violation {
-                    rule: Rule::ArWrapUnaligned,
-                    cycle,
-                    id: Some(ar.id),
-                    detail: format!("wrap burst start {} unaligned to {}", ar.addr, ar.size),
-                });
-            }
-        }
-        self.r_inflight
-            .entry(ar.id)
-            .or_default()
-            .push_back(ReadCtx { ar, beats_done: 0 });
-    }
-
-    fn check_r(&mut self, ch: &Channel<RBeat>, cycle: u64, out: &mut Vec<Violation>) {
-        let Some(r) = ch.fired_beat().copied() else {
-            return;
-        };
+    fn check_r(&mut self, r: RBeat, cycle: u64, out: &mut Vec<Violation>) {
         self.stats.r_beats += 1;
-        let Some(queue) = self.r_inflight.get_mut(&r.id) else {
-            out.push(Violation {
-                rule: Rule::RWithoutTxn,
-                cycle,
-                id: Some(r.id),
-                detail: format!("read data {r} with no outstanding read"),
-            });
-            return;
-        };
-        let Some(ctx) = queue.front_mut() else {
+        let Some(ctx) = self.r_inflight.get_mut(&r.id).and_then(VecDeque::front_mut) else {
             out.push(Violation {
                 rule: Rule::RWithoutTxn,
                 cycle,
@@ -659,7 +728,9 @@ impl ProtocolChecker {
         // when early; reaching the expected count does likewise.
         // The emptied queue stays in the map, as in `check_b`.
         if r.last || is_final {
-            queue.pop_front();
+            if let Some(queue) = self.r_inflight.get_mut(&r.id) {
+                queue.pop_front();
+            }
             self.stats.reads_completed += 1;
         }
     }
@@ -1065,6 +1136,51 @@ mod tests {
         chk.flush();
         assert_eq!(chk.outstanding_writes(), 0);
         assert_eq!(chk.outstanding_reads(), 0);
+    }
+
+    #[test]
+    fn wire_rules_flag_only_context_free_rules() {
+        let mut rules = WireRules::default();
+        let mut out = Vec::new();
+        // A W beat with no address and a B with no write: context rules,
+        // not wire rules.
+        let mut port = AxiPort::new();
+        port.begin_cycle();
+        fire_w(&mut port, WBeat::new(0, true));
+        fire_b(&mut port, BBeat::new(AxiId(3), Resp::Okay));
+        rules.observe(&port, 0, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        // Strobes and burst legality are wire rules.
+        let mut beat = aw(1, 4);
+        beat.addr = Addr(0xFF8);
+        port.begin_cycle();
+        fire_aw(&mut port, beat);
+        fire_w(&mut port, WBeat::with_strobes(0, 0, false));
+        rules.observe(&port, 1, &mut out);
+        let got: Vec<_> = out.iter().map(|v| v.rule).collect();
+        assert_eq!(got, vec![Rule::AwCross4k, Rule::WStrbAllZero]);
+    }
+
+    #[test]
+    fn wire_rules_flush_forgets_held_beats() {
+        let mut rules = WireRules::default();
+        let mut out = Vec::new();
+        let mut port = AxiPort::new();
+        port.begin_cycle();
+        port.r.drive(RBeat::new(AxiId(1), 5, Resp::Okay, true)); // waits
+        rules.observe(&port, 0, &mut out);
+        rules.flush();
+        port.begin_cycle(); // R dropped, but the held beat is forgotten
+        rules.observe(&port, 1, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        port.begin_cycle();
+        port.r.drive(RBeat::new(AxiId(1), 5, Resp::Okay, true));
+        rules.observe(&port, 2, &mut out);
+        port.begin_cycle();
+        port.r.drive(RBeat::new(AxiId(1), 6, Resp::Okay, true)); // changed
+        rules.observe(&port, 3, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!((out[0].rule, out[0].cycle), (Rule::RStable, 3));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   boundary rule, wrap-boundary computation).
 //! * [`txn`] — whole-transaction descriptors used by traffic generators
 //!   and scoreboards.
-//! * [`checker`] — a synthesizable-style protocol rule checker in the
-//!   spirit of AXIChecker \[Chen et al., ISOCC 2010\], used by the TMU's
-//!   guard modules to flag protocol violations.
+//! * [`checker`] — protocol rules in the spirit of AXIChecker \[Chen et
+//!   al., ISOCC 2010\]: the stateless wire rules the TMU runs beside its
+//!   guards, and the standalone reference checker.
 //! * [`hash`] — the fixed-key hasher behind the simulator's per-beat
 //!   maps ([`hash::FoldHashMap`]).
 //!

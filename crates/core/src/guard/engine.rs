@@ -26,8 +26,9 @@
 //!    stall decision held it off),
 //! 2. a *fired* address handshake advances the head entry into the data
 //!    phase,
-//! 3. the direction routes data/response wires through its phase machine
-//!    and retires completed transactions
+//! 3. the direction routes data/response wires through its phase machine,
+//!    retires completed transactions and, when protocol checking is on,
+//!    answers the context rules from the same OTT lookups
 //!    ([`Direction::commit_data`]),
 //! 4. timeout expiries are flagged (per-cycle tick sweep or deadline
 //!    wheel pop, per the configured engine),
@@ -38,6 +39,7 @@
 //! structural invariants after each committed cycle for free.
 
 use axi4::channel::AxiPort;
+use axi4::checker::{Rule, Violation};
 use axi4::{Addr, AxiId};
 use tmu_telemetry::{Dir, FaultClass, PhaseId, TelemetryHub, TraceEvent};
 
@@ -114,7 +116,8 @@ pub trait Direction: Sized + std::fmt::Debug + Clone + 'static {
     fn drain_beats(tracker: &TxnTracker<Self>) -> u64;
     /// Step 3 of the commit contract: route this cycle's data/response
     /// wires through the phase machine and retire completions via
-    /// `GuardCore::retire`.
+    /// `GuardCore::retire`. While `GuardCore::check_protocol` is set, a
+    /// beat that breaks a context rule is recorded with `flag`.
     fn commit_data(
         core: &mut GuardCore<Self>,
         data: &Self::DataObs,
@@ -122,6 +125,22 @@ pub trait Direction: Sized + std::fmt::Debug + Clone + 'static {
         perf: &mut PerfLog,
         telemetry: &mut TelemetryHub,
     );
+}
+
+/// Records a context-rule violation found in a commit.
+pub(in crate::guard) fn flag(
+    violations: &mut Vec<Violation>,
+    rule: Rule,
+    cycle: u64,
+    id: Option<AxiId>,
+    detail: String,
+) {
+    violations.push(Violation {
+        rule,
+        cycle,
+        id,
+        detail,
+    });
 }
 
 /// Per-transaction tracker state stored in the OTT's LD rows.
@@ -207,6 +226,12 @@ pub struct GuardCore<D: Direction> {
     /// Whether this cycle's address beat was stalled by saturation
     /// backpressure.
     stalled_this_cycle: bool,
+    /// Whether [`Direction::commit_data`] checks the context protocol
+    /// rules (set by the TMU from `TmuConfig::check_protocol` and
+    /// `CTRL_PROT_CHECK`).
+    pub(in crate::guard) check_protocol: bool,
+    /// Context-rule violations found since the TMU last collected them.
+    pub(in crate::guard) violations: Vec<Violation>,
     obs: CoreObs<D>,
 }
 
@@ -228,7 +253,22 @@ impl<D: Direction> GuardCore<D> {
             beats_owed: 0,
             addr_pending: None,
             stalled_this_cycle: false,
+            check_protocol: cfg.check_protocol(),
+            violations: Vec::new(),
             obs: CoreObs::default(),
+        }
+    }
+
+    /// Switches the context protocol rules on or off.
+    pub(crate) fn set_protocol_check(&mut self, on: bool) {
+        self.check_protocol = on;
+    }
+
+    /// Moves the context-rule violations found since the last call to
+    /// the end of `out`, in the order they were found.
+    pub(crate) fn take_violations(&mut self, out: &mut Vec<Violation>) {
+        if !self.violations.is_empty() {
+            out.append(&mut self.violations);
         }
     }
 
@@ -263,14 +303,25 @@ impl<D: Direction> GuardCore<D> {
     /// Whether a new address beat with `id` must be stalled this cycle
     /// (saturation / remapper backpressure, paper §II-D). The decision is
     /// remembered; call once per cycle from the forward pass.
+    ///
+    /// The address beat already allocated while it waits for `ready` is
+    /// never stalled, unless protocol checks are on and the manager
+    /// changed it while waiting (a stability violation): that beat is
+    /// held off too. So every address that fires is in the OTT exactly
+    /// as it fired, which the context protocol rules rely on.
     pub fn decide_stall(&mut self, req: Option<&D::Req>) -> bool {
-        self.stalled_this_cycle = match req {
-            // An already-allocated address beat is never stalled.
-            _ if self.addr_pending.is_some() => false,
-            Some(beat) => self.ott.is_full() || self.remap.probe(D::id(beat)).is_err(),
-            None => false,
+        self.stalled_this_cycle = match (req, self.addr_pending) {
+            (None, _) => false,
+            (Some(beat), Some(idx)) => self.check_protocol && self.changed_while_waiting(idx, beat),
+            (Some(beat), None) => self.ott.is_full() || self.remap.probe(D::id(beat)).is_err(),
         };
         self.stalled_this_cycle
+    }
+
+    /// Whether `beat` differs from the allocated address beat in `idx`.
+    #[cold]
+    fn changed_while_waiting(&self, idx: LdIndex, beat: &D::Req) -> bool {
+        self.ott.get(idx).is_some_and(|e| e.tracker.req != *beat)
     }
 
     /// Captures the settled manager-side wires for this cycle.
@@ -668,6 +719,7 @@ impl<D: Direction> GuardCore<D> {
         self.beats_owed = 0;
         self.addr_pending = None;
         self.stalled_this_cycle = false;
+        self.violations.clear();
         self.obs = CoreObs::default();
     }
 

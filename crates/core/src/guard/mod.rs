@@ -7,6 +7,12 @@
 //! per-transaction phase machines at commit, ticks the timeout counters,
 //! and reports [`GuardFault`]s.
 //!
+//! With protocol checking on, the guards also answer the context
+//! protocol rules (W without AW, WLAST placement, B without a
+//! transaction or before WLAST, R without a transaction, RLAST
+//! placement) from the OTT lookups they already make for routing; the
+//! TMU runs the stateless wire rules beside them.
+//!
 //! The guards implement both variants: in **Tiny-Counter** mode a single
 //! counter spans the whole transaction against the transaction-level
 //! budget; in **Full-Counter** mode the counter is re-armed with each
@@ -37,8 +43,9 @@ use crate::phase::TxnPhase;
 /// A fault detected by a guard in the current cycle.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GuardFault {
-    /// Failure class (always [`FaultKind::Timeout`] from the guards
-    /// themselves; protocol faults come from the embedded checker).
+    /// Failure class (always [`FaultKind::Timeout`]: the context
+    /// protocol rules the guards answer are reported to the TMU as
+    /// [`Violation`](axi4::checker::Violation)s instead).
     pub kind: FaultKind,
     /// Phase the fault was localized to (`None` for transaction-level
     /// Tiny-Counter detection).

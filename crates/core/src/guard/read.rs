@@ -10,11 +10,12 @@
 
 use axi4::beat::{ArBeat, RBeat};
 use axi4::channel::AxiPort;
+use axi4::checker::Rule;
 use axi4::{Addr, AxiId};
 use serde::{Deserialize, Serialize};
 use tmu_telemetry::{Dir, TelemetryHub};
 
-use super::engine::{Direction, GuardCore, TxnTracker};
+use super::engine::{flag, Direction, GuardCore, TxnTracker};
 use super::AbortTxn;
 use crate::budget::{BudgetConfig, QueueLoad, ReadBudgets};
 use crate::log::PerfLog;
@@ -168,26 +169,46 @@ impl Direction for ReadDir {
             }
         }
         if let Some(r) = data.r_fired {
-            if let Some(uid) = core.remap.lookup(r.id) {
-                if let Some(idx) = core.ott.head_of(uid) {
-                    let mut retire = false;
-                    if let Some(entry) = core.ott.get_mut(idx) {
-                        let t = &mut entry.tracker;
-                        if !t.phase.is_done() && t.phase != ReadPhase::ArHandshake {
-                            t.beats_done += 1;
-                            core.beats_owed -= 1;
-                            // The subordinate's RLAST drives completion;
-                            // reaching the expected count does likewise
-                            // (an RLAST mismatch is a checker violation).
-                            retire = r.last || t.beats_done >= t.req.len.beats();
-                        }
-                    }
-                    if retire {
-                        // `retire` performs the Done transition, closing
-                        // out the final phase's recorded latency.
-                        core.retire(uid, cycle, perf, telemetry);
+            let uid = core.remap.lookup(r.id);
+            let head = uid.and_then(|uid| Some((uid, core.ott.head_of(uid)?)));
+            let mut retire = None;
+            let mut unexpected = Some(Rule::RWithoutTxn);
+            if let Some((uid, entry)) =
+                head.and_then(|(uid, idx)| Some((uid, core.ott.get_mut(idx)?)))
+            {
+                let t = &mut entry.tracker;
+                // A head still in ArHandshake has not fired its address:
+                // the beat belongs to no read.
+                if !t.phase.is_done() && t.phase != ReadPhase::ArHandshake {
+                    t.beats_done += 1;
+                    core.beats_owed -= 1;
+                    let beats = t.req.len.beats();
+                    let is_final = t.beats_done == beats;
+                    unexpected = match (r.last, is_final) {
+                        (true, false) => Some(Rule::RlastEarly),
+                        (false, true) => Some(Rule::RlastMissing),
+                        _ => None,
+                    };
+                    // The subordinate's RLAST drives completion; reaching
+                    // the expected count does likewise.
+                    if r.last || t.beats_done >= beats {
+                        retire = Some(uid);
                     }
                 }
+            }
+            if let Some(rule) = unexpected.filter(|_| core.check_protocol) {
+                flag(
+                    &mut core.violations,
+                    rule,
+                    cycle,
+                    Some(r.id),
+                    format!("read data {r} breaks {rule}"),
+                );
+            }
+            if let Some(uid) = retire {
+                // `retire` performs the Done transition, closing out the
+                // final phase's recorded latency.
+                core.retire(uid, cycle, perf, telemetry);
             }
         }
     }

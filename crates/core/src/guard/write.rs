@@ -9,11 +9,12 @@
 
 use axi4::beat::{AwBeat, BBeat};
 use axi4::channel::AxiPort;
+use axi4::checker::Rule;
 use axi4::{Addr, AxiId};
 use serde::{Deserialize, Serialize};
 use tmu_telemetry::{Dir, TelemetryHub};
 
-use super::engine::{Direction, GuardCore, TxnTracker};
+use super::engine::{flag, Direction, GuardCore, TxnTracker};
 use super::AbortTxn;
 use crate::budget::{BudgetConfig, QueueLoad, WriteBudgets};
 use crate::log::PerfLog;
@@ -36,6 +37,7 @@ pub enum WriteDir {}
 pub struct WriteDataObs {
     w_offered: bool,
     w_fired: bool,
+    w_last: bool,
     b_offered: Option<BBeat>,
     b_fired: Option<BBeat>,
 }
@@ -102,6 +104,7 @@ impl Direction for WriteDir {
         WriteDataObs {
             w_offered: port.w.valid(),
             w_fired: port.w.fires(),
+            w_last: port.w.beat().is_some_and(|w| w.last),
             b_offered: port.b.beat().copied(),
             b_fired: port.b.fired_beat().copied(),
         }
@@ -133,76 +136,89 @@ impl Direction for WriteDir {
         perf: &mut PerfLog,
         telemetry: &mut TelemetryHub,
     ) {
+        let check = core.check_protocol;
         // W beats route to the EI-front transaction (AW order).
-        if data.w_offered || data.w_fired {
-            if let Some(idx) = core.ott.ei_front() {
-                let variant = core.variant;
-                let engine = core.engine;
-                let mut advance_ei = false;
-                if let Some(entry) = core.ott.get_mut(idx) {
-                    let wheel = &mut core.wheel;
-                    let t = &mut entry.tracker;
-                    if data.w_offered && t.phase == WritePhase::DataEntry {
-                        GuardCore::transition(
-                            wheel,
-                            engine,
-                            idx,
-                            t,
-                            WritePhase::FirstData,
+        if data.w_offered {
+            let front = core.ott.ei_front();
+            let variant = core.variant;
+            let engine = core.engine;
+            let mut advance_ei = None;
+            if let Some((idx, entry)) = front.and_then(|idx| Some((idx, core.ott.get_mut(idx)?))) {
+                let wheel = &mut core.wheel;
+                let t = &mut entry.tracker;
+                if t.phase == WritePhase::DataEntry {
+                    GuardCore::transition(
+                        wheel,
+                        engine,
+                        idx,
+                        t,
+                        WritePhase::FirstData,
+                        cycle,
+                        variant,
+                        telemetry,
+                    );
+                }
+                if data.w_fired {
+                    if matches!(t.phase, WritePhase::FirstData | WritePhase::BurstTransfer) {
+                        t.beats_done += 1;
+                        core.beats_owed -= 1;
+                        let beats = t.req.len.beats();
+                        let is_final = t.beats_done == beats;
+                        let mut complete_data = is_final;
+                        if check && data.w_last && !is_final {
+                            flag(
+                                &mut core.violations,
+                                Rule::WlastEarly,
+                                cycle,
+                                Some(t.req.id),
+                                format!("WLAST on beat {}/{beats}", t.beats_done),
+                            );
+                            // An early WLAST ends the burst, as the
+                            // subordinate sees it. Its unsent beats stay
+                            // owed until the transaction retires.
+                            complete_data = true;
+                        } else if check && is_final && !data.w_last {
+                            flag(
+                                &mut core.violations,
+                                Rule::WlastMissing,
+                                cycle,
+                                Some(t.req.id),
+                                format!("final beat {}/{beats} without WLAST", t.beats_done),
+                            );
+                        }
+                        let to = if complete_data {
+                            advance_ei = Some(idx);
+                            WritePhase::RespWait
+                        } else {
+                            WritePhase::BurstTransfer
+                        };
+                        if t.phase != to {
+                            GuardCore::transition(
+                                wheel, engine, idx, t, to, cycle, variant, telemetry,
+                            );
+                        }
+                    } else if check {
+                        // Data for a write whose address has not fired.
+                        flag(
+                            &mut core.violations,
+                            Rule::WWithoutAw,
                             cycle,
-                            variant,
-                            telemetry,
+                            None,
+                            format!("write data while {} waits for its address", t.req),
                         );
                     }
-                    if data.w_fired {
-                        let mut complete_data = false;
-                        match t.phase {
-                            WritePhase::FirstData => {
-                                t.beats_done = 1;
-                                core.beats_owed -= 1;
-                                if t.beats_done == t.req.len.beats() {
-                                    complete_data = true;
-                                } else {
-                                    GuardCore::transition(
-                                        wheel,
-                                        engine,
-                                        idx,
-                                        t,
-                                        WritePhase::BurstTransfer,
-                                        cycle,
-                                        variant,
-                                        telemetry,
-                                    );
-                                }
-                            }
-                            WritePhase::BurstTransfer => {
-                                t.beats_done += 1;
-                                core.beats_owed -= 1;
-                                complete_data = t.beats_done == t.req.len.beats();
-                            }
-                            // Early data for a transaction whose address
-                            // has not been accepted: ignored here, the
-                            // protocol checker reports it.
-                            _ => {}
-                        }
-                        if complete_data {
-                            GuardCore::transition(
-                                wheel,
-                                engine,
-                                idx,
-                                t,
-                                WritePhase::RespWait,
-                                cycle,
-                                variant,
-                                telemetry,
-                            );
-                            advance_ei = true;
-                        }
-                    }
                 }
-                if advance_ei {
-                    core.ott.ei_advance(idx);
-                }
+            } else if data.w_fired && check {
+                flag(
+                    &mut core.violations,
+                    Rule::WWithoutAw,
+                    cycle,
+                    None,
+                    "write data with no outstanding write address".to_string(),
+                );
+            }
+            if let Some(idx) = advance_ei {
+                core.ott.ei_advance(idx);
             }
         }
 
@@ -231,17 +247,34 @@ impl Direction for WriteDir {
             }
         }
         if let Some(b) = data.b_fired {
-            if let Some(uid) = core.remap.lookup(b.id) {
-                let head_ready = core
-                    .ott
-                    .head_of(uid)
-                    .and_then(|idx| core.ott.get(idx))
-                    .is_some_and(|e| e.tracker.phase == WritePhase::RespReady);
-                if head_ready {
+            let uid = core.remap.lookup(b.id);
+            let phase = uid
+                .and_then(|uid| core.ott.head_of(uid))
+                .and_then(|idx| core.ott.get(idx))
+                .map(|e| e.tracker.phase);
+            let unexpected = match (phase, uid) {
+                (Some(WritePhase::RespReady), Some(uid)) => {
                     core.retire(uid, cycle, perf, telemetry);
+                    None
                 }
-                // A B for an ID whose head is not awaiting one is a
-                // protocol violation — reported by the embedded checker.
+                (
+                    Some(WritePhase::DataEntry | WritePhase::FirstData | WritePhase::BurstTransfer),
+                    _,
+                ) => Some(Rule::BBeforeWlast),
+                // No write for the ID, or only one whose address has not
+                // fired.
+                (None | Some(WritePhase::AwHandshake), _) => Some(Rule::BWithoutTxn),
+                // A head awaiting its B moved to RespReady above.
+                _ => None,
+            };
+            if let Some(rule) = unexpected.filter(|_| check) {
+                flag(
+                    &mut core.violations,
+                    rule,
+                    cycle,
+                    Some(b.id),
+                    format!("unexpected write response {b}"),
+                );
             }
         }
     }

@@ -1,7 +1,9 @@
 //! Combinational datapath passes: request/response forwarding with
 //! saturation-stall gating in normal operation, the terminator's severed
 //! drive (`SLVERR` aborts, residual-drain absorption) after a fault, and
-//! the parallel wire tap feeding the guards and protocol checker.
+//! the parallel wire tap feeding the guards and the stateless protocol
+//! rules ([`WireRules`](axi4::checker::WireRules)). The guards answer the
+//! context protocol rules themselves, at commit.
 
 use axi4::channel::AxiPort;
 use tmu_telemetry::{Channel, TraceEvent};
@@ -83,21 +85,21 @@ impl Tmu {
         }
         if self.term.drain_beats() > 0 {
             // Drained beats belong to aborted bursts; hide them from the
-            // guards and the protocol checker.
+            // guards and the protocol rules.
             let mut masked = mgr.clone();
             masked.w.suppress_valid();
             self.write_guard.observe(&masked);
             self.read_guard.observe(&masked);
-            if self.cfg.check_protocol() && self.regs.prot_check_enabled() {
-                let violations = self.checker.observe(&masked, self.cycles);
-                self.pending_violations.extend(violations);
+            if self.protocol_checking() {
+                self.wire_rules
+                    .observe(&masked, self.cycles, &mut self.pending_violations);
             }
         } else {
             self.write_guard.observe(mgr);
             self.read_guard.observe(mgr);
-            if self.cfg.check_protocol() && self.regs.prot_check_enabled() {
-                let violations = self.checker.observe(mgr, self.cycles);
-                self.pending_violations.extend(violations);
+            if self.protocol_checking() {
+                self.wire_rules
+                    .observe(mgr, self.cycles, &mut self.pending_violations);
             }
         }
     }

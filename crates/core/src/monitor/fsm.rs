@@ -1,5 +1,6 @@
 //! The clocked commit path and the fault/recovery state machine:
-//! collects guard timeouts and checker violations into error records,
+//! collects guard timeouts and protocol violations (the wire rules'
+//! and the guards' context rules) into error records,
 //! severs the link through the [`Terminator`](crate::terminator::Terminator)
 //! on a fault, requests the subordinate reset once the aborts are
 //! delivered, and handshakes with the external reset unit before
@@ -61,6 +62,10 @@ impl Tmu {
                 inflight_cycles: fault.inflight_cycles,
             });
         }
+        self.write_guard
+            .take_violations(&mut self.pending_violations);
+        self.read_guard
+            .take_violations(&mut self.pending_violations);
         for violation in self.pending_violations.drain(..) {
             self.telemetry.record(
                 cycle,
@@ -103,7 +108,7 @@ impl Tmu {
         let read_set = self.read_guard.drain_for_abort();
         let (aborted_writes, aborted_reads) = (write_set.responses.len(), read_set.responses.len());
         self.term.sever(write_set, read_set);
-        self.checker.flush();
+        self.wire_rules.flush();
         self.stall_aw = false;
         self.stall_ar = false;
         let drain = self.term.drain_beats();

@@ -48,7 +48,7 @@ mod regs;
 #[cfg(test)]
 mod tests;
 
-use axi4::checker::ProtocolChecker;
+use axi4::checker::{Violation, WireRules};
 use sim::EventTrace;
 use tmu_telemetry::TelemetryHub;
 
@@ -66,7 +66,8 @@ pub struct Tmu {
     regs: RegisterFile,
     write_guard: WriteGuard,
     read_guard: ReadGuard,
-    checker: ProtocolChecker,
+    /// The stateless protocol rules; the guards answer the context rules.
+    wire_rules: WireRules,
     /// Recovery state machine: severing, `SLVERR` aborts, drain and
     /// held-address acceptance.
     term: Terminator,
@@ -75,7 +76,7 @@ pub struct Tmu {
     reset_request: bool,
     stall_aw: bool,
     stall_ar: bool,
-    pending_violations: Vec<axi4::checker::Violation>,
+    pending_violations: Vec<Violation>,
     faults_detected: u64,
     resets_requested: u64,
     /// Committed state: cycles this monitor has committed.
@@ -93,7 +94,7 @@ impl Tmu {
         Tmu {
             write_guard: WriteGuard::new(&cfg),
             read_guard: ReadGuard::new(&cfg),
-            checker: ProtocolChecker::new(),
+            wire_rules: WireRules::default(),
             regs,
             cfg,
             term: Terminator::new(),

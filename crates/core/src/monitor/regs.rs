@@ -34,12 +34,28 @@ impl Tmu {
             let _ = self.err_log.pop();
             return;
         }
+        let was_checking = self.protocol_checking();
         self.regs.write(reg, value);
+        let checking = self.protocol_checking();
+        if checking && !was_checking {
+            // The wire rules saw nothing while checking was off: forget
+            // their held beats rather than compare against stale ones.
+            self.wire_rules.flush();
+        }
+        self.write_guard.set_protocol_check(checking);
+        self.read_guard.set_protocol_check(checking);
         let mut budgets = self.regs.budgets();
         budgets.tiny_total_override = self.cfg.budgets().tiny_total_override;
         budgets.queue_wait_per_beat = self.cfg.budgets().queue_wait_per_beat;
         self.write_guard.set_budgets(budgets);
         self.read_guard.set_budgets(budgets);
+    }
+
+    /// Whether the protocol rules are checked: the TMU is enabled, was
+    /// built with [`TmuConfig::check_protocol`](crate::TmuConfig::check_protocol)
+    /// and software has `CTRL_PROT_CHECK` set.
+    pub(super) fn protocol_checking(&self) -> bool {
+        self.regs.enabled() && self.cfg.check_protocol() && self.regs.prot_check_enabled()
     }
 
     /// Level interrupt towards the CPU (cleared by software via

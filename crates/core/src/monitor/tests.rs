@@ -560,3 +560,68 @@ fn guards_stay_consistent_through_traffic() {
         tmu.read_guard().assert_consistent();
     }
 }
+
+/// Runs one hand-driven cycle: `mgr_wires` on the manager side,
+/// `sub_wires` on the subordinate side.
+fn hand_cycle(
+    tmu: &mut Tmu,
+    cycle: u64,
+    mgr_wires: impl Fn(&mut AxiPort),
+    sub_wires: impl Fn(&mut AxiPort),
+) {
+    let (mut mgr_port, mut sub_port) = (AxiPort::new(), AxiPort::new());
+    mgr_port.begin_cycle();
+    sub_port.begin_cycle();
+    mgr_wires(&mut mgr_port);
+    tmu.forward_request(&mgr_port, &mut sub_port);
+    sub_wires(&mut sub_port);
+    tmu.forward_response(&sub_port, &mut mgr_port);
+    tmu.observe(&mgr_port);
+    tmu.commit(cycle);
+}
+
+#[test]
+fn beat_held_when_checks_pause_is_not_compared_on_resume() {
+    use crate::config::{CTRL_ENABLE, CTRL_IRQ_ENABLE, CTRL_PROT_CHECK};
+    let mut tmu = Tmu::new(cfg(TmuVariant::FullCounter));
+    let write = write_txn(1, 1);
+    // Cycle 0: the AW waits for ready while checks are on.
+    hand_cycle(&mut tmu, 0, |m| m.aw.drive(write.aw_beat()), |_| {});
+    tmu.write_reg(Reg::Ctrl, CTRL_ENABLE | CTRL_IRQ_ENABLE);
+    // With checks off: the AW and its one W beat fire, then the B.
+    hand_cycle(
+        &mut tmu,
+        1,
+        |m| {
+            m.aw.drive(write.aw_beat());
+            m.w.drive(write.w_beat(0));
+        },
+        |s| {
+            s.aw.set_ready(true);
+            s.w.set_ready(true);
+        },
+    );
+    hand_cycle(
+        &mut tmu,
+        2,
+        |m| m.b.set_ready(true),
+        |s| s.b.drive(BBeat::new(AxiId(1), Resp::Okay)),
+    );
+    tmu.write_reg(Reg::Ctrl, CTRL_ENABLE | CTRL_IRQ_ENABLE | CTRL_PROT_CHECK);
+    // An idle cycle after resuming: the AW held at cycle 0 is gone, but
+    // checks resume from what they see now.
+    hand_cycle(&mut tmu, 3, |_| {}, |_| {});
+    assert_eq!(tmu.faults_detected(), 0, "{:?}", tmu.last_fault());
+    assert_eq!(tmu.outstanding(), 0);
+    // Checking is live again: a B with nothing outstanding is caught.
+    hand_cycle(
+        &mut tmu,
+        4,
+        |m| m.b.set_ready(true),
+        |s| s.b.drive(BBeat::new(AxiId(1), Resp::Okay)),
+    );
+    assert_eq!(
+        tmu.last_fault().map(|r| r.kind),
+        Some(FaultKind::Protocol(Rule::BWithoutTxn))
+    );
+}

@@ -57,6 +57,10 @@ struct RxJob {
     ar: ArBeat,
     beats_done: u16,
     warmup: u64,
+    /// Data of the R beat on the wires, latched when first driven: AXI
+    /// requires a beat waiting for `ready` to stay stable, even if a TX
+    /// write to the same buffer word commits meanwhile.
+    r_data: Option<u64>,
 }
 
 /// The Ethernet-like subordinate. See the [module docs](self).
@@ -133,8 +137,8 @@ impl EthSub {
         self.buffer.get(index).copied().unwrap_or(0)
     }
 
-    fn buffer_index(&self, addr: Addr) -> usize {
-        (addr.0 / 8) as usize % self.cfg.buffer_words
+    fn buffer_index(buffer_words: usize, addr: Addr) -> usize {
+        (addr.0 / 8) as usize % buffer_words
     }
 
     fn w_paced_ready(&self) -> bool {
@@ -155,11 +159,14 @@ impl EthSub {
                 port.b.drive(BBeat::new(resp.id, Resp::Okay));
             }
         }
-        if let Some(job) = self.rx.front() {
+        if let Some(job) = self.rx.front_mut() {
             if job.warmup == 0 {
                 let idx = job.beats_done;
-                let addr = beat_address(job.ar.addr, job.ar.size, job.ar.len, job.ar.burst, idx);
-                let data = self.buffer[self.buffer_index(addr)];
+                let data = *job.r_data.get_or_insert_with(|| {
+                    let addr =
+                        beat_address(job.ar.addr, job.ar.size, job.ar.len, job.ar.burst, idx);
+                    self.buffer[Self::buffer_index(self.cfg.buffer_words, addr)]
+                });
                 let last = idx + 1 == job.ar.len.beats();
                 port.r.drive(RBeat::new(job.ar.id, data, Resp::Okay, last));
             }
@@ -189,7 +196,7 @@ impl EthSub {
                 let finished = job.beats_done == job.aw.len.beats() || w.last;
                 (addr, finished)
             };
-            let index = self.buffer_index(addr);
+            let index = Self::buffer_index(self.cfg.buffer_words, addr);
             self.buffer[index] = w.data;
             self.beats_txed += 1;
             if done_job {
@@ -209,12 +216,14 @@ impl EthSub {
                 ar: *ar,
                 beats_done: 0,
                 warmup: self.cfg.rx_warmup,
+                r_data: None,
             });
         }
         if port.r.fires() {
             self.beats_rxed += 1;
             let job = self.rx.front_mut().expect("R fired with an RX in flight");
             job.beats_done += 1;
+            job.r_data = None;
             if job.beats_done == job.ar.len.beats() {
                 self.rx.pop_front();
             }

@@ -442,8 +442,8 @@ impl TrafficGen {
             let issued_at = entry.issued_at;
             self.note_write_done(resp, cycle - issued_at);
         }
-        // A response with no matching write: dropped (the checker inside
-        // the TMU reports these).
+        // A response with no matching write: dropped (the TMU's protocol
+        // checks report these).
     }
 
     fn note_write_done(&mut self, resp: Resp, latency: u64) {
@@ -457,7 +457,7 @@ impl TrafficGen {
 
     fn retire_read_beat(&mut self, r: RBeat, cycle: u64) {
         let Some(pos) = self.await_r.iter().position(|x| x.txn.id == r.id) else {
-            return; // stray beat; TMU checker reports it
+            return; // stray beat; the TMU's protocol checks report it
         };
         let entry = &mut self.await_r[pos];
         if entry.check_data && !r.resp.is_error() && entry.beats_done < entry.txn.beats() {

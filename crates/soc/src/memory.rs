@@ -44,6 +44,14 @@ pub fn pattern_word(addr: u64) -> u64 {
     addr ^ 0xDEAD_BEEF_CAFE_F00D
 }
 
+/// The word `store` holds at `addr`, or the pattern if never written.
+fn stored_word(store: &FoldHashMap<u64, u64>, addr: u64) -> u64 {
+    store
+        .get(&addr)
+        .copied()
+        .unwrap_or_else(|| pattern_word(addr))
+}
+
 #[derive(Debug)]
 struct WriteJob {
     aw: AwBeat,
@@ -62,6 +70,10 @@ struct ReadJob {
     beats_done: u16,
     warmup: u64,
     gap: u64,
+    /// Data of the R beat on the wires, latched when first driven: AXI
+    /// requires a beat waiting for `ready` to stay stable, even if a
+    /// write to the same word commits meanwhile.
+    r_data: Option<u64>,
 }
 
 /// The memory subordinate. See the [module docs](self).
@@ -95,10 +107,7 @@ impl MemSub {
     /// (test/scoreboard access).
     #[must_use]
     pub fn word(&self, addr: u64) -> u64 {
-        self.store
-            .get(&addr)
-            .copied()
-            .unwrap_or_else(|| pattern_word(addr))
+        stored_word(&self.store, addr)
     }
 
     /// Total W beats absorbed.
@@ -128,11 +137,14 @@ impl MemSub {
                 port.b.drive(BBeat::new(b.id, Resp::Okay));
             }
         }
-        if let Some(job) = self.reads.front() {
+        if let Some(job) = self.reads.front_mut() {
             if job.warmup == 0 && job.gap == 0 {
                 let idx = job.beats_done;
-                let addr = beat_address(job.ar.addr, job.ar.size, job.ar.len, job.ar.burst, idx);
-                let data = self.word(addr.0);
+                let data = *job.r_data.get_or_insert_with(|| {
+                    let addr =
+                        beat_address(job.ar.addr, job.ar.size, job.ar.len, job.ar.burst, idx);
+                    stored_word(&self.store, addr.0)
+                });
                 let last = idx + 1 == job.ar.len.beats();
                 port.r.drive(RBeat::new(job.ar.id, data, Resp::Okay, last));
             }
@@ -212,6 +224,7 @@ impl MemSub {
                 beats_done: 0,
                 warmup: self.cfg.r_warmup,
                 gap: 0,
+                r_data: None,
             });
         }
         if port.r.fires() {
@@ -222,6 +235,7 @@ impl MemSub {
                 .front_mut()
                 .expect("R fired with a read in flight");
             job.beats_done += 1;
+            job.r_data = None;
             if job.beats_done == job.ar.len.beats() {
                 self.reads.pop_front();
             } else {

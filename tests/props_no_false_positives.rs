@@ -6,6 +6,7 @@
 use axi_tmu::soc::link::GuardedLink;
 use axi_tmu::soc::manager::TrafficPattern;
 use axi_tmu::soc::memory::{MemConfig, MemSub};
+use axi_tmu::tmu::config::{Reg, CTRL_ENABLE, CTRL_IRQ_ENABLE, CTRL_PROT_CHECK};
 use axi_tmu::tmu::{BudgetConfig, TmuConfig, TmuVariant};
 use proptest::prelude::*;
 
@@ -119,5 +120,39 @@ proptest! {
             l.tmu.faults_detected() > 0
         });
         prop_assert!(detected, "over-budget subordinate must be caught");
+    }
+}
+
+/// Pausing protocol checks during healthy traffic and resuming them
+/// raises nothing: the guards keep tracking while checks are off, and
+/// the wire rules forget beats held before the pause.
+#[test]
+fn toggling_protocol_checks_never_false_positive() {
+    for seed in 1..20 {
+        let cfg = TmuConfig::builder()
+            .variant(TmuVariant::FullCounter)
+            .build()
+            .expect("valid");
+        let traffic = TrafficPattern {
+            max_outstanding: 8,
+            ..TrafficPattern::default()
+        };
+        let mut link = GuardedLink::new(traffic, cfg, MemSub::default(), seed);
+        link.run(1_000);
+        link.tmu.write_reg(Reg::Ctrl, CTRL_ENABLE | CTRL_IRQ_ENABLE);
+        link.run(500);
+        link.tmu
+            .write_reg(Reg::Ctrl, CTRL_ENABLE | CTRL_IRQ_ENABLE | CTRL_PROT_CHECK);
+        link.run(3_000);
+        assert_eq!(
+            link.tmu.faults_detected(),
+            0,
+            "seed {seed}: {:?}",
+            link.tmu.last_fault()
+        );
+        assert!(
+            link.mgr.stats().total_completed() > 100,
+            "seed {seed}: traffic flowed"
+        );
     }
 }
