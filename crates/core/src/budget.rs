@@ -6,7 +6,10 @@
 //!
 //! * **queue-waiting time** — from the address handshake to the first
 //!   data beat, which grows with the traffic already queued ahead in the
-//!   OTT (both the number of transactions and their remaining beats), and
+//!   OTT (both the number of transactions and their remaining beats). A
+//!   subordinate whose accept queue is full holds the address `ready`
+//!   low for as long as that traffic drains, so the address-handshake
+//!   budget takes the same term, and
 //! * **data-transfer time** — from first to last beat, which grows with
 //!   the burst length.
 //!
@@ -62,7 +65,7 @@ impl QueueLoad {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BudgetConfig {
-    /// Phase 1: `aw_valid`/`ar_valid` to ready.
+    /// Phase 1 base: `aw_valid`/`ar_valid` to ready.
     pub addr_handshake: u64,
     /// Phase 2 base: address accepted to first data `valid`.
     pub data_entry: u64,
@@ -74,12 +77,14 @@ pub struct BudgetConfig {
     pub resp_wait: u64,
     /// Phase 6: response `valid` to `ready`.
     pub resp_ready: u64,
-    /// Adaptive queue-waiting coefficient: extra data-entry cycles per
-    /// transaction already outstanding in the OTT when this one is
-    /// enqueued (covers per-transaction turnaround overhead).
+    /// Adaptive queue-waiting coefficient: extra address-handshake and
+    /// data-entry cycles per transaction already outstanding in the OTT
+    /// when this one is enqueued (covers per-transaction turnaround
+    /// overhead).
     pub queue_wait_per_txn: u64,
-    /// Adaptive queue-waiting coefficient: extra data-entry cycles per
-    /// data beat still owed by the transactions ahead.
+    /// Adaptive queue-waiting coefficient: extra address-handshake and
+    /// data-entry cycles per data beat still owed by the transactions
+    /// ahead.
     pub queue_wait_per_beat: u64,
     /// Optional fixed total for the Tiny-Counter variant, overriding the
     /// computed phase sum (the paper's system-level evaluation uses a
@@ -109,7 +114,7 @@ impl Default for BudgetConfig {
 /// Concrete per-phase budgets for one write transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WriteBudgets {
-    /// Phase 1 budget.
+    /// Phase 1 budget (adaptive: includes queue-waiting).
     pub aw_handshake: u64,
     /// Phase 2 budget (adaptive: includes queue-waiting).
     pub data_entry: u64,
@@ -160,7 +165,7 @@ impl WriteBudgets {
 /// Concrete per-phase budgets for one read transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReadBudgets {
-    /// Phase 1 budget.
+    /// Phase 1 budget (adaptive: includes queue-waiting).
     pub ar_handshake: u64,
     /// Phase 2 budget (adaptive: includes queue-waiting).
     pub data_wait: u64,
@@ -207,7 +212,7 @@ impl BudgetConfig {
     #[must_use]
     pub fn write_budgets(&self, beats: u16, load: QueueLoad) -> WriteBudgets {
         WriteBudgets {
-            aw_handshake: self.addr_handshake,
+            aw_handshake: self.addr_handshake + self.queue_wait(load),
             data_entry: self.data_entry + self.queue_wait(load),
             first_data: self.first_data,
             burst_transfer: self.per_beat * u64::from(beats),
@@ -220,7 +225,7 @@ impl BudgetConfig {
     #[must_use]
     pub fn read_budgets(&self, beats: u16, load: QueueLoad) -> ReadBudgets {
         ReadBudgets {
-            ar_handshake: self.addr_handshake,
+            ar_handshake: self.addr_handshake + self.queue_wait(load),
             data_wait: self.data_entry + self.queue_wait(load),
             burst_transfer: self.per_beat * u64::from(beats),
             last_ready: self.resp_ready,
@@ -396,6 +401,11 @@ mod tests {
             heavy.data_entry - busy.data_entry,
             cfg.queue_wait_per_beat * 100
         );
+        // A full accept queue holds the address handshake as long.
+        assert_eq!(
+            heavy.aw_handshake - empty.aw_handshake,
+            heavy.data_entry - empty.data_entry
+        );
         let heavy_r = cfg.read_budgets(
             4,
             QueueLoad {
@@ -404,6 +414,7 @@ mod tests {
             },
         );
         assert_eq!(heavy_r.data_wait, heavy.data_entry);
+        assert_eq!(heavy_r.ar_handshake, heavy.aw_handshake);
     }
 
     #[test]

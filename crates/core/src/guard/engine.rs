@@ -34,6 +34,15 @@
 //!    wheel pop, per the configured engine),
 //! 5. a stalled cycle bumps the direction's stall counter.
 //!
+//! ## Quiet cycles
+//!
+//! Under the deadline-wheel engine a commit does work only on an event.
+//! A cycle with no address offered or fired, idle data and response
+//! wires ([`Direction::data_idle`]), no stall and no deadline that
+//! [`DeadlineWheel::may_be_due`] is skipped: steps 1–5 would change
+//! nothing on it. The per-cycle reference engine ticks every live
+//! counter every cycle, so it commits every cycle in full.
+//!
 //! When `debug_assertions` are on, every commit ends with
 //! [`GuardCore::assert_consistent`], so all property tests exercise the
 //! structural invariants after each committed cycle for free.
@@ -82,6 +91,9 @@ pub trait Direction: Sized + std::fmt::Debug + Clone + 'static {
     const ADDR_DONE_PHASE: Self::Phase;
     /// Terminal phase assigned at retirement.
     const DONE_PHASE: Self::Phase;
+    /// Whether the OTT keeps the EI issue order (write data routes by
+    /// AW order; read data carries its ID).
+    const EI_ORDER: bool;
 
     /// AXI ID of the request beat.
     fn id(req: &Self::Req) -> AxiId;
@@ -107,6 +119,9 @@ pub trait Direction: Sized + std::fmt::Debug + Clone + 'static {
     fn observe_addr(port: &AxiPort) -> (Option<Self::Req>, bool);
     /// The direction's data/response wires for this cycle.
     fn observe_data(port: &AxiPort) -> Self::DataObs;
+    /// Whether the captured data/response wires carry nothing, so that
+    /// [`Direction::commit_data`] would do nothing with them.
+    fn data_idle(data: &Self::DataObs) -> bool;
     /// Beats reported in the perf record of a retired transaction.
     fn perf_beats(tracker: &TxnTracker<Self>) -> u16;
     /// Abort obligation for one outstanding transaction (sever path).
@@ -245,7 +260,11 @@ impl<D: Direction> GuardCore<D> {
             prescaler: cfg.prescaler(),
             sticky: cfg.sticky(),
             budget_cfg: *cfg.budgets(),
-            ott: Ott::new(cfg.max_uniq_ids(), cfg.max_outstanding()),
+            ott: if D::EI_ORDER {
+                Ott::new(cfg.max_uniq_ids(), cfg.max_outstanding())
+            } else {
+                Ott::without_ei(cfg.max_uniq_ids(), cfg.max_outstanding())
+            },
             remap: IdRemapper::new(cfg.max_uniq_ids(), cfg.txn_per_id()),
             wheel: DeadlineWheel::new(cfg.max_outstanding()),
             last_commit: 0,
@@ -309,6 +328,7 @@ impl<D: Direction> GuardCore<D> {
     /// changed it while waiting (a stability violation): that beat is
     /// held off too. So every address that fires is in the OTT exactly
     /// as it fired, which the context protocol rules rely on.
+    #[inline]
     pub fn decide_stall(&mut self, req: Option<&D::Req>) -> bool {
         self.stalled_this_cycle = match (req, self.addr_pending) {
             (None, _) => false,
@@ -325,6 +345,7 @@ impl<D: Direction> GuardCore<D> {
     }
 
     /// Captures the settled manager-side wires for this cycle.
+    #[inline]
     pub fn observe(&mut self, port: &AxiPort) {
         let (addr_offered, addr_fired) = D::observe_addr(port);
         self.obs = CoreObs {
@@ -484,9 +505,14 @@ impl<D: Direction> GuardCore<D> {
         perf: &mut PerfLog,
         telemetry: &mut TelemetryHub,
     ) -> Vec<GuardFault> {
+        self.last_commit = cycle;
+        if self.is_quiet(cycle) {
+            #[cfg(debug_assertions)]
+            self.assert_consistent();
+            return Vec::new();
+        }
         let obs = std::mem::take(&mut self.obs);
         let mut faults = Vec::new();
-        self.last_commit = cycle;
 
         // 1. New address beat observed: allocate unless stalled or
         //    already pending.
@@ -685,6 +711,20 @@ impl<D: Direction> GuardCore<D> {
         self.assert_consistent();
 
         faults
+    }
+
+    /// Whether the commit for `cycle` has nothing to do (see the
+    /// [module docs](self)): deadline-wheel engine, no address beat, no
+    /// stall, idle data wires and no deadline due. The observation it
+    /// leaves in place is idle, so the next commit sees no stale beat.
+    #[inline]
+    fn is_quiet(&self, cycle: u64) -> bool {
+        self.engine == CounterEngine::DeadlineWheel
+            && self.obs.addr_offered.is_none()
+            && !self.obs.addr_fired
+            && !self.stalled_this_cycle
+            && D::data_idle(&self.obs.data)
+            && !self.wheel.may_be_due(cycle)
     }
 
     /// Builds the abort obligations for every outstanding transaction

@@ -7,6 +7,10 @@
 //! (same-ID reads complete in order; cross-ID interleaving is legal),
 //! and `RLAST` — or reaching the expected beat count — retires the
 //! transaction.
+//!
+//! The EI issue order belongs to the write direction, where W beats
+//! carry no ID; the read guard's OTT is built without it, as in the area
+//! model.
 
 use axi4::beat::{ArBeat, RBeat};
 use axi4::channel::AxiPort;
@@ -37,7 +41,8 @@ pub enum ReadDir {}
 #[derive(Debug, Clone, Default)]
 pub struct ReadDataObs {
     r_offered: Option<RBeat>,
-    r_fired: Option<RBeat>,
+    /// Whether `r_offered` fired.
+    r_fired: bool,
 }
 
 impl Direction for ReadDir {
@@ -53,6 +58,9 @@ impl Direction for ReadDir {
     const INITIAL_PHASE: ReadPhase = ReadPhase::ArHandshake;
     const ADDR_DONE_PHASE: ReadPhase = ReadPhase::DataWait;
     const DONE_PHASE: ReadPhase = ReadPhase::Done;
+    // R beats route by ID, so the read OTT keeps no EI order (the area
+    // model counts one EI table per TMU, the write guard's).
+    const EI_ORDER: bool = false;
 
     fn id(req: &ArBeat) -> AxiId {
         req.id
@@ -101,8 +109,12 @@ impl Direction for ReadDir {
     fn observe_data(port: &AxiPort) -> ReadDataObs {
         ReadDataObs {
             r_offered: port.r.beat().copied(),
-            r_fired: port.r.fired_beat().copied(),
+            r_fired: port.r.fires(),
         }
+    }
+
+    fn data_idle(data: &ReadDataObs) -> bool {
+        data.r_offered.is_none()
     }
 
     // A read may retire early on RLAST, so the perf record reports the
@@ -133,83 +145,77 @@ impl Direction for ReadDir {
         telemetry: &mut TelemetryHub,
     ) {
         // R beats route by ID to the per-ID FIFO head (same-ID reads
-        // complete in order; cross-ID interleaving is legal).
-        if let Some(r) = data.r_offered {
-            if let Some(uid) = core.remap.lookup(r.id) {
-                if let Some(idx) = core.ott.head_of(uid) {
-                    let variant = core.variant;
-                    let engine = core.engine;
-                    if let Some(entry) = core.ott.get_mut(idx) {
-                        let wheel = &mut core.wheel;
-                        let t = &mut entry.tracker;
-                        let offered_is_final = t.beats_done + 1 == t.req.len.beats();
-                        if t.phase == ReadPhase::DataWait {
-                            let to = if offered_is_final {
-                                ReadPhase::LastReady
-                            } else {
-                                ReadPhase::BurstTransfer
-                            };
-                            GuardCore::transition(
-                                wheel, engine, idx, t, to, cycle, variant, telemetry,
-                            );
-                        } else if t.phase == ReadPhase::BurstTransfer && offered_is_final {
-                            GuardCore::transition(
-                                wheel,
-                                engine,
-                                idx,
-                                t,
-                                ReadPhase::LastReady,
-                                cycle,
-                                variant,
-                                telemetry,
-                            );
-                        }
-                    }
+        // complete in order; cross-ID interleaving is legal). The beat
+        // that fires is the beat offered, so one lookup serves both.
+        let Some(r) = data.r_offered else {
+            return;
+        };
+        let uid = core.remap.lookup(r.id);
+        let head = uid.and_then(|uid| Some((uid, core.ott.head_of(uid)?)));
+        let variant = core.variant;
+        let engine = core.engine;
+        let mut retire = None;
+        let mut unexpected = Some(Rule::RWithoutTxn);
+        if let Some((uid, idx, entry)) =
+            head.and_then(|(uid, idx)| Some((uid, idx, core.ott.get_mut(idx)?)))
+        {
+            let wheel = &mut core.wheel;
+            let t = &mut entry.tracker;
+            let offered_is_final = t.beats_done + 1 == t.req.len.beats();
+            if t.phase == ReadPhase::DataWait {
+                let to = if offered_is_final {
+                    ReadPhase::LastReady
+                } else {
+                    ReadPhase::BurstTransfer
+                };
+                GuardCore::transition(wheel, engine, idx, t, to, cycle, variant, telemetry);
+            } else if t.phase == ReadPhase::BurstTransfer && offered_is_final {
+                GuardCore::transition(
+                    wheel,
+                    engine,
+                    idx,
+                    t,
+                    ReadPhase::LastReady,
+                    cycle,
+                    variant,
+                    telemetry,
+                );
+            }
+            // A head still in ArHandshake has not fired its address: the
+            // beat belongs to no read.
+            if data.r_fired && !t.phase.is_done() && t.phase != ReadPhase::ArHandshake {
+                t.beats_done += 1;
+                core.beats_owed -= 1;
+                let beats = t.req.len.beats();
+                let is_final = t.beats_done == beats;
+                unexpected = match (r.last, is_final) {
+                    (true, false) => Some(Rule::RlastEarly),
+                    (false, true) => Some(Rule::RlastMissing),
+                    _ => None,
+                };
+                // The subordinate's RLAST drives completion; reaching the
+                // expected count does likewise.
+                if r.last || t.beats_done >= beats {
+                    retire = Some(uid);
                 }
             }
         }
-        if let Some(r) = data.r_fired {
-            let uid = core.remap.lookup(r.id);
-            let head = uid.and_then(|uid| Some((uid, core.ott.head_of(uid)?)));
-            let mut retire = None;
-            let mut unexpected = Some(Rule::RWithoutTxn);
-            if let Some((uid, entry)) =
-                head.and_then(|(uid, idx)| Some((uid, core.ott.get_mut(idx)?)))
-            {
-                let t = &mut entry.tracker;
-                // A head still in ArHandshake has not fired its address:
-                // the beat belongs to no read.
-                if !t.phase.is_done() && t.phase != ReadPhase::ArHandshake {
-                    t.beats_done += 1;
-                    core.beats_owed -= 1;
-                    let beats = t.req.len.beats();
-                    let is_final = t.beats_done == beats;
-                    unexpected = match (r.last, is_final) {
-                        (true, false) => Some(Rule::RlastEarly),
-                        (false, true) => Some(Rule::RlastMissing),
-                        _ => None,
-                    };
-                    // The subordinate's RLAST drives completion; reaching
-                    // the expected count does likewise.
-                    if r.last || t.beats_done >= beats {
-                        retire = Some(uid);
-                    }
-                }
-            }
-            if let Some(rule) = unexpected.filter(|_| core.check_protocol) {
-                flag(
-                    &mut core.violations,
-                    rule,
-                    cycle,
-                    Some(r.id),
-                    format!("read data {r} breaks {rule}"),
-                );
-            }
-            if let Some(uid) = retire {
-                // `retire` performs the Done transition, closing out the
-                // final phase's recorded latency.
-                core.retire(uid, cycle, perf, telemetry);
-            }
+        if !data.r_fired {
+            return;
+        }
+        if let Some(rule) = unexpected.filter(|_| core.check_protocol) {
+            flag(
+                &mut core.violations,
+                rule,
+                cycle,
+                Some(r.id),
+                format!("read data {r} breaks {rule}"),
+            );
+        }
+        if let Some(uid) = retire {
+            // `retire` performs the Done transition, closing out the
+            // final phase's recorded latency.
+            core.retire(uid, cycle, perf, telemetry);
         }
     }
 }

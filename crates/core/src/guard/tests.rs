@@ -6,7 +6,7 @@ use axi4::prelude::*;
 
 use super::{Direction, GuardCore, ReadGuard, WriteGuard};
 use crate::budget::{BudgetConfig, QueueLoad};
-use crate::config::{TmuConfig, TmuVariant};
+use crate::config::{CounterEngine, TmuConfig, TmuVariant};
 use crate::log::PerfLog;
 use crate::phase::{ReadPhase, WritePhase};
 use tmu_telemetry::TelemetryHub;
@@ -424,6 +424,22 @@ fn read_guard_drain_counts_remaining_beats() {
     assert_eq!(set.drain_w_beats, 0, "reads owe no W drain");
 }
 
+/// One cycle of either guard on the wires `setup` drives.
+fn engine_cycle<D: Direction>(
+    guard: &mut GuardCore<D>,
+    cycle: u64,
+    perf: &mut PerfLog,
+    setup: impl FnOnce(&mut AxiPort),
+) -> Vec<super::GuardFault> {
+    let mut port = AxiPort::new();
+    port.begin_cycle();
+    setup(&mut port);
+    let (req, _) = D::observe_addr(&port);
+    guard.decide_stall(req.as_ref());
+    guard.observe(&port);
+    guard.commit(cycle, perf, &mut TelemetryHub::default())
+}
+
 /// The queue load as a scan of every LD row's remaining beats: the
 /// reference the running `beats_owed` count must reproduce.
 fn scanned_load<D: Direction>(guard: &GuardCore<D>) -> QueueLoad {
@@ -445,13 +461,7 @@ fn checked_cycle<D: Direction>(
 ) {
     let before = scanned_load(guard);
     assert_eq!(guard.queue_load(), before, "cycle {cycle}: load before");
-    let mut port = AxiPort::new();
-    port.begin_cycle();
-    setup(&mut port);
-    let (req, _) = D::observe_addr(&port);
-    guard.decide_stall(req.as_ref());
-    guard.observe(&port);
-    guard.commit(cycle, perf, &mut TelemetryHub::default());
+    engine_cycle(guard, cycle, perf, setup);
     for (_, e) in guard.ott.iter() {
         if e.tracker.enqueued_at == cycle {
             let beats = D::beats(&e.tracker.req);
@@ -585,4 +595,72 @@ fn load_count_matches_scan_for_both_variants() {
         });
         assert_eq!(wg.queue_load(), QueueLoad::empty(), "{variant:?}");
     }
+}
+
+/// Opens one transaction with `open` at cycle 0, then leaves every wire
+/// idle, so the wheel engine's commits are gated until the deadline is
+/// due. The timeout must land on the per-cycle engine's cycle with the
+/// same record, and the materialized counters must match after every
+/// gated commit.
+fn quiet_expiry_matches_per_cycle<D: Direction>(open: impl Fn(&mut AxiPort)) {
+    for variant in [TmuVariant::TinyCounter, TmuVariant::FullCounter] {
+        for step in [1, 8] {
+            let build = |engine| {
+                let cfg = TmuConfig::builder()
+                    .variant(variant)
+                    .prescaler(step)
+                    .engine(engine)
+                    .build()
+                    .expect("valid");
+                GuardCore::<D>::new(&cfg)
+            };
+            let mut reference = build(CounterEngine::PerCycle);
+            let mut wheel = build(CounterEngine::DeadlineWheel);
+            let mut perf = PerfLog::new();
+            let mut first_fault = None;
+            for cycle in 0..2_000 {
+                let faults = if cycle == 0 {
+                    engine_cycle(&mut reference, cycle, &mut perf, &open);
+                    engine_cycle(&mut wheel, cycle, &mut perf, &open)
+                } else {
+                    let expected = engine_cycle(&mut reference, cycle, &mut perf, |_| {});
+                    let got = engine_cycle(&mut wheel, cycle, &mut perf, |_| {});
+                    assert_eq!(got, expected, "{variant:?} step {step} cycle {cycle}");
+                    got
+                };
+                assert_eq!(
+                    wheel.debug_entries(),
+                    reference.debug_entries(),
+                    "{variant:?} step {step} cycle {cycle}: counters"
+                );
+                if let Some(fault) = faults.first() {
+                    first_fault = Some(cycle);
+                    assert_eq!(fault.kind, crate::log::FaultKind::Timeout);
+                    break;
+                }
+            }
+            assert!(
+                first_fault.is_some(),
+                "{variant:?} step {step}: the idle transaction must time out"
+            );
+        }
+    }
+}
+
+#[test]
+fn quiet_write_expires_on_the_per_cycle_engines_cycle() {
+    // AW accepted, then no W, no B: the deadline falls due on a cycle
+    // with no wire activity.
+    quiet_expiry_matches_per_cycle::<super::WriteDir>(|p| {
+        p.aw.drive(aw(3, 4));
+        p.aw.set_ready(true);
+    });
+}
+
+#[test]
+fn quiet_read_expires_on_the_per_cycle_engines_cycle() {
+    quiet_expiry_matches_per_cycle::<super::ReadDir>(|p| {
+        p.ar.drive(ar(5, 2));
+        p.ar.set_ready(true);
+    });
 }

@@ -39,7 +39,8 @@ pub struct WriteDataObs {
     w_fired: bool,
     w_last: bool,
     b_offered: Option<BBeat>,
-    b_fired: Option<BBeat>,
+    /// Whether `b_offered` fired.
+    b_fired: bool,
 }
 
 impl Direction for WriteDir {
@@ -55,6 +56,7 @@ impl Direction for WriteDir {
     const INITIAL_PHASE: WritePhase = WritePhase::AwHandshake;
     const ADDR_DONE_PHASE: WritePhase = WritePhase::DataEntry;
     const DONE_PHASE: WritePhase = WritePhase::Done;
+    const EI_ORDER: bool = true;
 
     fn id(req: &AwBeat) -> AxiId {
         req.id
@@ -106,8 +108,13 @@ impl Direction for WriteDir {
             w_fired: port.w.fires(),
             w_last: port.w.beat().is_some_and(|w| w.last),
             b_offered: port.b.beat().copied(),
-            b_fired: port.b.fired_beat().copied(),
+            b_fired: port.b.fires(),
         }
+    }
+
+    // `w_fired` and `w_last` mean nothing without `w_offered`.
+    fn data_idle(data: &WriteDataObs) -> bool {
+        !data.w_offered && data.b_offered.is_none()
     }
 
     // A write's data length is fixed by the AW beat.
@@ -223,58 +230,58 @@ impl Direction for WriteDir {
         }
 
         // B response: valid moves RespWait -> RespReady; the fired
-        // handshake completes and retires the transaction.
+        // handshake completes and retires the transaction. The beat that
+        // fires is the beat offered, so one lookup serves both.
         if let Some(b) = data.b_offered {
-            if let Some(uid) = core.remap.lookup(b.id) {
-                if let Some(idx) = core.ott.head_of(uid) {
-                    let variant = core.variant;
-                    let engine = core.engine;
-                    if let Some(entry) = core.ott.get_mut(idx) {
-                        if entry.tracker.phase == WritePhase::RespWait {
-                            GuardCore::transition(
-                                &mut core.wheel,
-                                engine,
-                                idx,
-                                &mut entry.tracker,
-                                WritePhase::RespReady,
-                                cycle,
-                                variant,
-                                telemetry,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(b) = data.b_fired {
             let uid = core.remap.lookup(b.id);
-            let phase = uid
-                .and_then(|uid| core.ott.head_of(uid))
-                .and_then(|idx| core.ott.get(idx))
-                .map(|e| e.tracker.phase);
-            let unexpected = match (phase, uid) {
-                (Some(WritePhase::RespReady), Some(uid)) => {
-                    core.retire(uid, cycle, perf, telemetry);
-                    None
+            let head = uid.and_then(|uid| core.ott.head_of(uid));
+            let variant = core.variant;
+            let engine = core.engine;
+            let mut phase = None;
+            if let Some((idx, entry)) = head.and_then(|idx| Some((idx, core.ott.get_mut(idx)?))) {
+                if entry.tracker.phase == WritePhase::RespWait {
+                    GuardCore::transition(
+                        &mut core.wheel,
+                        engine,
+                        idx,
+                        &mut entry.tracker,
+                        WritePhase::RespReady,
+                        cycle,
+                        variant,
+                        telemetry,
+                    );
                 }
-                (
-                    Some(WritePhase::DataEntry | WritePhase::FirstData | WritePhase::BurstTransfer),
-                    _,
-                ) => Some(Rule::BBeforeWlast),
-                // No write for the ID, or only one whose address has not
-                // fired.
-                (None | Some(WritePhase::AwHandshake), _) => Some(Rule::BWithoutTxn),
-                // A head awaiting its B moved to RespReady above.
-                _ => None,
-            };
-            if let Some(rule) = unexpected.filter(|_| check) {
-                flag(
-                    &mut core.violations,
-                    rule,
-                    cycle,
-                    Some(b.id),
-                    format!("unexpected write response {b}"),
-                );
+                phase = Some(entry.tracker.phase);
+            }
+            if data.b_fired {
+                let unexpected = match (phase, uid) {
+                    (Some(WritePhase::RespReady), Some(uid)) => {
+                        core.retire(uid, cycle, perf, telemetry);
+                        None
+                    }
+                    (
+                        Some(
+                            WritePhase::DataEntry
+                            | WritePhase::FirstData
+                            | WritePhase::BurstTransfer,
+                        ),
+                        _,
+                    ) => Some(Rule::BBeforeWlast),
+                    // No write for the ID, or only one whose address has
+                    // not fired.
+                    (None | Some(WritePhase::AwHandshake), _) => Some(Rule::BWithoutTxn),
+                    // A head awaiting its B moved to RespReady above.
+                    _ => None,
+                };
+                if let Some(rule) = unexpected.filter(|_| check) {
+                    flag(
+                        &mut core.violations,
+                        rule,
+                        cycle,
+                        Some(b.id),
+                        format!("unexpected write response {b}"),
+                    );
+                }
             }
         }
     }

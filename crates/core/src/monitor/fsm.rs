@@ -42,17 +42,22 @@ impl Tmu {
 
     fn commit_monitoring(&mut self, cycle: u64) {
         self.write_guard.set_pending_drain(self.term.drain_beats());
-        let mut records: Vec<ErrorRecord> = Vec::new();
-
-        for fault in self
+        let write_faults = self
             .write_guard
-            .commit(cycle, &mut self.perf_log, &mut self.telemetry)
-            .into_iter()
-            .chain(
-                self.read_guard
-                    .commit(cycle, &mut self.perf_log, &mut self.telemetry),
-            )
-        {
+            .commit(cycle, &mut self.perf_log, &mut self.telemetry);
+        let read_faults = self
+            .read_guard
+            .commit(cycle, &mut self.perf_log, &mut self.telemetry);
+        self.write_guard
+            .take_violations(&mut self.pending_violations);
+        self.read_guard
+            .take_violations(&mut self.pending_violations);
+        if write_faults.is_empty() && read_faults.is_empty() && self.pending_violations.is_empty() {
+            return;
+        }
+
+        let mut records: Vec<ErrorRecord> = Vec::new();
+        for fault in write_faults.into_iter().chain(read_faults) {
             records.push(ErrorRecord {
                 cycle,
                 kind: fault.kind,
@@ -62,10 +67,6 @@ impl Tmu {
                 inflight_cycles: fault.inflight_cycles,
             });
         }
-        self.write_guard
-            .take_violations(&mut self.pending_violations);
-        self.read_guard
-            .take_violations(&mut self.pending_violations);
         for violation in self.pending_violations.drain(..) {
             self.telemetry.record(
                 cycle,

@@ -1,10 +1,10 @@
 //! The Enqueue-Index (EI) table: global request order.
 //!
 //! AXI4 requires write data on W to follow the order of the addresses on
-//! AW. The EI table records the sequence in which AW (or AR) requests
-//! were enqueued, so each W beat is attributed to the correct
-//! transaction, and the read side can align AR issue order with the R
-//! data phase for logging (reads have no strict cross-ID ordering rule).
+//! AW. The EI table records the sequence in which AW requests were
+//! enqueued, so each W beat is attributed to the correct transaction.
+//! Only the write direction keeps one: R beats carry their ID, and reads
+//! have no cross-ID ordering rule.
 
 use std::collections::VecDeque;
 

@@ -7,8 +7,13 @@
 //! * the [`LdTable`] (Linked Data) stores each outstanding transaction's
 //!   details — ID, address, state, budget, latency, timeout status — in
 //!   the guard-specific tracker payload;
-//! * the [`EiTable`] (Enqueue Index) records AW/AR issue order so each W
+//! * the [`EiTable`] (Enqueue Index) records AW issue order so each W
 //!   beat is attributed to the right write transaction.
+//!
+//! The EI order belongs to the write direction: only W beats are routed
+//! by issue order, since R beats carry their ID. The read guard's OTT is
+//! built with [`Ott::without_ei`], which matches the area model's one EI
+//! table per TMU.
 //!
 //! [`Ott`] coordinates the three, exposing the operations the guards
 //! need: enqueue on `aw_valid`/`ar_valid`, per-ID head lookup for B/R
@@ -49,7 +54,8 @@ use crate::remap::UniqId;
 pub struct Ott<S> {
     ht: HtTable,
     ld: LdTable<S>,
-    ei: EiTable,
+    /// Issue order, kept only by the write direction's OTT.
+    ei: Option<EiTable>,
 }
 
 impl<S> Ott<S> {
@@ -62,9 +68,23 @@ impl<S> Ott<S> {
     #[must_use]
     pub fn new(max_uniq_ids: usize, max_outstanding: usize) -> Self {
         Ott {
+            ei: Some(EiTable::new(max_outstanding)),
+            ..Self::without_ei(max_uniq_ids, max_outstanding)
+        }
+    }
+
+    /// An OTT with no EI order, for a direction whose data beats carry
+    /// their ID (reads): [`Ott::ei_front`] is always `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either capacity is zero.
+    #[must_use]
+    pub fn without_ei(max_uniq_ids: usize, max_outstanding: usize) -> Self {
+        Ott {
             ht: HtTable::new(max_uniq_ids),
             ld: LdTable::new(max_outstanding),
-            ei: EiTable::new(max_outstanding),
+            ei: None,
         }
     }
 
@@ -93,21 +113,22 @@ impl<S> Ott<S> {
     }
 
     /// Enqueues a transaction of `uid`, appending to that ID's FIFO and
-    /// the EI order. Returns the LD row index, or `None` when saturated.
+    /// the EI order (if kept). Returns the LD row index, or `None` when
+    /// saturated.
     ///
     /// # Panics
     ///
     /// Panics only if the HT, LD, and EI tables fall out of sync — an internal invariant
     /// violation (a bug in the monitor, not a caller error).
     pub fn enqueue(&mut self, uid: UniqId, tracker: S) -> Option<LdIndex> {
-        if self.ei.len() >= self.ei.capacity() {
-            return None;
-        }
         let idx = self.ld.alloc(uid, tracker)?;
         if let Some(prev_tail) = self.ht.push_tail(uid, idx) {
             self.ld.get_mut(prev_tail).expect("tail row exists").next = Some(idx);
         }
-        self.ei.push(idx).expect("checked capacity above");
+        if let Some(ei) = &mut self.ei {
+            ei.push(idx)
+                .expect("the EI table is as deep as the LD table");
+        }
         Some(idx)
     }
 
@@ -124,10 +145,11 @@ impl<S> Ott<S> {
         self.ht.count(uid)
     }
 
-    /// The LD row whose W data phase is current (EI order front).
+    /// The LD row whose W data phase is current (EI order front), or
+    /// `None` for an OTT without EI order.
     #[must_use]
     pub fn ei_front(&self) -> Option<LdIndex> {
-        self.ei.front()
+        self.ei.as_ref()?.front()
     }
 
     /// Advances the EI order past `idx` once its data phase completes.
@@ -135,9 +157,14 @@ impl<S> Ott<S> {
     /// # Panics
     ///
     /// Panics if `idx` is not the EI front — W beats out of AW order are
-    /// a protocol violation the guard reports *before* calling this.
+    /// a protocol violation the guard reports *before* calling this — or
+    /// if the OTT keeps no EI order.
     pub fn ei_advance(&mut self, idx: LdIndex) {
-        let front = self.ei.pop_front().expect("EI advance on empty table");
+        let front = self
+            .ei
+            .as_mut()
+            .and_then(EiTable::pop_front)
+            .expect("EI advance on empty table");
         assert_eq!(front, idx, "EI advance out of order");
     }
 
@@ -152,7 +179,9 @@ impl<S> Ott<S> {
         let head = self.ht.head(uid)?;
         let next = self.ld.get(head).expect("head row exists").next;
         self.ht.pop_head(uid, next);
-        self.ei.remove(head);
+        if let Some(ei) = &mut self.ei {
+            ei.remove(head);
+        }
         let entry = self.ld.free(head);
         Some((head, entry))
     }
@@ -190,7 +219,9 @@ impl<S> Ott<S> {
     pub fn clear(&mut self) {
         self.ht.clear();
         self.ld.clear();
-        self.ei.clear();
+        if let Some(ei) = &mut self.ei {
+            ei.clear();
+        }
     }
 
     /// Internal-consistency check used by property tests: HT counts, LD
@@ -225,10 +256,13 @@ impl<S> Ott<S> {
         // EI entries must reference live rows, no duplicates. Checked
         // pairwise so that debug builds, which run this after every
         // commit, do not allocate on the busy path.
-        for (pos, idx) in self.ei.iter().enumerate() {
+        let Some(ei) = &self.ei else {
+            return;
+        };
+        for (pos, idx) in ei.iter().enumerate() {
             assert!(self.ld.get(idx).is_some(), "EI references freed row");
             assert!(
-                self.ei.iter().skip(pos + 1).all(|other| other != idx),
+                ei.iter().skip(pos + 1).all(|other| other != idx),
                 "duplicate EI entry"
             );
         }
@@ -327,6 +361,57 @@ mod tests {
         assert_eq!(ott.ei_front(), None);
         assert_eq!(ott.head_of(0), None);
         ott.assert_consistent();
+    }
+
+    #[test]
+    fn without_ei_enqueues_and_dequeues_in_fifo_order() {
+        let mut ott: Ott<u32> = Ott::without_ei(2, 4);
+        let a = ott.enqueue(0, 1).unwrap();
+        let b = ott.enqueue(0, 2).unwrap();
+        let c = ott.enqueue(1, 3).unwrap();
+        assert_eq!(ott.ei_front(), None, "no EI order kept");
+        assert_eq!(ott.head_of(0), Some(a));
+        assert_eq!(ott.get(a).unwrap().next, Some(b));
+        assert_eq!(ott.head_of(1), Some(c));
+        ott.assert_consistent();
+        let (idx, entry) = ott.dequeue_head(0).unwrap();
+        assert_eq!((idx, entry.tracker), (a, 1));
+        assert_eq!(ott.head_of(0), Some(b));
+        assert_eq!(ott.ei_front(), None);
+        ott.assert_consistent();
+    }
+
+    #[test]
+    fn without_ei_saturates_at_ld_capacity() {
+        let mut ott: Ott<u32> = Ott::without_ei(1, 2);
+        ott.enqueue(0, 1).unwrap();
+        ott.enqueue(0, 2).unwrap();
+        assert!(ott.is_full());
+        assert_eq!(ott.enqueue(0, 3), None);
+        ott.dequeue_head(0).unwrap();
+        assert!(ott.enqueue(0, 4).is_some(), "freed row admits again");
+        ott.assert_consistent();
+    }
+
+    #[test]
+    fn without_ei_clear_empties_all_tables() {
+        let mut ott: Ott<u32> = Ott::without_ei(2, 4);
+        ott.enqueue(0, 1).unwrap();
+        ott.enqueue(1, 2).unwrap();
+        ott.clear();
+        assert!(ott.is_empty());
+        assert_eq!(ott.ei_front(), None);
+        assert_eq!(ott.head_of(0), None);
+        assert_eq!(ott.head_of(1), None);
+        ott.assert_consistent();
+    }
+
+    #[test]
+    #[should_panic(expected = "empty table")]
+    fn without_ei_has_nothing_to_advance() {
+        let mut ott: Ott<u32> = Ott::without_ei(1, 2);
+        let a = ott.enqueue(0, 1).unwrap();
+        ott.ei_advance(a);
     }
 
     #[test]

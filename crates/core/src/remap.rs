@@ -111,62 +111,58 @@ impl IdRemapper {
     }
 
     /// Checks whether an acquire of `id` would succeed, without mutating.
+    /// One pass over the slots, like the CAM match.
     ///
     /// # Errors
     ///
     /// Returns the [`RemapStall`] reason an acquire would fail with.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if the slot table is internally inconsistent — an internal invariant
-    /// violation (a bug in the monitor, not a caller error).
     pub fn probe(&self, id: AxiId) -> Result<(), RemapStall> {
-        match self.lookup(id) {
-            Some(uid) => {
-                let slot = self.slots[uid].expect("lookup returned occupied slot");
-                if slot.refs >= self.txn_per_id {
-                    Err(RemapStall::PerIdQuotaFull)
-                } else {
-                    Ok(())
+        let mut free = false;
+        for slot in &self.slots {
+            match slot {
+                Some(live) if live.id == id => {
+                    return if live.refs >= self.txn_per_id {
+                        Err(RemapStall::PerIdQuotaFull)
+                    } else {
+                        Ok(())
+                    };
                 }
+                None => free = true,
+                _ => {}
             }
-            None => {
-                if self.slots.iter().any(Option::is_none) {
-                    Ok(())
-                } else {
-                    Err(RemapStall::SlotsExhausted)
-                }
-            }
+        }
+        if free {
+            Ok(())
+        } else {
+            Err(RemapStall::SlotsExhausted)
         }
     }
 
     /// Maps `id` to a dense slot, allocating one if needed, and
-    /// increments its outstanding count.
+    /// increments its outstanding count. One pass over the slots: the
+    /// ID's live slot if it has one, else the first free slot.
     ///
     /// # Errors
     ///
     /// Returns a [`RemapStall`] when no slot can be granted; the caller
     /// must stall the transaction (the TMU withholds `aw_ready` /
     /// `ar_ready`).
-    ///
-    /// # Panics
-    ///
-    /// Panics only if the slot table is internally inconsistent — an internal invariant
-    /// violation (a bug in the monitor, not a caller error).
     pub fn acquire(&mut self, id: AxiId) -> Result<UniqId, RemapStall> {
-        self.probe(id)?;
-        if let Some(uid) = self.lookup(id) {
-            self.slots[uid]
-                .as_mut()
-                .expect("lookup returned this uid so the slot is occupied")
-                .refs += 1;
-            return Ok(uid);
+        let mut free = None;
+        for (uid, slot) in self.slots.iter_mut().enumerate() {
+            match slot {
+                Some(live) if live.id == id => {
+                    if live.refs >= self.txn_per_id {
+                        return Err(RemapStall::PerIdQuotaFull);
+                    }
+                    live.refs += 1;
+                    return Ok(uid);
+                }
+                None if free.is_none() => free = Some(uid),
+                _ => {}
+            }
         }
-        let uid = self
-            .slots
-            .iter()
-            .position(Option::is_none)
-            .expect("probe guaranteed a free slot");
+        let uid = free.ok_or(RemapStall::SlotsExhausted)?;
         self.slots[uid] = Some(Slot { id, refs: 1 });
         Ok(uid)
     }
@@ -322,5 +318,81 @@ mod tests {
     #[should_panic(expected = "at least one unique-ID slot")]
     fn zero_slots_rejected() {
         let _ = IdRemapper::new(0, 1);
+    }
+
+    /// The multi-pass acquire the single pass replaced: probe, then look
+    /// the ID up, then find the first free slot.
+    fn reference_acquire(r: &mut IdRemapper, id: AxiId) -> Result<UniqId, RemapStall> {
+        r.probe(id)?;
+        if let Some(uid) = r.slots.iter().position(|s| s.is_some_and(|s| s.id == id)) {
+            if let Some(live) = r.slots[uid].as_mut() {
+                live.refs += 1;
+            }
+            return Ok(uid);
+        }
+        let uid = r.slots.iter().position(Option::is_none).unwrap();
+        r.slots[uid] = Some(Slot { id, refs: 1 });
+        Ok(uid)
+    }
+
+    /// Acquires `id` on both remappers and checks they agree.
+    fn acquire_both(fast: &mut IdRemapper, reference: &mut IdRemapper, id: AxiId) {
+        let got = fast.acquire(id);
+        assert_eq!(got, reference_acquire(reference, id), "acquire {id}");
+        assert_eq!(fast, reference, "slot tables after acquire {id}");
+    }
+
+    #[test]
+    fn single_pass_takes_the_live_slot_behind_a_free_one() {
+        let mut fast = IdRemapper::new(3, 2);
+        let mut reference = fast.clone();
+        for id in [1, 2, 2] {
+            acquire_both(&mut fast, &mut reference, AxiId(id));
+        }
+        // Free slot 0: ID 2's live slot now sits after a free slot.
+        fast.release(0);
+        reference.release(0);
+        acquire_both(&mut fast, &mut reference, AxiId(2));
+        assert_eq!(fast.outstanding(), 2, "ID 2 is still at its quota");
+        acquire_both(&mut fast, &mut reference, AxiId(2));
+        assert_eq!(fast.lookup(AxiId(2)), Some(1), "no second slot for ID 2");
+    }
+
+    #[test]
+    fn single_pass_matches_on_full_quota_and_exhaustion() {
+        let mut fast = IdRemapper::new(2, 1);
+        let mut reference = fast.clone();
+        for id in [4, 4, 5, 6] {
+            acquire_both(&mut fast, &mut reference, AxiId(id));
+        }
+        assert_eq!(fast.acquire(AxiId(4)), Err(RemapStall::PerIdQuotaFull));
+        assert_eq!(fast.acquire(AxiId(6)), Err(RemapStall::SlotsExhausted));
+    }
+
+    proptest::proptest! {
+        /// Random acquire/release sequences on small CAMs: the single-pass
+        /// `acquire` grants the same slot, or the same stall, as the
+        /// multi-pass reference, and leaves the same slot table.
+        #[test]
+        fn single_pass_acquire_matches_multi_pass(
+            capacity in 2usize..=4,
+            quota in 1u32..=3,
+            ops in proptest::collection::vec((0u8..10, 0u16..6, 0usize..4), 1..120),
+        ) {
+            let mut fast = IdRemapper::new(capacity, quota);
+            let mut reference = fast.clone();
+            for (op, id, pick) in ops {
+                if op < 6 {
+                    acquire_both(&mut fast, &mut reference, AxiId(id));
+                } else if let Some(uid) = (0..capacity)
+                    .map(|k| (pick + k) % capacity)
+                    .find(|&uid| fast.raw_id(uid).is_some())
+                {
+                    fast.release(uid);
+                    reference.release(uid);
+                }
+                proptest::prop_assert_eq!(&fast, &reference);
+            }
+        }
     }
 }

@@ -103,6 +103,15 @@ impl DeadlineWheel {
         best
     }
 
+    /// Whether a deadline can be due at `now`: `false` means
+    /// [`DeadlineWheel::pop_expired`] would return `None` without a scan.
+    /// A `true` may be a loose bound (a superseded or disarmed deadline).
+    #[inline]
+    #[must_use]
+    pub fn may_be_due(&self, now: u64) -> bool {
+        now >= self.earliest
+    }
+
     /// The earliest pending deadline, if any. Tightens the cached bound
     /// to it.
     pub fn next_deadline(&mut self) -> Option<u64> {
@@ -115,7 +124,7 @@ impl DeadlineWheel {
     /// Simultaneous deadlines come out in ascending slot order. The
     /// popped slot is disarmed.
     pub fn pop_expired(&mut self, now: u64) -> Option<(LdIndex, u64)> {
-        if now < self.earliest {
+        if !self.may_be_due(now) {
             return None;
         }
         let (fire, slot) = self.min_slot();
@@ -192,6 +201,20 @@ mod tests {
         wheel.arm(0, 2, 30); // LD slot recycled by a new transaction
         assert_eq!(wheel.pop_expired(10), None);
         assert_eq!(wheel.pop_expired(30), Some((0, 2)));
+    }
+
+    #[test]
+    fn may_be_due_follows_the_cached_bound() {
+        let mut wheel = DeadlineWheel::new(2);
+        assert!(!wheel.may_be_due(u64::MAX - 1), "nothing armed");
+        wheel.arm(0, 0, 5);
+        assert!(!wheel.may_be_due(4));
+        assert!(wheel.may_be_due(5));
+        // A disarmed deadline leaves the bound loose until a scan.
+        wheel.disarm(0);
+        assert!(wheel.may_be_due(5));
+        assert_eq!(wheel.pop_expired(5), None);
+        assert!(!wheel.may_be_due(5), "the scan tightened the bound");
     }
 
     #[test]
@@ -273,7 +296,8 @@ mod tests {
 
     /// Random arm/re-arm/disarm/pop/peek/clear sequences agree with the
     /// ordered-set reference at every step: pop order (including several
-    /// deadlines due in one cycle), arm cycles, next deadline and depth.
+    /// deadlines due in one cycle), arm cycles, next deadline and depth,
+    /// and `may_be_due` holds whenever a deadline is due.
     #[test]
     fn random_sequences_match_ordered_set_reference() {
         for seed in 0..300 {
@@ -321,6 +345,11 @@ mod tests {
                             }
                         }
                     }
+                }
+                // The quiet-cycle gate relies on this: a due deadline is
+                // never hidden behind the bound.
+                if reference.next_deadline().is_some_and(|fire| fire <= now) {
+                    assert!(wheel.may_be_due(now), "seed {seed} step {step}: bound");
                 }
                 assert_eq!(
                     wheel.depth(),

@@ -2,16 +2,9 @@
 
 use axi_tmu::axi4::prelude::*;
 use axi_tmu::sim::SimRng;
-use proptest::test_runner::ProptestConfig;
 
-/// `PROPTEST_CASES` when set, else `fallback` cases.
-pub fn cases(fallback: u32) -> ProptestConfig {
-    if std::env::var_os("PROPTEST_CASES").is_some() {
-        ProptestConfig::default()
-    } else {
-        ProptestConfig::with_cases(fallback)
-    }
-}
+mod cases;
+pub use cases::cases;
 
 /// Arbitrary wires: each cycle every driver picks a fresh beat, except
 /// that a beat left waiting is usually driven again unchanged.

@@ -18,6 +18,10 @@ use axi_tmu::soc::memory::{MemConfig, MemSub};
 use axi_tmu::tmu::{BudgetConfig, CounterEngine, TelemetryConfig, TmuConfig, TmuVariant};
 use proptest::prelude::*;
 
+#[path = "common/cases.rs"]
+mod cases;
+use cases::cases;
+
 fn budgets(base: u64) -> BudgetConfig {
     BudgetConfig {
         addr_handshake: base,
@@ -99,7 +103,7 @@ fn assert_lockstep<S: AxiSubordinate>(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(cases(24))]
 
     /// Healthy traffic through a memory with random in-budget latencies:
     /// both engines see the same (empty) error log and identical
@@ -178,6 +182,60 @@ proptest! {
         let horizon = base_budget * 8 + 2_000;
         assert_lockstep(&mut reference, &mut wheel, horizon);
         prop_assert!(reference.tmu.faults_detected() > 0, "stall must be detected");
+    }
+
+    /// Every deadline falls due on a quiet cycle: the memory answers
+    /// later than any budget allows and the manager's window is full, so
+    /// once the bursts' data has moved no wire is active until the
+    /// timeouts fire. The wheel engine skips those cycles' commits; the
+    /// first fault must still match the reference's cycle, kind, phase
+    /// and ID.
+    #[test]
+    fn quiet_cycle_expiries_fire_identically(
+        seed in 0u64..1_000_000,
+        step in 1u64..=64,
+        sticky in any::<bool>(),
+        variant_sel in 0u8..2,
+        base_budget in 32u64..512,
+        outstanding in 1usize..8,
+        telemetry in any::<bool>(),
+    ) {
+        let variant = if variant_sel == 0 { TmuVariant::TinyCounter } else { TmuVariant::FullCounter };
+        // Beyond the Tiny-Counter total (4x base) and each phase, even
+        // after prescaler rounding (detection by budget + 3 steps).
+        let late = base_budget * 6 + step * 4;
+        let mem = MemConfig {
+            b_latency: late,
+            r_warmup: late,
+            r_beat_gap: 0,
+            max_inflight: 8,
+        };
+        let mut reference = GuardedLink::new(
+            pattern(outstanding, 0),
+            cfg(variant, CounterEngine::PerCycle, step, sticky, base_budget),
+            MemSub::new(mem),
+            seed,
+        );
+        let mut wheel = GuardedLink::new(
+            pattern(outstanding, 0),
+            cfg(variant, CounterEngine::DeadlineWheel, step, sticky, base_budget),
+            MemSub::new(mem),
+            seed,
+        );
+        if telemetry {
+            wheel.enable_telemetry(TelemetryConfig::default());
+        }
+        assert_lockstep(&mut reference, &mut wheel, base_budget * 8 + 2_000);
+        let first = |link: &GuardedLink<MemSub>| {
+            link.tmu
+                .error_log()
+                .iter()
+                .next()
+                .map(|r| (r.cycle, r.kind, r.phase, r.id))
+        };
+        let expected = first(&reference);
+        prop_assert!(expected.is_some(), "late responses must be caught");
+        prop_assert_eq!(first(&wheel), expected);
     }
 
     /// Injected mid-burst faults (suppressed responses and stuck valids)

@@ -10,6 +10,10 @@ use axi_tmu::tmu::config::{Reg, CTRL_ENABLE, CTRL_IRQ_ENABLE, CTRL_PROT_CHECK};
 use axi_tmu::tmu::{BudgetConfig, TmuConfig, TmuVariant};
 use proptest::prelude::*;
 
+#[path = "common/cases.rs"]
+mod cases;
+use cases::cases;
+
 fn pattern(seed_bursts: &[u16], outstanding: usize, gap: u64, txns: u64) -> TrafficPattern {
     TrafficPattern {
         write_ratio: 0.5,
@@ -25,7 +29,7 @@ fn pattern(seed_bursts: &[u16], outstanding: usize, gap: u64, txns: u64) -> Traf
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(cases(32))]
 
     /// Healthy memories with random (budget-respecting) latencies never
     /// trip the monitor, complete all traffic, and corrupt no data.
@@ -35,7 +39,7 @@ proptest! {
         b_latency in 0u64..12,
         r_warmup in 0u64..12,
         r_beat_gap in 0u64..3,
-        outstanding in 1usize..6,
+        outstanding in 1usize..20,
         gap in 0u64..8,
         variant_sel in 0u8..2,
         prescale_pow in 0u32..6,
@@ -114,7 +118,12 @@ proptest! {
             b_latency: 16 + 2 + excess,
             ..MemConfig::default()
         });
-        let mut link = GuardedLink::new(pattern(&[4], 1, 4, 10), cfg, mem, seed);
+        // Writes only: a seed that drew ten reads would never wait on B.
+        let writes = TrafficPattern {
+            write_ratio: 1.0,
+            ..pattern(&[4], 1, 4, 10)
+        };
+        let mut link = GuardedLink::new(writes, cfg, mem, seed);
         let detected = link.run_until(100_000, |l| {
             axi_tmu::testkit::check_tmu(&l.tmu);
             l.tmu.faults_detected() > 0
@@ -154,5 +163,39 @@ fn toggling_protocol_checks_never_false_positive() {
             link.mgr.stats().total_completed() > 100,
             "seed {seed}: traffic flowed"
         );
+    }
+}
+
+/// Regression: 16 outstanding against the default 8-deep memory with
+/// default budgets. The memory holds `ar_ready`/`aw_ready` low while its
+/// queue drains, so the address handshake needs the same queue-waiting
+/// allowance as the data phase; without it this run raised 274 false
+/// `R/AR-handshake` timeouts in 50k cycles.
+#[test]
+fn back_pressured_address_handshake_never_false_positive() {
+    for variant in [TmuVariant::FullCounter, TmuVariant::TinyCounter] {
+        for outstanding in [8, 16] {
+            let cfg = TmuConfig::builder()
+                .variant(variant)
+                .build()
+                .expect("valid");
+            let traffic = TrafficPattern {
+                max_outstanding: outstanding,
+                issue_gap: 0,
+                ..TrafficPattern::default()
+            };
+            let mut link = GuardedLink::new(traffic, cfg, MemSub::default(), 1);
+            link.run(50_000);
+            assert_eq!(
+                link.tmu.faults_detected(),
+                0,
+                "{variant:?}, {outstanding} outstanding: {:?}",
+                link.tmu.last_fault()
+            );
+            assert!(
+                link.mgr.stats().total_completed() > 1_000,
+                "{variant:?}, {outstanding} outstanding: traffic flowed"
+            );
+        }
     }
 }
