@@ -11,15 +11,15 @@
 //! 2. **Deadline wheel, stepped** — same cycle-by-cycle harness loop,
 //!    but commits only touch counters whose deadline is due
 //!    (`CounterEngine::DeadlineWheel`).
-//! 3. **Deadline wheel, fast-forward** — the harness additionally skips
-//!    the provably idle stall stretch in O(1) via
-//!    [`Simulation::run_until_event`] and [`tmu::Tmu::next_deadline`].
+//! 3. **Deadline wheel, fast-forward** — the harness loop additionally
+//!    skips the provably idle stall stretch in O(1): it jumps the link
+//!    to [`tmu::Tmu::next_deadline`] with
+//!    [`GuardedLink::fast_forward_to`].
 //!
 //! All three must report the fault at the identical cycle with identical
 //! logs — asserted by the unit tests here and the differential property
 //! tests in `tests/props_fastpath.rs`.
 
-use sim::{Simulation, StepStatus};
 use soc::link::{BlackHoleSub, GuardedLink};
 use soc::manager::TrafficPattern;
 use soc::memory::MemSub;
@@ -182,30 +182,26 @@ pub fn run_saturated_stall_with_telemetry(
 #[must_use]
 pub fn run_saturated_stall_fastforward(variant: TmuVariant, budget: u64) -> StallRun {
     let mut link = stall_link(variant, CounterEngine::DeadlineWheel, budget);
-    let mut sim = Simulation::new();
+    let limit = cycle_limit(budget);
     let mut steps = 0u64;
-    let outcome = sim.run_until_event(cycle_limit(budget), |clk| {
-        link.fast_forward_to(clk.cycle());
+    while link.tmu.faults_detected() == 0 {
+        assert!(link.cycle() < limit, "saturated stall must time out");
         link.step();
         steps += 1;
-        if link.tmu.faults_detected() > 0 {
-            return StepStatus::Done;
-        }
         // Quiescence proof for this scenario: the OTT is saturated (the
         // manager's next AW is stalled on a constant wire state), every
         // issued one-beat write has delivered its data beat (no W
         // handshake pending), and the subordinate never drives a
         // response. No guard transition can occur before the earliest
-        // armed timeout deadline.
+        // armed timeout deadline, which is itself simulated. A severed
+        // TMU has no deadline, so a detected fault never skips.
         let stats = link.mgr.stats();
         if link.tmu.outstanding() == HOTPATH_OUTSTANDING && stats.w_beats == stats.writes_issued {
             if let Some(deadline) = link.tmu.next_deadline() {
-                return StepStatus::IdleUntil(deadline);
+                link.fast_forward_to(deadline.min(limit));
             }
         }
-        StepStatus::Continue
-    });
-    assert!(outcome.condition_met, "saturated stall must time out");
+    }
     stall_result(&link, steps)
 }
 

@@ -92,7 +92,6 @@ impl Tmu {
             return;
         }
         for record in records {
-            self.trace.record_with(cycle, "tmu", || record.to_string());
             self.err_log.push(record);
             self.regs.hw_note_error();
         }
@@ -107,24 +106,21 @@ impl Tmu {
         // accepts) to the terminator.
         let write_set = self.write_guard.drain_for_abort();
         let read_set = self.read_guard.drain_for_abort();
-        let (aborted_writes, aborted_reads) = (write_set.responses.len(), read_set.responses.len());
+        let (writes, reads) = (write_set.responses.len(), read_set.responses.len());
         self.term.sever(write_set, read_set);
         self.wire_rules.flush();
         self.stall_aw = false;
         self.stall_ar = false;
-        let drain = self.term.drain_beats();
-        self.trace.record_with(cycle, "tmu", || {
-            format!(
-                "severed link: aborting {aborted_writes} writes / {aborted_reads} reads, \
-                 draining {drain} residual beats"
-            )
-        });
         // Severing also closes every open telemetry span as aborted.
         self.telemetry.record(
             cycle,
             "tmu",
             TraceEvent::Recovery {
-                stage: RecoveryStage::Severed,
+                stage: RecoveryStage::Severed {
+                    writes: writes as u32,
+                    reads: reads as u32,
+                    drain: self.term.drain_beats() as u32,
+                },
             },
         );
     }
@@ -135,11 +131,6 @@ impl Tmu {
         self.reset_request = true;
         self.resets_requested += 1;
         self.regs.hw_note_reset();
-        self.trace.record(
-            self.cycles,
-            "tmu",
-            "aborts delivered: requesting subordinate reset",
-        );
         self.telemetry.record(
             self.cycles,
             "tmu",
@@ -167,8 +158,6 @@ impl Tmu {
     /// address beat of an aborted transaction is still being accepted).
     pub fn reset_done(&mut self) {
         if self.term.reset_done() {
-            self.trace
-                .record(self.cycles, "tmu", "reset complete: monitoring resumed");
             self.telemetry.record(
                 self.cycles,
                 "tmu",

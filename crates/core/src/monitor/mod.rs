@@ -34,8 +34,8 @@
 //!   observation, handing the severed drive to the
 //!   [`Terminator`];
 //! * `fsm.rs` — the clocked commit path: fault collection, severing
-//!   through the terminator, and the reset request and trace around its
-//!   Monitoring → Aborting → WaitReset walk;
+//!   through the terminator, and the reset request and recovery
+//!   telemetry around its Monitoring → Aborting → WaitReset walk;
 //! * `regs.rs` — the software view: register reads/writes (error-report
 //!   assembly into `ErrHeadInfo`) and interrupt management;
 //! * `publish.rs` — telemetry publication: occupancy gauges, trace/span
@@ -49,7 +49,6 @@ mod regs;
 mod tests;
 
 use axi4::checker::{Violation, WireRules};
-use sim::EventTrace;
 use tmu_telemetry::TelemetryHub;
 
 use crate::config::{RegisterFile, TmuConfig, TmuVariant};
@@ -81,7 +80,6 @@ pub struct Tmu {
     resets_requested: u64,
     /// Committed state: cycles this monitor has committed.
     cycles: u64,
-    trace: EventTrace,
     telemetry: TelemetryHub,
 }
 
@@ -107,7 +105,6 @@ impl Tmu {
             faults_detected: 0,
             resets_requested: 0,
             cycles: 0,
-            trace: EventTrace::new(),
             telemetry: TelemetryHub::default(),
         }
     }
@@ -135,8 +132,8 @@ impl Tmu {
     /// the TMU is disabled or mid-recovery, or the per-cycle reference
     /// engine — which has no schedule — is selected).
     ///
-    /// This is the fast-forward bound for event-driven harnesses
-    /// (`sim::Simulation::run_until_event`): while the system is
+    /// This is the fast-forward bound for event-driven harnesses (see
+    /// `soc::link::GuardedLink::fast_forward_to`): while the system is
     /// otherwise quiescent, no observable TMU output can change before
     /// this cycle. Deadlines only move earlier in response to new beats,
     /// so a stale bound is always conservative.
@@ -157,13 +154,6 @@ impl Tmu {
     #[must_use]
     pub fn error_log(&self) -> &ErrorLog {
         &self.err_log
-    }
-
-    /// Timestamped lifecycle trace (fault, sever, abort-complete, reset,
-    /// resume events) — the narrative counterpart of the error log.
-    #[must_use]
-    pub fn trace(&self) -> &EventTrace {
-        &self.trace
     }
 
     /// The performance log (per-phase detail in Full-Counter mode).

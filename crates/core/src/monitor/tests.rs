@@ -4,7 +4,7 @@ use crate::config::Reg;
 use crate::log::FaultKind;
 use crate::phase::{TxnPhase, WritePhase};
 use axi4::prelude::*;
-use tmu_telemetry::TelemetryConfig;
+use tmu_telemetry::{FaultClass, RecoveryStage, TelemetryConfig, TraceEvent};
 
 /// A perfectly behaved in-test subordinate: accepts addresses and
 /// data immediately, responds after a fixed delay, optionally
@@ -407,15 +407,48 @@ fn lifecycle_trace_tells_the_recovery_story() {
         broken: true,
         ..TestSub::default()
     };
+    tmu.enable_telemetry(TelemetryConfig::default());
     run(&mut tmu, &mut mgr, &mut sub, 400, 0);
     tmu.reset_done();
     tmu.commit(401);
-    let lines: Vec<String> = tmu.trace().iter().map(ToString::to_string).collect();
-    let all = lines.join("\n");
-    assert!(all.contains("timeout"), "{all}");
-    assert!(all.contains("severed link"), "{all}");
-    assert!(all.contains("requesting subordinate reset"), "{all}");
-    assert!(all.contains("monitoring resumed"), "{all}");
+    let story: Vec<TraceEvent> = tmu
+        .telemetry()
+        .events()
+        .iter()
+        .map(|r| r.event)
+        .filter(|e| matches!(e, TraceEvent::Fault { .. } | TraceEvent::Recovery { .. }))
+        .collect();
+    assert!(
+        matches!(
+            story[0],
+            TraceEvent::Fault {
+                class: FaultClass::Timeout,
+                id: 1,
+                ..
+            }
+        ),
+        "{story:?}"
+    );
+    let stages: Vec<RecoveryStage> = story[1..]
+        .iter()
+        .map(|e| match *e {
+            TraceEvent::Recovery { stage } => stage,
+            other => panic!("one fault, then recovery only: {other}"),
+        })
+        .collect();
+    assert_eq!(
+        stages,
+        [
+            RecoveryStage::Severed {
+                writes: 1,
+                reads: 0,
+                drain: 4,
+            },
+            RecoveryStage::AbortsDelivered,
+            RecoveryStage::ResetRequested,
+            RecoveryStage::Resumed,
+        ]
+    );
 }
 
 #[test]

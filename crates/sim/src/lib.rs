@@ -1,13 +1,10 @@
-//! Deterministic two-phase cycle-based simulation kernel.
+//! Deterministic two-phase cycle-based simulation plumbing.
 //!
-//! This crate provides the clocking, tracing and reproducibility plumbing
-//! shared by the TMU reproduction's behavioural models:
+//! This crate provides the reset, statistics, reproducibility and
+//! waveform pieces shared by the TMU reproduction's behavioural models:
 //!
-//! * [`clock`] — the [`Clock`] cycle counter and [`Reset`] line model.
-//! * [`runner`] — the [`Simulation`] loop that steps a closure per cycle
-//!   until a condition or limit.
-//! * [`trace`] — a bounded [`EventTrace`] of timestamped events for
-//!   debugging and assertions.
+//! * [`reset`] — the [`Reset`] line model driven by the TMU's reset
+//!   request.
 //! * [`stats`] — the [`Histogram`] used by the TMU's performance logs.
 //! * [`rng`] — a seeded, splittable [`SimRng`] so every experiment is
 //!   bit-reproducible.
@@ -18,43 +15,25 @@
 //!
 //! A cycle consists of one or more ordered *drive* passes (combinational
 //! settling, sequenced by the harness) followed by a single *commit*
-//! (clock edge). The kernel itself stays trait-free: it only counts
-//! cycles. The per-link units that sit between a manager and a
-//! subordinate (the TMU with its reset line, the traffic regulator)
-//! share one five-pass protocol, `soc::stage::LinkStage`, and a
-//! `soc::stage::StageBank` runs each pass across many ports. Harnesses
-//! like `soc::System` order those passes around their managers,
-//! interconnect and subordinates, which keeps combinational dependencies
-//! explicit and the simulation deterministic.
-//!
-//! # Example
-//!
-//! ```
-//! use sim::{Clock, Simulation};
-//!
-//! let mut counter = 0u64;
-//! let mut simulation = Simulation::new();
-//! let outcome = simulation.run_until(1000, |_clock: &Clock| {
-//!     counter += 1;
-//!     counter == 10 // stop condition
-//! });
-//! assert!(outcome.condition_met);
-//! assert_eq!(outcome.cycles, 10);
-//! ```
+//! (clock edge). Each harness (`soc::link::GuardedLink`,
+//! `soc::system::System`, `soc::regulated::RegulatedLink`) owns its cycle
+//! counter and its run loop; this crate has no scheduler. The per-link
+//! units that sit between a manager and a subordinate (the TMU with its
+//! reset line, the traffic regulator) share one five-pass protocol,
+//! `soc::stage::LinkStage`, and a `soc::stage::StageBank` runs each pass
+//! across many ports. Harnesses order those passes around their
+//! managers, interconnect and subordinates, which keeps combinational
+//! dependencies explicit and the simulation deterministic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
+pub mod reset;
 pub mod rng;
-pub mod runner;
 pub mod stats;
-pub mod trace;
 pub mod vcd;
 
-pub use clock::{Clock, Reset};
+pub use reset::Reset;
 pub use rng::SimRng;
-pub use runner::{RunOutcome, Simulation, StepStatus};
 pub use stats::Histogram;
-pub use trace::{Event, EventMsg, EventTrace};
 pub use vcd::VcdWriter;

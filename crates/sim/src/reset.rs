@@ -1,66 +1,4 @@
-//! Cycle counting and reset-line modelling.
-
-use std::fmt;
-
-/// The simulation clock: a monotonically increasing cycle counter.
-///
-/// One `Clock` instance is shared (by reference) with every drive pass of
-/// a cycle; it advances exactly once per cycle via [`Clock::advance`],
-/// which harnesses call at commit time.
-///
-/// ```
-/// use sim::Clock;
-/// let mut clk = Clock::new();
-/// assert_eq!(clk.cycle(), 0);
-/// clk.advance();
-/// assert_eq!(clk.cycle(), 1);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct Clock {
-    /// Committed state: the current cycle index, advanced once per
-    /// committed cycle (or jumped by the fast-forward engine).
-    cycle: u64,
-}
-
-impl Clock {
-    /// A clock at cycle zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Clock { cycle: 0 }
-    }
-
-    /// The current cycle number (0-based).
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Commits one clock edge.
-    pub fn advance(&mut self) {
-        self.cycle += 1;
-    }
-
-    /// Jumps directly to `cycle` without simulating the cycles in
-    /// between (event-driven fast-forward over provably idle stretches).
-    /// A target at or before the current cycle is a no-op — the clock
-    /// never moves backwards.
-    pub fn advance_to(&mut self, cycle: u64) {
-        self.cycle = self.cycle.max(cycle);
-    }
-
-    /// Cycles elapsed since `earlier` (saturating at zero if `earlier` is
-    /// in the future).
-    #[must_use]
-    pub fn since(&self, earlier: u64) -> u64 {
-        self.cycle.saturating_sub(earlier)
-    }
-}
-
-impl fmt::Display for Clock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cycle {}", self.cycle)
-    }
-}
+//! Reset-line modelling.
 
 /// A hardware reset line with a programmable assertion duration.
 ///
@@ -167,29 +105,6 @@ impl Default for Reset {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clock_advances_and_measures() {
-        let mut clk = Clock::new();
-        for _ in 0..5 {
-            clk.advance();
-        }
-        assert_eq!(clk.cycle(), 5);
-        assert_eq!(clk.since(2), 3);
-        assert_eq!(clk.since(10), 0, "future reference saturates");
-        assert_eq!(clk.to_string(), "cycle 5");
-    }
-
-    #[test]
-    fn advance_to_skips_forward_never_backward() {
-        let mut clk = Clock::new();
-        clk.advance_to(10);
-        assert_eq!(clk.cycle(), 10);
-        clk.advance_to(3);
-        assert_eq!(clk.cycle(), 10, "clock never moves backwards");
-        clk.advance();
-        assert_eq!(clk.cycle(), 11);
-    }
 
     #[test]
     fn reset_full_lifecycle() {

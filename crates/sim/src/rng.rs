@@ -38,12 +38,6 @@ impl SimRng {
         }
     }
 
-    /// The seed this generator was created from.
-    #[must_use]
-    pub fn initial_seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent generator for the sub-stream `label`.
     ///
     /// Splitting is a pure function of `(seed, label)` — it does not

@@ -361,22 +361,6 @@ impl Demux {
         self.cur_b_sel = None;
         self.cur_r_sel = None;
     }
-
-    /// Drops all routing state for transactions towards subordinate
-    /// `index` (used when the TMU aborts that link: the aborted
-    /// responses already reached the manager through the TMU itself).
-    pub fn flush_sub(&mut self, index: usize) {
-        let target = Route::Sub(index);
-        self.w_route.retain(|(r, _)| *r != target);
-        self.write_outstanding.retain(|_, (r, _)| *r != target);
-        self.read_outstanding.retain(|_, (r, _)| *r != target);
-        if self.b_lock == Some(target) {
-            self.b_lock = None;
-        }
-        if self.r_lock == Some(target) {
-            self.r_lock = None;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -762,27 +746,5 @@ mod tests {
                 (1, Resp::Okay)
             ]
         );
-    }
-
-    #[test]
-    fn flush_sub_clears_routes() {
-        let mut demux = Demux::new(regions());
-        let mut trunk = AxiPort::new();
-        let mut subs = vec![AxiPort::new(), AxiPort::new()];
-        // Accept an AW to ethernet.
-        trunk.begin_cycle();
-        subs.iter_mut().for_each(AxiPort::begin_cycle);
-        trunk.aw.drive(aw(1, 0x2000_0000, 4));
-        demux.forward_requests(&trunk, &mut subs);
-        subs[1].aw.set_ready(true);
-        demux.forward_responses(&subs, &mut trunk);
-        demux.commit(&trunk);
-        demux.flush_sub(1);
-        // The same ID can now go to memory without a stall.
-        trunk.begin_cycle();
-        subs.iter_mut().for_each(AxiPort::begin_cycle);
-        trunk.aw.drive(aw(1, 0x8000_0000, 1));
-        demux.forward_requests(&trunk, &mut subs);
-        assert!(subs[0].aw.valid());
     }
 }

@@ -249,12 +249,12 @@ impl<S: AxiSubordinate> GuardedLink<S> {
     /// cycles in between; a target at or before the current cycle is a
     /// no-op.
     ///
-    /// This is the event-driven fast-forward hook
-    /// (`sim::Simulation::run_until_event`): the **caller** asserts that
-    /// the skipped stretch is quiescent — every wire stalled, no fault
-    /// recovery or reset in progress, no injector activation pending —
-    /// so that the skipped `step()` calls would not have changed any
-    /// observable state. Under the TMU's deadline-wheel engine, the
+    /// This is the event-driven fast-forward hook (the plain loop in
+    /// `tmu_bench::hotpath::run_saturated_stall_fastforward` uses it):
+    /// the **caller** asserts that the skipped stretch is quiescent —
+    /// every wire stalled, no fault recovery or reset in progress, no
+    /// injector activation pending — so that the skipped `step()` calls
+    /// would not have changed any observable state. Under the TMU's deadline-wheel engine, the
     /// latest safe target is `tmu.next_deadline()`.
     pub fn fast_forward_to(&mut self, cycle: u64) {
         self.cycle = self.cycle.max(cycle);

@@ -234,19 +234,6 @@ impl TrafficGen {
         f(&mut self.pattern);
     }
 
-    /// In-flight breakdown `(aw_queue, data_queue, await_b, ar_queue,
-    /// await_r)` — diagnostics.
-    #[must_use]
-    pub fn outstanding_breakdown(&self) -> (usize, usize, usize, usize, usize) {
-        (
-            self.aw_queue.len(),
-            self.data_queue.len(),
-            self.await_b.len(),
-            self.ar_queue.len(),
-            self.await_r.len(),
-        )
-    }
-
     /// Transactions currently in flight.
     #[must_use]
     pub fn outstanding(&self) -> usize {

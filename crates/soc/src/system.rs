@@ -430,12 +430,6 @@ impl System {
         self.dma.stats()
     }
 
-    /// DMA in-flight queue breakdown (diagnostics).
-    #[must_use]
-    pub fn dma_breakdown(&self) -> (usize, usize, usize, usize, usize) {
-        self.dma.outstanding_breakdown()
-    }
-
     /// True once both managers exhausted their scripted traffic.
     #[must_use]
     pub fn traffic_done(&self) -> bool {

@@ -128,7 +128,14 @@ impl FaultClass {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum RecoveryStage {
     /// Paths severed; `SLVERR` aborts started.
-    Severed,
+    Severed {
+        /// Write transactions handed to the terminator for abort.
+        writes: u32,
+        /// Read transactions handed to the terminator for abort.
+        reads: u32,
+        /// Residual W beats still to be drained from the manager.
+        drain: u32,
+    },
     /// All abort responses delivered to the manager.
     AbortsDelivered,
     /// Hardware reset of the subordinate requested.
@@ -142,7 +149,7 @@ impl RecoveryStage {
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
-            RecoveryStage::Severed => "severed",
+            RecoveryStage::Severed { .. } => "severed",
             RecoveryStage::AbortsDelivered => "aborts-delivered",
             RecoveryStage::ResetRequested => "reset-requested",
             RecoveryStage::Resumed => "resumed",
@@ -397,6 +404,16 @@ impl TraceEvent {
                     class.as_str()
                 )
             }
+            TraceEvent::Recovery {
+                stage:
+                    RecoveryStage::Severed {
+                        writes,
+                        reads,
+                        drain,
+                    },
+            } => format!(
+                "\"stage\":\"severed\",\"writes\":{writes},\"reads\":{reads},\"drain\":{drain}"
+            ),
             TraceEvent::Recovery { stage } => format!("\"stage\":\"{}\"", stage.as_str()),
             TraceEvent::CreditGrant { dir, id, bytes } => {
                 format!("\"dir\":\"{}\",\"id\":{id},\"bytes\":{bytes}", dir.as_str())
@@ -482,6 +499,18 @@ impl fmt::Display for TraceEvent {
                 }
                 Ok(())
             }
+            TraceEvent::Recovery {
+                stage:
+                    RecoveryStage::Severed {
+                        writes,
+                        reads,
+                        drain,
+                    },
+            } => write!(
+                f,
+                "recovery: severed, aborting {writes} writes / {reads} reads, \
+                 draining {drain} beats"
+            ),
             TraceEvent::Recovery { stage } => write!(f, "recovery: {}", stage.as_str()),
             TraceEvent::CreditGrant { dir, id, bytes } => {
                 write!(f, "{dir} credit grant id={id} bytes={bytes}")
@@ -529,7 +558,11 @@ mod tests {
                 id: 1,
             },
             TraceEvent::Recovery {
-                stage: RecoveryStage::Severed,
+                stage: RecoveryStage::Severed {
+                    writes: 1,
+                    reads: 0,
+                    drain: 0,
+                },
             },
             TraceEvent::Counter {
                 name: "x",

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::event::TraceEvent;
 use crate::metrics::{MetricsHub, MetricsSample};
-use crate::sink::{EventRing, TelemetrySink};
+use crate::sink::EventRing;
 use crate::span::SpanCollector;
 
 /// Configuration applied when enabling a [`TelemetryHub`].
@@ -32,7 +32,7 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
-            ring_capacity: 4096,
+            ring_capacity: EventRing::DEFAULT_CAPACITY,
             spans: true,
             max_spans: SpanCollector::DEFAULT_MAX_SPANS,
             sample_every: 256,
@@ -44,8 +44,7 @@ impl Default for TelemetryConfig {
 /// The stack-wide telemetry aggregation point.
 ///
 /// Concrete (not a trait object) so owners like the TMU stay `Clone` and
-/// comparable in differential tests; polymorphic sinks attach *through*
-/// it via the [`TelemetrySink`] impl.
+/// comparable in differential tests.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TelemetryHub {
     enabled: bool,
@@ -144,12 +143,6 @@ impl TelemetryHub {
         &self.ring
     }
 
-    /// Events evicted from the ring.
-    #[must_use]
-    pub fn events_dropped(&self) -> u64 {
-        self.ring.dropped()
-    }
-
     /// The metrics hub (counters/gauges/histograms/samples).
     #[must_use]
     pub fn metrics(&self) -> &MetricsHub {
@@ -184,12 +177,6 @@ impl TelemetryHub {
     #[must_use]
     pub fn metrics_jsonl(&self) -> String {
         self.metrics.jsonl()
-    }
-}
-
-impl TelemetrySink for TelemetryHub {
-    fn record_event(&mut self, cycle: u64, source: &'static str, event: &TraceEvent) {
-        self.record(cycle, source, *event);
     }
 }
 

@@ -17,9 +17,10 @@
 //!   latency histograms with a periodic sampler that emits JSON-lines
 //!   deltas.
 //!
-//! The stringly [`sim::EventTrace`] ring remains a first-class sink: it
-//! implements [`TelemetrySink`] by formatting each event, so existing
-//! narrative traces keep working.
+//! [`TraceEvent`] is the stack's one event vocabulary. A record's
+//! `Display` is also its human-readable line (a fault, a sever with its
+//! abort and drain counts, a reset request, a resume), so there is no
+//! separate string trace.
 //!
 //! # Hot-path contract
 //!
@@ -65,5 +66,5 @@ pub mod span;
 pub use event::{Channel, Dir, FaultClass, PhaseId, RecoveryStage, TraceEvent};
 pub use hub::{TelemetryConfig, TelemetryHub};
 pub use metrics::{MetricsHub, MetricsSample};
-pub use sink::{EventRing, TelemetryRecord, TelemetrySink};
+pub use sink::{EventRing, TelemetryRecord};
 pub use span::{PhaseSlice, SpanCollector, TxnSpan};

@@ -1,10 +1,7 @@
-//! Telemetry sinks: where recorded events go.
-//!
-//! [`TelemetrySink`] is the one abstraction threaded through the stack —
-//! anything that can absorb a `(cycle, source, event)` triple. The crate
-//! ships two implementations ([`EventRing`] for typed records,
-//! [`sim::EventTrace`] for the legacy narrative strings) and
-//! [`crate::TelemetryHub`] itself implements the trait so hubs compose.
+//! The typed event ring: the bounded, sequence-stamped record of every
+//! [`TraceEvent`] a [`crate::TelemetryHub`] sees. Each record's `Display`
+//! is one human-readable lifecycle line; [`EventRing::to_json`] is the
+//! machine-readable form.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -12,12 +9,6 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::event::TraceEvent;
-
-/// Anything that can absorb structured trace events.
-pub trait TelemetrySink {
-    /// Record one event observed at `cycle` by component `source`.
-    fn record_event(&mut self, cycle: u64, source: &'static str, event: &TraceEvent);
-}
 
 /// A sequence-stamped event as stored in an [`EventRing`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,9 +52,9 @@ impl fmt::Display for TelemetryRecord {
 
 /// A bounded ring of typed [`TelemetryRecord`]s.
 ///
-/// The typed counterpart of [`sim::EventTrace`]: when full, the oldest
-/// record is evicted and [`EventRing::dropped`] counts it. Capacity is
-/// *not* preallocated — a hub that is never enabled allocates nothing.
+/// When full, the oldest record is evicted and [`EventRing::dropped`]
+/// counts it. Capacity is *not* preallocated — a hub that is never
+/// enabled allocates nothing.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EventRing {
     records: VecDeque<TelemetryRecord>,
@@ -73,13 +64,16 @@ pub struct EventRing {
 }
 
 impl Default for EventRing {
-    /// A ring with the same default capacity as [`sim::EventTrace`].
+    /// A ring of [`EventRing::DEFAULT_CAPACITY`] records.
     fn default() -> Self {
-        EventRing::new(sim::EventTrace::DEFAULT_CAPACITY)
+        EventRing::new(EventRing::DEFAULT_CAPACITY)
     }
 }
 
 impl EventRing {
+    /// Capacity of a default-constructed ring.
+    pub const DEFAULT_CAPACITY: usize = 4096;
+
     /// Creates a ring bounded to `capacity` records (minimum 1).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
@@ -140,10 +134,10 @@ impl EventRing {
         out.push(']');
         out
     }
-}
 
-impl TelemetrySink for EventRing {
-    fn record_event(&mut self, cycle: u64, source: &'static str, event: &TraceEvent) {
+    /// Records one event observed at `cycle` by component `source`,
+    /// evicting the oldest record when the ring is full.
+    pub fn record_event(&mut self, cycle: u64, source: &'static str, event: &TraceEvent) {
         if self.records.len() == self.capacity {
             self.records.pop_front();
             self.dropped += 1;
@@ -155,16 +149,6 @@ impl TelemetrySink for EventRing {
             event: *event,
         });
         self.next_seq += 1;
-    }
-}
-
-/// The legacy string ring is a first-class sink: each typed event is
-/// formatted through its `Display` impl, so narrative traces keep
-/// working. The closure-based [`sim::EventTrace::record_with`] means a
-/// disabled trace never formats anything.
-impl TelemetrySink for sim::EventTrace {
-    fn record_event(&mut self, cycle: u64, source: &'static str, event: &TraceEvent) {
-        self.record_with(cycle, source, || event.to_string());
     }
 }
 
@@ -236,13 +220,5 @@ mod tests {
         assert!(json.contains("\"cycle\":7"));
         assert!(json.contains("\"kind\":\"handshake\""));
         assert!(ring.to_json().starts_with('['));
-    }
-
-    #[test]
-    fn event_trace_is_a_sink() {
-        let mut trace = sim::EventTrace::with_capacity(16);
-        trace.record_event(4, "tmu.write", &handshake(2));
-        let rendered: Vec<String> = trace.iter().map(|e| e.message.to_string()).collect();
-        assert_eq!(rendered, vec!["AW handshake id=2".to_string()]);
     }
 }

@@ -172,7 +172,7 @@ impl SpanCollector {
                 }
             }
             TraceEvent::Recovery {
-                stage: crate::event::RecoveryStage::Severed,
+                stage: crate::event::RecoveryStage::Severed { .. },
             } => {
                 // The link is cut: every in-flight transaction is about
                 // to be aborted. Close their spans here so the timeline
@@ -365,7 +365,11 @@ mod tests {
         c.on_event(
             30,
             &TraceEvent::Recovery {
-                stage: RecoveryStage::Severed,
+                stage: RecoveryStage::Severed {
+                    writes: 2,
+                    reads: 0,
+                    drain: 0,
+                },
             },
         );
         assert_eq!(c.open_count(), 0);

@@ -10,7 +10,7 @@
 
 use axi_tmu::faults::{FaultClass, FaultPlan, Trigger};
 use axi_tmu::soc::system::{System, SystemConfig};
-use axi_tmu::tmu::{BudgetConfig, TmuConfig};
+use axi_tmu::tmu::{BudgetConfig, TelemetryConfig, TmuConfig, TraceEvent};
 use axi_tmu::tmu::{TmuState, TmuVariant};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,6 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..SystemConfig::default()
     };
     let mut system = System::new(cfg);
+    system.enable_telemetry(TelemetryConfig::default());
 
     println!("[phase 1] healthy operation");
     system.run(1000);
@@ -84,8 +85,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         system.cpu_stats().total_completed()
     );
     println!("\nTMU lifecycle trace:");
-    for event in system.tmu().trace().iter() {
-        println!("  {event}");
+    for record in system.tmu().telemetry().events().iter() {
+        if matches!(
+            record.event,
+            TraceEvent::Fault { .. } | TraceEvent::Recovery { .. }
+        ) {
+            println!("  {record}");
+        }
     }
     Ok(())
 }

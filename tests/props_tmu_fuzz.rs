@@ -2,12 +2,15 @@
 //! faults, severing, aborts, resets and register writes along the way.
 //!
 //! Covers Tiny-Counter and Full-Counter, the deadline-wheel and
-//! per-cycle engines, and protocol checks built in or not. Nothing may
-//! panic, and the guards' structures must stay consistent after every
-//! commit. Case counts follow `PROPTEST_CASES` when set.
+//! per-cycle engines, and protocol checks built in or not, both for a
+//! lone TMU and for a `StageBank` mixing monitored and bare ports.
+//! Nothing may panic, and the guards' structures must stay consistent
+//! after every commit. Case counts follow `PROPTEST_CASES` when set.
 
 use axi_tmu::axi4::prelude::*;
 use axi_tmu::sim::SimRng;
+use axi_tmu::soc::stage::{StageBank, TmuStage};
+use axi_tmu::testkit::check_tmu;
 use axi_tmu::tmu::config::{Reg, CTRL_ENABLE, CTRL_IRQ_ENABLE, CTRL_PROT_CHECK};
 use axi_tmu::tmu::{
     BudgetConfig, CounterEngine, FaultKind, TelemetryConfig, Tmu, TmuConfig, TmuVariant,
@@ -103,6 +106,103 @@ proptest! {
                     ctrl |= CTRL_PROT_CHECK;
                 }
                 tmu.write_reg(Reg::Ctrl, ctrl);
+            }
+        }
+    }
+}
+
+/// Asserts that a bare port's wires after a bank pass equal `want`, the
+/// same wires after the plain copy that pass stands for.
+fn assert_bare(pass: &str, port: usize, want: &AxiPort, got: &AxiPort) {
+    assert_eq!(
+        format!("{want:?}"),
+        format!("{got:?}"),
+        "{pass} on bare port {port}"
+    );
+}
+
+proptest! {
+    #![proptest_config(cases(32))]
+
+    /// A bank of 1–4 ports, each bare or carrying a TMU (either variant,
+    /// either engine), under arbitrary wires and late-settling B/R
+    /// `ready`s: nothing panics, every TMU stays consistent, every bare
+    /// port is a plain wire copy in every wire pass, and only monitored
+    /// ports reset their subordinates.
+    #[test]
+    fn stage_bank_survives_arbitrary_wires(
+        seed in 0u64..1_000_000,
+        ports in prop::collection::vec((any::<bool>(), any::<bool>(), any::<bool>()), 1..5),
+        checks in any::<bool>(),
+        txn_per_id in 1u32..5,
+        budget in 2u64..200,
+        reset_cycles in 1u64..16,
+    ) {
+        let n = ports.len();
+        let mut bank = StageBank::new(n);
+        for (port, &(attach, fc, wheel)) in ports.iter().enumerate() {
+            if attach {
+                let cfg = config(fc, wheel, checks, txn_per_id, budget);
+                bank.attach(port, TmuStage::new(cfg, reset_cycles));
+            }
+        }
+        let bare: Vec<usize> = (0..n).filter(|&p| !ports[p].0).collect();
+        let mut wires: Vec<ArbitraryWires> =
+            (0..n).map(|p| ArbitraryWires::new(seed * 8 + p as u64)).collect();
+        let mut late = SimRng::seed(seed).split("late-ready");
+        let (mut mgrs, mut subs) = (vec![AxiPort::new(); n], vec![AxiPort::new(); n]);
+        for cycle in 0..1_500 {
+            for ((w, mgr), sub) in wires.iter_mut().zip(&mut mgrs).zip(&mut subs) {
+                mgr.begin_cycle();
+                sub.begin_cycle();
+                w.drive_manager(mgr);
+            }
+            let before = subs.clone();
+            bank.forward_requests(&mgrs, &mut subs);
+            for &p in &bare {
+                let mut want = before[p].clone();
+                want.forward_request_from(&mgrs[p]);
+                assert_bare("forward_requests", p, &want, &subs[p]);
+            }
+
+            for (w, sub) in wires.iter_mut().zip(&mut subs) {
+                w.drive_subordinate(sub);
+            }
+            let before = mgrs.clone();
+            bank.forward_responses(&subs, &mut mgrs);
+            for &p in &bare {
+                let mut want = before[p].clone();
+                want.forward_response_from(&subs[p]);
+                assert_bare("forward_responses", p, &want, &mgrs[p]);
+            }
+
+            // The manager side's B/R `ready` settles late, as below a mux.
+            for mgr in &mut mgrs {
+                if late.chance(0.2) {
+                    mgr.b.set_ready(late.chance(0.5));
+                }
+                if late.chance(0.2) {
+                    mgr.r.set_ready(late.chance(0.5));
+                }
+            }
+            let before = subs.clone();
+            bank.backprop_response_ready(&mgrs, &mut subs);
+            for &p in &bare {
+                let mut want = before[p].clone();
+                want.b.forward_ready_from(&mgrs[p].b);
+                want.r.forward_ready_from(&mgrs[p].r);
+                assert_bare("backprop_response_ready", p, &want, &subs[p]);
+            }
+
+            bank.observe(&mgrs);
+            for (w, mgr) in wires.iter_mut().zip(&mgrs) {
+                w.settle(mgr);
+            }
+            bank.commit(cycle, |port| {
+                assert!(ports[port].0, "reset_sub fired for bare port {port}");
+            });
+            for tmu in (0..n).filter_map(|p| bank.tmu(p)) {
+                check_tmu(tmu);
             }
         }
     }

@@ -3,7 +3,8 @@
 use axi_tmu::faults::{FaultClass, FaultPlan, Trigger};
 use axi_tmu::soc::manager::TrafficPattern;
 use axi_tmu::soc::system::{System, SystemConfig, ETH_BASE};
-use axi_tmu::tmu::{BudgetConfig, TmuConfig, TmuState, TmuVariant};
+use axi_tmu::tmu::telemetry::RecoveryStage;
+use axi_tmu::tmu::{BudgetConfig, TelemetryConfig, TmuConfig, TmuState, TmuVariant, TraceEvent};
 use tmu_bench::experiments::{fig11_single, FaultPosition};
 
 fn system_cfg(variant: TmuVariant) -> SystemConfig {
@@ -56,6 +57,74 @@ fn repeated_faults_each_recover() {
     assert!(
         system.eth().frames_txed() > frames,
         "traffic alive after 3 recoveries"
+    );
+}
+
+/// The Ethernet TMU tells its recovery story as typed telemetry: one
+/// fault, then each recovery stage in order, with the sever carrying
+/// the abort counts the DMA manager then sees as `SLVERR`s.
+#[test]
+fn ethernet_fault_recovery_story_is_typed_telemetry() {
+    let mut system = System::new(system_cfg(TmuVariant::FullCounter));
+    system.enable_telemetry(TelemetryConfig::default());
+    system.run(1000);
+    system.inject(FaultPlan::new(
+        FaultClass::WReadyDrop,
+        Trigger::AtCycle(1200),
+    ));
+    assert!(system.run_until(20_000, |s| s.tmu().faults_detected() > 0));
+    assert!(system.run_until(20_000, |s| {
+        s.eth_resets() > 0 && s.tmu().state() == TmuState::Monitoring
+    }));
+
+    let story: Vec<(u64, TraceEvent)> = system
+        .tmu()
+        .telemetry()
+        .events()
+        .iter()
+        .filter(|r| {
+            matches!(
+                r.event,
+                TraceEvent::Fault { .. } | TraceEvent::Recovery { .. }
+            )
+        })
+        .map(|r| (r.cycle, r.event))
+        .collect();
+    let kinds: Vec<&str> = story
+        .iter()
+        .map(|(_, e)| match e {
+            TraceEvent::Recovery { stage } => stage.as_str(),
+            other => other.kind(),
+        })
+        .collect();
+    assert_eq!(
+        kinds,
+        [
+            "fault",
+            "severed",
+            "aborts-delivered",
+            "reset-requested",
+            "resumed"
+        ]
+    );
+    assert!(
+        story.windows(2).all(|w| w[0].0 <= w[1].0),
+        "cycles never decrease: {story:?}"
+    );
+
+    let (severed_at, severed) = story[1];
+    let fault = system.tmu().last_fault().expect("fault logged");
+    assert_eq!(severed_at, fault.cycle);
+    let TraceEvent::Recovery {
+        stage: RecoveryStage::Severed { writes, reads, .. },
+    } = severed
+    else {
+        panic!("second record is the sever: {severed:?}");
+    };
+    let dma = system.dma_stats();
+    assert_eq!(
+        u64::from(writes + reads),
+        dma.writes_errored + dma.reads_errored
     );
 }
 
