@@ -124,6 +124,16 @@ impl Terminator {
         self.w_drain_beats
     }
 
+    /// True while there is nothing to terminate: monitoring, with no
+    /// residual W beats left to absorb. [`Terminator::observe`] and
+    /// [`Terminator::commit`] then change nothing, so an owner may skip
+    /// them.
+    #[must_use]
+    #[inline]
+    pub fn is_idle(&self) -> bool {
+        self.state == TmuState::Monitoring && self.w_drain_beats == 0
+    }
+
     /// Severs the link: takes over the abort obligations of both
     /// directions' open transactions and enters [`TmuState::Aborting`].
     /// Drain beats add to any still left from an earlier recovery.
@@ -306,6 +316,7 @@ mod tests {
     #[test]
     fn delivers_write_and_read_aborts_then_waits_for_reset() {
         let mut term = Terminator::new();
+        assert!(term.is_idle());
         let read = AbortSet {
             responses: vec![AbortTxn {
                 id: AxiId(5),
@@ -357,6 +368,7 @@ mod tests {
         assert!(mgr.aw.fires() && mgr.w.fires());
         assert_eq!(event, Some(TerminatorEvent::Resumed));
         assert_eq!(term.drain_beats(), 1);
+        assert!(!term.is_idle(), "an owed beat is still to be absorbed");
         // Monitoring again: the last owed beat is still absorbed.
         let (mut mgr, mut sub) = (AxiPort::new(), AxiPort::new());
         mgr.w.drive(WBeat::new(2, true));
@@ -366,5 +378,6 @@ mod tests {
         term.observe(&mgr);
         assert_eq!(term.commit(), None);
         assert_eq!(term.drain_beats(), 0);
+        assert!(term.is_idle());
     }
 }

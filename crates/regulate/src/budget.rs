@@ -3,6 +3,13 @@
 //! handshakes and refill to the configured budget at every window
 //! boundary, plus the consecutive-overrun streak that feeds the
 //! isolation decision.
+//!
+//! Windows are aligned to absolute cycles: window `k` spans cycles
+//! `k * window_cycles .. (k + 1) * window_cycles`. The unit keeps the
+//! cycle whose commit closes the current window as a deadline
+//! ([`BudgetUnit::next_rollover`]), so the unit's state changes only on
+//! a grant, on the window's first denial and at that deadline — the
+//! events an owner's commit has to react to.
 
 use tmu_telemetry::Dir;
 
@@ -64,6 +71,14 @@ pub struct WindowRollover {
 /// fields are registered state, assigned only by [`BudgetUnit::commit`]
 /// and [`BudgetUnit::reset`]; [`BudgetUnit::may_grant`] is the
 /// combinational read used during the drive passes.
+///
+/// The window rollover is a deadline, not a per-cycle test: a commit
+/// only needs to run on a cycle with a grant, a denial to latch, or at
+/// [`BudgetUnit::next_rollover`]; skipping every other commit changes
+/// nothing. Commits that resume after a gap past the deadline (a unit
+/// attached to a running fabric) find the next aligned boundary again,
+/// so only a commit on a window's last cycle rolls it, as for a unit
+/// committed on every cycle.
 #[derive(Debug, Clone)]
 pub struct BudgetUnit {
     write: DirCredits,
@@ -73,8 +88,11 @@ pub struct BudgetUnit {
     q_window_denied: bool,
     /// Committed state: consecutive windows that ended overrun.
     q_streak: u32,
-    /// Committed state: windows completed since construction/reset.
+    /// Committed state: windows completed since construction.
     q_windows: u64,
+    /// Committed state: the cycle whose commit closes the current
+    /// window.
+    q_roll_at: u64,
 }
 
 impl BudgetUnit {
@@ -88,6 +106,7 @@ impl BudgetUnit {
             q_window_denied: false,
             q_streak: 0,
             q_windows: 0,
+            q_roll_at: cfg.window_cycles() - 1,
         }
     }
 
@@ -128,10 +147,24 @@ impl BudgetUnit {
         self.q_streak
     }
 
-    /// Windows completed since construction or the last reset.
+    /// Windows completed since construction.
     #[must_use]
     pub fn windows_completed(&self) -> u64 {
         self.q_windows
+    }
+
+    /// Whether a credit denial is already latched for the current
+    /// window.
+    pub(crate) fn window_denied(&self) -> bool {
+        self.q_window_denied
+    }
+
+    /// The cycle whose commit closes the current window: the next
+    /// refill, and the next [`WindowRollover`].
+    #[must_use]
+    #[inline]
+    pub fn next_rollover(&self) -> u64 {
+        self.q_roll_at
     }
 
     /// Clock commit for `cycle`: deducts the cycle's granted spend,
@@ -143,9 +176,16 @@ impl BudgetUnit {
         self.read.q_bytes = self.read.q_bytes.saturating_sub(spend.read_bytes);
         self.read.q_txns = self.read.q_txns.saturating_sub(spend.read_txns);
         self.q_window_denied = self.q_window_denied || spend.denied;
-        if !(cycle + 1).is_multiple_of(self.window_cycles) {
+        if cycle < self.q_roll_at {
             return None;
         }
+        if cycle > self.q_roll_at {
+            self.q_roll_at = cycle - cycle % self.window_cycles + (self.window_cycles - 1);
+            if cycle < self.q_roll_at {
+                return None;
+            }
+        }
+        self.q_roll_at = self.q_roll_at.saturating_add(self.window_cycles);
         let overrun = self.q_window_denied;
         self.q_streak = if overrun {
             self.q_streak.saturating_add(1)
@@ -165,7 +205,9 @@ impl BudgetUnit {
     }
 
     /// Refills both buckets and clears the overrun history (used when a
-    /// severed manager is re-admitted).
+    /// severed manager is re-admitted). The window alignment stays
+    /// absolute: the current window still closes at
+    /// [`BudgetUnit::next_rollover`].
     pub fn reset(&mut self) {
         self.write = DirCredits::full(self.write.budget);
         self.read = DirCredits::full(self.read.budget);
@@ -261,6 +303,60 @@ mod tests {
         assert!(!roll.overrun);
         assert_eq!(roll.streak, 0);
         assert_eq!(b.windows_completed(), 2);
+    }
+
+    #[test]
+    fn one_cycle_windows_roll_at_every_commit() {
+        let mut b = unit(8, 1, 1);
+        assert_eq!(b.next_rollover(), 0);
+        for cycle in 0..5 {
+            let roll = b
+                .commit(
+                    &CycleSpend {
+                        write_bytes: 8,
+                        write_txns: 1,
+                        ..CycleSpend::default()
+                    },
+                    cycle,
+                )
+                .expect("every cycle closes a one-cycle window");
+            assert_eq!(roll.window, cycle);
+            assert_eq!(b.next_rollover(), cycle + 1);
+            assert!(b.may_grant(Dir::Write), "each commit refills the bucket");
+        }
+        assert_eq!(b.windows_completed(), 5);
+    }
+
+    #[test]
+    fn reset_mid_window_keeps_the_absolute_alignment() {
+        let mut b = unit(10, 10, 4);
+        for cycle in 0..6 {
+            b.commit(&CycleSpend::default(), cycle);
+        }
+        assert_eq!(b.next_rollover(), 7);
+        b.reset();
+        assert_eq!(b.next_rollover(), 7, "reset does not realign the window");
+        assert!(b.commit(&CycleSpend::default(), 6).is_none());
+        let roll = b
+            .commit(&CycleSpend::default(), 7)
+            .expect("cycle 7 still closes the second window");
+        assert_eq!(roll.window, 1);
+        assert_eq!(b.next_rollover(), 11);
+    }
+
+    #[test]
+    fn commits_after_a_gap_roll_only_on_aligned_window_ends() {
+        let mut b = unit(10, 10, 4);
+        assert!(b.commit(&CycleSpend::default(), 4).is_none());
+        assert_eq!(b.next_rollover(), 7, "realigned to the window of cycle 4");
+        assert!(b.commit(&CycleSpend::default(), 5).is_none());
+        let roll = b
+            .commit(&CycleSpend::default(), 15)
+            .expect("cycle 15 ends an aligned window");
+        assert_eq!(roll.window, 0, "the skipped windows are not counted");
+        assert_eq!(b.next_rollover(), 19);
+        assert!(b.commit(&CycleSpend::default(), 22).is_none());
+        assert_eq!(b.next_rollover(), 23);
     }
 
     #[test]

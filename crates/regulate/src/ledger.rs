@@ -59,7 +59,10 @@ pub(crate) struct Ledger {
     live: Vec<(u16, u32)>,
     max_uniq_ids: usize,
     txn_per_id: u32,
-    /// This cycle's admission stall, decided by the drive pass.
+    /// This cycle's admission stall, decided by the drive pass
+    /// ([`Ledger::decide_stall`]) on every cycle whose address is not
+    /// credit-denied, and read only on those cycles: a skipped commit
+    /// may leave it stale.
     stalled: bool,
     obs: Obs,
 }
@@ -112,18 +115,23 @@ impl Ledger {
     }
 
     /// Observe pass: records the settled handshakes for the commit.
+    /// Returns whether that commit has work: an offered address it can
+    /// allocate (not pending, not stalled), a fired handshake or a
+    /// response beat. On any other cycle [`Ledger::commit`] changes
+    /// nothing and may be skipped.
     #[inline]
     pub(crate) fn observe(
         &mut self,
         offered: Option<Open>,
         fired: bool,
         response: Option<(u16, bool)>,
-    ) {
+    ) -> bool {
         self.obs = Obs {
             offered,
             fired,
             response,
         };
+        (offered.is_some() && !self.pending && !self.stalled) || fired || response.is_some()
     }
 
     /// Clock commit: allocates, accepts and retires per the module
@@ -146,7 +154,6 @@ impl Ledger {
         if let Some((id, last)) = obs.response {
             self.respond(id, last);
         }
-        self.stalled = false;
     }
 
     /// Charges one response beat to the oldest open entry of `id`.
@@ -194,6 +201,13 @@ impl Ledger {
             drain_w_beats,
             accept_pending_addr: self.pending,
         }
+    }
+
+    /// The committed state: open entries, the pending mark and the live
+    /// ID counts.
+    #[cfg(test)]
+    pub(crate) fn committed(&self) -> (&[Open], bool, &[(u16, u32)]) {
+        (&self.open, self.pending, &self.live)
     }
 
     /// Forgets every open transaction (the sever hands them to the
@@ -258,6 +272,24 @@ mod tests {
         l.observe(None, false, Some((7, true)));
         l.commit();
         assert_eq!(l.len(), 1);
+    }
+
+    #[test]
+    fn an_address_waiting_while_pending_is_quiet() {
+        let mut l = ledger(4, 4);
+        let offer = Some(Open { id: 2, beats: 1 });
+        assert!(!l.decide_stall(Some(2)));
+        assert!(l.observe(offer, false, None), "the first offer allocates");
+        l.commit();
+        assert!(!l.decide_stall(Some(2)));
+        assert!(!l.observe(offer, false, None), "already pending: no work");
+        assert!(l.observe(offer, true, None), "the handshake fires");
+        l.commit();
+        assert!(!l.observe(None, false, None));
+        assert!(
+            l.observe(None, false, Some((2, true))),
+            "a response retires"
+        );
     }
 
     #[test]

@@ -76,6 +76,8 @@
 pub mod budget;
 pub mod config;
 mod ledger;
+#[cfg(test)]
+mod lockstep;
 pub mod regulator;
 
 pub use budget::{BudgetUnit, CycleSpend, WindowRollover};

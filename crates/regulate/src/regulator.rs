@@ -19,6 +19,25 @@
 //! 3. [`Regulator::backprop_response_ready`] (optional, mux harnesses);
 //! 4. [`Regulator::observe`] on the settled manager-side wires;
 //! 5. [`Regulator::commit`] at the clock edge.
+//!
+//! Every pass runs on every cycle. The window rollovers are deadlines on
+//! absolute cycles; a regulator attached to a running fabric joins the
+//! window grid already under way.
+//!
+//! # Quiet cycles
+//!
+//! The commit works only on an event. It has work when an AW or AR
+//! fires (a grant), an offered address can be allocated in a ledger
+//! (offered, not pending, not stalled), a response beat reaches the
+//! manager, a W beat of a granted burst moves downstream, a denied
+//! address opens a new wait episode, the terminator is not idle
+//! (severed, or still absorbing W beats of aborted bursts), the window
+//! rollover is due ([`BudgetUnit::next_rollover`]), or a telemetry
+//! sample is due. The observe pass folds the wire facts into one flag,
+//! so a quiet commit costs a few comparisons. The common busy shape —
+//! an address that waits on the interconnect while already pending in
+//! the ledger — is quiet. Committing in full on a quiet cycle would
+//! change nothing.
 
 use axi4::channel::AxiPort;
 use tmu::{ErrorRecord, FaultKind, Terminator, TmuState};
@@ -59,13 +78,21 @@ pub struct Regulator {
     // ---- per-cycle wire state, recomputed by every drive pass ----
     deny_aw: bool,
     deny_ar: bool,
+    /// ID of the denied AW; written only on a denial.
     denied_aw_id: u16,
+    /// ID of the denied AR; written only on a denial.
     denied_ar_id: u16,
     saw_aw_grant: Option<Grant>,
     saw_ar_grant: Option<Grant>,
     saw_w_downstream: bool,
     absorbed_b: bool,
     absorbed_r_last: bool,
+    /// The observe pass found an event for this cycle's commit (see
+    /// the [module docs](self#quiet-cycles)).
+    work: bool,
+    /// Test-only reference: commit in full on every cycle.
+    #[cfg(test)]
+    ungated: bool,
     /// Committed state: W beats of bursts whose AW already fired towards
     /// the subordinate but whose data has not yet followed. While
     /// severed, exactly this many beats are still forwarded downstream
@@ -121,6 +148,9 @@ impl Regulator {
             saw_w_downstream: false,
             absorbed_b: false,
             absorbed_r_last: false,
+            work: false,
+            #[cfg(test)]
+            ungated: false,
             q_w_owed: 0,
             q_stale_b: 0,
             q_stale_r: 0,
@@ -166,19 +196,20 @@ impl Regulator {
         }
         self.deny_aw = mgr.aw.valid() && !self.budget.may_grant(Dir::Write);
         self.deny_ar = mgr.ar.valid() && !self.budget.may_grant(Dir::Read);
-        self.denied_aw_id = mgr.aw.beat().map_or(0, |b| b.id.0);
-        self.denied_ar_id = mgr.ar.beat().map_or(0, |b| b.id.0);
         // A denied address goes downstream with valid low and no
-        // payload; it is invisible to the ledger.
-        let aw_id = mgr.aw.beat().filter(|_| !self.deny_aw).map(|b| b.id.0);
+        // payload; it is invisible to the ledger. Its ID is kept for the
+        // denial episode it may open.
+        let aw_id = mgr.aw.beat().map(|b| b.id.0);
         if self.deny_aw {
+            self.denied_aw_id = aw_id.unwrap_or(0);
             out.aw.suppress_valid();
         } else if !self.writes.decide_stall(aw_id) {
             out.aw.forward_driver_from(&mgr.aw);
         }
         self.term.forward_w(mgr, out);
-        let ar_id = mgr.ar.beat().filter(|_| !self.deny_ar).map(|b| b.id.0);
+        let ar_id = mgr.ar.beat().map(|b| b.id.0);
         if self.deny_ar {
+            self.denied_ar_id = ar_id.unwrap_or(0);
             out.ar.suppress_valid();
         } else if !self.reads.decide_stall(ar_id) {
             out.ar.forward_driver_from(&mgr.ar);
@@ -243,7 +274,7 @@ impl Regulator {
 
     /// Pass 3: tap the settled manager-side wires — records granted
     /// handshakes, owed-beat movement and the ledger's handshakes for
-    /// the commit pass.
+    /// the commit pass, and whether that commit has any work.
     #[inline]
     pub fn observe(&mut self, mgr: &AxiPort) {
         if !self.cfg.enabled() {
@@ -255,9 +286,13 @@ impl Regulator {
     fn observe_enabled(&mut self, mgr: &AxiPort) {
         self.saw_aw_grant = None;
         self.saw_ar_grant = None;
-        self.term.observe(mgr);
+        let term_busy = !self.term.is_idle() || self.ungated();
+        if term_busy {
+            self.term.observe(mgr);
+        }
         if self.term.is_severed() {
             self.saw_w_downstream = self.q_w_owed > 0 && mgr.w.fires();
+            self.work = true;
             return;
         }
         self.saw_w_downstream = self.term.drain_beats() == 0 && mgr.w.fires();
@@ -270,7 +305,8 @@ impl Regulator {
                 beats: u64::from(aw.len.beats()),
             });
         }
-        self.writes.observe(
+        // A fired handshake is a grant, so the ledgers' work covers it.
+        let write_work = self.writes.observe(
             aw.map(|b| Open {
                 id: b.id.0,
                 beats: b.len.beats(),
@@ -287,7 +323,7 @@ impl Regulator {
                 beats: u64::from(ar.len.beats()),
             });
         }
-        self.reads.observe(
+        let read_work = self.reads.observe(
             ar.map(|b| Open {
                 id: b.id.0,
                 beats: b.len.beats(),
@@ -295,16 +331,59 @@ impl Regulator {
             ar_fired,
             mgr.r.fired_beat().map(|r| (r.id.0, r.last)),
         );
+        // A denial changes state only when it opens a wait episode. A
+        // denial inside an episode is never the window's first: the
+        // commit that opened the episode latched one, and once the
+        // window rolls the bucket refills, so the next denial in that
+        // direction needs a grant, which closes the episode.
+        let denial_work = (self.deny_aw && self.q_aw_wait_since.is_none())
+            || (self.deny_ar && self.q_ar_wait_since.is_none());
+        debug_assert!(
+            denial_work || !(self.deny_aw || self.deny_ar) || self.budget.window_denied(),
+            "a denial inside a wait episode finds the window's denial latched"
+        );
+        // A W beat with nothing owed changes the owed count only when
+        // its burst's AW fires in the same cycle, a grant the write
+        // ledger's work already covers.
+        self.work = term_busy
+            || (self.saw_w_downstream && self.q_w_owed > 0)
+            || write_work
+            || read_work
+            || denial_work;
+    }
+
+    /// Whether every commit runs in full: the test-only reference the
+    /// quiet gate is checked against.
+    #[cfg(test)]
+    fn ungated(&self) -> bool {
+        self.ungated
+    }
+
+    #[cfg(not(test))]
+    #[inline]
+    fn ungated(&self) -> bool {
+        false
     }
 
     /// Pass 4: clock commit for `cycle` — charges the budget with the
     /// cycle's grants, latches denial episodes, rolls the window,
     /// escalates to isolation when the overrun streak crosses the
     /// configured threshold, and commits the ledgers and the terminator.
+    /// Returns at once on a [quiet cycle](self#quiet-cycles).
     #[inline]
     pub fn commit(&mut self, cycle: u64) {
+        debug_assert!(
+            !self.cfg.enabled() || self.q_cycles != cycle || cycle <= self.budget.next_rollover(),
+            "the gate skipped the commit of rollover cycle {}",
+            self.budget.next_rollover()
+        );
         self.q_cycles = cycle + 1;
-        if self.cfg.enabled() {
+        if self.cfg.enabled()
+            && (self.work
+                || cycle >= self.budget.next_rollover()
+                || self.telemetry.should_sample(cycle)
+                || self.ungated())
+        {
             self.commit_enabled(cycle);
         }
     }
@@ -331,9 +410,11 @@ impl Regulator {
                 .q_aw_wait_since
                 .take()
                 .map_or(0, |since| cycle.saturating_sub(since));
-            self.telemetry
-                .metrics_mut()
-                .observe("regulate.grant_wait.write", waited);
+            if self.telemetry.enabled() {
+                self.telemetry
+                    .metrics_mut()
+                    .observe("regulate.grant_wait.write", waited);
+            }
         }
         if let Some(grant) = self.saw_ar_grant.take() {
             spend.read_bytes = grant.bytes;
@@ -352,9 +433,11 @@ impl Regulator {
                 .q_ar_wait_since
                 .take()
                 .map_or(0, |since| cycle.saturating_sub(since));
-            self.telemetry
-                .metrics_mut()
-                .observe("regulate.grant_wait.read", waited);
+            if self.telemetry.enabled() {
+                self.telemetry
+                    .metrics_mut()
+                    .observe("regulate.grant_wait.read", waited);
+            }
         }
         if std::mem::take(&mut self.saw_w_downstream) {
             self.q_w_owed = self.q_w_owed.saturating_sub(1);
@@ -424,7 +507,9 @@ impl Regulator {
         // the faulty party, so no subordinate reset is requested, and
         // the port stays severed until software re-admits it.
         let monitoring = !self.term.is_severed();
-        self.term.commit();
+        if !self.term.is_idle() || self.ungated() {
+            self.term.commit();
+        }
         if monitoring {
             self.writes.commit();
             self.reads.commit();
@@ -481,9 +566,8 @@ impl Regulator {
         true
     }
 
-    /// Publishes the credit-level gauges; with telemetry enabled they
-    /// travel as [`TraceEvent::Gauge`] events, otherwise they are set
-    /// directly so snapshots stay live.
+    /// Publishes the credit-level gauges as [`TraceEvent::Gauge`] events.
+    /// Runs only on the sampled path, so the hub is enabled.
     fn publish_gauges(&mut self, cycle: u64) {
         let gauges: [(&'static str, u64); 6] = [
             (
@@ -505,16 +589,9 @@ impl Regulator {
             ("regulate.overrun_streak", u64::from(self.budget.streak())),
             ("regulate.isolated", u64::from(self.q_isolated)),
         ];
-        if self.telemetry.enabled() {
-            for (name, value) in gauges {
-                self.telemetry
-                    .record(cycle, "regulate", TraceEvent::Gauge { name, value });
-            }
-        } else {
-            let metrics = self.telemetry.metrics_mut();
-            for (name, value) in gauges {
-                metrics.gauge_set(name, value);
-            }
+        for (name, value) in gauges {
+            self.telemetry
+                .record(cycle, "regulate", TraceEvent::Gauge { name, value });
         }
     }
 
@@ -593,6 +670,45 @@ impl Regulator {
     #[must_use]
     pub fn telemetry_mut(&mut self) -> &mut TelemetryHub {
         &mut self.telemetry
+    }
+}
+
+#[cfg(test)]
+impl Regulator {
+    /// A regulator whose every commit runs in full: the reference the
+    /// quiet gate is checked against.
+    pub(crate) fn new_ungated(cfg: RegulatorConfig) -> Self {
+        Regulator {
+            ungated: true,
+            ..Regulator::new(cfg)
+        }
+    }
+
+    /// Every piece of committed state, formatted for a lockstep
+    /// comparison. Per-cycle wire state is left out: the drive passes
+    /// rewrite it before anything reads it.
+    pub(crate) fn committed_state(&self) -> String {
+        format!(
+            "budget={:?} writes={:?} reads={:?} term={:?} \
+             w_owed={} stale_b={} stale_r={} wait_since={:?} isolated={} \
+             last_fault={:?} grants={} denies={} isolations={} cycles={} \
+             telemetry={:?}",
+            self.budget,
+            self.writes.committed(),
+            self.reads.committed(),
+            self.term,
+            self.q_w_owed,
+            self.q_stale_b,
+            self.q_stale_r,
+            (self.q_aw_wait_since, self.q_ar_wait_since),
+            self.q_isolated,
+            self.q_last_fault,
+            self.q_grants,
+            self.q_denies,
+            self.q_isolations,
+            self.q_cycles,
+            self.telemetry,
+        )
     }
 }
 
@@ -685,42 +801,53 @@ mod tests {
 
     #[test]
     fn denies_when_credits_exhausted_and_replenishes() {
-        let mut reg = Regulator::new(tight_cfg(RegulationMode::BackPressure));
-        let mut mgr = AxiPort::new();
-        let mut out = AxiPort::new();
-        let mut b_queue = Vec::new();
-        // Cycle 0: first AW is granted (full bucket).
-        step(&mut reg, &mut mgr, &mut out, &mut b_queue, 0, |m| {
-            m.aw.drive(aw());
-        });
-        assert_eq!(reg.grants(), 1);
-        // Cycle 1: bucket empty — next AW held by deny while the granted
-        // burst's W beat still flows through.
-        step(&mut reg, &mut mgr, &mut out, &mut b_queue, 1, |m| {
-            m.aw.drive(aw());
-            m.w.drive(WBeat::new(0xAB, true));
-        });
-        // Cycle 2: still denied.
-        step(&mut reg, &mut mgr, &mut out, &mut b_queue, 2, |m| {
-            m.aw.drive(aw());
-        });
-        assert_eq!(reg.grants(), 1, "denied AW must not be granted");
-        assert_eq!(reg.denies(), 1, "one denial episode, not one per cycle");
-        // Cycle 3 closes the window; cycle 4 grants from the fresh bucket.
-        step(&mut reg, &mut mgr, &mut out, &mut b_queue, 3, |m| {
-            m.aw.drive(aw());
-        });
-        step(&mut reg, &mut mgr, &mut out, &mut b_queue, 4, |m| {
-            m.aw.drive(aw());
-        });
-        assert_eq!(reg.grants(), 2);
-        assert!(!reg.is_isolated(), "back-pressure mode never isolates");
-        let wait = reg
-            .telemetry()
-            .metrics()
-            .histogram("regulate.grant_wait.write")
-            .expect("grant-wait histogram exists after a grant");
-        assert!(wait.percentile(100.0).expect("histogram is nonempty") >= 3);
+        for telemetry in [true, false] {
+            let mut reg = Regulator::new(tight_cfg(RegulationMode::BackPressure));
+            if telemetry {
+                reg.enable_telemetry(TelemetryConfig::default());
+            }
+            let mut mgr = AxiPort::new();
+            let mut out = AxiPort::new();
+            let mut b_queue = Vec::new();
+            // Cycle 0: first AW is granted (full bucket).
+            step(&mut reg, &mut mgr, &mut out, &mut b_queue, 0, |m| {
+                m.aw.drive(aw());
+            });
+            assert_eq!(reg.grants(), 1);
+            // Cycle 1: bucket empty — next AW held by deny while the
+            // granted burst's W beat still flows through.
+            step(&mut reg, &mut mgr, &mut out, &mut b_queue, 1, |m| {
+                m.aw.drive(aw());
+                m.w.drive(WBeat::new(0xAB, true));
+            });
+            // Cycle 2: still denied.
+            step(&mut reg, &mut mgr, &mut out, &mut b_queue, 2, |m| {
+                m.aw.drive(aw());
+            });
+            assert_eq!(reg.grants(), 1, "denied AW must not be granted");
+            assert_eq!(reg.denies(), 1, "one denial episode, not one per cycle");
+            // Cycle 3 closes the window; cycle 4 grants from the fresh
+            // bucket.
+            step(&mut reg, &mut mgr, &mut out, &mut b_queue, 3, |m| {
+                m.aw.drive(aw());
+            });
+            step(&mut reg, &mut mgr, &mut out, &mut b_queue, 4, |m| {
+                m.aw.drive(aw());
+            });
+            assert_eq!(reg.grants(), 2);
+            assert!(!reg.is_isolated(), "back-pressure mode never isolates");
+            let wait = reg
+                .telemetry()
+                .metrics()
+                .histogram("regulate.grant_wait.write");
+            if telemetry {
+                let wait = wait.expect("grant-wait histogram exists after a grant");
+                assert_eq!(wait.count(), 2, "one sample per grant");
+                assert!(wait.percentile(100.0).expect("histogram is nonempty") >= 3);
+            } else {
+                assert!(wait.is_none(), "a disabled hub keeps no histogram");
+            }
+        }
     }
 
     #[test]
@@ -770,6 +897,76 @@ mod tests {
             m.aw.drive(aw());
         });
         assert_eq!(reg.grants(), 3, "released manager is granted again");
+    }
+
+    #[test]
+    fn rollover_deadline_is_the_next_credit_replenish_across_a_release() {
+        let mut reg = Regulator::new(tight_cfg(RegulationMode::Isolate { overrun_windows: 1 }));
+        reg.enable_telemetry(TelemetryConfig::default());
+        let (mut mgr, mut out) = (AxiPort::new(), AxiPort::new());
+        let mut b_queue = Vec::new();
+        let mut deadlines = Vec::new();
+        let mut released_at = None;
+        for cycle in 0..40 {
+            if reg.is_isolated() && reg.release() {
+                released_at.get_or_insert(cycle);
+            }
+            deadlines.push(reg.budget().next_rollover());
+            // Greedy: a single-beat AW every cycle, its W beat right away.
+            step(&mut reg, &mut mgr, &mut out, &mut b_queue, cycle, |m| {
+                m.aw.drive(aw());
+                m.w.drive(WBeat::new(cycle, true));
+            });
+        }
+        assert!(
+            released_at.is_some(),
+            "the greedy manager was isolated and released"
+        );
+        let replenished: Vec<u64> = reg
+            .telemetry()
+            .events()
+            .iter()
+            .filter(|r| matches!(r.event, TraceEvent::CreditReplenish { .. }))
+            .map(|r| r.cycle)
+            .collect();
+        assert_eq!(replenished, [3, 7, 11, 15, 19, 23, 27, 31, 35, 39]);
+        for (cycle, deadline) in (0u64..).zip(deadlines) {
+            let next = replenished
+                .iter()
+                .find(|&&c| c >= cycle)
+                .expect("a replenish follows every cycle of the run");
+            assert_eq!(
+                deadline, *next,
+                "deadline before the commit of cycle {cycle}"
+            );
+        }
+    }
+
+    #[test]
+    fn same_cycle_aw_and_w_leave_nothing_owed_at_isolation() {
+        let mut reg = Regulator::new(tight_cfg(RegulationMode::Isolate { overrun_windows: 1 }));
+        let (mut mgr, mut out) = (AxiPort::new(), AxiPort::new());
+        let mut b_queue = Vec::new();
+        // Cycle 0: a single-beat AW and its W beat fire together.
+        step(&mut reg, &mut mgr, &mut out, &mut b_queue, 0, |m| {
+            m.aw.drive(aw());
+            m.w.drive(WBeat::new(1, true));
+        });
+        assert!(mgr.aw.fires() && mgr.w.fires());
+        // The next AW is denied for the rest of the window, which then
+        // closes overrun and isolates the manager.
+        for cycle in 1..4 {
+            step(&mut reg, &mut mgr, &mut out, &mut b_queue, cycle, |m| {
+                m.aw.drive(aw());
+            });
+        }
+        assert!(reg.is_isolated());
+        for cycle in 4..8 {
+            step(&mut reg, &mut mgr, &mut out, &mut b_queue, cycle, |_| {});
+            assert!(!out.w.valid(), "no W beat is owed downstream");
+        }
+        assert_eq!(reg.state(), TmuState::WaitReset);
+        assert!(reg.release(), "the burst's W beat was counted as sent");
     }
 
     #[test]
