@@ -11,6 +11,54 @@ use serde::{Deserialize, Serialize};
 
 use crate::types::{Addr, AxiId, BurstKind, BurstLen, BurstSize, Resp};
 
+/// The fields both address channels carry, read alike by code that
+/// treats writes and reads the same way (burst checks, guards,
+/// regulators). [`AwBeat`] and [`ArBeat`] stay distinct types, so a read
+/// address can never be driven onto a write channel.
+pub trait AddrBeat: Copy + fmt::Debug + fmt::Display {
+    /// Transaction identifier (`AxID`).
+    fn id(&self) -> AxiId;
+    /// Start address of the burst (`AxADDR`).
+    fn addr(&self) -> Addr;
+    /// Burst length (`AxLEN`).
+    fn burst_len(&self) -> BurstLen;
+    /// Bytes per beat (`AxSIZE`).
+    fn size(&self) -> BurstSize;
+    /// Burst type (`AxBURST`).
+    fn burst(&self) -> BurstKind;
+
+    /// Total bytes moved by the burst this beat announces.
+    fn total_bytes(&self) -> u64 {
+        u64::from(self.burst_len().beats()) * u64::from(self.size().bytes())
+    }
+}
+
+/// Implements [`AddrBeat`] for an address beat struct by field access.
+macro_rules! addr_beat {
+    ($beat:ty) => {
+        impl AddrBeat for $beat {
+            fn id(&self) -> AxiId {
+                self.id
+            }
+            fn addr(&self) -> Addr {
+                self.addr
+            }
+            fn burst_len(&self) -> BurstLen {
+                self.len
+            }
+            fn size(&self) -> BurstSize {
+                self.size
+            }
+            fn burst(&self) -> BurstKind {
+                self.burst
+            }
+        }
+    };
+}
+
+addr_beat!(AwBeat);
+addr_beat!(ArBeat);
+
 /// One beat of the write-address (AW) channel.
 ///
 /// ```
@@ -44,12 +92,6 @@ impl AwBeat {
             size,
             burst,
         }
-    }
-
-    /// Total bytes moved by the burst this beat announces.
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        u64::from(self.len.beats()) * u64::from(self.size.bytes())
     }
 }
 
@@ -166,12 +208,6 @@ impl ArBeat {
             size,
             burst,
         }
-    }
-
-    /// Total bytes moved by the burst this beat announces.
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        u64::from(self.len.beats()) * u64::from(self.size.bytes())
     }
 }
 

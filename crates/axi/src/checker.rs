@@ -51,11 +51,11 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::beat::{ArBeat, AwBeat, BBeat, RBeat, WBeat};
+use crate::beat::{AddrBeat, ArBeat, AwBeat, BBeat, RBeat, WBeat};
 use crate::burst::crosses_4k_boundary;
 use crate::channel::{AxiPort, Channel};
 use crate::hash::FoldHashMap;
-use crate::types::{Addr, AxiId, BurstKind, BurstLen, BurstSize};
+use crate::types::{AxiId, BurstKind};
 
 /// Identifiers for every protocol rule the checker enforces.
 ///
@@ -263,15 +263,13 @@ struct BurstRules {
     wrap_unaligned: Rule,
 }
 
-/// An address beat, as the burst-legality rules read it.
-trait AddrBeat: fmt::Display {
-    /// The rules its channel reports under.
+/// An address beat and the rules its channel's burst legality reports
+/// under.
+trait BurstChecked: AddrBeat {
     const RULES: BurstRules;
-    /// ID, start address, length, beat size and burst kind.
-    fn burst(&self) -> (AxiId, Addr, BurstLen, BurstSize, BurstKind);
 }
 
-impl AddrBeat for AwBeat {
+impl BurstChecked for AwBeat {
     const RULES: BurstRules = BurstRules {
         reserved: Rule::AwBurstReserved,
         cross_4k: Rule::AwCross4k,
@@ -280,13 +278,9 @@ impl AddrBeat for AwBeat {
         wrap_len: Rule::AwWrapLen,
         wrap_unaligned: Rule::AwWrapUnaligned,
     };
-
-    fn burst(&self) -> (AxiId, Addr, BurstLen, BurstSize, BurstKind) {
-        (self.id, self.addr, self.len, self.size, self.burst)
-    }
 }
 
-impl AddrBeat for ArBeat {
+impl BurstChecked for ArBeat {
     const RULES: BurstRules = BurstRules {
         reserved: Rule::ArBurstReserved,
         cross_4k: Rule::ArCross4k,
@@ -295,10 +289,6 @@ impl AddrBeat for ArBeat {
         wrap_len: Rule::ArWrapLen,
         wrap_unaligned: Rule::ArWrapUnaligned,
     };
-
-    fn burst(&self) -> (AxiId, Addr, BurstLen, BurstSize, BurstKind) {
-        (self.id, self.addr, self.len, self.size, self.burst)
-    }
 }
 
 /// The stateless wire rules: stability, burst legality and strobes. See
@@ -389,8 +379,8 @@ impl WireRules {
     /// one 4 KiB page and the bus width, the common case, is legal under
     /// every rule.
     #[inline]
-    fn check_burst<B: AddrBeat>(&self, beat: &B, cycle: u64, out: &mut Vec<Violation>) {
-        let (_, addr, len, size, kind) = beat.burst();
+    fn check_burst<B: BurstChecked>(&self, beat: &B, cycle: u64, out: &mut Vec<Violation>) {
+        let (addr, len, size, kind) = (beat.addr(), beat.burst_len(), beat.size(), beat.burst());
         let plain = kind == BurstKind::Incr
             && size.bytes() <= self.bus_bytes
             && !crosses_4k_boundary(addr, size, len, kind);
@@ -438,9 +428,10 @@ impl WireRules {
 
     /// Reports every burst rule `beat` breaks.
     #[cold]
-    fn report_burst<B: AddrBeat>(&self, beat: &B, cycle: u64, out: &mut Vec<Violation>) {
+    fn report_burst<B: BurstChecked>(&self, beat: &B, cycle: u64, out: &mut Vec<Violation>) {
         let rules = &B::RULES;
-        let (id, addr, len, size, burst) = beat.burst();
+        let id = beat.id();
+        let (addr, len, size, burst) = (beat.addr(), beat.burst_len(), beat.size(), beat.burst());
         let mut flag = |rule: Rule, detail: String| {
             out.push(Violation {
                 rule,

@@ -59,7 +59,7 @@ pub use types::{Addr, AxiId, BurstKind, BurstLen, BurstSize, Resp};
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
-    pub use crate::beat::{ArBeat, AwBeat, BBeat, RBeat, WBeat};
+    pub use crate::beat::{AddrBeat, ArBeat, AwBeat, BBeat, RBeat, WBeat};
     pub use crate::burst::{beat_address, crosses_4k_boundary, wrap_boundary};
     pub use crate::channel::{AxiPort, Channel};
     pub use crate::checker::{ProtocolChecker, Rule, Violation};

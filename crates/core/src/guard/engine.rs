@@ -47,9 +47,10 @@
 //! [`GuardCore::assert_consistent`], so all property tests exercise the
 //! structural invariants after each committed cycle for free.
 
+use axi4::beat::AddrBeat;
 use axi4::channel::AxiPort;
 use axi4::checker::{Rule, Violation};
-use axi4::{Addr, AxiId};
+use axi4::AxiId;
 use tmu_telemetry::{Dir, FaultClass, PhaseId, TelemetryHub, TraceEvent};
 
 use super::{AbortSet, AbortTxn, GuardFault};
@@ -69,7 +70,7 @@ use crate::wheel::DeadlineWheel;
 /// [`WriteDir`](super::write::WriteDir).
 pub trait Direction: Sized + std::fmt::Debug + Clone + 'static {
     /// The address beat that opens a transaction (`AwBeat` / `ArBeat`).
-    type Req: Copy + std::fmt::Debug + PartialEq + Eq;
+    type Req: AddrBeat + PartialEq + Eq;
     /// The per-direction monitored phase enum.
     type Phase: Copy + std::fmt::Debug + PartialEq + Eq + Into<PhaseId> + Into<TxnPhase>;
     /// The per-phase budget table consulted by the Full-Counter variant.
@@ -95,14 +96,6 @@ pub trait Direction: Sized + std::fmt::Debug + Clone + 'static {
     /// AW order; read data carries its ID).
     const EI_ORDER: bool;
 
-    /// AXI ID of the request beat.
-    fn id(req: &Self::Req) -> AxiId;
-    /// Start address of the request beat.
-    fn addr(req: &Self::Req) -> Addr;
-    /// Burst length of the request, in beats.
-    fn beats(req: &Self::Req) -> u16;
-    /// Bytes per beat (for bandwidth accounting).
-    fn beat_bytes(req: &Self::Req) -> u32;
     /// Whether `phase` is the terminal phase.
     fn phase_is_done(phase: Self::Phase) -> bool;
     /// 0-based index of `phase` into the per-phase latency array.
@@ -186,7 +179,7 @@ impl<D: Direction> TxnTracker<D> {
     /// Data beats the transaction still owes.
     #[must_use]
     pub fn beats_remaining(&self) -> u16 {
-        D::beats(&self.req).saturating_sub(self.beats_done)
+        self.req.burst_len().beats().saturating_sub(self.beats_done)
     }
 }
 
@@ -333,7 +326,7 @@ impl<D: Direction> GuardCore<D> {
         self.stalled_this_cycle = match (req, self.addr_pending) {
             (None, _) => false,
             (Some(beat), Some(idx)) => self.check_protocol && self.changed_while_waiting(idx, beat),
-            (Some(beat), None) => self.ott.is_full() || self.remap.probe(D::id(beat)).is_err(),
+            (Some(beat), None) => self.ott.is_full() || self.remap.probe(beat.id()).is_err(),
         };
         self.stalled_this_cycle
     }
@@ -394,7 +387,7 @@ impl<D: Direction> GuardCore<D> {
                 D::SOURCE,
                 TraceEvent::PhaseTransition {
                     dir: D::DIR,
-                    id: D::id(&tracker.req).0,
+                    id: tracker.req.id().0,
                     slot: idx as u32,
                     from: from.into(),
                     to: to.into(),
@@ -409,7 +402,7 @@ impl<D: Direction> GuardCore<D> {
                 D::SOURCE,
                 TraceEvent::Rebudget {
                     dir: D::DIR,
-                    id: D::id(&tracker.req).0,
+                    id: tracker.req.id().0,
                     slot: idx as u32,
                     budget,
                 },
@@ -466,22 +459,22 @@ impl<D: Direction> GuardCore<D> {
         let total = cycle - t.enqueued_at + 1;
         perf.record(
             PerfRecord {
-                id: D::id(&t.req),
-                addr: D::addr(&t.req),
+                id: t.req.id(),
+                addr: t.req.addr(),
                 is_write: D::IS_WRITE,
                 beats: D::perf_beats(&t),
                 total_cycles: total,
                 phase_cycles: t.phase_cycles,
                 completed_at: cycle,
             },
-            D::beat_bytes(&t.req),
+            t.req.size().bytes(),
         );
         telemetry.record(
             cycle,
             D::SOURCE,
             TraceEvent::OttDequeue {
                 dir: D::DIR,
-                id: D::id(&t.req).0,
+                id: t.req.id().0,
                 slot: idx as u32,
                 total_cycles: total,
             },
@@ -519,7 +512,7 @@ impl<D: Direction> GuardCore<D> {
         if let Some(req) = obs.addr_offered {
             if self.addr_pending.is_none() && !self.stalled_this_cycle {
                 let load = self.queue_load();
-                let beats = D::beats(&req);
+                let beats = req.burst_len().beats();
                 let budgets = D::budgets(&self.budget_cfg, beats, load);
                 let initial_budget = match self.variant {
                     TmuVariant::TinyCounter => D::tiny_budget(&self.budget_cfg, beats, load),
@@ -527,7 +520,7 @@ impl<D: Direction> GuardCore<D> {
                 };
                 let uid = self
                     .remap
-                    .acquire(D::id(&req))
+                    .acquire(req.id())
                     .expect("stall decision guaranteed admission");
                 let counter = PrescaledCounter::new(initial_budget, self.prescaler, self.sticky);
                 let fire_in = counter.cycles_to_expiry();
@@ -553,8 +546,8 @@ impl<D: Direction> GuardCore<D> {
                     D::SOURCE,
                     TraceEvent::OttEnqueue {
                         dir: D::DIR,
-                        id: D::id(&req).0,
-                        addr: D::addr(&req).0,
+                        id: req.id().0,
+                        addr: req.addr().0,
                         beats,
                         slot: idx as u32,
                         phase: D::INITIAL_PHASE.into(),
@@ -621,7 +614,7 @@ impl<D: Direction> GuardCore<D> {
                             TraceEvent::Fault {
                                 class: FaultClass::Timeout,
                                 dir: Some(D::DIR),
-                                id: D::id(&t.req).0,
+                                id: t.req.id().0,
                                 phase: match self.variant {
                                     TmuVariant::FullCounter => Some(t.phase.into()),
                                     TmuVariant::TinyCounter => None,
@@ -634,8 +627,8 @@ impl<D: Direction> GuardCore<D> {
                                 TmuVariant::FullCounter => Some(t.phase.into()),
                                 TmuVariant::TinyCounter => None,
                             },
-                            id: D::id(&t.req),
-                            addr: D::addr(&t.req),
+                            id: t.req.id(),
+                            addr: t.req.addr(),
                             inflight_cycles: cycle - t.enqueued_at + 1,
                         });
                     }
@@ -671,7 +664,7 @@ impl<D: Direction> GuardCore<D> {
                         TraceEvent::Fault {
                             class: FaultClass::Timeout,
                             dir: Some(D::DIR),
-                            id: D::id(&t.req).0,
+                            id: t.req.id().0,
                             phase: match self.variant {
                                 TmuVariant::FullCounter => Some(t.phase.into()),
                                 TmuVariant::TinyCounter => None,
@@ -684,8 +677,8 @@ impl<D: Direction> GuardCore<D> {
                             TmuVariant::FullCounter => Some(t.phase.into()),
                             TmuVariant::TinyCounter => None,
                         },
-                        id: D::id(&t.req),
-                        addr: D::addr(&t.req),
+                        id: t.req.id(),
+                        addr: t.req.addr(),
                         inflight_cycles: cycle - t.enqueued_at + 1,
                     });
                 }
@@ -800,7 +793,7 @@ impl<D: Direction> GuardCore<D> {
                     let armed_at = self.wheel.armed_at(idx);
                     counter.advance(self.last_commit.saturating_sub(armed_at) + 1);
                 }
-                (D::id(&e.tracker.req), e.tracker.phase, counter)
+                (e.tracker.req.id(), e.tracker.phase, counter)
             })
             .collect()
     }

@@ -15,7 +15,6 @@
 use axi4::beat::{ArBeat, RBeat};
 use axi4::channel::AxiPort;
 use axi4::checker::Rule;
-use axi4::{Addr, AxiId};
 use serde::{Deserialize, Serialize};
 use tmu_telemetry::{Dir, TelemetryHub};
 
@@ -61,22 +60,6 @@ impl Direction for ReadDir {
     // R beats route by ID, so the read OTT keeps no EI order (the area
     // model counts one EI table per TMU, the write guard's).
     const EI_ORDER: bool = false;
-
-    fn id(req: &ArBeat) -> AxiId {
-        req.id
-    }
-
-    fn addr(req: &ArBeat) -> Addr {
-        req.addr
-    }
-
-    fn beats(req: &ArBeat) -> u16 {
-        req.len.beats()
-    }
-
-    fn beat_bytes(req: &ArBeat) -> u32 {
-        req.size.bytes()
-    }
 
     fn phase_is_done(phase: ReadPhase) -> bool {
         phase.is_done()

@@ -464,7 +464,7 @@ fn checked_cycle<D: Direction>(
     engine_cycle(guard, cycle, perf, setup);
     for (_, e) in guard.ott.iter() {
         if e.tracker.enqueued_at == cycle {
-            let beats = D::beats(&e.tracker.req);
+            let beats = e.tracker.req.burst_len().beats();
             assert_eq!(
                 e.tracker.budgets,
                 D::budgets(&BudgetConfig::default(), beats, before),

@@ -10,7 +10,6 @@
 use axi4::beat::{AwBeat, BBeat};
 use axi4::channel::AxiPort;
 use axi4::checker::Rule;
-use axi4::{Addr, AxiId};
 use serde::{Deserialize, Serialize};
 use tmu_telemetry::{Dir, TelemetryHub};
 
@@ -57,22 +56,6 @@ impl Direction for WriteDir {
     const ADDR_DONE_PHASE: WritePhase = WritePhase::DataEntry;
     const DONE_PHASE: WritePhase = WritePhase::Done;
     const EI_ORDER: bool = true;
-
-    fn id(req: &AwBeat) -> AxiId {
-        req.id
-    }
-
-    fn addr(req: &AwBeat) -> Addr {
-        req.addr
-    }
-
-    fn beats(req: &AwBeat) -> u16 {
-        req.len.beats()
-    }
-
-    fn beat_bytes(req: &AwBeat) -> u32 {
-        req.size.bytes()
-    }
 
     fn phase_is_done(phase: WritePhase) -> bool {
         phase.is_done()

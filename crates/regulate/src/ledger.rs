@@ -8,9 +8,11 @@
 //! would add on top.
 //!
 //! It also sizes the port the way a TMU's outstanding-transaction table
-//! would: admission of a new address stalls while `max_uniq_ids`
-//! distinct IDs are live, or `txn_per_id` transactions are live for the
-//! offered ID.
+//! does, through the TMU's own [`IdRemapper`]: admission of a new address
+//! stalls while `max_uniq_ids` distinct IDs are live
+//! ([`RemapStall::SlotsExhausted`](tmu::remap::RemapStall)), or
+//! `txn_per_id` transactions are live for the offered ID
+//! ([`RemapStall::PerIdQuotaFull`](tmu::remap::RemapStall)).
 //!
 //! Bookkeeping follows the TMU guards' commit order:
 //!
@@ -24,6 +26,7 @@
 
 use axi4::AxiId;
 use tmu::guard::{AbortSet, AbortTxn};
+use tmu::remap::IdRemapper;
 
 use crate::config::RegulatorConfig;
 
@@ -37,16 +40,6 @@ pub(crate) struct Open {
     pub(crate) beats: u16,
 }
 
-/// One cycle's settled handshakes of one direction.
-#[derive(Debug, Clone, Copy, Default)]
-struct Obs {
-    offered: Option<Open>,
-    fired: bool,
-    /// A response beat taken by the manager: its ID and whether it
-    /// closes the transaction (`RLAST`; always true for a B).
-    response: Option<(u16, bool)>,
-}
-
 /// Open transactions of one direction. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub(crate) struct Ledger {
@@ -55,16 +48,14 @@ pub(crate) struct Ledger {
     /// Committed state: the newest entry's address is offered but not
     /// yet accepted.
     pending: bool,
-    /// Live IDs and their open-transaction counts.
-    live: Vec<(u16, u32)>,
-    max_uniq_ids: usize,
-    txn_per_id: u32,
+    /// Committed state: the live IDs and their open-transaction counts,
+    /// acquired on allocation and released on retirement.
+    remap: IdRemapper,
     /// This cycle's admission stall, decided by the drive pass
     /// ([`Ledger::decide_stall`]) on every cycle whose address is not
     /// credit-denied, and read only on those cycles: a skipped commit
     /// may leave it stale.
     stalled: bool,
-    obs: Obs,
 }
 
 impl Ledger {
@@ -72,11 +63,8 @@ impl Ledger {
         Ledger {
             open: Vec::with_capacity(cfg.max_uniq_ids() * cfg.txn_per_id() as usize),
             pending: false,
-            live: Vec::with_capacity(cfg.max_uniq_ids()),
-            max_uniq_ids: cfg.max_uniq_ids(),
-            txn_per_id: cfg.txn_per_id(),
+            remap: IdRemapper::new(cfg.max_uniq_ids(), cfg.txn_per_id()),
             stalled: false,
-            obs: Obs::default(),
         }
     }
 
@@ -91,20 +79,11 @@ impl Ledger {
         (self.open.len() - usize::from(self.pending)) as u64
     }
 
-    /// Whether a new transaction with `id` fits the ID and per-ID
-    /// capacity.
-    fn admits(&self, id: u16) -> bool {
-        match self.live.iter().find(|&&(live, _)| live == id) {
-            Some(&(_, count)) => count < self.txn_per_id,
-            None => self.live.len() < self.max_uniq_ids,
-        }
-    }
-
     /// Drive pass: whether the address offered with `id` must be held
     /// off this cycle. An already pending address is never stalled.
     #[inline]
     pub(crate) fn decide_stall(&mut self, id: Option<u16>) -> bool {
-        self.stalled = !self.pending && id.is_some_and(|id| !self.admits(id));
+        self.stalled = !self.pending && id.is_some_and(|id| self.remap.probe(AxiId(id)).is_err());
         self.stalled
     }
 
@@ -114,44 +93,37 @@ impl Ledger {
         self.stalled
     }
 
-    /// Observe pass: records the settled handshakes for the commit.
-    /// Returns whether that commit has work: an offered address it can
-    /// allocate (not pending, not stalled), a fired handshake or a
-    /// response beat. On any other cycle [`Ledger::commit`] changes
-    /// nothing and may be skipped.
+    /// Observe pass: whether a commit of this cycle's settled
+    /// handshakes has work: an offered address it can allocate (not
+    /// pending, not stalled), a fired handshake or a response beat. On
+    /// any other cycle [`Ledger::commit`] changes nothing and may be
+    /// skipped.
     #[inline]
-    pub(crate) fn observe(
+    pub(crate) fn has_work(&self, offered: bool, fired: bool, response: bool) -> bool {
+        (offered && !self.pending && !self.stalled) || fired || response
+    }
+
+    /// Clock commit of the cycle's settled handshakes: the `offered`
+    /// address, whether it `fired`, and a `response` beat the manager
+    /// took (its ID and whether it closes its transaction: `RLAST`,
+    /// always for a B). Allocates, accepts and retires per the module
+    /// docs' order.
+    pub(crate) fn commit(
         &mut self,
         offered: Option<Open>,
         fired: bool,
         response: Option<(u16, bool)>,
-    ) -> bool {
-        self.obs = Obs {
-            offered,
-            fired,
-            response,
-        };
-        (offered.is_some() && !self.pending && !self.stalled) || fired || response.is_some()
-    }
-
-    /// Clock commit: allocates, accepts and retires per the module
-    /// docs' order.
-    pub(crate) fn commit(&mut self) {
-        let obs = std::mem::take(&mut self.obs);
-        if let Some(txn) = obs.offered {
-            if !self.pending && !self.stalled && self.admits(txn.id) {
+    ) {
+        if let Some(txn) = offered {
+            if !self.pending && !self.stalled && self.remap.acquire(AxiId(txn.id)).is_ok() {
                 self.open.push(txn);
-                match self.live.iter_mut().find(|(live, _)| *live == txn.id) {
-                    Some((_, count)) => *count += 1,
-                    None => self.live.push((txn.id, 1)),
-                }
                 self.pending = true;
             }
         }
-        if obs.fired {
+        if fired {
             self.pending = false;
         }
-        if let Some((id, last)) = obs.response {
+        if let Some((id, last)) = response {
             self.respond(id, last);
         }
     }
@@ -168,12 +140,11 @@ impl Ledger {
         txn.beats = txn.beats.saturating_sub(1);
         if last || txn.beats == 0 {
             self.open.remove(at);
-            if let Some(slot) = self.live.iter().position(|&(live, _)| live == id) {
-                self.live[slot].1 -= 1;
-                if self.live[slot].1 == 0 {
-                    self.live.swap_remove(slot);
-                }
-            }
+            let uid = self
+                .remap
+                .lookup(AxiId(id))
+                .expect("an open entry's ID holds a remap slot");
+            self.remap.release(uid);
         }
     }
 
@@ -206,8 +177,8 @@ impl Ledger {
     /// The committed state: open entries, the pending mark and the live
     /// ID counts.
     #[cfg(test)]
-    pub(crate) fn committed(&self) -> (&[Open], bool, &[(u16, u32)]) {
-        (&self.open, self.pending, &self.live)
+    pub(crate) fn committed(&self) -> (&[Open], bool, &IdRemapper) {
+        (&self.open, self.pending, &self.remap)
     }
 
     /// Forgets every open transaction (the sever hands them to the
@@ -215,9 +186,8 @@ impl Ledger {
     pub(crate) fn reset(&mut self) {
         self.open.clear();
         self.pending = false;
-        self.live.clear();
+        self.remap.clear();
         self.stalled = false;
-        self.obs = Obs::default();
     }
 }
 
@@ -238,8 +208,7 @@ mod tests {
     /// Offers and accepts one transaction in a single cycle.
     fn issue(l: &mut Ledger, id: u16, beats: u16) {
         assert!(!l.decide_stall(Some(id)));
-        l.observe(Some(Open { id, beats }), true, None);
-        l.commit();
+        l.commit(Some(Open { id, beats }), true, None);
     }
 
     #[test]
@@ -250,8 +219,7 @@ mod tests {
         assert!(l.decide_stall(Some(1)), "per-ID quota full");
         issue(&mut l, 2, 1);
         assert!(l.decide_stall(Some(3)), "both ID slots live");
-        l.observe(None, false, Some((1, true)));
-        l.commit();
+        l.commit(None, false, Some((1, true)));
         assert!(!l.decide_stall(Some(1)));
         assert_eq!(l.len(), 2);
     }
@@ -263,41 +231,34 @@ mod tests {
         issue(&mut l, 7, 1);
         // Two beats of the first read, then an early RLAST.
         for last in [false, false] {
-            l.observe(None, false, Some((7, last)));
-            l.commit();
+            l.commit(None, false, Some((7, last)));
         }
         assert_eq!(l.len(), 2);
         let set = l.abort_set(0, |t| t.beats.max(1));
         assert_eq!(set.responses[0].beats_remaining, 1);
-        l.observe(None, false, Some((7, true)));
-        l.commit();
+        l.commit(None, false, Some((7, true)));
         assert_eq!(l.len(), 1);
     }
 
     #[test]
     fn an_address_waiting_while_pending_is_quiet() {
         let mut l = ledger(4, 4);
-        let offer = Some(Open { id: 2, beats: 1 });
         assert!(!l.decide_stall(Some(2)));
-        assert!(l.observe(offer, false, None), "the first offer allocates");
-        l.commit();
+        assert!(l.has_work(true, false, false), "the first offer allocates");
+        l.commit(Some(Open { id: 2, beats: 1 }), false, None);
         assert!(!l.decide_stall(Some(2)));
-        assert!(!l.observe(offer, false, None), "already pending: no work");
-        assert!(l.observe(offer, true, None), "the handshake fires");
-        l.commit();
-        assert!(!l.observe(None, false, None));
-        assert!(
-            l.observe(None, false, Some((2, true))),
-            "a response retires"
-        );
+        assert!(!l.has_work(true, false, false), "already pending: no work");
+        assert!(l.has_work(true, true, false), "the handshake fires");
+        l.commit(Some(Open { id: 2, beats: 1 }), true, None);
+        assert!(!l.has_work(false, false, false));
+        assert!(l.has_work(false, false, true), "a response retires");
     }
 
     #[test]
     fn pending_entry_never_retires_and_is_reported_for_abort() {
         let mut l = ledger(4, 4);
         assert!(!l.decide_stall(Some(2)));
-        l.observe(Some(Open { id: 2, beats: 4 }), false, Some((2, true)));
-        l.commit();
+        l.commit(Some(Open { id: 2, beats: 4 }), false, Some((2, true)));
         assert_eq!(l.len(), 1, "a pending entry never retires");
         assert_eq!(l.pending_beats(), 4);
         let set = l.abort_set(4, |_| 1);

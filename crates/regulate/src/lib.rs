@@ -25,9 +25,11 @@
 //! # Isolation
 //!
 //! In [`RegulationMode::Isolate`], a manager whose traffic is denied in
-//! N *consecutive* windows is severed. The regulator keeps a small
-//! ledger of the transactions it let through — raw ID and owed beats,
-//! per direction — and on the verdict hands it to a [`tmu::Terminator`],
+//! N *consecutive* windows is severed. Each direction is one lane of
+//! the regulator, and each lane keeps a small ledger of the
+//! transactions it let through — raw ID and owed beats — sized and
+//! admitted by the TMU's own [`tmu::remap::IdRemapper`]. On the verdict
+//! the regulator hands both ledgers to a [`tmu::Terminator`],
 //! the sever/abort/drain unit the TMU's own recovery uses. The
 //! terminator answers the backlog with `SLVERR`, accepts a still-held
 //! address beat and absorbs the W beats the manager still owes, while

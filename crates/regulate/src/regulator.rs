@@ -24,22 +24,31 @@
 //! absolute cycles; a regulator attached to a running fabric joins the
 //! window grid already under way.
 //!
+//! # Lanes
+//!
+//! Writes and reads are regulated alike: each direction is one lane with
+//! its address gate, ledger, wait episodes and stale responses, run by
+//! the same code for AW and for AR. Only W forwarding, the owed W beats
+//! and the hand-off to the terminator are the regulator's own.
+//!
 //! # Quiet cycles
 //!
-//! The commit works only on an event. It has work when an AW or AR
-//! fires (a grant), an offered address can be allocated in a ledger
-//! (offered, not pending, not stalled), a response beat reaches the
-//! manager, a W beat of a granted burst moves downstream, a denied
-//! address opens a new wait episode, the terminator is not idle
-//! (severed, or still absorbing W beats of aborted bursts), the window
-//! rollover is due ([`BudgetUnit::next_rollover`]), or a telemetry
-//! sample is due. The observe pass folds the wire facts into one flag,
-//! so a quiet commit costs a few comparisons. The common busy shape —
-//! an address that waits on the interconnect while already pending in
-//! the ledger — is quiet. Committing in full on a quiet cycle would
-//! change nothing.
+//! The commit works only on an event, and each lane's observe reports
+//! its direction's share. A lane has work when its address fires (a
+//! grant), an offered address can be allocated in its ledger (offered,
+//! not pending, not stalled), a response beat of its direction reaches
+//! the manager, or a denied address opens a new wait episode. The
+//! regulator adds a W beat of a granted burst moving downstream, a
+//! terminator that is not idle (severed, or still absorbing W beats of
+//! aborted bursts), the window rollover ([`BudgetUnit::next_rollover`])
+//! and a due telemetry sample. A quiet commit costs a few comparisons.
+//! The common busy shape — an address that waits on the interconnect
+//! while already pending in the ledger — is quiet. Committing in full on
+//! a quiet cycle would change nothing.
 
-use axi4::channel::AxiPort;
+use axi4::beat::AddrBeat;
+use axi4::channel::{AxiPort, Channel};
+use tmu::guard::AbortSet;
 use tmu::{ErrorRecord, FaultKind, Terminator, TmuState};
 use tmu_telemetry::{Dir, TelemetryConfig, TelemetryHub, TraceEvent};
 
@@ -51,13 +60,198 @@ use crate::ledger::{Ledger, Open};
 /// commands an isolation.
 pub const ISOLATION_REASON: &str = "bandwidth-overrun";
 
-/// A granted address handshake captured by the observe pass for the
-/// commit pass to charge.
-#[derive(Debug, Clone, Copy)]
-struct Grant {
-    id: u16,
-    bytes: u64,
-    beats: u64,
+/// One direction of the regulator: the address gate, the ledger of its
+/// open transactions, its wait episodes and the responses it still
+/// absorbs after an isolation. See the [module docs](self#lanes).
+#[derive(Debug, Clone)]
+struct Lane {
+    dir: Dir,
+    /// Open transactions of this direction the regulator let through.
+    ledger: Ledger,
+    // ---- per-cycle wire state, recomputed by every drive pass ----
+    deny: bool,
+    /// ID of the denied address; written only on a denial.
+    denied_id: u16,
+    /// The address offered this cycle, not credit-denied, with its
+    /// payload bytes.
+    offered: Option<(Open, u64)>,
+    /// `offered` fired: a grant.
+    fired: bool,
+    /// A response beat the manager took: its ID and whether it closes
+    /// its transaction.
+    response: Option<(u16, bool)>,
+    /// While severed: a subordinate response closing an aborted
+    /// transaction (a B, or an `RLAST`) was absorbed this cycle.
+    absorbed: bool,
+    /// Committed state: responses the subordinate still owes to
+    /// transactions aborted by the last isolation. They are absorbed,
+    /// and [`Regulator::release`] waits for them so none reaches the
+    /// re-admitted manager.
+    q_stale: u64,
+    /// Committed state: cycle the currently denied address started
+    /// waiting.
+    q_wait_since: Option<u64>,
+    /// Committed state: address handshakes granted since construction.
+    q_grants: u64,
+    /// Committed state: denial episodes (a denied handshake newly
+    /// starting to wait) since construction.
+    q_denies: u64,
+}
+
+impl Lane {
+    fn new(dir: Dir, cfg: &RegulatorConfig) -> Self {
+        Lane {
+            dir,
+            ledger: Ledger::new(cfg),
+            deny: false,
+            denied_id: 0,
+            offered: None,
+            fired: false,
+            response: None,
+            absorbed: false,
+            q_stale: 0,
+            q_wait_since: None,
+            q_grants: 0,
+            q_denies: 0,
+        }
+    }
+
+    /// Pass 1: forwards the manager's address downstream. A denied
+    /// address goes downstream with valid low and no payload; it is
+    /// invisible to the ledger. Its ID is kept for the denial episode it
+    /// may open. An address the ledger has no room for is held off.
+    #[inline]
+    fn forward_addr<B: AddrBeat>(
+        &mut self,
+        budget: &BudgetUnit,
+        severed: bool,
+        mgr: &Channel<B>,
+        out: &mut Channel<B>,
+    ) {
+        if severed {
+            // No credit decision, and the address stays off the
+            // downstream wires.
+            self.deny = false;
+            return;
+        }
+        self.deny = mgr.valid() && !budget.may_grant(self.dir);
+        let id = mgr.beat().map(|b| b.id().0);
+        if self.deny {
+            self.denied_id = id.unwrap_or(0);
+            out.suppress_valid();
+        } else if !self.ledger.decide_stall(id) {
+            out.forward_driver_from(mgr);
+        }
+    }
+
+    /// Pass 2: the manager's address `ready`, held low on a denial or an
+    /// admission stall.
+    #[inline]
+    fn forward_addr_ready<B: AddrBeat>(&self, out: &Channel<B>, mgr: &mut Channel<B>) {
+        if self.deny {
+            mgr.set_ready(false);
+        } else if !self.ledger.stalled() {
+            mgr.forward_ready_from(out);
+        }
+    }
+
+    /// Pass 3: records the settled address handshake and `response`
+    /// (the ID of a response beat the manager took, and whether it
+    /// closes its transaction) for the commit. Returns this direction's
+    /// share of the commit's work: the ledger's, which covers a grant (a
+    /// fired handshake), or a denial opening a wait episode.
+    #[inline]
+    fn observe<B: AddrBeat>(&mut self, addr: &Channel<B>, response: Option<(u16, bool)>) -> bool {
+        self.offered = addr.beat().filter(|_| !self.deny).map(|b| {
+            let txn = Open {
+                id: b.id().0,
+                beats: b.burst_len().beats(),
+            };
+            (txn, b.total_bytes())
+        });
+        self.fired = self.offered.is_some() && addr.fires();
+        self.response = response;
+        self.ledger
+            .has_work(self.offered.is_some(), self.fired, response.is_some())
+            || (self.deny && self.q_wait_since.is_none())
+    }
+
+    /// Clock commit: charges a grant to `spend` and closes the wait
+    /// episode, latches a denial and opens one, retires an absorbed
+    /// stale response and commits the ledger. Returns the granted
+    /// burst's beats (0 without a grant).
+    fn commit(&mut self, cycle: u64, spend: &mut CycleSpend, telemetry: &mut TelemetryHub) -> u64 {
+        let offered = self.offered.take();
+        let fired = std::mem::take(&mut self.fired);
+        let mut beats = 0;
+        if let Some((txn, bytes)) = offered.filter(|_| fired) {
+            match self.dir {
+                Dir::Write => (spend.write_bytes, spend.write_txns) = (bytes, 1),
+                Dir::Read => (spend.read_bytes, spend.read_txns) = (bytes, 1),
+            }
+            self.q_grants += 1;
+            beats = u64::from(txn.beats);
+            telemetry.record(
+                cycle,
+                "regulate",
+                TraceEvent::CreditGrant {
+                    dir: self.dir,
+                    id: txn.id,
+                    bytes,
+                },
+            );
+            let waited = self
+                .q_wait_since
+                .take()
+                .map_or(0, |since| cycle.saturating_sub(since));
+            if telemetry.enabled() {
+                let histogram = match self.dir {
+                    Dir::Write => "regulate.grant_wait.write",
+                    Dir::Read => "regulate.grant_wait.read",
+                };
+                telemetry.metrics_mut().observe(histogram, waited);
+            }
+        }
+        if std::mem::take(&mut self.absorbed) {
+            self.q_stale = self.q_stale.saturating_sub(1);
+        }
+        if self.deny {
+            spend.denied = true;
+            if self.q_wait_since.is_none() {
+                self.q_wait_since = Some(cycle);
+                self.q_denies += 1;
+                telemetry.record(
+                    cycle,
+                    "regulate",
+                    TraceEvent::CreditDeny {
+                        dir: self.dir,
+                        id: self.denied_id,
+                    },
+                );
+            }
+        }
+        let response = self.response.take();
+        self.ledger
+            .commit(offered.map(|(txn, _)| txn), fired, response);
+        beats
+    }
+
+    /// The isolation edge: every open transaction becomes an abort
+    /// obligation of `responses(txn)` `SLVERR` beats, plus
+    /// `drain_w_beats` residual W beats; the accepted ones become stale
+    /// responses the subordinate still owes.
+    fn abort(&mut self, drain_w_beats: u64, responses: fn(&Open) -> u16) -> AbortSet {
+        self.q_stale = self.ledger.accepted();
+        let set = self.ledger.abort_set(drain_w_beats, responses);
+        self.ledger.reset();
+        set
+    }
+
+    /// The release edge: ends the wait episode. The sever already
+    /// emptied the ledger, and a release waits for the stale responses.
+    fn reset(&mut self) {
+        self.q_wait_since = None;
+    }
 }
 
 /// Credit-based traffic regulator for one manager port. See the
@@ -67,26 +261,16 @@ struct Grant {
 pub struct Regulator {
     cfg: RegulatorConfig,
     budget: BudgetUnit,
-    /// Open write transactions the regulator let through.
-    writes: Ledger,
-    /// Open read transactions the regulator let through.
-    reads: Ledger,
+    /// The AW/W/B direction.
+    write: Lane,
+    /// The AR/R direction.
+    read: Lane,
     /// Severs the port on an isolation verdict and answers the manager
     /// with `SLVERR` aborts until [`Regulator::release`].
     term: Terminator,
     telemetry: TelemetryHub,
     // ---- per-cycle wire state, recomputed by every drive pass ----
-    deny_aw: bool,
-    deny_ar: bool,
-    /// ID of the denied AW; written only on a denial.
-    denied_aw_id: u16,
-    /// ID of the denied AR; written only on a denial.
-    denied_ar_id: u16,
-    saw_aw_grant: Option<Grant>,
-    saw_ar_grant: Option<Grant>,
     saw_w_downstream: bool,
-    absorbed_b: bool,
-    absorbed_r_last: bool,
     /// The observe pass found an event for this cycle's commit (see
     /// the [module docs](self#quiet-cycles)).
     work: bool,
@@ -99,28 +283,11 @@ pub struct Regulator {
     /// (the terminator's drain count also covers never-forwarded
     /// bursts).
     q_w_owed: u64,
-    /// Committed state: B responses the subordinate still owes to
-    /// writes aborted by the last isolation. They are absorbed, and
-    /// [`Regulator::release`] waits for them so none reaches the
-    /// re-admitted manager.
-    q_stale_b: u64,
-    /// Committed state: reads aborted by the last isolation whose
-    /// `RLAST` the subordinate has yet to send; likewise absorbed.
-    q_stale_r: u64,
-    /// Committed state: cycle the currently denied AW started waiting.
-    q_aw_wait_since: Option<u64>,
-    /// Committed state: cycle the currently denied AR started waiting.
-    q_ar_wait_since: Option<u64>,
     /// Committed state: the isolation verdict, latched until
     /// [`Regulator::release`].
     q_isolated: bool,
     /// Committed state: the record of the most recent sever.
     q_last_fault: Option<ErrorRecord>,
-    /// Committed state: address handshakes granted since construction.
-    q_grants: u64,
-    /// Committed state: denial episodes (a denied handshake newly
-    /// starting to wait) since construction.
-    q_denies: u64,
     /// Committed state: isolations commanded since construction.
     q_isolations: u64,
     /// Committed state: cycles committed.
@@ -134,32 +301,18 @@ impl Regulator {
     pub fn new(cfg: RegulatorConfig) -> Self {
         Regulator {
             budget: BudgetUnit::new(&cfg),
-            writes: Ledger::new(&cfg),
-            reads: Ledger::new(&cfg),
+            write: Lane::new(Dir::Write, &cfg),
+            read: Lane::new(Dir::Read, &cfg),
             term: Terminator::new(),
             telemetry: TelemetryHub::default(),
             cfg,
-            deny_aw: false,
-            deny_ar: false,
-            denied_aw_id: 0,
-            denied_ar_id: 0,
-            saw_aw_grant: None,
-            saw_ar_grant: None,
             saw_w_downstream: false,
-            absorbed_b: false,
-            absorbed_r_last: false,
             work: false,
             #[cfg(test)]
             ungated: false,
             q_w_owed: 0,
-            q_stale_b: 0,
-            q_stale_r: 0,
-            q_aw_wait_since: None,
-            q_ar_wait_since: None,
             q_isolated: false,
             q_last_fault: None,
-            q_grants: 0,
-            q_denies: 0,
             q_isolations: 0,
             q_cycles: 0,
         }
@@ -180,9 +333,12 @@ impl Regulator {
     }
 
     fn forward_request_enabled(&mut self, mgr: &AxiPort, out: &mut AxiPort) {
-        if self.term.is_severed() {
-            self.deny_aw = false;
-            self.deny_ar = false;
+        let severed = self.term.is_severed();
+        self.write
+            .forward_addr(&self.budget, severed, &mgr.aw, &mut out.aw);
+        self.read
+            .forward_addr(&self.budget, severed, &mgr.ar, &mut out.ar);
+        if severed {
             // The terminator drives the manager side only; stray
             // responses still in flight from the shared subordinate must
             // not back up the interconnect, so absorb them here (the
@@ -194,26 +350,7 @@ impl Regulator {
             }
             return;
         }
-        self.deny_aw = mgr.aw.valid() && !self.budget.may_grant(Dir::Write);
-        self.deny_ar = mgr.ar.valid() && !self.budget.may_grant(Dir::Read);
-        // A denied address goes downstream with valid low and no
-        // payload; it is invisible to the ledger. Its ID is kept for the
-        // denial episode it may open.
-        let aw_id = mgr.aw.beat().map(|b| b.id.0);
-        if self.deny_aw {
-            self.denied_aw_id = aw_id.unwrap_or(0);
-            out.aw.suppress_valid();
-        } else if !self.writes.decide_stall(aw_id) {
-            out.aw.forward_driver_from(&mgr.aw);
-        }
         self.term.forward_w(mgr, out);
-        let ar_id = mgr.ar.beat().map(|b| b.id.0);
-        if self.deny_ar {
-            self.denied_ar_id = ar_id.unwrap_or(0);
-            out.ar.suppress_valid();
-        } else if !self.reads.decide_stall(ar_id) {
-            out.ar.forward_driver_from(&mgr.ar);
-        }
         out.b.forward_ready_from(&mgr.b);
         out.r.forward_ready_from(&mgr.r);
     }
@@ -234,8 +371,8 @@ impl Regulator {
         if self.term.is_severed() {
             // Pass 1 holds the downstream response `ready`s high, so a
             // valid response is absorbed this cycle.
-            self.absorbed_b = out.b.fires();
-            self.absorbed_r_last = out.r.fired_beat().is_some_and(|r| r.last);
+            self.write.absorbed = out.b.fires();
+            self.read.absorbed = out.r.fired_beat().is_some_and(|r| r.last);
             self.term.drive_severed(mgr);
             if self.q_w_owed > 0 {
                 // Owed beats must genuinely transfer downstream: gate
@@ -247,17 +384,9 @@ impl Regulator {
         }
         mgr.b.forward_driver_from(&out.b);
         mgr.r.forward_driver_from(&out.r);
-        if self.deny_aw {
-            mgr.aw.set_ready(false);
-        } else if !self.writes.stalled() {
-            mgr.aw.forward_ready_from(&out.aw);
-        }
+        self.write.forward_addr_ready(&out.aw, &mut mgr.aw);
         self.term.forward_w_ready(out, mgr);
-        if self.deny_ar {
-            mgr.ar.set_ready(false);
-        } else if !self.reads.stalled() {
-            mgr.ar.forward_ready_from(&out.ar);
-        }
+        self.read.forward_addr_ready(&out.ar, &mut mgr.ar);
     }
 
     /// Optional pass between 2 and 3 for harnesses where the manager
@@ -284,8 +413,6 @@ impl Regulator {
     }
 
     fn observe_enabled(&mut self, mgr: &AxiPort) {
-        self.saw_aw_grant = None;
-        self.saw_ar_grant = None;
         let term_busy = !self.term.is_idle() || self.ungated();
         if term_busy {
             self.term.observe(mgr);
@@ -296,60 +423,28 @@ impl Regulator {
             return;
         }
         self.saw_w_downstream = self.term.drain_beats() == 0 && mgr.w.fires();
-        let aw = mgr.aw.beat().filter(|_| !self.deny_aw);
-        let aw_fired = aw.is_some() && mgr.aw.fires();
-        if let Some(aw) = aw.filter(|_| aw_fired) {
-            self.saw_aw_grant = Some(Grant {
-                id: aw.id.0,
-                bytes: aw.total_bytes(),
-                beats: u64::from(aw.len.beats()),
-            });
-        }
-        // A fired handshake is a grant, so the ledgers' work covers it.
-        let write_work = self.writes.observe(
-            aw.map(|b| Open {
-                id: b.id.0,
-                beats: b.len.beats(),
-            }),
-            aw_fired,
-            mgr.b.fired_beat().map(|b| (b.id.0, true)),
-        );
-        let ar = mgr.ar.beat().filter(|_| !self.deny_ar);
-        let ar_fired = ar.is_some() && mgr.ar.fires();
-        if let Some(ar) = ar.filter(|_| ar_fired) {
-            self.saw_ar_grant = Some(Grant {
-                id: ar.id.0,
-                bytes: ar.total_bytes(),
-                beats: u64::from(ar.len.beats()),
-            });
-        }
-        let read_work = self.reads.observe(
-            ar.map(|b| Open {
-                id: b.id.0,
-                beats: b.len.beats(),
-            }),
-            ar_fired,
-            mgr.r.fired_beat().map(|r| (r.id.0, r.last)),
-        );
-        // A denial changes state only when it opens a wait episode. A
-        // denial inside an episode is never the window's first: the
-        // commit that opened the episode latched one, and once the
+        let write_work = self
+            .write
+            .observe(&mgr.aw, mgr.b.fired_beat().map(|b| (b.id.0, true)));
+        let read_work = self
+            .read
+            .observe(&mgr.ar, mgr.r.fired_beat().map(|r| (r.id.0, r.last)));
+        // A denial inside a wait episode is never the window's first:
+        // the commit that opened the episode latched one, and once the
         // window rolls the bucket refills, so the next denial in that
         // direction needs a grant, which closes the episode.
-        let denial_work = (self.deny_aw && self.q_aw_wait_since.is_none())
-            || (self.deny_ar && self.q_ar_wait_since.is_none());
         debug_assert!(
-            denial_work || !(self.deny_aw || self.deny_ar) || self.budget.window_denied(),
+            [&self.write, &self.read]
+                .iter()
+                .all(|lane| !lane.deny || lane.q_wait_since.is_none())
+                || self.budget.window_denied(),
             "a denial inside a wait episode finds the window's denial latched"
         );
         // A W beat with nothing owed changes the owed count only when
         // its burst's AW fires in the same cycle, a grant the write
-        // ledger's work already covers.
-        self.work = term_busy
-            || (self.saw_w_downstream && self.q_w_owed > 0)
-            || write_work
-            || read_work
-            || denial_work;
+        // lane's work already covers.
+        self.work =
+            term_busy || (self.saw_w_downstream && self.q_w_owed > 0) || write_work || read_work;
     }
 
     /// Whether every commit runs in full: the test-only reference the
@@ -391,92 +486,13 @@ impl Regulator {
     /// The enabled-path body of [`Self::commit`], split out so the
     /// disabled pass-through stays a cross-crate-inlinable branch.
     fn commit_enabled(&mut self, cycle: u64) {
+        // While severed the lanes' ledgers see no handshakes, so their
+        // commits change nothing.
         let mut spend = CycleSpend::default();
-        if let Some(grant) = self.saw_aw_grant.take() {
-            spend.write_bytes = grant.bytes;
-            spend.write_txns = 1;
-            self.q_grants += 1;
-            self.q_w_owed += grant.beats;
-            self.telemetry.record(
-                cycle,
-                "regulate",
-                TraceEvent::CreditGrant {
-                    dir: Dir::Write,
-                    id: grant.id,
-                    bytes: grant.bytes,
-                },
-            );
-            let waited = self
-                .q_aw_wait_since
-                .take()
-                .map_or(0, |since| cycle.saturating_sub(since));
-            if self.telemetry.enabled() {
-                self.telemetry
-                    .metrics_mut()
-                    .observe("regulate.grant_wait.write", waited);
-            }
-        }
-        if let Some(grant) = self.saw_ar_grant.take() {
-            spend.read_bytes = grant.bytes;
-            spend.read_txns = 1;
-            self.q_grants += 1;
-            self.telemetry.record(
-                cycle,
-                "regulate",
-                TraceEvent::CreditGrant {
-                    dir: Dir::Read,
-                    id: grant.id,
-                    bytes: grant.bytes,
-                },
-            );
-            let waited = self
-                .q_ar_wait_since
-                .take()
-                .map_or(0, |since| cycle.saturating_sub(since));
-            if self.telemetry.enabled() {
-                self.telemetry
-                    .metrics_mut()
-                    .observe("regulate.grant_wait.read", waited);
-            }
-        }
+        self.q_w_owed += self.write.commit(cycle, &mut spend, &mut self.telemetry);
+        self.read.commit(cycle, &mut spend, &mut self.telemetry);
         if std::mem::take(&mut self.saw_w_downstream) {
             self.q_w_owed = self.q_w_owed.saturating_sub(1);
-        }
-        if std::mem::take(&mut self.absorbed_b) {
-            self.q_stale_b = self.q_stale_b.saturating_sub(1);
-        }
-        if std::mem::take(&mut self.absorbed_r_last) {
-            self.q_stale_r = self.q_stale_r.saturating_sub(1);
-        }
-        if self.deny_aw {
-            spend.denied = true;
-            if self.q_aw_wait_since.is_none() {
-                self.q_aw_wait_since = Some(cycle);
-                self.q_denies += 1;
-                self.telemetry.record(
-                    cycle,
-                    "regulate",
-                    TraceEvent::CreditDeny {
-                        dir: Dir::Write,
-                        id: self.denied_aw_id,
-                    },
-                );
-            }
-        }
-        if self.deny_ar {
-            spend.denied = true;
-            if self.q_ar_wait_since.is_none() {
-                self.q_ar_wait_since = Some(cycle);
-                self.q_denies += 1;
-                self.telemetry.record(
-                    cycle,
-                    "regulate",
-                    TraceEvent::CreditDeny {
-                        dir: Dir::Read,
-                        id: self.denied_ar_id,
-                    },
-                );
-            }
         }
         let mut isolate = false;
         if let Some(roll) = self.budget.commit(&spend, cycle) {
@@ -510,32 +526,24 @@ impl Regulator {
         if !self.term.is_idle() || self.ungated() {
             self.term.commit();
         }
-        if monitoring {
-            self.writes.commit();
-            self.reads.commit();
-            if isolate {
-                // Severing hands every open transaction to the
-                // terminator: the owed W beats of granted bursts plus
-                // those of a still-offered AW drain, and each write
-                // gets one SLVERR B, each read its remaining R beats.
-                // The subordinate still answers the accepted ones.
-                self.q_stale_b = self.writes.accepted();
-                self.q_stale_r = self.reads.accepted();
-                let drain = self.q_w_owed + self.writes.pending_beats();
-                let write = self.writes.abort_set(drain, |_| 1);
-                let read = self.reads.abort_set(0, |txn| txn.beats.max(1));
-                self.writes.reset();
-                self.reads.reset();
-                self.term.sever(write, read);
-                self.q_last_fault = Some(ErrorRecord {
-                    cycle,
-                    kind: FaultKind::External(ISOLATION_REASON),
-                    phase: None,
-                    id: None,
-                    addr: None,
-                    inflight_cycles: 0,
-                });
-            }
+        if isolate && monitoring {
+            // Severing hands every open transaction to the terminator:
+            // the owed W beats of granted bursts plus those of a
+            // still-offered AW drain, and each write gets one SLVERR B,
+            // each read its remaining R beats. The subordinate still
+            // answers the accepted ones.
+            let drain = self.q_w_owed + self.write.ledger.pending_beats();
+            let write = self.write.abort(drain, |_| 1);
+            let read = self.read.abort(0, |txn| txn.beats.max(1));
+            self.term.sever(write, read);
+            self.q_last_fault = Some(ErrorRecord {
+                cycle,
+                kind: FaultKind::External(ISOLATION_REASON),
+                phase: None,
+                id: None,
+                addr: None,
+                inflight_cycles: 0,
+            });
         }
         if self.telemetry.should_sample(cycle) {
             self.publish_gauges(cycle);
@@ -553,40 +561,29 @@ impl Regulator {
         if !self.q_isolated
             || self.term.state() != TmuState::WaitReset
             || self.q_w_owed > 0
-            || self.q_stale_b > 0
-            || self.q_stale_r > 0
+            || self.write.q_stale > 0
+            || self.read.q_stale > 0
         {
             return false;
         }
         self.term.reset_done();
         self.budget.reset();
         self.q_isolated = false;
-        self.q_aw_wait_since = None;
-        self.q_ar_wait_since = None;
+        self.write.reset();
+        self.read.reset();
         true
     }
 
     /// Publishes the credit-level gauges as [`TraceEvent::Gauge`] events.
     /// Runs only on the sampled path, so the hub is enabled.
     fn publish_gauges(&mut self, cycle: u64) {
+        let b = &self.budget;
         let gauges: [(&'static str, u64); 6] = [
-            (
-                "regulate.credit.write.bytes",
-                self.budget.bytes_left(Dir::Write),
-            ),
-            (
-                "regulate.credit.write.txns",
-                self.budget.txns_left(Dir::Write),
-            ),
-            (
-                "regulate.credit.read.bytes",
-                self.budget.bytes_left(Dir::Read),
-            ),
-            (
-                "regulate.credit.read.txns",
-                self.budget.txns_left(Dir::Read),
-            ),
-            ("regulate.overrun_streak", u64::from(self.budget.streak())),
+            ("regulate.credit.write.bytes", b.bytes_left(Dir::Write)),
+            ("regulate.credit.write.txns", b.txns_left(Dir::Write)),
+            ("regulate.credit.read.bytes", b.bytes_left(Dir::Read)),
+            ("regulate.credit.read.txns", b.txns_left(Dir::Read)),
+            ("regulate.overrun_streak", u64::from(b.streak())),
             ("regulate.isolated", u64::from(self.q_isolated)),
         ];
         for (name, value) in gauges {
@@ -631,14 +628,14 @@ impl Regulator {
     /// Address handshakes granted since construction.
     #[must_use]
     pub fn grants(&self) -> u64 {
-        self.q_grants
+        self.write.q_grants + self.read.q_grants
     }
 
     /// Denial episodes (a handshake newly starting to wait) since
     /// construction.
     #[must_use]
     pub fn denies(&self) -> u64 {
-        self.q_denies
+        self.write.q_denies + self.read.q_denies
     }
 
     /// Isolations commanded since construction.
@@ -651,7 +648,7 @@ impl Regulator {
     /// a still-offered address included).
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.writes.len() + self.reads.len()
+        self.write.ledger.len() + self.read.ledger.len()
     }
 
     /// Switches the regulator's telemetry on (credit events, gauges and
@@ -688,23 +685,21 @@ impl Regulator {
     /// comparison. Per-cycle wire state is left out: the drive passes
     /// rewrite it before anything reads it.
     pub(crate) fn committed_state(&self) -> String {
+        let lane = |l: &Lane| {
+            let (grants, denies) = (l.q_grants, l.q_denies);
+            let (ledger, stale, wait) = (l.ledger.committed(), l.q_stale, l.q_wait_since);
+            format!("ledger={ledger:?} stale={stale} wait_since={wait:?} grants={grants} denies={denies}")
+        };
         format!(
-            "budget={:?} writes={:?} reads={:?} term={:?} \
-             w_owed={} stale_b={} stale_r={} wait_since={:?} isolated={} \
-             last_fault={:?} grants={} denies={} isolations={} cycles={} \
-             telemetry={:?}",
+            "budget={:?} write={} read={} term={:?} w_owed={} isolated={} \
+             last_fault={:?} isolations={} cycles={} telemetry={:?}",
             self.budget,
-            self.writes.committed(),
-            self.reads.committed(),
+            lane(&self.write),
+            lane(&self.read),
             self.term,
             self.q_w_owed,
-            self.q_stale_b,
-            self.q_stale_r,
-            (self.q_aw_wait_since, self.q_ar_wait_since),
             self.q_isolated,
             self.q_last_fault,
-            self.q_grants,
-            self.q_denies,
             self.q_isolations,
             self.q_cycles,
             self.telemetry,
@@ -716,7 +711,7 @@ impl Regulator {
 mod tests {
     use super::*;
     use crate::config::DirBudget;
-    use axi4::beat::{AwBeat, BBeat, WBeat};
+    use axi4::beat::{ArBeat, AwBeat, BBeat, WBeat};
     use axi4::types::{Addr, AxiId, BurstKind, BurstLen, BurstSize, Resp};
 
     fn aw() -> AwBeat {
@@ -1002,5 +997,108 @@ mod tests {
         }
         assert!(saw_slverr, "outstanding write must be SLVERR-aborted");
         assert!(reg.release(), "owed beats drained; release must succeed");
+    }
+
+    /// Writes get 64 B / 1 txn per window and reads are unlimited, or
+    /// the reverse. The tight direction offers on every cycle, the loose
+    /// one on the first two cycles of each window; no W beat is sent,
+    /// so the subordinate answers nothing.
+    #[test]
+    fn write_and_read_lanes_never_mix() {
+        let tight = DirBudget {
+            bytes_per_window: 64,
+            txns_per_window: 1,
+        };
+        let loose = DirBudget::unlimited();
+        let ar = ArBeat::new(
+            AxiId(2),
+            Addr(0x200),
+            BurstLen::from_beats(2).expect("2 is a legal burst length"),
+            BurstSize::default(),
+            BurstKind::Incr,
+        );
+        for tight_dir in [Dir::Write, Dir::Read] {
+            let writes_tight = tight_dir == Dir::Write;
+            let (write, read, loose_dir) = if writes_tight {
+                (tight, loose, Dir::Read)
+            } else {
+                (loose, tight, Dir::Write)
+            };
+            let cfg = RegulatorConfig::builder()
+                .write_budget(write)
+                .read_budget(read)
+                .window_cycles(4)
+                .mode(RegulationMode::Isolate { overrun_windows: 2 })
+                .build()
+                .expect("asymmetric test configuration is valid");
+            let mut reg = Regulator::new(cfg);
+            reg.enable_telemetry(TelemetryConfig::default());
+            let (mut mgr, mut out, mut b_queue) = (AxiPort::new(), AxiPort::new(), Vec::new());
+            let bytes = |dir: Dir| if dir == Dir::Write { 8 } else { 16 };
+            for cycle in 0..8 {
+                let loose_offers = cycle % 4 < 2;
+                let (aw_offered, ar_offered) = if writes_tight {
+                    (true, loose_offers)
+                } else {
+                    (loose_offers, true)
+                };
+                step(&mut reg, &mut mgr, &mut out, &mut b_queue, cycle, |m| {
+                    if aw_offered {
+                        m.aw.drive(aw());
+                    }
+                    if ar_offered {
+                        m.ar.drive(ar);
+                    }
+                });
+                // The tight direction is granted only from a refilled
+                // bucket, and its denials never hold the loose one back.
+                let fired = (mgr.aw.fires(), mgr.ar.fires());
+                let (tight_fired, loose_fired) = if writes_tight {
+                    fired
+                } else {
+                    (fired.1, fired.0)
+                };
+                assert_eq!((tight_fired, loose_fired), (cycle % 4 == 0, loose_offers));
+                if cycle == 1 {
+                    let budget = reg.budget();
+                    assert_eq!(budget.txns_left(tight_dir), 0);
+                    assert_eq!(budget.bytes_left(tight_dir), 64 - bytes(tight_dir));
+                    let loose_left = loose.bytes_per_window - 2 * bytes(loose_dir);
+                    assert_eq!(budget.bytes_left(loose_dir), loose_left);
+                }
+            }
+            // One denial episode per window; the second window closes
+            // overrun too and isolates.
+            assert_eq!((reg.grants(), reg.denies()), (6, 2));
+            assert!(reg.is_isolated());
+            // Only the tight direction's second grant waited (3 cycles).
+            for (dir, waits) in [(tight_dir, (2, 3)), (loose_dir, (4, 0))] {
+                let name = match dir {
+                    Dir::Write => "regulate.grant_wait.write",
+                    Dir::Read => "regulate.grant_wait.read",
+                };
+                let wait = reg.telemetry().metrics().histogram(name);
+                let wait = wait.expect("each direction was granted");
+                assert_eq!((wait.count(), wait.sum()), waits, "{name}");
+            }
+            // Every open transaction is aborted in its own direction's
+            // shape: one SLVERR B per write, two SLVERR R beats per read.
+            let (mut b_aborts, mut r_aborts, mut r_lasts) = (0, 0, 0);
+            for cycle in 8..24 {
+                step(&mut reg, &mut mgr, &mut out, &mut b_queue, cycle, |_| {});
+                if let Some(b) = mgr.b.fired_beat() {
+                    assert_eq!((b.id, b.resp), (AxiId(1), Resp::SlvErr));
+                    b_aborts += 1;
+                }
+                if let Some(r) = mgr.r.fired_beat() {
+                    assert_eq!((r.id, r.resp), (AxiId(2), Resp::SlvErr));
+                    r_aborts += 1;
+                    r_lasts += u32::from(r.last);
+                }
+            }
+            let (writes, reads) = if writes_tight { (2, 4) } else { (4, 2) };
+            assert_eq!((b_aborts, r_aborts, r_lasts), (writes, 2 * reads, reads));
+            assert_eq!(reg.state(), TmuState::WaitReset);
+        }
     }
 }

@@ -17,6 +17,8 @@ use std::collections::VecDeque;
 use axi4::prelude::*;
 use tmu_telemetry::MetricsHub;
 
+use crate::link::AxiManager;
+
 /// One copy job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Descriptor {
@@ -114,15 +116,6 @@ impl DmaEngine {
             .count()
     }
 
-    /// Publishes the engine's progress as telemetry gauges (`dma.*`),
-    /// for the periodic sampler.
-    pub fn publish_metrics(&self, metrics: &mut MetricsHub) {
-        metrics.gauge_set("dma.completed", self.completed() as u64);
-        metrics.gauge_set("dma.failed", self.failed() as u64);
-        metrics.gauge_set("dma.queued", self.queue.len() as u64);
-        metrics.gauge_set("dma.active", u64::from(self.current.is_some()));
-    }
-
     /// True when no work is queued or in flight.
     #[must_use]
     pub fn is_idle(&self) -> bool {
@@ -133,6 +126,16 @@ impl DmaEngine {
         BurstLen::from_beats(words).expect("validated at push")
     }
 
+    fn finish(&mut self, outcome: DmaOutcome) {
+        let desc = self.current.take().expect("finishing an active descriptor");
+        self.outcomes.push((desc, outcome));
+        self.state = DmaState::Idle;
+        self.buffer.clear();
+        self.write_errored = false;
+    }
+}
+
+impl AxiManager for DmaEngine {
     /// Drive pass: manager-side wires of `port`.
     ///
     /// # Panics
@@ -140,7 +143,7 @@ impl DmaEngine {
     /// Panics only if a queued descriptor carries an illegal burst
     /// length, which `push` rejects up front — an internal invariant
     /// violation (a bug in the monitor, not a caller error).
-    pub fn drive(&mut self, port: &mut AxiPort, _cycle: u64) {
+    fn drive(&mut self, port: &mut AxiPort, _cycle: u64) {
         if self.state == DmaState::Idle {
             if let Some(desc) = self.queue.pop_front() {
                 self.current = Some(desc);
@@ -186,7 +189,7 @@ impl DmaEngine {
 
     /// Commit pass: advances the copy state machine from fired
     /// handshakes.
-    pub fn commit(&mut self, port: &AxiPort, _cycle: u64) {
+    fn commit(&mut self, port: &AxiPort, _cycle: u64) {
         let Some(desc) = self.current else { return };
         match &mut self.state {
             DmaState::IssueAr => {
@@ -257,12 +260,13 @@ impl DmaEngine {
         }
     }
 
-    fn finish(&mut self, outcome: DmaOutcome) {
-        let desc = self.current.take().expect("finishing an active descriptor");
-        self.outcomes.push((desc, outcome));
-        self.state = DmaState::Idle;
-        self.buffer.clear();
-        self.write_errored = false;
+    /// Publishes the engine's progress as telemetry gauges (`dma.*`),
+    /// for the periodic sampler.
+    fn publish_metrics(&self, metrics: &mut MetricsHub) {
+        metrics.gauge_set("dma.completed", self.completed() as u64);
+        metrics.gauge_set("dma.failed", self.failed() as u64);
+        metrics.gauge_set("dma.queued", self.queue.len() as u64);
+        metrics.gauge_set("dma.active", u64::from(self.current.is_some()));
     }
 }
 

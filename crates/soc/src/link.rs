@@ -1,7 +1,9 @@
 //! A single guarded manager↔subordinate link — the IP-level evaluation
 //! harness (paper Fig. 9).
 //!
-//! [`GuardedLink`] wires one [`TrafficGen`] manager straight to one
+//! [`GuardedLink`] wires one manager — a [`TrafficGen`] by default, or
+//! any other [`AxiManager`] such as the
+//! [`DmaEngine`](crate::dma::DmaEngine) — straight to one
 //! subordinate through a [`Tmu`], with a fault [`Injector`] spliced onto
 //! the wires and a reset controller closing the recovery loop. This is
 //! the setup of the paper's IP-level fault-injection experiments; the
@@ -11,13 +13,45 @@ use axi4::channel::AxiPort;
 use faults::{FaultPlan, Injector};
 use sim::Reset;
 use tmu::{Tmu, TmuConfig};
-use tmu_telemetry::TelemetryConfig;
+use tmu_telemetry::{MetricsHub, TelemetryConfig};
 
 use crate::ethernet::EthSub;
 use crate::manager::{TrafficGen, TrafficPattern};
 use crate::memory::MemSub;
 use crate::probe::WaveProbe;
 use crate::stage::commit_guarded;
+
+/// Behaviour every AXI manager model exposes to a harness: the
+/// manager-side twin of [`AxiSubordinate`].
+pub trait AxiManager {
+    /// Drive pass: manager-side wires for `cycle`.
+    fn drive(&mut self, port: &mut AxiPort, cycle: u64);
+    /// Commit pass: absorb fired handshakes.
+    fn commit(&mut self, port: &AxiPort, cycle: u64);
+    /// Publishes the manager's progress gauges into a periodic
+    /// telemetry sample.
+    fn publish_metrics(&self, metrics: &mut MetricsHub);
+}
+
+impl AxiManager for TrafficGen {
+    fn drive(&mut self, port: &mut AxiPort, cycle: u64) {
+        TrafficGen::drive(self, port, cycle);
+    }
+
+    fn commit(&mut self, port: &AxiPort, cycle: u64) {
+        TrafficGen::commit(self, port, cycle);
+    }
+
+    /// The `link.mgr.*` gauges.
+    fn publish_metrics(&self, metrics: &mut MetricsHub) {
+        let stats = self.stats();
+        let errored = stats.writes_errored + stats.reads_errored;
+        metrics.gauge_set("link.mgr.txns_completed", stats.total_completed());
+        metrics.gauge_set("link.mgr.txns_errored", errored);
+        metrics.gauge_set("link.mgr.w_beats", stats.w_beats);
+        metrics.gauge_set("link.mgr.r_beats", stats.r_beats);
+    }
+}
 
 /// Behaviour every AXI subordinate model exposes to a harness.
 pub trait AxiSubordinate {
@@ -112,9 +146,9 @@ impl AxiSubordinate for BlackHoleSub {
 /// assert_eq!(link.tmu.faults_detected(), 0);
 /// ```
 #[derive(Debug)]
-pub struct GuardedLink<S> {
-    /// The traffic-generating manager.
-    pub mgr: TrafficGen,
+pub struct GuardedLink<S, M = TrafficGen> {
+    /// The manager.
+    pub mgr: M,
     /// The monitor under test.
     pub tmu: Tmu,
     /// The guarded subordinate.
@@ -135,8 +169,17 @@ impl<S: AxiSubordinate> GuardedLink<S> {
     /// `cfg`, and `sub` as the endpoint.
     #[must_use]
     pub fn new(pattern: TrafficPattern, cfg: TmuConfig, sub: S, seed: u64) -> Self {
+        GuardedLink::with_manager(TrafficGen::new(pattern, seed), cfg, sub)
+    }
+}
+
+impl<S: AxiSubordinate, M: AxiManager> GuardedLink<S, M> {
+    /// Assembles a link: `mgr` as the manager, a TMU built from `cfg`,
+    /// and `sub` as the endpoint.
+    #[must_use]
+    pub fn with_manager(mgr: M, cfg: TmuConfig, sub: S) -> Self {
         GuardedLink {
-            mgr: TrafficGen::new(pattern, seed),
+            mgr,
             tmu: Tmu::new(cfg),
             sub,
             injector: Injector::idle(),
@@ -167,7 +210,8 @@ impl<S: AxiSubordinate> GuardedLink<S> {
     }
 
     /// Switches the TMU's unified telemetry layer on; the link publishes
-    /// its manager-side gauges (`link.mgr.*`) into each periodic sample.
+    /// its manager's gauges ([`AxiManager::publish_metrics`]) into each
+    /// periodic sample.
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
         self.tmu.enable_telemetry(config);
     }
@@ -198,15 +242,8 @@ impl<S: AxiSubordinate> GuardedLink<S> {
         // Publish link-level gauges just before the TMU's sampler runs,
         // so every periodic sample carries fresh manager-side levels.
         if self.tmu.telemetry().should_sample(cycle) {
-            let stats = self.mgr.stats();
-            let completed = stats.total_completed();
-            let errored = stats.writes_errored + stats.reads_errored;
-            let (w_beats, r_beats) = (stats.w_beats, stats.r_beats);
             let metrics = self.tmu.telemetry_mut().metrics_mut();
-            metrics.gauge_set("link.mgr.txns_completed", completed);
-            metrics.gauge_set("link.mgr.txns_errored", errored);
-            metrics.gauge_set("link.mgr.w_beats", w_beats);
-            metrics.gauge_set("link.mgr.r_beats", r_beats);
+            self.mgr.publish_metrics(metrics);
             if let Some(probe) = &self.probe {
                 probe.publish_metrics(metrics);
             }

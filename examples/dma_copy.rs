@@ -7,26 +7,22 @@
 //! ```
 
 use axi_tmu::axi4::prelude::*;
-use axi_tmu::faults::{FaultClass, FaultPlan, Injector, Trigger};
-use axi_tmu::sim::Reset;
+use axi_tmu::faults::{FaultClass, FaultPlan, Trigger};
 use axi_tmu::soc::dma::{Descriptor, DmaEngine, DmaOutcome};
-use axi_tmu::soc::link::AxiSubordinate;
+use axi_tmu::soc::link::GuardedLink;
 use axi_tmu::soc::memory::{pattern_word, MemSub};
-use axi_tmu::tmu::{Tmu, TmuConfig, TmuVariant};
+use axi_tmu::tmu::{TmuConfig, TmuVariant};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut dma = DmaEngine::new(AxiId(4));
-    let mut tmu = Tmu::new(
+    let mut link = GuardedLink::with_manager(
+        DmaEngine::new(AxiId(4)),
         TmuConfig::builder()
             .variant(TmuVariant::FullCounter)
             .build()?,
+        MemSub::default(),
     );
-    let mut mem = MemSub::default();
-    let mut injector = Injector::idle();
-    let mut reset = Reset::new();
-
     for i in 0..6u64 {
-        dma.push(Descriptor {
+        link.mgr.push(Descriptor {
             src: i * 0x200,
             dst: 0x8000 + i * 0x200,
             words: 32,
@@ -34,40 +30,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     // The memory's response channel dies at cycle 150 (and is healed by
     // the TMU-triggered reset).
-    injector.arm(FaultPlan::new(
+    link.inject(FaultPlan::new(
         FaultClass::BValidSuppress,
         Trigger::AtCycle(150),
     ));
+    link.run_until(100_000, |l| l.mgr.is_idle());
 
-    let mut mgr_port = AxiPort::new();
-    let mut sub_port = AxiPort::new();
-    let mut cycle = 0u64;
-    while !dma.is_idle() && cycle < 100_000 {
-        mgr_port.begin_cycle();
-        sub_port.begin_cycle();
-        dma.drive(&mut mgr_port, cycle);
-        injector.corrupt_manager_side(&mut mgr_port, cycle);
-        tmu.forward_request(&mgr_port, &mut sub_port);
-        mem.drive(&mut sub_port);
-        injector.corrupt_subordinate_side(&mut sub_port, cycle);
-        tmu.forward_response(&sub_port, &mut mgr_port);
-        tmu.observe(&mgr_port);
-        dma.commit(&mgr_port, cycle);
-        AxiSubordinate::commit(&mut mem, &sub_port);
-        injector.note_commit(&sub_port, cycle);
-        tmu.commit(cycle);
-        if tmu.take_reset_request() {
-            reset.request();
-        }
-        reset.tick();
-        if reset.is_done_pulse() {
-            AxiSubordinate::reset(&mut mem);
-            injector.disarm();
-            tmu.reset_done();
-        }
-        cycle += 1;
-    }
-
+    let (dma, mem, cycle) = (&link.mgr, &link.sub, link.cycle());
     println!("campaign finished at cycle {cycle}:");
     for (desc, outcome) in dma.outcomes() {
         let verified = match outcome {
@@ -91,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\n{} completed, {} failed; TMU faults detected: {}",
         dma.completed(),
         dma.failed(),
-        tmu.faults_detected()
+        link.tmu.faults_detected()
     );
     assert!(dma.completed() >= 4 && dma.failed() >= 1);
     Ok(())

@@ -3,102 +3,41 @@
 //! TMU aborts a transfer.
 
 use axi_tmu::axi4::prelude::*;
-use axi_tmu::faults::{FaultClass, FaultPlan, Injector, Trigger};
-use axi_tmu::sim::Reset;
+use axi_tmu::faults::{FaultClass, FaultPlan, Trigger};
 use axi_tmu::soc::dma::{Descriptor, DmaEngine, DmaOutcome};
-use axi_tmu::soc::link::AxiSubordinate;
+use axi_tmu::soc::link::GuardedLink;
 use axi_tmu::soc::memory::{pattern_word, MemSub};
-use axi_tmu::tmu::{Tmu, TmuConfig, TmuVariant};
+use axi_tmu::tmu::{TmuConfig, TmuVariant};
 
-/// A hand-wired link: DMA engine → TMU → memory, with injector + reset.
-struct DmaLink {
-    dma: DmaEngine,
-    tmu: Tmu,
-    mem: MemSub,
-    injector: Injector,
-    reset: Reset,
-    mgr_port: AxiPort,
-    sub_port: AxiPort,
-    cycle: u64,
-}
-
-impl DmaLink {
-    fn new(variant: TmuVariant) -> Self {
-        DmaLink {
-            dma: DmaEngine::new(AxiId(4)),
-            tmu: Tmu::new(
-                TmuConfig::builder()
-                    .variant(variant)
-                    .build()
-                    .expect("valid"),
-            ),
-            mem: MemSub::default(),
-            injector: Injector::idle(),
-            reset: Reset::new(),
-            mgr_port: AxiPort::new(),
-            sub_port: AxiPort::new(),
-            cycle: 0,
-        }
-    }
-
-    fn step(&mut self) {
-        let cycle = self.cycle;
-        self.mgr_port.begin_cycle();
-        self.sub_port.begin_cycle();
-        self.dma.drive(&mut self.mgr_port, cycle);
-        self.injector
-            .corrupt_manager_side(&mut self.mgr_port, cycle);
-        self.tmu.forward_request(&self.mgr_port, &mut self.sub_port);
-        self.mem.drive(&mut self.sub_port);
-        self.injector
-            .corrupt_subordinate_side(&mut self.sub_port, cycle);
-        self.tmu
-            .forward_response(&self.sub_port, &mut self.mgr_port);
-        self.tmu.observe(&self.mgr_port);
-        self.dma.commit(&self.mgr_port, cycle);
-        AxiSubordinate::commit(&mut self.mem, &self.sub_port);
-        self.injector.note_commit(&self.sub_port, cycle);
-        self.tmu.commit(cycle);
-        if self.tmu.take_reset_request() {
-            self.reset.request();
-        }
-        self.reset.tick();
-        if self.reset.is_done_pulse() {
-            AxiSubordinate::reset(&mut self.mem);
-            self.injector.disarm();
-            self.tmu.reset_done();
-        }
-        self.cycle += 1;
-    }
-
-    fn run_until(&mut self, max: u64, mut pred: impl FnMut(&Self) -> bool) -> bool {
-        for _ in 0..max {
-            self.step();
-            if pred(self) {
-                return true;
-            }
-        }
-        false
-    }
+/// DMA engine → TMU → memory, with injector and reset.
+fn dma_link(variant: TmuVariant) -> GuardedLink<MemSub, DmaEngine> {
+    GuardedLink::with_manager(
+        DmaEngine::new(AxiId(4)),
+        TmuConfig::builder()
+            .variant(variant)
+            .build()
+            .expect("valid"),
+        MemSub::default(),
+    )
 }
 
 #[test]
 fn dma_copies_verify_through_the_tmu() {
-    let mut link = DmaLink::new(TmuVariant::FullCounter);
+    let mut link = dma_link(TmuVariant::FullCounter);
     for i in 0..8u64 {
-        link.dma.push(Descriptor {
+        link.mgr.push(Descriptor {
             src: i * 0x100,
             dst: 0x4000 + i * 0x100,
             words: 16,
         });
     }
-    assert!(link.run_until(50_000, |l| l.dma.is_idle()));
-    assert_eq!(link.dma.completed(), 8);
-    assert_eq!(link.dma.failed(), 0);
+    assert!(link.run_until(50_000, |l| l.mgr.is_idle()));
+    assert_eq!(link.mgr.completed(), 8);
+    assert_eq!(link.mgr.failed(), 0);
     assert_eq!(link.tmu.faults_detected(), 0);
     // Spot-check the data at both ends.
     for i in 0..8u64 {
-        assert_eq!(link.mem.word(0x4000 + i * 0x100), pattern_word(i * 0x100));
+        assert_eq!(link.sub.word(0x4000 + i * 0x100), pattern_word(i * 0x100));
     }
     // The TMU's performance log saw every transaction (8 reads + 8
     // writes).
@@ -108,9 +47,9 @@ fn dma_copies_verify_through_the_tmu() {
 
 #[test]
 fn aborted_descriptor_fails_cleanly_and_queue_continues() {
-    let mut link = DmaLink::new(TmuVariant::FullCounter);
+    let mut link = dma_link(TmuVariant::FullCounter);
     for i in 0..4u64 {
-        link.dma.push(Descriptor {
+        link.mgr.push(Descriptor {
             src: i * 0x200,
             dst: 0x8000 + i * 0x200,
             words: 32,
@@ -118,31 +57,31 @@ fn aborted_descriptor_fails_cleanly_and_queue_continues() {
     }
     // Break the memory's B channel mid-campaign: some descriptor's write
     // leg gets aborted with SLVERR by the TMU.
-    link.inject_fault(FaultPlan::new(
+    link.inject(FaultPlan::new(
         FaultClass::BValidSuppress,
         Trigger::AtCycle(60),
     ));
     assert!(
-        link.run_until(100_000, |l| l.dma.is_idle()),
+        link.run_until(100_000, |l| l.mgr.is_idle()),
         "queue must drain"
     );
     assert_eq!(link.tmu.faults_detected(), 1, "one fault event");
     assert!(
-        link.dma.failed() >= 1,
+        link.mgr.failed() >= 1,
         "the aborted descriptor reports failure"
     );
     assert!(
-        link.dma.completed() >= 1,
+        link.mgr.completed() >= 1,
         "descriptors after recovery succeed"
     );
     assert_eq!(
-        link.dma.completed() + link.dma.failed(),
+        link.mgr.completed() + link.mgr.failed(),
         4,
         "every descriptor reaches a terminal outcome"
     );
     // The failed descriptor is identifiable for a driver retry.
     let failed: Vec<_> = link
-        .dma
+        .mgr
         .outcomes()
         .iter()
         .filter(|(_, o)| *o == DmaOutcome::Failed)
@@ -150,31 +89,25 @@ fn aborted_descriptor_fails_cleanly_and_queue_continues() {
     assert!(!failed.is_empty());
 }
 
-impl DmaLink {
-    fn inject_fault(&mut self, plan: FaultPlan) {
-        self.injector.arm(plan);
-    }
-}
-
 #[test]
 fn tiny_counter_variant_also_recovers_dma() {
-    let mut link = DmaLink::new(TmuVariant::TinyCounter);
+    let mut link = dma_link(TmuVariant::TinyCounter);
     for i in 0..3u64 {
-        link.dma.push(Descriptor {
+        link.mgr.push(Descriptor {
             src: i * 0x100,
             dst: 0x6000 + i * 0x100,
             words: 8,
         });
     }
-    link.inject_fault(FaultPlan::new(
+    link.inject(FaultPlan::new(
         FaultClass::RValidSuppress,
         Trigger::AtCycle(30),
     ));
-    assert!(link.run_until(100_000, |l| l.dma.is_idle()));
+    assert!(link.run_until(100_000, |l| l.mgr.is_idle()));
     assert_eq!(link.tmu.faults_detected(), 1);
-    assert_eq!(link.dma.completed() + link.dma.failed(), 3);
+    assert_eq!(link.mgr.completed() + link.mgr.failed(), 3);
     assert!(
-        link.dma.failed() >= 1,
+        link.mgr.failed() >= 1,
         "the read-leg abort fails its descriptor"
     );
 }
