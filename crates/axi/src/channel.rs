@@ -6,6 +6,10 @@
 //! high when the clock commits. All wires are cleared at the start of every
 //! cycle by [`Channel::begin_cycle`] / [`AxiPort::begin_cycle`] and must be
 //! re-driven — exactly like combinational outputs of registered logic.
+//!
+//! The payload *is* the `valid` wire: `valid` is high iff a payload is
+//! present, so there is one source of truth and every pass over the wires
+//! clears, copies and tests one field.
 
 use std::fmt;
 
@@ -14,6 +18,7 @@ use crate::beat::{ArBeat, AwBeat, BBeat, RBeat, WBeat};
 /// One AXI channel's wires for the current cycle.
 ///
 /// The type parameter `T` is the beat payload ([`AwBeat`], [`WBeat`], …).
+/// `valid` is the payload's presence; the only other wire is `ready`.
 ///
 /// # Example
 ///
@@ -30,18 +35,13 @@ use crate::beat::{ArBeat, AwBeat, BBeat, RBeat, WBeat};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Channel<T> {
-    valid: bool,
     ready: bool,
     payload: Option<T>,
 }
 
 impl<T> Default for Channel<T> {
     fn default() -> Self {
-        Channel {
-            valid: false,
-            ready: false,
-            payload: None,
-        }
+        Channel::new()
     }
 }
 
@@ -50,7 +50,6 @@ impl<T> Channel<T> {
     #[must_use]
     pub fn new() -> Self {
         Channel {
-            valid: false,
             ready: false,
             payload: None,
         }
@@ -58,14 +57,12 @@ impl<T> Channel<T> {
 
     /// Clears all wires for a new cycle. Call before any drive pass.
     pub fn begin_cycle(&mut self) {
-        self.valid = false;
         self.ready = false;
         self.payload = None;
     }
 
     /// Drives `valid` high with `beat` as the payload.
     pub fn drive(&mut self, beat: T) {
-        self.valid = true;
         self.payload = Some(beat);
     }
 
@@ -74,10 +71,10 @@ impl<T> Channel<T> {
         self.ready = ready;
     }
 
-    /// The `valid` wire.
+    /// The `valid` wire: whether a payload is driven.
     #[must_use]
     pub fn valid(&self) -> bool {
-        self.valid
+        self.payload.is_some()
     }
 
     /// The `ready` wire.
@@ -90,23 +87,19 @@ impl<T> Channel<T> {
     /// (`valid && ready`).
     #[must_use]
     pub fn fires(&self) -> bool {
-        self.valid && self.ready
+        self.ready && self.payload.is_some()
     }
 
     /// The payload currently on the wires, if `valid` is driven.
     #[must_use]
     pub fn beat(&self) -> Option<&T> {
-        if self.valid {
-            self.payload.as_ref()
-        } else {
-            None
-        }
+        self.payload.as_ref()
     }
 
     /// The payload if the handshake fires this cycle.
     #[must_use]
     pub fn fired_beat(&self) -> Option<&T> {
-        if self.fires() {
+        if self.ready {
             self.payload.as_ref()
         } else {
             None
@@ -116,17 +109,14 @@ impl<T> Channel<T> {
     /// Forces `valid` low and drops the payload — models a driver that
     /// fails to present its beat (fault injection).
     pub fn suppress_valid(&mut self) {
-        self.valid = false;
         self.payload = None;
     }
 
     /// Mutates the driven payload in place, if `valid` is high — models
     /// wire corruption (fault injection). No-op on an idle channel.
     pub fn corrupt(&mut self, f: impl FnOnce(&mut T)) {
-        if self.valid {
-            if let Some(p) = self.payload.as_mut() {
-                f(p);
-            }
+        if let Some(p) = self.payload.as_mut() {
+            f(p);
         }
     }
 }
@@ -135,7 +125,6 @@ impl<T: Clone> Channel<T> {
     /// Copies the driver-side wires (`valid` + payload) from `src` onto
     /// this channel — the forwarding a pass-through monitor performs.
     pub fn forward_driver_from(&mut self, src: &Channel<T>) {
-        self.valid = src.valid;
         self.payload = src.payload.clone();
     }
 
@@ -148,9 +137,9 @@ impl<T: Clone> Channel<T> {
 
 impl<T: fmt::Display> fmt::Display for Channel<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (&self.payload, self.valid) {
-            (Some(p), true) => write!(f, "[{} v=1 r={}]", p, u8::from(self.ready)),
-            _ => write!(f, "[idle r={}]", u8::from(self.ready)),
+        match &self.payload {
+            Some(p) => write!(f, "[{} v=1 r={}]", p, u8::from(self.ready)),
+            None => write!(f, "[idle r={}]", u8::from(self.ready)),
         }
     }
 }
@@ -229,6 +218,8 @@ impl fmt::Display for AxiPort {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::types::{Addr, AxiId, BurstKind, BurstLen, BurstSize};
 
@@ -325,5 +316,224 @@ mod tests {
     fn display_is_nonempty() {
         let port = AxiPort::new();
         assert!(!port.to_string().is_empty());
+    }
+
+    #[test]
+    fn corrupt_on_an_idle_channel_is_a_no_op() {
+        let mut ch: Channel<WBeat> = Channel::new();
+        ch.set_ready(true);
+        ch.corrupt(|_| panic!("an idle channel has no payload to corrupt"));
+        assert!(!ch.valid() && ch.ready() && ch.beat().is_none());
+    }
+
+    #[test]
+    fn forwarding_an_idle_driver_clears_a_driven_one() {
+        let idle: Channel<WBeat> = Channel::new();
+        let mut dst = Channel::new();
+        dst.drive(WBeat::new(7, true));
+        dst.set_ready(true);
+        dst.forward_driver_from(&idle);
+        assert!(!dst.valid() && !dst.fires() && dst.beat().is_none());
+        assert!(dst.ready(), "ready is the receiver's wire");
+    }
+
+    /// The two-field wire model (`valid` beside the payload) the channel
+    /// is checked against: every writer sets both fields.
+    #[derive(Debug, Clone)]
+    struct TwoFieldChannel<T> {
+        valid: bool,
+        ready: bool,
+        payload: Option<T>,
+    }
+
+    impl<T: Clone + fmt::Display> TwoFieldChannel<T> {
+        fn new() -> Self {
+            TwoFieldChannel {
+                valid: false,
+                ready: false,
+                payload: None,
+            }
+        }
+
+        fn begin_cycle(&mut self) {
+            *self = Self::new();
+        }
+
+        fn drive(&mut self, beat: T) {
+            self.valid = true;
+            self.payload = Some(beat);
+        }
+
+        fn suppress_valid(&mut self) {
+            self.valid = false;
+            self.payload = None;
+        }
+
+        fn corrupt(&mut self, f: impl FnOnce(&mut T)) {
+            if self.valid {
+                if let Some(p) = self.payload.as_mut() {
+                    f(p);
+                }
+            }
+        }
+
+        fn forward_driver_from(&mut self, src: &TwoFieldChannel<T>) {
+            self.valid = src.valid;
+            self.payload = src.payload.clone();
+        }
+
+        fn fires(&self) -> bool {
+            self.valid && self.ready
+        }
+
+        fn beat(&self) -> Option<&T> {
+            self.payload.as_ref().filter(|_| self.valid)
+        }
+
+        fn fired_beat(&self) -> Option<&T> {
+            self.payload.as_ref().filter(|_| self.fires())
+        }
+
+        fn display(&self) -> String {
+            match (&self.payload, self.valid) {
+                (Some(p), true) => format!("[{} v=1 r={}]", p, u8::from(self.ready)),
+                _ => format!("[idle r={}]", u8::from(self.ready)),
+            }
+        }
+    }
+
+    /// One wire operation; the forwards take a source channel given by
+    /// its payload and `ready`.
+    #[derive(Debug, Clone)]
+    enum Op<T> {
+        BeginCycle,
+        Drive(T),
+        SetReady(bool),
+        SuppressValid,
+        Corrupt,
+        ForwardDriver(Option<T>, bool),
+        ForwardReady(Option<T>, bool),
+    }
+
+    fn ops<S>(beat: impl Fn() -> S) -> impl Strategy<Value = Vec<Op<S::Value>>>
+    where
+        S: Strategy + 'static,
+        S::Value: Clone,
+    {
+        let source = || (any::<bool>(), beat(), any::<bool>());
+        let op = prop_oneof![
+            Just(Op::BeginCycle),
+            beat().prop_map(Op::Drive),
+            any::<bool>().prop_map(Op::SetReady),
+            Just(Op::SuppressValid),
+            Just(Op::Corrupt),
+            source().prop_map(|(on, b, r)| Op::ForwardDriver(on.then_some(b), r)),
+            source().prop_map(|(on, b, r)| Op::ForwardReady(on.then_some(b), r)),
+        ];
+        prop::collection::vec(op, 1..64)
+    }
+
+    /// A source channel for the forwards, in both models.
+    fn source<T: Clone + fmt::Display>(
+        payload: Option<T>,
+        ready: bool,
+    ) -> (Channel<T>, TwoFieldChannel<T>) {
+        let mut src = Channel::new();
+        let mut src_ref = TwoFieldChannel::new();
+        if let Some(beat) = payload {
+            src.drive(beat.clone());
+            src_ref.drive(beat);
+        }
+        src.set_ready(ready);
+        src_ref.ready = ready;
+        (src, src_ref)
+    }
+
+    /// Applies `ops` to a [`Channel`] and to the two-field reference and
+    /// compares every observer after each one.
+    fn same_wires<T>(ops: &[Op<T>], corrupt: fn(&mut T))
+    where
+        T: Clone + PartialEq + fmt::Debug + fmt::Display,
+    {
+        let mut ch = Channel::new();
+        let mut reference = TwoFieldChannel::new();
+        for (step, op) in ops.iter().cloned().enumerate() {
+            match op {
+                Op::BeginCycle => {
+                    ch.begin_cycle();
+                    reference.begin_cycle();
+                }
+                Op::Drive(beat) => {
+                    ch.drive(beat.clone());
+                    reference.drive(beat);
+                }
+                Op::SetReady(ready) => {
+                    ch.set_ready(ready);
+                    reference.ready = ready;
+                }
+                Op::SuppressValid => {
+                    ch.suppress_valid();
+                    reference.suppress_valid();
+                }
+                Op::Corrupt => {
+                    ch.corrupt(corrupt);
+                    reference.corrupt(corrupt);
+                }
+                Op::ForwardDriver(payload, ready) => {
+                    let (src, src_ref) = source(payload, ready);
+                    ch.forward_driver_from(&src);
+                    reference.forward_driver_from(&src_ref);
+                }
+                Op::ForwardReady(payload, ready) => {
+                    let (src, src_ref) = source(payload, ready);
+                    ch.forward_ready_from(&src);
+                    reference.ready = src_ref.ready;
+                }
+            }
+            prop_assert_eq!(ch.valid(), reference.valid, "valid after step {}", step);
+            prop_assert_eq!(ch.ready(), reference.ready, "ready after step {}", step);
+            prop_assert_eq!(ch.fires(), reference.fires(), "fires after step {}", step);
+            prop_assert_eq!(ch.beat(), reference.beat(), "beat after step {}", step);
+            prop_assert_eq!(
+                ch.fired_beat(),
+                reference.fired_beat(),
+                "fired_beat after step {}",
+                step
+            );
+            prop_assert_eq!(
+                ch.to_string(),
+                reference.display(),
+                "display after step {}",
+                step
+            );
+        }
+    }
+
+    fn w_beat() -> impl Strategy<Value = WBeat> {
+        (any::<u64>(), any::<bool>()).prop_map(|(data, last)| WBeat::new(data, last))
+    }
+
+    fn aw_beat_any() -> impl Strategy<Value = AwBeat> {
+        (0u16..16, any::<u64>(), 1u16..=16).prop_map(|(id, addr, beats)| {
+            AwBeat::new(
+                AxiId(id),
+                Addr(addr),
+                BurstLen::from_beats(beats).expect("1..=16 beats"),
+                BurstSize::default(),
+                BurstKind::Incr,
+            )
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn w_wires_match_the_two_field_model(ops in ops(w_beat)) {
+            same_wires(&ops, |w| w.data ^= 0xFFFF_0000);
+        }
+
+        #[test]
+        fn aw_wires_match_the_two_field_model(ops in ops(aw_beat_any)) {
+            same_wires(&ops, |aw| aw.id = AxiId(aw.id.0 ^ 0x3f5));
+        }
     }
 }

@@ -121,13 +121,9 @@ impl Injector {
         }
         let class = self.plan.expect("triggered implies armed").class;
         if class == FaultClass::WValidSuppress {
-            if mgr.w.valid() {
-                mgr.w.suppress_valid();
-                self.mark_active(cycle);
-            } else {
-                // The stall is effective even between beats.
-                self.mark_active(cycle);
-            }
+            // The stall is effective even between beats.
+            mgr.w.suppress_valid();
+            self.mark_active(cycle);
         }
     }
 

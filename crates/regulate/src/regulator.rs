@@ -134,8 +134,8 @@ impl Lane {
             self.deny = false;
             return;
         }
-        self.deny = mgr.valid() && !budget.may_grant(self.dir);
         let id = mgr.beat().map(|b| b.id().0);
+        self.deny = id.is_some() && !budget.may_grant(self.dir);
         if self.deny {
             self.denied_id = id.unwrap_or(0);
             out.suppress_valid();

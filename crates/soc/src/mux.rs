@@ -150,8 +150,7 @@ impl Mux {
             self.priorities.as_deref(),
             |i| mgrs[i].aw.valid(),
         );
-        if let Some(i) = self.cur_aw {
-            let mut beat = *mgrs[i].aw.beat().expect("arbitrated valid");
+        if let Some((i, mut beat)) = self.cur_aw.and_then(|i| Some((i, *mgrs[i].aw.beat()?))) {
             beat.id = self.extend_id(i, beat.id);
             trunk.aw.drive(beat);
         }
@@ -167,8 +166,7 @@ impl Mux {
             self.priorities.as_deref(),
             |i| mgrs[i].ar.valid(),
         );
-        if let Some(i) = self.cur_ar {
-            let mut beat = *mgrs[i].ar.beat().expect("arbitrated valid");
+        if let Some((i, mut beat)) = self.cur_ar.and_then(|i| Some((i, *mgrs[i].ar.beat()?))) {
             beat.id = self.extend_id(i, beat.id);
             trunk.ar.drive(beat);
         }
