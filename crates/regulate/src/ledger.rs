@@ -80,11 +80,19 @@ impl Ledger {
     }
 
     /// Drive pass: whether the address offered with `id` must be held
-    /// off this cycle. An already pending address is never stalled.
+    /// off this cycle: no room for it, or `hold` (no new address is
+    /// admitted at all). An already pending address is never stalled.
     #[inline]
-    pub(crate) fn decide_stall(&mut self, id: Option<u16>) -> bool {
-        self.stalled = !self.pending && id.is_some_and(|id| self.remap.probe(AxiId(id)).is_err());
+    pub(crate) fn decide_stall(&mut self, id: Option<u16>, hold: bool) -> bool {
+        self.stalled =
+            !self.pending && id.is_some_and(|id| hold || self.remap.probe(AxiId(id)).is_err());
         self.stalled
+    }
+
+    /// Whether the newest entry's address is offered downstream but not
+    /// yet accepted.
+    pub(crate) fn pending(&self) -> bool {
+        self.pending
     }
 
     /// This cycle's stall decision.
@@ -148,14 +156,6 @@ impl Ledger {
         }
     }
 
-    /// W beats of the pending write address (0 when none is pending).
-    pub(crate) fn pending_beats(&self) -> u64 {
-        match self.open.last() {
-            Some(txn) if self.pending => u64::from(txn.beats),
-            _ => 0,
-        }
-    }
-
     /// The abort obligations of every open transaction, in allocation
     /// order: `responses(txn)` `SLVERR` beats each, plus `drain_w_beats`
     /// residual W beats.
@@ -207,7 +207,7 @@ mod tests {
 
     /// Offers and accepts one transaction in a single cycle.
     fn issue(l: &mut Ledger, id: u16, beats: u16) {
-        assert!(!l.decide_stall(Some(id)));
+        assert!(!l.decide_stall(Some(id), false));
         l.commit(Some(Open { id, beats }), true, None);
     }
 
@@ -216,11 +216,11 @@ mod tests {
         let mut l = ledger(2, 2);
         issue(&mut l, 1, 1);
         issue(&mut l, 1, 1);
-        assert!(l.decide_stall(Some(1)), "per-ID quota full");
+        assert!(l.decide_stall(Some(1), false), "per-ID quota full");
         issue(&mut l, 2, 1);
-        assert!(l.decide_stall(Some(3)), "both ID slots live");
+        assert!(l.decide_stall(Some(3), false), "both ID slots live");
         l.commit(None, false, Some((1, true)));
-        assert!(!l.decide_stall(Some(1)));
+        assert!(!l.decide_stall(Some(1), false));
         assert_eq!(l.len(), 2);
     }
 
@@ -243,10 +243,10 @@ mod tests {
     #[test]
     fn an_address_waiting_while_pending_is_quiet() {
         let mut l = ledger(4, 4);
-        assert!(!l.decide_stall(Some(2)));
+        assert!(!l.decide_stall(Some(2), false));
         assert!(l.has_work(true, false, false), "the first offer allocates");
         l.commit(Some(Open { id: 2, beats: 1 }), false, None);
-        assert!(!l.decide_stall(Some(2)));
+        assert!(!l.decide_stall(Some(2), false));
         assert!(!l.has_work(true, false, false), "already pending: no work");
         assert!(l.has_work(true, true, false), "the handshake fires");
         l.commit(Some(Open { id: 2, beats: 1 }), true, None);
@@ -257,14 +257,14 @@ mod tests {
     #[test]
     fn pending_entry_never_retires_and_is_reported_for_abort() {
         let mut l = ledger(4, 4);
-        assert!(!l.decide_stall(Some(2)));
+        assert!(!l.decide_stall(Some(2), false));
         l.commit(Some(Open { id: 2, beats: 4 }), false, Some((2, true)));
         assert_eq!(l.len(), 1, "a pending entry never retires");
-        assert_eq!(l.pending_beats(), 4);
+        assert!(l.pending());
         let set = l.abort_set(4, |_| 1);
         assert!(set.accept_pending_addr);
         assert_eq!(set.drain_w_beats, 4);
         l.reset();
-        assert_eq!((l.len(), l.pending_beats()), (0, 0));
+        assert_eq!((l.len(), l.pending()), (0, false));
     }
 }

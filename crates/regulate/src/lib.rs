@@ -28,11 +28,13 @@
 //! N *consecutive* windows is severed. Each direction is one lane of
 //! the regulator, and each lane keeps a small ledger of the
 //! transactions it let through — raw ID and owed beats — sized and
-//! admitted by the TMU's own [`tmu::remap::IdRemapper`]. On the verdict
-//! the regulator hands both ledgers to a [`tmu::Terminator`],
-//! the sever/abort/drain unit the TMU's own recovery uses. The
-//! terminator answers the backlog with `SLVERR`, accepts a still-held
-//! address beat and absorbs the W beats the manager still owes, while
+//! admitted by the TMU's own [`tmu::remap::IdRemapper`]. From the
+//! verdict on no new address is admitted, and once no address the
+//! regulator forwarded still waits for its handshake downstream (AXI
+//! forbids retracting one) it hands both ledgers to a
+//! [`tmu::Terminator`], the sever/abort/drain unit the TMU's own
+//! recovery uses. The terminator answers the backlog with `SLVERR` and
+//! absorbs the W beats the manager still owes, while
 //! the regulator forwards exactly the beats the subordinate is owed and
 //! absorbs the subordinate's late responses. The port stays closed until
 //! software re-admits it with [`Regulator::release`]; no subordinate

@@ -119,18 +119,21 @@ impl Lane {
     /// Pass 1: forwards the manager's address downstream. A denied
     /// address goes downstream with valid low and no payload; it is
     /// invisible to the ledger. Its ID is kept for the denial episode it
-    /// may open. An address the ledger has no room for is held off.
+    /// may open. An address the ledger has no room for, or any new one
+    /// while `hold`, is held off; a pending one keeps going downstream.
     #[inline]
     fn forward_addr<B: AddrBeat>(
         &mut self,
         budget: &BudgetUnit,
         severed: bool,
+        hold: bool,
         mgr: &Channel<B>,
         out: &mut Channel<B>,
     ) {
         if severed {
             // No credit decision, and the address stays off the
-            // downstream wires.
+            // downstream wires: the sever waited until no address was
+            // pending there, so nothing offered is retracted.
             self.deny = false;
             return;
         }
@@ -139,7 +142,7 @@ impl Lane {
         if self.deny {
             self.denied_id = id.unwrap_or(0);
             out.suppress_valid();
-        } else if !self.ledger.decide_stall(id) {
+        } else if !self.ledger.decide_stall(id, hold) {
             out.forward_driver_from(mgr);
         }
     }
@@ -279,12 +282,12 @@ pub struct Regulator {
     ungated: bool,
     /// Committed state: W beats of bursts whose AW already fired towards
     /// the subordinate but whose data has not yet followed. While
-    /// severed, exactly this many beats are still forwarded downstream
-    /// (the terminator's drain count also covers never-forwarded
-    /// bursts).
+    /// severed, exactly this many beats are still forwarded downstream;
+    /// the sever hands the same count to the terminator as its drain.
     q_w_owed: u64,
     /// Committed state: the isolation verdict, latched until
-    /// [`Regulator::release`].
+    /// [`Regulator::release`]. The sever follows once no address is
+    /// pending downstream; no new address is admitted in between.
     q_isolated: bool,
     /// Committed state: the record of the most recent sever.
     q_last_fault: Option<ErrorRecord>,
@@ -334,10 +337,12 @@ impl Regulator {
 
     fn forward_request_enabled(&mut self, mgr: &AxiPort, out: &mut AxiPort) {
         let severed = self.term.is_severed();
+        // An isolation verdict awaiting its sever admits no new address.
+        let hold = self.q_isolated;
         self.write
-            .forward_addr(&self.budget, severed, &mgr.aw, &mut out.aw);
+            .forward_addr(&self.budget, severed, hold, &mgr.aw, &mut out.aw);
         self.read
-            .forward_addr(&self.budget, severed, &mgr.ar, &mut out.ar);
+            .forward_addr(&self.budget, severed, hold, &mgr.ar, &mut out.ar);
         if severed {
             // The terminator drives the manager side only; stray
             // responses still in flight from the shared subordinate must
@@ -494,7 +499,6 @@ impl Regulator {
         if std::mem::take(&mut self.saw_w_downstream) {
             self.q_w_owed = self.q_w_owed.saturating_sub(1);
         }
-        let mut isolate = false;
         if let Some(roll) = self.budget.commit(&spend, cycle) {
             self.telemetry.record(
                 cycle,
@@ -508,7 +512,6 @@ impl Regulator {
                 if !self.q_isolated && roll.streak >= overrun_windows {
                     self.q_isolated = true;
                     self.q_isolations += 1;
-                    isolate = true;
                     self.telemetry.record(
                         cycle,
                         "regulate",
@@ -526,14 +529,20 @@ impl Regulator {
         if !self.term.is_idle() || self.ungated() {
             self.term.commit();
         }
-        if isolate && monitoring {
-            // Severing hands every open transaction to the terminator:
-            // the owed W beats of granted bursts plus those of a
-            // still-offered AW drain, and each write gets one SLVERR B,
+        if self.q_isolated
+            && monitoring
+            && !self.write.ledger.pending()
+            && !self.read.ledger.pending()
+        {
+            // The sever waits until no address is offered downstream
+            // unaccepted, since AXI forbids retracting one: the lanes
+            // hold off new addresses meanwhile, and the pending one's
+            // handshake is a commit event. Severing then hands every
+            // open transaction to the terminator: the owed W beats of
+            // granted bursts drain, and each write gets one SLVERR B,
             // each read its remaining R beats. The subordinate still
-            // answers the accepted ones.
-            let drain = self.q_w_owed + self.write.ledger.pending_beats();
-            let write = self.write.abort(drain, |_| 1);
+            // answers all of them.
+            let write = self.write.abort(self.q_w_owed, |_| 1);
             let read = self.read.abort(0, |txn| txn.beats.max(1));
             self.term.sever(write, read);
             self.q_last_fault = Some(ErrorRecord {
@@ -619,7 +628,9 @@ impl Regulator {
         self.q_last_fault.as_ref()
     }
 
-    /// True while the manager is severed awaiting [`Regulator::release`].
+    /// True from the isolation verdict until [`Regulator::release`]. The
+    /// port is severed once an address already offered downstream has
+    /// been accepted ([`Regulator::state`] leaves `Monitoring` then).
     #[must_use]
     pub fn is_isolated(&self) -> bool {
         self.q_isolated
@@ -981,7 +992,7 @@ mod tests {
         assert_eq!(
             reg.state(),
             TmuState::Aborting,
-            "the open write must put the tracker into its abort phase"
+            "the open write must put the terminator into its abort phase"
         );
         // The withheld W beat is owed downstream and must drain there;
         // afterwards the terminator answers the write with SLVERR.
@@ -997,6 +1008,73 @@ mod tests {
         }
         assert!(saw_slverr, "outstanding write must be SLVERR-aborted");
         assert!(reg.release(), "owed beats drained; release must succeed");
+    }
+
+    /// The write lane overruns its window while an AR waits downstream
+    /// for `ready` until cycle 6. The isolation verdict of cycle 3 waits
+    /// for that handshake: the AR stays valid until it is accepted, no
+    /// new address goes downstream meanwhile, and the sever follows the
+    /// AR's handshake, aborting it like any accepted read.
+    #[test]
+    fn isolation_waits_for_a_pending_address_to_be_accepted() {
+        let mut reg = Regulator::new(tight_cfg(RegulationMode::Isolate { overrun_windows: 1 }));
+        let (mut mgr, mut out) = (AxiPort::new(), AxiPort::new());
+        let mut rules = axi4::checker::WireRules::default();
+        let mut violations = Vec::new();
+        let ar = ArBeat::new(
+            AxiId(2),
+            Addr(0x200),
+            BurstLen::SINGLE,
+            BurstSize::default(),
+            BurstKind::Incr,
+        );
+        let (mut ar_fired, mut severed_at, mut slverr_r) = (None, None, 0);
+        for cycle in 0..12 {
+            mgr.begin_cycle();
+            out.begin_cycle();
+            mgr.aw.drive(aw());
+            if ar_fired.is_none() {
+                mgr.ar.drive(ar);
+            }
+            mgr.b.set_ready(true);
+            mgr.r.set_ready(true);
+            reg.forward_request(&mgr, &mut out);
+            if (1..7).contains(&cycle) {
+                assert!(
+                    !out.aw.valid(),
+                    "cycle {cycle}: the AW is denied or held off"
+                );
+            }
+            out.aw.set_ready(true);
+            out.w.set_ready(true);
+            out.ar.set_ready(cycle >= 6);
+            reg.forward_response(&out, &mut mgr);
+            reg.observe(&mgr);
+            rules.observe(&out, cycle, &mut violations);
+            if mgr.ar.fires() {
+                ar_fired = Some(cycle);
+            }
+            if mgr.r.fired_beat().is_some_and(|r| r.resp == Resp::SlvErr) {
+                slverr_r += 1;
+            }
+            reg.commit(cycle);
+            if reg.state() != TmuState::Monitoring {
+                severed_at.get_or_insert(cycle);
+            }
+        }
+        assert!(
+            violations.is_empty(),
+            "downstream wire rules: {violations:?}"
+        );
+        assert_eq!(
+            ar_fired,
+            Some(6),
+            "the AR is accepted downstream, not by the sever"
+        );
+        assert!(reg.is_isolated());
+        assert_eq!(severed_at, Some(6), "the sever follows the AR's handshake");
+        assert_eq!(slverr_r, 1, "the accepted read is aborted");
+        assert_eq!(reg.last_fault().map(|f| f.cycle), Some(6));
     }
 
     /// Writes get 64 B / 1 txn per window and reads are unlimited, or

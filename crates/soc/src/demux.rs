@@ -21,8 +21,11 @@
 
 use std::collections::VecDeque;
 
+use axi4::beat::AddrBeat;
 use axi4::hash::FoldHashMap;
 use axi4::prelude::*;
+
+use crate::arbiter::Arbiter;
 
 /// One decoded address window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,13 +44,6 @@ impl AddrRegion {
     }
 }
 
-/// Routing target: a subordinate port index or the DECERR responder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Route {
-    Sub(usize),
-    Err,
-}
-
 /// Internal DECERR default subordinate.
 #[derive(Debug, Default)]
 struct ErrSub {
@@ -55,28 +51,78 @@ struct ErrSub {
     r_owed: VecDeque<(AxiId, u16)>,
 }
 
+/// One address channel's routing: the outstanding transactions per ID
+/// with their target, and this cycle's decision. A route is a
+/// subordinate index, or the region count for the DECERR responder.
+#[derive(Debug, Default)]
+struct AddrLane {
+    outstanding: FoldHashMap<AxiId, (usize, u32)>,
+    /// This cycle's forwarded address: target, ID and burst beats.
+    /// `None` while nothing is offered or the offer stalls on its ID.
+    cur: Option<(usize, AxiId, u16)>,
+}
+
+impl AddrLane {
+    /// Pass 1: decodes the offered address and returns its target,
+    /// unless its ID still has transactions outstanding towards another
+    /// target (the same-ID ordering stall).
+    fn decide<B: AddrBeat>(&mut self, beat: Option<&B>, regions: &[AddrRegion]) -> Option<usize> {
+        self.cur = beat
+            .map(|b| {
+                let target = regions
+                    .iter()
+                    .position(|r| r.contains(b.addr()))
+                    .unwrap_or(regions.len());
+                (target, b.id(), b.burst_len().beats())
+            })
+            .filter(|(target, id, _)| {
+                !self
+                    .outstanding
+                    .get(id)
+                    .is_some_and(|(route, count)| route != target && *count > 0)
+            });
+        self.target()
+    }
+
+    /// This cycle's target.
+    fn target(&self) -> Option<usize> {
+        self.cur.map(|(target, _, _)| target)
+    }
+
+    /// Commit of a fired address: counts it outstanding towards its
+    /// target and returns the decision.
+    fn accept(&mut self) -> (usize, AxiId, u16) {
+        let cur = self.cur.take().expect("a fired address implies a decision");
+        let (target, id, _) = cur;
+        let entry = self.outstanding.entry(id).or_insert((target, 0));
+        *entry = (target, entry.1 + 1);
+        cur
+    }
+
+    /// Commit of a response that closes a transaction of `id`.
+    fn retire(&mut self, id: AxiId) {
+        if let Some(entry) = self.outstanding.get_mut(&id) {
+            entry.1 -= 1;
+            if entry.1 == 0 {
+                self.outstanding.remove(&id);
+            }
+        }
+    }
+}
+
 /// The demultiplexer. See the [module docs](self).
 #[derive(Debug)]
 pub struct Demux {
     regions: Vec<AddrRegion>,
-    // W beats follow AW order: (target, id) per accepted write.
-    w_route: VecDeque<(Route, AxiId)>,
-    write_outstanding: FoldHashMap<AxiId, (Route, u32)>,
-    read_outstanding: FoldHashMap<AxiId, (Route, u32)>,
+    /// W beats follow AW order: (route, id) per accepted write.
+    w_route: VecDeque<(usize, AxiId)>,
+    aw: AddrLane,
+    ar: AddrLane,
     err: ErrSub,
-    // Response arbitration (sticky until fire, then round-robin).
-    b_lock: Option<Route>,
-    b_rr: usize,
-    r_lock: Option<Route>,
-    r_rr: usize,
-    // Per-cycle decisions.
-    cur_aw: Option<(Route, AxiId, u16)>,
-    aw_stalled: bool,
-    cur_ar: Option<(Route, AxiId, u16)>,
-    ar_stalled: bool,
-    cur_b_sel: Option<Route>,
-    cur_r_sel: Option<Route>,
-    // Stats.
+    /// Response arbitration over the subordinates by index, then the
+    /// DECERR responder.
+    b: Arbiter,
+    r: Arbiter,
     decode_errors: u64,
 }
 
@@ -98,19 +144,11 @@ impl Demux {
         Demux {
             regions,
             w_route: VecDeque::new(),
-            write_outstanding: FoldHashMap::default(),
-            read_outstanding: FoldHashMap::default(),
+            aw: AddrLane::default(),
+            ar: AddrLane::default(),
             err: ErrSub::default(),
-            b_lock: None,
-            b_rr: 0,
-            r_lock: None,
-            r_rr: 0,
-            cur_aw: None,
-            aw_stalled: false,
-            cur_ar: None,
-            ar_stalled: false,
-            cur_b_sel: None,
-            cur_r_sel: None,
+            b: Arbiter::default(),
+            r: Arbiter::default(),
             decode_errors: 0,
         }
     }
@@ -121,84 +159,36 @@ impl Demux {
         self.decode_errors
     }
 
-    fn decode(&self, addr: Addr) -> Route {
-        self.regions
-            .iter()
-            .position(|r| r.contains(addr))
-            .map_or(Route::Err, Route::Sub)
+    /// The route of the DECERR responder.
+    fn err_route(&self) -> usize {
+        self.regions.len()
+    }
+
+    /// The subordinate a route names, if it is not the DECERR responder.
+    fn sub(&self, route: Option<usize>) -> Option<usize> {
+        route.filter(|&i| i < self.err_route())
+    }
+
+    /// The `ready` a route gives the trunk: its subordinate's, always
+    /// for the DECERR responder, never without a route.
+    fn ready(&self, route: Option<usize>, sub_ready: impl Fn(usize) -> bool) -> bool {
+        route.is_some_and(|i| i == self.err_route() || sub_ready(i))
     }
 
     /// Pass 1: forward the trunk's request wires to the subordinates.
     pub fn forward_requests(&mut self, trunk: &AxiPort, subs: &mut [AxiPort]) {
-        // AW routing with same-ID ordering stall.
-        self.cur_aw = None;
-        self.aw_stalled = false;
-        if let Some(aw) = trunk.aw.beat() {
-            let target = self.decode(aw.addr);
-            let conflict = self
-                .write_outstanding
-                .get(&aw.id)
-                .is_some_and(|(route, count)| *route != target && *count > 0);
-            if conflict {
-                self.aw_stalled = true;
-            } else {
-                if let Route::Sub(i) = target {
-                    subs[i].aw.forward_driver_from(&trunk.aw);
-                }
-                self.cur_aw = Some((target, aw.id, aw.len.beats()));
-            }
+        let aw = self.aw.decide(trunk.aw.beat(), &self.regions);
+        if let Some(i) = self.sub(aw) {
+            subs[i].aw.forward_driver_from(&trunk.aw);
         }
         // W beats follow the recorded AW order.
-        if let Some((Route::Sub(i), _)) = self.w_route.front() {
-            subs[*i].w.forward_driver_from(&trunk.w);
+        if let Some(i) = self.sub(self.w_route.front().map(|&(route, _)| route)) {
+            subs[i].w.forward_driver_from(&trunk.w);
         }
-        // AR routing with same-ID ordering stall.
-        self.cur_ar = None;
-        self.ar_stalled = false;
-        if let Some(ar) = trunk.ar.beat() {
-            let target = self.decode(ar.addr);
-            let conflict = self
-                .read_outstanding
-                .get(&ar.id)
-                .is_some_and(|(route, count)| *route != target && *count > 0);
-            if conflict {
-                self.ar_stalled = true;
-            } else {
-                if let Route::Sub(i) = target {
-                    subs[i].ar.forward_driver_from(&trunk.ar);
-                }
-                self.cur_ar = Some((target, ar.id, ar.len.beats()));
-            }
+        let ar = self.ar.decide(trunk.ar.beat(), &self.regions);
+        if let Some(i) = self.sub(ar) {
+            subs[i].ar.forward_driver_from(&trunk.ar);
         }
-    }
-
-    /// Picks this cycle's response source from `candidates`, the valid
-    /// sources in round-robin order (subordinates by index, then the
-    /// DECERR responder): an unfired pick stays locked while still
-    /// valid, otherwise the first candidate at or after `rr`, wrapping
-    /// to the first.
-    fn arbitrate(
-        lock: &mut Option<Route>,
-        rr: usize,
-        candidates: impl Iterator<Item = Route>,
-    ) -> Option<Route> {
-        let key = |r: Route| match r {
-            Route::Sub(i) => i,
-            Route::Err => usize::MAX,
-        };
-        let mut first = None;
-        let mut at_or_after_rr = None;
-        for candidate in candidates {
-            if *lock == Some(candidate) {
-                return Some(candidate);
-            }
-            first = first.or(Some(candidate));
-            if at_or_after_rr.is_none() && key(candidate) >= rr {
-                at_or_after_rr = Some(candidate);
-            }
-        }
-        *lock = None;
-        at_or_after_rr.or(first)
     }
 
     /// Pass 2: select and forward subordinate responses onto the trunk,
@@ -209,57 +199,46 @@ impl Demux {
     /// Panics if `subs` is shorter than the configured subordinate
     /// count, or if the route tables are internally inconsistent.
     pub fn forward_responses(&mut self, subs: &[AxiPort], trunk: &mut AxiPort) {
-        // Request readiness back-propagation.
-        let aw_ready = match (&self.cur_aw, self.aw_stalled) {
-            (_, true) | (None, _) => false,
-            (Some((Route::Sub(i), _, _)), _) => subs[*i].aw.ready(),
-            (Some((Route::Err, _, _)), _) => true,
-        };
-        trunk.aw.set_ready(aw_ready);
-        let w_ready = match self.w_route.front() {
-            Some((Route::Sub(i), _)) => subs[*i].w.ready(),
-            Some((Route::Err, _)) => true,
-            None => false,
-        };
-        trunk.w.set_ready(w_ready);
-        let ar_ready = match (&self.cur_ar, self.ar_stalled) {
-            (_, true) | (None, _) => false,
-            (Some((Route::Sub(i), _, _)), _) => subs[*i].ar.ready(),
-            (Some((Route::Err, _, _)), _) => true,
-        };
-        trunk.ar.set_ready(ar_ready);
+        trunk
+            .aw
+            .set_ready(self.ready(self.aw.target(), |i| subs[i].aw.ready()));
+        let w_route = self.w_route.front().map(|&(route, _)| route);
+        trunk
+            .w
+            .set_ready(self.ready(w_route, |i| subs[i].w.ready()));
+        trunk
+            .ar
+            .set_ready(self.ready(self.ar.target(), |i| subs[i].ar.ready()));
 
-        // B arbitration.
-        let b_candidates = subs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.b.valid())
-            .map(|(i, _)| Route::Sub(i))
-            .chain((!self.err.b_owed.is_empty()).then_some(Route::Err));
-        self.cur_b_sel = Self::arbitrate(&mut self.b_lock, self.b_rr, b_candidates);
-        match self.cur_b_sel {
-            Some(Route::Sub(i)) => trunk.b.forward_driver_from(&subs[i].b),
-            Some(Route::Err) => {
+        let err = self.err_route();
+        let owed = !self.err.b_owed.is_empty();
+        match self.b.pick(err + 1, None, |i| {
+            if i == err {
+                owed
+            } else {
+                subs[i].b.valid()
+            }
+        }) {
+            Some(i) if i == err => {
                 let id = *self.err.b_owed.front().expect("candidate implies owed");
                 trunk.b.drive(BBeat::new(id, Resp::DecErr));
             }
+            Some(i) => trunk.b.forward_driver_from(&subs[i].b),
             None => {}
         }
-
-        // R arbitration.
-        let r_candidates = subs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.r.valid())
-            .map(|(i, _)| Route::Sub(i))
-            .chain((!self.err.r_owed.is_empty()).then_some(Route::Err));
-        self.cur_r_sel = Self::arbitrate(&mut self.r_lock, self.r_rr, r_candidates);
-        match self.cur_r_sel {
-            Some(Route::Sub(i)) => trunk.r.forward_driver_from(&subs[i].r),
-            Some(Route::Err) => {
+        let owed = !self.err.r_owed.is_empty();
+        match self.r.pick(err + 1, None, |i| {
+            if i == err {
+                owed
+            } else {
+                subs[i].r.valid()
+            }
+        }) {
+            Some(i) if i == err => {
                 let (id, left) = *self.err.r_owed.front().expect("candidate implies owed");
                 trunk.r.drive(RBeat::new(id, 0, Resp::DecErr, left == 1));
             }
+            Some(i) => trunk.r.forward_driver_from(&subs[i].r),
             None => {}
         }
     }
@@ -268,10 +247,10 @@ impl Demux {
     /// from the manager side), propagate them to the selected
     /// subordinate.
     pub fn backprop_response_ready(&mut self, trunk: &AxiPort, subs: &mut [AxiPort]) {
-        if let Some(Route::Sub(i)) = self.cur_b_sel {
+        if let Some(i) = self.sub(self.b.grant()) {
             subs[i].b.set_ready(trunk.b.ready());
         }
-        if let Some(Route::Sub(i)) = self.cur_r_sel {
+        if let Some(i) = self.sub(self.r.grant()) {
             subs[i].r.set_ready(trunk.r.ready());
         }
     }
@@ -284,54 +263,35 @@ impl Demux {
     /// Panics only if a handshake fires without a recorded routing decision — an internal invariant
     /// violation (a bug in the monitor, not a caller error).
     pub fn commit(&mut self, trunk: &AxiPort) {
+        let err = self.err_route();
         if trunk.aw.fires() {
-            let (target, id, _beats) = self.cur_aw.take().expect("AW fired implies decision");
+            let (target, id, _) = self.aw.accept();
             self.w_route.push_back((target, id));
-            let entry = self.write_outstanding.entry(id).or_insert((target, 0));
-            entry.0 = target;
-            entry.1 += 1;
-            if target == Route::Err {
-                self.decode_errors += 1;
+            self.decode_errors += u64::from(target == err);
+        }
+        if trunk.w.fired_beat().is_some_and(|w| w.last) {
+            let (route, id) = self.w_route.pop_front().expect("W fired implies route");
+            if route == err {
+                self.err.b_owed.push_back(id);
             }
         }
-        if let Some(w) = trunk.w.fired_beat() {
-            if w.last {
-                let (route, id) = self.w_route.pop_front().expect("W fired implies route");
-                if route == Route::Err {
-                    self.err.b_owed.push_back(id);
-                }
-            }
-        }
+        let b_source = self.b.commit(trunk.b.fires(), err + 1);
         if let Some(b) = trunk.b.fired_beat() {
-            if let Some(entry) = self.write_outstanding.get_mut(&b.id) {
-                entry.1 -= 1;
-                if entry.1 == 0 {
-                    self.write_outstanding.remove(&b.id);
-                }
-            }
-            if self.cur_b_sel == Some(Route::Err) {
+            self.aw.retire(b.id);
+            if b_source == Some(err) {
                 self.err.b_owed.pop_front();
             }
-            self.b_lock = None;
-            self.b_rr = match self.cur_b_sel {
-                Some(Route::Sub(i)) => i + 1,
-                _ => 0,
-            };
-        } else if self.cur_b_sel.is_some() {
-            self.b_lock = self.cur_b_sel;
         }
         if trunk.ar.fires() {
-            let (target, id, beats) = self.cur_ar.take().expect("AR fired implies decision");
-            let entry = self.read_outstanding.entry(id).or_insert((target, 0));
-            entry.0 = target;
-            entry.1 += 1;
-            if target == Route::Err {
+            let (target, id, beats) = self.ar.accept();
+            if target == err {
                 self.decode_errors += 1;
                 self.err.r_owed.push_back((id, beats));
             }
         }
+        let r_source = self.r.commit(trunk.r.fires(), err + 1);
         if let Some(r) = trunk.r.fired_beat() {
-            if self.cur_r_sel == Some(Route::Err) {
+            if r_source == Some(err) {
                 let front = self
                     .err
                     .r_owed
@@ -343,23 +303,9 @@ impl Demux {
                 }
             }
             if r.last {
-                if let Some(entry) = self.read_outstanding.get_mut(&r.id) {
-                    entry.1 -= 1;
-                    if entry.1 == 0 {
-                        self.read_outstanding.remove(&r.id);
-                    }
-                }
+                self.ar.retire(r.id);
             }
-            self.r_lock = None;
-            self.r_rr = match self.cur_r_sel {
-                Some(Route::Sub(i)) => i + 1,
-                _ => 0,
-            };
-        } else if self.cur_r_sel.is_some() {
-            self.r_lock = self.cur_r_sel;
         }
-        self.cur_b_sel = None;
-        self.cur_r_sel = None;
     }
 }
 

@@ -45,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arbiter;
 pub mod demux;
 pub mod dma;
 pub mod ethernet;

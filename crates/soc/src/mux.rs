@@ -24,6 +24,26 @@ use std::collections::VecDeque;
 
 use axi4::prelude::*;
 
+use crate::arbiter::Arbiter;
+
+/// Beats whose ID the mux rewrites: extended on the way to the trunk
+/// (AW, AR), restored on the way back (B, R).
+trait Tagged: Copy {
+    fn id_mut(&mut self) -> &mut AxiId;
+}
+
+macro_rules! tagged {
+    ($($beat:ty),*) => {$(
+        impl Tagged for $beat {
+            fn id_mut(&mut self) -> &mut AxiId {
+                &mut self.id
+            }
+        }
+    )*};
+}
+
+tagged!(AwBeat, ArBeat, BBeat, RBeat);
+
 /// The multiplexer. See the [module docs](self).
 #[derive(Debug)]
 pub struct Mux {
@@ -32,17 +52,10 @@ pub struct Mux {
     /// Static per-manager priorities (higher wins); `None` keeps the
     /// default fair round-robin.
     priorities: Option<Vec<u8>>,
-    aw_lock: Option<usize>,
-    aw_rr: usize,
-    ar_lock: Option<usize>,
-    ar_rr: usize,
+    aw: Arbiter,
+    ar: Arbiter,
     /// Manager index per accepted AW, in order — routes W beats.
     w_grant: VecDeque<usize>,
-    // Per-cycle selections.
-    cur_aw: Option<usize>,
-    cur_ar: Option<usize>,
-    cur_b_dst: Option<usize>,
-    cur_r_dst: Option<usize>,
 }
 
 impl Mux {
@@ -63,15 +76,9 @@ impl Mux {
             n,
             id_shift,
             priorities: None,
-            aw_lock: None,
-            aw_rr: 0,
-            ar_lock: None,
-            ar_rr: 0,
+            aw: Arbiter::default(),
+            ar: Arbiter::default(),
             w_grant: VecDeque::new(),
-            cur_aw: None,
-            cur_ar: None,
-            cur_b_dst: None,
-            cur_r_dst: None,
         }
     }
 
@@ -101,38 +108,36 @@ impl Mux {
         };
     }
 
-    fn arbitrate(
-        lock: &mut Option<usize>,
-        rr: usize,
-        n: usize,
-        priorities: Option<&[u8]>,
-        valid: impl Fn(usize) -> bool,
-    ) -> Option<usize> {
-        if let Some(locked) = lock {
-            if valid(*locked) {
-                return Some(*locked);
-            }
-            *lock = None;
+    /// Drives manager `index`'s address beat onto the trunk with its ID
+    /// extended.
+    #[inline]
+    fn offer<T: Tagged>(&self, index: usize, mgr: &Channel<T>, trunk: &mut Channel<T>) {
+        if let Some(mut beat) = mgr.beat().copied() {
+            *beat.id_mut() = self.extend_id(index, *beat.id_mut());
+            trunk.drive(beat);
         }
-        let Some(prio) = priorities else {
-            return (0..n).map(|k| (rr + k) % n).find(|&i| valid(i));
+    }
+
+    /// Routes the trunk's response beat to the manager its ID's high
+    /// bits name, with the original ID restored, and settles the trunk's
+    /// `ready` from that manager's.
+    #[inline]
+    fn route<T: Tagged>(
+        &self,
+        trunk: &mut Channel<T>,
+        mgrs: &mut [AxiPort],
+        channel: fn(&mut AxiPort) -> &mut Channel<T>,
+    ) {
+        let Some(mut beat) = trunk.beat().copied() else {
+            return;
         };
-        // Highest priority among the valid requesters; the round-robin
-        // pointer orders equal-priority contenders (strict `>` keeps the
-        // first one encountered in rr order).
-        let mut best: Option<usize> = None;
-        for k in 0..n {
-            let i = (rr + k) % n;
-            if !valid(i) {
-                continue;
-            }
-            let p = prio.get(i).copied().unwrap_or(0);
-            match best {
-                Some(b) if prio.get(b).copied().unwrap_or(0) >= p => {}
-                _ => best = Some(i),
-            }
+        let (index, orig) = self.split_id(*beat.id_mut());
+        if let Some(mgr) = mgrs.get_mut(index) {
+            *beat.id_mut() = orig;
+            let mgr = channel(mgr);
+            mgr.drive(beat);
+            trunk.set_ready(mgr.ready());
         }
-        best
     }
 
     /// Pass 1: arbitrate the managers' request wires onto the trunk.
@@ -142,33 +147,16 @@ impl Mux {
     /// Panics if `mgrs` does not match the configured manager count.
     pub fn forward_requests(&mut self, mgrs: &[AxiPort], trunk: &mut AxiPort) {
         assert_eq!(mgrs.len(), self.n, "manager port count mismatch");
-        // AW arbitration (sticky).
-        self.cur_aw = Self::arbitrate(
-            &mut self.aw_lock,
-            self.aw_rr,
-            self.n,
-            self.priorities.as_deref(),
-            |i| mgrs[i].aw.valid(),
-        );
-        if let Some((i, mut beat)) = self.cur_aw.and_then(|i| Some((i, *mgrs[i].aw.beat()?))) {
-            beat.id = self.extend_id(i, beat.id);
-            trunk.aw.drive(beat);
+        let priorities = self.priorities.as_deref();
+        if let Some(i) = self.aw.pick(self.n, priorities, |i| mgrs[i].aw.valid()) {
+            self.offer(i, &mgrs[i].aw, &mut trunk.aw);
         }
         // W beats from the front granted manager.
         if let Some(&grant) = self.w_grant.front() {
             trunk.w.forward_driver_from(&mgrs[grant].w);
         }
-        // AR arbitration (sticky).
-        self.cur_ar = Self::arbitrate(
-            &mut self.ar_lock,
-            self.ar_rr,
-            self.n,
-            self.priorities.as_deref(),
-            |i| mgrs[i].ar.valid(),
-        );
-        if let Some((i, mut beat)) = self.cur_ar.and_then(|i| Some((i, *mgrs[i].ar.beat()?))) {
-            beat.id = self.extend_id(i, beat.id);
-            trunk.ar.drive(beat);
+        if let Some(i) = self.ar.pick(self.n, priorities, |i| mgrs[i].ar.valid()) {
+            self.offer(i, &mgrs[i].ar, &mut trunk.ar);
         }
     }
 
@@ -181,72 +169,34 @@ impl Mux {
     pub fn forward_responses(&mut self, trunk: &mut AxiPort, mgrs: &mut [AxiPort]) {
         assert_eq!(mgrs.len(), self.n, "manager port count mismatch");
         // Request readys to the granted managers only.
-        if let Some(i) = self.cur_aw {
+        if let Some(i) = self.aw.grant() {
             mgrs[i].aw.set_ready(trunk.aw.ready());
         }
         if let Some(&grant) = self.w_grant.front() {
             mgrs[grant].w.set_ready(trunk.w.ready());
         }
-        if let Some(i) = self.cur_ar {
+        if let Some(i) = self.ar.grant() {
             mgrs[i].ar.set_ready(trunk.ar.ready());
         }
-        // B routing.
-        self.cur_b_dst = None;
-        if let Some(b) = trunk.b.beat() {
-            let (index, orig) = self.split_id(b.id);
-            if index < self.n {
-                let mut beat = *b;
-                beat.id = orig;
-                mgrs[index].b.drive(beat);
-                trunk.b.set_ready(mgrs[index].b.ready());
-                self.cur_b_dst = Some(index);
-            }
-        }
-        // R routing.
-        self.cur_r_dst = None;
-        if let Some(r) = trunk.r.beat() {
-            let (index, orig) = self.split_id(r.id);
-            if index < self.n {
-                let mut beat = *r;
-                beat.id = orig;
-                mgrs[index].r.drive(beat);
-                trunk.r.set_ready(mgrs[index].r.ready());
-                self.cur_r_dst = Some(index);
-            }
-        }
+        self.route(&mut trunk.b, mgrs, |p| &mut p.b);
+        self.route(&mut trunk.r, mgrs, |p| &mut p.r);
     }
 
     /// Pass 3: clock commit — grant bookkeeping from trunk fires.
     ///
     /// # Panics
     ///
-    /// Panics only if a handshake fires without a recorded grant — an internal invariant
-    /// violation (a bug in the monitor, not a caller error).
+    /// Panics only if a last W beat fires without a recorded AW grant —
+    /// an internal invariant violation (a bug in the mux, not a caller
+    /// error).
     pub fn commit(&mut self, trunk: &AxiPort) {
-        if trunk.aw.fires() {
-            let granted = self.cur_aw.take().expect("AW fired implies grant");
+        if let Some(granted) = self.aw.commit(trunk.aw.fires(), self.n) {
             self.w_grant.push_back(granted);
-            self.aw_lock = None;
-            self.aw_rr = (granted + 1) % self.n;
-        } else if self.cur_aw.is_some() {
-            self.aw_lock = self.cur_aw;
         }
-        if let Some(w) = trunk.w.fired_beat() {
-            if w.last {
-                self.w_grant.pop_front().expect("W fired implies grant");
-            }
+        if trunk.w.fired_beat().is_some_and(|w| w.last) {
+            self.w_grant.pop_front().expect("W fired implies grant");
         }
-        if trunk.ar.fires() {
-            let granted = self.cur_ar.take().expect("AR fired implies grant");
-            self.ar_lock = None;
-            self.ar_rr = (granted + 1) % self.n;
-        } else if self.cur_ar.is_some() {
-            self.ar_lock = self.cur_ar;
-        }
-        self.cur_aw = None;
-        self.cur_ar = None;
-        self.cur_b_dst = None;
-        self.cur_r_dst = None;
+        self.ar.commit(trunk.ar.fires(), self.n);
     }
 }
 

@@ -10,68 +10,53 @@ use axi4::channel::AxiPort;
 use sim::vcd::{SignalId, VcdWriter};
 use tmu_telemetry::MetricsHub;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct Snapshot {
-    aw_valid: bool,
-    aw_ready: bool,
-    aw_id: u64,
-    w_valid: bool,
-    w_ready: bool,
-    w_last: bool,
-    b_valid: bool,
-    b_ready: bool,
-    b_resp: u64,
-    ar_valid: bool,
-    ar_ready: bool,
-    ar_id: u64,
-    r_valid: bool,
-    r_ready: bool,
-    r_last: bool,
-    r_resp: u64,
-}
+/// Reads one probed signal off a port.
+type Reader = fn(&AxiPort) -> u64;
 
-impl Snapshot {
-    fn of(port: &AxiPort) -> Self {
-        Snapshot {
-            aw_valid: port.aw.valid(),
-            aw_ready: port.aw.ready(),
-            aw_id: port.aw.beat().map_or(0, |b| u64::from(b.id.0)),
-            w_valid: port.w.valid(),
-            w_ready: port.w.ready(),
-            w_last: port.w.beat().is_some_and(|b| b.last),
-            b_valid: port.b.valid(),
-            b_ready: port.b.ready(),
-            b_resp: port.b.beat().map_or(0, |b| u64::from(b.resp.to_bits())),
-            ar_valid: port.ar.valid(),
-            ar_ready: port.ar.ready(),
-            ar_id: port.ar.beat().map_or(0, |b| u64::from(b.id.0)),
-            r_valid: port.r.valid(),
-            r_ready: port.r.ready(),
-            r_last: port.r.beat().is_some_and(|b| b.last),
-            r_resp: port.r.beat().map_or(0, |b| u64::from(b.resp.to_bits())),
-        }
-    }
-}
+/// Every probed signal in declaration order: name, width in bits (1 is
+/// a wire) and its reader.
+const SIGNALS: [(&str, u32, Reader); 16] = [
+    ("aw_valid", 1, |p| u64::from(p.aw.valid())),
+    ("aw_ready", 1, |p| u64::from(p.aw.ready())),
+    ("aw_id", 16, |p| {
+        p.aw.beat().map_or(0, |b| u64::from(b.id.0))
+    }),
+    ("w_valid", 1, |p| u64::from(p.w.valid())),
+    ("w_ready", 1, |p| u64::from(p.w.ready())),
+    ("w_last", 1, |p| {
+        u64::from(p.w.beat().is_some_and(|b| b.last))
+    }),
+    ("b_valid", 1, |p| u64::from(p.b.valid())),
+    ("b_ready", 1, |p| u64::from(p.b.ready())),
+    ("b_resp", 2, |p| {
+        p.b.beat().map_or(0, |b| u64::from(b.resp.to_bits()))
+    }),
+    ("ar_valid", 1, |p| u64::from(p.ar.valid())),
+    ("ar_ready", 1, |p| u64::from(p.ar.ready())),
+    ("ar_id", 16, |p| {
+        p.ar.beat().map_or(0, |b| u64::from(b.id.0))
+    }),
+    ("r_valid", 1, |p| u64::from(p.r.valid())),
+    ("r_ready", 1, |p| u64::from(p.r.ready())),
+    ("r_last", 1, |p| {
+        u64::from(p.r.beat().is_some_and(|b| b.last))
+    }),
+    ("r_resp", 2, |p| {
+        p.r.beat().map_or(0, |b| u64::from(b.resp.to_bits()))
+    }),
+];
 
-#[derive(Debug, Clone, Copy)]
-struct Signals {
-    aw_valid: SignalId,
-    aw_ready: SignalId,
-    aw_id: SignalId,
-    w_valid: SignalId,
-    w_ready: SignalId,
-    w_last: SignalId,
-    b_valid: SignalId,
-    b_ready: SignalId,
-    b_resp: SignalId,
-    ar_valid: SignalId,
-    ar_ready: SignalId,
-    ar_id: SignalId,
-    r_valid: SignalId,
-    r_ready: SignalId,
-    r_last: SignalId,
-    r_resp: SignalId,
-}
+/// Whether one channel of a port fires.
+type Fires = fn(&AxiPort) -> bool;
+
+/// The handshake counters the probe publishes, one per channel.
+const HANDSHAKES: [(&str, Fires); 5] = [
+    ("probe.aw_handshakes", |p| p.aw.fires()),
+    ("probe.w_handshakes", |p| p.w.fires()),
+    ("probe.b_handshakes", |p| p.b.fires()),
+    ("probe.ar_handshakes", |p| p.ar.fires()),
+    ("probe.r_handshakes", |p| p.r.fires()),
+];
 
 /// Samples one AXI port per cycle into a VCD document.
 ///
@@ -94,25 +79,13 @@ struct Signals {
 #[derive(Debug, Clone)]
 pub struct WaveProbe {
     vcd: VcdWriter,
-    signals: Signals,
-    last: Option<Snapshot>,
+    /// The VCD handle of each of [`SIGNALS`].
+    ids: [SignalId; SIGNALS.len()],
+    /// The values last recorded, per signal.
+    last: Option<[u64; SIGNALS.len()]>,
     samples: u64,
-    handshakes: HandshakeCounts,
-}
-
-/// Handshake-fire totals per channel, counted while sampling.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HandshakeCounts {
-    /// AW handshakes observed.
-    pub aw: u64,
-    /// W handshakes observed.
-    pub w: u64,
-    /// B handshakes observed.
-    pub b: u64,
-    /// AR handshakes observed.
-    pub ar: u64,
-    /// R handshakes observed.
-    pub r: u64,
+    /// Fires counted per channel, per [`HANDSHAKES`].
+    handshakes: [u64; HANDSHAKES.len()],
 }
 
 impl WaveProbe {
@@ -120,70 +93,39 @@ impl WaveProbe {
     #[must_use]
     pub fn new(scope: impl Into<String>) -> Self {
         let mut vcd = VcdWriter::new(scope);
-        let signals = Signals {
-            aw_valid: vcd.add_wire("aw_valid"),
-            aw_ready: vcd.add_wire("aw_ready"),
-            aw_id: vcd.add_vector("aw_id", 16),
-            w_valid: vcd.add_wire("w_valid"),
-            w_ready: vcd.add_wire("w_ready"),
-            w_last: vcd.add_wire("w_last"),
-            b_valid: vcd.add_wire("b_valid"),
-            b_ready: vcd.add_wire("b_ready"),
-            b_resp: vcd.add_vector("b_resp", 2),
-            ar_valid: vcd.add_wire("ar_valid"),
-            ar_ready: vcd.add_wire("ar_ready"),
-            ar_id: vcd.add_vector("ar_id", 16),
-            r_valid: vcd.add_wire("r_valid"),
-            r_ready: vcd.add_wire("r_ready"),
-            r_last: vcd.add_wire("r_last"),
-            r_resp: vcd.add_vector("r_resp", 2),
-        };
+        let ids = SIGNALS.map(|(name, width, _)| match width {
+            1 => vcd.add_wire(name),
+            _ => vcd.add_vector(name, width),
+        });
         WaveProbe {
             vcd,
-            signals,
+            ids,
             last: None,
             samples: 0,
-            handshakes: HandshakeCounts::default(),
+            handshakes: [0; HANDSHAKES.len()],
         }
     }
 
     /// Samples the settled wires of `port` at `cycle`. Only changed
-    /// values are recorded, so idle stretches cost nothing.
+    /// values are recorded, wires before vectors, so idle stretches
+    /// cost nothing.
     pub fn sample(&mut self, cycle: u64, port: &AxiPort) {
-        let now = Snapshot::of(port);
-        self.handshakes.aw += u64::from(now.aw_valid && now.aw_ready);
-        self.handshakes.w += u64::from(now.w_valid && now.w_ready);
-        self.handshakes.b += u64::from(now.b_valid && now.b_ready);
-        self.handshakes.ar += u64::from(now.ar_valid && now.ar_ready);
-        self.handshakes.r += u64::from(now.r_valid && now.r_ready);
-        let s = self.signals;
-        let last = self.last;
-        let mut wire = |id: SignalId, new: bool, old: Option<bool>| {
-            if old != Some(new) {
-                self.vcd.change_wire(cycle, id, new);
+        for (count, (_, fires)) in self.handshakes.iter_mut().zip(HANDSHAKES) {
+            *count += u64::from(fires(port));
+        }
+        let now = SIGNALS.map(|(_, _, read)| read(port));
+        for wires in [true, false] {
+            for (k, &(_, width, _)) in SIGNALS.iter().enumerate() {
+                if (width == 1) != wires || self.last.is_some_and(|last| last[k] == now[k]) {
+                    continue;
+                }
+                if wires {
+                    self.vcd.change_wire(cycle, self.ids[k], now[k] != 0);
+                } else {
+                    self.vcd.change_vector(cycle, self.ids[k], now[k]);
+                }
             }
-        };
-        wire(s.aw_valid, now.aw_valid, last.map(|l| l.aw_valid));
-        wire(s.aw_ready, now.aw_ready, last.map(|l| l.aw_ready));
-        wire(s.w_valid, now.w_valid, last.map(|l| l.w_valid));
-        wire(s.w_ready, now.w_ready, last.map(|l| l.w_ready));
-        wire(s.w_last, now.w_last, last.map(|l| l.w_last));
-        wire(s.b_valid, now.b_valid, last.map(|l| l.b_valid));
-        wire(s.b_ready, now.b_ready, last.map(|l| l.b_ready));
-        wire(s.ar_valid, now.ar_valid, last.map(|l| l.ar_valid));
-        wire(s.ar_ready, now.ar_ready, last.map(|l| l.ar_ready));
-        wire(s.r_valid, now.r_valid, last.map(|l| l.r_valid));
-        wire(s.r_ready, now.r_ready, last.map(|l| l.r_ready));
-        wire(s.r_last, now.r_last, last.map(|l| l.r_last));
-        let mut vector = |id: SignalId, new: u64, old: Option<u64>| {
-            if old != Some(new) {
-                self.vcd.change_vector(cycle, id, new);
-            }
-        };
-        vector(s.aw_id, now.aw_id, last.map(|l| l.aw_id));
-        vector(s.b_resp, now.b_resp, last.map(|l| l.b_resp));
-        vector(s.ar_id, now.ar_id, last.map(|l| l.ar_id));
-        vector(s.r_resp, now.r_resp, last.map(|l| l.r_resp));
+        }
         self.last = Some(now);
         self.samples += 1;
     }
@@ -194,21 +136,13 @@ impl WaveProbe {
         self.samples
     }
 
-    /// Handshake fires counted per channel while sampling.
-    #[must_use]
-    pub fn handshakes(&self) -> HandshakeCounts {
-        self.handshakes
-    }
-
     /// Publishes the probe's handshake totals as telemetry gauges
     /// (`probe.*`), for the periodic sampler.
     pub fn publish_metrics(&self, metrics: &mut MetricsHub) {
         metrics.gauge_set("probe.samples", self.samples);
-        metrics.gauge_set("probe.aw_handshakes", self.handshakes.aw);
-        metrics.gauge_set("probe.w_handshakes", self.handshakes.w);
-        metrics.gauge_set("probe.b_handshakes", self.handshakes.b);
-        metrics.gauge_set("probe.ar_handshakes", self.handshakes.ar);
-        metrics.gauge_set("probe.r_handshakes", self.handshakes.r);
+        for (&count, (name, _)) in self.handshakes.iter().zip(HANDSHAKES) {
+            metrics.gauge_set(name, count);
+        }
     }
 
     /// Renders the VCD document.
@@ -287,11 +221,10 @@ mod tests {
         probe.sample(0, &port);
         port.begin_cycle();
         probe.sample(1, &port);
-        assert_eq!(probe.handshakes().w, 1);
-        assert_eq!(probe.handshakes().aw, 0);
         let mut metrics = MetricsHub::default();
         probe.publish_metrics(&mut metrics);
         assert_eq!(metrics.gauge("probe.w_handshakes"), Some(1));
+        assert_eq!(metrics.gauge("probe.aw_handshakes"), Some(0));
         assert_eq!(metrics.gauge("probe.samples"), Some(2));
     }
 

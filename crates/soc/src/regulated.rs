@@ -400,6 +400,42 @@ mod tests {
         );
     }
 
+    /// An isolation that meets an address the mux has not yet accepted
+    /// waits for its handshake: the address stays valid, so the trunk
+    /// TMU's wire rules see no retraction and the shared memory is never
+    /// severed under the healthy managers.
+    #[test]
+    fn isolating_a_manager_never_retracts_its_pending_address() {
+        for seed in 0..40 {
+            let mut managers = vec![(modest_pattern(), None); 3];
+            managers.push((modest_pattern(), Some(tight_isolating())));
+            let mut link = RegulatedLink::new(managers, Some(TmuConfig::default()), mem(), seed);
+            link.arm_exhaustion(3, BudgetExhaustion::at_cycle(300));
+            link.run(20_000);
+            let reg = link.regulator(3).expect("attached");
+            assert_eq!(
+                reg.isolations(),
+                1,
+                "seed {seed}: the greedy port is isolated"
+            );
+            let tmu = link.tmu().expect("attached");
+            assert_eq!(
+                tmu.faults_detected(),
+                0,
+                "seed {seed}: trunk fault {:?}",
+                tmu.error_log().last()
+            );
+            for port in 0..3 {
+                let stats = link.stats(port);
+                assert_eq!(
+                    stats.writes_errored + stats.reads_errored,
+                    0,
+                    "seed {seed} port {port}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn released_manager_resumes_after_isolation() {
         let mut link = RegulatedLink::new(

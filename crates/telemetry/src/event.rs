@@ -109,7 +109,8 @@ impl fmt::Display for PhaseId {
 pub enum FaultClass {
     /// A timeout counter expired.
     Timeout,
-    /// The embedded protocol checker flagged a rule violation.
+    /// The TMU's protocol checks flagged a rule violation: one of its
+    /// stateless `WireRules` or one of its guards' context rules.
     Protocol,
 }
 

@@ -24,6 +24,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use axi_tmu::axi4::prelude::*;
+use axi_tmu::soc::stage::LinkStage;
 use axi_tmu::tmu::telemetry::Dir;
 use axi_tmu::tmu::{BudgetConfig, CounterEngine, Tmu, TmuConfig, TmuVariant};
 use axi_tmu::tmu_regulate::{
@@ -484,34 +485,6 @@ impl StubSub {
     }
 }
 
-/// The per-cycle passes a regulating stage performs, so the regulator
-/// and the reference design run through one harness.
-trait Stage {
-    fn forward_request(&mut self, mgr: &AxiPort, out: &mut AxiPort);
-    fn forward_response(&mut self, out: &AxiPort, mgr: &mut AxiPort);
-    fn backprop_response_ready(&mut self, mgr: &AxiPort, out: &mut AxiPort);
-    fn observe(&mut self, mgr: &AxiPort);
-    fn commit(&mut self, cycle: u64);
-}
-
-impl Stage for Regulator {
-    fn forward_request(&mut self, mgr: &AxiPort, out: &mut AxiPort) {
-        Regulator::forward_request(self, mgr, out);
-    }
-    fn forward_response(&mut self, out: &AxiPort, mgr: &mut AxiPort) {
-        Regulator::forward_response(self, out, mgr);
-    }
-    fn backprop_response_ready(&mut self, mgr: &AxiPort, out: &mut AxiPort) {
-        Regulator::backprop_response_ready(self, mgr, out);
-    }
-    fn observe(&mut self, mgr: &AxiPort) {
-        Regulator::observe(self, mgr);
-    }
-    fn commit(&mut self, cycle: u64) {
-        Regulator::commit(self, cycle);
-    }
-}
-
 /// The reference design for back-pressure mode: the credit bucket masks
 /// denied address beats in front of a tracker TMU — Tiny-Counter,
 /// per-cycle engine, checker off, a timeout budget it can never reach —
@@ -561,7 +534,7 @@ impl TrackerRegulator {
     }
 }
 
-impl Stage for TrackerRegulator {
+impl LinkStage for TrackerRegulator {
     fn forward_request(&mut self, mgr: &AxiPort, out: &mut AxiPort) {
         self.deny_aw = mgr.aw.valid() && !self.budget.may_grant(Dir::Write);
         self.deny_ar = mgr.ar.valid() && !self.budget.may_grant(Dir::Read);
@@ -598,9 +571,10 @@ impl Stage for TrackerRegulator {
         }
         self.tracker.observe(&masked);
     }
-    fn commit(&mut self, cycle: u64) {
+    fn commit(&mut self, cycle: u64) -> bool {
         self.budget.commit(&self.spend, cycle);
         self.tracker.commit(cycle);
+        false
     }
 }
 
@@ -614,7 +588,7 @@ struct LegalRig {
 }
 
 impl LegalRig {
-    fn step(&mut self, stage: &mut impl Stage, c: &LegalCycle, cycle: u64) {
+    fn step(&mut self, stage: &mut impl LinkStage, c: &LegalCycle, cycle: u64) {
         self.mgr.begin_cycle();
         self.out.begin_cycle();
         self.manager.drive(c, &mut self.mgr);
