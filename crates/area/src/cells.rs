@@ -6,13 +6,12 @@
 //! 16 and 32 outstanding transactions (1330 / 2616 µm²) and Full-Counter
 //! at the same points (3452 / 6787 µm²), all without a prescaler.
 
-use serde::{Deserialize, Serialize};
 use tmu::{TmuConfig, TmuVariant};
 
 use crate::inventory::all_modules;
 
 /// One calibration anchor from the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Anchor {
     /// Counter variant.
     pub variant: TmuVariant,
@@ -57,7 +56,7 @@ pub const PAPER_ANCHORS: [Anchor; 4] = [
 pub const EVAL_MAX_BEATS: u16 = 256;
 
 /// Per-cell area coefficients (µm²).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellLibrary {
     /// Area per flip-flop bit, including clocking and routing overhead.
     pub ff_um2: f64,

@@ -10,12 +10,11 @@
 //! comparator or incrementer costs ~W GE, a CAM match line ~id-width GE
 //! per entry, and each FSM a small constant.
 
-use serde::Serialize;
 use tmu::counter::PrescaledCounter;
 use tmu::{TmuConfig, TmuVariant};
 
 /// Bit/GE inventory of one sub-module.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModuleBits {
     /// Module name (stable, used in reports).
     pub name: &'static str,

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use tmu::counter::PrescaledCounter;
 use tmu::TmuConfig;
 
@@ -10,7 +9,7 @@ use crate::cells::{CellLibrary, EVAL_MAX_BEATS};
 use crate::inventory::{all_modules, ModuleBits};
 
 /// Per-module and total area of one TMU instance.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaBreakdown {
     modules: Vec<(ModuleBits, f64)>,
     total: f64,
@@ -80,7 +79,7 @@ pub fn tmu_area_with(cfg: &TmuConfig, max_beats: u16, lib: &CellLibrary) -> Area
 
 /// One point of the paper's Fig. 8: `(prescaler step, area µm²,
 /// worst-case detection latency in cycles)` for a fixed configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrescalerPoint {
     /// Prescaler step.
     pub step: u64,

@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::types::{Addr, AxiId, BurstKind, BurstLen, BurstSize, Resp};
 
 /// The fields both address channels carry, read alike by code that
@@ -67,7 +65,7 @@ addr_beat!(ArBeat);
 ///                      BurstSize::from_bytes(8).unwrap(), BurstKind::Incr);
 /// assert_eq!(aw.total_bytes(), 64);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AwBeat {
     /// Write transaction identifier (`AWID`).
     pub id: AxiId,
@@ -110,7 +108,7 @@ impl fmt::Display for AwBeat {
 /// Note that per AXI4 the W channel carries **no ID**: write data must
 /// arrive in the same order as the addresses on AW — the invariant the
 /// TMU's Enqueue-Index (EI) table enforces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct WBeat {
     /// Data payload (up to a 64-bit bus in this model).
     pub data: u64,
@@ -151,7 +149,7 @@ impl fmt::Display for WBeat {
 }
 
 /// One beat of the write-response (B) channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct BBeat {
     /// Identifier of the completed write (`BID`).
     pub id: AxiId,
@@ -183,7 +181,7 @@ impl fmt::Display for BBeat {
 }
 
 /// One beat of the read-address (AR) channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArBeat {
     /// Read transaction identifier (`ARID`).
     pub id: AxiId,
@@ -222,7 +220,7 @@ impl fmt::Display for ArBeat {
 }
 
 /// One beat of the read-data (R) channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct RBeat {
     /// Identifier of the read this beat belongs to (`RID`).
     pub id: AxiId,

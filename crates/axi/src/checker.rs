@@ -49,8 +49,6 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::beat::{AddrBeat, ArBeat, AwBeat, BBeat, RBeat, WBeat};
 use crate::burst::crosses_4k_boundary;
 use crate::channel::{AxiPort, Channel};
@@ -60,7 +58,7 @@ use crate::types::{AxiId, BurstKind};
 /// Identifiers for every protocol rule the checker enforces.
 ///
 /// Naming follows the channel the rule fires on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
     /// AW payload changed or valid dropped while waiting for ready.
     AwStable,
@@ -161,7 +159,7 @@ impl fmt::Display for Rule {
 }
 
 /// One detected protocol violation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// The rule that fired.
     pub rule: Rule,
@@ -198,7 +196,7 @@ struct ReadCtx {
 }
 
 /// Aggregate counters the checker maintains alongside violations.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckerStats {
     /// Write transactions whose AW beat was observed.
     pub writes_started: u64,
@@ -217,7 +215,7 @@ pub struct CheckerStats {
 }
 
 /// Configuration knobs for the checker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckerConfig {
     /// AXI4 permits write data to be issued before its address. The TMU's
     /// EI table assumes address-first ordering (the common interconnect

@@ -5,8 +5,6 @@
 //! complete burst plus the data it carries, and can be lowered to the
 //! per-channel beats ([`WriteTxn::aw_beat`], [`WriteTxn::w_beat`], …).
 
-use serde::{Deserialize, Serialize};
-
 use crate::beat::{ArBeat, AwBeat, WBeat};
 use crate::burst::crosses_4k_boundary;
 use crate::types::{Addr, AxiId, BurstKind, BurstLen, BurstSize};
@@ -61,7 +59,7 @@ impl std::error::Error for BuildTxnError {}
 
 /// A complete write transaction: one AW beat, `len.beats()` W beats and
 /// one expected B response.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteTxn {
     /// Transaction ID.
     pub id: AxiId,
@@ -106,7 +104,7 @@ impl WriteTxn {
 
 /// A complete read transaction: one AR beat and `len.beats()` expected R
 /// beats.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadTxn {
     /// Transaction ID.
     pub id: AxiId,

@@ -5,8 +5,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An AXI4 transaction identifier (`AWID`/`ARID`/`BID`/`RID`).
 ///
 /// AXI4 permits ID widths up to implementation-defined limits; 16 bits is
@@ -20,9 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(format!("{id}"), "ID#42");
 /// assert_eq!(format!("{id:x}"), "2a");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AxiId(pub u16);
 
 impl fmt::Display for AxiId {
@@ -50,9 +46,7 @@ impl From<u16> for AxiId {
 /// let a = Addr(0x8000_1000);
 /// assert_eq!(a.offset(0x10).0, 0x8000_1010);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(pub u64);
 
 impl Addr {
@@ -110,7 +104,7 @@ impl From<u64> for Addr {
 /// The two-bit encoding `0b11` is reserved by the specification; issuing it
 /// is a protocol violation that the checker (and the TMU guard modules)
 /// flag as [`crate::checker::Rule::BurstReserved`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BurstKind {
     /// Every beat targets the same address (FIFO-style peripherals).
     Fixed,
@@ -176,9 +170,7 @@ impl fmt::Display for BurstKind {
 /// assert_eq!(len.raw(), 15);
 /// assert_eq!(len.beats(), 16);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BurstLen(u8);
 
 impl BurstLen {
@@ -239,7 +231,7 @@ impl fmt::Display for BurstLen {
 /// assert_eq!(size.raw(), 3);
 /// assert_eq!(size.bytes(), 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BurstSize(u8);
 
 impl BurstSize {
@@ -291,7 +283,7 @@ impl fmt::Display for BurstSize {
 }
 
 /// The AXI4 response code (`BRESP`/`RRESP`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Resp {
     /// Normal access success.
     #[default]

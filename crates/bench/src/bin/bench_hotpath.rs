@@ -1,26 +1,24 @@
 //! Hot-path engine benchmark: measures the deadline-wheel engine and the
 //! event-driven fast-forward against the per-cycle reference on the
-//! saturated total-stall scenario, and times the serial Fig. 9 campaign
-//! (checking the parallel runner reproduces it). Prints a table and
-//! writes the measured numbers to `BENCH_hotpath.json` at the repository
-//! root.
+//! saturated total-stall scenario, the telemetry layer's overhead on
+//! that scenario and the traffic regulator's. Prints a table and writes
+//! the measured numbers to `BENCH_hotpath.json` at the repository root.
 
 use std::time::Instant;
 
-use faults::FaultClass;
 use tmu::{CounterEngine, TmuVariant};
 use tmu_bench::hotpath::{
     passthrough_link, run_overload_isolation, run_saturated_stall, run_saturated_stall_fastforward,
-    run_saturated_stall_with_telemetry, PassthroughLink, StallRun, HOTPATH_BUDGET,
+    telemetry_stall_link, PassthroughLink, StallLink, StallRun, HOTPATH_BUDGET,
     HOTPATH_OUTSTANDING, REGULATE_CYCLES,
 };
-use tmu_bench::parallel::{default_threads, fig9_parallel};
 use tmu_bench::table::Table;
 
-/// Repetitions per timed measurement; the minimum is reported to shave
-/// scheduler noise.
+/// Repetitions per timed measurement.
 const REPS: u32 = 3;
 
+/// Times `f` `REPS` times and reports the minimum, to shave scheduler
+/// noise.
 fn time_min<R>(mut f: impl FnMut() -> R) -> (f64, R) {
     let mut best = f64::INFINITY;
     let mut result = None;
@@ -31,6 +29,48 @@ fn time_min<R>(mut f: impl FnMut() -> R) -> (f64, R) {
         result = Some(r);
     }
     (best, result.expect("at least one repetition"))
+}
+
+/// Cycles per chunk of an interleaved measurement.
+const CHUNK: u64 = 2_000;
+
+/// Times the links `build` returns against each other, `REPS` times over
+/// fresh links, and returns each link's mean time per repetition.
+///
+/// A run of these scenarios is only milliseconds long, far below the
+/// timescale of the host's throughput swings, which scatter any
+/// back-to-back ratio by around +/-8%. The links are therefore advanced
+/// by `advance` in alternating chunks of [`CHUNK`] cycles until each has
+/// run `cycles`, so every slow host regime taxes all of them almost
+/// equally, and a ratio is taken between summed chunk times. `check`
+/// asserts each repetition's outcome.
+fn time_interleaved<L, const N: usize>(
+    mut build: impl FnMut() -> [L; N],
+    cycles: u64,
+    mut advance: impl FnMut(&mut L, u64),
+    mut check: impl FnMut(&[L; N]),
+) -> [f64; N] {
+    let mut totals = [0.0; N];
+    for rep in 0..REPS {
+        let mut links = build();
+        let mut done = 0;
+        let mut round = rep as usize;
+        while done < cycles {
+            let chunk = CHUNK.min(cycles - done);
+            // Rotate which link leads so periodic background load cannot
+            // alias onto one of them.
+            for k in 0..N {
+                let i = (round + k) % N;
+                let start = Instant::now();
+                advance(&mut links[i], chunk);
+                totals[i] += start.elapsed().as_secs_f64();
+            }
+            done += chunk;
+            round += 1;
+        }
+        check(&links);
+    }
+    totals.map(|t| t / f64::from(REPS))
 }
 
 struct StallMeasurement {
@@ -114,28 +154,36 @@ fn main() {
     }
 
     // Telemetry overhead on the wheel engine: a disabled hub must cost
-    // one branch per record call, so the telemetry-disabled run must sit
-    // within noise of the plain wheel run (target ratio ~1.0; on a
-    // constrained 1-CPU host individual runs scatter roughly +/-10%).
+    // one branch per record call, so the telemetry-disabled link must sit
+    // within noise of the plain wheel link (target ratio ~1.0). The two
+    // are the same program, so their ratio also reads the measurement's
+    // own noise. Each link runs to the wheel run's first fault and must
+    // reproduce it.
     let tel_variant = TmuVariant::FullCounter;
-    let (tel_off_s, tel_off) =
-        time_min(|| run_saturated_stall_with_telemetry(tel_variant, HOTPATH_BUDGET, false));
-    let (tel_on_s, tel_on) =
-        time_min(|| run_saturated_stall_with_telemetry(tel_variant, HOTPATH_BUDGET, true));
-    assert_eq!(
-        (tel_off.first_fault_cycle, tel_off.inflight_cycles),
-        (tel_on.first_fault_cycle, tel_on.inflight_cycles),
-        "telemetry changed the benchmark outcome"
-    );
-    let wheel_baseline_s = stalls
+    let wheel = stalls
         .iter()
         .find(|m| m.variant == tel_variant)
         .expect("FullCounter measured above")
-        .wheel_s;
+        .run;
+    let [wheel_baseline_s, tel_off_s, tel_on_s] = time_interleaved(
+        || [false, false, true].map(|on| telemetry_stall_link(tel_variant, HOTPATH_BUDGET, on)),
+        wheel.steps_executed,
+        StallLink::run,
+        |links| {
+            for l in links {
+                let fault = l.tmu.last_fault().expect("fault recorded");
+                assert_eq!(
+                    (fault.cycle, fault.inflight_cycles),
+                    (wheel.first_fault_cycle, wheel.inflight_cycles),
+                    "telemetry changed the benchmark outcome"
+                );
+            }
+        },
+    );
     let disabled_ratio = tel_off_s / wheel_baseline_s;
     let enabled_ratio = tel_on_s / tel_off_s;
     println!(
-        "\ntelemetry overhead ({tel_variant:?}, wheel engine): baseline {:.3} ms, \
+        "\ntelemetry overhead ({tel_variant:?}, wheel engine, mean of {REPS}): baseline {:.3} ms, \
          disabled {:.3} ms ({disabled_ratio:.3}x), enabled {:.3} ms ({enabled_ratio:.2}x)",
         wheel_baseline_s * 1e3,
         tel_off_s * 1e3,
@@ -147,53 +195,29 @@ fn main() {
     // regulated run must sit within noise of the bare fabric (the
     // acceptance bound is a 1.05x ratio). The overload_isolation
     // scenario times the full sever-and-ride-through story.
-    // A pass-through run is only tens of milliseconds — far below the
-    // timescale of the host's throughput swings, which scatter any
-    // back-to-back ratio by around +/-8%. The two links are therefore
-    // advanced in alternating sub-millisecond chunks, so every slow
-    // host regime taxes both sides almost equally, and the ratio is
-    // taken between the summed chunk times.
     const REG_BENCH_CYCLES: u64 = 5 * REGULATE_CYCLES;
-    const REG_CHUNK: u64 = 2_000;
-    const REG_REPS: u32 = 3;
-    let mut bare_total = 0.0f64;
-    let mut passthrough_total = 0.0f64;
-    for rep in 0..REG_REPS {
-        let mut bare = passthrough_link(false);
-        let mut passthrough = passthrough_link(true);
-        for chunk in 0..REG_BENCH_CYCLES / REG_CHUNK {
-            // Alternate which link leads so periodic background load
-            // cannot alias onto one side.
-            let bare_leads = (rep + chunk as u32).is_multiple_of(2);
-            for lead_bare in [bare_leads, !bare_leads] {
-                let start = Instant::now();
-                if lead_bare {
-                    bare.run(REG_CHUNK);
-                    bare_total += start.elapsed().as_secs_f64();
-                } else {
-                    passthrough.run(REG_CHUNK);
-                    passthrough_total += start.elapsed().as_secs_f64();
-                }
-            }
-        }
-        let checksum =
-            |l: &PassthroughLink| l.stats(0).total_completed() + l.stats(1).total_completed();
-        assert_eq!(
-            checksum(&bare),
-            checksum(&passthrough),
-            "a disabled regulator perturbed the traffic"
-        );
-    }
-    let bare_s = bare_total / f64::from(REG_REPS);
-    let passthrough_s = passthrough_total / f64::from(REG_REPS);
-    let passthrough_ratio = passthrough_total / bare_total;
+    let [bare_s, passthrough_s] = time_interleaved(
+        || [passthrough_link(false), passthrough_link(true)],
+        REG_BENCH_CYCLES,
+        PassthroughLink::run,
+        |links| {
+            let checksum =
+                |l: &PassthroughLink| l.stats(0).total_completed() + l.stats(1).total_completed();
+            assert_eq!(
+                checksum(&links[0]),
+                checksum(&links[1]),
+                "a disabled regulator perturbed the traffic"
+            );
+        },
+    );
+    let passthrough_ratio = passthrough_s / bare_s;
     let (overload_s, overload) = time_min(run_overload_isolation);
     assert_eq!(
         overload.trunk_faults, 0,
         "wire-legal greed must not register as a protocol fault"
     );
     println!(
-        "\nregulator pass-through ({REG_BENCH_CYCLES} cycles, 2 managers, mean of {REG_REPS}): \
+        "\nregulator pass-through ({REG_BENCH_CYCLES} cycles, 2 managers, mean of {REPS}): \
          bare {:.3} ms, disabled-regulator {:.3} ms ({passthrough_ratio:.3}x)",
         bare_s * 1e3,
         passthrough_s * 1e3,
@@ -208,27 +232,8 @@ fn main() {
         overload.trunk_faults
     );
 
-    let threads = default_threads();
-    let classes: Vec<FaultClass> = FaultClass::WRITE_CLASSES
-        .iter()
-        .chain(FaultClass::READ_CLASSES.iter())
-        .copied()
-        .collect();
-    let sweep = |threads: usize| {
-        let tc = fig9_parallel(TmuVariant::TinyCounter, &classes, threads);
-        let fc = fig9_parallel(TmuVariant::FullCounter, &classes, threads);
-        (tc, fc)
-    };
-    let (serial_s, serial_rows) = time_min(|| sweep(1));
-    assert_eq!(serial_rows, sweep(threads), "parallel sweep diverged");
-    println!(
-        "\nfig9 sweep (2 variants x {} classes): serial {:.3} ms",
-        classes.len(),
-        serial_s * 1e3,
-    );
-
-    // The vendored serde derive is a no-op stand-in, so the JSON summary
-    // is assembled by hand.
+    // The offline workspace has no serialisation crate, so the JSON
+    // summary is assembled by hand.
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"scenario\": {{\"outstanding\": {HOTPATH_OUTSTANDING}, \"budget_cycles\": {HOTPATH_BUDGET}, \"reps\": {REPS}}},\n"
@@ -259,7 +264,7 @@ fn main() {
         json_f(enabled_ratio)
     ));
     json.push_str(&format!(
-        "  \"regulator\": {{\"passthrough_cycles\": {REG_BENCH_CYCLES}, \"passthrough_reps\": {REG_REPS}, \"overload_cycles\": {REGULATE_CYCLES}, \"bare_s\": {}, \"passthrough_s\": {}, \"passthrough_overhead_ratio\": {}, \"overload_isolation_s\": {}, \"isolated_at_cycle\": {}, \"victim_completed\": {}, \"offender_completed\": {}, \"trunk_faults\": {}}},\n",
+        "  \"regulator\": {{\"passthrough_cycles\": {REG_BENCH_CYCLES}, \"passthrough_reps\": {REPS}, \"overload_cycles\": {REGULATE_CYCLES}, \"bare_s\": {}, \"passthrough_s\": {}, \"passthrough_overhead_ratio\": {}, \"overload_isolation_s\": {}, \"isolated_at_cycle\": {}, \"victim_completed\": {}, \"offender_completed\": {}, \"trunk_faults\": {}}}\n",
         json_f(bare_s),
         json_f(passthrough_s),
         json_f(passthrough_ratio),
@@ -268,13 +273,6 @@ fn main() {
         overload.victim_completed,
         overload.offender_completed,
         overload.trunk_faults
-    ));
-    json.push_str(&format!(
-        "  \"fig9_sweep\": {{\"variants\": 2, \"classes\": {}, \"host_cpus\": {}, \"threads\": {}, \"serial_s\": {}}}\n",
-        classes.len(),
-        default_threads(),
-        threads,
-        json_f(serial_s)
     ));
     json.push_str("}\n");
 

@@ -571,11 +571,18 @@ mod tests {
     }
 
     #[test]
-    fn fig9_write_classes_detected_by_both_variants() {
+    fn fig9_all_classes_recover_deterministically_in_both_variants() {
+        let classes: Vec<FaultClass> = FaultClass::WRITE_CLASSES
+            .iter()
+            .chain(&FaultClass::READ_CLASSES)
+            .copied()
+            .collect();
         for variant in [TmuVariant::TinyCounter, TmuVariant::FullCounter] {
-            for row in fig9(variant, &FaultClass::WRITE_CLASSES) {
+            let rows = fig9(variant, &classes);
+            for row in &rows {
                 assert!(row.recovered, "{variant:?} {}: must recover", row.class);
             }
+            assert_eq!(rows, fig9(variant, &classes), "{variant:?}: reruns differ");
         }
     }
 

@@ -101,11 +101,10 @@ pub struct StallRun {
     pub cycles_elapsed: u64,
 }
 
-fn stall_link(
-    variant: TmuVariant,
-    engine: CounterEngine,
-    budget: u64,
-) -> GuardedLink<BlackHoleSub> {
+/// The concrete link type of the saturated-stall scenario.
+pub type StallLink = GuardedLink<BlackHoleSub>;
+
+fn stall_link(variant: TmuVariant, engine: CounterEngine, budget: u64) -> StallLink {
     GuardedLink::new(
         hotpath_pattern(),
         hotpath_cfg(variant, engine, budget),
@@ -118,7 +117,7 @@ fn cycle_limit(budget: u64) -> u64 {
     budget * 4 + 100_000
 }
 
-fn stall_result(link: &GuardedLink<BlackHoleSub>, steps_executed: u64) -> StallRun {
+fn stall_result(link: &StallLink, steps_executed: u64) -> StallRun {
     let fault = link.tmu.last_fault().expect("fault recorded");
     StallRun {
         first_fault_cycle: fault.cycle,
@@ -143,12 +142,23 @@ pub fn run_saturated_stall(variant: TmuVariant, engine: CounterEngine, budget: u
     stall_result(&link, link.cycle())
 }
 
-/// Runs the saturated stall scenario on the deadline-wheel engine with
-/// the unified telemetry layer either enabled (default config) or left
-/// disabled — the measurement behind the `disabled_overhead_ratio`
-/// acceptance bound: a disabled hub must cost one branch per record
-/// call, so this run must not be measurably slower than the plain wheel
-/// run.
+/// Builds the saturated-stall link on the deadline-wheel engine with the
+/// unified telemetry layer either enabled (default config) or left
+/// disabled — the links behind the `disabled_overhead_ratio` acceptance
+/// bound: a disabled hub must cost one branch per record call, so the
+/// disabled link must not be measurably slower than the plain wheel
+/// link.
+#[must_use]
+pub fn telemetry_stall_link(variant: TmuVariant, budget: u64, telemetry: bool) -> StallLink {
+    let mut link = stall_link(variant, CounterEngine::DeadlineWheel, budget);
+    if telemetry {
+        link.enable_telemetry(TelemetryConfig::default());
+    }
+    link
+}
+
+/// Runs [`telemetry_stall_link`] cycle by cycle until the first timeout
+/// fires.
 ///
 /// # Panics
 ///
@@ -160,10 +170,7 @@ pub fn run_saturated_stall_with_telemetry(
     budget: u64,
     telemetry: bool,
 ) -> StallRun {
-    let mut link = stall_link(variant, CounterEngine::DeadlineWheel, budget);
-    if telemetry {
-        link.enable_telemetry(TelemetryConfig::default());
-    }
+    let mut link = telemetry_stall_link(variant, budget, telemetry);
     let detected = link.run_until(cycle_limit(budget), |l| l.tmu.faults_detected() > 0);
     assert!(detected, "saturated stall must time out");
     stall_result(&link, link.cycle())
@@ -420,6 +427,39 @@ mod tests {
             let plain = run_saturated_stall(variant, CounterEngine::DeadlineWheel, TEST_BUDGET);
             assert_eq!(off, plain, "disabled telemetry is the plain wheel run");
         }
+    }
+
+    /// The deterministic outputs `bench_hotpath` records, at the
+    /// benchmark's own budget.
+    #[test]
+    fn benchmark_outcomes_are_pinned() {
+        for (variant, fault_cycle) in [
+            (TmuVariant::TinyCounter, 20_031),
+            (TmuVariant::FullCounter, 20_032),
+        ] {
+            let stepped =
+                run_saturated_stall(variant, CounterEngine::DeadlineWheel, HOTPATH_BUDGET);
+            let fast = run_saturated_stall_fastforward(variant, HOTPATH_BUDGET);
+            assert_eq!(
+                (stepped.first_fault_cycle, stepped.steps_executed),
+                (fault_cycle, fault_cycle + 1),
+                "{variant:?}: stepped wheel run"
+            );
+            assert_eq!(
+                (fast.first_fault_cycle, fast.steps_executed),
+                (fault_cycle, 130),
+                "{variant:?}: fast-forward run"
+            );
+        }
+        assert_eq!(
+            run_overload_isolation(),
+            OverloadRun {
+                isolated_at: 512,
+                victim_completed: 1246,
+                offender_completed: 8,
+                trunk_faults: 0,
+            }
+        );
     }
 
     #[test]

@@ -17,13 +17,11 @@
 //! coefficients, and computes concrete budgets for a given transaction
 //! and [`QueueLoad`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::phase::{ReadPhase, WritePhase};
 
 /// The accumulated outstanding traffic ahead of a newly enqueued
 /// transaction — the adaptive input of the queue-waiting budget.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueLoad {
     /// Transactions already in the OTT.
     pub txns_ahead: usize,
@@ -63,7 +61,7 @@ impl QueueLoad {
 /// // Tiny-Counter: one budget spanning all phases.
 /// assert_eq!(cfg.tiny_write_budget(16, load), w.total());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetConfig {
     /// Phase 1 base: `aw_valid`/`ar_valid` to ready.
     pub addr_handshake: u64,
@@ -112,7 +110,7 @@ impl Default for BudgetConfig {
 }
 
 /// Concrete per-phase budgets for one write transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteBudgets {
     /// Phase 1 budget (adaptive: includes queue-waiting).
     pub aw_handshake: u64,
@@ -163,7 +161,7 @@ impl WriteBudgets {
 }
 
 /// Concrete per-phase budgets for one read transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadBudgets {
     /// Phase 1 budget (adaptive: includes queue-waiting).
     pub ar_handshake: u64,

@@ -8,12 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::budget::BudgetConfig;
 
 /// Which counter solution the TMU instantiates (paper §II-E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TmuVariant {
     /// Tiny-Counter (Tc): one counter per outstanding transaction,
     /// transaction-level granularity, minimal area.
@@ -37,7 +35,7 @@ impl fmt::Display for TmuVariant {
 /// Both engines are cycle-for-cycle equivalent (enforced by the
 /// differential property tests in `tests/props_fastpath.rs`); they differ
 /// only in simulation cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CounterEngine {
     /// Tick every live counter every cycle, exactly like the RTL.
     /// O(outstanding) work per cycle; the reference model.
@@ -108,7 +106,7 @@ impl std::error::Error for ConfigError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TmuConfig {
     variant: TmuVariant,
     max_uniq_ids: usize,
@@ -337,7 +335,7 @@ impl TmuConfigBuilder {
 }
 
 /// Addresses of the software-visible registers (32-bit word offsets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // names mirror the register map table below
 pub enum Reg {
     /// `0x00` — control: bit 0 enable, bit 1 IRQ enable, bit 2 protocol
@@ -451,7 +449,7 @@ pub const CTRL_PROT_CHECK: u32 = 1 << 2;
 /// regs.write(Reg::Ctrl, CTRL_ENABLE);
 /// assert!(regs.enabled());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegisterFile {
     ctrl: u32,
     irq_status: u32,

@@ -19,8 +19,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A saturating up-counter with prescaler and optional sticky bit.
 ///
 /// The counter counts *cycles in the current phase* (Full-Counter) or
@@ -42,7 +40,7 @@ use serde::{Deserialize, Serialize};
 /// // ⌈8/4⌉ = 2 ticks to near-timeout, +1 tick to expire = 3 ticks = 12 cycles
 /// assert_eq!(cycles, 12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrescaledCounter {
     /// Prescale step (1 = count every cycle).
     step: u64,

@@ -35,13 +35,12 @@ pub use read::{ReadDir, ReadGuard, ReadTracker};
 pub use write::{WriteDir, WriteGuard, WriteTracker};
 
 use axi4::{Addr, AxiId};
-use serde::{Deserialize, Serialize};
 
 use crate::log::FaultKind;
 use crate::phase::TxnPhase;
 
 /// A fault detected by a guard in the current cycle.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GuardFault {
     /// Failure class (always [`FaultKind::Timeout`]: the context
     /// protocol rules the guards answer are reported to the TMU as
@@ -61,7 +60,7 @@ pub struct GuardFault {
 /// One outstanding transaction the TMU must abort towards the manager
 /// after severing a faulty subordinate: `SLVERR` responses are issued for
 /// each (paper §II-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AbortTxn {
     /// Raw AXI ID to respond with.
     pub id: AxiId,
@@ -75,7 +74,7 @@ pub struct AbortTxn {
 /// cancelling an issued burst, so beyond the `SLVERR` responses the TMU
 /// must also *drain* the write data the manager is still obliged to send
 /// and accept a still-held address beat before answering it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbortSet {
     /// `SLVERR` responses owed (one B per write; remaining R beats per
     /// read).

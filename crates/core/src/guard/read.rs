@@ -15,7 +15,6 @@
 use axi4::beat::{ArBeat, RBeat};
 use axi4::channel::AxiPort;
 use axi4::checker::Rule;
-use serde::{Deserialize, Serialize};
 use tmu_telemetry::{Dir, TelemetryHub};
 
 use super::engine::{flag, Direction, GuardCore, TxnTracker};
@@ -33,7 +32,7 @@ pub type ReadTracker = TxnTracker<ReadDir>;
 
 /// Uninhabited marker selecting the read direction (AR/R channels, four
 /// monitored phases) in the generic guard engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadDir {}
 
 /// R-channel wires captured per cycle.

@@ -10,7 +10,6 @@
 use axi4::beat::{AwBeat, BBeat};
 use axi4::channel::AxiPort;
 use axi4::checker::Rule;
-use serde::{Deserialize, Serialize};
 use tmu_telemetry::{Dir, TelemetryHub};
 
 use super::engine::{flag, Direction, GuardCore, TxnTracker};
@@ -28,7 +27,7 @@ pub type WriteTracker = TxnTracker<WriteDir>;
 
 /// Uninhabited marker selecting the write direction (AW/W/B channels,
 /// six monitored phases) in the generic guard engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteDir {}
 
 /// W/B-channel wires captured per cycle.

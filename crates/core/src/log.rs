@@ -12,13 +12,12 @@ use std::fmt;
 
 use axi4::checker::Rule;
 use axi4::{Addr, AxiId};
-use serde::{Deserialize, Serialize};
 use sim::Histogram;
 
 use crate::phase::{ReadPhase, TxnPhase, WritePhase};
 
 /// What kind of failure the TMU detected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// A phase or transaction exceeded its time budget.
     Timeout,
@@ -53,7 +52,7 @@ impl fmt::Display for FaultKind {
 }
 
 /// One entry of the error log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorRecord {
     /// Cycle at which the fault was flagged.
     pub cycle: u64,
@@ -88,7 +87,7 @@ impl fmt::Display for ErrorRecord {
 }
 
 /// Bounded FIFO of [`ErrorRecord`]s with an overflow counter.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ErrorLog {
     records: VecDeque<ErrorRecord>,
     capacity: usize,
@@ -171,7 +170,7 @@ impl ErrorLog {
 
 /// Latency record of one *completed* transaction (Full-Counter only for
 /// the per-phase breakdown).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PerfRecord {
     /// Raw AXI ID.
     pub id: AxiId,

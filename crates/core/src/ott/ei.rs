@@ -8,8 +8,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use super::ld::LdIndex;
 
 /// FIFO of LD-row indices in enqueue order.
@@ -24,7 +22,7 @@ use super::ld::LdIndex;
 /// assert_eq!(ei.pop_front(), Some(2));
 /// assert_eq!(ei.front(), Some(0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EiTable {
     order: VecDeque<LdIndex>,
     capacity: usize,

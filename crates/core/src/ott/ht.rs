@@ -5,13 +5,11 @@
 //! indices of that ID's FIFO, with the intermediate links stored in the
 //! LD rows themselves ([`super::LdEntry::next`]).
 
-use serde::{Deserialize, Serialize};
-
 use super::ld::LdIndex;
 use crate::remap::UniqId;
 
 /// One unique-ID slot's FIFO descriptor.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HtRow {
     /// Oldest outstanding transaction of this ID.
     pub head: Option<LdIndex>,
@@ -26,7 +24,7 @@ pub struct HtRow {
 /// The linking operations take the LD `next` pointers as explicit
 /// arguments/return values so this table stays independent of the
 /// tracker payload type; [`super::Ott`] coordinates the two.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HtTable {
     rows: Vec<HtRow>,
 }

@@ -6,15 +6,13 @@
 //! table heads point at. Rows are recycled through an intrusive free
 //! list, exactly like the hardware's row allocator.
 
-use serde::{Deserialize, Serialize};
-
 use crate::remap::UniqId;
 
 /// Index of a row in the LD table.
 pub type LdIndex = usize;
 
 /// One occupied LD row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LdEntry<S> {
     /// Dense unique-ID slot this transaction belongs to.
     pub uid: UniqId,
@@ -24,7 +22,7 @@ pub struct LdEntry<S> {
     pub next: Option<LdIndex>,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Row<S> {
     Free { next_free: Option<LdIndex> },
     Used(LdEntry<S>),
@@ -43,7 +41,7 @@ enum Row<S> {
 /// assert!(ld.alloc(0, "txn-c").is_some());
 /// assert_eq!(ld.get(b).expect("b was never freed").tracker, "txn-b");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LdTable<S> {
     rows: Vec<Row<S>>,
     free_head: Option<LdIndex>,

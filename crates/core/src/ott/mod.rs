@@ -29,8 +29,6 @@ pub use ei::EiTable;
 pub use ht::{HtRow, HtTable};
 pub use ld::{LdEntry, LdIndex, LdTable};
 
-use serde::{Deserialize, Serialize};
-
 use crate::remap::UniqId;
 
 /// The combined Outstanding Transaction Table.
@@ -50,7 +48,7 @@ use crate::remap::UniqId;
 /// assert_eq!(done.1.tracker, "first");
 /// assert_eq!(ott.head_of(0), Some(b));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ott<S> {
     ht: HtTable,
     ld: LdTable<S>,

@@ -7,10 +7,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The six phases of a monitored write transaction (paper Fig. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WritePhase {
     /// Phase 1 — Address handshake: `aw_valid` to `aw_ready`.
     AwHandshake,
@@ -92,7 +90,7 @@ impl fmt::Display for WritePhase {
 }
 
 /// The four phases of a monitored read transaction (paper Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ReadPhase {
     /// Phase 1 — Address handshake: `ar_valid` to `ar_ready`.
     ArHandshake,
@@ -154,7 +152,7 @@ impl fmt::Display for ReadPhase {
 }
 
 /// A phase of either direction, used in unified logs and reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TxnPhase {
     /// A write-transaction phase.
     Write(WritePhase),

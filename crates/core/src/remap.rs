@@ -10,13 +10,12 @@
 use std::fmt;
 
 use axi4::AxiId;
-use serde::{Deserialize, Serialize};
 
 /// A dense internal ID index in `0..MaxUniqIDs`.
 pub type UniqId = usize;
 
 /// Why a remap attempt could not be satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RemapStall {
     /// Every slot is occupied by a different live ID.
     SlotsExhausted,
@@ -33,7 +32,7 @@ impl fmt::Display for RemapStall {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
     id: AxiId,
     refs: u32,
@@ -55,7 +54,7 @@ struct Slot {
 /// // A third distinct ID stalls.
 /// assert!(remap.acquire(AxiId(0x055)).is_err());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdRemapper {
     slots: Vec<Option<Slot>>,
     txn_per_id: u32,

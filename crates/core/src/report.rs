@@ -6,14 +6,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::TmuVariant;
 use crate::monitor::Tmu;
 use crate::phase::WritePhase;
 
 /// Snapshot of a TMU's observability counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TmuReport {
     /// Monitor variant.
     pub variant: TmuVariant,

@@ -28,12 +28,11 @@ use std::collections::VecDeque;
 
 use axi4::beat::{BBeat, RBeat};
 use axi4::channel::AxiPort;
-use serde::{Deserialize, Serialize};
 
 use crate::guard::{AbortSet, AbortTxn};
 
 /// The recovery state machine of a TMU or a regulator's isolation path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TmuState {
     /// Normal operation: pass-through forwarding, parallel monitoring.
     Monitoring,

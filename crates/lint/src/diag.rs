@@ -90,8 +90,8 @@ impl Diagnostic {
         )
     }
 
-    /// One JSON object (hand-assembled; the vendored `serde` derive is
-    /// a no-op stand-in, same as everywhere else in the workspace).
+    /// One JSON object (hand-assembled; the offline workspace has no
+    /// serialisation crate, same as everywhere else in the workspace).
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(

@@ -2,7 +2,7 @@
 //!
 //! Members are found via `cargo metadata` (the tool only extracts
 //! `manifest_path`s and reads each package name straight from its
-//! manifest, so the vendored no-`serde_json` environment is fine). When
+//! manifest, so the offline workspace needs no JSON crate). When
 //! `cargo` itself is unavailable — e.g. the linter's own unit tests
 //! running against fixture directories — a glob fallback expands the
 //! `members` list of the root `Cargo.toml` by hand.

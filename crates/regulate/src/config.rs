@@ -2,8 +2,6 @@
 //! per-direction credit budgets, the replenishment window, the reaction
 //! mode on sustained overrun, and the open-transaction ledger sizing.
 
-use serde::{Deserialize, Serialize};
-
 /// Credit budget for one direction (write or read): how many payload
 /// bytes and how many transactions a manager may start per window.
 ///
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// than `>= burst`, a window can overshoot by at most one maximal burst
 /// — the classic credit-bucket carryover, bounded and verified by the
 /// property suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirBudget {
     /// Payload bytes grantable per window.
     pub bytes_per_window: u64,
@@ -34,7 +32,7 @@ impl DirBudget {
 }
 
 /// What the regulator does to a manager that keeps exceeding its budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegulationMode {
     /// Pure back-pressure: denied handshakes simply wait for the next
     /// replenishment, forever. The manager is slowed, never cut off.
@@ -94,7 +92,7 @@ impl std::error::Error for RegulatorConfigError {}
 /// Built via [`RegulatorConfig::builder`]; the defaults describe a
 /// moderately provisioned port: 4 KiB + 64 transactions per direction
 /// per 1024-cycle window, back-pressure only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegulatorConfig {
     enabled: bool,
     write: DirBudget,

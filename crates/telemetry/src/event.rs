@@ -8,15 +8,13 @@
 //! is free — the disabled-telemetry fast path pays one branch and
 //! nothing else.
 //!
-//! The vendored `serde` derive is a no-op stand-in, so machine-readable
+//! The offline workspace has no serialisation crate, so machine-readable
 //! output is hand-assembled by [`TraceEvent::json_fields`].
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Transaction direction (which guard emitted the event).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Dir {
     /// Write-channel group (AW/W/B).
     Write,
@@ -51,7 +49,7 @@ impl fmt::Display for Dir {
 }
 
 /// An AXI4 channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Channel {
     /// Write-address channel.
     Aw,
@@ -88,7 +86,7 @@ impl fmt::Display for Channel {
 /// A monitored transaction phase, decoupled from the monitor's own phase
 /// enums so the telemetry layer has no dependency on the TMU crate. The
 /// TMU provides `From<WritePhase>`/`From<ReadPhase>` conversions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PhaseId {
     /// Which guard's state machine the phase belongs to.
     pub dir: Dir,
@@ -105,7 +103,7 @@ impl fmt::Display for PhaseId {
 }
 
 /// Coarse fault classification carried by [`TraceEvent::Fault`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultClass {
     /// A timeout counter expired.
     Timeout,
@@ -126,7 +124,7 @@ impl FaultClass {
 }
 
 /// Stages of the TMU's fault-recovery state machine, in order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecoveryStage {
     /// Paths severed; `SLVERR` aborts started.
     Severed {
@@ -159,7 +157,7 @@ impl RecoveryStage {
 }
 
 /// One structured trace event. Allocation-free to construct and record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A channel handshake fired (`valid && ready`). `id` is 0 for the W
     /// channel, which carries no ID in AXI4.
@@ -329,8 +327,8 @@ impl TraceEvent {
     }
 
     /// Renders the variant's payload as JSON object fields (no braces,
-    /// no leading comma): `"dir":"write","id":3,…`. The vendored serde
-    /// derive is a no-op stand-in, so serialization is assembled by hand.
+    /// no leading comma): `"dir":"write","id":3,…`. The offline workspace
+    /// has no serialisation crate, so serialization is assembled by hand.
     #[must_use]
     pub fn json_fields(&self) -> String {
         match *self {

@@ -7,15 +7,13 @@
 //! one branch and nothing is allocated, preserving the event-driven
 //! fast path.
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::TraceEvent;
 use crate::metrics::{MetricsHub, MetricsSample};
 use crate::sink::EventRing;
 use crate::span::SpanCollector;
 
 /// Configuration applied when enabling a [`TelemetryHub`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Bound on the typed event ring.
     pub ring_capacity: usize,
@@ -45,7 +43,7 @@ impl Default for TelemetryConfig {
 ///
 /// Concrete (not a trait object) so owners like the TMU stay `Clone` and
 /// comparable in differential tests.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TelemetryHub {
     enabled: bool,
     ring: EventRing,

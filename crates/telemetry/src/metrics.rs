@@ -17,8 +17,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use sim::Histogram;
 
 /// One periodic snapshot of the hub.
@@ -26,7 +24,7 @@ use sim::Histogram;
 /// Counter values are **deltas** since the previous sample (so idle
 /// periods serialize as zeros); gauge values are the level at sample
 /// time.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSample {
     /// Cycle the sample was taken at.
     pub cycle: u64,
@@ -37,8 +35,8 @@ pub struct MetricsSample {
 }
 
 impl MetricsSample {
-    /// One JSON-lines record (hand-assembled; the vendored serde derive
-    /// is a no-op stand-in).
+    /// One JSON-lines record (hand-assembled; the offline workspace has
+    /// no serialisation crate).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = format!("{{\"cycle\":{}", self.cycle);
@@ -66,7 +64,7 @@ impl MetricsSample {
 /// Periodic samples live in a bounded ring: once `max_samples` are
 /// held, each new sample evicts the oldest in O(1) and counts it in
 /// [`MetricsHub::samples_dropped`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsHub {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,

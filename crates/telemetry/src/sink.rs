@@ -6,12 +6,10 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::TraceEvent;
 
 /// A sequence-stamped event as stored in an [`EventRing`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryRecord {
     /// Monotonic sequence number, assigned at record time. Gaps in the
     /// numbers held by the ring equal the number of evicted records.
@@ -26,7 +24,7 @@ pub struct TelemetryRecord {
 
 impl TelemetryRecord {
     /// One JSON object describing this record (hand-assembled; the
-    /// vendored serde derive is a no-op stand-in).
+    /// offline workspace has no serialisation crate).
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
@@ -55,7 +53,7 @@ impl fmt::Display for TelemetryRecord {
 /// When full, the oldest record is evicted and [`EventRing::dropped`]
 /// counts it. Capacity is *not* preallocated — a hub that is never
 /// enabled allocates nothing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EventRing {
     records: VecDeque<TelemetryRecord>,
     capacity: usize,

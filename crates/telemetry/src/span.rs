@@ -15,12 +15,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::{Dir, PhaseId, TraceEvent};
 
 /// One completed (or aborted) phase within a transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseSlice {
     /// The phase occupied.
     pub phase: PhaseId,
@@ -40,7 +38,7 @@ impl PhaseSlice {
 }
 
 /// One monitored transaction, enqueue to retirement (or abort).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TxnSpan {
     /// Transaction direction.
     pub dir: Dir,
@@ -69,7 +67,7 @@ impl TxnSpan {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct OpenTxn {
     id: u16,
     addr: u64,
@@ -87,7 +85,7 @@ struct OpenTxn {
 /// each retirement evicts the oldest span in O(1) and counts it in
 /// [`SpanCollector::dropped_spans`], so per-event cost does not grow
 /// with run length.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpanCollector {
     /// Open transactions keyed by `(dir index, LD slot)` — the slot is
     /// unique among in-flight transactions of one direction.
@@ -229,8 +227,8 @@ impl SpanCollector {
 
     /// Exports the finished spans as Chrome trace-event JSON (the
     /// `{"traceEvents": [...]}` object form), loadable in Perfetto or
-    /// `chrome://tracing`. Hand-assembled — the vendored serde derive is
-    /// a no-op stand-in.
+    /// `chrome://tracing`. Hand-assembled — the offline workspace has no
+    /// serialisation crate.
     ///
     /// Layout: process 1 is named `process_name` (default `"tmu"`), one
     /// thread per `(direction, AXI ID)` in first-appearance order, an
