@@ -481,35 +481,58 @@ impl<D: Direction> GuardCore<D> {
         );
     }
 
-    /// Advances the phase machines, ticks counters, and reports faults.
+    /// Advances the phase machines, ticks counters, and appends this
+    /// cycle's faults to `faults`.
     ///
     /// `cycle` is the current cycle index; `perf` receives a record for
     /// every completed transaction (Full-Counter granularity when the
     /// variant is Fc); `telemetry` receives the structured event stream
-    /// (a disabled hub costs one branch per event).
+    /// (a disabled hub costs one branch per event). `faults` is the
+    /// caller's buffer, reused across cycles, so a commit allocates
+    /// nothing unless a fault is found.
+    ///
+    /// A quiet cycle (see the [module docs](self)) costs the inlined
+    /// gate alone; the busy body stays out of line.
     ///
     /// # Panics
     ///
     /// Panics only if the stall decision, OTT, and remapper disagree — an internal invariant
     /// violation (a bug in the monitor, not a caller error).
+    #[inline]
     pub fn commit(
         &mut self,
         cycle: u64,
         perf: &mut PerfLog,
         telemetry: &mut TelemetryHub,
-    ) -> Vec<GuardFault> {
+        faults: &mut Vec<GuardFault>,
+    ) {
         self.last_commit = cycle;
         if self.is_quiet(cycle) {
             #[cfg(debug_assertions)]
             self.assert_consistent();
-            return Vec::new();
+            return;
         }
-        let obs = std::mem::take(&mut self.obs);
-        let mut faults = Vec::new();
+        self.commit_busy(cycle, perf, telemetry, faults);
+    }
+
+    /// The commit of a cycle with an event: steps 1–5 of the
+    /// [module docs](self).
+    #[inline(never)]
+    fn commit_busy(
+        &mut self,
+        cycle: u64,
+        perf: &mut PerfLog,
+        telemetry: &mut TelemetryHub,
+        faults: &mut Vec<GuardFault>,
+    ) {
+        // Consume the observation, leaving it idle for the next commit.
+        let addr_offered = self.obs.addr_offered.take();
+        let addr_fired = std::mem::take(&mut self.obs.addr_fired);
+        let data = std::mem::take(&mut self.obs.data);
 
         // 1. New address beat observed: allocate unless stalled or
         //    already pending.
-        if let Some(req) = obs.addr_offered {
+        if let Some(req) = addr_offered {
             if self.addr_pending.is_none() && !self.stalled_this_cycle {
                 let load = self.queue_load();
                 let beats = req.burst_len().beats();
@@ -572,7 +595,7 @@ impl<D: Direction> GuardCore<D> {
         }
 
         // 2. Address handshake completes: enter the data phase.
-        if obs.addr_fired {
+        if addr_fired {
             if let Some(idx) = self.addr_pending.take() {
                 let variant = self.variant;
                 let engine = self.engine;
@@ -592,7 +615,7 @@ impl<D: Direction> GuardCore<D> {
         }
 
         // 3. Direction-specific data/response routing and retirement.
-        D::commit_data(self, &obs.data, cycle, perf, telemetry);
+        D::commit_data(self, &data, cycle, perf, telemetry);
 
         // 4. Flag expiries. The reference engine ticks every live
         //    counter each cycle; the deadline wheel only touches the
@@ -702,8 +725,6 @@ impl<D: Direction> GuardCore<D> {
 
         #[cfg(debug_assertions)]
         self.assert_consistent();
-
-        faults
     }
 
     /// Whether the commit for `cycle` has nothing to do (see the

@@ -53,7 +53,9 @@ fn wg_cycle(
     setup(&mut port);
     guard.decide_stall(port.aw.beat());
     guard.observe(&port);
-    guard.commit(cycle, perf, &mut TelemetryHub::default())
+    let mut faults = Vec::new();
+    guard.commit(cycle, perf, &mut TelemetryHub::default(), &mut faults);
+    faults
 }
 
 fn rg_cycle(
@@ -67,7 +69,9 @@ fn rg_cycle(
     setup(&mut port);
     guard.decide_stall(port.ar.beat());
     guard.observe(&port);
-    guard.commit(cycle, perf, &mut TelemetryHub::default())
+    let mut faults = Vec::new();
+    guard.commit(cycle, perf, &mut TelemetryHub::default(), &mut faults);
+    faults
 }
 
 #[test]
@@ -437,7 +441,9 @@ fn engine_cycle<D: Direction>(
     let (req, _) = D::observe_addr(&port);
     guard.decide_stall(req.as_ref());
     guard.observe(&port);
-    guard.commit(cycle, perf, &mut TelemetryHub::default())
+    let mut faults = Vec::new();
+    guard.commit(cycle, perf, &mut TelemetryHub::default(), &mut faults);
+    faults
 }
 
 /// The queue load as a scan of every LD row's remaining beats: the

@@ -42,22 +42,29 @@ impl Tmu {
 
     fn commit_monitoring(&mut self, cycle: u64) {
         self.write_guard.set_pending_drain(self.term.drain_beats());
-        let write_faults = self
-            .write_guard
-            .commit(cycle, &mut self.perf_log, &mut self.telemetry);
-        let read_faults = self
-            .read_guard
-            .commit(cycle, &mut self.perf_log, &mut self.telemetry);
+        // Write faults first, then read faults, in one reused buffer.
+        self.write_guard.commit(
+            cycle,
+            &mut self.perf_log,
+            &mut self.telemetry,
+            &mut self.guard_faults,
+        );
+        self.read_guard.commit(
+            cycle,
+            &mut self.perf_log,
+            &mut self.telemetry,
+            &mut self.guard_faults,
+        );
         self.write_guard
             .take_violations(&mut self.pending_violations);
         self.read_guard
             .take_violations(&mut self.pending_violations);
-        if write_faults.is_empty() && read_faults.is_empty() && self.pending_violations.is_empty() {
+        if self.guard_faults.is_empty() && self.pending_violations.is_empty() {
             return;
         }
 
         let mut records: Vec<ErrorRecord> = Vec::new();
-        for fault in write_faults.into_iter().chain(read_faults) {
+        for fault in self.guard_faults.drain(..) {
             records.push(ErrorRecord {
                 cycle,
                 kind: fault.kind,

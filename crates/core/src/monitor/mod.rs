@@ -52,7 +52,7 @@ use axi4::checker::{Violation, WireRules};
 use tmu_telemetry::TelemetryHub;
 
 use crate::config::{RegisterFile, TmuConfig, TmuVariant};
-use crate::guard::{ReadGuard, WriteGuard};
+use crate::guard::{GuardFault, ReadGuard, WriteGuard};
 use crate::log::{ErrorLog, ErrorRecord, PerfLog};
 use crate::terminator::Terminator;
 pub use crate::terminator::TmuState;
@@ -76,6 +76,8 @@ pub struct Tmu {
     stall_aw: bool,
     stall_ar: bool,
     pending_violations: Vec<Violation>,
+    /// The guards' timeouts found by this cycle's commit (emptied by it).
+    guard_faults: Vec<GuardFault>,
     faults_detected: u64,
     resets_requested: u64,
     /// Committed state: cycles this monitor has committed.
@@ -102,6 +104,7 @@ impl Tmu {
             stall_aw: false,
             stall_ar: false,
             pending_violations: Vec::new(),
+            guard_faults: Vec::new(),
             faults_detected: 0,
             resets_requested: 0,
             cycles: 0,
