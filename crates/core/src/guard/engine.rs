@@ -240,6 +240,11 @@ pub struct GuardCore<D: Direction> {
     pub(in crate::guard) check_protocol: bool,
     /// Context-rule violations found since the TMU last collected them.
     pub(in crate::guard) violations: Vec<Violation>,
+    /// The last response beat's route, `(id, uid, head)`: one entry that
+    /// spares a burst's later beats the remapper scan. It stays valid
+    /// until its uid retires a transaction or the guard clears, since
+    /// only a dequeue moves a uid's head and only a release unmaps an ID.
+    resp_route: Option<(AxiId, UniqId, LdIndex)>,
     obs: CoreObs<D>,
 }
 
@@ -267,6 +272,7 @@ impl<D: Direction> GuardCore<D> {
             stalled_this_cycle: false,
             check_protocol: cfg.check_protocol(),
             violations: Vec::new(),
+            resp_route: None,
             obs: CoreObs::default(),
         }
     }
@@ -356,6 +362,22 @@ impl<D: Direction> GuardCore<D> {
         }
     }
 
+    /// The unique-ID slot of a response beat with `id` and the head of
+    /// that slot's FIFO, the transaction the beat answers; `None` when no
+    /// transaction of `id` is tracked. Memoized for the next beat.
+    #[inline]
+    pub(in crate::guard) fn route_response(&mut self, id: AxiId) -> Option<(UniqId, LdIndex)> {
+        if let Some((memo_id, uid, head)) = self.resp_route {
+            if memo_id == id {
+                return Some((uid, head));
+            }
+        }
+        let uid = self.remap.lookup(id)?;
+        let head = self.ott.head_of(uid)?;
+        self.resp_route = Some((id, uid, head));
+        Some((uid, head))
+    }
+
     /// Moves `tracker` to phase `to`, records the finished phase's
     /// latency, and (Full-Counter) restarts the counter with the new
     /// phase's budget, re-arming the deadline wheel. An associated
@@ -442,6 +464,9 @@ impl<D: Direction> GuardCore<D> {
             .dequeue_head(uid)
             .expect("caller verified the FIFO head exists before retiring");
         self.remap.release(uid);
+        if self.resp_route.is_some_and(|(_, memo_uid, _)| memo_uid == uid) {
+            self.resp_route = None;
+        }
         self.wheel.disarm(idx);
         let mut t = entry.tracker;
         // A read retired early by `RLAST` takes its unsent beats with it.
@@ -774,6 +799,7 @@ impl<D: Direction> GuardCore<D> {
         self.addr_pending = None;
         self.stalled_this_cycle = false;
         self.violations.clear();
+        self.resp_route = None;
         self.obs = CoreObs::default();
     }
 
@@ -823,10 +849,15 @@ impl<D: Direction> GuardCore<D> {
     ///
     /// # Panics
     ///
-    /// Panics on OTT inconsistencies, or when the running queue-load
-    /// count disagrees with the beats the OTT entries still owe.
+    /// Panics on OTT inconsistencies, when the running queue-load count
+    /// disagrees with the beats the OTT entries still owe, or when the
+    /// memoized response route disagrees with a fresh lookup.
     pub fn assert_consistent(&self) {
         self.ott.assert_consistent();
+        if let Some((id, uid, head)) = self.resp_route {
+            assert_eq!(self.remap.lookup(id), Some(uid), "memoized route's uid");
+            assert_eq!(self.ott.head_of(uid), Some(head), "memoized route's head");
+        }
         assert_eq!(
             self.remap.outstanding(),
             self.ott.len(),

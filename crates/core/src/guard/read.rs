@@ -132,8 +132,7 @@ impl Direction for ReadDir {
         let Some(r) = data.r_offered else {
             return;
         };
-        let uid = core.remap.lookup(r.id);
-        let head = uid.and_then(|uid| Some((uid, core.ott.head_of(uid)?)));
+        let head = core.route_response(r.id);
         let variant = core.variant;
         let engine = core.engine;
         let mut retire = None;

@@ -670,3 +670,108 @@ fn quiet_read_expires_on_the_per_cycle_engines_cycle() {
         p.ar.set_ready(true);
     });
 }
+
+/// One read-guard cycle that also collects the context-rule violations
+/// it found and checks the memoized response route against a fresh
+/// remapper and head lookup (`assert_consistent`, in every profile).
+fn memo_cycle(
+    guard: &mut ReadGuard,
+    cycle: u64,
+    perf: &mut PerfLog,
+    setup: impl FnOnce(&mut AxiPort),
+) -> Vec<axi4::checker::Rule> {
+    rg_cycle(guard, cycle, perf, setup);
+    guard.assert_consistent();
+    let mut violations = Vec::new();
+    guard.take_violations(&mut violations);
+    violations.into_iter().map(|v| v.rule).collect()
+}
+
+fn r_beat(id: u16, last: bool) -> impl FnOnce(&mut AxiPort) {
+    move |p| {
+        p.r.drive(RBeat::new(AxiId(id), 0, Resp::Okay, last));
+        p.r.set_ready(true);
+    }
+}
+
+fn fired_ar(id: u16, beats: u16) -> impl FnOnce(&mut AxiPort) {
+    move |p| {
+        p.ar.drive(ar(id, beats));
+        p.ar.set_ready(true);
+    }
+}
+
+#[test]
+fn memoized_route_follows_same_id_reads_across_a_retirement() {
+    let mut guard = ReadGuard::new(&cfg(TmuVariant::FullCounter));
+    let mut perf = PerfLog::new();
+    let id = AxiId(1);
+    memo_cycle(&mut guard, 0, &mut perf, fired_ar(1, 2));
+    memo_cycle(&mut guard, 1, &mut perf, fired_ar(1, 2));
+    // The first read's beats, then the second's with no gap: the beat
+    // after the retirement belongs to the new FIFO head.
+    let beats = [(2, false), (3, true), (4, false), (5, true)];
+    for (cycle, last) in beats {
+        let rules = memo_cycle(&mut guard, cycle, &mut perf, r_beat(1, last));
+        assert_eq!(rules, [], "cycle {cycle}");
+        let expected = match cycle {
+            2 => Some(ReadPhase::BurstTransfer),
+            3 => Some(ReadPhase::DataWait),
+            4 => Some(ReadPhase::BurstTransfer),
+            _ => None,
+        };
+        assert_eq!(guard.head_phase(id), expected, "cycle {cycle}");
+    }
+    assert_eq!(perf.reads(), 2);
+    assert!(perf.iter_recent().all(|r| r.beats == 2));
+    assert_eq!(guard.outstanding(), 0);
+}
+
+#[test]
+fn memoized_route_forgets_an_id_whose_slot_is_reacquired() {
+    let mut guard = ReadGuard::new(&cfg(TmuVariant::FullCounter));
+    let mut perf = PerfLog::new();
+    // ID 1 takes unique-ID slot 0 and LD row 0, then retires, releasing
+    // both; ID 2 then takes the same slot and row.
+    memo_cycle(&mut guard, 0, &mut perf, fired_ar(1, 1));
+    assert_eq!(memo_cycle(&mut guard, 1, &mut perf, r_beat(1, true)), []);
+    memo_cycle(&mut guard, 2, &mut perf, fired_ar(2, 2));
+    // A stray beat of ID 1 must not reach ID 2's read.
+    assert_eq!(
+        memo_cycle(&mut guard, 3, &mut perf, r_beat(1, false)),
+        [Rule::RWithoutTxn]
+    );
+    let entries = guard.debug_entries();
+    assert_eq!(entries.len(), 1);
+    assert_eq!((entries[0].0, entries[0].1), (AxiId(2), ReadPhase::DataWait));
+    assert_eq!(memo_cycle(&mut guard, 4, &mut perf, r_beat(2, false)), []);
+    assert_eq!(memo_cycle(&mut guard, 5, &mut perf, r_beat(2, true)), []);
+    assert_eq!(perf.reads(), 2);
+    assert_eq!(guard.outstanding(), 0);
+}
+
+#[test]
+fn sever_mid_burst_clears_the_memoized_route() {
+    let mut guard = ReadGuard::new(&cfg(TmuVariant::FullCounter));
+    let mut perf = PerfLog::new();
+    memo_cycle(&mut guard, 0, &mut perf, fired_ar(1, 4));
+    memo_cycle(&mut guard, 1, &mut perf, r_beat(1, false));
+    memo_cycle(&mut guard, 2, &mut perf, r_beat(1, false));
+    // The TMU severs the link in the middle of the burst.
+    let set = guard.drain_for_abort();
+    assert_eq!(set.responses[0].beats_remaining, 2);
+    guard.assert_consistent();
+    // A new read of another ID reuses slot 0 and LD row 0; the rest of
+    // the aborted burst must not be counted against it.
+    memo_cycle(&mut guard, 3, &mut perf, fired_ar(3, 2));
+    assert_eq!(
+        memo_cycle(&mut guard, 4, &mut perf, r_beat(1, false)),
+        [Rule::RWithoutTxn]
+    );
+    let entries = guard.debug_entries();
+    assert_eq!(entries.len(), 1);
+    assert_eq!((entries[0].0, entries[0].1), (AxiId(3), ReadPhase::DataWait));
+    assert_eq!(memo_cycle(&mut guard, 5, &mut perf, r_beat(3, false)), []);
+    assert_eq!(memo_cycle(&mut guard, 6, &mut perf, r_beat(3, true)), []);
+    assert_eq!(perf.reads(), 1, "only the new read completed");
+}

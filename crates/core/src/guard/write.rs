@@ -215,12 +215,13 @@ impl Direction for WriteDir {
         // handshake completes and retires the transaction. The beat that
         // fires is the beat offered, so one lookup serves both.
         if let Some(b) = data.b_offered {
-            let uid = core.remap.lookup(b.id);
-            let head = uid.and_then(|uid| core.ott.head_of(uid));
+            let head = core.route_response(b.id);
             let variant = core.variant;
             let engine = core.engine;
             let mut phase = None;
-            if let Some((idx, entry)) = head.and_then(|idx| Some((idx, core.ott.get_mut(idx)?))) {
+            if let Some((idx, entry)) =
+                head.and_then(|(_, idx)| Some((idx, core.ott.get_mut(idx)?)))
+            {
                 if entry.tracker.phase == WritePhase::RespWait {
                     GuardCore::transition(
                         &mut core.wheel,
@@ -236,8 +237,8 @@ impl Direction for WriteDir {
                 phase = Some(entry.tracker.phase);
             }
             if data.b_fired {
-                let unexpected = match (phase, uid) {
-                    (Some(WritePhase::RespReady), Some(uid)) => {
+                let unexpected = match (phase, head) {
+                    (Some(WritePhase::RespReady), Some((uid, _))) => {
                         core.retire(uid, cycle, perf, telemetry);
                         None
                     }
