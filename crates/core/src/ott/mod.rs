@@ -54,6 +54,9 @@ pub struct Ott<S> {
     ld: LdTable<S>,
     /// Issue order, kept only by the write direction's OTT.
     ei: Option<EiTable>,
+    /// Whether each LD row is still in the EI order (empty without it),
+    /// so a dequeue searches the order only for a row it holds.
+    in_ei: Vec<bool>,
 }
 
 impl<S> Ott<S> {
@@ -67,6 +70,7 @@ impl<S> Ott<S> {
     pub fn new(max_uniq_ids: usize, max_outstanding: usize) -> Self {
         Ott {
             ei: Some(EiTable::new(max_outstanding)),
+            in_ei: vec![false; max_outstanding],
             ..Self::without_ei(max_uniq_ids, max_outstanding)
         }
     }
@@ -83,6 +87,7 @@ impl<S> Ott<S> {
             ht: HtTable::new(max_uniq_ids),
             ld: LdTable::new(max_outstanding),
             ei: None,
+            in_ei: Vec::new(),
         }
     }
 
@@ -126,6 +131,7 @@ impl<S> Ott<S> {
         if let Some(ei) = &mut self.ei {
             ei.push(idx)
                 .expect("the EI table is as deep as the LD table");
+            self.in_ei[idx] = true;
         }
         Some(idx)
     }
@@ -164,6 +170,7 @@ impl<S> Ott<S> {
             .and_then(EiTable::pop_front)
             .expect("EI advance on empty table");
         assert_eq!(front, idx, "EI advance out of order");
+        self.in_ei[idx] = false;
     }
 
     /// Dequeues the head transaction of `uid`, returning its LD index
@@ -177,8 +184,12 @@ impl<S> Ott<S> {
         let head = self.ht.head(uid)?;
         let next = self.ld.get(head).expect("head row exists").next;
         self.ht.pop_head(uid, next);
-        if let Some(ei) = &mut self.ei {
-            ei.remove(head);
+        if self.in_ei.get(head) == Some(&true) {
+            self.in_ei[head] = false;
+            self.ei
+                .as_mut()
+                .expect("only an OTT with EI order flags its rows")
+                .remove(head);
         }
         let entry = self.ld.free(head);
         Some((head, entry))
@@ -206,13 +217,6 @@ impl<S> Ott<S> {
         self.ld.iter_mut()
     }
 
-    /// Transactions queued ahead of a new arrival — the occupancy input
-    /// of the adaptive queue-waiting budget.
-    #[must_use]
-    pub fn occupancy(&self) -> usize {
-        self.len()
-    }
-
     /// Discards every tracked transaction (abort/reset path).
     pub fn clear(&mut self) {
         self.ht.clear();
@@ -220,6 +224,7 @@ impl<S> Ott<S> {
         if let Some(ei) = &mut self.ei {
             ei.clear();
         }
+        self.in_ei.fill(false);
     }
 
     /// Internal-consistency check used by property tests: HT counts, LD
@@ -263,7 +268,13 @@ impl<S> Ott<S> {
                 ei.iter().skip(pos + 1).all(|other| other != idx),
                 "duplicate EI entry"
             );
+            assert!(self.in_ei[idx], "EI row {idx} not flagged as in the order");
         }
+        assert_eq!(
+            self.in_ei.iter().filter(|&&flagged| flagged).count(),
+            ei.len(),
+            "rows flagged as in the EI order vs EI length"
+        );
     }
 }
 
@@ -413,10 +424,20 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_tracks_len() {
+    fn dequeue_after_ei_advance_leaves_the_order_alone() {
         let mut ott: Ott<u32> = Ott::new(2, 4);
-        assert_eq!(ott.occupancy(), 0);
-        ott.enqueue(0, 1).unwrap();
-        assert_eq!(ott.occupancy(), 1);
+        let a = ott.enqueue(0, 1).unwrap();
+        let b = ott.enqueue(1, 2).unwrap();
+        let c = ott.enqueue(0, 3).unwrap();
+        ott.ei_advance(a);
+        ott.dequeue_head(0).unwrap(); // a, no longer in the EI order
+        assert_eq!(ott.ei_front(), Some(b));
+        ott.assert_consistent();
+        ott.dequeue_head(0).unwrap(); // c, still in the EI order
+        assert_eq!(ott.ei_front(), Some(b));
+        assert_eq!(ott.get(c), None);
+        ott.ei_advance(b);
+        assert_eq!(ott.ei_front(), None);
+        ott.assert_consistent();
     }
 }

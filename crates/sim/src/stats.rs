@@ -5,12 +5,18 @@
 
 use std::fmt;
 
+/// Number of buckets: sample 0 and 1 share bucket 0, and bucket 64
+/// holds every sample above `2^63`.
+const BUCKETS: usize = 65;
+
 /// A latency histogram over `u64` cycle counts with power-of-two buckets.
 ///
 /// Buckets are `[0,1], (1,2], (2,4], (4,8], …` — i.e. sample `s` lands in
-/// bucket `ceil(log2(max(s,1)))`. Alongside the buckets the histogram
-/// tracks exact count, sum, min and max, so mean and range are exact while
-/// the distribution shape is approximate.
+/// bucket `ceil(log2(max(s,1)))`, one of 65 kept in a fixed array, so
+/// recording never allocates. Alongside the buckets the histogram tracks
+/// exact count, min and max and a sum that saturates at `u64::MAX`, so
+/// mean and range are exact while the distribution shape is
+/// approximate.
 ///
 /// ```
 /// use sim::Histogram;
@@ -21,13 +27,27 @@ use std::fmt;
 /// assert_eq!(h.max(), Some(100));
 /// assert!((h.mean().unwrap() - 26.5).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    buckets: Vec<u64>, // index = ceil(log2(max(s,1)))
+    buckets: [u64; BUCKETS], // index = ceil(log2(max(s,1)))
     count: u64,
     sum: u64,
-    min: Option<u64>,
-    max: Option<u64>,
+    /// Smallest sample; `u64::MAX` while empty.
+    min: u64,
+    /// Largest sample; 0 while empty.
+    max: u64,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            buckets: [0; BUCKETS],
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
 }
 
 impl Histogram {
@@ -37,22 +57,26 @@ impl Histogram {
         Histogram::default()
     }
 
+    #[inline]
     fn bucket_index(sample: u64) -> usize {
         let s = sample.max(1);
         (64 - (s - 1).leading_zeros()) as usize
     }
 
+    /// Upper bound of bucket `index`: `2^index`, saturated at `u64::MAX`
+    /// for the last bucket.
+    fn bucket_bound(index: usize) -> u64 {
+        1u64.checked_shl(index as u32).unwrap_or(u64::MAX)
+    }
+
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, sample: u64) {
-        let idx = Self::bucket_index(sample);
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += 1;
+        self.buckets[Self::bucket_index(sample)] += 1;
         self.count += 1;
-        self.sum += sample;
-        self.min = Some(self.min.map_or(sample, |m| m.min(sample)));
-        self.max = Some(self.max.map_or(sample, |m| m.max(sample)));
+        self.sum = self.sum.saturating_add(sample);
+        self.min = self.min.min(sample);
+        self.max = self.max.max(sample);
     }
 
     /// Number of samples recorded.
@@ -70,13 +94,13 @@ impl Histogram {
     /// Smallest sample, if any.
     #[must_use]
     pub fn min(&self) -> Option<u64> {
-        self.min
+        (self.count > 0).then_some(self.min)
     }
 
     /// Largest sample, if any.
     #[must_use]
     pub fn max(&self) -> Option<u64> {
-        self.max
+        (self.count > 0).then_some(self.max)
     }
 
     /// Arithmetic mean, if any samples exist.
@@ -91,13 +115,14 @@ impl Histogram {
 
     /// `(upper_bound, count)` pairs for every non-empty bucket, ascending.
     /// The bucket with upper bound `u` covers samples in `(u/2, u]`
-    /// (except the first, which covers `[0, 1]`).
+    /// (except the first, which covers `[0, 1]`, and the last, whose
+    /// bound is `u64::MAX` and which covers `(2^63, u64::MAX]`).
     pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
             .filter(|(_, c)| **c > 0)
-            .map(|(i, c)| (1u64 << i, *c))
+            .map(|(i, c)| (Self::bucket_bound(i), *c))
     }
 
     /// An approximate quantile (`0.0..=1.0`) using bucket upper bounds.
@@ -119,7 +144,7 @@ impl Histogram {
                 return Some(bound);
             }
         }
-        self.max
+        self.max()
     }
 
     /// An approximate percentile (`0.0..=100.0`): `percentile(99.0)` is
@@ -137,28 +162,19 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (i, c) in other.buckets.iter().enumerate() {
-            self.buckets[i] += c;
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
         }
         self.count += other.count;
-        self.sum += other.sum;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
+        self.sum = self.sum.saturating_add(other.sum);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 }
 
 impl fmt::Display for Histogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (self.min, self.max, self.mean()) {
+        match (self.min(), self.max(), self.mean()) {
             (Some(min), Some(max), Some(mean)) => write!(
                 f,
                 "n={} min={} mean={:.1} max={}",
@@ -284,5 +300,34 @@ mod tests {
     #[should_panic(expected = "percentile")]
     fn percentile_range_checked() {
         let _ = Histogram::new().percentile(101.0);
+    }
+
+    #[test]
+    fn histogram_keeps_samples_above_two_to_the_63() {
+        let top = (1u64 << 63) + 1;
+        let mut h = Histogram::new();
+        for s in [0, 1, top, u64::MAX] {
+            h.record(s);
+        }
+        assert_eq!(Histogram::bucket_index(top), 64);
+        assert_eq!(Histogram::bucket_index(u64::MAX), 64);
+        // 0 and 1 share the first bucket; the two large samples share
+        // the 65th, whose bound saturates at u64::MAX.
+        let buckets: Vec<_> = h.buckets().collect();
+        assert_eq!(buckets, vec![(1, 2), (u64::MAX, 2)]);
+        assert_eq!(h.quantile(0.5), Some(1));
+        assert_eq!(h.quantile(0.75), Some(u64::MAX));
+        assert_eq!(h.percentile(99.0), Some(u64::MAX));
+        assert_eq!((h.min(), h.max()), (Some(0), Some(u64::MAX)));
+        assert_eq!(h.sum(), u64::MAX, "the sum saturates");
+
+        let mut merged = Histogram::new();
+        merged.merge(&h);
+        merged.merge(&h);
+        let buckets: Vec<_> = merged.buckets().collect();
+        assert_eq!(buckets, vec![(1, 4), (u64::MAX, 4)]);
+        assert_eq!(merged.count(), 8);
+        assert_eq!(merged.quantile(1.0), Some(u64::MAX));
+        assert_eq!((merged.min(), merged.max()), (Some(0), Some(u64::MAX)));
     }
 }
