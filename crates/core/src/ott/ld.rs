@@ -57,16 +57,13 @@ impl<S> LdTable<S> {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LD table needs at least one row");
-        let rows = (0..capacity)
-            .map(|i| Row::Free {
-                next_free: if i + 1 < capacity { Some(i + 1) } else { None },
-            })
-            .collect();
-        LdTable {
-            rows,
-            free_head: Some(0),
+        let mut table = LdTable {
+            rows: (0..capacity).map(|_| Row::Free { next_free: None }).collect(),
+            free_head: None,
             used: 0,
-        }
+        };
+        table.clear();
+        table
     }
 
     /// Total rows.
@@ -168,14 +165,15 @@ impl<S> LdTable<S> {
             })
     }
 
-    /// Frees every row (abort/reset path).
+    /// Frees every row (abort/reset path), rewriting the free list in
+    /// place in index order.
     pub fn clear(&mut self) {
         let capacity = self.rows.len();
-        self.rows = (0..capacity)
-            .map(|i| Row::Free {
-                next_free: if i + 1 < capacity { Some(i + 1) } else { None },
-            })
-            .collect();
+        for (i, row) in self.rows.iter_mut().enumerate() {
+            *row = Row::Free {
+                next_free: (i + 1 < capacity).then_some(i + 1),
+            };
+        }
         self.free_head = Some(0);
         self.used = 0;
     }
@@ -249,6 +247,18 @@ mod tests {
         assert!(ld.is_empty());
         assert!(!ld.is_full());
         assert_eq!(ld.alloc(0, 3), Some(0));
+    }
+
+    #[test]
+    fn clear_restores_the_index_order_free_list() {
+        let mut ld: LdTable<u32> = LdTable::new(3);
+        let a = ld.alloc(0, 1).unwrap();
+        ld.alloc(0, 2).unwrap();
+        ld.free(a);
+        ld.clear();
+        let order: Vec<_> = (0..3).map(|i| ld.alloc(0, i).unwrap()).collect();
+        assert_eq!(order, vec![0, 1, 2], "as freshly built");
+        assert!(ld.is_full());
     }
 
     #[test]
