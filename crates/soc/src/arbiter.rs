@@ -33,7 +33,9 @@ impl Arbiter {
         if self.grant.is_some_and(&valid) {
             return self.grant;
         }
-        let mut order = (0..n).map(|k| (self.rr + k) % n).filter(|&i| valid(i));
+        // Round-robin order without a divide: the pointer to the end,
+        // then the start up to the pointer.
+        let mut order = (self.rr..n).chain(0..self.rr).filter(|&i| valid(i));
         self.grant = match priorities {
             None => order.next(),
             // Strict `>` keeps the first source in round-robin order
@@ -62,7 +64,7 @@ impl Arbiter {
     pub(crate) fn commit(&mut self, fired: bool, n: usize) -> Option<usize> {
         let granted = self.grant.filter(|_| fired)?;
         self.grant = None;
-        self.rr = (granted + 1) % n;
+        self.rr = if granted + 1 < n { granted + 1 } else { 0 };
         Some(granted)
     }
 }
