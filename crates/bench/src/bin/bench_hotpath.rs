@@ -9,7 +9,7 @@ use std::time::Instant;
 use tmu::{CounterEngine, TmuVariant};
 use tmu_bench::hotpath::{
     passthrough_link, run_overload_isolation, run_saturated_stall, run_saturated_stall_fastforward,
-    telemetry_stall_link, PassthroughLink, StallLink, StallRun, HOTPATH_BUDGET,
+    stall_link, telemetry_stall_link, PassthroughLink, StallLink, StallRun, HOTPATH_BUDGET,
     HOTPATH_OUTSTANDING, REGULATE_CYCLES,
 };
 use tmu_bench::table::Table;
@@ -35,42 +35,44 @@ fn time_min<R>(mut f: impl FnMut() -> R) -> (f64, R) {
 const CHUNK: u64 = 2_000;
 
 /// Times the links `build` returns against each other, `REPS` times over
-/// fresh links, and returns each link's mean time per repetition.
+/// fresh links, and returns each link's time for one run: the sum, over
+/// its chunks, of each chunk's fastest repetition.
 ///
 /// A run of these scenarios is only milliseconds long, far below the
 /// timescale of the host's throughput swings, which scatter any
 /// back-to-back ratio by around +/-8%. The links are therefore advanced
 /// by `advance` in alternating chunks of [`CHUNK`] cycles until each has
 /// run `cycles`, so every slow host regime taxes all of them almost
-/// equally, and a ratio is taken between summed chunk times. `check`
-/// asserts each repetition's outcome.
+/// equally. A scheduler stall still lands in one chunk of one link, and
+/// on a link that runs a few milliseconds a 1 ms stall moves a mean by a
+/// fifth; each chunk's minimum over the repetitions drops it. The
+/// simulations are deterministic, so a chunk does the same work in every
+/// repetition. `check` asserts each repetition's outcome.
 fn time_interleaved<L, const N: usize>(
     mut build: impl FnMut() -> [L; N],
     cycles: u64,
     mut advance: impl FnMut(&mut L, u64),
     mut check: impl FnMut(&[L; N]),
 ) -> [f64; N] {
-    let mut totals = [0.0; N];
-    for rep in 0..REPS {
+    let chunks = cycles.div_ceil(CHUNK);
+    let mut fastest = [(); N].map(|()| vec![f64::INFINITY; chunks as usize]);
+    for rep in 0..REPS as usize {
         let mut links = build();
-        let mut done = 0;
-        let mut round = rep as usize;
-        while done < cycles {
-            let chunk = CHUNK.min(cycles - done);
+        for chunk_index in 0..chunks {
+            let chunk = CHUNK.min(cycles - chunk_index * CHUNK);
+            let c = chunk_index as usize;
             // Rotate which link leads so periodic background load cannot
             // alias onto one of them.
             for k in 0..N {
-                let i = (round + k) % N;
+                let i = (rep + c + k) % N;
                 let start = Instant::now();
                 advance(&mut links[i], chunk);
-                totals[i] += start.elapsed().as_secs_f64();
+                fastest[i][c] = fastest[i][c].min(start.elapsed().as_secs_f64());
             }
-            done += chunk;
-            round += 1;
         }
         check(&links);
     }
-    totals.map(|t| t / f64::from(REPS))
+    fastest.map(|chunk_times| chunk_times.iter().sum())
 }
 
 struct StallMeasurement {
@@ -82,18 +84,38 @@ struct StallMeasurement {
     fast: StallRun,
 }
 
+/// The total-stall scenario under both engines and under fast-forward.
+/// The per-cycle and wheel links are timed against each other by
+/// [`time_interleaved`]. Fast-forward runs only 130 harness steps, less
+/// than one chunk, so it keeps [`time_min`] over whole runs.
 fn measure_stall(variant: TmuVariant) -> StallMeasurement {
-    let (per_cycle_s, reference) =
-        time_min(|| run_saturated_stall(variant, CounterEngine::PerCycle, HOTPATH_BUDGET));
-    let (wheel_s, wheel) =
-        time_min(|| run_saturated_stall(variant, CounterEngine::DeadlineWheel, HOTPATH_BUDGET));
-    let (fastforward_s, fast) =
-        time_min(|| run_saturated_stall_fastforward(variant, HOTPATH_BUDGET));
+    let reference = run_saturated_stall(variant, CounterEngine::PerCycle, HOTPATH_BUDGET);
+    let wheel = run_saturated_stall(variant, CounterEngine::DeadlineWheel, HOTPATH_BUDGET);
     assert_eq!(
         (reference.first_fault_cycle, reference.inflight_cycles),
         (wheel.first_fault_cycle, wheel.inflight_cycles),
         "{variant:?}: engines diverged"
     );
+    let [per_cycle_s, wheel_s] = time_interleaved(
+        || {
+            [CounterEngine::PerCycle, CounterEngine::DeadlineWheel]
+                .map(|engine| stall_link(variant, engine, HOTPATH_BUDGET))
+        },
+        reference.steps_executed,
+        StallLink::run,
+        |links| {
+            for l in links {
+                let fault = l.tmu.last_fault().expect("fault recorded");
+                assert_eq!(
+                    (fault.cycle, fault.inflight_cycles),
+                    (reference.first_fault_cycle, reference.inflight_cycles),
+                    "{variant:?}: a timed run diverged"
+                );
+            }
+        },
+    );
+    let (fastforward_s, fast) =
+        time_min(|| run_saturated_stall_fastforward(variant, HOTPATH_BUDGET));
     assert_eq!(
         (reference.first_fault_cycle, reference.inflight_cycles),
         (fast.first_fault_cycle, fast.inflight_cycles),
@@ -116,7 +138,7 @@ fn json_f(value: f64) -> String {
 fn main() {
     println!(
         "hot-path engine benchmark: {HOTPATH_OUTSTANDING} outstanding writes, \
-         budget {HOTPATH_BUDGET} cycles, min of {REPS} reps\n"
+         budget {HOTPATH_BUDGET} cycles, per-chunk min of {REPS} reps\n"
     );
 
     let stalls: Vec<StallMeasurement> = [TmuVariant::TinyCounter, TmuVariant::FullCounter]
@@ -183,7 +205,7 @@ fn main() {
     let disabled_ratio = tel_off_s / wheel_baseline_s;
     let enabled_ratio = tel_on_s / tel_off_s;
     println!(
-        "\ntelemetry overhead ({tel_variant:?}, wheel engine, mean of {REPS}): baseline {:.3} ms, \
+        "\ntelemetry overhead ({tel_variant:?}, wheel engine, per-chunk min of {REPS}): baseline {:.3} ms, \
          disabled {:.3} ms ({disabled_ratio:.3}x), enabled {:.3} ms ({enabled_ratio:.2}x)",
         wheel_baseline_s * 1e3,
         tel_off_s * 1e3,
@@ -217,7 +239,7 @@ fn main() {
         "wire-legal greed must not register as a protocol fault"
     );
     println!(
-        "\nregulator pass-through ({REG_BENCH_CYCLES} cycles, 2 managers, mean of {REPS}): \
+        "\nregulator pass-through ({REG_BENCH_CYCLES} cycles, 2 managers, per-chunk min of {REPS}): \
          bare {:.3} ms, disabled-regulator {:.3} ms ({passthrough_ratio:.3}x)",
         bare_s * 1e3,
         passthrough_s * 1e3,

@@ -104,7 +104,10 @@ pub struct StallRun {
 /// The concrete link type of the saturated-stall scenario.
 pub type StallLink = GuardedLink<BlackHoleSub>;
 
-fn stall_link(variant: TmuVariant, engine: CounterEngine, budget: u64) -> StallLink {
+/// Builds the saturated total-stall link on `engine`, before its first
+/// cycle.
+#[must_use]
+pub fn stall_link(variant: TmuVariant, engine: CounterEngine, budget: u64) -> StallLink {
     GuardedLink::new(
         hotpath_pattern(),
         hotpath_cfg(variant, engine, budget),
