@@ -25,6 +25,10 @@ use axi_tmu::tmu::{
 };
 use proptest::prelude::*;
 
+#[path = "common/cases.rs"]
+mod cases;
+use cases::cases;
+
 /// A direction-neutral transaction stimulus.
 #[derive(Debug, Clone)]
 struct TxnPlan {
@@ -279,7 +283,7 @@ fn any_engine() -> impl Strategy<Value = CounterEngine> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(cases(48))]
 
     /// Healthy traffic: both directions enqueue, advance and retire on
     /// identical cycles, with identical counters, and never fault.
