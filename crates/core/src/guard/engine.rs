@@ -464,7 +464,10 @@ impl<D: Direction> GuardCore<D> {
             .dequeue_head(uid)
             .expect("caller verified the FIFO head exists before retiring");
         self.remap.release(uid);
-        if self.resp_route.is_some_and(|(_, memo_uid, _)| memo_uid == uid) {
+        if self
+            .resp_route
+            .is_some_and(|(_, memo_uid, _)| memo_uid == uid)
+        {
             self.resp_route = None;
         }
         self.wheel.disarm(idx);

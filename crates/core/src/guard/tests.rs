@@ -743,7 +743,10 @@ fn memoized_route_forgets_an_id_whose_slot_is_reacquired() {
     );
     let entries = guard.debug_entries();
     assert_eq!(entries.len(), 1);
-    assert_eq!((entries[0].0, entries[0].1), (AxiId(2), ReadPhase::DataWait));
+    assert_eq!(
+        (entries[0].0, entries[0].1),
+        (AxiId(2), ReadPhase::DataWait)
+    );
     assert_eq!(memo_cycle(&mut guard, 4, &mut perf, r_beat(2, false)), []);
     assert_eq!(memo_cycle(&mut guard, 5, &mut perf, r_beat(2, true)), []);
     assert_eq!(perf.reads(), 2);
@@ -770,7 +773,10 @@ fn sever_mid_burst_clears_the_memoized_route() {
     );
     let entries = guard.debug_entries();
     assert_eq!(entries.len(), 1);
-    assert_eq!((entries[0].0, entries[0].1), (AxiId(3), ReadPhase::DataWait));
+    assert_eq!(
+        (entries[0].0, entries[0].1),
+        (AxiId(3), ReadPhase::DataWait)
+    );
     assert_eq!(memo_cycle(&mut guard, 5, &mut perf, r_beat(3, false)), []);
     assert_eq!(memo_cycle(&mut guard, 6, &mut perf, r_beat(3, true)), []);
     assert_eq!(perf.reads(), 1, "only the new read completed");

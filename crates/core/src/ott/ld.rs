@@ -58,7 +58,9 @@ impl<S> LdTable<S> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LD table needs at least one row");
         let mut table = LdTable {
-            rows: (0..capacity).map(|_| Row::Free { next_free: None }).collect(),
+            rows: (0..capacity)
+                .map(|_| Row::Free { next_free: None })
+                .collect(),
             free_head: None,
             used: 0,
         };

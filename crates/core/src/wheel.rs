@@ -132,6 +132,11 @@ impl DeadlineWheel {
     /// and its arm cycle, or `None` once no armed deadline is due.
     /// Simultaneous deadlines come out in ascending slot order. The
     /// popped slot is disarmed.
+    ///
+    /// # Panics
+    ///
+    /// Panics only if the minimum deadline just taken over the slots is
+    /// in none of them — an internal invariant violation.
     pub fn pop_expired(&mut self, now: u64) -> Option<(LdIndex, u64)> {
         if !self.may_be_due(now) {
             return None;
@@ -154,10 +159,7 @@ impl DeadlineWheel {
     /// Number of armed deadlines (telemetry gauge).
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.live()
-            .iter()
-            .filter(|&&fire| fire != DISARMED)
-            .count()
+        self.live().iter().filter(|&&fire| fire != DISARMED).count()
     }
 
     /// Discards every pending deadline (abort/reset path).
