@@ -33,21 +33,26 @@ impl Arbiter {
         if self.grant.is_some_and(&valid) {
             return self.grant;
         }
-        // Round-robin order without a divide: the pointer to the end,
-        // then the start up to the pointer.
-        let mut order = (self.rr..n).chain(0..self.rr).filter(|&i| valid(i));
-        self.grant = match priorities {
-            None => order.next(),
-            // Strict `>` keeps the first source in round-robin order
-            // among equal priorities.
-            Some(prio) => {
+        // Round-robin order from the pointer, wrapping with a compare
+        // instead of a divide.
+        let mut pick = None;
+        let mut i = self.rr;
+        for _ in 0..n {
+            if valid(i) {
+                let Some(prio) = priorities else {
+                    pick = Some(i);
+                    break;
+                };
+                // Strict `<` keeps the first source in round-robin order
+                // among equal priorities.
                 let level = |i: usize| prio.get(i).copied().unwrap_or(0);
-                order.fold(None, |best, i| match best {
-                    Some(b) if level(b) >= level(i) => best,
-                    _ => Some(i),
-                })
+                if pick.is_none_or(|best| level(best) < level(i)) {
+                    pick = Some(i);
+                }
             }
-        };
+            i = if i + 1 < n { i + 1 } else { 0 };
+        }
+        self.grant = pick;
         self.grant
     }
 
