@@ -15,7 +15,7 @@ use tmu_bench::hotpath::{
 use tmu_bench::table::Table;
 
 /// Repetitions per timed measurement.
-const REPS: u32 = 3;
+const REPS: u32 = 7;
 
 /// Times `f` `REPS` times and reports the minimum, to shave scheduler
 /// noise.
