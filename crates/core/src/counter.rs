@@ -70,20 +70,9 @@ impl PrescaledCounter {
             step,
             q_phase: 0,
             q_count: 0,
-            q_ticks_budget: Self::ticks(budget_cycles, step),
+            q_ticks_budget: budget_cycles.div_ceil(step),
             q_sticky: false,
             sticky_enabled,
-        }
-    }
-
-    /// A budget of `budget_cycles` in prescaled ticks, `⌈budget/step⌉`.
-    /// The unit step, the Full-Counter default, takes no divide.
-    #[inline]
-    fn ticks(budget_cycles: u64, step: u64) -> u64 {
-        if step == 1 {
-            budget_cycles
-        } else {
-            budget_cycles.div_ceil(step)
         }
     }
 
@@ -179,7 +168,7 @@ impl PrescaledCounter {
     /// transition where the next phase has its own adaptive budget, and
     /// restarts the count.
     pub fn rebudget(&mut self, budget_cycles: u64) {
-        self.q_ticks_budget = Self::ticks(budget_cycles, self.step);
+        self.q_ticks_budget = budget_cycles.div_ceil(self.step);
         self.restart();
     }
 
