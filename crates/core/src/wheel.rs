@@ -30,20 +30,14 @@
 //! deadline or, if none is due (the bound belonged to a deadline since
 //! superseded or disarmed), tightens `earliest` to the exact minimum.
 //!
-//! The scan reads only the slots below the highest one armed since the
-//! last clear: the OTT's free list hands out low rows first, so a table
-//! sized for the worst case but running shallower scans its live rows
-//! alone. It is a branch-free minimum over the deadlines; only when that
-//! minimum is due does a second pass look for the slot holding it.
-//!
 //! # Ordering
 //!
 //! The reference engine reports simultaneous expiries in LD-index order
-//! (its tick loop iterates the LD table in index order). A pop takes the
-//! smallest `(fire_cycle, slot)` pair — the minimum deadline, then the
-//! first slot in index order that holds it — so due deadlines drain in
-//! exactly the order a min-heap of `(fire_cycle, slot)` would yield, a
-//! requirement for cycle-for-cycle log equivalence.
+//! (its tick loop iterates the LD table in index order). The scan picks
+//! the smallest `(fire_cycle, slot)` pair — it walks the slots in index
+//! order and only replaces its pick on a strictly earlier deadline — so
+//! due deadlines drain in exactly the order a min-heap of `(fire_cycle,
+//! slot)` would yield, a requirement for cycle-for-cycle log equivalence.
 
 use crate::ott::LdIndex;
 
@@ -60,9 +54,6 @@ pub struct DeadlineWheel {
     armed_at: Vec<u64>,
     /// Lower bound on every armed deadline ([`DISARMED`] when none can be).
     earliest: u64,
-    /// One past the highest slot armed since the last clear: every slot
-    /// at or above it is disarmed.
-    span: usize,
 }
 
 impl DeadlineWheel {
@@ -73,7 +64,6 @@ impl DeadlineWheel {
             fire_at: vec![DISARMED; capacity],
             armed_at: vec![0; capacity],
             earliest: DISARMED,
-            span: 0,
         }
     }
 
@@ -85,7 +75,6 @@ impl DeadlineWheel {
         self.fire_at[slot] = fire_at;
         self.armed_at[slot] = armed_at;
         self.earliest = self.earliest.min(fire_at);
-        self.span = self.span.max(slot + 1);
     }
 
     /// Cancels `slot`'s pending deadline (transaction retired or timed
@@ -101,15 +90,17 @@ impl DeadlineWheel {
         self.armed_at[slot]
     }
 
-    /// The deadlines of the slots armed since the last clear.
-    fn live(&self) -> &[u64] {
-        &self.fire_at[..self.span]
-    }
-
-    /// The minimum deadline over all slots, [`DISARMED`] when none is
+    /// The smallest `(fire_cycle, slot)` over all slots: the first slot
+    /// holding the minimum deadline, or `(DISARMED, _)` when none is
     /// armed.
-    fn min_fire(&self) -> u64 {
-        self.live().iter().copied().fold(DISARMED, u64::min)
+    fn min_slot(&self) -> (u64, LdIndex) {
+        let mut best = (DISARMED, 0);
+        for (slot, &fire) in self.fire_at.iter().enumerate() {
+            if fire < best.0 {
+                best = (fire, slot);
+            }
+        }
+        best
     }
 
     /// Whether a deadline can be due at `now`: `false` means
@@ -124,7 +115,7 @@ impl DeadlineWheel {
     /// The earliest pending deadline, if any. Tightens the cached bound
     /// to it.
     pub fn next_deadline(&mut self) -> Option<u64> {
-        self.earliest = self.min_fire();
+        self.earliest = self.min_slot().0;
         (self.earliest != DISARMED).then_some(self.earliest)
     }
 
@@ -132,26 +123,16 @@ impl DeadlineWheel {
     /// and its arm cycle, or `None` once no armed deadline is due.
     /// Simultaneous deadlines come out in ascending slot order. The
     /// popped slot is disarmed.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if the minimum deadline just taken over the slots is
-    /// in none of them — an internal invariant violation.
     pub fn pop_expired(&mut self, now: u64) -> Option<(LdIndex, u64)> {
         if !self.may_be_due(now) {
             return None;
         }
-        let fire = self.min_fire();
+        let (fire, slot) = self.min_slot();
         // Exact after the scan: every other deadline is at or after it.
         self.earliest = fire;
         if fire > now || fire == DISARMED {
             return None;
         }
-        let slot = self
-            .live()
-            .iter()
-            .position(|&f| f == fire)
-            .expect("the minimum deadline is some slot's");
         self.fire_at[slot] = DISARMED;
         Some((slot, self.armed_at[slot]))
     }
@@ -159,14 +140,16 @@ impl DeadlineWheel {
     /// Number of armed deadlines (telemetry gauge).
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.live().iter().filter(|&&fire| fire != DISARMED).count()
+        self.fire_at
+            .iter()
+            .filter(|&&fire| fire != DISARMED)
+            .count()
     }
 
     /// Discards every pending deadline (abort/reset path).
     pub fn clear(&mut self) {
-        self.fire_at[..self.span].fill(DISARMED);
+        self.fire_at.fill(DISARMED);
         self.earliest = DISARMED;
-        self.span = 0;
     }
 }
 
