@@ -15,8 +15,8 @@ const BUCKETS: usize = 65;
 /// bucket `ceil(log2(max(s,1)))`, one of 65 kept in a fixed array, so
 /// recording never allocates. Alongside the buckets the histogram tracks
 /// exact count, min and max and a sum that saturates at `u64::MAX`, so
-/// mean and range are exact while the distribution shape is
-/// approximate.
+/// the range is exact, the mean is exact until the sum saturates (and
+/// `None` from then on), and the distribution shape is approximate.
 ///
 /// ```
 /// use sim::Histogram;
@@ -103,14 +103,11 @@ impl Histogram {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Arithmetic mean, if any samples exist.
+    /// Arithmetic mean, if any samples exist and their sum has not
+    /// saturated at `u64::MAX`.
     #[must_use]
     pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum as f64 / self.count as f64)
-        }
+        (self.count > 0 && self.sum != u64::MAX).then(|| self.sum as f64 / self.count as f64)
     }
 
     /// `(upper_bound, count)` pairs for every non-empty bucket, ascending.
@@ -174,11 +171,14 @@ impl Histogram {
 
 impl fmt::Display for Histogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (self.min(), self.max(), self.mean()) {
-            (Some(min), Some(max), Some(mean)) => write!(
+        match (self.min(), self.max()) {
+            (Some(min), Some(max)) => write!(
                 f,
                 "n={} min={} mean={:.1} max={}",
-                self.count, min, mean, max
+                self.count,
+                min,
+                self.mean().unwrap_or(f64::NAN),
+                max
             ),
             _ => write!(f, "n=0"),
         }
@@ -320,6 +320,11 @@ mod tests {
         assert_eq!(h.percentile(99.0), Some(u64::MAX));
         assert_eq!((h.min(), h.max()), (Some(0), Some(u64::MAX)));
         assert_eq!(h.sum(), u64::MAX, "the sum saturates");
+        assert_eq!(h.mean(), None, "no mean from a saturated sum");
+        assert_eq!(
+            h.to_string(),
+            format!("n=4 min=0 mean=NaN max={}", u64::MAX)
+        );
 
         let mut merged = Histogram::new();
         merged.merge(&h);
@@ -328,6 +333,7 @@ mod tests {
         assert_eq!(buckets, vec![(1, 4), (u64::MAX, 4)]);
         assert_eq!(merged.count(), 8);
         assert_eq!(merged.quantile(1.0), Some(u64::MAX));
+        assert_eq!(merged.mean(), None);
         assert_eq!((merged.min(), merged.max()), (Some(0), Some(u64::MAX)));
     }
 }
