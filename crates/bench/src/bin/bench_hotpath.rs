@@ -1,16 +1,20 @@
 //! Hot-path engine benchmark: measures the deadline-wheel engine and the
 //! event-driven fast-forward against the per-cycle reference on the
 //! saturated total-stall scenario, the telemetry layer's overhead on
-//! that scenario and the traffic regulator's. Prints a table and writes
-//! the measured numbers to `BENCH_hotpath.json` at the repository root.
+//! that scenario and on busy Fig. 10 traffic, its cost per recorded
+//! event, and the traffic regulator's overhead. Prints a table and
+//! writes the measured numbers to `BENCH_hotpath.json` at the
+//! repository root.
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use tmu::{CounterEngine, TmuVariant};
+use soc::system::System;
+use tmu::{CounterEngine, TelemetryConfig, TelemetryHub, TmuVariant};
 use tmu_bench::hotpath::{
-    passthrough_link, run_overload_isolation, run_saturated_stall, run_saturated_stall_fastforward,
-    stall_link, telemetry_stall_link, PassthroughLink, StallLink, StallRun, HOTPATH_BUDGET,
-    HOTPATH_OUTSTANDING, REGULATE_CYCLES,
+    busy_event_mix, busy_system, passthrough_link, run_overload_isolation, run_saturated_stall,
+    run_saturated_stall_fastforward, stall_link, telemetry_stall_link, EventMix, PassthroughLink,
+    StallLink, StallRun, BUSY_CYCLES, HOTPATH_BUDGET, HOTPATH_OUTSTANDING, REGULATE_CYCLES,
 };
 use tmu_bench::table::Table;
 
@@ -84,10 +88,23 @@ struct StallMeasurement {
     fast: StallRun,
 }
 
-/// The total-stall scenario under both engines and under fast-forward.
-/// The per-cycle and wheel links are timed against each other by
-/// [`time_interleaved`]. Fast-forward runs only 130 harness steps, less
-/// than one chunk, so it keeps [`time_min`] over whole runs.
+/// Fast-forward runs per batch. One run takes ~1/60 of a per-cycle
+/// chunk, so a batch lasts at least about one chunk.
+const FF_BATCH: u64 = 64;
+
+/// One side of the total-stall measurement: a stepped link, or
+/// fast-forward runs timed in batches of [`FF_BATCH`].
+enum StallBench {
+    Stepped(StallLink),
+    FastForward(TmuVariant),
+}
+
+/// The total-stall scenario under both engines and under fast-forward,
+/// all three timed against each other by [`time_interleaved`]. A
+/// fast-forward run (130 harness steps) is far shorter than a chunk, so
+/// each of its chunks is a batch of [`FF_BATCH`] back-to-back runs: it
+/// is timed at the same moments as the stepped links it is divided
+/// into, and its time per run is its total over the batched runs.
 fn measure_stall(variant: TmuVariant) -> StallMeasurement {
     let reference = run_saturated_stall(variant, CounterEngine::PerCycle, HOTPATH_BUDGET);
     let wheel = run_saturated_stall(variant, CounterEngine::DeadlineWheel, HOTPATH_BUDGET);
@@ -96,39 +113,74 @@ fn measure_stall(variant: TmuVariant) -> StallMeasurement {
         (wheel.first_fault_cycle, wheel.inflight_cycles),
         "{variant:?}: engines diverged"
     );
-    let [per_cycle_s, wheel_s] = time_interleaved(
-        || {
-            [CounterEngine::PerCycle, CounterEngine::DeadlineWheel]
-                .map(|engine| stall_link(variant, engine, HOTPATH_BUDGET))
-        },
-        reference.steps_executed,
-        StallLink::run,
-        |links| {
-            for l in links {
-                let fault = l.tmu.last_fault().expect("fault recorded");
-                assert_eq!(
-                    (fault.cycle, fault.inflight_cycles),
-                    (reference.first_fault_cycle, reference.inflight_cycles),
-                    "{variant:?}: a timed run diverged"
-                );
-            }
-        },
-    );
-    let (fastforward_s, fast) =
-        time_min(|| run_saturated_stall_fastforward(variant, HOTPATH_BUDGET));
+    let fast = run_saturated_stall_fastforward(variant, HOTPATH_BUDGET);
     assert_eq!(
         (reference.first_fault_cycle, reference.inflight_cycles),
         (fast.first_fault_cycle, fast.inflight_cycles),
         "{variant:?}: fast-forward diverged"
     );
+    let [per_cycle_s, wheel_s, batches_s] = time_interleaved(
+        || {
+            [
+                StallBench::Stepped(stall_link(variant, CounterEngine::PerCycle, HOTPATH_BUDGET)),
+                StallBench::Stepped(stall_link(
+                    variant,
+                    CounterEngine::DeadlineWheel,
+                    HOTPATH_BUDGET,
+                )),
+                StallBench::FastForward(variant),
+            ]
+        },
+        reference.steps_executed,
+        |bench, chunk| match bench {
+            StallBench::Stepped(link) => link.run(chunk),
+            StallBench::FastForward(variant) => {
+                for _ in 0..FF_BATCH {
+                    black_box(run_saturated_stall_fastforward(*variant, HOTPATH_BUDGET));
+                }
+            }
+        },
+        |benches| {
+            for bench in benches {
+                if let StallBench::Stepped(l) = bench {
+                    let fault = l.tmu.last_fault().expect("fault recorded");
+                    assert_eq!(
+                        (fault.cycle, fault.inflight_cycles),
+                        (reference.first_fault_cycle, reference.inflight_cycles),
+                        "{variant:?}: a timed run diverged"
+                    );
+                }
+            }
+        },
+    );
+    let ff_runs = reference.steps_executed.div_ceil(CHUNK) * FF_BATCH;
     StallMeasurement {
         variant,
         per_cycle_s,
         wheel_s,
-        fastforward_s,
+        fastforward_s: batches_s / ff_runs as f64,
         run: reference,
         fast,
     }
+}
+
+/// Nanoseconds per [`TelemetryHub::record`] call on `mix`, with every
+/// sink on (default configuration): the fastest of `REPS` passes over
+/// the mix, after one pass that fills the rings. Each pass shifts the
+/// cycles past the previous one, so spans stay well formed.
+fn record_ns_per_event(mix: &EventMix) -> f64 {
+    let mut hub = TelemetryHub::enabled_with(TelemetryConfig::default());
+    let span = mix.last().map_or(0, |&(cycle, _, _)| cycle + 1);
+    let mut offset = 0;
+    let mut pass = || {
+        for &(cycle, source, event) in mix {
+            hub.record(cycle + offset, source, black_box(event));
+        }
+        offset += span;
+    };
+    pass();
+    let (best_s, ()) = time_min(pass);
+    best_s * 1e9 / mix.len() as f64
 }
 
 fn json_f(value: f64) -> String {
@@ -212,6 +264,33 @@ fn main() {
         tel_on_s * 1e3,
     );
 
+    // Enabled telemetry on busy traffic: the Fig. 10 system with the
+    // Ethernet TMU recording against the same system with it off. Both
+    // must complete the same transactions.
+    let [busy_off_s, busy_on_s] = time_interleaved(
+        || [false, true].map(busy_system),
+        BUSY_CYCLES,
+        System::run,
+        |systems| {
+            let done = |s: &System| s.cpu_stats().total_completed() + s.dma_stats().total_completed();
+            assert_eq!(
+                done(&systems[0]),
+                done(&systems[1]),
+                "telemetry changed the busy system's traffic"
+            );
+        },
+    );
+    let busy_ratio = busy_on_s / busy_off_s;
+    let mix = busy_event_mix(BUSY_CYCLES);
+    let record_ns = record_ns_per_event(&mix);
+    println!(
+        "busy Fig. 10 system ({BUSY_CYCLES} cycles, Ethernet TMU telemetry, per-chunk min of {REPS}): \
+         off {:.3} ms, on {:.3} ms ({busy_ratio:.3}x); record {record_ns:.2} ns/event over {} events",
+        busy_off_s * 1e3,
+        busy_on_s * 1e3,
+        mix.len(),
+    );
+
     // Traffic regulation: the disabled regulator must be a free
     // pass-through (wire copies plus one branch per channel), so the
     // regulated run must sit within noise of the bare fabric (the
@@ -278,12 +357,17 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"telemetry\": {{\"variant\": \"{tel_variant:?}\", \"wheel_baseline_s\": {}, \"disabled_s\": {}, \"enabled_s\": {}, \"disabled_overhead_ratio\": {}, \"enabled_overhead_ratio\": {}}},\n",
+        "  \"telemetry\": {{\"variant\": \"{tel_variant:?}\", \"wheel_baseline_s\": {}, \"disabled_s\": {}, \"enabled_s\": {}, \"disabled_overhead_ratio\": {}, \"enabled_overhead_ratio\": {}, \"busy_cycles\": {BUSY_CYCLES}, \"busy_disabled_s\": {}, \"busy_enabled_s\": {}, \"busy_enabled_overhead_ratio\": {}, \"busy_events\": {}, \"record_ns_per_event\": {}}},\n",
         json_f(wheel_baseline_s),
         json_f(tel_off_s),
         json_f(tel_on_s),
         json_f(disabled_ratio),
-        json_f(enabled_ratio)
+        json_f(enabled_ratio),
+        json_f(busy_off_s),
+        json_f(busy_on_s),
+        json_f(busy_ratio),
+        mix.len(),
+        json_f(record_ns)
     ));
     json.push_str(&format!(
         "  \"regulator\": {{\"passthrough_cycles\": {REG_BENCH_CYCLES}, \"passthrough_reps\": {REPS}, \"overload_cycles\": {REGULATE_CYCLES}, \"bare_s\": {}, \"passthrough_s\": {}, \"passthrough_overhead_ratio\": {}, \"overload_isolation_s\": {}, \"isolated_at_cycle\": {}, \"victim_completed\": {}, \"offender_completed\": {}, \"trunk_faults\": {}}}\n",

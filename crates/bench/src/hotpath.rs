@@ -24,7 +24,8 @@ use soc::link::{BlackHoleSub, GuardedLink};
 use soc::manager::TrafficPattern;
 use soc::memory::MemSub;
 use soc::regulated::RegulatedLink;
-use tmu::{BudgetConfig, CounterEngine, TelemetryConfig, TmuConfig, TmuVariant};
+use soc::system::{System, SystemConfig, MEM_BASE};
+use tmu::{BudgetConfig, CounterEngine, TelemetryConfig, TmuConfig, TmuVariant, TraceEvent};
 use tmu_regulate::{DirBudget, RegulationMode, RegulatorConfig};
 
 /// Outstanding transactions at saturation, capped by the manager's
@@ -350,6 +351,66 @@ pub fn run_regulated_passthrough(attach_disabled: bool, cycles: u64) -> u64 {
     let mut link = passthrough_link(attach_disabled);
     link.run(cycles);
     link.stats(0).total_completed() + link.stats(1).total_completed()
+}
+
+/// Cycles the busy-traffic telemetry measurements simulate.
+pub const BUSY_CYCLES: u64 = 40_000;
+
+/// The Fig. 10 system on busy traffic, shaped like busybench's
+/// `soc_fig10` workload: a Full-Counter TMU on the Ethernet port, a
+/// Tiny-Counter TMU (prescaler 32) on the memory port, and the CPU
+/// confined to a 16 KiB memory window. With `telemetry` the Ethernet
+/// TMU records with the default configuration.
+#[must_use]
+pub fn busy_system(telemetry: bool) -> System {
+    let defaults = SystemConfig::default();
+    let monitor = |variant, prescaler| {
+        TmuConfig::builder()
+            .variant(variant)
+            .prescaler(prescaler)
+            .budgets(BudgetConfig::system_level())
+            .check_protocol(false)
+            .build()
+            .expect("valid busy-system TMU configuration")
+    };
+    let mut system = System::new(SystemConfig {
+        tmu: monitor(TmuVariant::FullCounter, 1),
+        mem_tmu: Some(monitor(TmuVariant::TinyCounter, 32)),
+        cpu_pattern: TrafficPattern {
+            addr_base: MEM_BASE,
+            addr_span: 0x4000,
+            ..defaults.cpu_pattern.clone()
+        },
+        seed: 1,
+        ..defaults
+    });
+    if telemetry {
+        system.tmu_mut().enable_telemetry(TelemetryConfig::default());
+    }
+    system
+}
+
+/// One recorded event: `(cycle, source, event)`.
+pub type EventMix = Vec<(u64, &'static str, TraceEvent)>;
+
+/// Every event the busy system's Ethernet TMU records over `cycles`
+/// cycles, oldest first: the event mix a busy simulation feeds
+/// `TelemetryHub::record`.
+///
+/// # Panics
+///
+/// Panics if the capture ring overflowed, which would drop events.
+#[must_use]
+pub fn busy_event_mix(cycles: u64) -> EventMix {
+    let mut system = busy_system(false);
+    system.tmu_mut().enable_telemetry(TelemetryConfig {
+        ring_capacity: 1 << 20,
+        ..TelemetryConfig::default()
+    });
+    system.run(cycles);
+    let events = system.tmu().telemetry().events();
+    assert_eq!(events.dropped(), 0, "the capture ring kept every event");
+    events.iter().map(|r| (r.cycle, r.source, r.event)).collect()
 }
 
 #[cfg(test)]
