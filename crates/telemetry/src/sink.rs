@@ -3,7 +3,6 @@
 //! is one human-readable lifecycle line; [`EventRing::to_json`] is the
 //! machine-readable form.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use crate::event::TraceEvent;
@@ -50,12 +49,16 @@ impl fmt::Display for TelemetryRecord {
 
 /// A bounded ring of typed [`TelemetryRecord`]s.
 ///
-/// When full, the oldest record is evicted and [`EventRing::dropped`]
-/// counts it. Capacity is *not* preallocated — a hub that is never
-/// enabled allocates nothing.
+/// When full, the oldest record is overwritten in place and
+/// [`EventRing::dropped`] counts it. Capacity is *not* preallocated: the
+/// ring grows to its bound as records arrive (a hub that is never
+/// enabled allocates nothing) and never allocates once full.
 #[derive(Debug, Clone)]
 pub struct EventRing {
-    records: VecDeque<TelemetryRecord>,
+    /// Held records; once `capacity` are held, `records[head]` is the
+    /// oldest and the next to be overwritten.
+    records: Vec<TelemetryRecord>,
+    head: usize,
     capacity: usize,
     dropped: u64,
     next_seq: u64,
@@ -76,7 +79,8 @@ impl EventRing {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         EventRing {
-            records: VecDeque::new(),
+            records: Vec::new(),
+            head: 0,
             capacity: capacity.max(1),
             dropped: 0,
             next_seq: 0,
@@ -110,20 +114,22 @@ impl EventRing {
 
     /// Iterates the held records oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = &TelemetryRecord> {
-        self.records.iter()
+        let (newer, older) = self.records.split_at(self.head);
+        older.iter().chain(newer)
     }
 
     /// Drops all held records; `dropped` and the sequence counter keep
     /// counting so gap detection still works across a clear.
     pub fn clear(&mut self) {
         self.records.clear();
+        self.head = 0;
     }
 
     /// Renders the held records as a JSON array of objects.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("[");
-        for (i, r) in self.records.iter().enumerate() {
+        for (i, r) in self.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -134,19 +140,26 @@ impl EventRing {
     }
 
     /// Records one event observed at `cycle` by component `source`,
-    /// evicting the oldest record when the ring is full.
+    /// overwriting the oldest record when the ring is full.
+    #[inline]
     pub fn record_event(&mut self, cycle: u64, source: &'static str, event: &TraceEvent) {
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(TelemetryRecord {
+        let record = TelemetryRecord {
             seq: self.next_seq,
             cycle,
             source,
             event: *event,
-        });
+        };
         self.next_seq += 1;
+        if self.records.len() < self.capacity {
+            self.records.push(record);
+            return;
+        }
+        self.records[self.head] = record;
+        self.head += 1;
+        if self.head == self.capacity {
+            self.head = 0;
+        }
+        self.dropped += 1;
     }
 }
 
