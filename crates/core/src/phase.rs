@@ -198,37 +198,17 @@ impl From<ReadPhase> for TxnPhase {
 
 impl From<WritePhase> for tmu_telemetry::PhaseId {
     fn from(p: WritePhase) -> Self {
-        tmu_telemetry::PhaseId {
-            dir: tmu_telemetry::Dir::Write,
-            // `Done` is a terminal marker, not a monitored phase; give it
-            // the next index so the conversion is total.
-            index: if p.is_done() { 6 } else { p.index() as u8 },
-            name: match p {
-                WritePhase::AwHandshake => "AW-handshake",
-                WritePhase::DataEntry => "data-entry",
-                WritePhase::FirstData => "first-data",
-                WritePhase::BurstTransfer => "burst-transfer",
-                WritePhase::RespWait => "resp-wait",
-                WritePhase::RespReady => "resp-ready",
-                WritePhase::Done => "done",
-            },
-        }
+        // `Done` is a terminal marker, not a monitored phase; give it
+        // the next index so the conversion is total.
+        let index = if p.is_done() { 6 } else { p.index() as u8 };
+        tmu_telemetry::PhaseId::new(tmu_telemetry::Dir::Write, index)
     }
 }
 
 impl From<ReadPhase> for tmu_telemetry::PhaseId {
     fn from(p: ReadPhase) -> Self {
-        tmu_telemetry::PhaseId {
-            dir: tmu_telemetry::Dir::Read,
-            index: if p.is_done() { 4 } else { p.index() as u8 },
-            name: match p {
-                ReadPhase::ArHandshake => "AR-handshake",
-                ReadPhase::DataWait => "data-wait",
-                ReadPhase::BurstTransfer => "burst-transfer",
-                ReadPhase::LastReady => "last-ready",
-                ReadPhase::Done => "done",
-            },
-        }
+        let index = if p.is_done() { 4 } else { p.index() as u8 };
+        tmu_telemetry::PhaseId::new(tmu_telemetry::Dir::Read, index)
     }
 }
 
@@ -292,17 +272,19 @@ mod tests {
     fn telemetry_phase_ids_match_display_names_and_indices() {
         for phase in WritePhase::ALL {
             let id: tmu_telemetry::PhaseId = phase.into();
-            assert_eq!(id.dir, tmu_telemetry::Dir::Write);
-            assert_eq!(id.index as usize, phase.index());
-            assert_eq!(id.name, phase.to_string());
+            assert_eq!(id.dir(), tmu_telemetry::Dir::Write);
+            assert_eq!(id.index() as usize, phase.index());
+            assert_eq!(id.name(), phase.to_string());
         }
         for phase in ReadPhase::ALL {
             let id: tmu_telemetry::PhaseId = phase.into();
-            assert_eq!(id.dir, tmu_telemetry::Dir::Read);
-            assert_eq!(id.index as usize, phase.index());
-            assert_eq!(id.name, phase.to_string());
+            assert_eq!(id.dir(), tmu_telemetry::Dir::Read);
+            assert_eq!(id.index() as usize, phase.index());
+            assert_eq!(id.name(), phase.to_string());
         }
         let done: tmu_telemetry::PhaseId = WritePhase::Done.into();
-        assert_eq!((done.index, done.name), (6, "done"));
+        assert_eq!((done.index(), done.name()), (6, "done"));
+        let done: tmu_telemetry::PhaseId = ReadPhase::Done.into();
+        assert_eq!((done.index(), done.name()), (4, "done"));
     }
 }

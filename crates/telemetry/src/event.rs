@@ -86,19 +86,81 @@ impl fmt::Display for Channel {
 /// A monitored transaction phase, decoupled from the monitor's own phase
 /// enums so the telemetry layer has no dependency on the TMU crate. The
 /// TMU provides `From<WritePhase>`/`From<ReadPhase>` conversions.
+///
+/// Two bytes: `(dir, index)` determines the name, so events and span
+/// slices carry no string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PhaseId {
+    dir: Dir,
+    index: u8,
+}
+
+/// Write phase names by index: the six monitored phases, then the
+/// terminal `done`.
+const WRITE_PHASES: [&str; 7] = [
+    "AW-handshake",
+    "data-entry",
+    "first-data",
+    "burst-transfer",
+    "resp-wait",
+    "resp-ready",
+    "done",
+];
+
+/// Read phase names by index: the four monitored phases, then the
+/// terminal `done`.
+const READ_PHASES: [&str; 5] = [
+    "AR-handshake",
+    "data-wait",
+    "burst-transfer",
+    "last-ready",
+    "done",
+];
+
+impl PhaseId {
+    /// Phase `index` of direction `dir`: 0-based among that
+    /// direction's monitored phases (six writes, four reads), with the
+    /// terminal phase one past the last.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is past the direction's terminal phase.
+    #[must_use]
+    pub const fn new(dir: Dir, index: u8) -> Self {
+        let count = match dir {
+            Dir::Write => WRITE_PHASES.len(),
+            Dir::Read => READ_PHASES.len(),
+        };
+        assert!((index as usize) < count, "phase index out of range");
+        PhaseId { dir, index }
+    }
+
     /// Which guard's state machine the phase belongs to.
-    pub dir: Dir,
+    #[must_use]
+    pub fn dir(self) -> Dir {
+        self.dir
+    }
+
     /// 0-based index among that direction's monitored phases.
-    pub index: u8,
+    #[must_use]
+    pub fn index(self) -> u8 {
+        self.index
+    }
+
     /// Human-readable phase name (e.g. `"AW-handshake"`).
-    pub name: &'static str,
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        let names: &[&'static str] = match self.dir {
+            Dir::Write => &WRITE_PHASES,
+            Dir::Read => &READ_PHASES,
+        };
+        names[usize::from(self.index)]
+    }
 }
 
 impl fmt::Display for PhaseId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.dir.letter(), self.name)
+        write!(f, "{}/{}", self.dir.letter(), self.name())
     }
 }
 
@@ -346,7 +408,7 @@ impl TraceEvent {
                 "\"dir\":\"{}\",\"id\":{id},\"addr\":{addr},\"beats\":{beats},\
                  \"slot\":{slot},\"phase\":\"{}\"",
                 dir.as_str(),
-                phase.name
+                phase.name()
             ),
             TraceEvent::OttDequeue {
                 dir,
@@ -366,8 +428,8 @@ impl TraceEvent {
             } => format!(
                 "\"dir\":\"{}\",\"id\":{id},\"slot\":{slot},\"from\":\"{}\",\"to\":\"{}\"",
                 dir.as_str(),
-                from.name,
-                to.name
+                from.name(),
+                to.name()
             ),
             TraceEvent::Rebudget {
                 dir,
@@ -397,7 +459,7 @@ impl TraceEvent {
                 phase,
             } => {
                 let dir_s = dir.map_or("null".to_string(), |d| format!("\"{}\"", d.as_str()));
-                let phase_s = phase.map_or("null".to_string(), |p| format!("\"{}\"", p.name));
+                let phase_s = phase.map_or("null".to_string(), |p| format!("\"{}\"", p.name()));
                 format!(
                     "\"class\":\"{}\",\"dir\":{dir_s},\"id\":{id},\"phase\":{phase_s}",
                     class.as_str()
@@ -464,7 +526,7 @@ impl fmt::Display for TraceEvent {
                 slot,
                 from,
                 to,
-            } => write!(f, "{dir} id={id} slot={slot}: {} -> {}", from.name, to.name),
+            } => write!(f, "{dir} id={id} slot={slot}: {} -> {}", from.name(), to.name()),
             TraceEvent::Rebudget {
                 dir,
                 id,
@@ -494,7 +556,7 @@ impl fmt::Display for TraceEvent {
                 }
                 write!(f, " id={id}")?;
                 if let Some(p) = phase {
-                    write!(f, " phase={}", p.name)?;
+                    write!(f, " phase={}", p.name())?;
                 }
                 Ok(())
             }
@@ -532,11 +594,7 @@ mod tests {
     use super::*;
 
     fn aw_phase() -> PhaseId {
-        PhaseId {
-            dir: Dir::Write,
-            index: 0,
-            name: "AW-handshake",
-        }
+        PhaseId::new(Dir::Write, 0)
     }
 
     #[test]
@@ -546,7 +604,8 @@ mod tests {
         // register moves.
         fn assert_copy<T: Copy>() {}
         assert_copy::<TraceEvent>();
-        assert!(std::mem::size_of::<TraceEvent>() <= 64);
+        assert!(std::mem::size_of::<TraceEvent>() <= 32);
+        assert_eq!(std::mem::size_of::<PhaseId>(), 2);
     }
 
     #[test]
@@ -594,11 +653,7 @@ mod tests {
             class: FaultClass::Timeout,
             dir: Some(Dir::Read),
             id: 7,
-            phase: Some(PhaseId {
-                dir: Dir::Read,
-                index: 1,
-                name: "data-wait",
-            }),
+            phase: Some(PhaseId::new(Dir::Read, 1)),
         };
         assert!(full.json_fields().contains("\"phase\":\"data-wait\""));
         let bare = TraceEvent::Fault {
@@ -645,11 +700,7 @@ mod tests {
             id: 1,
             slot: 0,
             from: aw_phase(),
-            to: PhaseId {
-                dir: Dir::Write,
-                index: 1,
-                name: "data-entry",
-            },
+            to: PhaseId::new(Dir::Write, 1),
         };
         assert_eq!(
             e.to_string(),

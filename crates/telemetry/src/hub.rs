@@ -207,11 +207,7 @@ mod tests {
     #[test]
     fn enabled_hub_fans_out_to_ring_spans_and_metrics() {
         let mut hub = TelemetryHub::enabled_with(config());
-        let aw = PhaseId {
-            dir: Dir::Write,
-            index: 0,
-            name: "AW-handshake",
-        };
+        let aw = PhaseId::new(Dir::Write, 0);
         hub.record(
             3,
             "t",

@@ -42,7 +42,7 @@
 //! assert_eq!(hub.seq(), 0);
 //!
 //! hub.enable(TelemetryConfig::default());
-//! let aw = PhaseId { dir: Dir::Write, index: 0, name: "AW-handshake" };
+//! let aw = PhaseId::new(Dir::Write, 0); // AW-handshake
 //! hub.record(3, "demo", TraceEvent::OttEnqueue {
 //!     dir: Dir::Write, id: 1, addr: 0x1000, beats: 4, slot: 0, phase: aw,
 //! });

@@ -7,7 +7,7 @@ use std::fmt;
 
 use crate::event::TraceEvent;
 
-/// A sequence-stamped event as stored in an [`EventRing`].
+/// A sequence-stamped event, as an [`EventRing`] yields it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryRecord {
     /// Monotonic sequence number, assigned at record time. Gaps in the
@@ -47,6 +47,15 @@ impl fmt::Display for TelemetryRecord {
     }
 }
 
+/// One held record as the ring stores it: the sequence number follows
+/// from the record's position, so it is not stored.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    cycle: u64,
+    source: &'static str,
+    event: TraceEvent,
+}
+
 /// A bounded ring of typed [`TelemetryRecord`]s.
 ///
 /// When full, the oldest record is overwritten in place and
@@ -56,8 +65,9 @@ impl fmt::Display for TelemetryRecord {
 #[derive(Debug, Clone)]
 pub struct EventRing {
     /// Held records; once `capacity` are held, `records[head]` is the
-    /// oldest and the next to be overwritten.
-    records: Vec<TelemetryRecord>,
+    /// oldest and the next to be overwritten. They carry the sequence
+    /// numbers `next_seq - len ..next_seq`, oldest first.
+    records: Vec<Entry>,
     head: usize,
     capacity: usize,
     dropped: u64,
@@ -113,9 +123,17 @@ impl EventRing {
     }
 
     /// Iterates the held records oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &TelemetryRecord> {
+    pub fn iter(&self) -> impl Iterator<Item = TelemetryRecord> + '_ {
         let (newer, older) = self.records.split_at(self.head);
-        older.iter().chain(newer)
+        let first_seq = self.next_seq - self.records.len() as u64;
+        (first_seq..)
+            .zip(older.iter().chain(newer))
+            .map(|(seq, e)| TelemetryRecord {
+                seq,
+                cycle: e.cycle,
+                source: e.source,
+                event: e.event,
+            })
     }
 
     /// Drops all held records; `dropped` and the sequence counter keep
@@ -143,8 +161,7 @@ impl EventRing {
     /// overwriting the oldest record when the ring is full.
     #[inline]
     pub fn record_event(&mut self, cycle: u64, source: &'static str, event: &TraceEvent) {
-        let record = TelemetryRecord {
-            seq: self.next_seq,
+        let record = Entry {
             cycle,
             source,
             event: *event,
@@ -211,6 +228,22 @@ mod tests {
         assert_eq!(ring.dropped(), 1);
         ring.record_event(9, "t", &handshake(0));
         assert_eq!(ring.iter().next().unwrap().seq, 3);
+    }
+
+    #[test]
+    fn a_held_record_is_at_most_56_bytes() {
+        assert!(std::mem::size_of::<Entry>() <= 56);
+    }
+
+    #[test]
+    fn wrapped_ring_yields_oldest_first_with_derived_seqs() {
+        let mut ring = EventRing::new(3);
+        for i in 0..7u16 {
+            ring.record_event(u64::from(i), "t", &handshake(i));
+        }
+        let held: Vec<(u64, u64)> = ring.iter().map(|r| (r.seq, r.cycle)).collect();
+        assert_eq!(held, vec![(4, 4), (5, 5), (6, 6)]);
+        assert_eq!(ring.dropped(), 4);
     }
 
     #[test]

@@ -271,7 +271,7 @@ impl SpanCollector {
                 events.push(format!(
                     "{{\"name\":\"{}\",\"cat\":\"phase\",\"ph\":\"X\",\
                      \"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{tid}}}",
-                    slice.phase.name,
+                    slice.phase.name(),
                     slice.begin,
                     slice.cycles()
                 ));
@@ -296,11 +296,9 @@ mod tests {
     use crate::event::RecoveryStage;
 
     fn phase(index: u8, name: &'static str) -> PhaseId {
-        PhaseId {
-            dir: Dir::Write,
-            index,
-            name,
-        }
+        let phase = PhaseId::new(Dir::Write, index);
+        assert_eq!(phase.name(), name);
+        phase
     }
 
     fn enqueue(slot: u32, cycle: u64, c: &mut SpanCollector) {

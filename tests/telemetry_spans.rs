@@ -91,7 +91,7 @@ fn multi_burst_write_span_tiles_and_nests_in_chrome_trace() {
             "phase slices must be contiguous"
         );
         assert!(
-            pair[0].phase.index < pair[1].phase.index,
+            pair[0].phase.index() < pair[1].phase.index(),
             "phases must advance monotonically"
         );
     }
@@ -100,8 +100,8 @@ fn multi_burst_write_span_tiles_and_nests_in_chrome_trace() {
         span.end - span.begin,
         "slices must sum to the span length"
     );
-    assert_eq!(span.phases[0].phase.name, "AW-handshake");
-    let names: Vec<&str> = span.phases.iter().map(|s| s.phase.name).collect();
+    assert_eq!(span.phases[0].phase.name(), "AW-handshake");
+    let names: Vec<&str> = span.phases.iter().map(|s| s.phase.name()).collect();
     assert!(
         names.contains(&"resp-wait") || names.contains(&"resp-ready"),
         "a write span must include a response phase: {names:?}"
@@ -123,7 +123,7 @@ fn multi_burst_write_span_tiles_and_nests_in_chrome_trace() {
         );
         let nested = format!(
             "{{\"name\":\"{}\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":{},\"dur\":{}",
-            slice.phase.name,
+            slice.phase.name(),
             slice.begin,
             slice.end - slice.begin
         );
