@@ -37,6 +37,11 @@ impl PhaseSlice {
     }
 }
 
+/// Most phase slices a span holds: a write's six monitored phases (a
+/// read has four). The guards enter phases in index order, so a span
+/// never needs more.
+const MAX_PHASES: usize = 6;
+
 /// One monitored transaction, enqueue to retirement (or abort).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TxnSpan {
@@ -52,11 +57,11 @@ pub struct TxnSpan {
     pub begin: u64,
     /// One past the last monitored cycle.
     pub end: u64,
-    /// Per-phase slices, in order; contiguous (`phases[k].end ==
-    /// phases[k+1].begin`) and covering `[begin, end)` exactly.
-    pub phases: Vec<PhaseSlice>,
     /// True if the span ended by link sever rather than retirement.
     pub aborted: bool,
+    /// The first `phase_count` entries are the span's phase slices.
+    phases: [PhaseSlice; MAX_PHASES],
+    phase_count: u8,
 }
 
 impl TxnSpan {
@@ -65,31 +70,62 @@ impl TxnSpan {
     pub fn cycles(&self) -> u64 {
         self.end - self.begin
     }
+
+    /// Per-phase slices, in order; contiguous (`phases()[k].end ==
+    /// phases()[k+1].begin`) and covering `[begin, end)` exactly.
+    #[must_use]
+    pub fn phases(&self) -> &[PhaseSlice] {
+        &self.phases[..usize::from(self.phase_count)]
+    }
+
+    /// Closes the current phase at `end`. A transition past the
+    /// [`MAX_PHASES`]th slice, which phases entered in index order never
+    /// make, extends the last slice instead.
+    fn close_phase(&mut self, phase: PhaseId, begin: u64, end: u64) {
+        let count = usize::from(self.phase_count);
+        if count == MAX_PHASES {
+            self.phases[count - 1].end = end;
+            return;
+        }
+        self.phases[count] = PhaseSlice { phase, begin, end };
+        self.phase_count += 1;
+    }
 }
 
+/// A transaction still in flight: its span so far and the phase it
+/// occupies.
 #[derive(Debug, Clone)]
 struct OpenTxn {
-    id: u16,
-    addr: u64,
-    beats: u16,
-    begin: u64,
-    phases: Vec<PhaseSlice>,
+    span: TxnSpan,
     current: PhaseId,
     current_since: u64,
+}
+
+impl OpenTxn {
+    /// Closes the current phase at `end` and returns the finished span.
+    fn finish(mut self, end: u64, aborted: bool) -> TxnSpan {
+        self.span.close_phase(self.current, self.current_since, end);
+        self.span.end = end;
+        self.span.aborted = aborted;
+        self.span
+    }
 }
 
 /// Folds [`TraceEvent`]s into [`TxnSpan`]s and exports Chrome
 /// trace-event JSON.
 ///
-/// Finished spans live in a bounded ring: once `max_spans` are held,
-/// each retirement evicts the oldest span in O(1) and counts it in
-/// [`SpanCollector::dropped_spans`], so per-event cost does not grow
-/// with run length.
+/// Open transactions sit in one table per direction indexed by LD slot
+/// (the slot is unique among a direction's in-flight transactions, and
+/// a table grows only to the highest slot seen, which the OTT depth
+/// bounds). Finished spans live in a bounded ring: once `max_spans`
+/// are held, each retirement evicts the oldest span in O(1) and counts
+/// it in [`SpanCollector::dropped_spans`], so per-event cost does not
+/// grow with run length.
 #[derive(Debug, Clone)]
 pub struct SpanCollector {
-    /// Open transactions keyed by `(dir index, LD slot)` — the slot is
-    /// unique among in-flight transactions of one direction.
-    open: BTreeMap<(u8, u32), OpenTxn>,
+    /// Open transactions by direction (write, read), then LD slot.
+    open: [Vec<Option<OpenTxn>>; 2],
+    open_count: usize,
     /// Bounded ring of finished spans, oldest first.
     finished: VecDeque<TxnSpan>,
     max_spans: usize,
@@ -112,11 +148,17 @@ impl SpanCollector {
     #[must_use]
     pub fn new(max_spans: usize) -> Self {
         SpanCollector {
-            open: BTreeMap::new(),
+            open: [Vec::new(), Vec::new()],
+            open_count: 0,
             finished: VecDeque::new(),
             max_spans: max_spans.max(1),
             dropped_spans: 0,
         }
+    }
+
+    /// The open transaction at `(dir, slot)`, if any.
+    fn open_mut(&mut self, dir: Dir, slot: u32) -> Option<&mut Option<OpenTxn>> {
+        self.open[usize::from(dir_key(dir))].get_mut(slot as usize)
     }
 
     /// Feeds one event into the state machine. Only span-relevant events
@@ -132,79 +174,78 @@ impl SpanCollector {
                 slot,
                 phase,
             } => {
-                self.open.insert(
-                    (dir_key(dir), slot),
-                    OpenTxn {
+                let table = &mut self.open[usize::from(dir_key(dir))];
+                let slot = slot as usize;
+                if slot >= table.len() {
+                    table.resize(slot + 1, None);
+                }
+                let entry = &mut table[slot];
+                if entry.is_none() {
+                    self.open_count += 1;
+                }
+                *entry = Some(OpenTxn {
+                    span: TxnSpan {
+                        dir,
                         id,
                         addr,
                         beats,
                         begin: cycle,
-                        phases: Vec::new(),
-                        current: phase,
-                        current_since: cycle,
+                        end: cycle,
+                        aborted: false,
+                        phases: [PhaseSlice {
+                            phase,
+                            begin: cycle,
+                            end: cycle,
+                        }; MAX_PHASES],
+                        phase_count: 0,
                     },
-                );
+                    current: phase,
+                    current_since: cycle,
+                });
             }
             TraceEvent::PhaseTransition { dir, slot, to, .. } => {
                 // Phase-latency semantics match the monitor's perf log: a
                 // transition committed at cycle c ends the old phase at
                 // c+1 and the new phase starts at c+1.
-                if let Some(txn) = self.open.get_mut(&(dir_key(dir), slot)) {
-                    txn.phases.push(PhaseSlice {
-                        phase: txn.current,
-                        begin: txn.current_since,
-                        end: cycle + 1,
-                    });
+                if let Some(Some(txn)) = self.open_mut(dir, slot) {
+                    txn.span
+                        .close_phase(txn.current, txn.current_since, cycle + 1);
                     txn.current = to;
                     txn.current_since = cycle + 1;
                 }
             }
             TraceEvent::OttDequeue { dir, slot, .. } => {
-                if let Some(mut txn) = self.open.remove(&(dir_key(dir), slot)) {
-                    txn.phases.push(PhaseSlice {
-                        phase: txn.current,
-                        begin: txn.current_since,
-                        end: cycle + 1,
-                    });
-                    self.finish(dir, txn, cycle + 1, false);
+                if let Some(txn) = self.open_mut(dir, slot).and_then(Option::take) {
+                    self.open_count -= 1;
+                    self.finish(txn.finish(cycle + 1, false));
                 }
             }
             TraceEvent::Recovery {
                 stage: crate::event::RecoveryStage::Severed { .. },
             } => {
                 // The link is cut: every in-flight transaction is about
-                // to be aborted. Close their spans here so the timeline
-                // shows exactly when monitoring gave up on them.
-                let open = std::mem::take(&mut self.open);
-                for ((d, _slot), mut txn) in open {
-                    let dir = if d == 0 { Dir::Write } else { Dir::Read };
-                    txn.phases.push(PhaseSlice {
-                        phase: txn.current,
-                        begin: txn.current_since,
-                        end: cycle + 1,
-                    });
-                    self.finish(dir, txn, cycle + 1, true);
+                // to be aborted. Close their spans here, writes then
+                // reads, each by slot, so the timeline shows exactly
+                // when monitoring gave up on them.
+                for d in 0..self.open.len() {
+                    for s in 0..self.open[d].len() {
+                        if let Some(txn) = self.open[d][s].take() {
+                            self.finish(txn.finish(cycle + 1, true));
+                        }
+                    }
                 }
+                self.open_count = 0;
             }
             _ => {}
         }
     }
 
-    fn finish(&mut self, dir: Dir, txn: OpenTxn, end: u64, aborted: bool) {
+    fn finish(&mut self, span: TxnSpan) {
         if self.finished.len() == self.max_spans {
             self.finished.pop_front();
             self.dropped_spans += 1;
         }
-        self.finished.push_back(TxnSpan {
-            dir,
-            id: txn.id,
-            addr: txn.addr,
-            beats: txn.beats,
-            begin: txn.begin,
-            end,
-            phases: txn.phases,
-            aborted,
-        });
+        self.finished.push_back(span);
     }
 
     /// Finished spans, oldest first.
@@ -216,7 +257,7 @@ impl SpanCollector {
     /// Number of transactions currently open (enqueued, not yet closed).
     #[must_use]
     pub fn open_count(&self) -> usize {
-        self.open.len()
+        self.open_count
     }
 
     /// Finished spans evicted because the retention bound was hit.
@@ -267,7 +308,7 @@ impl SpanCollector {
                 span.addr,
                 span.beats
             ));
-            for slice in &span.phases {
+            for slice in span.phases() {
                 events.push(format!(
                     "{{\"name\":\"{}\",\"cat\":\"phase\",\"ph\":\"X\",\
                      \"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{tid}}}",
@@ -342,13 +383,13 @@ mod tests {
         let span = &c.spans()[0];
         assert!(!span.aborted);
         assert_eq!((span.begin, span.end), (10, 21));
-        assert_eq!(span.phases.len(), 2);
+        assert_eq!(span.phases().len(), 2);
         // Slices tile the span exactly.
-        assert_eq!(span.phases[0].begin, span.begin);
-        assert_eq!(span.phases[0].end, span.phases[1].begin);
-        assert_eq!(span.phases[1].end, span.end);
+        assert_eq!(span.phases()[0].begin, span.begin);
+        assert_eq!(span.phases()[0].end, span.phases()[1].begin);
+        assert_eq!(span.phases()[1].end, span.end);
         assert_eq!(
-            span.phases.iter().map(PhaseSlice::cycles).sum::<u64>(),
+            span.phases().iter().map(PhaseSlice::cycles).sum::<u64>(),
             span.cycles()
         );
     }
@@ -415,6 +456,40 @@ mod tests {
         // interval because there was no transition.
         assert!(json.contains("\"ts\":10,\"dur\":6"));
         assert!(json.contains("\"name\":\"AW-handshake\""));
+    }
+
+    #[test]
+    fn transitions_past_the_inline_bound_extend_the_last_slice() {
+        let mut c = SpanCollector::default();
+        enqueue(3, 0, &mut c);
+        for cycle in 1..=8u64 {
+            c.on_event(
+                cycle,
+                &TraceEvent::PhaseTransition {
+                    dir: Dir::Write,
+                    id: 1,
+                    slot: 3,
+                    from: phase(0, "AW-handshake"),
+                    to: phase(1, "data-entry"),
+                },
+            );
+        }
+        c.on_event(
+            20,
+            &TraceEvent::OttDequeue {
+                dir: Dir::Write,
+                id: 1,
+                slot: 3,
+                total_cycles: 21,
+            },
+        );
+        let span = &c.spans()[0];
+        assert_eq!(span.phases().len(), MAX_PHASES);
+        assert_eq!(span.phases()[0].begin, 0);
+        for pair in span.phases().windows(2) {
+            assert_eq!(pair[0].end, pair[1].begin);
+        }
+        assert_eq!(span.phases()[MAX_PHASES - 1].end, 21);
     }
 
     #[test]

@@ -82,10 +82,10 @@ fn multi_burst_write_span_tiles_and_nests_in_chrome_trace() {
     // The per-phase slices tile [begin, end) exactly: first slice starts
     // at the span begin, each slice ends where the next begins, the last
     // slice ends at the span end, and phase indices only move forward.
-    assert!(span.phases.len() >= 3, "AW, data, and response phases");
-    assert_eq!(span.phases[0].begin, span.begin);
-    assert_eq!(span.phases.last().unwrap().end, span.end);
-    for pair in span.phases.windows(2) {
+    assert!(span.phases().len() >= 3, "AW, data, and response phases");
+    assert_eq!(span.phases()[0].begin, span.begin);
+    assert_eq!(span.phases().last().unwrap().end, span.end);
+    for pair in span.phases().windows(2) {
         assert_eq!(
             pair[0].end, pair[1].begin,
             "phase slices must be contiguous"
@@ -96,12 +96,12 @@ fn multi_burst_write_span_tiles_and_nests_in_chrome_trace() {
         );
     }
     assert_eq!(
-        span.phases.iter().map(|s| s.end - s.begin).sum::<u64>(),
+        span.phases().iter().map(|s| s.end - s.begin).sum::<u64>(),
         span.end - span.begin,
         "slices must sum to the span length"
     );
-    assert_eq!(span.phases[0].phase.name(), "AW-handshake");
-    let names: Vec<&str> = span.phases.iter().map(|s| s.phase.name()).collect();
+    assert_eq!(span.phases()[0].phase.name(), "AW-handshake");
+    let names: Vec<&str> = span.phases().iter().map(|s| s.phase.name()).collect();
     assert!(
         names.contains(&"resp-wait") || names.contains(&"resp-ready"),
         "a write span must include a response phase: {names:?}"
@@ -116,7 +116,7 @@ fn multi_burst_write_span_tiles_and_nests_in_chrome_trace() {
     assert!(json.contains(&format!("\"name\":\"W txn id={AXI_ID}\"")));
     let outer = format!("\"ts\":{},\"dur\":{}", span.begin, span.end - span.begin);
     assert!(json.contains(&outer), "outer slice {outer} missing: {json}");
-    for slice in &span.phases {
+    for slice in span.phases() {
         assert!(
             slice.begin >= span.begin && slice.end <= span.end,
             "phase slice must nest inside the transaction slice"
@@ -226,7 +226,7 @@ fn bounded_rings_keep_the_newest_records_in_order() {
     // The exports carry exactly the retained records, oldest first.
     let json = ring.tmu.chrome_trace_json();
     assert_eq!(json.matches("\"cat\":\"txn\"").count(), RETAIN);
-    let phases: usize = spans.spans().iter().map(|s| s.phases.len()).sum();
+    let phases: usize = spans.spans().iter().map(|s| s.phases().len()).sum();
     assert_eq!(json.matches("\"cat\":\"phase\"").count(), phases);
     let mut at = 0;
     for span in spans.spans() {
