@@ -123,7 +123,7 @@ impl TelemetryHub {
 
     /// Takes the periodic sample at `cycle` (unconditionally; pair with
     /// [`TelemetryHub::should_sample`]).
-    pub fn take_sample(&mut self, cycle: u64) -> MetricsSample {
+    pub fn take_sample(&mut self, cycle: u64) -> &MetricsSample {
         self.last_sample_at = Some(cycle);
         self.metrics.sample(cycle)
     }

@@ -59,18 +59,24 @@ impl MetricsSample {
     }
 }
 
+/// A counter's total and its total at the previous sample, for the
+/// sample's delta.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counter {
+    total: u64,
+    sampled: u64,
+}
+
 /// Typed counters, gauges and histograms with periodic sampling.
 ///
 /// Periodic samples live in a bounded ring: once `max_samples` are
-/// held, each new sample evicts the oldest in O(1) and counts it in
-/// [`MetricsHub::samples_dropped`].
+/// held, each new sample evicts the oldest in O(1), reusing its
+/// buffers, and counts it in [`MetricsHub::samples_dropped`].
 #[derive(Debug, Clone, Default)]
 pub struct MetricsHub {
-    counters: BTreeMap<&'static str, u64>,
+    counters: BTreeMap<&'static str, Counter>,
     gauges: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
-    /// Counter values at the previous sample, for delta computation.
-    last_sampled: BTreeMap<&'static str, u64>,
     /// Bounded ring of periodic samples, oldest first.
     samples: VecDeque<MetricsSample>,
     max_samples: usize,
@@ -100,7 +106,7 @@ impl MetricsHub {
 
     /// Adds `delta` to counter `name` (creating it at zero).
     pub fn counter_add(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
+        self.counters.entry(name).or_default().total += delta;
     }
 
     /// Adds one to counter `name`.
@@ -127,7 +133,7 @@ impl MetricsHub {
     /// Current total of counter `name` (zero if never touched).
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counters.get(name).map_or(0, |c| c.total)
     }
 
     /// Current level of gauge `name`, if ever set.
@@ -144,7 +150,7 @@ impl MetricsHub {
 
     /// Iterates `(name, total)` over all counters, key-ordered.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
+        self.counters.iter().map(|(k, c)| (*k, c.total))
     }
 
     /// Iterates `(name, level)` over all gauges, key-ordered.
@@ -159,26 +165,27 @@ impl MetricsHub {
 
     /// Takes one periodic sample at `cycle`: counter deltas since the
     /// previous sample plus current gauge levels. The sample is retained
-    /// (bounded) and also returned.
-    pub fn sample(&mut self, cycle: u64) -> MetricsSample {
-        let counters: Vec<(&'static str, u64)> = self
-            .counters
-            .iter()
-            .map(|(k, v)| (*k, v - self.last_sampled.get(k).copied().unwrap_or(0)))
-            .collect();
-        self.last_sampled = self.counters.clone();
-        let gauges: Vec<(&'static str, u64)> = self.gauges.iter().map(|(k, v)| (*k, *v)).collect();
-        let sample = MetricsSample {
-            cycle,
-            counters,
-            gauges,
-        };
-        if self.samples.len() == self.max_samples {
-            self.samples.pop_front();
+    /// (bounded; a full ring's oldest sample lends its buffers) and a
+    /// reference to it returned.
+    pub fn sample(&mut self, cycle: u64) -> &MetricsSample {
+        let mut sample = if self.samples.len() == self.max_samples {
             self.samples_dropped += 1;
+            self.samples.pop_front().unwrap_or_default()
+        } else {
+            MetricsSample::default()
+        };
+        sample.cycle = cycle;
+        sample.counters.clear();
+        for (k, c) in &mut self.counters {
+            sample.counters.push((*k, c.total - c.sampled));
+            c.sampled = c.total;
         }
-        self.samples.push_back(sample.clone());
+        sample.gauges.clear();
         sample
+            .gauges
+            .extend(self.gauges.iter().map(|(k, v)| (*k, *v)));
+        self.samples.push_back(sample);
+        &self.samples[self.samples.len() - 1]
     }
 
     /// The retained periodic samples, oldest first.
@@ -206,8 +213,8 @@ impl MetricsHub {
 
     /// Merges counters, gauges (other wins) and histograms from `other`.
     pub fn absorb(&mut self, other: &MetricsHub) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
+        for (k, c) in &other.counters {
+            self.counters.entry(k).or_default().total += c.total;
         }
         for (k, v) in &other.gauges {
             self.gauges.insert(k, *v);
@@ -222,8 +229,8 @@ impl fmt::Display for MetricsHub {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if !self.counters.is_empty() {
             writeln!(f, "counters:")?;
-            for (k, v) in &self.counters {
-                writeln!(f, "  {k:<32} {v}")?;
+            for (k, c) in &self.counters {
+                writeln!(f, "  {k:<32} {}", c.total)?;
             }
         }
         if !self.gauges.is_empty() {
