@@ -97,12 +97,17 @@ impl TelemetryHub {
 
     fn dispatch(&mut self, cycle: u64, source: &'static str, event: &TraceEvent) {
         self.ring.record_event(cycle, source, event);
-        if let Some(spans) = self.spans.as_mut() {
-            spans.on_event(cycle, event);
-        }
         match *event {
             TraceEvent::Counter { name, delta } => self.metrics.counter_add(name, delta),
             TraceEvent::Gauge { name, value } => self.metrics.gauge_set(name, value),
+            TraceEvent::OttEnqueue { .. }
+            | TraceEvent::OttDequeue { .. }
+            | TraceEvent::PhaseTransition { .. }
+            | TraceEvent::Recovery { .. } => {
+                if let Some(spans) = self.spans.as_mut() {
+                    spans.on_event(cycle, event);
+                }
+            }
             _ => {}
         }
     }
