@@ -95,6 +95,7 @@ impl TelemetryHub {
         self.dispatch(cycle, source, &event);
     }
 
+    #[inline]
     fn dispatch(&mut self, cycle: u64, source: &'static str, event: &TraceEvent) {
         self.ring.record_event(cycle, source, event);
         match *event {
