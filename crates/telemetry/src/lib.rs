@@ -60,6 +60,8 @@
 pub mod event;
 pub mod hub;
 pub mod metrics;
+#[cfg(test)]
+mod reference;
 pub mod sink;
 pub mod span;
 
