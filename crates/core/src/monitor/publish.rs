@@ -6,40 +6,31 @@ use tmu_telemetry::{MetricsHub, TelemetryConfig, TelemetryHub, TraceEvent};
 use super::Tmu;
 
 impl Tmu {
-    /// Publishes the TMU's occupancy gauges: OTT occupancy, armed
-    /// deadlines per guard (`tmu.{write,read}.wheel_depth`, at most one
-    /// per LD slot), faults and pending drain beats. With telemetry
-    /// enabled the levels travel as [`TraceEvent::Gauge`] events —
-    /// visible in the ring and routed into the metrics hub by the
-    /// dispatcher; with it disabled they are set directly so snapshots
-    /// and reports stay live either way.
-    pub(super) fn publish_gauges(&mut self) {
+    /// The TMU's occupancy gauges: OTT occupancy, armed deadlines per
+    /// guard (`tmu.{write,read}.wheel_depth`, at most one per LD slot),
+    /// faults and pending drain beats.
+    fn occupancy_gauges(&self) -> [(&'static str, u64); 7] {
         let write_out = self.write_guard.outstanding() as u64;
         let read_out = self.read_guard.outstanding() as u64;
-        let write_depth = self.write_guard.wheel_depth() as u64;
-        let read_depth = self.read_guard.wheel_depth() as u64;
-        let faults = self.faults_detected;
-        let drain = self.term.drain_beats();
-        let gauges: [(&'static str, u64); 7] = [
+        [
             ("tmu.write.ott_occupancy", write_out),
             ("tmu.read.ott_occupancy", read_out),
             ("tmu.outstanding", write_out + read_out),
-            ("tmu.write.wheel_depth", write_depth),
-            ("tmu.read.wheel_depth", read_depth),
-            ("tmu.faults_detected", faults),
-            ("tmu.drain_beats_pending", drain),
-        ];
-        if self.telemetry.enabled() {
-            let cycle = self.cycles;
-            for (name, value) in gauges {
-                self.telemetry
-                    .record(cycle, "tmu", TraceEvent::Gauge { name, value });
-            }
-        } else {
-            let metrics = self.telemetry.metrics_mut();
-            for (name, value) in gauges {
-                metrics.gauge_set(name, value);
-            }
+            ("tmu.write.wheel_depth", self.write_guard.wheel_depth() as u64),
+            ("tmu.read.wheel_depth", self.read_guard.wheel_depth() as u64),
+            ("tmu.faults_detected", self.faults_detected),
+            ("tmu.drain_beats_pending", self.term.drain_beats()),
+        ]
+    }
+
+    /// Publishes the occupancy gauges for a periodic sample, as
+    /// [`TraceEvent::Gauge`] events: visible in the ring and routed into
+    /// the metrics hub by the dispatcher.
+    pub(super) fn publish_gauges(&mut self) {
+        let cycle = self.cycles;
+        for (name, value) in self.occupancy_gauges() {
+            self.telemetry
+                .record(cycle, "tmu", TraceEvent::Gauge { name, value });
         }
     }
 
@@ -78,14 +69,17 @@ impl Tmu {
     }
 
     /// A point-in-time metrics snapshot: the hub's counters plus
-    /// freshly published occupancy gauges, with the performance log's
-    /// total-latency distribution folded in as a histogram. Works with
-    /// telemetry disabled (counters are then zero but gauges and the
-    /// latency histogram are still live).
+    /// current occupancy gauges, with the performance log's
+    /// total-latency distribution folded in as a histogram. The gauges
+    /// go into the snapshot only, so taking one leaves the trace as it
+    /// was. Works with telemetry disabled (counters are then zero but
+    /// gauges and the latency histogram are still live).
     #[must_use]
-    pub fn metrics_snapshot(&mut self) -> MetricsHub {
-        self.publish_gauges();
+    pub fn metrics_snapshot(&self) -> MetricsHub {
         let mut hub = self.telemetry.metrics().clone();
+        for (name, value) in self.occupancy_gauges() {
+            hub.gauge_set(name, value);
+        }
         hub.set_histogram("tmu.latency.total", self.perf_log.total_latency().clone());
         hub
     }

@@ -50,7 +50,7 @@ impl TmuReport {
     /// performance log's total-latency distribution into the
     /// `tmu.latency.total` histogram.
     #[must_use]
-    pub fn capture(tmu: &mut Tmu) -> Self {
+    pub fn capture(tmu: &Tmu) -> Self {
         let metrics = tmu.metrics_snapshot();
         let latency = metrics.histogram("tmu.latency.total");
         let perf = tmu.perf_log();
@@ -114,8 +114,8 @@ mod tests {
 
     #[test]
     fn capture_of_idle_tmu() {
-        let mut tmu = Tmu::new(TmuConfig::default());
-        let report = TmuReport::capture(&mut tmu);
+        let tmu = Tmu::new(TmuConfig::default());
+        let report = TmuReport::capture(&tmu);
         assert_eq!(report.writes_completed, 0);
         assert_eq!(report.faults, 0);
         assert_eq!(report.mean_latency, None);
@@ -127,8 +127,8 @@ mod tests {
 
     #[test]
     fn display_is_multiline_and_mentions_variant() {
-        let mut tmu = Tmu::new(TmuConfig::default());
-        let s = TmuReport::capture(&mut tmu).to_string();
+        let tmu = Tmu::new(TmuConfig::default());
+        let s = TmuReport::capture(&tmu).to_string();
         assert!(s.contains("Tc"));
         assert!(s.lines().count() >= 3);
         assert!(s.contains("no completed transactions"));

@@ -395,6 +395,28 @@ mod tests {
     }
 
     #[test]
+    fn capturing_a_report_leaves_the_trace_alone() {
+        let mut link = GuardedLink::new(
+            TrafficPattern::default(),
+            cfg(TmuVariant::FullCounter),
+            MemSub::default(),
+            1,
+        );
+        link.enable_telemetry(TelemetryConfig::default());
+        link.run(1000);
+        let hub = link.tmu.telemetry();
+        let (seq, ring) = (hub.seq(), hub.events().to_json());
+        let first = tmu::TmuReport::capture(&link.tmu);
+        let second = tmu::TmuReport::capture(&link.tmu);
+        let hub = link.tmu.telemetry();
+        assert_eq!(hub.seq(), seq, "a capture records no events");
+        assert_eq!(hub.events().to_json(), ring);
+        assert_eq!(first, second);
+        assert_eq!(first.telemetry_events, seq);
+        assert_eq!(first.outstanding, link.tmu.outstanding());
+    }
+
+    #[test]
     fn ethernet_endpoint_works_on_link() {
         let mut link = GuardedLink::new(
             write_pattern(16),

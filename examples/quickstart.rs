@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(done, "traffic should complete");
 
     // 4. Observability: everything the TMU saw.
-    println!("\n{}", TmuReport::capture(&mut link.tmu));
+    println!("\n{}", TmuReport::capture(&link.tmu));
     println!("\nManager view:");
     let stats = link.mgr.stats();
     println!(
