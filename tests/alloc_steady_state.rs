@@ -1,12 +1,14 @@
 //! Integration: once warmed up, the monitored busy path makes no heap
-//! allocation per cycle with telemetry off.
+//! allocation per cycle, with telemetry off and with it recording.
 //!
 //! A counting global allocator wraps the system allocator and counts the
 //! allocations made on the calling thread only, so tests running in
 //! parallel do not see each other's allocations. Each harness mirrors
 //! one busy-traffic benchmark workload, built through the public API:
 //! a deep Full-Counter link, the Fig. 10 system with both ports
-//! monitored, and four regulated managers behind a trunk TMU.
+//! monitored (also with the Ethernet TMU's telemetry on, its rings
+//! bounded small enough to fill), and four regulated managers behind a
+//! trunk TMU.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
@@ -16,7 +18,7 @@ use axi_tmu::soc::manager::TrafficPattern;
 use axi_tmu::soc::memory::{MemConfig, MemSub};
 use axi_tmu::soc::regulated::RegulatedLink;
 use axi_tmu::soc::system::{System, SystemConfig, MEM_BASE};
-use axi_tmu::tmu::{BudgetConfig, TmuConfig, TmuVariant};
+use axi_tmu::tmu::{BudgetConfig, TelemetryConfig, TmuConfig, TmuVariant};
 use axi_tmu::tmu_regulate::{DirBudget, RegulatorConfig};
 
 /// Counts every allocation, zeroed allocation and reallocation made on
@@ -122,8 +124,8 @@ fn deep_full_counter_link_allocates_nothing_per_cycle() {
     assert_eq!(n, 0, "allocations over {MEASURED_CYCLES} busy cycles");
 }
 
-#[test]
-fn fig10_system_with_both_ports_monitored_allocates_nothing_per_cycle() {
+/// The Fig. 10 system with both fabric ports monitored.
+fn fig10_system() -> System {
     let defaults = SystemConfig::default();
     let monitor = |variant, prescaler| {
         TmuConfig::builder()
@@ -134,18 +136,48 @@ fn fig10_system_with_both_ports_monitored_allocates_nothing_per_cycle() {
             .build()
             .expect("valid TMU configuration")
     };
-    let mut system = System::new(SystemConfig {
+    System::new(SystemConfig {
         tmu: monitor(TmuVariant::FullCounter, 1),
         mem_tmu: Some(monitor(TmuVariant::TinyCounter, 32)),
         cpu_pattern: windowed(defaults.cpu_pattern.clone()),
         seed: 1,
         ..defaults
-    });
+    })
+}
+
+/// Runs `system` warm, then counts the allocations of its busy cycles.
+fn busy_system_allocations(system: &mut System) -> u64 {
     system.run(WARM_CYCLES);
     let done = system.cpu_stats().total_completed() + system.dma_stats().total_completed();
     let n = allocations_during(|| system.run(MEASURED_CYCLES));
     let after = system.cpu_stats().total_completed() + system.dma_stats().total_completed();
     assert!(after > done + 100, "the system must stay busy");
+    n
+}
+
+#[test]
+fn fig10_system_with_both_ports_monitored_allocates_nothing_per_cycle() {
+    let n = busy_system_allocations(&mut fig10_system());
+    assert_eq!(n, 0, "allocations over {MEASURED_CYCLES} busy cycles");
+}
+
+#[test]
+fn fig10_system_with_ethernet_telemetry_on_allocates_nothing_per_cycle() {
+    let mut system = fig10_system();
+    // Small bounds, so the event ring, the finished spans and the
+    // sample ring all fill (and evict) during warm-up.
+    system.tmu_mut().enable_telemetry(TelemetryConfig {
+        ring_capacity: 256,
+        max_spans: 64,
+        max_samples: 16,
+        ..TelemetryConfig::default()
+    });
+    let n = busy_system_allocations(&mut system);
+    let hub = system.tmu().telemetry();
+    assert!(hub.events().dropped() > 0, "the event ring wrapped");
+    let spans = hub.spans().expect("span folding on");
+    assert!(spans.dropped_spans() > 0, "the span ring wrapped");
+    assert!(hub.metrics().samples_dropped() > 0, "the sample ring wrapped");
     assert_eq!(n, 0, "allocations over {MEASURED_CYCLES} busy cycles");
 }
 
