@@ -526,7 +526,12 @@ impl fmt::Display for TraceEvent {
                 slot,
                 from,
                 to,
-            } => write!(f, "{dir} id={id} slot={slot}: {} -> {}", from.name(), to.name()),
+            } => write!(
+                f,
+                "{dir} id={id} slot={slot}: {} -> {}",
+                from.name(),
+                to.name()
+            ),
             TraceEvent::Rebudget {
                 dir,
                 id,

@@ -67,6 +67,28 @@ struct Counter {
     sampled: u64,
 }
 
+/// Metrics by name, in name order. Callers pass each name as the same
+/// `&'static str` every time, so a lookup first looks for the name's
+/// pointer, which is far cheaper than ordering strings, and falls back
+/// to a search by content.
+type Named<V> = Vec<(&'static str, V)>;
+
+fn find<V>(named: &Named<V>, name: &str) -> Result<usize, usize> {
+    named.binary_search_by(|(k, _)| (*k).cmp(name))
+}
+
+/// The value named `name`, inserted at its default if new.
+fn slot<'a, V: Default>(named: &'a mut Named<V>, name: &'static str) -> &'a mut V {
+    let i = match named.iter().position(|(k, _)| std::ptr::eq(*k, name)) {
+        Some(i) => i,
+        None => find(named, name).unwrap_or_else(|i| {
+            named.insert(i, (name, V::default()));
+            i
+        }),
+    };
+    &mut named[i].1
+}
+
 /// Typed counters, gauges and histograms with periodic sampling.
 ///
 /// Periodic samples live in a bounded ring: once `max_samples` are
@@ -74,8 +96,8 @@ struct Counter {
 /// buffers, and counts it in [`MetricsHub::samples_dropped`].
 #[derive(Debug, Clone, Default)]
 pub struct MetricsHub {
-    counters: BTreeMap<&'static str, Counter>,
-    gauges: BTreeMap<&'static str, u64>,
+    counters: Named<Counter>,
+    gauges: Named<u64>,
     histograms: BTreeMap<&'static str, Histogram>,
     /// Bounded ring of periodic samples, oldest first.
     samples: VecDeque<MetricsSample>,
@@ -106,7 +128,7 @@ impl MetricsHub {
 
     /// Adds `delta` to counter `name` (creating it at zero).
     pub fn counter_add(&mut self, name: &'static str, delta: u64) {
-        self.counters.entry(name).or_default().total += delta;
+        slot(&mut self.counters, name).total += delta;
     }
 
     /// Adds one to counter `name`.
@@ -116,7 +138,7 @@ impl MetricsHub {
 
     /// Sets gauge `name` to `value`.
     pub fn gauge_set(&mut self, name: &'static str, value: u64) {
-        self.gauges.insert(name, value);
+        *slot(&mut self.gauges, name) = value;
     }
 
     /// Records `sample` into histogram `name` (creating it empty).
@@ -133,13 +155,13 @@ impl MetricsHub {
     /// Current total of counter `name` (zero if never touched).
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).map_or(0, |c| c.total)
+        find(&self.counters, name).map_or(0, |i| self.counters[i].1.total)
     }
 
     /// Current level of gauge `name`, if ever set.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.get(name).copied()
+        find(&self.gauges, name).ok().map(|i| self.gauges[i].1)
     }
 
     /// Histogram `name`, if any samples were observed.
@@ -213,11 +235,11 @@ impl MetricsHub {
 
     /// Merges counters, gauges (other wins) and histograms from `other`.
     pub fn absorb(&mut self, other: &MetricsHub) {
-        for (k, c) in &other.counters {
-            self.counters.entry(k).or_default().total += c.total;
+        for &(k, c) in &other.counters {
+            slot(&mut self.counters, k).total += c.total;
         }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k, *v);
+        for &(k, v) in &other.gauges {
+            *slot(&mut self.gauges, k) = v;
         }
         for (k, h) in &other.histograms {
             self.histograms.entry(k).or_default().merge(h);
@@ -268,6 +290,23 @@ mod tests {
         assert_eq!(m.gauge("tmu.outstanding"), Some(3));
         assert_eq!(m.counter("missing"), 0);
         assert_eq!(m.gauge("missing"), None);
+    }
+
+    #[test]
+    fn a_name_is_found_by_content_as_well_as_by_pointer() {
+        let mut m = MetricsHub::new();
+        let alias: &'static str = Box::leak(String::from("tmu.outstanding").into_boxed_str());
+        m.gauge_set("tmu.outstanding", 5);
+        m.gauge_set(alias, 3);
+        m.counter_add("z.c", 1);
+        m.counter_add("a.c", 1);
+        m.counter_add(Box::leak(String::from("z.c").into_boxed_str()), 2);
+        assert_eq!(m.gauges().collect::<Vec<_>>(), vec![("tmu.outstanding", 3)]);
+        assert_eq!(
+            m.counters().collect::<Vec<_>>(),
+            vec![("a.c", 1), ("z.c", 3)],
+            "name order, one entry per name"
+        );
     }
 
     #[test]

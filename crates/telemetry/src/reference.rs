@@ -413,7 +413,13 @@ mod tests {
                 let from = open[d][s].unwrap_or(0);
                 let last = last_phase(dir);
                 if from == last {
-                    return Step::Record(source, TraceEvent::Handshake { channel: Channel::B, id });
+                    return Step::Record(
+                        source,
+                        TraceEvent::Handshake {
+                            channel: Channel::B,
+                            id,
+                        },
+                    );
                 }
                 let to = from + 1 + (small as u8) % (last - from);
                 if open[d][s].is_some() {
@@ -526,9 +532,11 @@ mod tests {
         let metrics = hub.metrics();
         prop_assert_eq!(metrics.jsonl(), reference.metrics.jsonl(), "step {}", step);
         prop_assert_eq!(metrics.samples_dropped(), reference.metrics.samples_dropped);
-        prop_assert!(metrics
-            .counters()
-            .eq(reference.metrics.counters.iter().map(|(k, v)| (*k, *v))));
+        prop_assert!(metrics.counters().eq(reference
+            .metrics
+            .counters
+            .iter()
+            .map(|(k, v)| (*k, *v))));
         prop_assert!(metrics
             .gauges()
             .eq(reference.metrics.gauges.iter().map(|(k, v)| (*k, *v))));
