@@ -95,7 +95,7 @@ const FF_BATCH: u64 = 64;
 /// One side of the total-stall measurement: a stepped link, or
 /// fast-forward runs timed in batches of [`FF_BATCH`].
 enum StallBench {
-    Stepped(StallLink),
+    Stepped(Box<StallLink>),
     FastForward(TmuVariant),
 }
 
@@ -122,12 +122,16 @@ fn measure_stall(variant: TmuVariant) -> StallMeasurement {
     let [per_cycle_s, wheel_s, batches_s] = time_interleaved(
         || {
             [
-                StallBench::Stepped(stall_link(variant, CounterEngine::PerCycle, HOTPATH_BUDGET)),
-                StallBench::Stepped(stall_link(
+                StallBench::Stepped(Box::new(stall_link(
+                    variant,
+                    CounterEngine::PerCycle,
+                    HOTPATH_BUDGET,
+                ))),
+                StallBench::Stepped(Box::new(stall_link(
                     variant,
                     CounterEngine::DeadlineWheel,
                     HOTPATH_BUDGET,
-                )),
+                ))),
                 StallBench::FastForward(variant),
             ]
         },
@@ -272,7 +276,8 @@ fn main() {
         BUSY_CYCLES,
         System::run,
         |systems| {
-            let done = |s: &System| s.cpu_stats().total_completed() + s.dma_stats().total_completed();
+            let done =
+                |s: &System| s.cpu_stats().total_completed() + s.dma_stats().total_completed();
             assert_eq!(
                 done(&systems[0]),
                 done(&systems[1]),

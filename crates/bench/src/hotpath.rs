@@ -361,6 +361,10 @@ pub const BUSY_CYCLES: u64 = 40_000;
 /// Tiny-Counter TMU (prescaler 32) on the memory port, and the CPU
 /// confined to a 16 KiB memory window. With `telemetry` the Ethernet
 /// TMU records with the default configuration.
+///
+/// # Panics
+///
+/// Never in practice: the TMU configurations are fixed and valid.
 #[must_use]
 pub fn busy_system(telemetry: bool) -> System {
     let defaults = SystemConfig::default();
@@ -385,7 +389,9 @@ pub fn busy_system(telemetry: bool) -> System {
         ..defaults
     });
     if telemetry {
-        system.tmu_mut().enable_telemetry(TelemetryConfig::default());
+        system
+            .tmu_mut()
+            .enable_telemetry(TelemetryConfig::default());
     }
     system
 }
@@ -410,7 +416,10 @@ pub fn busy_event_mix(cycles: u64) -> EventMix {
     system.run(cycles);
     let events = system.tmu().telemetry().events();
     assert_eq!(events.dropped(), 0, "the capture ring kept every event");
-    events.iter().map(|r| (r.cycle, r.source, r.event)).collect()
+    events
+        .iter()
+        .map(|r| (r.cycle, r.source, r.event))
+        .collect()
 }
 
 #[cfg(test)]

@@ -16,7 +16,10 @@ impl Tmu {
             ("tmu.write.ott_occupancy", write_out),
             ("tmu.read.ott_occupancy", read_out),
             ("tmu.outstanding", write_out + read_out),
-            ("tmu.write.wheel_depth", self.write_guard.wheel_depth() as u64),
+            (
+                "tmu.write.wheel_depth",
+                self.write_guard.wheel_depth() as u64,
+            ),
             ("tmu.read.wheel_depth", self.read_guard.wheel_depth() as u64),
             ("tmu.faults_detected", self.faults_detected),
             ("tmu.drain_beats_pending", self.term.drain_beats()),

@@ -161,17 +161,17 @@ impl EventRing {
     /// overwriting the oldest record when the ring is full.
     #[inline]
     pub fn record_event(&mut self, cycle: u64, source: &'static str, event: &TraceEvent) {
-        let record = Entry {
+        let entry = Entry {
             cycle,
             source,
             event: *event,
         };
         self.next_seq += 1;
         if self.records.len() < self.capacity {
-            self.records.push(record);
+            self.records.push(entry);
             return;
         }
-        self.records[self.head] = record;
+        self.records[self.head] = entry;
         self.head += 1;
         if self.head == self.capacity {
             self.head = 0;

@@ -217,7 +217,7 @@ impl SpanCollector {
             TraceEvent::OttDequeue { dir, slot, .. } => {
                 if let Some(txn) = self.open_mut(dir, slot).and_then(Option::take) {
                     self.open_count -= 1;
-                    self.finish(txn.finish(cycle + 1, false));
+                    self.retain(txn.finish(cycle + 1, false));
                 }
             }
             TraceEvent::Recovery {
@@ -230,7 +230,7 @@ impl SpanCollector {
                 for d in 0..self.open.len() {
                     for s in 0..self.open[d].len() {
                         if let Some(txn) = self.open[d][s].take() {
-                            self.finish(txn.finish(cycle + 1, true));
+                            self.retain(txn.finish(cycle + 1, true));
                         }
                     }
                 }
@@ -240,7 +240,8 @@ impl SpanCollector {
         }
     }
 
-    fn finish(&mut self, span: TxnSpan) {
+    /// Keeps a finished span, evicting the oldest once `max_spans` are held.
+    fn retain(&mut self, span: TxnSpan) {
         if self.finished.len() == self.max_spans {
             self.finished.pop_front();
             self.dropped_spans += 1;
