@@ -177,7 +177,10 @@ fn fig10_system_with_ethernet_telemetry_on_allocates_nothing_per_cycle() {
     assert!(hub.events().dropped() > 0, "the event ring wrapped");
     let spans = hub.spans().expect("span folding on");
     assert!(spans.dropped_spans() > 0, "the span ring wrapped");
-    assert!(hub.metrics().samples_dropped() > 0, "the sample ring wrapped");
+    assert!(
+        hub.metrics().samples_dropped() > 0,
+        "the sample ring wrapped"
+    );
     assert_eq!(n, 0, "allocations over {MEASURED_CYCLES} busy cycles");
 }
 
