@@ -35,12 +35,6 @@ impl AreaBreakdown {
             .find(|(m, _)| m.name == name)
             .map_or(0.0, |(_, a)| *a)
     }
-
-    /// Total flip-flop bits.
-    #[must_use]
-    pub fn total_ff(&self) -> u64 {
-        self.modules.iter().map(|(m, _)| m.ff).sum()
-    }
 }
 
 impl fmt::Display for AreaBreakdown {
@@ -205,7 +199,6 @@ mod tests {
         assert!((sum - area.total_um2()).abs() < 1e-6);
         assert!(area.module_um2("counters") > 0.0);
         assert_eq!(area.module_um2("nonexistent"), 0.0);
-        assert!(area.total_ff() > 0);
         assert!(area.to_string().contains("TOTAL"));
     }
 

@@ -231,12 +231,11 @@ fn main() {
         );
     }
 
-    // Telemetry overhead on the wheel engine: a disabled hub must cost
-    // one branch per record call, so the telemetry-disabled link must sit
-    // within noise of the plain wheel link (target ratio ~1.0). The two
-    // are the same program, so their ratio also reads the measurement's
-    // own noise. Each link runs to the wheel run's first fault and must
-    // reproduce it.
+    // Telemetry overhead on the wheel engine. The baseline and the
+    // telemetry-disabled link are the same program (a default hub is
+    // disabled), so their ratio is an A/A reading of the interleaved
+    // timer's noise, not a cost; the enabled ratio is the cost. Each
+    // link runs to the wheel run's first fault and must reproduce it.
     let tel_variant = TmuVariant::FullCounter;
     let wheel = stalls
         .iter()

@@ -148,10 +148,10 @@ pub fn run_saturated_stall(variant: TmuVariant, engine: CounterEngine, budget: u
 
 /// Builds the saturated-stall link on the deadline-wheel engine with the
 /// unified telemetry layer either enabled (default config) or left
-/// disabled — the links behind the `disabled_overhead_ratio` acceptance
-/// bound: a disabled hub must cost one branch per record call, so the
-/// disabled link must not be measurably slower than the plain wheel
-/// link.
+/// disabled. A default hub is already disabled, so with `telemetry` off
+/// this is the plain wheel link: `disabled_overhead_ratio` times two
+/// copies of one program, an A/A reading of the interleaved timer's
+/// noise rather than a cost of the disabled hub.
 #[must_use]
 pub fn telemetry_stall_link(variant: TmuVariant, budget: u64, telemetry: bool) -> StallLink {
     let mut link = stall_link(variant, CounterEngine::DeadlineWheel, budget);

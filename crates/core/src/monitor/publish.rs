@@ -1,7 +1,7 @@
-//! Telemetry publication: occupancy gauges into the metrics hub,
-//! Chrome-trace/metrics export, and point-in-time snapshots.
+//! Telemetry publication: occupancy gauges into the metrics hub and
+//! Chrome-trace/metrics export.
 
-use tmu_telemetry::{MetricsHub, TelemetryConfig, TelemetryHub, TraceEvent};
+use tmu_telemetry::{TelemetryConfig, TelemetryHub, TraceEvent};
 
 use super::Tmu;
 
@@ -69,21 +69,5 @@ impl Tmu {
     #[must_use]
     pub fn metrics_jsonl(&self) -> String {
         self.telemetry.metrics_jsonl()
-    }
-
-    /// A point-in-time metrics snapshot: the hub's counters plus
-    /// current occupancy gauges, with the performance log's
-    /// total-latency distribution folded in as a histogram. The gauges
-    /// go into the snapshot only, so taking one leaves the trace as it
-    /// was. Works with telemetry disabled (counters are then zero but
-    /// gauges and the latency histogram are still live).
-    #[must_use]
-    pub fn metrics_snapshot(&self) -> MetricsHub {
-        let mut hub = self.telemetry.metrics().clone();
-        for (name, value) in self.occupancy_gauges() {
-            hub.gauge_set(name, value);
-        }
-        hub.set_histogram("tmu.latency.total", self.perf_log.total_latency().clone());
-        hub
     }
 }

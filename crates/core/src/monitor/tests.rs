@@ -558,17 +558,17 @@ fn telemetry_records_recovery_stages_and_aborted_spans() {
 }
 
 #[test]
-fn metrics_snapshot_folds_latency_histogram() {
+fn report_capture_reads_the_latency_histogram() {
     let mut tmu = Tmu::new(cfg(TmuVariant::FullCounter));
     let mut mgr = TestMgr::new(Some(write_txn(1, 4)), None);
     let mut sub = TestSub::default();
     run(&mut tmu, &mut mgr, &mut sub, 60, 0);
-    // Works even with telemetry disabled: gauges + histogram live.
-    let snap = tmu.metrics_snapshot();
-    assert_eq!(snap.gauge("tmu.outstanding"), Some(0));
-    let lat = snap.histogram("tmu.latency.total").expect("histogram");
-    assert_eq!(lat.count(), 1);
-    assert!(lat.percentile(99.0).is_some());
+    // Works even with telemetry disabled.
+    let report = crate::TmuReport::capture(&tmu);
+    assert_eq!(report.outstanding, 0);
+    assert_eq!(tmu.perf_log().total_latency().count(), 1);
+    assert!(report.p99_latency.is_some());
+    assert_eq!(report.max_latency, tmu.perf_log().total_latency().max());
 }
 
 #[test]

@@ -45,30 +45,28 @@ pub struct TmuReport {
 }
 
 impl TmuReport {
-    /// Snapshots `tmu` now. Latency statistics come from the metrics
-    /// hub's snapshot ([`Tmu::metrics_snapshot`]), which folds the
-    /// performance log's total-latency distribution into the
-    /// `tmu.latency.total` histogram.
+    /// Snapshots `tmu` now. Latency statistics come from the
+    /// performance log's total-latency distribution; a capture records
+    /// nothing into the telemetry hub.
     #[must_use]
     pub fn capture(tmu: &Tmu) -> Self {
-        let metrics = tmu.metrics_snapshot();
-        let latency = metrics.histogram("tmu.latency.total");
         let perf = tmu.perf_log();
+        let latency = perf.total_latency();
         TmuReport {
             variant: tmu.variant(),
             writes_completed: perf.writes(),
             reads_completed: perf.reads(),
             bytes_moved: perf.bytes(),
-            mean_latency: latency.and_then(sim::Histogram::mean),
-            p50_latency: latency.and_then(|h| h.percentile(50.0)),
-            p99_latency: latency.and_then(|h| h.percentile(99.0)),
-            max_latency: latency.and_then(sim::Histogram::max),
+            mean_latency: latency.mean(),
+            p50_latency: latency.percentile(50.0),
+            p99_latency: latency.percentile(99.0),
+            max_latency: latency.max(),
             telemetry_events: tmu.telemetry().seq(),
             faults: tmu.faults_detected(),
             resets: tmu.resets_requested(),
             error_records: tmu.error_log().len(),
             write_bottleneck: perf.write_bottleneck(),
-            outstanding: metrics.gauge("tmu.outstanding").unwrap_or(0) as usize,
+            outstanding: tmu.outstanding(),
         }
     }
 }

@@ -6,11 +6,9 @@
 //! hardware reset input — the target the TMU guards in the system-level
 //! evaluation.
 
-use std::collections::VecDeque;
-
-use axi4::burst::beat_address;
-use axi4::prelude::*;
 use tmu_telemetry::MetricsHub;
+
+use crate::subordinate::{Store, Subordinate, Timing};
 
 /// Configuration of the Ethernet-like peripheral.
 #[derive(Debug, Clone, Copy)]
@@ -20,9 +18,10 @@ pub struct EthConfig {
     pub pace_on: u64,
     /// See [`Self::pace_on`]. Zero means full throughput.
     pub pace_off: u64,
-    /// Cycles from `WLAST` to the TX completion response.
+    /// Cycles from `WLAST` to the TX completion response (at least one).
     pub tx_latency: u64,
-    /// Cycles from AR acceptance to the first RX data beat.
+    /// Cycles from AR acceptance to the first RX data beat (at least
+    /// one).
     pub rx_warmup: u64,
     /// Frame-buffer capacity in 64-bit words.
     pub buffer_words: usize,
@@ -40,215 +39,92 @@ impl Default for EthConfig {
     }
 }
 
-#[derive(Debug)]
-struct TxJob {
-    aw: AwBeat,
-    beats_done: u16,
+impl From<EthConfig> for Timing {
+    /// The latencies count cycles, not idle cycles, hence the minus one.
+    /// The peripheral takes at most four writes awaiting data; queued TX
+    /// completions do not count against them.
+    fn from(cfg: EthConfig) -> Self {
+        Timing {
+            aw_depth: 4,
+            write_depth: usize::MAX,
+            ar_depth: 4,
+            b_latency: cfg.tx_latency.saturating_sub(1),
+            r_warmup: cfg.rx_warmup.saturating_sub(1),
+            r_beat_gap: 0,
+            pace_on: cfg.pace_on,
+            pace_off: cfg.pace_off,
+        }
+    }
 }
 
+/// The peripheral's frame buffer: a ring of 64-bit words indexed by word
+/// address modulo its size. A W beat writes the whole word whatever its
+/// strobes.
 #[derive(Debug)]
-struct TxResp {
-    id: AxiId,
-    delay: u64,
+pub struct FrameBuffer(Vec<u64>);
+
+impl FrameBuffer {
+    fn index(&self, addr: u64) -> usize {
+        (addr / 8) as usize % self.0.len()
+    }
 }
 
-#[derive(Debug)]
-struct RxJob {
-    ar: ArBeat,
-    beats_done: u16,
-    warmup: u64,
-    /// Data of the R beat on the wires, latched when first driven: AXI
-    /// requires a beat waiting for `ready` to stay stable, even if a TX
-    /// write to the same buffer word commits meanwhile.
-    r_data: Option<u64>,
+impl Store for FrameBuffer {
+    #[inline]
+    fn read_word(&self, addr: u64) -> u64 {
+        self.0[self.index(addr)]
+    }
+
+    #[inline]
+    fn write_word(&mut self, addr: u64, data: u64, _strb: u8) {
+        let index = self.index(addr);
+        self.0[index] = data;
+    }
 }
 
 /// The Ethernet-like subordinate. See the [module docs](self).
-#[derive(Debug)]
-pub struct EthSub {
-    cfg: EthConfig,
-    buffer: Vec<u64>,
-    tx: VecDeque<TxJob>,
-    tx_resp: VecDeque<TxResp>,
-    rx: VecDeque<RxJob>,
-    pace_counter: u64,
-    frames_txed: u64,
-    beats_txed: u64,
-    beats_rxed: u64,
-    resets_seen: u64,
-}
+pub type EthSub = Subordinate<FrameBuffer>;
 
 impl EthSub {
     /// A peripheral with configuration `cfg`.
     #[must_use]
     pub fn new(cfg: EthConfig) -> Self {
-        EthSub {
-            buffer: vec![0; cfg.buffer_words],
-            cfg,
-            tx: VecDeque::new(),
-            tx_resp: VecDeque::new(),
-            rx: VecDeque::new(),
-            pace_counter: 0,
-            frames_txed: 0,
-            beats_txed: 0,
-            beats_rxed: 0,
-            resets_seen: 0,
-        }
+        Subordinate::with_store(cfg.into(), FrameBuffer(vec![0; cfg.buffer_words]))
     }
 
     /// Complete frames transmitted (write bursts fully absorbed).
     #[must_use]
     pub fn frames_txed(&self) -> u64 {
-        self.frames_txed
+        self.bursts_written
     }
 
     /// W beats absorbed.
     #[must_use]
     pub fn beats_txed(&self) -> u64 {
-        self.beats_txed
+        self.beats_written
     }
 
     /// R beats produced.
     #[must_use]
     pub fn beats_rxed(&self) -> u64 {
-        self.beats_rxed
+        self.beats_read
     }
 
     /// Hardware resets received.
     #[must_use]
     pub fn resets_seen(&self) -> u64 {
-        self.resets_seen
+        self.resets
     }
 
     /// Publishes the peripheral's levels and totals as telemetry gauges
     /// (`eth.*`), for the periodic sampler.
     pub fn publish_metrics(&self, metrics: &mut MetricsHub) {
-        metrics.gauge_set("eth.frames_txed", self.frames_txed);
-        metrics.gauge_set("eth.beats_txed", self.beats_txed);
-        metrics.gauge_set("eth.beats_rxed", self.beats_rxed);
-        metrics.gauge_set("eth.resets_seen", self.resets_seen);
-        metrics.gauge_set("eth.tx_queue", self.tx.len() as u64);
-        metrics.gauge_set("eth.rx_queue", self.rx.len() as u64);
-    }
-
-    /// A frame-buffer word (test/scoreboard access).
-    #[must_use]
-    pub fn buffer_word(&self, index: usize) -> u64 {
-        self.buffer.get(index).copied().unwrap_or(0)
-    }
-
-    fn buffer_index(buffer_words: usize, addr: Addr) -> usize {
-        (addr.0 / 8) as usize % buffer_words
-    }
-
-    fn w_paced_ready(&self) -> bool {
-        if self.cfg.pace_off == 0 {
-            return true;
-        }
-        self.pace_counter < self.cfg.pace_on
-    }
-
-    /// Drive pass: subordinate-side wires of `port`.
-    pub fn drive(&mut self, port: &mut AxiPort) {
-        port.aw.set_ready(self.tx.len() < 4);
-        port.ar.set_ready(self.rx.len() < 4);
-        port.w
-            .set_ready(!self.tx.is_empty() && self.w_paced_ready());
-        if let Some(resp) = self.tx_resp.front() {
-            if resp.delay == 0 {
-                port.b.drive(BBeat::new(resp.id, Resp::Okay));
-            }
-        }
-        if let Some(job) = self.rx.front_mut() {
-            if job.warmup == 0 {
-                let idx = job.beats_done;
-                let data = *job.r_data.get_or_insert_with(|| {
-                    let addr =
-                        beat_address(job.ar.addr, job.ar.size, job.ar.len, job.ar.burst, idx);
-                    self.buffer[Self::buffer_index(self.cfg.buffer_words, addr)]
-                });
-                let last = idx + 1 == job.ar.len.beats();
-                port.r.drive(RBeat::new(job.ar.id, data, Resp::Okay, last));
-            }
-        }
-    }
-
-    /// Commit pass: absorbs fired handshakes and advances pacing/timers.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a data beat fires with no transmit job queued — an internal invariant
-    /// violation (a bug in the monitor, not a caller error).
-    pub fn commit(&mut self, port: &AxiPort) {
-        if let Some(aw) = port.aw.fired_beat() {
-            self.tx.push_back(TxJob {
-                aw: *aw,
-                beats_done: 0,
-            });
-        }
-        if let Some(w) = port.w.fired_beat() {
-            let w = *w;
-            let (addr, done_job) = {
-                let job = self.tx.front_mut().expect("W fired with a TX in flight");
-                let idx = job.beats_done;
-                let addr = beat_address(job.aw.addr, job.aw.size, job.aw.len, job.aw.burst, idx);
-                job.beats_done += 1;
-                let finished = job.beats_done == job.aw.len.beats() || w.last;
-                (addr, finished)
-            };
-            let index = Self::buffer_index(self.cfg.buffer_words, addr);
-            self.buffer[index] = w.data;
-            self.beats_txed += 1;
-            if done_job {
-                let job = self.tx.pop_front().expect("front exists");
-                self.frames_txed += 1;
-                self.tx_resp.push_back(TxResp {
-                    id: job.aw.id,
-                    delay: self.cfg.tx_latency,
-                });
-            }
-        }
-        if port.b.fires() {
-            self.tx_resp.pop_front();
-        }
-        if let Some(ar) = port.ar.fired_beat() {
-            self.rx.push_back(RxJob {
-                ar: *ar,
-                beats_done: 0,
-                warmup: self.cfg.rx_warmup,
-                r_data: None,
-            });
-        }
-        if port.r.fires() {
-            self.beats_rxed += 1;
-            let job = self.rx.front_mut().expect("R fired with an RX in flight");
-            job.beats_done += 1;
-            job.r_data = None;
-            if job.beats_done == job.ar.len.beats() {
-                self.rx.pop_front();
-            }
-        }
-        // Pacing wheel and timers.
-        let period = self.cfg.pace_on + self.cfg.pace_off;
-        if period > 0 {
-            self.pace_counter = (self.pace_counter + 1) % period;
-        }
-        for resp in &mut self.tx_resp {
-            resp.delay = resp.delay.saturating_sub(1);
-        }
-        if let Some(job) = self.rx.front_mut() {
-            job.warmup = job.warmup.saturating_sub(1);
-        }
-    }
-
-    /// Hardware reset input: drops all in-flight work and pacing state —
-    /// what the external reset unit does after the TMU isolates a fault.
-    pub fn reset(&mut self) {
-        self.tx.clear();
-        self.tx_resp.clear();
-        self.rx.clear();
-        self.pace_counter = 0;
-        self.resets_seen += 1;
+        metrics.gauge_set("eth.frames_txed", self.bursts_written);
+        metrics.gauge_set("eth.beats_txed", self.beats_written);
+        metrics.gauge_set("eth.beats_rxed", self.beats_read);
+        metrics.gauge_set("eth.resets_seen", self.resets);
+        metrics.gauge_set("eth.tx_queue", self.writes_awaiting_data() as u64);
+        metrics.gauge_set("eth.rx_queue", self.reads_in_flight() as u64);
     }
 }
 
@@ -261,6 +137,7 @@ impl Default for EthSub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axi4::prelude::*;
 
     fn do_frame(eth: &mut EthSub, id: u16, beats: u16) -> u64 {
         let txn = TxnBuilder::new(AxiId(id), Addr(0x0))
@@ -302,7 +179,7 @@ mod tests {
         do_frame(&mut eth, 1, 16);
         assert_eq!(eth.frames_txed(), 1);
         assert_eq!(eth.beats_txed(), 16);
-        assert_eq!(eth.buffer_word(3), 0x103);
+        assert_eq!(eth.store.read_word(3 * 8), 0x103);
     }
 
     #[test]

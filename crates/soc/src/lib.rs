@@ -13,10 +13,13 @@
 //!   fair, stability-preserving arbitration.
 //! * [`demux`] — a 1-to-N address-decoding demultiplexer with same-ID
 //!   ordering stalls and a DECERR default subordinate.
+//! * [`subordinate`] — the one AXI subordinate pipeline, generic over
+//!   the [`Store`](subordinate::Store) that keeps its data.
 //! * [`memory`] — a DRAM-controller-like subordinate with configurable
-//!   latencies.
+//!   latencies: the pipeline over a sparse word map.
 //! * [`ethernet`] — an Ethernet-like streaming peripheral with per-beat
-//!   pacing, frame accounting and a hardware reset input.
+//!   pacing, frame accounting and a hardware reset input: the pipeline
+//!   over a ring frame buffer.
 //! * [`link`] — a single guarded manager↔subordinate link, the
 //!   IP-level fault-injection harness of Fig. 9.
 //! * [`stage`] — the [`LinkStage`] protocol every per-link unit (TMU +
@@ -56,6 +59,7 @@ pub mod mux;
 pub mod probe;
 pub mod regulated;
 pub mod stage;
+pub mod subordinate;
 pub mod system;
 
 pub use demux::{AddrRegion, Demux};

@@ -15,9 +15,7 @@ use sim::Reset;
 use tmu::{Tmu, TmuConfig};
 use tmu_telemetry::{MetricsHub, TelemetryConfig};
 
-use crate::ethernet::EthSub;
 use crate::manager::{TrafficGen, TrafficPattern};
-use crate::memory::MemSub;
 use crate::probe::WaveProbe;
 use crate::stage::commit_guarded;
 
@@ -61,34 +59,6 @@ pub trait AxiSubordinate {
     fn commit(&mut self, port: &AxiPort);
     /// Hardware reset input.
     fn reset(&mut self);
-}
-
-impl AxiSubordinate for MemSub {
-    fn drive(&mut self, port: &mut AxiPort) {
-        MemSub::drive(self, port);
-    }
-
-    fn commit(&mut self, port: &AxiPort) {
-        MemSub::commit(self, port);
-    }
-
-    fn reset(&mut self) {
-        MemSub::reset(self);
-    }
-}
-
-impl AxiSubordinate for EthSub {
-    fn drive(&mut self, port: &mut AxiPort) {
-        EthSub::drive(self, port);
-    }
-
-    fn commit(&mut self, port: &AxiPort) {
-        EthSub::commit(self, port);
-    }
-
-    fn reset(&mut self) {
-        EthSub::reset(self);
-    }
 }
 
 /// A subordinate that never responds — not even with `ready` — modelling
@@ -316,6 +286,8 @@ impl<S: AxiSubordinate, M: AxiManager> GuardedLink<S, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ethernet::EthSub;
+    use crate::memory::MemSub;
     use faults::{FaultClass, Trigger};
     use tmu::TmuVariant;
 

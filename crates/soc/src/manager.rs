@@ -73,15 +73,6 @@ impl TrafficPattern {
             verify_data: false,
         }
     }
-
-    /// Same, for a read.
-    #[must_use]
-    pub fn single_read(id: u16, addr: u64, beats: u16) -> Self {
-        TrafficPattern {
-            write_ratio: 0.0,
-            ..Self::single_write(id, addr, beats)
-        }
-    }
 }
 
 /// Completion statistics of one manager.
@@ -603,7 +594,11 @@ mod tests {
 
     #[test]
     fn single_read_script() {
-        let mut gen = TrafficGen::new(TrafficPattern::single_read(2, 0x9000_0000, 8), 1);
+        let pattern = TrafficPattern {
+            write_ratio: 0.0,
+            ..TrafficPattern::single_write(2, 0x9000_0000, 8)
+        };
+        let mut gen = TrafficGen::new(pattern, 1);
         run(&mut gen, 200);
         assert!(gen.is_done());
         assert_eq!(gen.stats().reads_completed, 1);

@@ -6,18 +6,16 @@
 //! data is always verifiable). Latencies are configurable to emulate
 //! anything from an SRAM to a busy DRAM channel.
 
-use std::collections::VecDeque;
-
-use axi4::burst::beat_address;
 use axi4::hash::FoldHashMap;
-use axi4::prelude::*;
+
+use crate::subordinate::{Store, Subordinate, Timing};
 
 /// Latency/throughput knobs of the memory model.
 #[derive(Debug, Clone, Copy)]
 pub struct MemConfig {
-    /// Cycles from `WLAST` to `b_valid`.
+    /// Idle cycles between the `WLAST` handshake and `b_valid`.
     pub b_latency: u64,
-    /// Cycles from AR acceptance to the first `r_valid`.
+    /// Idle cycles between AR acceptance and the first `r_valid`.
     pub r_warmup: u64,
     /// Extra cycles between consecutive R beats (0 = streaming).
     pub r_beat_gap: u64,
@@ -37,6 +35,22 @@ impl Default for MemConfig {
     }
 }
 
+impl From<MemConfig> for Timing {
+    /// A write counts against `max_inflight` until its B response fires.
+    fn from(cfg: MemConfig) -> Self {
+        Timing {
+            aw_depth: cfg.max_inflight,
+            write_depth: cfg.max_inflight,
+            ar_depth: cfg.max_inflight,
+            b_latency: cfg.b_latency,
+            r_warmup: cfg.r_warmup,
+            r_beat_gap: cfg.r_beat_gap,
+            pace_on: 0,
+            pace_off: 0,
+        }
+    }
+}
+
 /// Deterministic pattern for never-written words, so read paths are
 /// verifiable without priming memory.
 #[must_use]
@@ -44,70 +58,49 @@ pub fn pattern_word(addr: u64) -> u64 {
     addr ^ 0xDEAD_BEEF_CAFE_F00D
 }
 
-/// The word `store` holds at `addr`, or the pattern if never written.
-fn stored_word(store: &FoldHashMap<u64, u64>, addr: u64) -> u64 {
-    store
-        .get(&addr)
-        .copied()
-        .unwrap_or_else(|| pattern_word(addr))
-}
+/// The memory's store: a sparse word map in which a never-written word
+/// reads as [`pattern_word`] and a W beat merges its strobed byte lanes.
+#[derive(Debug, Default)]
+pub struct WordMap(FoldHashMap<u64, u64>);
 
-#[derive(Debug)]
-struct WriteJob {
-    aw: AwBeat,
-    beats_done: u16,
-}
+impl Store for WordMap {
+    #[inline]
+    fn read_word(&self, addr: u64) -> u64 {
+        self.0
+            .get(&addr)
+            .copied()
+            .unwrap_or_else(|| pattern_word(addr))
+    }
 
-#[derive(Debug)]
-struct BJob {
-    id: AxiId,
-    delay: u64,
-}
-
-#[derive(Debug)]
-struct ReadJob {
-    ar: ArBeat,
-    beats_done: u16,
-    warmup: u64,
-    gap: u64,
-    /// Data of the R beat on the wires, latched when first driven: AXI
-    /// requires a beat waiting for `ready` to stay stable, even if a
-    /// write to the same word commits meanwhile.
-    r_data: Option<u64>,
+    #[inline]
+    fn write_word(&mut self, addr: u64, data: u64, strb: u8) {
+        if strb == 0xff {
+            self.0.insert(addr, data);
+        } else if strb != 0 {
+            let mask = (0..8)
+                .filter(|lane| strb & (1 << lane) != 0)
+                .fold(0u64, |mask, lane| mask | 0xff << (lane * 8));
+            let merged = (self.read_word(addr) & !mask) | (data & mask);
+            self.0.insert(addr, merged);
+        }
+    }
 }
 
 /// The memory subordinate. See the [module docs](self).
-#[derive(Debug)]
-pub struct MemSub {
-    cfg: MemConfig,
-    store: FoldHashMap<u64, u64>,
-    writes: VecDeque<WriteJob>,
-    b_queue: VecDeque<BJob>,
-    reads: VecDeque<ReadJob>,
-    beats_written: u64,
-    beats_read: u64,
-}
+pub type MemSub = Subordinate<WordMap>;
 
 impl MemSub {
     /// A memory with configuration `cfg`.
     #[must_use]
     pub fn new(cfg: MemConfig) -> Self {
-        MemSub {
-            cfg,
-            store: FoldHashMap::default(),
-            writes: VecDeque::new(),
-            b_queue: VecDeque::new(),
-            reads: VecDeque::new(),
-            beats_written: 0,
-            beats_read: 0,
-        }
+        Subordinate::with_store(cfg.into(), WordMap::default())
     }
 
     /// Reads a 64-bit word the model currently holds at `addr`
     /// (test/scoreboard access).
     #[must_use]
     pub fn word(&self, addr: u64) -> u64 {
-        stored_word(&self.store, addr)
+        self.store.read_word(addr)
     }
 
     /// Total W beats absorbed.
@@ -121,136 +114,6 @@ impl MemSub {
     pub fn beats_read(&self) -> u64 {
         self.beats_read
     }
-
-    fn write_inflight(&self) -> usize {
-        self.writes.len() + self.b_queue.len()
-    }
-
-    /// Drive pass: subordinate-side wires of `port`.
-    pub fn drive(&mut self, port: &mut AxiPort) {
-        port.aw
-            .set_ready(self.write_inflight() < self.cfg.max_inflight);
-        port.ar.set_ready(self.reads.len() < self.cfg.max_inflight);
-        port.w.set_ready(!self.writes.is_empty());
-        if let Some(b) = self.b_queue.front() {
-            if b.delay == 0 {
-                port.b.drive(BBeat::new(b.id, Resp::Okay));
-            }
-        }
-        if let Some(job) = self.reads.front_mut() {
-            if job.warmup == 0 && job.gap == 0 {
-                let idx = job.beats_done;
-                let data = *job.r_data.get_or_insert_with(|| {
-                    let addr =
-                        beat_address(job.ar.addr, job.ar.size, job.ar.len, job.ar.burst, idx);
-                    stored_word(&self.store, addr.0)
-                });
-                let last = idx + 1 == job.ar.len.beats();
-                port.r.drive(RBeat::new(job.ar.id, data, Resp::Okay, last));
-            }
-        }
-    }
-
-    /// Commit pass: absorbs fired handshakes and advances timers.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a data beat fires with no pending read job — an internal invariant
-    /// violation (a bug in the monitor, not a caller error).
-    pub fn commit(&mut self, port: &AxiPort) {
-        // Timers advance first so entries queued in this commit keep
-        // their full delay.
-        for b in &mut self.b_queue {
-            b.delay = b.delay.saturating_sub(1);
-        }
-        if let Some(job) = self.reads.front_mut() {
-            if job.warmup > 0 {
-                job.warmup -= 1;
-            } else if job.gap > 0 && !port.r.fires() {
-                job.gap -= 1;
-            }
-        }
-        if let Some(aw) = port.aw.fired_beat() {
-            self.writes.push_back(WriteJob {
-                aw: *aw,
-                beats_done: 0,
-            });
-        }
-        if let Some(w) = port.w.fired_beat() {
-            let w = *w;
-            let (addr, job_done, job_id) = {
-                let job = self
-                    .writes
-                    .front_mut()
-                    .expect("W fired with a write in flight");
-                let idx = job.beats_done;
-                let addr = beat_address(job.aw.addr, job.aw.size, job.aw.len, job.aw.burst, idx);
-                job.beats_done += 1;
-                (
-                    addr,
-                    job.beats_done == job.aw.len.beats() || w.last,
-                    job.aw.id,
-                )
-            };
-            if w.strb == 0xff {
-                self.store.insert(addr.0, w.data);
-            } else if w.strb != 0 {
-                // Partial strobes: merge byte lanes.
-                let old = self.word(addr.0);
-                let mut merged = old;
-                for lane in 0..8 {
-                    if w.strb & (1 << lane) != 0 {
-                        let mask = 0xffu64 << (lane * 8);
-                        merged = (merged & !mask) | (w.data & mask);
-                    }
-                }
-                self.store.insert(addr.0, merged);
-            }
-            self.beats_written += 1;
-            if job_done {
-                self.writes.pop_front().expect("front exists");
-                self.b_queue.push_back(BJob {
-                    id: job_id,
-                    delay: self.cfg.b_latency,
-                });
-            }
-        }
-        if port.b.fires() {
-            self.b_queue.pop_front();
-        }
-        if let Some(ar) = port.ar.fired_beat() {
-            self.reads.push_back(ReadJob {
-                ar: *ar,
-                beats_done: 0,
-                warmup: self.cfg.r_warmup,
-                gap: 0,
-                r_data: None,
-            });
-        }
-        if port.r.fires() {
-            self.beats_read += 1;
-            let gap = self.cfg.r_beat_gap;
-            let job = self
-                .reads
-                .front_mut()
-                .expect("R fired with a read in flight");
-            job.beats_done += 1;
-            job.r_data = None;
-            if job.beats_done == job.ar.len.beats() {
-                self.reads.pop_front();
-            } else {
-                job.gap = gap;
-            }
-        }
-    }
-
-    /// Hardware reset: drops all in-flight work (contents persist, like
-    /// a controller reset in front of retained DRAM).
-    pub fn reset(&mut self) {
-        self.writes.clear();
-        self.b_queue.clear();
-        self.reads.clear();
-    }
 }
 
 impl Default for MemSub {
@@ -262,6 +125,7 @@ impl Default for MemSub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axi4::prelude::*;
 
     /// Drives one full write transaction through the memory and returns
     /// cycles taken until B.

@@ -3,10 +3,11 @@
 //! [`MetricsHub`] is the numeric side of the telemetry layer. Components
 //! publish monotonic **counters** (`tmu.write.txns_completed`), level
 //! **gauges** (`tmu.write.ott_occupancy`), and latency **histograms**
-//! (`tmu.latency.total`, backed by [`sim::Histogram`] so p50/p99 come
-//! for free). A periodic sampler snapshots the hub every N cycles into
-//! a bounded ring of [`MetricsSample`]s whose counter fields are
-//! *deltas* since the previous sample — ready to stream as JSON lines.
+//! (`regulate.grant_wait.write`, backed by [`sim::Histogram`] so
+//! p50/p99 come for free). A periodic sampler snapshots the hub every N
+//! cycles into a bounded ring of [`MetricsSample`]s whose counter fields
+//! are *deltas* since the previous sample — ready to stream as JSON
+//! lines.
 //!
 //! # Naming convention
 //!
@@ -131,11 +132,6 @@ impl MetricsHub {
         slot(&mut self.counters, name).total += delta;
     }
 
-    /// Adds one to counter `name`.
-    pub fn counter_incr(&mut self, name: &'static str) {
-        self.counter_add(name, 1);
-    }
-
     /// Sets gauge `name` to `value`.
     pub fn gauge_set(&mut self, name: &'static str, value: u64) {
         *slot(&mut self.gauges, name) = value;
@@ -144,12 +140,6 @@ impl MetricsHub {
     /// Records `sample` into histogram `name` (creating it empty).
     pub fn observe(&mut self, name: &'static str, sample: u64) {
         self.histograms.entry(name).or_default().record(sample);
-    }
-
-    /// Replaces histogram `name` wholesale (used to mirror an existing
-    /// latency log into the hub).
-    pub fn set_histogram(&mut self, name: &'static str, histogram: Histogram) {
-        self.histograms.insert(name, histogram);
     }
 
     /// Current total of counter `name` (zero if never touched).
@@ -232,19 +222,6 @@ impl MetricsHub {
         }
         out
     }
-
-    /// Merges counters, gauges (other wins) and histograms from `other`.
-    pub fn absorb(&mut self, other: &MetricsHub) {
-        for &(k, c) in &other.counters {
-            slot(&mut self.counters, k).total += c.total;
-        }
-        for &(k, v) in &other.gauges {
-            *slot(&mut self.gauges, k) = v;
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k).or_default().merge(h);
-        }
-    }
 }
 
 impl fmt::Display for MetricsHub {
@@ -282,7 +259,7 @@ mod tests {
     #[test]
     fn counters_and_gauges() {
         let mut m = MetricsHub::new();
-        m.counter_incr("tmu.faults");
+        m.counter_add("tmu.faults", 1);
         m.counter_add("tmu.faults", 2);
         m.gauge_set("tmu.outstanding", 5);
         m.gauge_set("tmu.outstanding", 3);
@@ -361,21 +338,5 @@ mod tests {
         let display = m.to_string();
         assert!(display.contains("p50<="));
         assert!(display.contains("p99<="));
-    }
-
-    #[test]
-    fn absorb_merges_all_kinds() {
-        let mut a = MetricsHub::new();
-        a.counter_add("c", 1);
-        a.gauge_set("g", 1);
-        a.observe("h", 10);
-        let mut b = MetricsHub::new();
-        b.counter_add("c", 2);
-        b.gauge_set("g", 9);
-        b.observe("h", 20);
-        a.absorb(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.gauge("g"), Some(9));
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
     }
 }
