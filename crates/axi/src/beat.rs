@@ -5,6 +5,8 @@
 //! handshake. Address channels carry one beat per transaction; data
 //! channels carry `BurstLen::beats()` beats per transaction.
 
+#![warn(clippy::missing_inline_in_public_items)]
+
 use std::fmt;
 
 use crate::types::{Addr, AxiId, BurstKind, BurstLen, BurstSize, Resp};
@@ -26,6 +28,7 @@ pub trait AddrBeat: Copy + fmt::Debug + fmt::Display {
     fn burst(&self) -> BurstKind;
 
     /// Total bytes moved by the burst this beat announces.
+    #[inline]
     fn total_bytes(&self) -> u64 {
         u64::from(self.burst_len().beats()) * u64::from(self.size().bytes())
     }
@@ -35,18 +38,23 @@ pub trait AddrBeat: Copy + fmt::Debug + fmt::Display {
 macro_rules! addr_beat {
     ($beat:ty) => {
         impl AddrBeat for $beat {
+            #[inline]
             fn id(&self) -> AxiId {
                 self.id
             }
+            #[inline]
             fn addr(&self) -> Addr {
                 self.addr
             }
+            #[inline]
             fn burst_len(&self) -> BurstLen {
                 self.len
             }
+            #[inline]
             fn size(&self) -> BurstSize {
                 self.size
             }
+            #[inline]
             fn burst(&self) -> BurstKind {
                 self.burst
             }
@@ -81,6 +89,7 @@ pub struct AwBeat {
 
 impl AwBeat {
     /// Constructs a write-address beat.
+    #[inline]
     #[must_use]
     pub fn new(id: AxiId, addr: Addr, len: BurstLen, size: BurstSize, burst: BurstKind) -> Self {
         AwBeat {
@@ -94,6 +103,7 @@ impl AwBeat {
 }
 
 impl fmt::Display for AwBeat {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -120,6 +130,7 @@ pub struct WBeat {
 
 impl WBeat {
     /// Constructs a write-data beat with all byte lanes enabled.
+    #[inline]
     #[must_use]
     pub fn new(data: u64, last: bool) -> Self {
         WBeat {
@@ -130,6 +141,7 @@ impl WBeat {
     }
 
     /// Constructs a write-data beat with explicit strobes.
+    #[inline]
     #[must_use]
     pub fn with_strobes(data: u64, strb: u8, last: bool) -> Self {
         WBeat { data, strb, last }
@@ -137,6 +149,7 @@ impl WBeat {
 }
 
 impl fmt::Display for WBeat {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -159,12 +172,14 @@ pub struct BBeat {
 
 impl BBeat {
     /// Constructs a write-response beat.
+    #[inline]
     #[must_use]
     pub fn new(id: AxiId, resp: Resp) -> Self {
         BBeat { id, resp }
     }
 
     /// The `SLVERR` abort response the TMU issues for transaction `id`.
+    #[inline]
     #[must_use]
     pub fn abort(id: AxiId) -> Self {
         BBeat {
@@ -175,6 +190,7 @@ impl BBeat {
 }
 
 impl fmt::Display for BBeat {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "B {} {}", self.id, self.resp)
     }
@@ -197,6 +213,7 @@ pub struct ArBeat {
 
 impl ArBeat {
     /// Constructs a read-address beat.
+    #[inline]
     #[must_use]
     pub fn new(id: AxiId, addr: Addr, len: BurstLen, size: BurstSize, burst: BurstKind) -> Self {
         ArBeat {
@@ -210,6 +227,7 @@ impl ArBeat {
 }
 
 impl fmt::Display for ArBeat {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -234,6 +252,7 @@ pub struct RBeat {
 
 impl RBeat {
     /// Constructs a read-data beat.
+    #[inline]
     #[must_use]
     pub fn new(id: AxiId, data: u64, resp: Resp, last: bool) -> Self {
         RBeat {
@@ -246,6 +265,7 @@ impl RBeat {
 
     /// The `SLVERR` abort beat the TMU issues when draining an aborted
     /// read transaction.
+    #[inline]
     #[must_use]
     pub fn abort(id: AxiId, last: bool) -> Self {
         RBeat {
@@ -258,6 +278,7 @@ impl RBeat {
 }
 
 impl fmt::Display for RBeat {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,

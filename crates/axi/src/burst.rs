@@ -7,6 +7,8 @@
 //! beat lands), by scoreboards (to verify data), and by the protocol
 //! checker (4 KiB rule, wrap legality).
 
+#![warn(clippy::missing_inline_in_public_items)]
+
 use crate::types::{Addr, BurstKind, BurstLen, BurstSize};
 
 /// The AXI4 protection-boundary granule: a burst must not cross a 4 KiB
@@ -38,6 +40,7 @@ pub const BOUNDARY_4K: u64 = 4096;
 ///     .collect();
 /// assert_eq!(addrs, vec![0x30, 0x38, 0x20, 0x28]);
 /// ```
+#[inline]
 #[must_use]
 pub fn beat_address(
     start: Addr,
@@ -73,6 +76,7 @@ pub fn beat_address(
 ///                       BurstLen::from_beats(4).unwrap());
 /// assert_eq!(b.0, 0x30);
 /// ```
+#[inline]
 #[must_use]
 pub fn wrap_boundary(start: Addr, size: BurstSize, len: BurstLen) -> Addr {
     let container = u64::from(size.bytes()) * u64::from(len.beats());
@@ -98,6 +102,7 @@ pub fn wrap_boundary(start: Addr, size: BurstSize, len: BurstLen) -> Addr {
 /// assert!(!crosses_4k_boundary(Addr(0xFE0), size, len, BurstKind::Incr));
 /// assert!(!crosses_4k_boundary(Addr(0xFF8), size, len, BurstKind::Fixed));
 /// ```
+#[inline]
 #[must_use]
 pub fn crosses_4k_boundary(start: Addr, size: BurstSize, len: BurstLen, kind: BurstKind) -> bool {
     match kind {
@@ -126,6 +131,7 @@ pub struct BeatAddresses {
 impl Iterator for BeatAddresses {
     type Item = Addr;
 
+    #[inline]
     fn next(&mut self) -> Option<Addr> {
         if self.next >= self.len.beats() {
             return None;
@@ -135,6 +141,7 @@ impl Iterator for BeatAddresses {
         Some(addr)
     }
 
+    #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
         let rem = usize::from(self.len.beats() - self.next);
         (rem, Some(rem))
@@ -154,6 +161,7 @@ impl ExactSizeIterator for BeatAddresses {}
 ///     .collect();
 /// assert_eq!(addrs, vec![0x10, 0x14, 0x18]);
 /// ```
+#[inline]
 #[must_use]
 pub fn beat_addresses(
     start: Addr,

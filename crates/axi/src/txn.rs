@@ -5,6 +5,8 @@
 //! complete burst plus the data it carries, and can be lowered to the
 //! per-channel beats ([`WriteTxn::aw_beat`], [`WriteTxn::w_beat`], …).
 
+#![warn(clippy::missing_inline_in_public_items)]
+
 use crate::beat::{ArBeat, AwBeat, WBeat};
 use crate::burst::crosses_4k_boundary;
 use crate::types::{Addr, AxiId, BurstKind, BurstLen, BurstSize};
@@ -32,6 +34,7 @@ pub enum BuildTxnError {
 }
 
 impl std::fmt::Display for BuildTxnError {
+    #[inline]
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BuildTxnError::BadLength(beats) => write!(f, "burst length {beats} outside 1..=256"),
@@ -77,6 +80,7 @@ pub struct WriteTxn {
 
 impl WriteTxn {
     /// The AW beat announcing this transaction.
+    #[inline]
     #[must_use]
     pub fn aw_beat(&self) -> AwBeat {
         AwBeat::new(self.id, self.addr, self.len, self.size, self.burst)
@@ -88,6 +92,7 @@ impl WriteTxn {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
+    #[inline]
     #[must_use]
     pub fn w_beat(&self, index: u16) -> WBeat {
         let beats = self.len.beats();
@@ -96,6 +101,7 @@ impl WriteTxn {
     }
 
     /// Number of data beats.
+    #[inline]
     #[must_use]
     pub fn beats(&self) -> u16 {
         self.len.beats()
@@ -120,12 +126,14 @@ pub struct ReadTxn {
 
 impl ReadTxn {
     /// The AR beat announcing this transaction.
+    #[inline]
     #[must_use]
     pub fn ar_beat(&self) -> ArBeat {
         ArBeat::new(self.id, self.addr, self.len, self.size, self.burst)
     }
 
     /// Number of expected data beats.
+    #[inline]
     #[must_use]
     pub fn beats(&self) -> u16 {
         self.len.beats()
@@ -161,6 +169,7 @@ pub struct TxnBuilder {
 impl TxnBuilder {
     /// Starts a builder for a single-beat INCR burst at `addr` with the
     /// default 64-bit beat size.
+    #[inline]
     #[must_use]
     pub fn new(id: AxiId, addr: Addr) -> Self {
         TxnBuilder {
@@ -177,6 +186,7 @@ impl TxnBuilder {
     /// # Panics
     ///
     /// Panics if `bytes` is not a legal AXI4 size.
+    #[inline]
     #[must_use]
     pub fn size_bytes(mut self, bytes: u32) -> Self {
         let size = BurstSize::from_bytes(bytes);
@@ -186,6 +196,7 @@ impl TxnBuilder {
     }
 
     /// Selects an INCR burst of `beats` beats.
+    #[inline]
     #[must_use]
     pub fn incr(mut self, beats: u16) -> Self {
         self.burst = BurstKind::Incr;
@@ -194,6 +205,7 @@ impl TxnBuilder {
     }
 
     /// Selects a FIXED burst of `beats` beats.
+    #[inline]
     #[must_use]
     pub fn fixed(mut self, beats: u16) -> Self {
         self.burst = BurstKind::Fixed;
@@ -203,6 +215,7 @@ impl TxnBuilder {
 
     /// Selects a WRAP burst of `beats` beats (must be 2, 4, 8 or 16 to
     /// validate).
+    #[inline]
     #[must_use]
     pub fn wrap(mut self, beats: u16) -> Self {
         self.burst = BurstKind::Wrap;
@@ -210,6 +223,7 @@ impl TxnBuilder {
         self
     }
 
+    #[inline]
     fn validate(&self) -> Result<BurstLen, BuildTxnError> {
         let len = BurstLen::from_beats(self.beats).ok_or(BuildTxnError::BadLength(self.beats))?;
         if self.burst == BurstKind::Fixed && self.beats > 16 {
@@ -236,6 +250,7 @@ impl TxnBuilder {
     ///
     /// Returns a [`BuildTxnError`] if the burst violates an AXI4 rule or
     /// `data.len()` does not match the beat count.
+    #[inline]
     pub fn write(self, data: Vec<u64>) -> Result<WriteTxn, BuildTxnError> {
         let len = self.validate()?;
         if data.len() != usize::from(len.beats()) {
@@ -261,6 +276,7 @@ impl TxnBuilder {
     /// # Errors
     ///
     /// Returns a [`BuildTxnError`] if the burst violates an AXI4 rule.
+    #[inline]
     pub fn aw_beat(self) -> Result<AwBeat, BuildTxnError> {
         let len = self.validate()?;
         Ok(AwBeat::new(self.id, self.addr, len, self.size, self.burst))
@@ -271,6 +287,7 @@ impl TxnBuilder {
     /// # Errors
     ///
     /// Returns a [`BuildTxnError`] if the burst violates an AXI4 rule.
+    #[inline]
     pub fn read(self) -> Result<ReadTxn, BuildTxnError> {
         let len = self.validate()?;
         Ok(ReadTxn {

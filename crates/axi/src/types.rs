@@ -3,6 +3,8 @@
 //! These newtypes keep the rest of the code base honest about what a raw
 //! integer means: a transaction ID is not an address is not a burst length.
 
+#![warn(clippy::missing_inline_in_public_items)]
+
 use std::fmt;
 
 /// An AXI4 transaction identifier (`AWID`/`ARID`/`BID`/`RID`).
@@ -22,18 +24,21 @@ use std::fmt;
 pub struct AxiId(pub u16);
 
 impl fmt::Display for AxiId {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "ID#{}", self.0)
     }
 }
 
 impl fmt::LowerHex for AxiId {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::LowerHex::fmt(&self.0, f)
     }
 }
 
 impl From<u16> for AxiId {
+    #[inline]
     fn from(raw: u16) -> Self {
         AxiId(raw)
     }
@@ -52,6 +57,7 @@ pub struct Addr(pub u64);
 impl Addr {
     /// Returns this address displaced by `bytes` (wrapping on overflow,
     /// matching hardware adder behaviour).
+    #[inline]
     #[must_use]
     pub fn offset(self, bytes: u64) -> Addr {
         Addr(self.0.wrapping_add(bytes))
@@ -63,6 +69,7 @@ impl Addr {
     /// # Panics
     ///
     /// Panics if `bytes` is not a power of two.
+    #[inline]
     #[must_use]
     pub fn align_down(self, bytes: u64) -> Addr {
         assert!(bytes.is_power_of_two(), "alignment must be a power of two");
@@ -74,6 +81,7 @@ impl Addr {
     /// # Panics
     ///
     /// Panics if `bytes` is not a power of two.
+    #[inline]
     #[must_use]
     pub fn is_aligned(self, bytes: u64) -> bool {
         assert!(bytes.is_power_of_two(), "alignment must be a power of two");
@@ -82,18 +90,21 @@ impl Addr {
 }
 
 impl fmt::Display for Addr {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "0x{:08x}", self.0)
     }
 }
 
 impl fmt::LowerHex for Addr {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::LowerHex::fmt(&self.0, f)
     }
 }
 
 impl From<u64> for Addr {
+    #[inline]
     fn from(raw: u64) -> Self {
         Addr(raw)
     }
@@ -125,6 +136,7 @@ impl BurstKind {
     /// assert_eq!(BurstKind::from_bits(0b01), BurstKind::Incr);
     /// assert_eq!(BurstKind::from_bits(0b11), BurstKind::Reserved);
     /// ```
+    #[inline]
     #[must_use]
     pub fn from_bits(bits: u8) -> BurstKind {
         match bits & 0b11 {
@@ -136,6 +148,7 @@ impl BurstKind {
     }
 
     /// Encodes to the two-bit wire representation.
+    #[inline]
     #[must_use]
     pub fn to_bits(self) -> u8 {
         match self {
@@ -148,6 +161,7 @@ impl BurstKind {
 }
 
 impl fmt::Display for BurstKind {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             BurstKind::Fixed => "FIXED",
@@ -180,6 +194,7 @@ impl BurstLen {
     pub const MAX: BurstLen = BurstLen(255);
 
     /// Constructs from the raw wire value (*beats − 1*).
+    #[inline]
     #[must_use]
     pub fn from_raw(raw: u8) -> BurstLen {
         BurstLen(raw)
@@ -187,6 +202,7 @@ impl BurstLen {
 
     /// Constructs from a beat count in `1..=256`; returns `None` outside
     /// that range.
+    #[inline]
     #[must_use]
     pub fn from_beats(beats: u16) -> Option<BurstLen> {
         if (1..=256).contains(&beats) {
@@ -197,12 +213,14 @@ impl BurstLen {
     }
 
     /// The raw wire value (*beats − 1*).
+    #[inline]
     #[must_use]
     pub fn raw(self) -> u8 {
         self.0
     }
 
     /// The number of data beats in the burst (`1..=256`).
+    #[inline]
     #[must_use]
     pub fn beats(self) -> u16 {
         u16::from(self.0) + 1
@@ -210,6 +228,7 @@ impl BurstLen {
 
     /// True if this length is legal for a WRAP burst (2, 4, 8 or 16
     /// beats per the AXI4 specification).
+    #[inline]
     #[must_use]
     pub fn is_legal_wrap(self) -> bool {
         matches!(self.beats(), 2 | 4 | 8 | 16)
@@ -217,6 +236,7 @@ impl BurstLen {
 }
 
 impl fmt::Display for BurstLen {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} beats", self.beats())
     }
@@ -240,12 +260,14 @@ impl BurstSize {
 
     /// Constructs from the raw 3-bit wire value (log2 bytes); returns
     /// `None` above 7.
+    #[inline]
     #[must_use]
     pub fn from_raw(raw: u8) -> Option<BurstSize> {
         (raw <= Self::MAX_RAW).then_some(BurstSize(raw))
     }
 
     /// Constructs from a power-of-two byte count in `1..=128`.
+    #[inline]
     #[must_use]
     pub fn from_bytes(bytes: u32) -> Option<BurstSize> {
         if bytes.is_power_of_two() && (1..=128).contains(&bytes) {
@@ -256,12 +278,14 @@ impl BurstSize {
     }
 
     /// The raw wire value (log2 of the bytes per beat).
+    #[inline]
     #[must_use]
     pub fn raw(self) -> u8 {
         self.0
     }
 
     /// Bytes transferred per beat.
+    #[inline]
     #[must_use]
     pub fn bytes(self) -> u32 {
         1 << self.0
@@ -271,12 +295,14 @@ impl BurstSize {
 impl Default for BurstSize {
     /// Defaults to 8 bytes per beat — the 64-bit data bus used throughout
     /// the paper's system-level evaluation.
+    #[inline]
     fn default() -> Self {
         BurstSize(3)
     }
 }
 
 impl fmt::Display for BurstSize {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} B/beat", self.bytes())
     }
@@ -299,6 +325,7 @@ pub enum Resp {
 
 impl Resp {
     /// Decodes the two-bit wire encoding.
+    #[inline]
     #[must_use]
     pub fn from_bits(bits: u8) -> Resp {
         match bits & 0b11 {
@@ -310,6 +337,7 @@ impl Resp {
     }
 
     /// Encodes to the two-bit wire representation.
+    #[inline]
     #[must_use]
     pub fn to_bits(self) -> u8 {
         match self {
@@ -321,6 +349,7 @@ impl Resp {
     }
 
     /// True for the two error responses (`SLVERR`, `DECERR`).
+    #[inline]
     #[must_use]
     pub fn is_error(self) -> bool {
         matches!(self, Resp::SlvErr | Resp::DecErr)
@@ -328,6 +357,7 @@ impl Resp {
 }
 
 impl fmt::Display for Resp {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             Resp::Okay => "OKAY",
