@@ -1,5 +1,7 @@
 //! The wire-level fault injector.
 
+#![warn(clippy::missing_inline_in_public_items)]
+
 use axi4::channel::AxiPort;
 use axi4::AxiId;
 
@@ -27,12 +29,14 @@ pub struct Injector {
 
 impl Injector {
     /// An injector with no fault armed.
+    #[inline]
     #[must_use]
     pub fn idle() -> Self {
         Injector::default()
     }
 
     /// An injector armed with `plan`.
+    #[inline]
     #[must_use]
     pub fn new(plan: FaultPlan) -> Self {
         Injector {
@@ -42,6 +46,7 @@ impl Injector {
     }
 
     /// Arms a (new) fault plan, clearing previous progress.
+    #[inline]
     pub fn arm(&mut self, plan: FaultPlan) {
         *self = Injector {
             plan: Some(plan),
@@ -51,12 +56,14 @@ impl Injector {
 
     /// Disarms the fault — the harness calls this when the subordinate is
     /// reset ([`Duration::UntilReset`] semantics).
+    #[inline]
     pub fn disarm(&mut self) {
         self.plan = None;
         self.active_since = None;
     }
 
     /// The armed plan, if any.
+    #[inline]
     #[must_use]
     pub fn plan(&self) -> Option<&FaultPlan> {
         self.plan.as_ref()
@@ -64,23 +71,27 @@ impl Injector {
 
     /// First cycle the fault was actually applied — the injection time
     /// that detection latency is measured from.
+    #[inline]
     #[must_use]
     pub fn activation_cycle(&self) -> Option<u64> {
         self.active_since
     }
 
     /// Cycles the fault has been actively corrupting wires.
+    #[inline]
     #[must_use]
     pub fn active_cycles(&self) -> u64 {
         self.active_cycles
     }
 
     /// Individual wire corruptions applied (diagnostics).
+    #[inline]
     #[must_use]
     pub fn corruptions_applied(&self) -> u64 {
         self.corruptions_applied
     }
 
+    #[inline]
     fn is_triggered(&self, cycle: u64) -> bool {
         let Some(plan) = &self.plan else { return false };
         if self.expired {
@@ -101,6 +112,7 @@ impl Injector {
         }
     }
 
+    #[inline]
     fn mark_active(&mut self, cycle: u64) {
         if self.active_since.is_none() {
             self.active_since = Some(cycle);
@@ -115,6 +127,7 @@ impl Injector {
     ///
     /// Panics only if the injector reports triggered without an armed plan — an internal invariant
     /// violation (a bug in the monitor, not a caller error).
+    #[inline]
     pub fn corrupt_manager_side(&mut self, mgr: &mut AxiPort, cycle: u64) {
         if !self.is_triggered(cycle) {
             return;
@@ -134,6 +147,7 @@ impl Injector {
     ///
     /// Panics only if the injector reports triggered without an armed plan — an internal invariant
     /// violation (a bug in the monitor, not a caller error).
+    #[inline]
     pub fn corrupt_subordinate_side(&mut self, sub: &mut AxiPort, cycle: u64) {
         if !self.is_triggered(cycle) {
             return;
@@ -179,6 +193,7 @@ impl Injector {
     /// Clock-edge bookkeeping: counts transferred beats (for the
     /// `After*Beats` triggers, observed on the subordinate port) and
     /// transient-duration progress.
+    #[inline]
     pub fn note_commit(&mut self, sub: &AxiPort, cycle: u64) {
         if sub.w.fires() {
             self.w_beats += 1;
