@@ -11,6 +11,8 @@
 //! The offline workspace has no serialisation crate, so machine-readable
 //! output is hand-assembled by [`TraceEvent::json_fields`].
 
+#![warn(clippy::missing_inline_in_public_items)]
+
 use std::fmt;
 
 /// Transaction direction (which guard emitted the event).
@@ -24,6 +26,7 @@ pub enum Dir {
 
 impl Dir {
     /// Lowercase name, used in metric keys and JSON.
+    #[inline]
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -33,6 +36,7 @@ impl Dir {
     }
 
     /// Single-letter tag used in track names ("W"/"R").
+    #[inline]
     #[must_use]
     pub fn letter(self) -> &'static str {
         match self {
@@ -43,6 +47,7 @@ impl Dir {
 }
 
 impl fmt::Display for Dir {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
     }
@@ -65,6 +70,7 @@ pub enum Channel {
 
 impl Channel {
     /// Canonical uppercase channel name.
+    #[inline]
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -78,6 +84,7 @@ impl Channel {
 }
 
 impl fmt::Display for Channel {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
     }
@@ -125,6 +132,7 @@ impl PhaseId {
     /// # Panics
     ///
     /// Panics if `index` is past the direction's terminal phase.
+    #[inline]
     #[must_use]
     pub const fn new(dir: Dir, index: u8) -> Self {
         let count = match dir {
@@ -136,18 +144,21 @@ impl PhaseId {
     }
 
     /// Which guard's state machine the phase belongs to.
+    #[inline]
     #[must_use]
     pub fn dir(self) -> Dir {
         self.dir
     }
 
     /// 0-based index among that direction's monitored phases.
+    #[inline]
     #[must_use]
     pub fn index(self) -> u8 {
         self.index
     }
 
     /// Human-readable phase name (e.g. `"AW-handshake"`).
+    #[inline]
     #[must_use]
     pub fn name(self) -> &'static str {
         let names: &[&'static str] = match self.dir {
@@ -159,6 +170,7 @@ impl PhaseId {
 }
 
 impl fmt::Display for PhaseId {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{}", self.dir.letter(), self.name())
     }
@@ -176,6 +188,7 @@ pub enum FaultClass {
 
 impl FaultClass {
     /// Lowercase name, used in metric keys and JSON.
+    #[inline]
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -207,6 +220,7 @@ pub enum RecoveryStage {
 
 impl RecoveryStage {
     /// Lowercase stage name.
+    #[inline]
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -367,6 +381,7 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// Short kebab-case kind tag, used as the JSON `"kind"` field.
+    #[inline]
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
@@ -391,6 +406,7 @@ impl TraceEvent {
     /// Renders the variant's payload as JSON object fields (no braces,
     /// no leading comma): `"dir":"write","id":3,…`. The offline workspace
     /// has no serialisation crate, so serialization is assembled by hand.
+    #[inline]
     #[must_use]
     pub fn json_fields(&self) -> String {
         match *self {
@@ -497,6 +513,7 @@ impl TraceEvent {
 }
 
 impl fmt::Display for TraceEvent {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             TraceEvent::Handshake { channel, id } => write!(f, "{channel} handshake id={id}"),
