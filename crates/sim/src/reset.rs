@@ -1,5 +1,7 @@
 //! Reset-line modelling.
 
+#![warn(clippy::missing_inline_in_public_items)]
+
 /// A hardware reset line with a programmable assertion duration.
 ///
 /// Mirrors the external reset unit the TMU signals to reinitialize a
@@ -36,6 +38,7 @@ impl Reset {
     pub const DEFAULT_DURATION: u64 = 8;
 
     /// A reset line with the default duration.
+    #[inline]
     #[must_use]
     pub fn new() -> Self {
         Self::with_duration(Self::DEFAULT_DURATION)
@@ -46,6 +49,7 @@ impl Reset {
     /// # Panics
     ///
     /// Panics if `duration` is zero.
+    #[inline]
     #[must_use]
     pub fn with_duration(duration: u64) -> Self {
         assert!(duration > 0, "reset duration must be at least one cycle");
@@ -59,6 +63,7 @@ impl Reset {
 
     /// Requests a reset. If one is already in progress the request merges
     /// into it (the line simply stays asserted).
+    #[inline]
     pub fn request(&mut self) {
         if self.remaining == 0 {
             self.requests += 1;
@@ -68,24 +73,28 @@ impl Reset {
     }
 
     /// True while the reset line is asserted.
+    #[inline]
     #[must_use]
     pub fn is_asserted(&self) -> bool {
         self.remaining > 0
     }
 
     /// True for exactly one cycle after the reset deasserts.
+    #[inline]
     #[must_use]
     pub fn is_done_pulse(&self) -> bool {
         self.done_pulse
     }
 
     /// Number of reset requests served so far.
+    #[inline]
     #[must_use]
     pub fn requests(&self) -> u64 {
         self.requests
     }
 
     /// Advances one cycle (call at commit time).
+    #[inline]
     pub fn tick(&mut self) {
         if self.remaining > 0 {
             self.remaining -= 1;
@@ -97,6 +106,7 @@ impl Reset {
 }
 
 impl Default for Reset {
+    #[inline]
     fn default() -> Self {
         Self::new()
     }
