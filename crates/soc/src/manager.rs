@@ -252,7 +252,7 @@ impl TrafficGen {
             return false;
         }
         match self.last_issue {
-            Some(last) => cycle >= last + self.pattern.issue_gap,
+            Some(last) => cycle >= last.saturating_add(self.pattern.issue_gap),
             None => true,
         }
     }
@@ -623,6 +623,24 @@ mod tests {
             gen.commit(&port, n);
             assert!(gen.outstanding() <= 2);
         }
+    }
+
+    #[test]
+    fn an_endless_issue_gap_issues_once() {
+        let mut gen = TrafficGen::new(
+            TrafficPattern {
+                issue_gap: u64::MAX,
+                ..TrafficPattern::default()
+            },
+            7,
+        );
+        let mut port = AxiPort::new();
+        for n in 5..10 {
+            port.begin_cycle();
+            gen.drive(&mut port, n);
+            gen.commit(&port, n);
+        }
+        assert_eq!(gen.outstanding(), 1);
     }
 
     #[test]
