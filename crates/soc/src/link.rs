@@ -32,10 +32,12 @@ pub trait AxiManager {
 }
 
 impl AxiManager for TrafficGen {
+    #[inline]
     fn drive(&mut self, port: &mut AxiPort, cycle: u64) {
         TrafficGen::drive(self, port, cycle);
     }
 
+    #[inline]
     fn commit(&mut self, port: &AxiPort, cycle: u64) {
         TrafficGen::commit(self, port, cycle);
     }

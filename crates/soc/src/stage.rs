@@ -58,6 +58,7 @@ pub trait LinkStage {
 /// fault's reset request asserts the line, and when the line's done
 /// pulse arrives the TMU resumes monitoring. Returns `true` on that done
 /// pulse, when the caller must reinitialize the subordinate.
+#[inline]
 pub(crate) fn commit_guarded(tmu: &mut Tmu, reset: &mut Reset, cycle: u64) -> bool {
     tmu.commit(cycle);
     if tmu.take_reset_request() {
@@ -92,44 +93,54 @@ impl TmuStage {
 }
 
 impl LinkStage for TmuStage {
+    #[inline]
     fn forward_request(&mut self, mgr: &AxiPort, sub: &mut AxiPort) {
         self.tmu.forward_request(mgr, sub);
     }
 
+    #[inline]
     fn forward_response(&mut self, sub: &AxiPort, mgr: &mut AxiPort) {
         self.tmu.forward_response(sub, mgr);
     }
 
+    #[inline]
     fn backprop_response_ready(&mut self, mgr: &AxiPort, sub: &mut AxiPort) {
         self.tmu.backprop_response_ready(mgr, sub);
     }
 
+    #[inline]
     fn observe(&mut self, mgr: &AxiPort) {
         self.tmu.observe(mgr);
     }
 
+    #[inline]
     fn commit(&mut self, cycle: u64) -> bool {
         commit_guarded(&mut self.tmu, &mut self.reset, cycle)
     }
 }
 
 impl LinkStage for Regulator {
+    #[inline]
     fn forward_request(&mut self, mgr: &AxiPort, sub: &mut AxiPort) {
         Regulator::forward_request(self, mgr, sub);
     }
 
+    #[inline]
     fn forward_response(&mut self, sub: &AxiPort, mgr: &mut AxiPort) {
         Regulator::forward_response(self, sub, mgr);
     }
 
+    #[inline]
     fn backprop_response_ready(&mut self, mgr: &AxiPort, sub: &mut AxiPort) {
         Regulator::backprop_response_ready(self, mgr, sub);
     }
 
+    #[inline]
     fn observe(&mut self, mgr: &AxiPort) {
         Regulator::observe(self, mgr);
     }
 
+    #[inline]
     fn commit(&mut self, cycle: u64) -> bool {
         Regulator::commit(self, cycle);
         false
