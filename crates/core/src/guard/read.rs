@@ -119,6 +119,7 @@ impl Direction for ReadDir {
         0
     }
 
+    #[inline]
     fn commit_data(
         core: &mut GuardCore<ReadDir>,
         data: &ReadDataObs,

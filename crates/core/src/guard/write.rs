@@ -118,6 +118,7 @@ impl Direction for WriteDir {
         u64::from(tracker.beats_remaining())
     }
 
+    #[inline]
     fn commit_data(
         core: &mut GuardCore<WriteDir>,
         data: &WriteDataObs,

@@ -34,6 +34,7 @@ impl EiTable {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
+    #[inline]
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "EI table needs at least one row");
@@ -44,18 +45,21 @@ impl EiTable {
     }
 
     /// Maximum entries.
+    #[inline]
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Current entries.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         self.order.len()
     }
 
     /// True when empty.
+    #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
@@ -67,6 +71,7 @@ impl EiTable {
     ///
     /// Returns `Err(idx)` when the table is saturated (cannot happen when
     /// sized to the LD capacity, but kept explicit for safety).
+    #[inline]
     pub fn push(&mut self, idx: LdIndex) -> Result<(), LdIndex> {
         if self.order.len() >= self.capacity {
             return Err(idx);
@@ -76,12 +81,14 @@ impl EiTable {
     }
 
     /// The LD row whose data phase is current (oldest enqueued).
+    #[inline]
     #[must_use]
     pub fn front(&self) -> Option<LdIndex> {
         self.order.front().copied()
     }
 
     /// Pops the current row when its data phase completes.
+    #[inline]
     pub fn pop_front(&mut self) -> Option<LdIndex> {
         self.order.pop_front()
     }
@@ -89,6 +96,7 @@ impl EiTable {
     /// Removes an index wherever it sits (abort path).
     ///
     /// Returns `true` if the index was present.
+    #[inline]
     pub fn remove(&mut self, idx: LdIndex) -> bool {
         if let Some(pos) = self.order.iter().position(|&i| i == idx) {
             self.order.remove(pos);
@@ -99,11 +107,13 @@ impl EiTable {
     }
 
     /// Iterates indices in enqueue order.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = LdIndex> + '_ {
         self.order.iter().copied()
     }
 
     /// Drops all entries (abort/reset path).
+    #[inline]
     pub fn clear(&mut self) {
         self.order.clear();
     }

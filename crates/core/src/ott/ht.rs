@@ -35,6 +35,7 @@ impl HtTable {
     /// # Panics
     ///
     /// Panics if `max_uniq_ids` is zero.
+    #[inline]
     #[must_use]
     pub fn new(max_uniq_ids: usize) -> Self {
         assert!(max_uniq_ids > 0, "HT table needs at least one row");
@@ -44,6 +45,7 @@ impl HtTable {
     }
 
     /// Number of ID slots.
+    #[inline]
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.rows.len()
@@ -54,18 +56,21 @@ impl HtTable {
     /// # Panics
     ///
     /// Panics if `uid` is out of range.
+    #[inline]
     #[must_use]
     pub fn row(&self, uid: UniqId) -> HtRow {
         self.rows[uid]
     }
 
     /// Oldest outstanding LD row of `uid`, if any.
+    #[inline]
     #[must_use]
     pub fn head(&self, uid: UniqId) -> Option<LdIndex> {
         self.rows[uid].head
     }
 
     /// Queued transactions of `uid`.
+    #[inline]
     #[must_use]
     pub fn count(&self, uid: UniqId) -> u32 {
         self.rows[uid].count
@@ -73,6 +78,7 @@ impl HtTable {
 
     /// Appends LD row `idx` at the tail of `uid`'s FIFO. Returns the
     /// previous tail, whose `next` pointer the caller must set to `idx`.
+    #[inline]
     pub fn push_tail(&mut self, uid: UniqId, idx: LdIndex) -> Option<LdIndex> {
         let row = &mut self.rows[uid];
         let prev_tail = row.tail;
@@ -92,6 +98,7 @@ impl HtTable {
     /// # Panics
     ///
     /// Panics if the FIFO is empty.
+    #[inline]
     pub fn pop_head(&mut self, uid: UniqId, new_head: Option<LdIndex>) -> LdIndex {
         let row = &mut self.rows[uid];
         let head = row.head.expect("pop_head on empty per-ID FIFO");
@@ -104,11 +111,13 @@ impl HtTable {
     }
 
     /// Clears every FIFO (abort/reset path).
+    #[inline]
     pub fn clear(&mut self) {
         self.rows.iter_mut().for_each(|r| *r = HtRow::default());
     }
 
     /// Total transactions queued across all IDs.
+    #[inline]
     #[must_use]
     pub fn total(&self) -> usize {
         self.rows.iter().map(|r| r.count as usize).sum()

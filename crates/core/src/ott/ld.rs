@@ -54,6 +54,7 @@ impl<S> LdTable<S> {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
+    #[inline]
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LD table needs at least one row");
@@ -69,24 +70,28 @@ impl<S> LdTable<S> {
     }
 
     /// Total rows.
+    #[inline]
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.rows.len()
     }
 
     /// Occupied rows.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         self.used
     }
 
     /// True when no rows are occupied.
+    #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.used == 0
     }
 
     /// True when every row is occupied (new transactions must stall).
+    #[inline]
     #[must_use]
     pub fn is_full(&self) -> bool {
         self.free_head.is_none()
@@ -94,6 +99,7 @@ impl<S> LdTable<S> {
 
     /// Allocates a row for a transaction of `uid`, returning its index,
     /// or `None` when the table is saturated.
+    #[inline]
     pub fn alloc(&mut self, uid: UniqId, tracker: S) -> Option<LdIndex> {
         let idx = self.free_head?;
         let Row::Free { next_free } = self.rows[idx] else {
@@ -114,6 +120,7 @@ impl<S> LdTable<S> {
     /// # Panics
     ///
     /// Panics if the row is already free (caller bookkeeping bug).
+    #[inline]
     pub fn free(&mut self, idx: LdIndex) -> LdEntry<S> {
         let row = std::mem::replace(
             &mut self.rows[idx],
@@ -132,6 +139,7 @@ impl<S> LdTable<S> {
     }
 
     /// Shared access to row `idx`.
+    #[inline]
     #[must_use]
     pub fn get(&self, idx: LdIndex) -> Option<&LdEntry<S>> {
         match self.rows.get(idx) {
@@ -141,6 +149,7 @@ impl<S> LdTable<S> {
     }
 
     /// Exclusive access to row `idx`.
+    #[inline]
     pub fn get_mut(&mut self, idx: LdIndex) -> Option<&mut LdEntry<S>> {
         match self.rows.get_mut(idx) {
             Some(Row::Used(e)) => Some(e),
@@ -149,6 +158,7 @@ impl<S> LdTable<S> {
     }
 
     /// Iterates `(index, entry)` over occupied rows in index order.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (LdIndex, &LdEntry<S>)> {
         self.rows.iter().enumerate().filter_map(|(i, r)| match r {
             Row::Used(e) => Some((i, e)),
@@ -157,6 +167,7 @@ impl<S> LdTable<S> {
     }
 
     /// Iterates `(index, entry)` mutably over occupied rows.
+    #[inline]
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (LdIndex, &mut LdEntry<S>)> {
         self.rows
             .iter_mut()
@@ -169,6 +180,7 @@ impl<S> LdTable<S> {
 
     /// Frees every row (abort/reset path), rewriting the free list in
     /// place in index order.
+    #[inline]
     pub fn clear(&mut self) {
         let capacity = self.rows.len();
         for (i, row) in self.rows.iter_mut().enumerate() {

@@ -21,6 +21,8 @@
 //! When the OTT saturates, new requests stall until a transaction
 //! completes or is aborted (paper §II-D).
 
+#![warn(clippy::missing_inline_in_public_items)]
+
 pub mod ei;
 pub mod ht;
 pub mod ld;
@@ -66,6 +68,7 @@ impl<S> Ott<S> {
     /// # Panics
     ///
     /// Panics if either capacity is zero.
+    #[inline]
     #[must_use]
     pub fn new(max_uniq_ids: usize, max_outstanding: usize) -> Self {
         Ott {
@@ -81,6 +84,7 @@ impl<S> Ott<S> {
     /// # Panics
     ///
     /// Panics if either capacity is zero.
+    #[inline]
     #[must_use]
     pub fn without_ei(max_uniq_ids: usize, max_outstanding: usize) -> Self {
         Ott {
@@ -92,24 +96,28 @@ impl<S> Ott<S> {
     }
 
     /// Total transaction capacity (`MaxOutstdTxns`).
+    #[inline]
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.ld.capacity()
     }
 
     /// Currently tracked transactions.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         self.ld.len()
     }
 
     /// True when nothing is tracked.
+    #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.ld.is_empty()
     }
 
     /// True when a new transaction cannot be admitted.
+    #[inline]
     #[must_use]
     pub fn is_full(&self) -> bool {
         self.ld.is_full()
@@ -123,6 +131,7 @@ impl<S> Ott<S> {
     ///
     /// Panics only if the HT, LD, and EI tables fall out of sync — an internal invariant
     /// violation (a bug in the monitor, not a caller error).
+    #[inline]
     pub fn enqueue(&mut self, uid: UniqId, tracker: S) -> Option<LdIndex> {
         let idx = self.ld.alloc(uid, tracker)?;
         if let Some(prev_tail) = self.ht.push_tail(uid, idx) {
@@ -138,12 +147,14 @@ impl<S> Ott<S> {
 
     /// The oldest outstanding transaction of `uid` (the one AXI4 says
     /// must respond next for that ID).
+    #[inline]
     #[must_use]
     pub fn head_of(&self, uid: UniqId) -> Option<LdIndex> {
         self.ht.head(uid)
     }
 
     /// Number of transactions queued for `uid`.
+    #[inline]
     #[must_use]
     pub fn count_of(&self, uid: UniqId) -> u32 {
         self.ht.count(uid)
@@ -151,6 +162,7 @@ impl<S> Ott<S> {
 
     /// The LD row whose W data phase is current (EI order front), or
     /// `None` for an OTT without EI order.
+    #[inline]
     #[must_use]
     pub fn ei_front(&self) -> Option<LdIndex> {
         self.ei.as_ref()?.front()
@@ -163,6 +175,7 @@ impl<S> Ott<S> {
     /// Panics if `idx` is not the EI front — W beats out of AW order are
     /// a protocol violation the guard reports *before* calling this — or
     /// if the OTT keeps no EI order.
+    #[inline]
     pub fn ei_advance(&mut self, idx: LdIndex) {
         let front = self
             .ei
@@ -180,6 +193,7 @@ impl<S> Ott<S> {
     ///
     /// Panics only if the HT, LD, and EI tables fall out of sync — an internal invariant
     /// violation (a bug in the monitor, not a caller error).
+    #[inline]
     pub fn dequeue_head(&mut self, uid: UniqId) -> Option<(LdIndex, LdEntry<S>)> {
         let head = self.ht.head(uid)?;
         let next = self.ld.get(head).expect("head row exists").next;
@@ -196,28 +210,33 @@ impl<S> Ott<S> {
     }
 
     /// Shared access to an LD entry.
+    #[inline]
     #[must_use]
     pub fn get(&self, idx: LdIndex) -> Option<&LdEntry<S>> {
         self.ld.get(idx)
     }
 
     /// Exclusive access to an LD entry.
+    #[inline]
     pub fn get_mut(&mut self, idx: LdIndex) -> Option<&mut LdEntry<S>> {
         self.ld.get_mut(idx)
     }
 
     /// Iterates all tracked transactions.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (LdIndex, &LdEntry<S>)> {
         self.ld.iter()
     }
 
     /// Iterates all tracked transactions mutably (per-cycle counter
     /// ticking).
+    #[inline]
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (LdIndex, &mut LdEntry<S>)> {
         self.ld.iter_mut()
     }
 
     /// Discards every tracked transaction (abort/reset path).
+    #[inline]
     pub fn clear(&mut self) {
         self.ht.clear();
         self.ld.clear();
@@ -233,6 +252,7 @@ impl<S> Ott<S> {
     /// # Panics
     ///
     /// Panics (with a description) on any inconsistency.
+    #[inline]
     pub fn assert_consistent(&self) {
         assert_eq!(
             self.ht.total(),

@@ -7,6 +7,8 @@
 //! retires. When all slots hold *other* IDs, a transaction with a new ID
 //! must stall — the TMU applies backpressure on AW/AR until a slot frees.
 
+#![warn(clippy::missing_inline_in_public_items)]
+
 use std::fmt;
 
 use axi4::AxiId;
@@ -24,6 +26,7 @@ pub enum RemapStall {
 }
 
 impl fmt::Display for RemapStall {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RemapStall::SlotsExhausted => write!(f, "all unique-ID slots in use"),
@@ -67,6 +70,7 @@ impl IdRemapper {
     /// # Panics
     ///
     /// Panics if either capacity is zero.
+    #[inline]
     #[must_use]
     pub fn new(max_uniq_ids: usize, txn_per_id: u32) -> Self {
         assert!(max_uniq_ids > 0, "need at least one unique-ID slot");
@@ -78,30 +82,35 @@ impl IdRemapper {
     }
 
     /// Number of unique-ID slots.
+    #[inline]
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
 
     /// Per-ID outstanding quota.
+    #[inline]
     #[must_use]
     pub fn txn_per_id(&self) -> u32 {
         self.txn_per_id
     }
 
     /// Slots currently holding a live ID.
+    #[inline]
     #[must_use]
     pub fn live_ids(&self) -> usize {
         self.slots.iter().flatten().count()
     }
 
     /// Total outstanding transactions across all IDs.
+    #[inline]
     #[must_use]
     pub fn outstanding(&self) -> usize {
         self.slots.iter().flatten().map(|s| s.refs as usize).sum()
     }
 
     /// Looks up the slot of `id` without acquiring.
+    #[inline]
     #[must_use]
     pub fn lookup(&self, id: AxiId) -> Option<UniqId> {
         self.slots
@@ -115,6 +124,7 @@ impl IdRemapper {
     /// # Errors
     ///
     /// Returns the [`RemapStall`] reason an acquire would fail with.
+    #[inline]
     pub fn probe(&self, id: AxiId) -> Result<(), RemapStall> {
         let mut free = false;
         for slot in &self.slots {
@@ -146,6 +156,7 @@ impl IdRemapper {
     /// Returns a [`RemapStall`] when no slot can be granted; the caller
     /// must stall the transaction (the TMU withholds `aw_ready` /
     /// `ar_ready`).
+    #[inline]
     pub fn acquire(&mut self, id: AxiId) -> Result<UniqId, RemapStall> {
         let mut free = None;
         for (uid, slot) in self.slots.iter_mut().enumerate() {
@@ -173,6 +184,7 @@ impl IdRemapper {
     ///
     /// Panics if `uid` is out of range or the slot is already free — both
     /// indicate a bookkeeping bug in the caller.
+    #[inline]
     pub fn release(&mut self, uid: UniqId) {
         let slot = self.slots[uid]
             .as_mut()
@@ -184,18 +196,21 @@ impl IdRemapper {
     }
 
     /// The raw AXI ID currently mapped to slot `uid`, if any.
+    #[inline]
     #[must_use]
     pub fn raw_id(&self, uid: UniqId) -> Option<AxiId> {
         self.slots.get(uid).copied().flatten().map(|s| s.id)
     }
 
     /// Frees every slot (TMU abort/reset path).
+    #[inline]
     pub fn clear(&mut self) {
         self.slots.iter_mut().for_each(|s| *s = None);
     }
 }
 
 impl fmt::Display for IdRemapper {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "remap[")?;
         for (i, slot) in self.slots.iter().enumerate() {
