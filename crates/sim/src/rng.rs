@@ -4,6 +4,8 @@
 //! timing) draws from a [`SimRng`] created from an explicit seed, so any
 //! run can be replayed bit-exactly from its seed.
 
+#![warn(clippy::missing_inline_in_public_items)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -30,6 +32,7 @@ pub struct SimRng {
 
 impl SimRng {
     /// Creates a generator from a 64-bit seed.
+    #[inline]
     #[must_use]
     pub fn seed(seed: u64) -> Self {
         SimRng {
@@ -42,6 +45,7 @@ impl SimRng {
     ///
     /// Splitting is a pure function of `(seed, label)` — it does not
     /// consume state from `self`.
+    #[inline]
     #[must_use]
     pub fn split(&self, label: &str) -> SimRng {
         // FNV-1a over the label, folded into the seed.
@@ -58,6 +62,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[inline]
     #[must_use]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be nonzero");
@@ -69,6 +74,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `lo > hi`.
+    #[inline]
     #[must_use]
     pub fn between(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo <= hi, "empty range");
@@ -80,6 +86,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `p` is outside `0.0..=1.0`.
+    #[inline]
     #[must_use]
     pub fn chance(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability must be in 0..=1");
@@ -91,6 +98,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `items` is empty.
+    #[inline]
     #[must_use]
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "cannot pick from an empty slice");
@@ -100,18 +108,22 @@ impl SimRng {
 }
 
 impl RngCore for SimRng {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
         self.rng.next_u32()
     }
 
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         self.rng.next_u64()
     }
 
+    #[inline]
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         self.rng.fill_bytes(dest);
     }
 
+    #[inline]
     fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
         self.rng.try_fill_bytes(dest)
     }
