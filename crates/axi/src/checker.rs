@@ -389,6 +389,7 @@ impl WireRules {
 
     /// Checks last cycle's held beats against the wires, then captures
     /// the beats `waiting` this cycle.
+    #[inline]
     fn stability(&mut self, port: &AxiPort, waiting: bool, cycle: u64, out: &mut Vec<Violation>) {
         fn hold<T: Copy + PartialEq + fmt::Debug>(
             held: &mut Option<T>,

@@ -116,6 +116,7 @@ impl Ledger {
     /// took (its ID and whether it closes its transaction: `RLAST`,
     /// always for a B). Allocates, accepts and retires per the module
     /// docs' order.
+    #[inline]
     pub(crate) fn commit(
         &mut self,
         offered: Option<Open>,
