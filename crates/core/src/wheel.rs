@@ -30,6 +30,14 @@
 //! deadline or, if none is due (the bound belonged to a deadline since
 //! superseded or disarmed), tightens `earliest` to the exact minimum.
 //!
+//! The scan covers only the armed span: `span` is one past the highest
+//! slot armed since the last `clear`, so every slot at or above it is
+//! disarmed. The LD free list hands out the most recently freed row
+//! first, so live rows crowd the low slots: on a 128-slot OTT holding
+//! ~32 transactions the scan reads ~33 slots, not 128. `clear` resets the
+//! span; nothing else lowers it, so a slot that was armed once stays
+//! inside the scan until then. The scan's result is the full scan's.
+//!
 //! # Ordering
 //!
 //! The reference engine reports simultaneous expiries in LD-index order
@@ -54,6 +62,9 @@ pub struct DeadlineWheel {
     armed_at: Vec<u64>,
     /// Lower bound on every armed deadline ([`DISARMED`] when none can be).
     earliest: u64,
+    /// One past the highest slot armed since the last `clear`; every
+    /// slot from here on is [`DISARMED`].
+    span: usize,
 }
 
 impl DeadlineWheel {
@@ -64,6 +75,7 @@ impl DeadlineWheel {
             fire_at: vec![DISARMED; capacity],
             armed_at: vec![0; capacity],
             earliest: DISARMED,
+            span: 0,
         }
     }
 
@@ -75,6 +87,7 @@ impl DeadlineWheel {
         self.fire_at[slot] = fire_at;
         self.armed_at[slot] = armed_at;
         self.earliest = self.earliest.min(fire_at);
+        self.span = self.span.max(slot + 1);
     }
 
     /// Cancels `slot`'s pending deadline (transaction retired or timed
@@ -92,10 +105,10 @@ impl DeadlineWheel {
 
     /// The smallest `(fire_cycle, slot)` over all slots: the first slot
     /// holding the minimum deadline, or `(DISARMED, _)` when none is
-    /// armed.
+    /// armed. Only the armed span can hold one.
     fn min_slot(&self) -> (u64, LdIndex) {
         let mut best = (DISARMED, 0);
-        for (slot, &fire) in self.fire_at.iter().enumerate() {
+        for (slot, &fire) in self.fire_at[..self.span].iter().enumerate() {
             if fire < best.0 {
                 best = (fire, slot);
             }
@@ -140,7 +153,7 @@ impl DeadlineWheel {
     /// Number of armed deadlines (telemetry gauge).
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.fire_at
+        self.fire_at[..self.span]
             .iter()
             .filter(|&&fire| fire != DISARMED)
             .count()
@@ -148,8 +161,9 @@ impl DeadlineWheel {
 
     /// Discards every pending deadline (abort/reset path).
     pub fn clear(&mut self) {
-        self.fire_at.fill(DISARMED);
+        self.fire_at[..self.span].fill(DISARMED);
         self.earliest = DISARMED;
+        self.span = 0;
     }
 }
 
@@ -225,6 +239,19 @@ mod tests {
         wheel.clear();
         assert_eq!(wheel.next_deadline(), None);
         assert_eq!(wheel.pop_expired(u64::MAX), None);
+    }
+
+    #[test]
+    fn clear_resets_the_span_and_a_higher_slot_is_still_found() {
+        let mut wheel = DeadlineWheel::new(8);
+        wheel.arm(1, 0, 5);
+        wheel.clear();
+        // Slot 6 lies above the span the wheel had before the clear.
+        wheel.arm(6, 2, 9);
+        assert_eq!(wheel.next_deadline(), Some(9));
+        assert_eq!(wheel.depth(), 1);
+        assert_eq!(wheel.pop_expired(9), Some((6, 2)));
+        assert_eq!(wheel.next_deadline(), None);
     }
 
     #[test]
@@ -363,6 +390,117 @@ mod tests {
                         "seed {seed} step {step}: armed_at({s})"
                     );
                 }
+            }
+        }
+    }
+
+    /// Test-local reference: the wheel before the span, which scans all
+    /// `capacity` slots.
+    #[derive(Debug, Clone)]
+    struct FullScan {
+        fire_at: Vec<u64>,
+        armed_at: Vec<u64>,
+        earliest: u64,
+    }
+
+    impl FullScan {
+        fn new(capacity: usize) -> Self {
+            FullScan {
+                fire_at: vec![DISARMED; capacity],
+                armed_at: vec![0; capacity],
+                earliest: DISARMED,
+            }
+        }
+
+        fn arm(&mut self, slot: LdIndex, armed_at: u64, fire_at: u64) {
+            self.fire_at[slot] = fire_at;
+            self.armed_at[slot] = armed_at;
+            self.earliest = self.earliest.min(fire_at);
+        }
+
+        fn min_slot(&self) -> (u64, LdIndex) {
+            let mut best = (DISARMED, 0);
+            for (slot, &fire) in self.fire_at.iter().enumerate() {
+                if fire < best.0 {
+                    best = (fire, slot);
+                }
+            }
+            best
+        }
+
+        fn next_deadline(&mut self) -> Option<u64> {
+            self.earliest = self.min_slot().0;
+            (self.earliest != DISARMED).then_some(self.earliest)
+        }
+
+        fn pop_expired(&mut self, now: u64) -> Option<(LdIndex, u64)> {
+            if now < self.earliest {
+                return None;
+            }
+            let (fire, slot) = self.min_slot();
+            self.earliest = fire;
+            if fire > now || fire == DISARMED {
+                return None;
+            }
+            self.fire_at[slot] = DISARMED;
+            Some((slot, self.armed_at[slot]))
+        }
+
+        fn depth(&self) -> usize {
+            self.fire_at.iter().filter(|&&fire| fire != DISARMED).count()
+        }
+
+        fn clear(&mut self) {
+            self.fire_at.fill(DISARMED);
+            self.earliest = DISARMED;
+        }
+    }
+
+    proptest::proptest! {
+        /// Random arm/disarm/pop/peek/clear streams on wheels of up to 128
+        /// slots give the span-limited wheel the full scan's results at
+        /// every step: every popped slot and arm cycle, next deadline,
+        /// depth and cached bound. Slots are drawn mostly low, as the LD
+        /// free list hands them out, with occasional high ones that
+        /// widen the span.
+        #[test]
+        fn span_limited_scan_matches_the_full_scan(
+            capacity in 1usize..=128,
+            ops in proptest::collection::vec((0u8..12, 0usize..128, 0u64..8), 1..300),
+        ) {
+            let mut wheel = DeadlineWheel::new(capacity);
+            let mut reference = FullScan::new(capacity);
+            let mut now = 0u64;
+            for (op, pick, delta) in ops {
+                let slot = if op % 3 == 0 { pick % capacity } else { pick % capacity.min(8) };
+                match op {
+                    0..=4 => {
+                        wheel.arm(slot, now, now + delta);
+                        reference.arm(slot, now, now + delta);
+                    }
+                    5 | 6 => {
+                        wheel.disarm(slot);
+                        reference.fire_at[slot] = DISARMED;
+                    }
+                    7 => proptest::prop_assert_eq!(wheel.next_deadline(), reference.next_deadline()),
+                    8 => {
+                        wheel.clear();
+                        reference.clear();
+                    }
+                    _ => {
+                        now += delta / 2;
+                        loop {
+                            let popped = wheel.pop_expired(now);
+                            proptest::prop_assert_eq!(popped, reference.pop_expired(now));
+                            if popped.is_none() {
+                                break;
+                            }
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(wheel.earliest, reference.earliest);
+                proptest::prop_assert_eq!(wheel.depth(), reference.depth());
+                proptest::prop_assert!(wheel.fire_at[wheel.span..].iter().all(|&f| f == DISARMED));
             }
         }
     }
