@@ -82,7 +82,27 @@ impl Mux {
         }
     }
 
-    /// Extends `id` with the manager `index`.
+    /// Checks that every ID manager `port` may issue fits below
+    /// `id_shift`, where [`Mux::extend_id`] leaves it intact. A wider ID
+    /// would overlap the manager index, and its responses would route to
+    /// another port.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `port` and the ID, if any of `ids` has a bit at or
+    /// above `id_shift`.
+    pub fn assert_ids_fit(&self, port: usize, ids: &[u16]) {
+        for &id in ids {
+            assert!(
+                id >> self.id_shift == 0,
+                "manager port {port}: ID {id:#x} does not fit below the mux's ID shift (bit {})",
+                self.id_shift
+            );
+        }
+    }
+
+    /// Extends `id` with the manager `index`. `id` must fit below
+    /// `id_shift` ([`Mux::assert_ids_fit`]).
     #[must_use]
     pub fn extend_id(&self, index: usize, id: AxiId) -> AxiId {
         AxiId(id.0 | ((index as u16) << self.id_shift))

@@ -59,7 +59,9 @@ impl<S: AxiSubordinate> RegulatedLink<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `managers` is empty (the mux needs at least one port).
+    /// Panics if `managers` is empty (the mux needs at least one port),
+    /// or, naming the port and the ID, if a manager's pattern holds an ID
+    /// that does not fit below the mux's ID shift (bit 12).
     #[must_use]
     pub fn new(
         managers: Vec<(TrafficPattern, Option<RegulatorConfig>)>,
@@ -71,14 +73,15 @@ impl<S: AxiSubordinate> RegulatedLink<S> {
         let mut fabric = StageBank::new(n);
         let mut mgrs = Vec::with_capacity(n);
         let mut priorities = vec![0; n];
+        let mut mux = Mux::new(n, 12);
         for (i, (pattern, reg_cfg)) in managers.into_iter().enumerate() {
+            mux.assert_ids_fit(i, &pattern.ids);
             mgrs.push(TrafficGen::new(pattern, seed ^ (i as u64 + 1)));
             if let Some(cfg) = reg_cfg {
                 priorities[i] = cfg.priority();
                 fabric.attach(i, Regulator::new(cfg));
             }
         }
-        let mut mux = Mux::new(n, 12);
         if priorities.iter().any(|&p| p != 0) {
             mux.set_priorities(priorities);
         }
@@ -277,6 +280,21 @@ mod tests {
             .mode(RegulationMode::Isolate { overrun_windows: 2 })
             .build()
             .expect("test regulator configuration is valid")
+    }
+
+    #[test]
+    #[should_panic(expected = "manager port 1: ID 0x1003 does not fit")]
+    fn a_manager_id_overlapping_the_port_bits_is_rejected() {
+        let wide = TrafficPattern {
+            ids: vec![3, 0x1003],
+            ..modest_pattern()
+        };
+        let _ = RegulatedLink::new(
+            vec![(modest_pattern(), None), (wide, None)],
+            None,
+            mem(),
+            7,
+        );
     }
 
     #[test]

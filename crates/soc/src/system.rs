@@ -130,8 +130,17 @@ pub struct System {
 
 impl System {
     /// Assembles the system.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the manager port and the ID, if the CPU's (port 0)
+    /// or the DMA's (port 1) pattern holds an ID that does not fit below
+    /// the mux's ID shift (bit 12).
     #[must_use]
     pub fn new(cfg: SystemConfig) -> Self {
+        let mux = Mux::new(2, 12);
+        mux.assert_ids_fit(0, &cfg.cpu_pattern.ids);
+        mux.assert_ids_fit(1, &cfg.dma_pattern.ids);
         let mut fabric = StageBank::new(2);
         fabric.attach(ETH_IDX, TmuStage::new(cfg.tmu, cfg.reset_duration));
         if let Some(mem_cfg) = cfg.mem_tmu {
@@ -140,7 +149,7 @@ impl System {
         System {
             cpu: TrafficGen::new(cfg.cpu_pattern, cfg.seed ^ 0x1),
             dma: TrafficGen::new(cfg.dma_pattern, cfg.seed ^ 0x2),
-            mux: Mux::new(2, 12),
+            mux,
             demux: Demux::new(vec![
                 AddrRegion {
                     base: MEM_BASE,
@@ -473,6 +482,19 @@ mod tests {
             total_txns: Some(0),
             ..TrafficPattern::default()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "manager port 0: ID 0x1000 does not fit")]
+    fn a_manager_id_overlapping_the_port_bits_is_rejected() {
+        // Extended at bit 12, ID 0x1000 would read back as port 1's ID 0.
+        let _ = System::new(SystemConfig {
+            cpu_pattern: TrafficPattern {
+                ids: vec![0, 0x1000],
+                ..quiet_cpu()
+            },
+            ..SystemConfig::default()
+        });
     }
 
     #[test]
