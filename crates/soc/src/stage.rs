@@ -92,6 +92,11 @@ impl TmuStage {
     }
 }
 
+// The generic passes (`StageBank`, `GuardedLink`, `RegulatedLink`) are
+// compiled in the crate that names the stage, so without LTO these
+// one-line forwards reach that crate's busy loop only when `#[inline]`;
+// the lint keeps every method here inline.
+#[warn(clippy::missing_inline_in_public_items)]
 impl LinkStage for TmuStage {
     #[inline]
     fn forward_request(&mut self, mgr: &AxiPort, sub: &mut AxiPort) {
@@ -119,6 +124,8 @@ impl LinkStage for TmuStage {
     }
 }
 
+// Inline for the same reason as `TmuStage`'s forwards.
+#[warn(clippy::missing_inline_in_public_items)]
 impl LinkStage for Regulator {
     #[inline]
     fn forward_request(&mut self, mgr: &AxiPort, sub: &mut AxiPort) {
@@ -146,6 +153,7 @@ impl LinkStage for Regulator {
         false
     }
 
+    #[inline]
     fn is_transparent(&self) -> bool {
         !self.config().enabled()
     }
