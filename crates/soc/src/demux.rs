@@ -246,7 +246,6 @@ impl Demux {
     /// Pass 3: once the trunk's B/R `ready` wires are settled (they come
     /// from the manager side), propagate them to the selected
     /// subordinate.
-    #[inline]
     pub fn backprop_response_ready(&mut self, trunk: &AxiPort, subs: &mut [AxiPort]) {
         if let Some(i) = self.sub(self.b.grant()) {
             subs[i].b.set_ready(trunk.b.ready());
