@@ -91,7 +91,7 @@ impl Mux {
     ///
     /// Panics, naming `port` and the ID, if any of `ids` has a bit at or
     /// above `id_shift`.
-    pub fn assert_ids_fit(&self, port: usize, ids: &[u16]) {
+    pub(crate) fn assert_ids_fit(&self, port: usize, ids: &[u16]) {
         for &id in ids {
             assert!(
                 id >> self.id_shift == 0,
@@ -102,7 +102,7 @@ impl Mux {
     }
 
     /// Extends `id` with the manager `index`. `id` must fit below
-    /// `id_shift` ([`Mux::assert_ids_fit`]).
+    /// `id_shift`.
     #[must_use]
     pub fn extend_id(&self, index: usize, id: AxiId) -> AxiId {
         AxiId(id.0 | ((index as u16) << self.id_shift))
