@@ -33,10 +33,11 @@
 //! The scan covers only the armed span: `span` is one past the highest
 //! slot armed since the last `clear`, so every slot at or above it is
 //! disarmed. The LD free list hands out the most recently freed row
-//! first, so live rows crowd the low slots: on a 128-slot OTT holding
-//! ~32 transactions the scan reads ~33 slots, not 128. `clear` resets the
-//! span; nothing else lowers it, so a slot that was armed once stays
-//! inside the scan until then. The scan's result is the full scan's.
+//! first, so live rows crowd the low slots: on the busybench `link_deep`
+//! workload the 128-slot write and read tables run spans of about 32 and
+//! 12. `clear` resets the span; nothing else lowers it, so a slot armed
+//! once stays inside the scan until then. The scan's result is the full
+//! scan's.
 //!
 //! # Ordering
 //!
