@@ -448,7 +448,10 @@ mod tests {
         }
 
         fn depth(&self) -> usize {
-            self.fire_at.iter().filter(|&&fire| fire != DISARMED).count()
+            self.fire_at
+                .iter()
+                .filter(|&&fire| fire != DISARMED)
+                .count()
         }
 
         fn clear(&mut self) {

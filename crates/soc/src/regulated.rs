@@ -289,12 +289,7 @@ mod tests {
             ids: vec![3, 0x1003],
             ..modest_pattern()
         };
-        let _ = RegulatedLink::new(
-            vec![(modest_pattern(), None), (wide, None)],
-            None,
-            mem(),
-            7,
-        );
+        let _ = RegulatedLink::new(vec![(modest_pattern(), None), (wide, None)], None, mem(), 7);
     }
 
     #[test]
