@@ -686,7 +686,12 @@ impl<D: Direction> GuardCore<D> {
                 }
             }
             CounterEngine::DeadlineWheel => {
-                while let Some((idx, armed_at)) = self.wheel.pop_expired(cycle) {
+                // On most busy cycles no deadline is due: the inlined
+                // bound check spares the call into the wheel's scan.
+                while self.wheel.may_be_due(cycle) {
+                    let Some((idx, armed_at)) = self.wheel.pop_expired(cycle) else {
+                        break;
+                    };
                     let Some(entry) = self.ott.get_mut(idx) else {
                         continue;
                     };
