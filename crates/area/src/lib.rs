@@ -34,9 +34,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod cells;
 pub mod inventory;
 pub mod model;

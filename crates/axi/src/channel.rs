@@ -179,12 +179,6 @@ impl AxiPort {
         self.r.begin_cycle();
     }
 
-    /// True if any of the five channels fires this cycle.
-    #[must_use]
-    pub fn any_fires(&self) -> bool {
-        self.aw.fires() || self.w.fires() || self.b.fires() || self.ar.fires() || self.r.fires()
-    }
-
     /// Forwards all manager-driven wires (AW/W/AR valid+payload, B/R
     /// ready) from `mgr` onto this port. Used by pass-through monitors.
     pub fn forward_request_from(&mut self, mgr: &AxiPort) {
@@ -301,15 +295,6 @@ mod tests {
         mgr.forward_response_from(&sub);
         assert!(mgr.aw.fires());
         assert!(mgr.b.fires());
-    }
-
-    #[test]
-    fn any_fires_detects_single_channel() {
-        let mut port = AxiPort::new();
-        assert!(!port.any_fires());
-        port.r.drive(RBeat::default());
-        port.r.set_ready(true);
-        assert!(port.any_fires());
     }
 
     #[test]

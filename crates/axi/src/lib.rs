@@ -42,9 +42,6 @@
 //! assert!(port.aw.fires());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod beat;
 pub mod burst;
 pub mod channel;

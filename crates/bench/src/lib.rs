@@ -25,9 +25,6 @@
 //! cargo run -p tmu-bench --release --bin ablation_remapper
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod experiments;
 pub mod hotpath;
 pub mod related;

@@ -172,13 +172,6 @@ impl PrescaledCounter {
         self.restart();
     }
 
-    /// Elapsed cycles as visible to the hardware: prescaled count ×
-    /// step. The true elapsed time may be up to `step − 1` cycles more.
-    #[must_use]
-    pub fn elapsed_cycles(&self) -> u64 {
-        self.q_count.saturating_mul(self.step)
-    }
-
     /// The prescaled count register value.
     #[must_use]
     pub fn raw_count(&self) -> u64 {
@@ -310,17 +303,6 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 4);
-    }
-
-    #[test]
-    fn elapsed_is_prescale_quantized() {
-        let mut c = PrescaledCounter::new(100, 4, true);
-        for _ in 0..7 {
-            c.tick();
-        }
-        assert_eq!(c.elapsed_cycles(), 4, "7 cycles at step 4 = 1 tick");
-        c.tick();
-        assert_eq!(c.elapsed_cycles(), 8);
     }
 
     #[test]

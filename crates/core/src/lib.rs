@@ -71,9 +71,6 @@
 //! assert!(!tmu.irq_pending());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod budget;
 pub mod config;
 pub mod counter;

@@ -41,9 +41,6 @@
 //! assert_eq!(injector.activation_cycle(), Some(100));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod fuzz;
 pub mod injector;
 pub mod plan;

@@ -63,19 +63,6 @@ impl FaultClass {
         FaultClass::RIdCorrupt,
     ];
 
-    /// True for faults applied on the manager side of the TMU.
-    #[must_use]
-    pub fn is_manager_side(self) -> bool {
-        matches!(self, FaultClass::WValidSuppress)
-    }
-
-    /// True for faults whose natural detection is a protocol check (ID
-    /// mismatch) rather than a timeout.
-    #[must_use]
-    pub fn is_corruption(self) -> bool {
-        matches!(self, FaultClass::BIdCorrupt | FaultClass::RIdCorrupt)
-    }
-
     /// The paper's label for the write classes (used in the Fig. 9
     /// table output).
     #[must_use]
@@ -246,14 +233,6 @@ mod tests {
             FaultClass::ALL.len(),
             FaultClass::WRITE_CLASSES.len() + FaultClass::READ_CLASSES.len()
         );
-    }
-
-    #[test]
-    fn side_classification() {
-        assert!(FaultClass::WValidSuppress.is_manager_side());
-        assert!(!FaultClass::AwReadyDrop.is_manager_side());
-        assert!(FaultClass::BIdCorrupt.is_corruption());
-        assert!(!FaultClass::MidBurstStall.is_corruption());
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub struct TypeAllow {
     pub line: u32,
 }
 
-/// Configuration for the two-phase discipline lint (L1).
+/// Configuration for the `two-phase` lint.
 #[derive(Debug, Clone)]
 pub struct TwoPhaseCfg {
     /// Doc-text marker tagging a committed-state field.
@@ -35,7 +35,7 @@ pub struct TwoPhaseCfg {
     pub allow: Vec<TypeAllow>,
 }
 
-/// Configuration for the panic-hygiene lint (L2).
+/// Configuration for the `panic-hygiene` lint.
 #[derive(Debug, Clone)]
 pub struct PanicCfg {
     /// Minimum length for an `expect` message to count as
@@ -43,7 +43,7 @@ pub struct PanicCfg {
     pub min_expect_len: usize,
 }
 
-/// Configuration for the telemetry-discipline lint (L4).
+/// Configuration for the `telemetry` lint.
 #[derive(Debug, Clone)]
 pub struct TelemetryCfg {
     /// Name of the trace-event enum.
@@ -53,17 +53,7 @@ pub struct TelemetryCfg {
     pub event_crate: String,
 }
 
-/// One direction-parity pair (L5): both types must expose identical
-/// inherent method sets.
-#[derive(Debug, Clone)]
-pub struct PairCfg {
-    /// First type name.
-    pub left: String,
-    /// Second type name.
-    pub right: String,
-}
-
-/// One front-eviction (L6) exemption: a receiver, in files under a
+/// One `front-eviction` exemption: a receiver, in files under a
 /// path prefix, whose `remove(0)`/`insert(0, ..)` is O(1) (a
 /// `VecDeque`).
 #[derive(Debug, Clone)]
@@ -78,7 +68,7 @@ pub struct ReceiverAllow {
     pub line: u32,
 }
 
-/// Configuration for the front-eviction lint (L6).
+/// Configuration for the `front-eviction` lint.
 #[derive(Debug, Clone, Default)]
 pub struct FrontEvictionCfg {
     /// Exempted receivers.
@@ -99,18 +89,13 @@ pub struct PathAllow {
 /// The full linter configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// L1 settings.
+    /// `two-phase` settings.
     pub two_phase: TwoPhaseCfg,
-    /// L2 settings.
+    /// `panic-hygiene` settings.
     pub panic: PanicCfg,
-    /// L3: required crate-root inner attributes (whitespace-free
-    /// spelling, e.g. `forbid(unsafe_code)`).
-    pub header_require: Vec<String>,
-    /// L4 settings.
+    /// `telemetry` settings.
     pub telemetry: TelemetryCfg,
-    /// L5 pairs.
-    pub parity: Vec<PairCfg>,
-    /// L6 settings.
+    /// `front-eviction` settings.
     pub front_eviction: FrontEvictionCfg,
     /// Path-scoped suppressions.
     pub allows: Vec<PathAllow>,
@@ -130,15 +115,10 @@ impl Default for Config {
                 allow: Vec::new(),
             },
             panic: PanicCfg { min_expect_len: 12 },
-            header_require: vec![
-                "forbid(unsafe_code)".to_string(),
-                "warn(missing_docs)".to_string(),
-            ],
             telemetry: TelemetryCfg {
                 event_enum: "TraceEvent".to_string(),
                 event_crate: "tmu-telemetry".to_string(),
             },
-            parity: Vec::new(),
             front_eviction: FrontEvictionCfg::default(),
             allows: Vec::new(),
         }
@@ -169,17 +149,15 @@ enum Section {
     TwoPhase,
     TwoPhaseAllow,
     Panic,
-    CrateHeader,
     Telemetry,
-    ParityPair,
     FrontEvictionAllow,
     Allow,
 }
 
 impl Config {
     /// Parses the `lint.toml` text. Every `[[two_phase.allow]]`,
-    /// `[[parity.pair]]` and `[[allow]]` entry must carry a non-empty
-    /// `reason` where required — suppressions without justification are
+    /// `[[front_eviction.allow]]` and `[[allow]]` entry must carry a
+    /// non-empty `reason` — suppressions without justification are
     /// configuration errors, not warnings.
     pub fn parse(text: &str) -> Result<Config, ConfigError> {
         let mut cfg = Config::default();
@@ -202,13 +180,6 @@ impl Config {
                             line: n as u32,
                         });
                         Section::TwoPhaseAllow
-                    }
-                    "parity.pair" => {
-                        cfg.parity.push(PairCfg {
-                            left: String::new(),
-                            right: String::new(),
-                        });
-                        Section::ParityPair
                     }
                     "front_eviction.allow" => {
                         cfg.front_eviction.allow.push(ReceiverAllow {
@@ -235,7 +206,6 @@ impl Config {
                 section = match header.trim() {
                     "two_phase" => Section::TwoPhase,
                     "panic_hygiene" => Section::Panic,
-                    "crate_header" => Section::CrateHeader,
                     "telemetry" => Section::Telemetry,
                     other => return Err(err(n, format!("unknown table [{other}]"))),
                 };
@@ -264,18 +234,11 @@ impl Config {
                 (Section::Panic, "min_expect_len") => {
                     cfg.panic.min_expect_len = value.integer(n)?;
                 }
-                (Section::CrateHeader, "require") => cfg.header_require = value.strings(n)?,
                 (Section::Telemetry, "event_enum") => {
                     cfg.telemetry.event_enum = value.string(n)?;
                 }
                 (Section::Telemetry, "event_crate") => {
                     cfg.telemetry.event_crate = value.string(n)?;
-                }
-                (Section::ParityPair, "left") => {
-                    last(&mut cfg.parity, n)?.left = value.string(n)?;
-                }
-                (Section::ParityPair, "right") => {
-                    last(&mut cfg.parity, n)?.right = value.string(n)?;
                 }
                 (Section::FrontEvictionAllow, "path") => {
                     last(&mut cfg.front_eviction.allow, n)?.path = value.string(n)?;
@@ -468,10 +431,6 @@ reason = "commit-edge entry points"
 [panic_hygiene]
 min_expect_len = 16
 
-[[parity.pair]]
-left = "WriteGuard"
-right = "ReadGuard"
-
 [[allow]]
 path = "vendor/"
 lints = ["*"]
@@ -482,7 +441,6 @@ reason = "vendored stand-ins keep upstream style"
         assert_eq!(cfg.two_phase.allow.len(), 1);
         assert_eq!(cfg.two_phase.allow[0].methods, ["advance", "advance_to"]);
         assert_eq!(cfg.panic.min_expect_len, 16);
-        assert_eq!(cfg.parity[0].right, "ReadGuard");
         assert_eq!(cfg.allows[0].lints, ["*"]);
     }
 
@@ -496,5 +454,8 @@ reason = "vendored stand-ins keep upstream style"
     #[test]
     fn unknown_key_is_an_error() {
         assert!(Config::parse("[two_phase]\ntypo = \"x\"\n").is_err());
+        // Sections of retired lints are rejected, not ignored.
+        assert!(Config::parse("[[parity.pair]]\nleft = \"A\"\nright = \"B\"\n").is_err());
+        assert!(Config::parse("[crate_header]\nrequire = []\n").is_err());
     }
 }

@@ -6,17 +6,15 @@ use std::path::Path;
 /// Stable machine-readable lint identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Lint {
-    /// L1: committed state assigned outside `commit`/`tick`/`reset`.
+    /// Committed state assigned outside `commit`/`tick`/`reset`.
     TwoPhase,
-    /// L2: `unwrap()` / weak `expect` / `panic!` in non-test code.
+    /// Weak `expect` message / bare `unreachable!()` in non-test code.
     PanicHygiene,
-    /// L3: crate root missing a required inner attribute.
-    CrateHeader,
-    /// L4: trace-event vocabulary or record-site discipline violated.
+    /// Member manifest without `[lints] workspace = true`.
+    WorkspaceLints,
+    /// Trace-event variant recorded nowhere.
     Telemetry,
-    /// L5: direction pair exposes asymmetric inherent APIs.
-    DirectionParity,
-    /// L6: `.remove(0)` / `.insert(0, ..)` shifting a whole buffer.
+    /// `.remove(0)` / `.insert(0, ..)` shifting a whole buffer.
     FrontEviction,
 }
 
@@ -27,22 +25,11 @@ impl Lint {
         match self {
             Lint::TwoPhase => "two-phase",
             Lint::PanicHygiene => "panic-hygiene",
-            Lint::CrateHeader => "crate-header",
+            Lint::WorkspaceLints => "workspace-lints",
             Lint::Telemetry => "telemetry",
-            Lint::DirectionParity => "direction-parity",
             Lint::FrontEviction => "front-eviction",
         }
     }
-
-    /// All lints, for `--list` style output and tests.
-    pub const ALL: [Lint; 6] = [
-        Lint::TwoPhase,
-        Lint::PanicHygiene,
-        Lint::CrateHeader,
-        Lint::Telemetry,
-        Lint::DirectionParity,
-        Lint::FrontEviction,
-    ];
 }
 
 impl fmt::Display for Lint {
@@ -143,11 +130,11 @@ mod tests {
             &PathBuf::from("/ws"),
             &PathBuf::from("/ws/crates/x/src/lib.rs"),
             7,
-            "bare `unwrap()` outside tests".to_string(),
+            "message-less `unreachable!()`".to_string(),
         );
         assert_eq!(
             d.render(),
-            "crates/x/src/lib.rs:7: [panic-hygiene] bare `unwrap()` outside tests"
+            "crates/x/src/lib.rs:7: [panic-hygiene] message-less `unreachable!()`"
         );
         let json = render_json(&[d], 2);
         assert!(json.contains("\"count\":1"));

@@ -1,11 +1,10 @@
-//! The lint passes (L1–L6) and shared token-scanning helpers.
+//! The lint passes and shared token-scanning helpers.
 
-pub mod crate_header;
 pub mod front_eviction;
 pub mod panic_hygiene;
-pub mod parity;
 pub mod telemetry;
 pub mod two_phase;
+pub mod workspace_lints;
 
 use crate::lex::Token;
 

@@ -1,11 +1,12 @@
-//! L2 — panic hygiene.
+//! `panic-hygiene` — panics state their invariant.
 //!
 //! Monitoring logic must not fall over: a TMU that panics on a
 //! malformed transaction is worse than the fault it was watching for.
-//! In non-test code this lint rejects bare `unwrap()`, `expect` calls
-//! whose message does not plausibly state an invariant (too short to
-//! say *why* the value must exist), `panic!`, `todo!`,
-//! `unimplemented!`, and message-less `unreachable!()`. `assert!`-style
+//! Bare `unwrap()`, `panic!`, `todo!` and `unimplemented!` are clippy's
+//! (`[workspace.lints.clippy]`). What clippy cannot judge is whether a
+//! sanctioned panic says *why* it cannot happen, so in non-test code
+//! this lint rejects `expect` calls whose message is too short to state
+//! an invariant, and message-less `unreachable!()`. `assert!`-style
 //! macros are the sanctioned way to check invariants and stay allowed;
 //! `unreachable!("why")` with a message is treated like an
 //! invariant-stating `expect`.
@@ -52,17 +53,6 @@ fn scan_body(
         }
         let after_dot = j > lo && toks[j - 1].is_punct('.');
         match t.text.as_str() {
-            "unwrap" if after_dot && is_call(toks, j + 1, hi) => {
-                diags.push(Diagnostic::new(
-                    Lint::PanicHygiene,
-                    root,
-                    &src.path,
-                    t.line,
-                    "bare `unwrap()` in non-test code — use `expect(\"<invariant>\")` \
-                     stating why the value must exist"
-                        .to_string(),
-                ));
-            }
             "expect" if after_dot && is_call(toks, j + 1, hi) => {
                 let close = match_delim(toks, j + 1, hi, '(', ')');
                 // Only a single bare string literal is auditable here; a
@@ -84,19 +74,6 @@ fn scan_body(
                         ));
                     }
                 }
-            }
-            "panic" | "todo" | "unimplemented" if is_macro(toks, j + 1, hi) => {
-                diags.push(Diagnostic::new(
-                    Lint::PanicHygiene,
-                    root,
-                    &src.path,
-                    t.line,
-                    format!(
-                        "`{}!` in non-test code — return an error or use an \
-                         `assert!` with an invariant message",
-                        t.text
-                    ),
-                ));
             }
             "unreachable" if is_macro(toks, j + 1, hi) => {
                 let open = j + 2;

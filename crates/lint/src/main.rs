@@ -6,9 +6,6 @@
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage/configuration error.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -33,7 +30,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!("usage: tmu-lint [--json] [--root DIR] [--config FILE]");
                 println!(
-                    "lints: two-phase, panic-hygiene, crate-header, telemetry, direction-parity"
+                    "lints: two-phase, panic-hygiene, workspace-lints, telemetry, front-eviction"
                 );
                 return ExitCode::SUCCESS;
             }

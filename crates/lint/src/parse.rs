@@ -67,10 +67,6 @@ pub struct FnDef {
     /// (`body.0..body.1` indexes into [`SourceFile::tokens`]). Empty for
     /// bodyless trait-method declarations.
     pub body: (usize, usize),
-    /// Name of the `impl` self type this method belongs to, if any.
-    pub impl_ty: Option<String>,
-    /// Trait name when inside an `impl Trait for Type` block.
-    pub trait_name: Option<String>,
     /// True for `#[test]` fns or anything under `#[cfg(test)]`.
     pub in_test: bool,
 }
@@ -82,9 +78,6 @@ pub struct SourceFile {
     pub path: PathBuf,
     /// The raw token stream (lints scan fn-body slices of this).
     pub tokens: Vec<Token>,
-    /// Top-of-file inner attributes, normalized to space-joined token
-    /// text (e.g. `"forbid ( unsafe_code )"`).
-    pub inner_attrs: Vec<String>,
     /// All structs, in declaration order.
     pub structs: Vec<StructDef>,
     /// All enums, in declaration order.
@@ -118,7 +111,6 @@ pub fn parse_source(path: PathBuf, src: &str) -> SourceFile {
     let mut file = SourceFile {
         path,
         tokens: Vec::new(),
-        inner_attrs: Vec::new(),
         structs: Vec::new(),
         enums: Vec::new(),
         fns: Vec::new(),
@@ -127,17 +119,9 @@ pub fn parse_source(path: PathBuf, src: &str) -> SourceFile {
         toks: &tokens,
         file: &mut file,
     };
-    p.items(0, tokens.len(), &Ctx::default());
+    p.items(0, tokens.len(), false);
     file.tokens = tokens;
     file
-}
-
-/// Inherited context while walking nested items.
-#[derive(Debug, Clone, Default)]
-struct Ctx {
-    in_test: bool,
-    impl_ty: Option<String>,
-    trait_name: Option<String>,
 }
 
 struct Parser<'a> {
@@ -146,87 +130,42 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    /// Walks item positions in `lo..hi`.
-    fn items(&mut self, lo: usize, hi: usize, ctx: &Ctx) {
+    /// Walks item positions in `lo..hi`; `in_test` is inherited from
+    /// the enclosing item.
+    fn items(&mut self, lo: usize, hi: usize, in_test: bool) {
         let mut i = lo;
-        let mut pending_doc = String::new();
         let mut pending_test = false;
         while i < hi {
             let t = &self.toks[i];
-            match t.kind {
-                TokKind::DocOuter => {
-                    if !pending_doc.is_empty() {
-                        pending_doc.push('\n');
-                    }
-                    pending_doc.push_str(&t.text);
-                    i += 1;
-                    continue;
-                }
-                TokKind::DocInner => {
-                    i += 1;
-                    continue;
-                }
-                _ => {}
+            if matches!(t.kind, TokKind::DocOuter | TokKind::DocInner) {
+                i += 1;
+                continue;
             }
             if t.is_punct('#') {
                 let (attr, inner, next) = self.attribute(i, hi);
-                if inner {
-                    self.file.inner_attrs.push(attr);
-                } else if is_test_attr(&attr) {
+                if !inner && is_test_attr(&attr) {
                     pending_test = true;
                 }
                 i = next;
                 continue;
             }
-            if t.kind == TokKind::Ident {
-                match t.text.as_str() {
-                    "struct" => {
-                        i = self.struct_item(i, hi, ctx, pending_test, &pending_doc);
-                        pending_doc.clear();
-                        pending_test = false;
-                        continue;
-                    }
-                    "enum" => {
-                        i = self.enum_item(i, hi, ctx, pending_test);
-                        pending_doc.clear();
-                        pending_test = false;
-                        continue;
-                    }
-                    "impl" => {
-                        i = self.impl_item(i, hi, ctx, pending_test);
-                        pending_doc.clear();
-                        pending_test = false;
-                        continue;
-                    }
-                    "fn" => {
-                        i = self.fn_item(i, hi, ctx, pending_test);
-                        pending_doc.clear();
-                        pending_test = false;
-                        continue;
-                    }
-                    "mod" | "trait" => {
-                        i = self.block_scope(i, hi, ctx, pending_test);
-                        pending_doc.clear();
-                        pending_test = false;
-                        continue;
-                    }
-                    "macro_rules" => {
-                        i = self.skip_to_block_end(i, hi);
-                        pending_doc.clear();
-                        pending_test = false;
-                        continue;
-                    }
-                    _ => {}
-                }
-            }
-            // Any other token: plain advance. Brace-matched regions that
-            // we did not recognize as items (macro invocations, const
-            // initializers…) are walked token-by-token, which is fine —
-            // nested `fn`/`struct` keywords inside them still register
-            // with the surrounding context.
-            pending_doc.clear();
+            let test = in_test || pending_test;
             pending_test = false;
-            i += 1;
+            i = match t.text.as_str() {
+                _ if t.kind != TokKind::Ident => i + 1,
+                "struct" => self.struct_item(i, hi, test),
+                "enum" => self.enum_item(i, hi, test),
+                "impl" => self.impl_item(i, hi, test),
+                "fn" => self.fn_item(i, hi, test),
+                "mod" | "trait" => self.block_scope(i, hi, test),
+                "macro_rules" => self.skip_to_block_end(i, hi),
+                // Any other token: plain advance. Brace-matched regions
+                // that we did not recognize as items (macro invocations,
+                // const initializers…) are walked token-by-token, which
+                // is fine — nested `fn`/`struct` keywords inside them
+                // still register with the surrounding context.
+                _ => i + 1,
+            };
         }
     }
 
@@ -294,14 +233,7 @@ impl<'a> Parser<'a> {
         None
     }
 
-    fn struct_item(
-        &mut self,
-        i: usize,
-        hi: usize,
-        ctx: &Ctx,
-        pending_test: bool,
-        _doc: &str,
-    ) -> usize {
+    fn struct_item(&mut self, i: usize, hi: usize, in_test: bool) -> usize {
         let line = self.toks[i].line;
         let Some(name_tok) = self.toks.get(i + 1) else {
             return hi;
@@ -330,7 +262,7 @@ impl<'a> Parser<'a> {
             name,
             fields,
             line,
-            in_test: ctx.in_test || pending_test,
+            in_test,
         });
         close + 1
     }
@@ -410,7 +342,7 @@ impl<'a> Parser<'a> {
         out
     }
 
-    fn enum_item(&mut self, i: usize, hi: usize, ctx: &Ctx, pending_test: bool) -> usize {
+    fn enum_item(&mut self, i: usize, hi: usize, in_test: bool) -> usize {
         let line = self.toks[i].line;
         let Some(name_tok) = self.toks.get(i + 1) else {
             return hi;
@@ -455,12 +387,12 @@ impl<'a> Parser<'a> {
             name,
             variants,
             line,
-            in_test: ctx.in_test || pending_test,
+            in_test,
         });
         close + 1
     }
 
-    fn impl_item(&mut self, i: usize, hi: usize, ctx: &Ctx, pending_test: bool) -> usize {
+    fn impl_item(&mut self, i: usize, hi: usize, in_test: bool) -> usize {
         // `impl<…> Path<…> (for Path<…>)? where … {`
         let mut j = i + 1;
         if j < hi && self.toks[j].is_punct('<') {
@@ -469,38 +401,8 @@ impl<'a> Parser<'a> {
         let Some(open) = self.find_body_open(j, hi) else {
             return (i + 1).min(hi);
         };
-        // Collect path idents (ignoring generics) up to the body; note
-        // a `for` separating trait from self type.
-        let mut trait_name: Option<String> = None;
-        let mut last_ident: Option<String> = None;
-        let mut k = j;
-        let mut angle = 0i32;
-        while k < open {
-            let t = &self.toks[k];
-            if t.is_punct('<') {
-                angle += 1;
-            } else if t.is_punct('>') {
-                if !(k > 0 && self.toks[k - 1].is_punct('-')) {
-                    angle -= 1;
-                }
-            } else if angle <= 0 && t.kind == TokKind::Ident {
-                if t.text == "for" {
-                    trait_name = last_ident.take();
-                } else if t.text == "where" {
-                    break;
-                } else {
-                    last_ident = Some(t.text.clone());
-                }
-            }
-            k += 1;
-        }
         let close = self.match_delim(open, hi, '{', '}');
-        let inner_ctx = Ctx {
-            in_test: ctx.in_test || pending_test,
-            impl_ty: last_ident,
-            trait_name,
-        };
-        self.items(open + 1, close, &inner_ctx);
+        self.items(open + 1, close, in_test);
         close + 1
     }
 
@@ -523,7 +425,7 @@ impl<'a> Parser<'a> {
         hi
     }
 
-    fn fn_item(&mut self, i: usize, hi: usize, ctx: &Ctx, pending_test: bool) -> usize {
+    fn fn_item(&mut self, i: usize, hi: usize, in_test: bool) -> usize {
         let Some(name_tok) = self.toks.get(i + 1) else {
             return hi;
         };
@@ -536,13 +438,11 @@ impl<'a> Parser<'a> {
                     name,
                     line,
                     body: (open + 1, close),
-                    impl_ty: ctx.impl_ty.clone(),
-                    trait_name: ctx.trait_name.clone(),
-                    in_test: ctx.in_test || pending_test,
+                    in_test,
                 });
                 // Walk the body too: nested fns/items register with the
                 // enclosing context.
-                self.items(open + 1, close, ctx);
+                self.items(open + 1, close, in_test);
                 close + 1
             }
             None => {
@@ -551,9 +451,7 @@ impl<'a> Parser<'a> {
                     name,
                     line,
                     body: (0, 0),
-                    impl_ty: ctx.impl_ty.clone(),
-                    trait_name: ctx.trait_name.clone(),
-                    in_test: ctx.in_test || pending_test,
+                    in_test,
                 });
                 let mut j = i + 1;
                 while j < hi && !self.toks[j].is_punct(';') {
@@ -566,7 +464,7 @@ impl<'a> Parser<'a> {
 
     /// `mod name { … }` / `trait Name { … }`: recurse with updated test
     /// context; `mod name;` just advances.
-    fn block_scope(&mut self, i: usize, hi: usize, ctx: &Ctx, pending_test: bool) -> usize {
+    fn block_scope(&mut self, i: usize, hi: usize, in_test: bool) -> usize {
         let Some(open) = self.find_body_open(i + 1, hi) else {
             let mut j = i + 1;
             while j < hi && !self.toks[j].is_punct(';') {
@@ -575,12 +473,7 @@ impl<'a> Parser<'a> {
             return j + 1;
         };
         let close = self.match_delim(open, hi, '{', '}');
-        let inner_ctx = Ctx {
-            in_test: ctx.in_test || pending_test,
-            impl_ty: None,
-            trait_name: None,
-        };
-        self.items(open + 1, close, &inner_ctx);
+        self.items(open + 1, close, in_test);
         close + 1
     }
 
@@ -628,16 +521,13 @@ mod tests {
     }
 
     #[test]
-    fn impl_blocks_attribute_methods() {
+    fn impl_blocks_yield_their_methods() {
         let f = parse(
             "impl<D: Direction> GuardCore<D> { fn commit(&mut self) {} }\n\
-             impl fmt::Display for Clock { fn fmt(&self) {} }",
+             #[cfg(test)]\nimpl fmt::Display for Clock { fn fmt(&self) {} }",
         );
-        assert_eq!(f.fns.len(), 2);
-        assert_eq!(f.fns[0].impl_ty.as_deref(), Some("GuardCore"));
-        assert_eq!(f.fns[0].trait_name, None);
-        assert_eq!(f.fns[1].impl_ty.as_deref(), Some("Clock"));
-        assert_eq!(f.fns[1].trait_name.as_deref(), Some("Display"));
+        let fns: Vec<_> = f.fns.iter().map(|f| (f.name.as_str(), f.in_test)).collect();
+        assert_eq!(fns, [("commit", false), ("fmt", true)]);
     }
 
     #[test]
@@ -656,10 +546,8 @@ mod tests {
     }
 
     #[test]
-    fn enum_variants_and_inner_attrs() {
-        let f =
-            parse("#![forbid(unsafe_code)]\nenum E {\n    A,\n    B { x: u8 },\n    C(u16),\n}");
-        assert_eq!(f.inner_attrs, vec!["forbid ( unsafe_code )"]);
+    fn enum_variants() {
+        let f = parse("#![allow(dead_code)]\nenum E {\n    A,\n    B { x: u8 },\n    C(u16),\n}");
         let names: Vec<_> = f.enums[0].variants.iter().map(|v| v.0.as_str()).collect();
         assert_eq!(names, ["A", "B", "C"]);
     }

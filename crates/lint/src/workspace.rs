@@ -21,8 +21,9 @@ pub struct CrateSrc {
     pub name: String,
     /// Directory containing the crate's `Cargo.toml`.
     pub dir: PathBuf,
-    /// The crate root (`src/lib.rs`, falling back to `src/main.rs`).
-    pub root_file: Option<PathBuf>,
+    /// False when the crate's manifest lacks `[lints] workspace = true`
+    /// and so escapes the workspace's rustc and clippy lint floor.
+    pub inherits_lints: bool,
     /// Every `.rs` under `src/` and `examples/`, parsed.
     pub sources: Vec<SourceFile>,
 }
@@ -44,29 +45,29 @@ impl Workspace {
                 .parent()
                 .unwrap_or_else(|| Path::new("."))
                 .to_path_buf();
-            let Some(name) = package_name(&manifest)? else {
+            let text = fs::read_to_string(&manifest)?;
+            let Some(name) = package_name(&text) else {
                 continue; // virtual manifest (workspace-only)
             };
-            crates.push(load_crate(name, dir)?);
+            crates.push(load_crate(name, dir, inherits_lints(&text))?);
         }
         Ok(Workspace { crates })
     }
 
     /// Builds a single-crate pseudo-workspace from explicit files —
     /// used by the fixture tests to lint known-bad snippets without a
-    /// `Cargo.toml` around them.
+    /// `Cargo.toml` around them (so with no manifest to check).
     pub fn from_files(name: &str, dir: &Path, files: &[PathBuf]) -> io::Result<Workspace> {
         let mut sources = Vec::new();
         for f in files {
             let text = fs::read_to_string(f)?;
             sources.push(parse_source(f.clone(), &text));
         }
-        let root_file = files.first().cloned();
         Ok(Workspace {
             crates: vec![CrateSrc {
                 name: name.to_string(),
                 dir: dir.to_path_buf(),
-                root_file,
+                inherits_lints: true,
                 sources,
             }],
         })
@@ -74,7 +75,7 @@ impl Workspace {
 }
 
 /// Loads and parses one crate's sources.
-fn load_crate(name: String, dir: PathBuf) -> io::Result<CrateSrc> {
+fn load_crate(name: String, dir: PathBuf, inherits_lints: bool) -> io::Result<CrateSrc> {
     let mut files = Vec::new();
     for sub in ["src", "examples"] {
         let base = dir.join(sub);
@@ -83,9 +84,6 @@ fn load_crate(name: String, dir: PathBuf) -> io::Result<CrateSrc> {
         }
     }
     files.sort();
-    let root_file = [dir.join("src/lib.rs"), dir.join("src/main.rs")]
-        .into_iter()
-        .find(|p| p.is_file());
     let mut sources = Vec::new();
     for f in &files {
         let text = fs::read_to_string(f)?;
@@ -98,7 +96,7 @@ fn load_crate(name: String, dir: PathBuf) -> io::Result<CrateSrc> {
     Ok(CrateSrc {
         name,
         dir,
-        root_file,
+        inherits_lints,
         sources,
     })
 }
@@ -212,25 +210,34 @@ fn member_globs(manifest: &str) -> Vec<String> {
 }
 
 /// The `[package] name` of a manifest, or `None` for virtual manifests.
-fn package_name(manifest: &Path) -> io::Result<Option<String>> {
-    let text = fs::read_to_string(manifest)?;
-    let mut in_package = false;
-    for line in text.lines() {
+fn package_name(manifest: &str) -> Option<String> {
+    table_value(manifest, "[package]", "name").map(|v| v.trim_matches('"').to_string())
+}
+
+/// True when the manifest opts into the workspace lint table with
+/// `[lints] workspace = true`.
+fn inherits_lints(manifest: &str) -> bool {
+    table_value(manifest, "[lints]", "workspace") == Some("true")
+}
+
+/// The raw value of `key = value` inside the `table` header's section.
+fn table_value<'a>(manifest: &'a str, table: &str, key: &str) -> Option<&'a str> {
+    let mut in_table = false;
+    for line in manifest.lines() {
         let line = line.trim();
         if line.starts_with('[') {
-            in_package = line == "[package]";
+            in_table = line == table;
             continue;
         }
-        if in_package {
-            if let Some(value) = line.strip_prefix("name") {
-                let value = value.trim_start();
-                if let Some(value) = value.strip_prefix('=') {
-                    return Ok(Some(value.trim().trim_matches('"').to_string()));
+        if in_table {
+            if let Some((k, v)) = line.split_once('=') {
+                if k.trim() == key {
+                    return Some(v.trim());
                 }
             }
         }
     }
-    Ok(None)
+    None
 }
 
 #[cfg(test)]
@@ -241,6 +248,17 @@ mod tests {
     fn member_globs_extracts_patterns() {
         let globs = member_globs("[workspace]\nmembers = [\"crates/*\", \"vendor/*\"]\n");
         assert_eq!(globs, ["crates/*", "vendor/*"]);
+    }
+
+    #[test]
+    fn manifest_tables_are_read_by_section() {
+        let m = "[package]\nname = \"fx\"\n\n[lints]\nworkspace = true\n";
+        assert_eq!(package_name(m).as_deref(), Some("fx"));
+        assert!(inherits_lints(m));
+        assert!(!inherits_lints(
+            "[package]\nname = \"fx\"\nworkspace = true\n"
+        ));
+        assert_eq!(package_name("[workspace]\nmembers = []\n"), None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Fixture crate root: intentionally missing the required inner
-//! attributes, with a panic-hygiene violation for good measure.
+//! Fixture crate root: its manifest does not opt into the workspace
+//! lint table, and it has a panic-hygiene violation for good measure.
 
-/// Unwraps in non-test code.
+/// States no invariant when the value is missing.
 pub fn careless(v: Option<u32>) -> u32 {
-    v.unwrap()
+    v.expect("x")
 }

@@ -13,11 +13,6 @@ pub enum TraceEvent {
 pub struct Hub;
 
 impl Hub {
-    /// Whether tracing is on.
-    pub fn enabled(&self) -> bool {
-        false
-    }
-
     /// Records an event.
     pub fn record(&mut self, _cycle: u64, _src: &str, _ev: TraceEvent) {}
 }

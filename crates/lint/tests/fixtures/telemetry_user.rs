@@ -1,15 +1,7 @@
-//! Fixture: an ungated allocating record call.
+//! Fixture: a user crate recording one of the two event variants.
 //! Exercised by `tests/fixtures_fire.rs`; never compiled.
 
-/// Hot-path code that allocates a `String` for every record call even
-/// when tracing is off — the gating lint must flag this.
+/// Records `Used`; nothing records `Orphan`.
 pub fn hot_path(hub: &mut Hub, cycle: u64, addr: u64) {
-    hub.record(cycle, "fx", TraceEvent::Used(format!("{addr:x}").len() as u64));
-}
-
-/// The same call behind the enabled gate is fine.
-pub fn gated_path(hub: &mut Hub, cycle: u64, addr: u64) {
-    if hub.enabled() {
-        hub.record(cycle, "fx", TraceEvent::Used(format!("{addr:x}").len() as u64));
-    }
+    hub.record(cycle, "fx", TraceEvent::Used(addr));
 }

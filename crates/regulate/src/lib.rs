@@ -74,9 +74,6 @@
 //! assert_eq!(reg.grants(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod budget;
 pub mod config;
 mod ledger;

@@ -25,9 +25,6 @@
 //! managers, interconnect and subordinates, which keeps combinational
 //! dependencies explicit and the simulation deterministic.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod reset;
 pub mod rng;
 pub mod stats;

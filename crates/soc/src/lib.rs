@@ -45,9 +45,6 @@
 //! assert!(stats.writes_completed > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod arbiter;
 pub mod demux;
 pub mod dma;

@@ -72,11 +72,6 @@ impl TelemetryHub {
         self.last_sample_at = None;
     }
 
-    /// Turns recording on or off without touching accumulated state.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
     /// Whether recording is active. Callers whose event *construction*
     /// is itself costly can gate on this; plain `record` calls don't
     /// need to.
@@ -293,38 +288,5 @@ mod tests {
         });
         assert!(hub.spans().is_none());
         assert_eq!(hub.chrome_trace_json(), "{\"traceEvents\":[]}");
-    }
-
-    #[test]
-    fn set_enabled_pauses_without_losing_state() {
-        let mut hub = TelemetryHub::enabled_with(config());
-        hub.record(
-            0,
-            "t",
-            TraceEvent::Counter {
-                name: "c",
-                delta: 1,
-            },
-        );
-        hub.set_enabled(false);
-        hub.record(
-            1,
-            "t",
-            TraceEvent::Counter {
-                name: "c",
-                delta: 1,
-            },
-        );
-        assert_eq!(hub.metrics().counter("c"), 1);
-        hub.set_enabled(true);
-        hub.record(
-            2,
-            "t",
-            TraceEvent::Counter {
-                name: "c",
-                delta: 1,
-            },
-        );
-        assert_eq!(hub.metrics().counter("c"), 2);
     }
 }

@@ -54,9 +54,6 @@
 //! assert!(json.contains("\"traceEvents\""));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod event;
 pub mod hub;
 pub mod metrics;

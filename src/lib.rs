@@ -22,9 +22,6 @@
 //! cargo run --example quickstart
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use axi4;
 pub use faults;
 pub use gf12_area;

@@ -10,6 +10,10 @@
 //! bounded small enough to fill), and four regulated managers behind a
 //! trunk TMU.
 
+// The workspace denies `unsafe_code`; a `GlobalAlloc` cannot be written
+// without it.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 

@@ -12,6 +12,10 @@ use axi_tmu::soc::system::{System, SystemConfig, ETH_BASE, ETH_SIZE, MEM_BASE};
 use axi_tmu::tmu::{BudgetConfig, TmuConfig};
 use proptest::prelude::*;
 
+#[path = "common/cases.rs"]
+mod cases;
+use cases::cases;
+
 fn burst_menu() -> impl Strategy<Value = Vec<u16>> {
     prop::collection::vec(
         prop_oneof![Just(1u16), Just(2), Just(4), Just(8), Just(16), Just(32)],
@@ -20,7 +24,7 @@ fn burst_menu() -> impl Strategy<Value = Vec<u16>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(cases(24))]
 
     /// Random CPU/DMA mixes: all scripted traffic completes, reads of
     /// written memory verify, and no faults or decode errors appear.

@@ -338,6 +338,7 @@ impl LegalManager {
         port.r.set_ready(c.mgr_r_ready);
     }
 
+    #[allow(clippy::panic)] // a test helper's panic is the failure report
     fn commit(&mut self, port: &AxiPort) {
         if let Some(aw) = port.aw.fired_beat() {
             self.aw = None;

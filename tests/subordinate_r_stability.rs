@@ -13,6 +13,7 @@ use axi_tmu::soc::memory::{MemConfig, MemSub};
 /// Reads 4 beats at `addr`, holds R `ready` low once the first R beat
 /// is offered, writes the same 4 words meanwhile, and releases R only
 /// after the write's B. Returns the checker's violations.
+#[allow(clippy::panic)] // a test helper's panic is the failure report
 fn stalled_read_overlapped_by_write(sub: &mut impl AxiSubordinate, addr: u64) -> Vec<Violation> {
     let read = TxnBuilder::new(AxiId(1), Addr(addr))
         .incr(4)
