@@ -5,13 +5,13 @@
 //! differ only in their phase machines, data routing, and abort
 //! semantics. Everything else — the Outstanding Transaction Table, ID
 //! remapper, prescaled timeout counters, deadline wheel, adaptive budget
-//! selection, stall backpressure, and the observe/commit/drain/clear
+//! selection, stall backpressure, and the stall/commit/drain/clear
 //! lifecycle — is direction-independent and lives here exactly once, in
 //! [`GuardCore`].
 //!
 //! The split is expressed as a trait: [`Direction`] captures the
 //! direction-specific *vocabulary* (request beat type, phase enum,
-//! budget table) and *behaviour* (wire observation, data/response
+//! budget table) and *behaviour* (which wires are its own, data/response
 //! routing, abort obligations). `ReadGuard`/`WriteGuard` are thin type
 //! aliases over `GuardCore<ReadDir>`/`GuardCore<WriteDir>`, so the
 //! public guard API and the telemetry event streams are identical to the
@@ -19,8 +19,9 @@
 //!
 //! ## Commit ordering contract
 //!
-//! [`GuardCore::commit`] advances the tracked state for one cycle in a
-//! fixed order that both directions share:
+//! [`GuardCore::commit`] reads the settled manager-side port and advances
+//! the tracked state for one cycle in a fixed order that both directions
+//! share:
 //!
 //! 1. a newly *offered* address beat allocates an OTT entry (unless the
 //!    stall decision held it off),
@@ -37,10 +38,10 @@
 //! ## Quiet cycles
 //!
 //! Under the deadline-wheel engine a commit does work only on an event.
-//! A cycle with no address offered or fired, idle data and response
-//! wires ([`Direction::data_idle`]), no stall and no deadline that
-//! [`DeadlineWheel::may_be_due`] is skipped: steps 1–5 would change
-//! nothing on it. The per-cycle reference engine ticks every live
+//! A cycle whose port carries no valid beat on the direction's channels
+//! ([`Direction::idle`], tested before any beat is read), with no stall
+//! and no deadline that [`DeadlineWheel::may_be_due`] is skipped:
+//! steps 1–5 would change nothing on it. The per-cycle reference engine ticks every live
 //! counter every cycle, so it commits every cycle in full.
 //!
 //! When `debug_assertions` are on, every commit ends with
@@ -48,7 +49,7 @@
 //! structural invariants after each committed cycle for free.
 
 use axi4::beat::AddrBeat;
-use axi4::channel::AxiPort;
+use axi4::channel::{AxiPort, Channel};
 use axi4::checker::{Rule, Violation};
 use axi4::AxiId;
 use tmu_telemetry::{Dir, FaultClass, PhaseId, TelemetryHub, TraceEvent};
@@ -75,8 +76,6 @@ pub trait Direction: Sized + std::fmt::Debug + Clone + 'static {
     type Phase: Copy + std::fmt::Debug + PartialEq + Eq + Into<PhaseId> + Into<TxnPhase>;
     /// The per-phase budget table consulted by the Full-Counter variant.
     type Budgets: Copy + std::fmt::Debug + PartialEq + Eq;
-    /// Data/response wires captured by `observe` for `commit_data`.
-    type DataObs: Default + Clone + std::fmt::Debug;
 
     /// Which guard this is, as tagged in telemetry events.
     const DIR: Dir;
@@ -108,13 +107,11 @@ pub trait Direction: Sized + std::fmt::Debug + Clone + 'static {
     fn phase_budget(budgets: &Self::Budgets, phase: Self::Phase) -> u64;
     /// Budget of the initial (address-handshake) phase.
     fn initial_budget(budgets: &Self::Budgets) -> u64;
-    /// The offered address beat and whether its handshake fired.
-    fn observe_addr(port: &AxiPort) -> (Option<Self::Req>, bool);
-    /// The direction's data/response wires for this cycle.
-    fn observe_data(port: &AxiPort) -> Self::DataObs;
-    /// Whether the captured data/response wires carry nothing, so that
-    /// [`Direction::commit_data`] would do nothing with them.
-    fn data_idle(data: &Self::DataObs) -> bool;
+    /// The direction's address channel on `port`.
+    fn addr(port: &AxiPort) -> &Channel<Self::Req>;
+    /// Whether none of the direction's channels on `port` carries a
+    /// valid beat, so that steps 1–3 of the commit would do nothing.
+    fn idle(port: &AxiPort) -> bool;
     /// Beats reported in the perf record of a retired transaction.
     fn perf_beats(tracker: &TxnTracker<Self>) -> u16;
     /// Abort obligation for one outstanding transaction (sever path).
@@ -123,12 +120,12 @@ pub trait Direction: Sized + std::fmt::Debug + Clone + 'static {
     /// (0 for reads: the subordinate owns the read data channel).
     fn drain_beats(tracker: &TxnTracker<Self>) -> u64;
     /// Step 3 of the commit contract: route this cycle's data/response
-    /// wires through the phase machine and retire completions via
-    /// `GuardCore::retire`. While `GuardCore::check_protocol` is set, a
-    /// beat that breaks a context rule is recorded with `flag`.
+    /// wires on `port` through the phase machine and retire completions
+    /// via `GuardCore::retire`. While `GuardCore::check_protocol` is set,
+    /// a beat that breaks a context rule is recorded with `flag`.
     fn commit_data(
         core: &mut GuardCore<Self>,
-        data: &Self::DataObs,
+        port: &AxiPort,
         cycle: u64,
         perf: &mut PerfLog,
         telemetry: &mut TelemetryHub,
@@ -183,28 +180,10 @@ impl<D: Direction> TxnTracker<D> {
     }
 }
 
-/// Per-cycle observation snapshot, captured by [`GuardCore::observe`]
-/// and consumed by [`GuardCore::commit`].
-#[derive(Debug, Clone)]
-struct CoreObs<D: Direction> {
-    addr_offered: Option<D::Req>,
-    addr_fired: bool,
-    data: D::DataObs,
-}
-
-impl<D: Direction> Default for CoreObs<D> {
-    fn default() -> Self {
-        CoreObs {
-            addr_offered: None,
-            addr_fired: false,
-            data: D::DataObs::default(),
-        }
-    }
-}
-
 /// The direction-generic guard: owns the OTT, ID remapper, deadline
 /// wheel, and prescaled counters for one direction of one monitored
-/// link, and drives the observe/commit/drain/clear lifecycle. See the
+/// link, and drives the stall/commit/drain/clear lifecycle: the forward
+/// pass decides the stall, the commit reads the settled port. See the
 /// [module docs](self) for the commit ordering contract.
 #[derive(Debug, Clone)]
 pub struct GuardCore<D: Direction> {
@@ -245,7 +224,6 @@ pub struct GuardCore<D: Direction> {
     /// until its uid retires a transaction or the guard clears, since
     /// only a dequeue moves a uid's head and only a release unmaps an ID.
     resp_route: Option<(AxiId, UniqId, LdIndex)>,
-    obs: CoreObs<D>,
 }
 
 impl<D: Direction> GuardCore<D> {
@@ -273,7 +251,6 @@ impl<D: Direction> GuardCore<D> {
             check_protocol: cfg.check_protocol(),
             violations: Vec::new(),
             resp_route: None,
-            obs: CoreObs::default(),
         }
     }
 
@@ -341,17 +318,6 @@ impl<D: Direction> GuardCore<D> {
     #[cold]
     fn changed_while_waiting(&self, idx: LdIndex, beat: &D::Req) -> bool {
         self.ott.get(idx).is_some_and(|e| e.tracker.req != *beat)
-    }
-
-    /// Captures the settled manager-side wires for this cycle.
-    #[inline]
-    pub fn observe(&mut self, port: &AxiPort) {
-        let (addr_offered, addr_fired) = D::observe_addr(port);
-        self.obs = CoreObs {
-            addr_offered,
-            addr_fired,
-            data: D::observe_data(port),
-        };
     }
 
     /// The queue load ahead of a new arrival (adaptive-budget input).
@@ -509,8 +475,8 @@ impl<D: Direction> GuardCore<D> {
         );
     }
 
-    /// Advances the phase machines, ticks counters, and appends this
-    /// cycle's faults to `faults`.
+    /// Advances the phase machines from the settled manager-side `port`,
+    /// ticks counters, and appends this cycle's faults to `faults`.
     ///
     /// `cycle` is the current cycle index; `perf` receives a record for
     /// every completed transaction (Full-Counter granularity when the
@@ -529,18 +495,19 @@ impl<D: Direction> GuardCore<D> {
     #[inline]
     pub fn commit(
         &mut self,
+        port: &AxiPort,
         cycle: u64,
         perf: &mut PerfLog,
         telemetry: &mut TelemetryHub,
         faults: &mut Vec<GuardFault>,
     ) {
         self.last_commit = cycle;
-        if self.is_quiet(cycle) {
+        if self.is_quiet(port, cycle) {
             #[cfg(debug_assertions)]
             self.assert_consistent();
             return;
         }
-        self.commit_busy(cycle, perf, telemetry, faults);
+        self.commit_busy(port, cycle, perf, telemetry, faults);
     }
 
     /// The commit of a cycle with an event: steps 1–5 of the
@@ -548,19 +515,17 @@ impl<D: Direction> GuardCore<D> {
     #[inline(never)]
     fn commit_busy(
         &mut self,
+        port: &AxiPort,
         cycle: u64,
         perf: &mut PerfLog,
         telemetry: &mut TelemetryHub,
         faults: &mut Vec<GuardFault>,
     ) {
-        // Consume the observation, leaving it idle for the next commit.
-        let addr_offered = self.obs.addr_offered.take();
-        let addr_fired = std::mem::take(&mut self.obs.addr_fired);
-        let data = std::mem::take(&mut self.obs.data);
+        let addr = D::addr(port);
 
-        // 1. New address beat observed: allocate unless stalled or
+        // 1. New address beat offered: allocate unless stalled or
         //    already pending.
-        if let Some(req) = addr_offered {
+        if let Some(&req) = addr.beat() {
             if self.addr_pending.is_none() && !self.stalled_this_cycle {
                 let load = self.queue_load();
                 let beats = req.burst_len().beats();
@@ -623,7 +588,7 @@ impl<D: Direction> GuardCore<D> {
         }
 
         // 2. Address handshake completes: enter the data phase.
-        if addr_fired {
+        if addr.fires() {
             if let Some(idx) = self.addr_pending.take() {
                 let variant = self.variant;
                 let engine = self.engine;
@@ -643,7 +608,7 @@ impl<D: Direction> GuardCore<D> {
         }
 
         // 3. Direction-specific data/response routing and retirement.
-        D::commit_data(self, &data, cycle, perf, telemetry);
+        D::commit_data(self, port, cycle, perf, telemetry);
 
         // 4. Flag expiries. The reference engine ticks every live
         //    counter each cycle; the deadline wheel only touches the
@@ -761,16 +726,13 @@ impl<D: Direction> GuardCore<D> {
     }
 
     /// Whether the commit for `cycle` has nothing to do (see the
-    /// [module docs](self)): deadline-wheel engine, no address beat, no
-    /// stall, idle data wires and no deadline due. The observation it
-    /// leaves in place is idle, so the next commit sees no stale beat.
+    /// [module docs](self)): deadline-wheel engine, no valid beat on the
+    /// direction's channels of `port`, no stall and no deadline due.
     #[inline]
-    fn is_quiet(&self, cycle: u64) -> bool {
+    fn is_quiet(&self, port: &AxiPort, cycle: u64) -> bool {
         self.engine == CounterEngine::DeadlineWheel
-            && self.obs.addr_offered.is_none()
-            && !self.obs.addr_fired
+            && D::idle(port)
             && !self.stalled_this_cycle
-            && D::data_idle(&self.obs.data)
             && !self.wheel.may_be_due(cycle)
     }
 
@@ -808,7 +770,6 @@ impl<D: Direction> GuardCore<D> {
         self.stalled_this_cycle = false;
         self.violations.clear();
         self.resp_route = None;
-        self.obs = CoreObs::default();
     }
 
     /// The earliest cycle at which an armed timeout can fire, or `None`

@@ -3,9 +3,9 @@
 //! AXI4 keeps its write and read channels independent, so the TMU
 //! instantiates one guard per direction. Each guard owns an
 //! [`crate::ott::Ott`] of per-transaction trackers and an ID remapper,
-//! observes the settled manager-side wires once per cycle, advances the
-//! per-transaction phase machines at commit, ticks the timeout counters,
-//! and reports [`GuardFault`]s.
+//! and once per cycle, at commit, reads the settled manager-side wires,
+//! advances the per-transaction phase machines, ticks the timeout
+//! counters, and reports [`GuardFault`]s.
 //!
 //! With protocol checking on, the guards also answer the context
 //! protocol rules (W without AW, WLAST placement, B without a

@@ -12,8 +12,8 @@
 //! carry no ID; the read guard's OTT is built without it, as in the area
 //! model.
 
-use axi4::beat::{ArBeat, RBeat};
-use axi4::channel::AxiPort;
+use axi4::beat::ArBeat;
+use axi4::channel::{AxiPort, Channel};
 use axi4::checker::Rule;
 use tmu_telemetry::{Dir, TelemetryHub};
 
@@ -35,19 +35,10 @@ pub type ReadTracker = TxnTracker<ReadDir>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadDir {}
 
-/// R-channel wires captured per cycle.
-#[derive(Debug, Clone, Default)]
-pub struct ReadDataObs {
-    r_offered: Option<RBeat>,
-    /// Whether `r_offered` fired.
-    r_fired: bool,
-}
-
 impl Direction for ReadDir {
     type Req = ArBeat;
     type Phase = ReadPhase;
     type Budgets = ReadBudgets;
-    type DataObs = ReadDataObs;
 
     const DIR: Dir = Dir::Read;
     const IS_WRITE: bool = false;
@@ -84,19 +75,14 @@ impl Direction for ReadDir {
         budgets.ar_handshake
     }
 
-    fn observe_addr(port: &AxiPort) -> (Option<ArBeat>, bool) {
-        (port.ar.beat().copied(), port.ar.fires())
+    #[inline]
+    fn addr(port: &AxiPort) -> &Channel<ArBeat> {
+        &port.ar
     }
 
-    fn observe_data(port: &AxiPort) -> ReadDataObs {
-        ReadDataObs {
-            r_offered: port.r.beat().copied(),
-            r_fired: port.r.fires(),
-        }
-    }
-
-    fn data_idle(data: &ReadDataObs) -> bool {
-        data.r_offered.is_none()
+    #[inline]
+    fn idle(port: &AxiPort) -> bool {
+        !port.ar.valid() && !port.r.valid()
     }
 
     // A read may retire early on RLAST, so the perf record reports the
@@ -122,7 +108,7 @@ impl Direction for ReadDir {
     #[inline]
     fn commit_data(
         core: &mut GuardCore<ReadDir>,
-        data: &ReadDataObs,
+        port: &AxiPort,
         cycle: u64,
         perf: &mut PerfLog,
         telemetry: &mut TelemetryHub,
@@ -130,9 +116,10 @@ impl Direction for ReadDir {
         // R beats route by ID to the per-ID FIFO head (same-ID reads
         // complete in order; cross-ID interleaving is legal). The beat
         // that fires is the beat offered, so one lookup serves both.
-        let Some(r) = data.r_offered else {
+        let Some(&r) = port.r.beat() else {
             return;
         };
+        let r_fired = port.r.fires();
         let head = core.route_response(r.id);
         let variant = core.variant;
         let engine = core.engine;
@@ -165,7 +152,7 @@ impl Direction for ReadDir {
             }
             // A head still in ArHandshake has not fired its address: the
             // beat belongs to no read.
-            if data.r_fired && !t.phase.is_done() && t.phase != ReadPhase::ArHandshake {
+            if r_fired && !t.phase.is_done() && t.phase != ReadPhase::ArHandshake {
                 t.beats_done += 1;
                 core.beats_owed -= 1;
                 let beats = t.req.len.beats();
@@ -182,7 +169,7 @@ impl Direction for ReadDir {
                 }
             }
         }
-        if !data.r_fired {
+        if !r_fired {
             return;
         }
         if let Some(rule) = unexpected.filter(|_| core.check_protocol) {

@@ -40,8 +40,8 @@ fn ar(id: u16, beats: u16) -> ArBeat {
     )
 }
 
-/// One observation cycle against a write guard: set up the port, let the
-/// guard decide stalls, observe, commit.
+/// One cycle against a write guard: set up the port, let the guard
+/// decide stalls, commit from the port.
 fn wg_cycle(
     guard: &mut WriteGuard,
     cycle: u64,
@@ -52,9 +52,14 @@ fn wg_cycle(
     port.begin_cycle();
     setup(&mut port);
     guard.decide_stall(port.aw.beat());
-    guard.observe(&port);
     let mut faults = Vec::new();
-    guard.commit(cycle, perf, &mut TelemetryHub::default(), &mut faults);
+    guard.commit(
+        &port,
+        cycle,
+        perf,
+        &mut TelemetryHub::default(),
+        &mut faults,
+    );
     faults
 }
 
@@ -68,9 +73,14 @@ fn rg_cycle(
     port.begin_cycle();
     setup(&mut port);
     guard.decide_stall(port.ar.beat());
-    guard.observe(&port);
     let mut faults = Vec::new();
-    guard.commit(cycle, perf, &mut TelemetryHub::default(), &mut faults);
+    guard.commit(
+        &port,
+        cycle,
+        perf,
+        &mut TelemetryHub::default(),
+        &mut faults,
+    );
     faults
 }
 
@@ -438,11 +448,15 @@ fn engine_cycle<D: Direction>(
     let mut port = AxiPort::new();
     port.begin_cycle();
     setup(&mut port);
-    let (req, _) = D::observe_addr(&port);
-    guard.decide_stall(req.as_ref());
-    guard.observe(&port);
+    guard.decide_stall(D::addr(&port).beat());
     let mut faults = Vec::new();
-    guard.commit(cycle, perf, &mut TelemetryHub::default(), &mut faults);
+    guard.commit(
+        &port,
+        cycle,
+        perf,
+        &mut TelemetryHub::default(),
+        &mut faults,
+    );
     faults
 }
 

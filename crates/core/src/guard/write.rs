@@ -7,8 +7,8 @@
 //! order, no write-data interleaving in AXI4), B responses route by ID
 //! and retire the per-ID FIFO head once its data completed.
 
-use axi4::beat::{AwBeat, BBeat};
-use axi4::channel::AxiPort;
+use axi4::beat::AwBeat;
+use axi4::channel::{AxiPort, Channel};
 use axi4::checker::Rule;
 use tmu_telemetry::{Dir, TelemetryHub};
 
@@ -30,22 +30,10 @@ pub type WriteTracker = TxnTracker<WriteDir>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteDir {}
 
-/// W/B-channel wires captured per cycle.
-#[derive(Debug, Clone, Default)]
-pub struct WriteDataObs {
-    w_offered: bool,
-    w_fired: bool,
-    w_last: bool,
-    b_offered: Option<BBeat>,
-    /// Whether `b_offered` fired.
-    b_fired: bool,
-}
-
 impl Direction for WriteDir {
     type Req = AwBeat;
     type Phase = WritePhase;
     type Budgets = WriteBudgets;
-    type DataObs = WriteDataObs;
 
     const DIR: Dir = Dir::Write;
     const IS_WRITE: bool = true;
@@ -80,23 +68,14 @@ impl Direction for WriteDir {
         budgets.aw_handshake
     }
 
-    fn observe_addr(port: &AxiPort) -> (Option<AwBeat>, bool) {
-        (port.aw.beat().copied(), port.aw.fires())
+    #[inline]
+    fn addr(port: &AxiPort) -> &Channel<AwBeat> {
+        &port.aw
     }
 
-    fn observe_data(port: &AxiPort) -> WriteDataObs {
-        WriteDataObs {
-            w_offered: port.w.valid(),
-            w_fired: port.w.fires(),
-            w_last: port.w.beat().is_some_and(|w| w.last),
-            b_offered: port.b.beat().copied(),
-            b_fired: port.b.fires(),
-        }
-    }
-
-    // `w_fired` and `w_last` mean nothing without `w_offered`.
-    fn data_idle(data: &WriteDataObs) -> bool {
-        !data.w_offered && data.b_offered.is_none()
+    #[inline]
+    fn idle(port: &AxiPort) -> bool {
+        !port.aw.valid() && !port.w.valid() && !port.b.valid()
     }
 
     // A write's data length is fixed by the AW beat.
@@ -121,14 +100,15 @@ impl Direction for WriteDir {
     #[inline]
     fn commit_data(
         core: &mut GuardCore<WriteDir>,
-        data: &WriteDataObs,
+        port: &AxiPort,
         cycle: u64,
         perf: &mut PerfLog,
         telemetry: &mut TelemetryHub,
     ) {
         let check = core.check_protocol;
         // W beats route to the EI-front transaction (AW order).
-        if data.w_offered {
+        if let Some(w) = port.w.beat() {
+            let w_fired = port.w.fires();
             let front = core.ott.ei_front();
             let variant = core.variant;
             let engine = core.engine;
@@ -148,14 +128,14 @@ impl Direction for WriteDir {
                         telemetry,
                     );
                 }
-                if data.w_fired {
+                if w_fired {
                     if matches!(t.phase, WritePhase::FirstData | WritePhase::BurstTransfer) {
                         t.beats_done += 1;
                         core.beats_owed -= 1;
                         let beats = t.req.len.beats();
                         let is_final = t.beats_done == beats;
                         let mut complete_data = is_final;
-                        if check && data.w_last && !is_final {
+                        if check && w.last && !is_final {
                             flag(
                                 &mut core.violations,
                                 Rule::WlastEarly,
@@ -167,7 +147,7 @@ impl Direction for WriteDir {
                             // subordinate sees it. Its unsent beats stay
                             // owed until the transaction retires.
                             complete_data = true;
-                        } else if check && is_final && !data.w_last {
+                        } else if check && is_final && !w.last {
                             flag(
                                 &mut core.violations,
                                 Rule::WlastMissing,
@@ -198,7 +178,7 @@ impl Direction for WriteDir {
                         );
                     }
                 }
-            } else if data.w_fired && check {
+            } else if w_fired && check {
                 flag(
                     &mut core.violations,
                     Rule::WWithoutAw,
@@ -215,7 +195,7 @@ impl Direction for WriteDir {
         // B response: valid moves RespWait -> RespReady; the fired
         // handshake completes and retires the transaction. The beat that
         // fires is the beat offered, so one lookup serves both.
-        if let Some(b) = data.b_offered {
+        if let Some(&b) = port.b.beat() {
             let head = core.route_response(b.id);
             let variant = core.variant;
             let engine = core.engine;
@@ -237,7 +217,7 @@ impl Direction for WriteDir {
                 }
                 phase = Some(entry.tracker.phase);
             }
-            if data.b_fired {
+            if port.b.fires() {
                 let unexpected = match (phase, head) {
                     (Some(WritePhase::RespReady), Some((uid, _))) => {
                         core.retire(uid, cycle, perf, telemetry);

@@ -66,8 +66,7 @@
 //! tmu.forward_request(&mgr, &mut sub);
 //! // ... subordinate would drive `sub` here ...
 //! tmu.forward_response(&sub, &mut mgr);
-//! tmu.observe(&mgr);
-//! tmu.commit(0);
+//! tmu.commit_port(&mgr, 0);
 //! assert!(!tmu.irq_pending());
 //! ```
 

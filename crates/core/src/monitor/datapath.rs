@@ -1,12 +1,9 @@
 //! Combinational datapath passes: request/response forwarding with
-//! saturation-stall gating in normal operation, the terminator's severed
-//! drive (`SLVERR` aborts, residual-drain absorption) after a fault, and
-//! the parallel wire tap feeding the guards and the stateless protocol
-//! rules ([`WireRules`](axi4::checker::WireRules)). The guards answer the
-//! context protocol rules themselves, at commit.
+//! saturation-stall gating in normal operation, and the terminator's
+//! severed drive (`SLVERR` aborts, residual-drain absorption) after a
+//! fault. The settled wires are read by the commit (`fsm.rs`).
 
 use axi4::channel::AxiPort;
-use tmu_telemetry::{Channel, TraceEvent};
 
 use super::Tmu;
 
@@ -58,7 +55,7 @@ impl Tmu {
         }
     }
 
-    /// Optional pass between 2 and 3, for harnesses where the manager
+    /// Optional pass 3, for harnesses where the manager
     /// side's B/R `ready` wires settle late (e.g. below an interconnect
     /// mux): re-propagates them to the subordinate port. Standalone
     /// harnesses whose manager drives `ready` before
@@ -68,96 +65,6 @@ impl Tmu {
         if forwarding {
             sub.b.forward_ready_from(&mgr.b);
             sub.r.forward_ready_from(&mgr.r);
-        }
-    }
-
-    /// Pass 3: tap the settled manager-side wires for this `cycle`.
-    pub fn observe(&mut self, mgr: &AxiPort) {
-        if !self.regs.enabled() {
-            return;
-        }
-        self.term.observe(mgr);
-        if self.term.is_severed() {
-            return;
-        }
-        if self.telemetry.enabled() {
-            self.record_handshakes(mgr);
-        }
-        if self.term.drain_beats() > 0 {
-            // Drained beats belong to aborted bursts; hide them from the
-            // guards and the protocol rules.
-            let mut masked = mgr.clone();
-            masked.w.suppress_valid();
-            self.write_guard.observe(&masked);
-            self.read_guard.observe(&masked);
-            if self.protocol_checking() {
-                self.wire_rules
-                    .observe(&masked, self.cycles, &mut self.pending_violations);
-            }
-        } else {
-            self.write_guard.observe(mgr);
-            self.read_guard.observe(mgr);
-            if self.protocol_checking() {
-                self.wire_rules
-                    .observe(mgr, self.cycles, &mut self.pending_violations);
-            }
-        }
-    }
-
-    /// Taps the five channels' settled handshakes into the telemetry
-    /// event stream. W beats being drained belong to aborted bursts and
-    /// are hidden, mirroring what the guards see.
-    fn record_handshakes(&mut self, mgr: &AxiPort) {
-        let cycle = self.cycles;
-        if let Some(aw) = mgr.aw.fired_beat() {
-            self.telemetry.record(
-                cycle,
-                "tmu",
-                TraceEvent::Handshake {
-                    channel: Channel::Aw,
-                    id: aw.id.0,
-                },
-            );
-        }
-        if self.term.drain_beats() == 0 && mgr.w.fires() {
-            self.telemetry.record(
-                cycle,
-                "tmu",
-                TraceEvent::Handshake {
-                    channel: Channel::W,
-                    id: 0,
-                },
-            );
-        }
-        if let Some(b) = mgr.b.fired_beat() {
-            self.telemetry.record(
-                cycle,
-                "tmu",
-                TraceEvent::Handshake {
-                    channel: Channel::B,
-                    id: b.id.0,
-                },
-            );
-        }
-        if let Some(ar) = mgr.ar.fired_beat() {
-            self.telemetry.record(
-                cycle,
-                "tmu",
-                TraceEvent::Handshake {
-                    channel: Channel::Ar,
-                    id: ar.id.0,
-                },
-            );
-        }
-        if let Some(r) = mgr.r.fired_beat() {
-            self.telemetry.record(
-                cycle,
-                "tmu",
-                TraceEvent::Handshake {
-                    channel: Channel::R,
-                    id: r.id.0,
-                },
-            );
         }
     }
 }

@@ -1,38 +1,65 @@
-//! The clocked commit path and the fault/recovery state machine:
-//! collects guard timeouts and protocol violations (the wire rules'
-//! and the guards' context rules) into error records,
+//! The clocked commit path and the fault/recovery state machine: reads
+//! the settled manager-side wires (handshake telemetry, the stateless
+//! wire rules, the guards), collects guard timeouts and protocol
+//! violations (the wire rules' and the guards' context rules) into error
+//! records,
 //! severs the link through the [`Terminator`](crate::terminator::Terminator)
 //! on a fault, requests the subordinate reset once the aborts are
 //! delivered, and handshakes with the external reset unit before
 //! resuming.
 
-use tmu_telemetry::{FaultClass, RecoveryStage, TraceEvent};
+use axi4::channel::AxiPort;
+use tmu_telemetry::{Channel, FaultClass, RecoveryStage, TraceEvent};
 
 use super::Tmu;
 use crate::log::{ErrorRecord, FaultKind};
 use crate::terminator::TerminatorEvent;
 
 impl Tmu {
-    /// Pass 4: clock commit for `cycle`.
-    pub fn commit(&mut self, cycle: u64) {
+    /// Pass 4: clock commit for `cycle`, reading the settled
+    /// manager-side wires `mgr` ("listens in parallel", adding no
+    /// latency on the datapath).
+    pub fn commit_port(&mut self, mgr: &AxiPort, cycle: u64) {
         self.cycles = cycle + 1;
         if !self.regs.enabled() {
             return;
         }
         let monitoring = !self.term.is_severed();
-        match self.term.commit() {
-            Some(TerminatorEvent::AbortsDelivered) => self.request_reset(),
-            Some(TerminatorEvent::Resumed) => self.telemetry.record(
-                self.cycles,
-                "tmu",
-                TraceEvent::Recovery {
-                    stage: RecoveryStage::Resumed,
-                },
-            ),
-            None => {}
+        // Drained beats belong to aborted bursts; hide them from the
+        // guards and the protocol rules.
+        let masked;
+        let port = if monitoring && self.term.drain_beats() > 0 {
+            let mut m = mgr.clone();
+            m.w.suppress_valid();
+            masked = m;
+            &masked
+        } else {
+            mgr
+        };
+        if monitoring {
+            if self.telemetry.enabled() {
+                self.record_handshakes(mgr, cycle);
+            }
+            if self.protocol_checking() {
+                self.wire_rules
+                    .observe(port, cycle, &mut self.pending_violations);
+            }
+        }
+        if !self.term.is_idle() {
+            match self.term.commit(mgr) {
+                Some(TerminatorEvent::AbortsDelivered) => self.request_reset(),
+                Some(TerminatorEvent::Resumed) => self.telemetry.record(
+                    self.cycles,
+                    "tmu",
+                    TraceEvent::Recovery {
+                        stage: RecoveryStage::Resumed,
+                    },
+                ),
+                None => {}
+            }
         }
         if monitoring {
-            self.commit_monitoring(cycle);
+            self.commit_monitoring(port, cycle);
         }
         if self.telemetry.should_sample(cycle) {
             self.publish_gauges();
@@ -40,16 +67,89 @@ impl Tmu {
         }
     }
 
-    fn commit_monitoring(&mut self, cycle: u64) {
+    /// Adapter for component loops written against a separate observe
+    /// pass (busybench's): latches the settled manager-side wires for
+    /// the next [`Tmu::commit`]. Harnesses call [`Tmu::commit_port`].
+    pub fn observe(&mut self, mgr: &AxiPort) {
+        self.tap.clone_from(mgr);
+    }
+
+    /// Adapter: [`Tmu::commit_port`] on the wires latched by the last
+    /// [`Tmu::observe`], or on an idle port when none were latched since
+    /// the previous commit.
+    pub fn commit(&mut self, cycle: u64) {
+        let tap = std::mem::take(&mut self.tap);
+        self.commit_port(&tap, cycle);
+    }
+
+    /// Taps the five channels' settled handshakes into the telemetry
+    /// event stream. W beats being drained belong to aborted bursts and
+    /// are hidden, mirroring what the guards see.
+    fn record_handshakes(&mut self, mgr: &AxiPort, cycle: u64) {
+        if let Some(aw) = mgr.aw.fired_beat() {
+            self.telemetry.record(
+                cycle,
+                "tmu",
+                TraceEvent::Handshake {
+                    channel: Channel::Aw,
+                    id: aw.id.0,
+                },
+            );
+        }
+        if self.term.drain_beats() == 0 && mgr.w.fires() {
+            self.telemetry.record(
+                cycle,
+                "tmu",
+                TraceEvent::Handshake {
+                    channel: Channel::W,
+                    id: 0,
+                },
+            );
+        }
+        if let Some(b) = mgr.b.fired_beat() {
+            self.telemetry.record(
+                cycle,
+                "tmu",
+                TraceEvent::Handshake {
+                    channel: Channel::B,
+                    id: b.id.0,
+                },
+            );
+        }
+        if let Some(ar) = mgr.ar.fired_beat() {
+            self.telemetry.record(
+                cycle,
+                "tmu",
+                TraceEvent::Handshake {
+                    channel: Channel::Ar,
+                    id: ar.id.0,
+                },
+            );
+        }
+        if let Some(r) = mgr.r.fired_beat() {
+            self.telemetry.record(
+                cycle,
+                "tmu",
+                TraceEvent::Handshake {
+                    channel: Channel::R,
+                    id: r.id.0,
+                },
+            );
+        }
+    }
+
+    fn commit_monitoring(&mut self, port: &AxiPort, cycle: u64) {
         self.write_guard.set_pending_drain(self.term.drain_beats());
         // Write faults first, then read faults, in one reused buffer.
         self.write_guard.commit(
+            port,
             cycle,
             &mut self.perf_log,
             &mut self.telemetry,
             &mut self.guard_faults,
         );
         self.read_guard.commit(
+            port,
             cycle,
             &mut self.perf_log,
             &mut self.telemetry,

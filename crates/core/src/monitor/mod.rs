@@ -2,7 +2,7 @@
 //!
 //! [`Tmu`] is a drop-in block between the AXI4 interconnect (manager
 //! side) and a subordinate. Per cycle, the surrounding harness calls, in
-//! order:
+//! order, the same four passes as every `soc::stage::LinkStage`:
 //!
 //! 1. [`Tmu::forward_request`] — after the manager drives its wires:
 //!    copies AW/W/AR valid+payload and B/R ready onto the subordinate
@@ -11,10 +11,16 @@
 //! 2. [`Tmu::forward_response`] — after the subordinate drives its wires:
 //!    copies B/R valid+payload and AW/W/AR ready back to the manager
 //!    (possibly replaced by `SLVERR` abort responses);
-//! 3. [`Tmu::observe`] — taps the settled manager-side wires ("listens in
-//!    parallel", adding no latency on the datapath);
-//! 4. [`Tmu::commit`] — advances the guards' phase machines and timeout
+//! 3. [`Tmu::backprop_response_ready`] — only where the manager side's
+//!    B/R `ready` settles late (below a mux or demux);
+//! 4. [`Tmu::commit_port`] — at the clock edge, reads the settled
+//!    manager-side wires ("listens in parallel", adding no latency on the
+//!    datapath), advances the guards' phase machines and timeout
 //!    counters, detects faults, and steps the recovery state machine.
+//!
+//! [`Tmu::observe`] followed by [`Tmu::commit`] is an adapter for
+//! component loops written against a separate observe pass: it latches
+//! the wires, then commits from the latch.
 //!
 //! # Fault reaction (paper §II-B)
 //!
@@ -30,12 +36,12 @@
 //! concern into focused submodules, all implementing on the same type:
 //!
 //! * `datapath.rs` — the combinational forwarding passes:
-//!   request/response forwarding with stall gating and wire
-//!   observation, handing the severed drive to the
-//!   [`Terminator`];
-//! * `fsm.rs` — the clocked commit path: fault collection, severing
-//!   through the terminator, and the reset request and recovery
-//!   telemetry around its Monitoring → Aborting → WaitReset walk;
+//!   request/response forwarding with stall gating, handing the severed
+//!   drive to the [`Terminator`];
+//! * `fsm.rs` — the clocked commit path: the settled wires' decode,
+//!   fault collection, severing through the terminator, and the reset
+//!   request and recovery telemetry around its Monitoring → Aborting →
+//!   WaitReset walk;
 //! * `regs.rs` — the software view: register reads/writes (error-report
 //!   assembly into `ErrHeadInfo`) and interrupt management;
 //! * `publish.rs` — telemetry publication: occupancy gauges, trace/span
@@ -48,6 +54,7 @@ mod regs;
 #[cfg(test)]
 mod tests;
 
+use axi4::channel::AxiPort;
 use axi4::checker::{Violation, WireRules};
 use tmu_telemetry::TelemetryHub;
 
@@ -83,6 +90,9 @@ pub struct Tmu {
     /// Committed state: cycles this monitor has committed.
     cycles: u64,
     telemetry: TelemetryHub,
+    /// The wires latched by the [`Tmu::observe`] adapter for the next
+    /// [`Tmu::commit`]; idle otherwise.
+    tap: AxiPort,
 }
 
 impl Tmu {
@@ -109,6 +119,7 @@ impl Tmu {
             resets_requested: 0,
             cycles: 0,
             telemetry: TelemetryHub::default(),
+            tap: AxiPort::new(),
         }
     }
 

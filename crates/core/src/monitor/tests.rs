@@ -171,10 +171,9 @@ fn run(tmu: &mut Tmu, mgr: &mut TestMgr, sub: &mut TestSub, cycles: u64, start: 
         tmu.forward_request(&mgr_port, &mut sub_port);
         sub.drive(&mut sub_port);
         tmu.forward_response(&sub_port, &mut mgr_port);
-        tmu.observe(&mgr_port);
         mgr.commit(&mgr_port);
         sub.commit(&sub_port);
-        tmu.commit(n);
+        tmu.commit_port(&mgr_port, n);
     }
     start + cycles
 }
@@ -317,8 +316,7 @@ fn protocol_violation_triggers_fault() {
     tmu.forward_request(&mgr_port, &mut sub_port);
     sub_port.w.set_ready(true);
     tmu.forward_response(&sub_port, &mut mgr_port);
-    tmu.observe(&mgr_port);
-    tmu.commit(0);
+    tmu.commit_port(&mgr_port, 0);
     assert_eq!(tmu.faults_detected(), 1);
     assert!(matches!(
         tmu.last_fault().unwrap().kind,
@@ -364,10 +362,9 @@ fn saturation_backpressure_stalls_new_ids() {
         tmu.forward_request(&mgr_port, &mut sub_port);
         sub.drive(&mut sub_port);
         tmu.forward_response(&sub_port, &mut mgr_port);
-        tmu.observe(&mgr_port);
         mgr1.commit(&mgr_port);
         sub.commit(&sub_port);
-        tmu.commit(cycle);
+        tmu.commit_port(&mgr_port, cycle);
     }
     assert_eq!(tmu.outstanding(), 1);
     // A new AW with a different ID would stall (slots exhausted).
@@ -410,7 +407,7 @@ fn lifecycle_trace_tells_the_recovery_story() {
     tmu.enable_telemetry(TelemetryConfig::default());
     run(&mut tmu, &mut mgr, &mut sub, 400, 0);
     tmu.reset_done();
-    tmu.commit(401);
+    tmu.commit_port(&AxiPort::new(), 401);
     let story: Vec<TraceEvent> = tmu
         .telemetry()
         .events()
@@ -540,7 +537,7 @@ fn telemetry_records_recovery_stages_and_aborted_spans() {
     };
     run(&mut tmu, &mut mgr, &mut sub, 400, 0);
     tmu.reset_done();
-    tmu.commit(401);
+    tmu.commit_port(&AxiPort::new(), 401);
     let stages: Vec<String> = tmu
         .telemetry()
         .events()
@@ -585,10 +582,9 @@ fn guards_stay_consistent_through_traffic() {
         tmu.forward_request(&mgr_port, &mut sub_port);
         sub.drive(&mut sub_port);
         tmu.forward_response(&sub_port, &mut mgr_port);
-        tmu.observe(&mgr_port);
         mgr.commit(&mgr_port);
         sub.commit(&sub_port);
-        tmu.commit(n);
+        tmu.commit_port(&mgr_port, n);
         tmu.write_guard().assert_consistent();
         tmu.read_guard().assert_consistent();
     }
@@ -609,8 +605,7 @@ fn hand_cycle(
     tmu.forward_request(&mgr_port, &mut sub_port);
     sub_wires(&mut sub_port);
     tmu.forward_response(&sub_port, &mut mgr_port);
-    tmu.observe(&mgr_port);
-    tmu.commit(cycle);
+    tmu.commit_port(&mgr_port, cycle);
 }
 
 #[test]

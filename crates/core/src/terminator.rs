@@ -21,8 +21,8 @@
 //!
 //! The owner decides *when* to sever and what it means (fault log,
 //! interrupt, reset request); the terminator only walks
-//! Monitoring → Aborting → WaitReset → Monitoring. Per cycle it follows
-//! the usual drive / observe / commit split.
+//! Monitoring → Aborting → WaitReset → Monitoring. Per cycle it drives
+//! the manager side, then commits from the settled manager-side wires.
 
 use std::collections::VecDeque;
 
@@ -69,11 +69,6 @@ pub struct Terminator {
     accept_ar: bool,
     /// Reset completion arrived while address accepts were pending.
     reset_completed: bool,
-    abort_b_fired: bool,
-    abort_r_fired: bool,
-    drain_w_fired: bool,
-    accept_aw_fired: bool,
-    accept_ar_fired: bool,
 }
 
 impl Default for Terminator {
@@ -94,11 +89,6 @@ impl Terminator {
             accept_aw: false,
             accept_ar: false,
             reset_completed: false,
-            abort_b_fired: false,
-            abort_r_fired: false,
-            drain_w_fired: false,
-            accept_aw_fired: false,
-            accept_ar_fired: false,
         }
     }
 
@@ -124,9 +114,8 @@ impl Terminator {
     }
 
     /// True while there is nothing to terminate: monitoring, with no
-    /// residual W beats left to absorb. [`Terminator::observe`] and
-    /// [`Terminator::commit`] then change nothing, so an owner may skip
-    /// them.
+    /// residual W beats left to absorb. [`Terminator::commit`] then
+    /// changes nothing, so an owner may skip it.
     #[must_use]
     #[inline]
     pub fn is_idle(&self) -> bool {
@@ -191,35 +180,23 @@ impl Terminator {
         }
     }
 
-    /// Taps the settled manager-side wires: drained W beats, accepted
-    /// address beats and taken abort responses.
+    /// Clock commit from the settled manager-side wires: retires a
+    /// drained beat, an accepted address and a taken abort response, and
+    /// reports the milestone reached, if any.
     #[inline]
-    pub fn observe(&mut self, mgr: &AxiPort) {
-        self.drain_w_fired = self.w_drain_beats > 0 && mgr.w.fires();
-        self.accept_aw_fired = self.accept_aw && mgr.aw.fires();
-        self.accept_ar_fired = self.accept_ar && mgr.ar.fires();
-        if self.state == TmuState::Aborting {
-            self.abort_b_fired = mgr.b.fires();
-            self.abort_r_fired = mgr.r.fires();
-        }
-    }
-
-    /// Clock commit: retires drained beats, accepted addresses and taken
-    /// abort responses, and reports the milestone reached, if any.
-    #[inline]
-    pub fn commit(&mut self) -> Option<TerminatorEvent> {
-        if std::mem::take(&mut self.drain_w_fired) {
+    pub fn commit(&mut self, mgr: &AxiPort) -> Option<TerminatorEvent> {
+        if self.w_drain_beats > 0 && mgr.w.fires() {
             self.w_drain_beats -= 1;
         }
-        if std::mem::take(&mut self.accept_aw_fired) {
+        if self.accept_aw && mgr.aw.fires() {
             self.accept_aw = false;
         }
-        if std::mem::take(&mut self.accept_ar_fired) {
+        if self.accept_ar && mgr.ar.fires() {
             self.accept_ar = false;
         }
         match self.state {
             TmuState::Monitoring => None,
-            TmuState::Aborting => self.commit_aborting(),
+            TmuState::Aborting => self.commit_aborting(mgr),
             // A completed reset only re-opens the link once the held
             // address beats have been accepted (they belong to aborted
             // transactions and must not be re-tracked).
@@ -235,11 +212,11 @@ impl Terminator {
         }
     }
 
-    fn commit_aborting(&mut self) -> Option<TerminatorEvent> {
-        if std::mem::take(&mut self.abort_b_fired) {
+    fn commit_aborting(&mut self, mgr: &AxiPort) -> Option<TerminatorEvent> {
+        if mgr.b.fires() {
             self.abort_b.pop_front();
         }
-        if std::mem::take(&mut self.abort_r_fired) {
+        if mgr.r.fires() {
             if let Some(front) = self.abort_r.front_mut() {
                 front.beats_remaining -= 1;
                 if front.beats_remaining == 0 {
@@ -307,8 +284,7 @@ mod tests {
         mgr.b.set_ready(true);
         mgr.r.set_ready(true);
         term.drive_severed(&mut mgr);
-        term.observe(&mgr);
-        let event = term.commit();
+        let event = term.commit(&mgr);
         (mgr, event)
     }
 
@@ -374,8 +350,7 @@ mod tests {
         term.forward_w(&mgr, &mut sub);
         term.forward_w_ready(&sub, &mut mgr);
         assert!(!sub.w.valid() && mgr.w.fires());
-        term.observe(&mgr);
-        assert_eq!(term.commit(), None);
+        assert_eq!(term.commit(&mgr), None);
         assert_eq!(term.drain_beats(), 0);
         assert!(term.is_idle());
     }

@@ -149,6 +149,15 @@ impl<'a> Parser<'a> {
                 i = next;
                 continue;
             }
+            // A visibility belongs to the item that follows: `pub` and
+            // its `(crate)`-style group keep the item's attributes.
+            if t.kind == TokKind::Ident && t.text == "pub" {
+                i += 1;
+                if i < hi && self.toks[i].is_punct('(') {
+                    i = self.match_delim(i, hi, '(', ')').saturating_add(1);
+                }
+                continue;
+            }
             let test = in_test || pending_test;
             pending_test = false;
             i = match t.text.as_str() {

@@ -88,6 +88,16 @@ fn panic_hygiene_fires_on_fixture() {
 }
 
 #[test]
+fn panic_hygiene_skips_test_items_behind_a_visibility() {
+    let ws = ws_of("fx", &["panic_test_pub.rs"]);
+    let found = lints_of(&ws, &Config::default());
+    assert!(
+        found.iter().all(|(l, _)| *l != Lint::PanicHygiene),
+        "`#[cfg(test)] pub fn` and `#[cfg(test)] pub(crate) mod` are test code: {found:?}"
+    );
+}
+
+#[test]
 fn telemetry_fires_on_fixture() {
     // Two crates: the event-declaring crate and a user crate, so the
     // coverage scan sees a realistic shape.

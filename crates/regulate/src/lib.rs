@@ -69,8 +69,7 @@
 //! out.aw.set_ready(true);
 //! reg.forward_response(&out, &mut mgr);
 //! assert!(mgr.aw.fires(), "credits available: the handshake passes");
-//! reg.observe(&mgr);
-//! reg.commit(0);
+//! reg.commit_port(&mgr, 0);
 //! assert_eq!(reg.grants(), 1);
 //! ```
 

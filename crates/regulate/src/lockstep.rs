@@ -245,8 +245,7 @@ proptest! {
                 s.reg.backprop_response_ready(&s.mgr, &mut s.out);
             });
             for side in &mut sides {
-                side.reg.observe(&side.mgr);
-                side.reg.commit(cycle);
+                side.reg.commit_port(&side.mgr, cycle);
             }
             prop_assert_eq!(
                 sides[0].reg.committed_state(),

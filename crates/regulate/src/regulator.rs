@@ -12,15 +12,18 @@
 //!
 //! # Per-cycle protocol
 //!
-//! The harness calls, in the same order as for a [`tmu::Tmu`]:
+//! The harness calls the same four passes as for a [`tmu::Tmu`]:
 //!
 //! 1. [`Regulator::forward_request`] after the manager drives;
 //! 2. [`Regulator::forward_response`] after the downstream side drives;
 //! 3. [`Regulator::backprop_response_ready`] (optional, mux harnesses);
-//! 4. [`Regulator::observe`] on the settled manager-side wires;
-//! 5. [`Regulator::commit`] at the clock edge.
+//! 4. [`Regulator::commit_port`] at the clock edge, on the settled
+//!    manager-side wires.
 //!
-//! Every pass runs on every cycle. The window rollovers are deadlines on
+//! Every pass runs on every cycle. [`Regulator::observe`] followed by
+//! [`Regulator::commit`] is an adapter for component loops written
+//! against a separate observe pass: it latches the wires, then commits
+//! from the latch. The window rollovers are deadlines on
 //! absolute cycles; a regulator attached to a running fabric joins the
 //! window grid already under way.
 //!
@@ -33,15 +36,16 @@
 //!
 //! # Quiet cycles
 //!
-//! The commit works only on an event, and each lane's observe reports
-//! its direction's share. A lane has work when its address fires (a
-//! grant), an offered address can be allocated in its ledger (offered,
-//! not pending, not stalled), a response beat of its direction reaches
-//! the manager, or a denied address opens a new wait episode. The
-//! regulator adds a W beat of a granted burst moving downstream, a
-//! terminator that is not idle (severed, or still absorbing W beats of
-//! aborted bursts), the window rollover ([`BudgetUnit::next_rollover`])
-//! and a due telemetry sample. A quiet commit costs a few comparisons.
+//! The commit works only on an event, which it reads off the settled
+//! port before decoding any beat; each lane reports its direction's
+//! share. A lane has work when its address fires (a grant), an offered
+//! address can be allocated in its ledger (offered, not pending, not
+//! stalled), a response beat of its direction reaches the manager, or a
+//! denied address opens a new wait episode. The regulator adds a W beat
+//! of a granted burst moving downstream, a terminator that is not idle
+//! (severed, or still absorbing W beats of aborted bursts), the window
+//! rollover ([`BudgetUnit::next_rollover`]) and a due telemetry sample.
+//! A quiet commit costs a few comparisons.
 //! The common busy shape — an address that waits on the interconnect
 //! while already pending in the ledger — is quiet. Committing in full on
 //! a quiet cycle would change nothing.
@@ -72,14 +76,6 @@ struct Lane {
     deny: bool,
     /// ID of the denied address; written only on a denial.
     denied_id: u16,
-    /// The address offered this cycle, not credit-denied, with its
-    /// payload bytes.
-    offered: Option<(Open, u64)>,
-    /// `offered` fired: a grant.
-    fired: bool,
-    /// A response beat the manager took: its ID and whether it closes
-    /// its transaction.
-    response: Option<(u16, bool)>,
     /// While severed: a subordinate response closing an aborted
     /// transaction (a B, or an `RLAST`) was absorbed this cycle.
     absorbed: bool,
@@ -105,9 +101,6 @@ impl Lane {
             ledger: Ledger::new(cfg),
             deny: false,
             denied_id: 0,
-            offered: None,
-            fired: false,
-            response: None,
             absorbed: false,
             q_stale: 0,
             q_wait_since: None,
@@ -158,34 +151,40 @@ impl Lane {
         }
     }
 
-    /// Pass 3: records the settled address handshake and `response`
-    /// (the ID of a response beat the manager took, and whether it
-    /// closes its transaction) for the commit. Returns this direction's
-    /// share of the commit's work: the ledger's, which covers a grant (a
-    /// fired handshake), or a denial opening a wait episode.
+    /// This direction's share of the commit's work on the settled
+    /// address channel `addr`, with `response` true when a response beat
+    /// of the direction reaches the manager: the ledger's, which covers
+    /// a grant (a fired handshake), or a denial opening a wait episode.
     #[inline]
-    fn observe<B: AddrBeat>(&mut self, addr: &Channel<B>, response: Option<(u16, bool)>) -> bool {
-        self.offered = addr.beat().filter(|_| !self.deny).map(|b| {
+    fn has_work<B: AddrBeat>(&self, addr: &Channel<B>, response: bool) -> bool {
+        let offered = addr.valid() && !self.deny;
+        self.ledger
+            .has_work(offered, offered && addr.fires(), response)
+            || (self.deny && self.q_wait_since.is_none())
+    }
+
+    /// Clock commit on the settled address channel `addr` and
+    /// `response` (the ID of a response beat the manager took, and
+    /// whether it closes its transaction): charges a grant to `spend`
+    /// and closes the wait episode, latches a denial and opens one,
+    /// retires an absorbed stale response and commits the ledger.
+    /// Returns the granted burst's beats (0 without a grant).
+    fn commit<B: AddrBeat>(
+        &mut self,
+        addr: &Channel<B>,
+        response: Option<(u16, bool)>,
+        cycle: u64,
+        spend: &mut CycleSpend,
+        telemetry: &mut TelemetryHub,
+    ) -> u64 {
+        let offered = addr.beat().filter(|_| !self.deny).map(|b| {
             let txn = Open {
                 id: b.id().0,
                 beats: b.burst_len().beats(),
             };
             (txn, b.total_bytes())
         });
-        self.fired = self.offered.is_some() && addr.fires();
-        self.response = response;
-        self.ledger
-            .has_work(self.offered.is_some(), self.fired, response.is_some())
-            || (self.deny && self.q_wait_since.is_none())
-    }
-
-    /// Clock commit: charges a grant to `spend` and closes the wait
-    /// episode, latches a denial and opens one, retires an absorbed
-    /// stale response and commits the ledger. Returns the granted
-    /// burst's beats (0 without a grant).
-    fn commit(&mut self, cycle: u64, spend: &mut CycleSpend, telemetry: &mut TelemetryHub) -> u64 {
-        let offered = self.offered.take();
-        let fired = std::mem::take(&mut self.fired);
+        let fired = offered.is_some() && addr.fires();
         let mut beats = 0;
         if let Some((txn, bytes)) = offered.filter(|_| fired) {
             match self.dir {
@@ -215,9 +214,7 @@ impl Lane {
                 telemetry.metrics_mut().observe(histogram, waited);
             }
         }
-        if std::mem::take(&mut self.absorbed) {
-            self.q_stale = self.q_stale.saturating_sub(1);
-        }
+        self.retire_absorbed();
         if self.deny {
             spend.denied = true;
             if self.q_wait_since.is_none() {
@@ -233,10 +230,16 @@ impl Lane {
                 );
             }
         }
-        let response = self.response.take();
         self.ledger
             .commit(offered.map(|(txn, _)| txn), fired, response);
         beats
+    }
+
+    /// Retires the stale response absorbed this cycle, if any.
+    fn retire_absorbed(&mut self) {
+        if std::mem::take(&mut self.absorbed) {
+            self.q_stale = self.q_stale.saturating_sub(1);
+        }
     }
 
     /// The isolation edge: every open transaction becomes an abort
@@ -272,11 +275,9 @@ pub struct Regulator {
     /// with `SLVERR` aborts until [`Regulator::release`].
     term: Terminator,
     telemetry: TelemetryHub,
-    // ---- per-cycle wire state, recomputed by every drive pass ----
-    saw_w_downstream: bool,
-    /// The observe pass found an event for this cycle's commit (see
-    /// the [module docs](self#quiet-cycles)).
-    work: bool,
+    /// The wires latched by the [`Regulator::observe`] adapter for the
+    /// next [`Regulator::commit`]; idle otherwise.
+    tap: AxiPort,
     /// Test-only reference: commit in full on every cycle.
     #[cfg(test)]
     ungated: bool,
@@ -309,8 +310,7 @@ impl Regulator {
             term: Terminator::new(),
             telemetry: TelemetryHub::default(),
             cfg,
-            saw_w_downstream: false,
-            work: false,
+            tap: AxiPort::new(),
             #[cfg(test)]
             ungated: false,
             q_w_owed: 0,
@@ -406,34 +406,48 @@ impl Regulator {
         }
     }
 
-    /// Pass 3: tap the settled manager-side wires — records granted
-    /// handshakes, owed-beat movement and the ledger's handshakes for
-    /// the commit pass, and whether that commit has any work.
-    #[inline]
-    pub fn observe(&mut self, mgr: &AxiPort) {
-        if !self.cfg.enabled() {
-            return;
-        }
-        self.observe_enabled(mgr);
+    /// Whether every commit runs in full: the test-only reference the
+    /// quiet gate is checked against.
+    #[cfg(test)]
+    fn ungated(&self) -> bool {
+        self.ungated
     }
 
-    fn observe_enabled(&mut self, mgr: &AxiPort) {
-        let term_busy = !self.term.is_idle() || self.ungated();
-        if term_busy {
-            self.term.observe(mgr);
+    #[cfg(not(test))]
+    #[inline]
+    fn ungated(&self) -> bool {
+        false
+    }
+
+    /// Pass 4: clock commit for `cycle` on the settled manager-side
+    /// wires `mgr` — charges the budget with the cycle's grants, latches
+    /// denial episodes, rolls the window, escalates to isolation when
+    /// the overrun streak crosses the configured threshold, and commits
+    /// the ledgers and the terminator. Returns at once on a
+    /// [quiet cycle](self#quiet-cycles).
+    #[inline]
+    pub fn commit_port(&mut self, mgr: &AxiPort, cycle: u64) {
+        debug_assert!(
+            !self.cfg.enabled() || self.q_cycles != cycle || cycle <= self.budget.next_rollover(),
+            "the gate skipped the commit of rollover cycle {}",
+            self.budget.next_rollover()
+        );
+        self.q_cycles = cycle + 1;
+        if self.cfg.enabled()
+            && (!self.term.is_idle()
+                || self.lanes_have_work(mgr)
+                || cycle >= self.budget.next_rollover()
+                || self.telemetry.should_sample(cycle)
+                || self.ungated())
+        {
+            self.commit_enabled(mgr, cycle);
         }
-        if self.term.is_severed() {
-            self.saw_w_downstream = self.q_w_owed > 0 && mgr.w.fires();
-            self.work = true;
-            return;
-        }
-        self.saw_w_downstream = self.term.drain_beats() == 0 && mgr.w.fires();
-        let write_work = self
-            .write
-            .observe(&mgr.aw, mgr.b.fired_beat().map(|b| (b.id.0, true)));
-        let read_work = self
-            .read
-            .observe(&mgr.ar, mgr.r.fired_beat().map(|r| (r.id.0, r.last)));
+    }
+
+    /// Whether the settled wires `mgr` give a monitoring regulator's
+    /// lanes work (see the [module docs](self#quiet-cycles)).
+    #[inline]
+    fn lanes_have_work(&self, mgr: &AxiPort) -> bool {
         // A denial inside a wait episode is never the window's first:
         // the commit that opened the episode latched one, and once the
         // window rolls the bucket refills, so the next denial in that
@@ -448,56 +462,60 @@ impl Regulator {
         // A W beat with nothing owed changes the owed count only when
         // its burst's AW fires in the same cycle, a grant the write
         // lane's work already covers.
-        self.work =
-            term_busy || (self.saw_w_downstream && self.q_w_owed > 0) || write_work || read_work;
+        (self.q_w_owed > 0 && mgr.w.fires())
+            || self.write.has_work(&mgr.aw, mgr.b.fires())
+            || self.read.has_work(&mgr.ar, mgr.r.fires())
     }
 
-    /// Whether every commit runs in full: the test-only reference the
-    /// quiet gate is checked against.
-    #[cfg(test)]
-    fn ungated(&self) -> bool {
-        self.ungated
+    /// Adapter for component loops written against a separate observe
+    /// pass (busybench's): latches the settled manager-side wires for
+    /// the next [`Regulator::commit`]. Harnesses call
+    /// [`Regulator::commit_port`].
+    pub fn observe(&mut self, mgr: &AxiPort) {
+        self.tap.clone_from(mgr);
     }
 
-    #[cfg(not(test))]
-    #[inline]
-    fn ungated(&self) -> bool {
-        false
-    }
-
-    /// Pass 4: clock commit for `cycle` — charges the budget with the
-    /// cycle's grants, latches denial episodes, rolls the window,
-    /// escalates to isolation when the overrun streak crosses the
-    /// configured threshold, and commits the ledgers and the terminator.
-    /// Returns at once on a [quiet cycle](self#quiet-cycles).
-    #[inline]
+    /// Adapter: [`Regulator::commit_port`] on the wires latched by the
+    /// last [`Regulator::observe`], or on an idle port when none were
+    /// latched since the previous commit.
     pub fn commit(&mut self, cycle: u64) {
-        debug_assert!(
-            !self.cfg.enabled() || self.q_cycles != cycle || cycle <= self.budget.next_rollover(),
-            "the gate skipped the commit of rollover cycle {}",
-            self.budget.next_rollover()
-        );
-        self.q_cycles = cycle + 1;
-        if self.cfg.enabled()
-            && (self.work
-                || cycle >= self.budget.next_rollover()
-                || self.telemetry.should_sample(cycle)
-                || self.ungated())
-        {
-            self.commit_enabled(cycle);
-        }
+        let tap = std::mem::take(&mut self.tap);
+        self.commit_port(&tap, cycle);
     }
 
-    /// The enabled-path body of [`Self::commit`], split out so the
-    /// disabled pass-through stays a cross-crate-inlinable branch.
-    fn commit_enabled(&mut self, cycle: u64) {
-        // While severed the lanes' ledgers see no handshakes, so their
-        // commits change nothing.
+    /// The enabled-path body of [`Self::commit_port`], split out so the
+    /// disabled pass-through and the quiet gate stay cross-crate
+    /// inlinable.
+    fn commit_enabled(&mut self, mgr: &AxiPort, cycle: u64) {
         let mut spend = CycleSpend::default();
-        self.q_w_owed += self.write.commit(cycle, &mut spend, &mut self.telemetry);
-        self.read.commit(cycle, &mut spend, &mut self.telemetry);
-        if std::mem::take(&mut self.saw_w_downstream) {
-            self.q_w_owed = self.q_w_owed.saturating_sub(1);
+        if self.term.is_severed() {
+            // The lanes' ledgers see no handshakes: only the owed W
+            // beats still move downstream, and stale responses are
+            // absorbed.
+            self.write.retire_absorbed();
+            self.read.retire_absorbed();
+            if self.q_w_owed > 0 && mgr.w.fires() {
+                self.q_w_owed -= 1;
+            }
+        } else {
+            self.q_w_owed += self.write.commit(
+                &mgr.aw,
+                mgr.b.fired_beat().map(|b| (b.id.0, true)),
+                cycle,
+                &mut spend,
+                &mut self.telemetry,
+            );
+            self.read.commit(
+                &mgr.ar,
+                mgr.r.fired_beat().map(|r| (r.id.0, r.last)),
+                cycle,
+                &mut spend,
+                &mut self.telemetry,
+            );
+            // A beat the terminator absorbs belongs to an aborted burst.
+            if self.term.drain_beats() == 0 && mgr.w.fires() {
+                self.q_w_owed = self.q_w_owed.saturating_sub(1);
+            }
         }
         if let Some(roll) = self.budget.commit(&spend, cycle) {
             self.telemetry.record(
@@ -527,7 +545,7 @@ impl Regulator {
         // the port stays severed until software re-admits it.
         let monitoring = !self.term.is_severed();
         if !self.term.is_idle() || self.ungated() {
-            self.term.commit();
+            self.term.commit(mgr);
         }
         if self.q_isolated
             && monitoring
@@ -737,7 +755,7 @@ mod tests {
 
     /// One harness cycle: the manager closure drives `mgr`, a perfectly
     /// ready subordinate stub answers on `out`, queued B responses are
-    /// driven, and all four regulator passes run.
+    /// driven, and the regulator's passes run.
     fn step(
         reg: &mut Regulator,
         mgr: &mut AxiPort,
@@ -759,14 +777,13 @@ mod tests {
             out.b.drive(*b);
         }
         reg.forward_response(out, mgr);
-        reg.observe(mgr);
         if out.b.fires() {
             b_queue.remove(0);
         }
         if out.w.fired_beat().is_some_and(|w| w.last) {
             b_queue.push(BBeat::new(AxiId(1), Resp::Okay));
         }
-        reg.commit(cycle);
+        reg.commit_port(mgr, cycle);
     }
 
     fn tight_cfg(mode: RegulationMode) -> RegulatorConfig {
@@ -800,8 +817,7 @@ mod tests {
         out.b.drive(BBeat::new(AxiId(1), Resp::Okay));
         reg.forward_response(&out, &mut mgr);
         assert!(mgr.aw.fires() && mgr.b.fires());
-        reg.observe(&mgr);
-        reg.commit(0);
+        reg.commit_port(&mgr, 0);
         assert_eq!((reg.grants(), reg.denies()), (0, 0));
     }
 
@@ -1049,7 +1065,6 @@ mod tests {
             out.w.set_ready(true);
             out.ar.set_ready(cycle >= 6);
             reg.forward_response(&out, &mut mgr);
-            reg.observe(&mgr);
             rules.observe(&out, cycle, &mut violations);
             if mgr.ar.fires() {
                 ar_fired = Some(cycle);
@@ -1057,7 +1072,7 @@ mod tests {
             if mgr.r.fired_beat().is_some_and(|r| r.resp == Resp::SlvErr) {
                 slverr_r += 1;
             }
-            reg.commit(cycle);
+            reg.commit_port(&mgr, cycle);
             if reg.state() != TmuState::Monitoring {
                 severed_at.get_or_insert(cycle);
             }

@@ -209,7 +209,6 @@ impl<S: AxiSubordinate, M: AxiManager> GuardedLink<S, M> {
             .corrupt_subordinate_side(&mut self.sub_port, cycle);
         self.tmu
             .forward_response(&self.sub_port, &mut self.mgr_port);
-        self.tmu.observe(&self.mgr_port);
         if let Some(probe) = &mut self.probe {
             probe.sample(cycle, &self.mgr_port);
         }
@@ -226,7 +225,7 @@ impl<S: AxiSubordinate, M: AxiManager> GuardedLink<S, M> {
                 probe.publish_metrics(metrics);
             }
         }
-        if commit_guarded(&mut self.tmu, &mut self.reset, cycle) {
+        if commit_guarded(&mut self.tmu, &mut self.reset, &self.mgr_port, cycle) {
             self.sub.reset();
             self.injector.disarm();
         }

@@ -3,14 +3,15 @@
 //! The paper's TMU is a drop-in unit on one AXI link; AXI-REALM builds
 //! its per-manager regulation from the same kind of per-port unit. Both
 //! sit on a link between a manager-side port and a subordinate-side port
-//! and run the same five passes each cycle, which [`LinkStage`] names:
+//! and run the same four passes each cycle, which [`LinkStage`] names:
 //!
 //! 1. [`LinkStage::forward_request`] after the manager side drives;
 //! 2. [`LinkStage::forward_response`] after the subordinate side drives;
 //! 3. [`LinkStage::backprop_response_ready`] when the manager side's B/R
 //!    `ready` settles late (below a mux or demux);
-//! 4. [`LinkStage::observe`] on the settled manager-side wires;
-//! 5. [`LinkStage::commit`] at the clock edge.
+//! 4. [`LinkStage::commit`] at the clock edge, reading the settled
+//!    manager-side wires: like the paper's TMU, a stage samples the link
+//!    at the edge instead of copying it in a pass of its own.
 //!
 //! Two stages implement it: [`TmuStage`] (a [`Tmu`] plus the dedicated
 //! reset line of the subordinate it guards) and [`Regulator`].
@@ -32,7 +33,7 @@ use tmu::{Tmu, TmuConfig};
 use tmu_regulate::Regulator;
 use tmu_telemetry::TelemetryConfig;
 
-/// The five per-cycle passes of a unit sitting on one AXI link between
+/// The four per-cycle passes of a unit sitting on one AXI link between
 /// a manager-side port (`mgr`) and a subordinate-side port (`sub`). See
 /// the [module docs](self) for the pass order.
 pub trait LinkStage {
@@ -40,13 +41,13 @@ pub trait LinkStage {
     fn forward_request(&mut self, mgr: &AxiPort, sub: &mut AxiPort);
     /// Pass 2: forward the subordinate-driven wires to the manager side.
     fn forward_response(&mut self, sub: &AxiPort, mgr: &mut AxiPort);
-    /// Late-settling B/R `ready` back-propagation to the subordinate side.
+    /// Pass 3: late-settling B/R `ready` back-propagation to the
+    /// subordinate side.
     fn backprop_response_ready(&mut self, mgr: &AxiPort, sub: &mut AxiPort);
-    /// Pass 3: tap the settled manager-side wires.
-    fn observe(&mut self, mgr: &AxiPort);
-    /// Clock commit for `cycle`. Returns `true` when the subordinate
-    /// behind the stage must be reset now.
-    fn commit(&mut self, cycle: u64) -> bool;
+    /// Pass 4: clock commit for `cycle` on the settled manager-side
+    /// wires `mgr`. Returns `true` when the subordinate behind the stage
+    /// must be reset now.
+    fn commit(&mut self, mgr: &AxiPort, cycle: u64) -> bool;
     /// True when every pass is a plain wire copy and the commit does
     /// nothing; a [`StageBank`] then skips the stage altogether.
     fn is_transparent(&self) -> bool {
@@ -54,13 +55,13 @@ pub trait LinkStage {
     }
 }
 
-/// Commits `tmu` and the reset line of the subordinate it guards: a
+/// Commits `tmu` on the settled manager-side wires `mgr`, and the reset line of the subordinate it guards: a
 /// fault's reset request asserts the line, and when the line's done
 /// pulse arrives the TMU resumes monitoring. Returns `true` on that done
 /// pulse, when the caller must reinitialize the subordinate.
 #[inline]
-pub(crate) fn commit_guarded(tmu: &mut Tmu, reset: &mut Reset, cycle: u64) -> bool {
-    tmu.commit(cycle);
+pub(crate) fn commit_guarded(tmu: &mut Tmu, reset: &mut Reset, mgr: &AxiPort, cycle: u64) -> bool {
+    tmu.commit_port(mgr, cycle);
     if tmu.take_reset_request() {
         reset.request();
     }
@@ -114,13 +115,8 @@ impl LinkStage for TmuStage {
     }
 
     #[inline]
-    fn observe(&mut self, mgr: &AxiPort) {
-        self.tmu.observe(mgr);
-    }
-
-    #[inline]
-    fn commit(&mut self, cycle: u64) -> bool {
-        commit_guarded(&mut self.tmu, &mut self.reset, cycle)
+    fn commit(&mut self, mgr: &AxiPort, cycle: u64) -> bool {
+        commit_guarded(&mut self.tmu, &mut self.reset, mgr, cycle)
     }
 }
 
@@ -143,13 +139,8 @@ impl LinkStage for Regulator {
     }
 
     #[inline]
-    fn observe(&mut self, mgr: &AxiPort) {
-        Regulator::observe(self, mgr);
-    }
-
-    #[inline]
-    fn commit(&mut self, cycle: u64) -> bool {
-        Regulator::commit(self, cycle);
+    fn commit(&mut self, mgr: &AxiPort, cycle: u64) -> bool {
+        Regulator::commit_port(self, mgr, cycle);
         false
     }
 
@@ -264,24 +255,20 @@ impl<S: LinkStage> StageBank<S> {
         }
     }
 
-    /// Pass 3 on every port: each active stage taps its settled
-    /// manager-side wires.
-    pub fn observe(&mut self, mgrs: &[AxiPort]) {
+    /// Clock commit for every active stage, in port order, on its
+    /// settled manager-side wires `mgrs[i]`. Calls `reset_sub(port)` for
+    /// each port whose subordinate must be reset now.
+    pub fn commit(&mut self, mgrs: &[AxiPort], cycle: u64, mut reset_sub: impl FnMut(usize)) {
         debug_assert_eq!(mgrs.len(), self.slots.len(), "one port per slot");
-        for ((slot, &active), mgr) in self.slots.iter_mut().zip(&self.active).zip(mgrs) {
+        for (port, ((slot, &active), mgr)) in self
+            .slots
+            .iter_mut()
+            .zip(&self.active)
+            .zip(mgrs)
+            .enumerate()
+        {
             if let Some(stage) = slot.as_mut().filter(|_| active) {
-                stage.observe(mgr);
-            }
-        }
-    }
-
-    /// Clock commit for every active stage, in port order. Calls
-    /// `reset_sub(port)` for each port whose subordinate must be reset
-    /// now.
-    pub fn commit(&mut self, cycle: u64, mut reset_sub: impl FnMut(usize)) {
-        for (port, (slot, &active)) in self.slots.iter_mut().zip(&self.active).enumerate() {
-            if let Some(stage) = slot.as_mut().filter(|_| active) {
-                if stage.commit(cycle) {
+                if stage.commit(mgr, cycle) {
                     reset_sub(port);
                 }
             }
@@ -393,7 +380,7 @@ mod tests {
     /// respond (not even with `ready`). Each manager in `offer` offers an
     /// AW with its port number as ID and always accepts responses (so
     /// SLVERR aborts can be delivered). Returns which AWs fired. The
-    /// caller commits the bank once per cycle.
+    /// caller commits the bank on `mgrs` once per cycle.
     fn drive_stalled(
         bank: &mut StageBank<TmuStage>,
         mgrs: &mut [AxiPort],
@@ -411,7 +398,6 @@ mod tests {
         }
         bank.forward_requests(mgrs, subs);
         bank.forward_responses(subs, mgrs);
-        bank.observe(mgrs);
         mgrs.iter().map(|m| m.aw.fires()).collect()
     }
 
@@ -424,7 +410,7 @@ mod tests {
         bank.forward_requests(&mgrs, &mut subs);
         assert!(subs[0].aw.valid(), "pass-through must copy the AW");
         let mut resets = Vec::new();
-        bank.commit(0, |port| resets.push(port));
+        bank.commit(&mgrs, 0, |port| resets.push(port));
         assert!(resets.is_empty());
         assert!(!bank.irq_pending());
         assert_eq!(bank.faults_detected(), 0);
@@ -469,9 +455,8 @@ mod tests {
         bare_sub.r.forward_ready_from(&bare_mgr.r);
         assert_eq!(wires(&bank_mgr, &bank_sub), wires(&bare_mgr, &bare_sub));
 
-        bank.observe(std::slice::from_ref(&bank_mgr));
         let mut resets = 0;
-        bank.commit(0, |_| resets += 1);
+        bank.commit(std::slice::from_ref(&bank_mgr), 0, |_| resets += 1);
         assert_eq!(wires(&bank_mgr, &bank_sub), wires(&bare_mgr, &bare_sub));
         assert_eq!(resets, 0, "a bare port never resets its subordinate");
     }
@@ -496,7 +481,7 @@ mod tests {
             for (done, fired) in aw_done.iter_mut().zip(fired) {
                 *done |= fired;
             }
-            bank.commit(cycle, |port| resets.push(port));
+            bank.commit(&mgrs, cycle, |port| resets.push(port));
             if faulted_at.is_none() && bank.faults_detected() > 0 {
                 faulted_at = Some(cycle);
             }
@@ -527,7 +512,7 @@ mod tests {
         let (mut mgrs, mut subs) = (ports(3), ports(3));
         for cycle in 0..5 {
             drive_stalled(&mut bank, &mut mgrs, &mut subs, &[true, false, true]);
-            bank.commit(cycle, |_| {});
+            bank.commit(&mgrs, cycle, |_| {});
         }
         // Both slots armed a deadline; the merged bound is the earlier.
         let merged = bank.next_deadline().expect("deadlines armed");

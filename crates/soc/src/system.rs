@@ -277,9 +277,6 @@ impl System {
         if let Some(probe) = &mut self.probe {
             probe.sample(cycle, &self.sub_ports[ETH_IDX]);
         }
-        // Pass 10: the fabric's TMUs tap their settled manager-side
-        // wires.
-        self.fabric.observe(&self.sub_ports);
 
         // Clock commit.
         self.cpu.commit(&self.mgr_ports[0], cycle);
@@ -312,12 +309,13 @@ impl System {
             }
         }
         // Fabric commit and per-port recovery plumbing: each slot's TMU
-        // and reset line advance independently; the fabric reports which
-        // subordinates completed their reset this cycle.
+        // reads its settled manager-side wires, and it and its reset line
+        // advance independently; the fabric reports which subordinates
+        // completed their reset this cycle.
         // Note: no demux route flush is needed on a fault — the TMU
         // drains the remaining W beats of aborted bursts through the
         // normal path, so every route entry retires on its own WLAST.
-        self.fabric.commit(cycle, |port| {
+        self.fabric.commit(&self.sub_ports, cycle, |port| {
             if port == ETH_IDX {
                 self.eth.reset();
                 self.injector.disarm();

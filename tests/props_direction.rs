@@ -211,12 +211,10 @@ fn run_lockstep(script: &[Op], cfg: &TmuConfig) -> (Vec<u64>, Vec<u64>) {
 
         wg.decide_stall(wp.aw.beat());
         rg.decide_stall(rp.ar.beat());
-        wg.observe(&wp);
-        rg.observe(&rp);
         let mut w_faults = Vec::new();
         let mut r_faults = Vec::new();
-        wg.commit(cycle, &mut w_perf, &mut w_hub, &mut w_faults);
-        rg.commit(cycle, &mut r_perf, &mut r_hub, &mut r_faults);
+        wg.commit(&wp, cycle, &mut w_perf, &mut w_hub, &mut w_faults);
+        rg.commit(&rp, cycle, &mut r_perf, &mut r_hub, &mut r_faults);
 
         // Faults must agree in every direction-neutral field.
         prop_assert_eq!(w_faults.len(), r_faults.len(), "fault count @{}", cycle);

@@ -217,12 +217,11 @@ fn run_corrupted(
             corrupt_subordinate_side(&mut sub_port, &mut rng);
         }
         tmu.forward_response(&sub_port, &mut mgr_port);
-        tmu.observe(&mgr_port);
         let violations = checker.observe(&mgr_port, cycle);
         mgr.commit(&mgr_port, cycle);
         mem.commit(&sub_port);
         let before = tmu.faults_detected();
-        tmu.commit(cycle);
+        tmu.commit_port(&mgr_port, cycle);
         tmu.assert_consistent();
         if let Some(outcome) = compare_cycle(&tmu, before, cycle, &violations) {
             return outcome;
@@ -245,11 +244,10 @@ fn run_arbitrary(cfg: TmuConfig, seed: u64, cycles: u64) -> Outcome {
         tmu.forward_request(&mgr_port, &mut sub_port);
         wires.drive_subordinate(&mut sub_port);
         tmu.forward_response(&sub_port, &mut mgr_port);
-        tmu.observe(&mgr_port);
         let violations = checker.observe(&mgr_port, cycle);
         wires.settle(&mgr_port);
         let before = tmu.faults_detected();
-        tmu.commit(cycle);
+        tmu.commit_port(&mgr_port, cycle);
         tmu.assert_consistent();
         if let Some(outcome) = compare_cycle(&tmu, before, cycle, &violations) {
             return outcome;

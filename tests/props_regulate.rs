@@ -495,7 +495,6 @@ struct TrackerRegulator {
     tracker: Tmu,
     deny_aw: bool,
     deny_ar: bool,
-    spend: CycleSpend,
     grants: u64,
 }
 
@@ -518,7 +517,6 @@ impl TrackerRegulator {
             tracker: Tmu::new(tracker),
             deny_aw: false,
             deny_ar: false,
-            spend: CycleSpend::default(),
             grants: 0,
         }
     }
@@ -554,27 +552,24 @@ impl LinkStage for TrackerRegulator {
     fn backprop_response_ready(&mut self, mgr: &AxiPort, out: &mut AxiPort) {
         self.tracker.backprop_response_ready(mgr, out);
     }
-    fn observe(&mut self, mgr: &AxiPort) {
+    fn commit(&mut self, mgr: &AxiPort, cycle: u64) -> bool {
         let masked = self.masked(mgr);
-        self.spend = CycleSpend {
+        let mut spend = CycleSpend {
             denied: self.deny_aw || self.deny_ar,
             ..CycleSpend::default()
         };
         if let Some(aw) = masked.aw.fired_beat() {
-            self.spend.write_bytes = aw.total_bytes();
-            self.spend.write_txns = 1;
+            spend.write_bytes = aw.total_bytes();
+            spend.write_txns = 1;
             self.grants += 1;
         }
         if let Some(ar) = masked.ar.fired_beat() {
-            self.spend.read_bytes = ar.total_bytes();
-            self.spend.read_txns = 1;
+            spend.read_bytes = ar.total_bytes();
+            spend.read_txns = 1;
             self.grants += 1;
         }
-        self.tracker.observe(&masked);
-    }
-    fn commit(&mut self, cycle: u64) -> bool {
-        self.budget.commit(&self.spend, cycle);
-        self.tracker.commit(cycle);
+        self.budget.commit(&spend, cycle);
+        self.tracker.commit_port(&masked, cycle);
         false
     }
 }
@@ -597,10 +592,9 @@ impl LegalRig {
         self.sub.drive(c, &mut self.out);
         stage.forward_response(&self.out, &mut self.mgr);
         stage.backprop_response_ready(&self.mgr, &mut self.out);
-        stage.observe(&self.mgr);
         self.manager.commit(&self.mgr);
         self.sub.commit(&self.out);
-        stage.commit(cycle);
+        stage.commit(&self.mgr, cycle);
     }
 }
 
@@ -637,8 +631,7 @@ proptest! {
                 resp_state(&mgr_a), resp_state(&mgr_b),
                 "cycle {}: manager response wires diverged", cycle
             );
-            reg.observe(&mgr_a);
-            reg.commit(cycle as u64);
+            reg.commit_port(&mgr_a, cycle as u64);
         }
         prop_assert_eq!((reg.grants(), reg.denies()), (0, 0));
     }
@@ -694,7 +687,6 @@ proptest! {
                 out.b.drive(*b);
             }
             reg.forward_response(&out, &mut mgr);
-            reg.observe(&mgr);
             if drive_aw {
                 prop_assert!(
                     mgr.aw.fires(),
@@ -718,7 +710,7 @@ proptest! {
                     b_queue.push(BBeat::new(AxiId(id), Resp::Okay));
                 }
             }
-            reg.commit(cycle);
+            reg.commit_port(&mgr, cycle);
         }
         prop_assert_eq!(reg.grants(), total);
         prop_assert_eq!(reg.denies(), 0, "a compliant manager is never denied");
@@ -779,7 +771,6 @@ proptest! {
                 out.b.drive(*b);
             }
             reg.forward_response(&out, &mut mgr);
-            reg.observe(&mgr);
             if let Some(aw) = mgr.aw.fired_beat() {
                 window_bytes += aw.total_bytes();
                 w_rem.push_back((aw.id.0, aw.len.beats()));
@@ -798,7 +789,7 @@ proptest! {
                     b_queue.push(BBeat::new(AxiId(id), Resp::Okay));
                 }
             }
-            reg.commit(cycle);
+            reg.commit_port(&mgr, cycle);
             if (cycle + 1).is_multiple_of(window) {
                 prop_assert!(
                     window_bytes <= budget_bytes + MAX_BURST_BYTES,
@@ -956,8 +947,7 @@ proptest! {
             drive_out(stim, &mut out);
             reg.forward_response(&out, &mut mgr);
             reg.backprop_response_ready(&mgr, &mut out);
-            reg.observe(&mgr);
-            reg.commit(cycle as u64);
+            reg.commit_port(&mgr, cycle as u64);
             prop_assert!(
                 reg.outstanding() <= 2 * ids * per_id as usize,
                 "cycle {}: {} open transactions exceed the ledger capacity",

@@ -58,7 +58,6 @@ fn step(tmu: &mut Tmu, wires: &mut ArbitraryWires, mgr: &mut AxiPort, sub: &mut 
     tmu.forward_request(mgr, sub);
     wires.drive_subordinate(sub);
     tmu.forward_response(sub, mgr);
-    tmu.observe(mgr);
     wires.settle(mgr);
 }
 
@@ -88,7 +87,7 @@ proptest! {
         let mut reset_at = None;
         for cycle in 0..1_500 {
             step(&mut tmu, &mut wires, &mut mgr, &mut sub);
-            tmu.commit(cycle);
+            tmu.commit_port(&mgr, cycle);
             tmu.assert_consistent();
             if tmu.take_reset_request() {
                 reset_at = Some(cycle + rng.below(16));
@@ -194,11 +193,10 @@ proptest! {
                 assert_bare("backprop_response_ready", p, &want, &subs[p]);
             }
 
-            bank.observe(&mgrs);
             for (w, mgr) in wires.iter_mut().zip(&mgrs) {
                 w.settle(mgr);
             }
-            bank.commit(cycle, |port| {
+            bank.commit(&mgrs, cycle, |port| {
                 assert!(ports[port].0, "reset_sub fired for bare port {port}");
             });
             for tmu in (0..n).filter_map(|p| bank.tmu(p)) {
@@ -223,9 +221,8 @@ fn scripted_cycle(
     tmu.forward_request(&mgr, &mut sub);
     drive_sub(&mut sub);
     tmu.forward_response(&sub, &mut mgr);
-    tmu.observe(&mgr);
     let violations = checker.observe(&mgr, cycle);
-    tmu.commit(cycle);
+    tmu.commit_port(&mgr, cycle);
     tmu.assert_consistent();
     violations
 }
