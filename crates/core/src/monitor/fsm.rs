@@ -67,16 +67,14 @@ impl Tmu {
         }
     }
 
-    /// Adapter for component loops written against a separate observe
-    /// pass (busybench's): latches the settled manager-side wires for
-    /// the next [`Tmu::commit`]. Harnesses call [`Tmu::commit_port`].
+    /// Adapter for busybench's component loops, which tap the wires in
+    /// a pass of their own: latches `mgr` for [`Tmu::commit`].
     pub fn observe(&mut self, mgr: &AxiPort) {
         self.tap.clone_from(mgr);
     }
 
-    /// Adapter: [`Tmu::commit_port`] on the wires latched by the last
-    /// [`Tmu::observe`], or on an idle port when none were latched since
-    /// the previous commit.
+    /// Adapter: [`Tmu::commit_port`] on the latched wires (idle when
+    /// none were latched since the last commit).
     pub fn commit(&mut self, cycle: u64) {
         let tap = std::mem::take(&mut self.tap);
         self.commit_port(&tap, cycle);

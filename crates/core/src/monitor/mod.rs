@@ -90,8 +90,7 @@ pub struct Tmu {
     /// Committed state: cycles this monitor has committed.
     cycles: u64,
     telemetry: TelemetryHub,
-    /// The wires latched by the [`Tmu::observe`] adapter for the next
-    /// [`Tmu::commit`]; idle otherwise.
+    /// The wires latched by the [`Tmu::observe`] adapter.
     tap: AxiPort,
 }
 

@@ -101,7 +101,7 @@ impl Ledger {
         self.stalled
     }
 
-    /// Observe pass: whether a commit of this cycle's settled
+    /// Commit gate: whether a commit of this cycle's settled
     /// handshakes has work: an offered address it can allocate (not
     /// pending, not stalled), a fired handshake or a response beat. On
     /// any other cycle [`Ledger::commit`] changes nothing and may be

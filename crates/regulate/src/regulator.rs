@@ -20,10 +20,7 @@
 //! 4. [`Regulator::commit_port`] at the clock edge, on the settled
 //!    manager-side wires.
 //!
-//! Every pass runs on every cycle. [`Regulator::observe`] followed by
-//! [`Regulator::commit`] is an adapter for component loops written
-//! against a separate observe pass: it latches the wires, then commits
-//! from the latch. The window rollovers are deadlines on
+//! Every pass runs on every cycle. The window rollovers are deadlines on
 //! absolute cycles; a regulator attached to a running fabric joins the
 //! window grid already under way.
 //!
@@ -151,10 +148,9 @@ impl Lane {
         }
     }
 
-    /// This direction's share of the commit's work on the settled
-    /// address channel `addr`, with `response` true when a response beat
-    /// of the direction reaches the manager: the ledger's, which covers
-    /// a grant (a fired handshake), or a denial opening a wait episode.
+    /// This direction's share of the commit's work on its settled address
+    /// channel `addr` and a `response` beat reaching the manager: the
+    /// ledger's, which covers a grant, or a denial opening a wait episode.
     #[inline]
     fn has_work<B: AddrBeat>(&self, addr: &Channel<B>, response: bool) -> bool {
         let offered = addr.valid() && !self.deny;
@@ -166,9 +162,9 @@ impl Lane {
     /// Clock commit on the settled address channel `addr` and
     /// `response` (the ID of a response beat the manager took, and
     /// whether it closes its transaction): charges a grant to `spend`
-    /// and closes the wait episode, latches a denial and opens one,
-    /// retires an absorbed stale response and commits the ledger.
-    /// Returns the granted burst's beats (0 without a grant).
+    /// and closes the wait episode, latches a denial and opens one, and
+    /// commits the ledger. Returns the granted burst's beats (0 without
+    /// a grant).
     fn commit<B: AddrBeat>(
         &mut self,
         addr: &Channel<B>,
@@ -214,7 +210,6 @@ impl Lane {
                 telemetry.metrics_mut().observe(histogram, waited);
             }
         }
-        self.retire_absorbed();
         if self.deny {
             spend.denied = true;
             if self.q_wait_since.is_none() {
@@ -235,7 +230,8 @@ impl Lane {
         beats
     }
 
-    /// Retires the stale response absorbed this cycle, if any.
+    /// While severed: retires the stale response absorbed this cycle, if
+    /// any.
     fn retire_absorbed(&mut self) {
         if std::mem::take(&mut self.absorbed) {
             self.q_stale = self.q_stale.saturating_sub(1);
@@ -275,8 +271,7 @@ pub struct Regulator {
     /// with `SLVERR` aborts until [`Regulator::release`].
     term: Terminator,
     telemetry: TelemetryHub,
-    /// The wires latched by the [`Regulator::observe`] adapter for the
-    /// next [`Regulator::commit`]; idle otherwise.
+    /// The wires latched by the [`Regulator::observe`] adapter.
     tap: AxiPort,
     /// Test-only reference: commit in full on every cycle.
     #[cfg(test)]
@@ -432,22 +427,6 @@ impl Regulator {
             "the gate skipped the commit of rollover cycle {}",
             self.budget.next_rollover()
         );
-        self.q_cycles = cycle + 1;
-        if self.cfg.enabled()
-            && (!self.term.is_idle()
-                || self.lanes_have_work(mgr)
-                || cycle >= self.budget.next_rollover()
-                || self.telemetry.should_sample(cycle)
-                || self.ungated())
-        {
-            self.commit_enabled(mgr, cycle);
-        }
-    }
-
-    /// Whether the settled wires `mgr` give a monitoring regulator's
-    /// lanes work (see the [module docs](self#quiet-cycles)).
-    #[inline]
-    fn lanes_have_work(&self, mgr: &AxiPort) -> bool {
         // A denial inside a wait episode is never the window's first:
         // the commit that opened the episode latched one, and once the
         // window rolls the bucket refills, so the next denial in that
@@ -459,25 +438,31 @@ impl Regulator {
                 || self.budget.window_denied(),
             "a denial inside a wait episode finds the window's denial latched"
         );
+        self.q_cycles = cycle + 1;
         // A W beat with nothing owed changes the owed count only when
         // its burst's AW fires in the same cycle, a grant the write
         // lane's work already covers.
-        (self.q_w_owed > 0 && mgr.w.fires())
-            || self.write.has_work(&mgr.aw, mgr.b.fires())
-            || self.read.has_work(&mgr.ar, mgr.r.fires())
+        if self.cfg.enabled()
+            && (!self.term.is_idle()
+                || (self.q_w_owed > 0 && mgr.w.fires())
+                || self.write.has_work(&mgr.aw, mgr.b.fires())
+                || self.read.has_work(&mgr.ar, mgr.r.fires())
+                || cycle >= self.budget.next_rollover()
+                || self.telemetry.should_sample(cycle)
+                || self.ungated())
+        {
+            self.commit_enabled(mgr, cycle);
+        }
     }
 
-    /// Adapter for component loops written against a separate observe
-    /// pass (busybench's): latches the settled manager-side wires for
-    /// the next [`Regulator::commit`]. Harnesses call
-    /// [`Regulator::commit_port`].
+    /// Adapter for busybench's component loops, which tap the wires in
+    /// a pass of their own: latches `mgr` for [`Regulator::commit`].
     pub fn observe(&mut self, mgr: &AxiPort) {
         self.tap.clone_from(mgr);
     }
 
-    /// Adapter: [`Regulator::commit_port`] on the wires latched by the
-    /// last [`Regulator::observe`], or on an idle port when none were
-    /// latched since the previous commit.
+    /// Adapter: [`Regulator::commit_port`] on the latched wires (idle
+    /// when none were latched since the last commit).
     pub fn commit(&mut self, cycle: u64) {
         let tap = std::mem::take(&mut self.tap);
         self.commit_port(&tap, cycle);
@@ -488,15 +473,12 @@ impl Regulator {
     /// inlinable.
     fn commit_enabled(&mut self, mgr: &AxiPort, cycle: u64) {
         let mut spend = CycleSpend::default();
-        if self.term.is_severed() {
-            // The lanes' ledgers see no handshakes: only the owed W
-            // beats still move downstream, and stale responses are
+        let severed = self.term.is_severed();
+        if severed {
+            // The lanes' ledgers see no handshakes; stale responses are
             // absorbed.
             self.write.retire_absorbed();
             self.read.retire_absorbed();
-            if self.q_w_owed > 0 && mgr.w.fires() {
-                self.q_w_owed -= 1;
-            }
         } else {
             self.q_w_owed += self.write.commit(
                 &mgr.aw,
@@ -512,10 +494,11 @@ impl Regulator {
                 &mut spend,
                 &mut self.telemetry,
             );
-            // A beat the terminator absorbs belongs to an aborted burst.
-            if self.term.drain_beats() == 0 && mgr.w.fires() {
-                self.q_w_owed = self.q_w_owed.saturating_sub(1);
-            }
+        }
+        // While severed only owed beats move downstream; otherwise a beat
+        // the terminator absorbs belongs to an aborted burst.
+        if mgr.w.fires() && (severed || self.term.drain_beats() == 0) {
+            self.q_w_owed = self.q_w_owed.saturating_sub(1);
         }
         if let Some(roll) = self.budget.commit(&spend, cycle) {
             self.telemetry.record(
