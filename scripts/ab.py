@@ -42,6 +42,20 @@ DETERMINISTIC = ("txns_per_kcycle", "write_lat_p99_cycles", "read_lat_p99_cycles
 RAW_RATE = re.compile(r"([0-9.]+) Mcycles/s on this host")
 
 
+def host():
+    """The host's CPU model and count, for the record."""
+    model = "unknown"
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {"cpu": model, "cpus": os.cpu_count()}
+
+
 def build(tree):
     """Builds busybench from source tree `tree`; returns the binary."""
     target = os.path.join(tree, ".ab_build")
@@ -209,8 +223,11 @@ def main():
         if len(trees[0]) != len(trees[1]):
             parser.error(f"source trees need paths of equal length: {trees}")
         args.a, args.b = build(trees[0]), build(trees[1])
-    if not (args.a and args.b):
+        labels = [os.path.basename(t) for t in trees]
+    elif not (args.a and args.b):
         parser.error("give --a and --b, or --build-a and --build-b")
+    else:
+        labels = [args.a, args.b]
 
     doc = {
         "method": {
@@ -220,8 +237,9 @@ def main():
             "pairs": args.pairs,
             "ratio": "B/A of sim_mcycles_per_s; raw = before busybench's host scaling",
         },
-        "a": args.a,
-        "b": args.b,
+        "host": host(),
+        "a": labels[0],
+        "b": labels[1],
         "floor": {},
         "ab": {},
     }
