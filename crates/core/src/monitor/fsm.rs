@@ -26,7 +26,7 @@ impl Tmu {
         }
         let monitoring = !self.term.is_severed();
         // Drained beats belong to aborted bursts; hide them from the
-        // guards and the protocol rules.
+        // handshake telemetry, the protocol rules and the guards.
         let masked;
         let port = if monitoring && self.term.drain_beats() > 0 {
             let mut m = mgr.clone();
@@ -38,7 +38,7 @@ impl Tmu {
         };
         if monitoring {
             if self.telemetry.enabled() {
-                self.record_handshakes(mgr, cycle);
+                self.record_handshakes(port, cycle);
             }
             if self.protocol_checking() {
                 self.wire_rules
@@ -80,11 +80,10 @@ impl Tmu {
         self.commit_port(&tap, cycle);
     }
 
-    /// Taps the five channels' settled handshakes into the telemetry
-    /// event stream. W beats being drained belong to aborted bursts and
-    /// are hidden, mirroring what the guards see.
-    fn record_handshakes(&mut self, mgr: &AxiPort, cycle: u64) {
-        if let Some(aw) = mgr.aw.fired_beat() {
+    /// Taps the five channels' settled handshakes on `port` into the
+    /// telemetry event stream.
+    fn record_handshakes(&mut self, port: &AxiPort, cycle: u64) {
+        if let Some(aw) = port.aw.fired_beat() {
             self.telemetry.record(
                 cycle,
                 "tmu",
@@ -94,7 +93,7 @@ impl Tmu {
                 },
             );
         }
-        if self.term.drain_beats() == 0 && mgr.w.fires() {
+        if port.w.fires() {
             self.telemetry.record(
                 cycle,
                 "tmu",
@@ -104,7 +103,7 @@ impl Tmu {
                 },
             );
         }
-        if let Some(b) = mgr.b.fired_beat() {
+        if let Some(b) = port.b.fired_beat() {
             self.telemetry.record(
                 cycle,
                 "tmu",
@@ -114,7 +113,7 @@ impl Tmu {
                 },
             );
         }
-        if let Some(ar) = mgr.ar.fired_beat() {
+        if let Some(ar) = port.ar.fired_beat() {
             self.telemetry.record(
                 cycle,
                 "tmu",
@@ -124,7 +123,7 @@ impl Tmu {
                 },
             );
         }
-        if let Some(r) = mgr.r.fired_beat() {
+        if let Some(r) = port.r.fired_beat() {
             self.telemetry.record(
                 cycle,
                 "tmu",

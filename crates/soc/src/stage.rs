@@ -351,6 +351,7 @@ mod tests {
     use axi4::beat::{AwBeat, BBeat, RBeat, WBeat};
     use axi4::{Addr, AxiId, BurstKind, BurstLen, BurstSize, Resp};
     use tmu::TmuState;
+    use tmu_telemetry::{Channel, TraceEvent};
 
     fn tiny_cfg(budget: u64) -> TmuConfig {
         TmuConfig::builder()
@@ -524,5 +525,46 @@ mod tests {
         assert_eq!(merged, d0, "port 0's tighter budget bounds the bank");
         assert_eq!(bank.ports(), 3);
         assert!(!bank.is_attached(1));
+    }
+
+    #[test]
+    fn a_late_attached_tmu_stamps_handshakes_with_the_commit_cycle() {
+        let mut bank: StageBank<TmuStage> = StageBank::new(1);
+        let (mut mgrs, mut subs) = (ports(1), ports(1));
+        // Every cycle the manager offers an AW that the subordinate
+        // accepts at once.
+        let mut step = |bank: &mut StageBank<TmuStage>, cycle: u64| {
+            mgrs[0].begin_cycle();
+            subs[0].begin_cycle();
+            mgrs[0].aw.drive(aw(7));
+            bank.forward_requests(&mgrs, &mut subs);
+            subs[0].aw.set_ready(true);
+            bank.forward_responses(&subs, &mut mgrs);
+            assert!(mgrs[0].aw.fires());
+            bank.commit(&mgrs, cycle, |_| {});
+        };
+        for cycle in 0..40 {
+            step(&mut bank, cycle);
+        }
+        let mut stage = TmuStage::new(tiny_cfg(1_000_000), 4);
+        stage.tmu.enable_telemetry(TelemetryConfig::default());
+        bank.attach(0, stage);
+        step(&mut bank, 40);
+        let first = bank
+            .tmu(0)
+            .expect("attached")
+            .telemetry()
+            .events()
+            .iter()
+            .find(|r| matches!(r.event, TraceEvent::Handshake { .. }))
+            .expect("the AW handshake is recorded");
+        assert_eq!(
+            first.event,
+            TraceEvent::Handshake {
+                channel: Channel::Aw,
+                id: 7,
+            }
+        );
+        assert_eq!(first.cycle, 40, "stamped with the bank's cycle, not 0");
     }
 }
