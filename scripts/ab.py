@@ -2,11 +2,11 @@
 """Time-sliced A/B comparison of two busybench binaries.
 
 Each pair runs side A and side B at once, as two child processes that
-take turns on the host: every --slice-ms milliseconds the script stops
-the running child with SIGSTOP and continues the other with SIGCONT,
-so both see the same host conditions within a few slices. Which side
-starts alternates from pair to pair. The script acts only on its own
-children: it sets no CPU affinity, governor or cgroup.
+take turns on the host: every SLICE_MS (25) milliseconds the script
+stops the running child with SIGSTOP and continues the other with
+SIGCONT, so both see the same host conditions within a few slices.
+Which side starts alternates from pair to pair. The script acts only on
+its own children: it sets no CPU affinity, governor or cgroup.
 
     python3 scripts/ab.py --a A/busybench --b B/busybench \\
         --workloads regulated_4mgr --pairs 10 --seconds 5
@@ -18,12 +18,13 @@ trees whose absolute paths have the same length, each into its own
 adds A/A pairs (side A against itself) per workload: the noise floor
 the A/B ratio must beat. --json writes every pair and summary.
 
-Per workload it prints the median of the raw B/A ratios of
-`sim_mcycles_per_s` (the host's own rate, before busybench scales it by
-its reference kernel), their min-max and IQR, and how many pairs B won;
-the scaled ratio's median is printed beside it. It exits non-zero when
-a run fails or when `txns_per_kcycle` or either p99 latency differs
-between the two sides of a pair: those are deterministic per seed.
+Every run uses seed SEED (1). Per workload it prints the median of the
+raw B/A ratios of `sim_mcycles_per_s` (the host's own rate, before
+busybench scales it by its reference kernel), their min-max and IQR,
+and how many pairs B won; the scaled ratio's median is printed beside
+it. It exits non-zero when a run fails or when `txns_per_kcycle` or
+either p99 latency differs between the two sides of a pair: those are
+deterministic per seed.
 """
 
 import argparse
@@ -40,6 +41,8 @@ import time
 WORKLOADS = ("link_deep", "soc_fig10", "regulated_4mgr")
 DETERMINISTIC = ("txns_per_kcycle", "write_lat_p99_cycles", "read_lat_p99_cycles")
 RAW_RATE = re.compile(r"([0-9.]+) Mcycles/s on this host")
+SLICE_MS = 25
+SEED = 1
 
 
 def host():
@@ -118,7 +121,7 @@ class Side:
 
 def run_pair(a, b, args, workload, a_first):
     """Runs one time-sliced pair; returns (metrics_a, metrics_b, error)."""
-    run_args = ["--workload", workload, "--seed", str(args.seed),
+    run_args = ["--workload", workload, "--seed", str(SEED),
                 "--seconds", str(args.seconds), "--trace", "0"]
     order = [Side("A", a, run_args), Side("B", b, run_args)]
     sides = dict((s.name, s) for s in order)
@@ -132,7 +135,7 @@ def run_pair(a, b, args, workload, a_first):
             if not side.running():
                 continue
             side.signal(signal.SIGCONT)
-            time.sleep(args.slice_ms / 1000.0)
+            time.sleep(SLICE_MS / 1000.0)
             side.signal(signal.SIGSTOP)
     finally:
         for side in order:
@@ -205,8 +208,6 @@ def main():
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=5)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--slice-ms", type=float, default=25)
     parser.add_argument("--floor", action="store_true",
                         help="also run A/A pairs per workload")
     parser.add_argument("--json", help="write every pair and summary here")
@@ -231,9 +232,9 @@ def main():
 
     doc = {
         "method": {
-            "slice_ms": args.slice_ms,
+            "slice_ms": SLICE_MS,
             "seconds": args.seconds,
-            "seed": args.seed,
+            "seed": SEED,
             "pairs": args.pairs,
             "ratio": "B/A of sim_mcycles_per_s; raw = before busybench's host scaling",
         },
