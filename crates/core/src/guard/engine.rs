@@ -23,8 +23,9 @@
 //! the tracked state for one cycle in a fixed order that both directions
 //! share:
 //!
-//! 1. a newly *offered* address beat allocates an OTT entry (unless the
-//!    stall decision held it off),
+//! 1. a newly *offered* address beat allocates an OTT entry (unless
+//!    [`GuardCore::decide_stall`], asked again on the state the commit
+//!    starts from, held it off),
 //! 2. a *fired* address handshake advances the head entry into the data
 //!    phase,
 //! 3. the direction routes data/response wires through its phase machine,
@@ -39,8 +40,9 @@
 //!
 //! Under the deadline-wheel engine a commit does work only on an event.
 //! A cycle whose port carries no valid beat on the direction's channels
-//! ([`Direction::idle`], tested before any beat is read), with no stall
-//! and no deadline that [`DeadlineWheel::may_be_due`] is skipped:
+//! ([`Direction::idle`], tested before any beat is read; a stall needs
+//! a valid address, so an idle cycle has none) and no deadline that
+//! [`DeadlineWheel::may_be_due`] is skipped:
 //! steps 1–5 would change nothing on it. The per-cycle reference engine ticks every live
 //! counter every cycle, so it commits every cycle in full.
 //!
@@ -182,9 +184,11 @@ impl<D: Direction> TxnTracker<D> {
 
 /// The direction-generic guard: owns the OTT, ID remapper, deadline
 /// wheel, and prescaled counters for one direction of one monitored
-/// link, and drives the stall/commit/drain/clear lifecycle: the forward
-/// pass decides the stall, the commit reads the settled port. See the
-/// [module docs](self) for the commit ordering contract.
+/// link, and drives the stall/commit/drain/clear lifecycle: the stall is
+/// a pure function of the committed state and the offered address, which
+/// the forward pass asks to gate the wires and the commit asks again
+/// before it reads the settled port. See the [module docs](self) for the
+/// commit ordering contract.
 #[derive(Debug, Clone)]
 pub struct GuardCore<D: Direction> {
     pub(in crate::guard) variant: TmuVariant,
@@ -210,9 +214,6 @@ pub struct GuardCore<D: Direction> {
     pub(in crate::guard) beats_owed: u64,
     /// Entry allocated on address `valid`, still waiting for `ready`.
     addr_pending: Option<LdIndex>,
-    /// Whether this cycle's address beat was stalled by saturation
-    /// backpressure.
-    stalled_this_cycle: bool,
     /// Whether [`Direction::commit_data`] checks the context protocol
     /// rules (set by the TMU from `TmuConfig::check_protocol` and
     /// `CTRL_PROT_CHECK`).
@@ -247,7 +248,6 @@ impl<D: Direction> GuardCore<D> {
             pending_drain_beats: 0,
             beats_owed: 0,
             addr_pending: None,
-            stalled_this_cycle: false,
             check_protocol: cfg.check_protocol(),
             violations: Vec::new(),
             resp_route: None,
@@ -295,9 +295,10 @@ impl<D: Direction> GuardCore<D> {
         self.wheel.depth()
     }
 
-    /// Whether a new address beat with `id` must be stalled this cycle
-    /// (saturation / remapper backpressure, paper §II-D). The decision is
-    /// remembered; call once per cycle from the forward pass.
+    /// Whether the offered address beat `req` must be stalled this cycle
+    /// (saturation / remapper backpressure, paper §II-D): a pure function
+    /// of the committed state, asked by the forward pass and again by the
+    /// commit.
     ///
     /// The address beat already allocated while it waits for `ready` is
     /// never stalled, unless protocol checks are on and the manager
@@ -305,13 +306,13 @@ impl<D: Direction> GuardCore<D> {
     /// held off too. So every address that fires is in the OTT exactly
     /// as it fired, which the context protocol rules rely on.
     #[inline]
-    pub fn decide_stall(&mut self, req: Option<&D::Req>) -> bool {
-        self.stalled_this_cycle = match (req, self.addr_pending) {
+    #[must_use]
+    pub fn decide_stall(&self, req: Option<&D::Req>) -> bool {
+        match (req, self.addr_pending) {
             (None, _) => false,
             (Some(beat), Some(idx)) => self.check_protocol && self.changed_while_waiting(idx, beat),
             (Some(beat), None) => self.ott.is_full() || self.remap.probe(beat.id()).is_err(),
-        };
-        self.stalled_this_cycle
+        }
     }
 
     /// Whether `beat` differs from the allocated address beat in `idx`.
@@ -522,11 +523,16 @@ impl<D: Direction> GuardCore<D> {
         faults: &mut Vec<GuardFault>,
     ) {
         let addr = D::addr(port);
+        // The forward pass's stall decision, asked again on the state
+        // this commit starts from. A pending address is never allocated
+        // again, so its stall only feeds the stall counter.
+        let stalled =
+            (self.addr_pending.is_none() || telemetry.enabled()) && self.decide_stall(addr.beat());
 
         // 1. New address beat offered: allocate unless stalled or
         //    already pending.
         if let Some(&req) = addr.beat() {
-            if self.addr_pending.is_none() && !self.stalled_this_cycle {
+            if self.addr_pending.is_none() && !stalled {
                 let load = self.queue_load();
                 let beats = req.burst_len().beats();
                 let budgets = D::budgets(&self.budget_cfg, beats, load);
@@ -706,7 +712,7 @@ impl<D: Direction> GuardCore<D> {
             }
         }
 
-        if self.stalled_this_cycle {
+        if stalled {
             // Saturation backpressure held off a new address beat this
             // cycle: counted so the sampler can expose stall pressure
             // over time.
@@ -719,7 +725,6 @@ impl<D: Direction> GuardCore<D> {
                 },
             );
         }
-        self.stalled_this_cycle = false;
 
         #[cfg(debug_assertions)]
         self.assert_consistent();
@@ -727,12 +732,11 @@ impl<D: Direction> GuardCore<D> {
 
     /// Whether the commit for `cycle` has nothing to do (see the
     /// [module docs](self)): deadline-wheel engine, no valid beat on the
-    /// direction's channels of `port`, no stall and no deadline due.
+    /// direction's channels of `port` and no deadline due.
     #[inline]
     fn is_quiet(&self, port: &AxiPort, cycle: u64) -> bool {
         self.engine == CounterEngine::DeadlineWheel
             && D::idle(port)
-            && !self.stalled_this_cycle
             && !self.wheel.may_be_due(cycle)
     }
 
@@ -767,7 +771,6 @@ impl<D: Direction> GuardCore<D> {
         self.wheel.clear();
         self.beats_owed = 0;
         self.addr_pending = None;
-        self.stalled_this_cycle = false;
         self.violations.clear();
         self.resp_route = None;
     }

@@ -40,8 +40,8 @@ fn ar(id: u16, beats: u16) -> ArBeat {
     )
 }
 
-/// One cycle against a write guard: set up the port, let the guard
-/// decide stalls, commit from the port.
+/// One cycle against a write guard: set up the port, commit from it
+/// (the commit decides the stall).
 fn wg_cycle(
     guard: &mut WriteGuard,
     cycle: u64,
@@ -51,7 +51,6 @@ fn wg_cycle(
     let mut port = AxiPort::new();
     port.begin_cycle();
     setup(&mut port);
-    guard.decide_stall(port.aw.beat());
     let mut faults = Vec::new();
     guard.commit(
         &port,
@@ -72,7 +71,6 @@ fn rg_cycle(
     let mut port = AxiPort::new();
     port.begin_cycle();
     setup(&mut port);
-    guard.decide_stall(port.ar.beat());
     let mut faults = Vec::new();
     guard.commit(
         &port,
@@ -448,7 +446,6 @@ fn engine_cycle<D: Direction>(
     let mut port = AxiPort::new();
     port.begin_cycle();
     setup(&mut port);
-    guard.decide_stall(D::addr(&port).beat());
     let mut faults = Vec::new();
     guard.commit(
         &port,

@@ -213,8 +213,6 @@ impl Tmu {
         let (writes, reads) = (write_set.responses.len(), read_set.responses.len());
         self.term.sever(write_set, read_set);
         self.wire_rules.flush();
-        self.stall_aw = false;
-        self.stall_ar = false;
         // Severing also closes every open telemetry span as aborted.
         self.telemetry.record(
             cycle,

@@ -4,6 +4,8 @@
 //! side) and a subordinate. Per cycle, the surrounding harness calls, in
 //! order, the same four passes as every `soc::stage::LinkStage`:
 //!
+//! The first three passes take `&self`; only the commit writes state.
+//!
 //! 1. [`Tmu::forward_request`] — after the manager drives its wires:
 //!    copies AW/W/AR valid+payload and B/R ready onto the subordinate
 //!    port (possibly gated: OTT saturation backpressure, or severed after
@@ -66,6 +68,11 @@ pub use crate::terminator::TmuState;
 
 /// The Transaction Monitoring Unit. See the [module docs](self) for the
 /// per-cycle protocol and the crate docs for an end-to-end example.
+///
+/// The three forwarding passes take `&self`: every per-cycle decision
+/// they drive (the saturation stall, the severed drive) is a function of
+/// committed state and the wires, and the commit recomputes it or reads
+/// it back from the settled wires. Only the commit writes state.
 #[derive(Debug, Clone)]
 pub struct Tmu {
     cfg: TmuConfig,
@@ -80,8 +87,6 @@ pub struct Tmu {
     err_log: ErrorLog,
     perf_log: PerfLog,
     reset_request: bool,
-    stall_aw: bool,
-    stall_ar: bool,
     pending_violations: Vec<Violation>,
     /// The guards' timeouts found by this cycle's commit (emptied by it).
     guard_faults: Vec<GuardFault>,
@@ -110,8 +115,6 @@ impl Tmu {
             err_log: ErrorLog::new(),
             perf_log: PerfLog::new(),
             reset_request: false,
-            stall_aw: false,
-            stall_ar: false,
             pending_violations: Vec::new(),
             guard_faults: Vec::new(),
             faults_detected: 0,

@@ -9,32 +9,6 @@
 
 use std::fmt;
 
-/// Per-type extension of the allowed committed-state mutator methods.
-#[derive(Debug, Clone)]
-pub struct TypeAllow {
-    /// Type whose committed fields the methods may assign.
-    pub type_name: String,
-    /// Additional method names allowed for this type.
-    pub methods: Vec<String>,
-    /// Mandatory human justification.
-    pub reason: String,
-    /// 1-based line of the entry's `[[two_phase.allow]]` header.
-    pub line: u32,
-}
-
-/// Configuration for the `two-phase` lint.
-#[derive(Debug, Clone)]
-pub struct TwoPhaseCfg {
-    /// Doc-text marker tagging a committed-state field.
-    pub marker: String,
-    /// Field-name prefix convention that also tags a field (`q_*`).
-    pub field_prefix: String,
-    /// Globally allowed mutator method names.
-    pub methods: Vec<String>,
-    /// Per-type method allowances.
-    pub allow: Vec<TypeAllow>,
-}
-
 /// Configuration for the `panic-hygiene` lint.
 #[derive(Debug, Clone)]
 pub struct PanicCfg {
@@ -89,8 +63,6 @@ pub struct PathAllow {
 /// The full linter configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// `two-phase` settings.
-    pub two_phase: TwoPhaseCfg,
     /// `panic-hygiene` settings.
     pub panic: PanicCfg,
     /// `telemetry` settings.
@@ -104,16 +76,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            two_phase: TwoPhaseCfg {
-                marker: "Committed state".to_string(),
-                field_prefix: "q_".to_string(),
-                methods: vec![
-                    "commit".to_string(),
-                    "tick".to_string(),
-                    "reset".to_string(),
-                ],
-                allow: Vec::new(),
-            },
             panic: PanicCfg { min_expect_len: 12 },
             telemetry: TelemetryCfg {
                 event_enum: "TraceEvent".to_string(),
@@ -146,8 +108,6 @@ impl std::error::Error for ConfigError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Section {
     None,
-    TwoPhase,
-    TwoPhaseAllow,
     Panic,
     Telemetry,
     FrontEvictionAllow,
@@ -155,10 +115,10 @@ enum Section {
 }
 
 impl Config {
-    /// Parses the `lint.toml` text. Every `[[two_phase.allow]]`,
-    /// `[[front_eviction.allow]]` and `[[allow]]` entry must carry a
-    /// non-empty `reason` — suppressions without justification are
-    /// configuration errors, not warnings.
+    /// Parses the `lint.toml` text. Every `[[front_eviction.allow]]`
+    /// and `[[allow]]` entry must carry a non-empty `reason` —
+    /// suppressions without justification are configuration errors, not
+    /// warnings.
     pub fn parse(text: &str) -> Result<Config, ConfigError> {
         let mut cfg = Config::default();
         let mut section = Section::None;
@@ -172,15 +132,6 @@ impl Config {
             }
             if let Some(header) = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]")) {
                 section = match header.trim() {
-                    "two_phase.allow" => {
-                        cfg.two_phase.allow.push(TypeAllow {
-                            type_name: String::new(),
-                            methods: Vec::new(),
-                            reason: String::new(),
-                            line: n as u32,
-                        });
-                        Section::TwoPhaseAllow
-                    }
                     "front_eviction.allow" => {
                         cfg.front_eviction.allow.push(ReceiverAllow {
                             path: String::new(),
@@ -204,7 +155,6 @@ impl Config {
             }
             if let Some(header) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
                 section = match header.trim() {
-                    "two_phase" => Section::TwoPhase,
                     "panic_hygiene" => Section::Panic,
                     "telemetry" => Section::Telemetry,
                     other => return Err(err(n, format!("unknown table [{other}]"))),
@@ -217,20 +167,6 @@ impl Config {
             let key = key.trim();
             let value = Value::parse(value.trim()).map_err(|m| err(n, m))?;
             match (section, key) {
-                (Section::TwoPhase, "marker") => cfg.two_phase.marker = value.string(n)?,
-                (Section::TwoPhase, "field_prefix") => {
-                    cfg.two_phase.field_prefix = value.string(n)?;
-                }
-                (Section::TwoPhase, "methods") => cfg.two_phase.methods = value.strings(n)?,
-                (Section::TwoPhaseAllow, "type") => {
-                    last(&mut cfg.two_phase.allow, n)?.type_name = value.string(n)?;
-                }
-                (Section::TwoPhaseAllow, "methods") => {
-                    last(&mut cfg.two_phase.allow, n)?.methods = value.strings(n)?;
-                }
-                (Section::TwoPhaseAllow, "reason") => {
-                    last(&mut cfg.two_phase.allow, n)?.reason = value.string(n)?;
-                }
                 (Section::Panic, "min_expect_len") => {
                     cfg.panic.min_expect_len = value.integer(n)?;
                 }
@@ -281,17 +217,6 @@ impl Config {
                 return Err(err(
                     a.line as usize,
                     "[[front_eviction.allow]] needs both `path` and `receiver`".to_string(),
-                ));
-            }
-        }
-        for a in &cfg.two_phase.allow {
-            if a.reason.trim().is_empty() {
-                return Err(err(
-                    0,
-                    format!(
-                        "[[two_phase.allow]] for type `{}` has no reason",
-                        a.type_name
-                    ),
                 ));
             }
         }
@@ -419,15 +344,6 @@ mod tests {
         let cfg = Config::parse(
             r#"
 # comment
-[two_phase]
-marker = "Committed state"
-methods = ["commit", "tick", "reset"]
-
-[[two_phase.allow]]
-type = "Clock"
-methods = ["advance", "advance_to"]
-reason = "commit-edge entry points"
-
 [panic_hygiene]
 min_expect_len = 16
 
@@ -438,8 +354,6 @@ reason = "vendored stand-ins keep upstream style"
 "#,
         )
         .expect("config must parse");
-        assert_eq!(cfg.two_phase.allow.len(), 1);
-        assert_eq!(cfg.two_phase.allow[0].methods, ["advance", "advance_to"]);
         assert_eq!(cfg.panic.min_expect_len, 16);
         assert_eq!(cfg.allows[0].lints, ["*"]);
     }
@@ -453,9 +367,14 @@ reason = "vendored stand-ins keep upstream style"
 
     #[test]
     fn unknown_key_is_an_error() {
-        assert!(Config::parse("[two_phase]\ntypo = \"x\"\n").is_err());
+        assert!(Config::parse("[panic_hygiene]\ntypo = 1\n").is_err());
         // Sections of retired lints are rejected, not ignored.
         assert!(Config::parse("[[parity.pair]]\nleft = \"A\"\nright = \"B\"\n").is_err());
+        assert!(Config::parse("[two_phase]\nmarker = \"Committed state\"\n").is_err());
+        assert!(Config::parse(
+            "[[two_phase.allow]]\ntype = \"Lane\"\nmethods = [\"abort\"]\nreason = \"r\"\n"
+        )
+        .is_err());
         assert!(Config::parse("[crate_header]\nrequire = []\n").is_err());
     }
 }

@@ -6,8 +6,6 @@ use std::path::Path;
 /// Stable machine-readable lint identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Lint {
-    /// Committed state assigned outside `commit`/`tick`/`reset`.
-    TwoPhase,
     /// Weak `expect` message / bare `unreachable!()` in non-test code.
     PanicHygiene,
     /// Member manifest without `[lints] workspace = true`.
@@ -23,7 +21,6 @@ impl Lint {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Lint::TwoPhase => "two-phase",
             Lint::PanicHygiene => "panic-hygiene",
             Lint::WorkspaceLints => "workspace-lints",
             Lint::Telemetry => "telemetry",

@@ -3,9 +3,8 @@
 //! The build environment is offline, so the workspace cannot pull in
 //! `syn`/`proc-macro2`; this module is the hand-rolled stand-in. It
 //! tokenizes exactly as much of the surface syntax as the lints need:
-//! identifiers, punctuation, string/char/number literals, and doc
-//! comments (kept as tokens because the two-phase lint reads field
-//! docs). Ordinary comments and whitespace are discarded. The lexer is
+//! identifiers, punctuation and string/char/number literals. Comments,
+//! doc comments included, and whitespace are discarded. The lexer is
 //! intentionally forgiving — on malformed input it keeps scanning so a
 //! single odd token never hides findings in the rest of the file.
 
@@ -22,10 +21,6 @@ pub enum TokKind {
     CharLit,
     /// Numeric literal.
     Num,
-    /// Outer doc comment (`///` or `/** */`); `text` is the doc text.
-    DocOuter,
-    /// Inner doc comment (`//!` or `/*! */`); `text` is the doc text.
-    DocInner,
 }
 
 /// One lexed token with the 1-based line it starts on.
@@ -98,8 +93,8 @@ impl Lexer {
                 c if c.is_whitespace() => {
                     self.bump();
                 }
-                '/' if self.peek(1) == Some('/') => self.line_comment(line),
-                '/' if self.peek(1) == Some('*') => self.block_comment(line),
+                '/' if self.peek(1) == Some('/') => self.line_comment(),
+                '/' if self.peek(1) == Some('*') => self.block_comment(),
                 '"' => self.string(line),
                 'r' | 'b'
                     if matches!(self.peek(1), Some('"' | '#'))
@@ -119,50 +114,16 @@ impl Lexer {
         self.out
     }
 
-    fn line_comment(&mut self, line: u32) {
-        // Consume "//"; classify by the third character.
-        self.bump();
-        self.bump();
-        let kind = match self.peek(0) {
-            Some('/') if self.peek(1) != Some('/') => {
-                self.bump();
-                Some(TokKind::DocOuter)
-            }
-            Some('!') => {
-                self.bump();
-                Some(TokKind::DocInner)
-            }
-            _ => None,
-        };
-        let mut text = String::new();
-        while let Some(c) = self.peek(0) {
-            if c == '\n' {
-                break;
-            }
-            text.push(c);
+    fn line_comment(&mut self) {
+        while self.peek(0).is_some_and(|c| c != '\n') {
             self.bump();
-        }
-        if let Some(kind) = kind {
-            self.push(kind, text.trim().to_string(), line);
         }
     }
 
-    fn block_comment(&mut self, line: u32) {
+    fn block_comment(&mut self) {
         self.bump();
         self.bump();
-        let kind = match self.peek(0) {
-            Some('*') if self.peek(1) != Some('*') && self.peek(1) != Some('/') => {
-                self.bump();
-                Some(TokKind::DocOuter)
-            }
-            Some('!') => {
-                self.bump();
-                Some(TokKind::DocInner)
-            }
-            _ => None,
-        };
         let mut depth = 1u32;
-        let mut text = String::new();
         while let Some(c) = self.bump() {
             if c == '/' && self.peek(0) == Some('*') {
                 self.bump();
@@ -173,12 +134,7 @@ impl Lexer {
                 if depth == 0 {
                     break;
                 }
-            } else {
-                text.push(c);
             }
-        }
-        if let Some(kind) = kind {
-            self.push(kind, text.trim().to_string(), line);
         }
     }
 
@@ -334,11 +290,10 @@ mod tests {
     }
 
     #[test]
-    fn doc_comments_survive_plain_comments_do_not() {
-        let toks = lex("/// committed state\n// plain\nstruct S;");
-        assert_eq!(toks[0].kind, TokKind::DocOuter);
-        assert_eq!(toks[0].text, "committed state");
-        assert!(toks[1].is_ident("struct"));
+    fn doc_comments_are_skipped_like_plain_comments() {
+        let toks = lex("/// committed state\n//! inner\n/** block */ // plain\nstruct S;");
+        assert!(toks[0].is_ident("struct"));
+        assert_eq!(toks[0].line, 4);
     }
 
     #[test]

@@ -3,15 +3,17 @@
 //!
 //! The paper's value proposition is *reliability*: the TMU must never
 //! miscount a cycle or mis-order a handshake. The Rust reproduction
-//! encodes that as conventions — the two-phase drive/commit discipline,
-//! a recorded vocabulary of trace events, bounded buffers — and this
-//! tool checks the ones rustc and clippy cannot. The safety floor
-//! itself (`unsafe_code`, `missing_docs`, `unwrap_used`, `panic`, …) is
-//! the root manifest's `[workspace.lints]`. Five deny-by-default lints:
+//! encodes that as conventions — a recorded vocabulary of trace events,
+//! bounded buffers — and this tool checks the ones rustc and clippy
+//! cannot. The safety floor itself (`unsafe_code`, `missing_docs`,
+//! `unwrap_used`, `panic`, …) is the root manifest's
+//! `[workspace.lints]`, and the two-phase drive/commit discipline is
+//! the type system's: a stage's forward passes take `&self`, so only its
+//! commit can write state (see `soc::stage::LinkStage`). Four
+//! deny-by-default lints:
 //!
 //! | name | invariant |
 //! |------|-----------|
-//! | `two-phase` | committed state is only assigned in commit-phase methods |
 //! | `panic-hygiene` | no weak `expect` message or bare `unreachable!()` in non-test code |
 //! | `workspace-lints` | every member manifest has `[lints] workspace = true` |
 //! | `telemetry` | every `TraceEvent` variant is recorded outside its crate |
@@ -50,7 +52,6 @@ pub struct Outcome {
 #[must_use]
 pub fn run_lints(ws: &Workspace, cfg: &Config, root: &Path) -> Outcome {
     let mut diags = Vec::new();
-    diags.extend(lints::two_phase::check(ws, cfg, root));
     diags.extend(lints::panic_hygiene::check(ws, cfg, root));
     diags.extend(lints::workspace_lints::check(ws, root));
     diags.extend(lints::telemetry::check(ws, cfg, root));

@@ -29,9 +29,7 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!("usage: tmu-lint [--json] [--root DIR] [--config FILE]");
-                println!(
-                    "lints: two-phase, panic-hygiene, workspace-lints, telemetry, front-eviction"
-                );
+                println!("lints: panic-hygiene, workspace-lints, telemetry, front-eviction");
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument `{other}`")),

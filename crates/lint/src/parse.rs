@@ -1,15 +1,14 @@
 //! Coarse item-level parsing on top of [`crate::lex`].
 //!
-//! The lints need *structure*, not full expression trees: which structs
-//! declare which (doc-tagged) fields, which enums declare which
-//! variants, which `fn` bodies span which token ranges, and whether a
-//! given item lives under `#[cfg(test)]`. This module extracts exactly
-//! that, brace-matching its way through anything it does not model.
+//! The lints need *structure*, not full expression trees: which enums
+//! declare which variants, which `fn` bodies span which token ranges,
+//! and whether a given item lives under `#[cfg(test)]`. This module
+//! extracts exactly that, brace-matching its way through anything it
+//! does not model (a struct body is skipped whole).
 //!
 //! Deliberate simplifications (documented in `DESIGN.md`):
 //!
-//! * types are matched by name, not resolved — the committed-state
-//!   convention keeps field names distinctive for this reason;
+//! * types are matched by name, not resolved;
 //! * `macro_rules!` definitions and item-position macro *invocations*
 //!   are skipped wholesale (their interiors are not real item syntax);
 //! * an attribute "is a test attribute" when it is `#[test]` or a `cfg`
@@ -18,30 +17,6 @@
 use std::path::PathBuf;
 
 use crate::lex::{lex, TokKind, Token};
-
-/// One parsed struct field.
-#[derive(Debug, Clone)]
-pub struct FieldDef {
-    /// Field name.
-    pub name: String,
-    /// Concatenated outer doc text of the field.
-    pub doc: String,
-    /// 1-based declaration line.
-    pub line: u32,
-}
-
-/// One parsed `struct` item.
-#[derive(Debug, Clone)]
-pub struct StructDef {
-    /// Type name.
-    pub name: String,
-    /// Named fields (tuple structs yield an empty list).
-    pub fields: Vec<FieldDef>,
-    /// 1-based declaration line.
-    pub line: u32,
-    /// True when declared under `#[cfg(test)]`.
-    pub in_test: bool,
-}
 
 /// One parsed `enum` item.
 #[derive(Debug, Clone)]
@@ -78,8 +53,6 @@ pub struct SourceFile {
     pub path: PathBuf,
     /// The raw token stream (lints scan fn-body slices of this).
     pub tokens: Vec<Token>,
-    /// All structs, in declaration order.
-    pub structs: Vec<StructDef>,
     /// All enums, in declaration order.
     pub enums: Vec<EnumDef>,
     /// All fns, flattened across modules and impls.
@@ -95,9 +68,6 @@ impl SourceFile {
         for f in &mut self.fns {
             f.in_test = true;
         }
-        for s in &mut self.structs {
-            s.in_test = true;
-        }
         for e in &mut self.enums {
             e.in_test = true;
         }
@@ -111,7 +81,6 @@ pub fn parse_source(path: PathBuf, src: &str) -> SourceFile {
     let mut file = SourceFile {
         path,
         tokens: Vec::new(),
-        structs: Vec::new(),
         enums: Vec::new(),
         fns: Vec::new(),
     };
@@ -137,10 +106,6 @@ impl<'a> Parser<'a> {
         let mut pending_test = false;
         while i < hi {
             let t = &self.toks[i];
-            if matches!(t.kind, TokKind::DocOuter | TokKind::DocInner) {
-                i += 1;
-                continue;
-            }
             if t.is_punct('#') {
                 let (attr, inner, next) = self.attribute(i, hi);
                 if !inner && is_test_attr(&attr) {
@@ -162,7 +127,7 @@ impl<'a> Parser<'a> {
             pending_test = false;
             i = match t.text.as_str() {
                 _ if t.kind != TokKind::Ident => i + 1,
-                "struct" => self.struct_item(i, hi, test),
+                "struct" => self.skip_struct(i, hi),
                 "enum" => self.enum_item(i, hi, test),
                 "impl" => self.impl_item(i, hi, test),
                 "fn" => self.fn_item(i, hi, test),
@@ -242,113 +207,27 @@ impl<'a> Parser<'a> {
         None
     }
 
-    fn struct_item(&mut self, i: usize, hi: usize, in_test: bool) -> usize {
-        let line = self.toks[i].line;
-        let Some(name_tok) = self.toks.get(i + 1) else {
-            return hi;
-        };
-        let name = name_tok.text.clone();
-        let Some(open) = self.find_body_open(i + 1, hi) else {
-            // Unit or tuple struct: skip to the `;`.
-            let mut j = i + 1;
-            let mut depth = 0i32;
-            while j < hi {
-                let t = &self.toks[j];
-                if t.is_punct('(') {
-                    depth += 1;
-                } else if t.is_punct(')') {
-                    depth -= 1;
-                } else if depth == 0 && t.is_punct(';') {
-                    return j + 1;
-                }
-                j += 1;
-            }
-            return hi;
-        };
-        let close = self.match_delim(open, hi, '{', '}');
-        let fields = self.fields(open + 1, close);
-        self.file.structs.push(StructDef {
-            name,
-            fields,
-            line,
-            in_test,
-        });
-        close + 1
-    }
-
-    /// Parses named fields between `lo..hi` (inside struct braces).
-    fn fields(&self, lo: usize, hi: usize) -> Vec<FieldDef> {
-        let mut out = Vec::new();
-        let mut i = lo;
-        let mut doc = String::new();
-        while i < hi {
-            let t = &self.toks[i];
-            match t.kind {
-                TokKind::DocOuter => {
-                    if !doc.is_empty() {
-                        doc.push('\n');
-                    }
-                    doc.push_str(&t.text);
-                    i += 1;
-                }
-                _ if t.is_punct('#') => {
-                    let (_, _, next) = self.attribute(i, hi);
-                    i = next;
-                }
-                TokKind::Ident if t.text == "pub" => {
-                    i += 1;
-                    if i < hi && self.toks[i].is_punct('(') {
-                        i = self.match_delim(i, hi, '(', ')') + 1;
-                    }
-                }
-                TokKind::Ident => {
-                    // `name : Type ,` — capture the name, then skip the
-                    // type to the comma at zero delimiter depth (angle
-                    // brackets included, `->` tolerated).
-                    let name = t.text.clone();
-                    let line = t.line;
-                    let mut j = i + 1;
-                    if j < hi && self.toks[j].is_punct(':') {
-                        j += 1;
-                        let mut angle = 0i32;
-                        let mut paren = 0i32;
-                        while j < hi {
-                            let u = &self.toks[j];
-                            if u.is_punct('<') {
-                                angle += 1;
-                            } else if u.is_punct('>') {
-                                if j > 0 && self.toks[j - 1].is_punct('-') {
-                                    // `->` in an fn-pointer type
-                                } else {
-                                    angle -= 1;
-                                }
-                            } else if u.is_punct('(') || u.is_punct('[') {
-                                paren += 1;
-                            } else if u.is_punct(')') || u.is_punct(']') {
-                                paren -= 1;
-                            } else if u.is_punct(',') && angle <= 0 && paren == 0 {
-                                break;
-                            }
-                            j += 1;
-                        }
-                        out.push(FieldDef {
-                            name,
-                            doc: std::mem::take(&mut doc),
-                            line,
-                        });
-                        i = j + 1;
-                    } else {
-                        doc.clear();
-                        i += 1;
-                    }
-                }
-                _ => {
-                    doc.clear();
-                    i += 1;
-                }
-            }
+    /// Skips a `struct` item: its field types may hold an `fn` pointer,
+    /// which must not parse as an item.
+    fn skip_struct(&self, i: usize, hi: usize) -> usize {
+        if let Some(open) = self.find_body_open(i + 1, hi) {
+            return self.match_delim(open, hi, '{', '}') + 1;
         }
-        out
+        // Unit or tuple struct: skip to the `;`.
+        let mut j = i + 1;
+        let mut depth = 0i32;
+        while j < hi {
+            let t = &self.toks[j];
+            if t.is_punct('(') {
+                depth += 1;
+            } else if t.is_punct(')') {
+                depth -= 1;
+            } else if depth == 0 && t.is_punct(';') {
+                return j + 1;
+            }
+            j += 1;
+        }
+        hi
     }
 
     fn enum_item(&mut self, i: usize, hi: usize, in_test: bool) -> usize {
@@ -366,7 +245,6 @@ impl<'a> Parser<'a> {
         while j < close {
             let t = &self.toks[j];
             match t.kind {
-                TokKind::DocOuter | TokKind::DocInner => j += 1,
                 _ if t.is_punct('#') => {
                     let (_, _, next) = self.attribute(j, close);
                     j = next;
@@ -516,17 +394,10 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_with_docs() {
-        let f = parse(
-            "/// A thing.\npub struct S {\n    /// Committed state: x.\n    x: u64,\n    \
-             pub y: Vec<(u8, u16)>,\n}",
-        );
-        assert_eq!(f.structs.len(), 1);
-        let s = &f.structs[0];
-        assert_eq!(s.name, "S");
-        assert_eq!(s.fields.len(), 2);
-        assert!(s.fields[0].doc.contains("Committed state"));
-        assert_eq!(s.fields[1].name, "y");
+    fn struct_bodies_are_skipped_whole() {
+        let f = parse("pub struct S {\n    f: fn(&u8) -> u16,\n}\nstruct T(u8);\nfn after() {}");
+        let fns: Vec<_> = f.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(fns, ["after"], "a field's fn pointer is not an item");
     }
 
     #[test]

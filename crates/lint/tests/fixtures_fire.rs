@@ -32,47 +32,6 @@ fn lints_of(ws: &Workspace, cfg: &Config) -> Vec<(Lint, u32)> {
 }
 
 #[test]
-fn two_phase_fires_on_fixture() {
-    let ws = ws_of("fx", &["two_phase_bad.rs"]);
-    let found = lints_of(&ws, &Config::default());
-    let fired: Vec<_> = found.iter().filter(|(l, _)| *l == Lint::TwoPhase).collect();
-    assert_eq!(
-        fired.len(),
-        2,
-        "both the doc-tagged and prefix-tagged assignment in `drive` must fire: {found:?}"
-    );
-    // The assignments inside `commit` and the read in `peek` must not:
-    // both fired lines sit inside `drive` (the fixture's lines 15-16).
-    assert!(
-        fired.iter().all(|(_, line)| (15..=16).contains(line)),
-        "two-phase findings must point at `drive`: {fired:?}"
-    );
-}
-
-#[test]
-fn two_phase_reports_allowances_for_missing_types() {
-    let cfg = Config::parse(
-        "[[two_phase.allow]]\n\
-         type = \"FxRegs\"\n\
-         methods = [\"drive\"]\n\
-         reason = \"fixture: drive doubles as a commit edge\"\n\
-         [[two_phase.allow]]\n\
-         type = \"GoneFx\"\n\
-         methods = [\"step\"]\n\
-         reason = \"fixture: the type was renamed away\"\n",
-    )
-    .expect("inline two-phase config parses");
-    let ws = ws_of("fx", &["two_phase_bad.rs"]);
-    let mut diags = run_lints(&ws, &cfg, &fixture("")).diags;
-    diags.retain(|d| d.lint == Lint::TwoPhase);
-    // The live allowance silences `drive`; only the dead one is left,
-    // reported at its own `lint.toml` entry.
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!((diags[0].file.as_str(), diags[0].line), ("lint.toml", 5));
-    assert!(diags[0].message.contains("`GoneFx`"), "{diags:?}");
-}
-
-#[test]
 fn panic_hygiene_fires_on_fixture() {
     let ws = ws_of("fx", &["panic_bad.rs"]);
     let found = lints_of(&ws, &Config::default());

@@ -18,7 +18,9 @@
 //!
 //! 1. an offered (not credit-denied, not stalled) address allocates an
 //!    entry, which stays *pending* until its handshake fires — at most
-//!    one entry is pending, and it is always the newest;
+//!    one entry is pending, and it is always the newest. The stall is a
+//!    pure function of this committed state ([`Ledger::decide_stall`]),
+//!    which the commit's own admission test ([`Ledger::admits`]) repeats;
 //! 2. a fired address handshake clears the pending mark;
 //! 3. a response beat taken by the manager is charged to the oldest open
 //!    entry of its ID; a pending entry never retires. Writes retire on
@@ -51,11 +53,6 @@ pub(crate) struct Ledger {
     /// Committed state: the live IDs and their open-transaction counts,
     /// acquired on allocation and released on retirement.
     remap: IdRemapper,
-    /// This cycle's admission stall, decided by the drive pass
-    /// ([`Ledger::decide_stall`]) on every cycle whose address is not
-    /// credit-denied, and read only on those cycles: a skipped commit
-    /// may leave it stale.
-    stalled: bool,
 }
 
 impl Ledger {
@@ -64,7 +61,6 @@ impl Ledger {
             open: Vec::with_capacity(cfg.max_uniq_ids() * cfg.txn_per_id() as usize),
             pending: false,
             remap: IdRemapper::new(cfg.max_uniq_ids(), cfg.txn_per_id()),
-            stalled: false,
         }
     }
 
@@ -83,10 +79,18 @@ impl Ledger {
     /// off this cycle: no room for it, or `hold` (no new address is
     /// admitted at all). An already pending address is never stalled.
     #[inline]
-    pub(crate) fn decide_stall(&mut self, id: Option<u16>, hold: bool) -> bool {
-        self.stalled =
-            !self.pending && id.is_some_and(|id| hold || self.remap.probe(AxiId(id)).is_err());
-        self.stalled
+    pub(crate) fn decide_stall(&self, id: Option<u16>, hold: bool) -> bool {
+        !self.pending && id.is_some_and(|id| hold || self.remap.probe(AxiId(id)).is_err())
+    }
+
+    /// Whether a commit allocates an offered address with `id`: nothing
+    /// pending and not stalled. Apart from a fired handshake or a
+    /// response beat, the only work [`Ledger::commit`] can do; on a
+    /// cycle with none of the three it changes nothing and may be
+    /// skipped.
+    #[inline]
+    pub(crate) fn admits(&self, id: u16, hold: bool) -> bool {
+        !self.pending && !hold && self.remap.probe(AxiId(id)).is_ok()
     }
 
     /// Whether the newest entry's address is offered downstream but not
@@ -95,36 +99,21 @@ impl Ledger {
         self.pending
     }
 
-    /// This cycle's stall decision.
-    #[inline]
-    pub(crate) fn stalled(&self) -> bool {
-        self.stalled
-    }
-
-    /// Commit gate: whether a commit of this cycle's settled
-    /// handshakes has work: an offered address it can allocate (not
-    /// pending, not stalled), a fired handshake or a response beat. On
-    /// any other cycle [`Ledger::commit`] changes nothing and may be
-    /// skipped.
-    #[inline]
-    pub(crate) fn has_work(&self, offered: bool, fired: bool, response: bool) -> bool {
-        (offered && !self.pending && !self.stalled) || fired || response
-    }
-
     /// Clock commit of the cycle's settled handshakes: the `offered`
-    /// address, whether it `fired`, and a `response` beat the manager
-    /// took (its ID and whether it closes its transaction: `RLAST`,
-    /// always for a B). Allocates, accepts and retires per the module
-    /// docs' order.
+    /// address, allocated when [admitted](Ledger::admits) under `hold`,
+    /// whether it `fired`, and a `response` beat the manager took (its
+    /// ID and whether it closes its transaction: `RLAST`, always for a
+    /// B). Allocates, accepts and retires per the module docs' order.
     #[inline]
     pub(crate) fn commit(
         &mut self,
         offered: Option<Open>,
+        hold: bool,
         fired: bool,
         response: Option<(u16, bool)>,
     ) {
         if let Some(txn) = offered {
-            if !self.pending && !self.stalled && self.remap.acquire(AxiId(txn.id)).is_ok() {
+            if !self.pending && !hold && self.remap.acquire(AxiId(txn.id)).is_ok() {
                 self.open.push(txn);
                 self.pending = true;
             }
@@ -188,7 +177,6 @@ impl Ledger {
         self.open.clear();
         self.pending = false;
         self.remap.clear();
-        self.stalled = false;
     }
 }
 
@@ -209,7 +197,7 @@ mod tests {
     /// Offers and accepts one transaction in a single cycle.
     fn issue(l: &mut Ledger, id: u16, beats: u16) {
         assert!(!l.decide_stall(Some(id), false));
-        l.commit(Some(Open { id, beats }), true, None);
+        l.commit(Some(Open { id, beats }), false, true, None);
     }
 
     #[test]
@@ -220,7 +208,7 @@ mod tests {
         assert!(l.decide_stall(Some(1), false), "per-ID quota full");
         issue(&mut l, 2, 1);
         assert!(l.decide_stall(Some(3), false), "both ID slots live");
-        l.commit(None, false, Some((1, true)));
+        l.commit(None, false, false, Some((1, true)));
         assert!(!l.decide_stall(Some(1), false));
         assert_eq!(l.len(), 2);
     }
@@ -232,12 +220,12 @@ mod tests {
         issue(&mut l, 7, 1);
         // Two beats of the first read, then an early RLAST.
         for last in [false, false] {
-            l.commit(None, false, Some((7, last)));
+            l.commit(None, false, false, Some((7, last)));
         }
         assert_eq!(l.len(), 2);
         let set = l.abort_set(0, |t| t.beats.max(1));
         assert_eq!(set.responses[0].beats_remaining, 1);
-        l.commit(None, false, Some((7, true)));
+        l.commit(None, false, false, Some((7, true)));
         assert_eq!(l.len(), 1);
     }
 
@@ -245,21 +233,25 @@ mod tests {
     fn an_address_waiting_while_pending_is_quiet() {
         let mut l = ledger(4, 4);
         assert!(!l.decide_stall(Some(2), false));
-        assert!(l.has_work(true, false, false), "the first offer allocates");
-        l.commit(Some(Open { id: 2, beats: 1 }), false, None);
+        assert!(l.admits(2, false), "the first offer allocates");
+        assert!(!l.admits(2, true), "held: no allocation");
+        l.commit(Some(Open { id: 2, beats: 1 }), false, false, None);
         assert!(!l.decide_stall(Some(2), false));
-        assert!(!l.has_work(true, false, false), "already pending: no work");
-        assert!(l.has_work(true, true, false), "the handshake fires");
-        l.commit(Some(Open { id: 2, beats: 1 }), true, None);
-        assert!(!l.has_work(false, false, false));
-        assert!(l.has_work(false, false, true), "a response retires");
+        assert!(!l.admits(2, false), "already pending: no allocation");
+        l.commit(Some(Open { id: 2, beats: 1 }), false, true, None);
+        assert!(l.admits(2, false), "accepted: the next offer allocates");
     }
 
     #[test]
     fn pending_entry_never_retires_and_is_reported_for_abort() {
         let mut l = ledger(4, 4);
         assert!(!l.decide_stall(Some(2), false));
-        l.commit(Some(Open { id: 2, beats: 4 }), false, Some((2, true)));
+        l.commit(
+            Some(Open { id: 2, beats: 4 }),
+            false,
+            false,
+            Some((2, true)),
+        );
         assert_eq!(l.len(), 1, "a pending entry never retires");
         assert!(l.pending());
         let set = l.abort_set(4, |_| 1);

@@ -69,7 +69,7 @@
 //! out.aw.set_ready(true);
 //! reg.forward_response(&out, &mut mgr);
 //! assert!(mgr.aw.fires(), "credits available: the handshake passes");
-//! reg.commit_port(&mgr, 0);
+//! reg.commit_port(&mgr, &out, 0);
 //! assert_eq!(reg.grants(), 1);
 //! ```
 

@@ -15,10 +15,16 @@
 //! The harness calls the same four passes as for a [`tmu::Tmu`]:
 //!
 //! 1. [`Regulator::forward_request`] after the manager drives;
-//! 2. [`Regulator::forward_response`] after the downstream side drives;
+//! 2. [`Regulator::drive_response`] after the downstream side drives;
 //! 3. [`Regulator::backprop_response_ready`] (optional, mux harnesses);
 //! 4. [`Regulator::commit_port`] at the clock edge, on the settled
-//!    manager-side wires.
+//!    manager-side and downstream wires.
+//!
+//! The first three take `&self`. A credit denial and an admission stall
+//! are pure functions of committed state and the manager's address: the
+//! drive passes ask them to gate the wires, and the commit asks them
+//! again. A stale response absorbed while severed is read off the
+//! settled downstream wires.
 //!
 //! Every pass runs on every cycle. The window rollovers are deadlines on
 //! absolute cycles; a regulator attached to a running fabric joins the
@@ -69,13 +75,6 @@ struct Lane {
     dir: Dir,
     /// Open transactions of this direction the regulator let through.
     ledger: Ledger,
-    // ---- per-cycle wire state, recomputed by every drive pass ----
-    deny: bool,
-    /// ID of the denied address; written only on a denial.
-    denied_id: u16,
-    /// While severed: a subordinate response closing an aborted
-    /// transaction (a B, or an `RLAST`) was absorbed this cycle.
-    absorbed: bool,
     /// Committed state: responses the subordinate still owes to
     /// transactions aborted by the last isolation. They are absorbed,
     /// and [`Regulator::release`] waits for them so none reaches the
@@ -96,9 +95,6 @@ impl Lane {
         Lane {
             dir,
             ledger: Ledger::new(cfg),
-            deny: false,
-            denied_id: 0,
-            absorbed: false,
             q_stale: 0,
             q_wait_since: None,
             q_grants: 0,
@@ -106,74 +102,81 @@ impl Lane {
         }
     }
 
+    /// Whether the address on the manager's channel `addr` is
+    /// credit-denied (while the port is open): offered while the
+    /// direction's credit is spent. A pure function of the committed
+    /// budget and the wire, asked by the forward pass and again by the
+    /// commit.
+    #[inline]
+    fn denies<B>(&self, budget: &BudgetUnit, addr: &Channel<B>) -> bool {
+        addr.valid() && !budget.may_grant(self.dir)
+    }
+
+    /// Whether `addr` is denied inside an open wait episode.
+    fn denied_while_waiting<B>(&self, budget: &BudgetUnit, addr: &Channel<B>) -> bool {
+        self.q_wait_since.is_some() && self.denies(budget, addr)
+    }
+
     /// Pass 1: forwards the manager's address downstream. A denied
     /// address goes downstream with valid low and no payload; it is
-    /// invisible to the ledger. Its ID is kept for the denial episode it
-    /// may open. An address the ledger has no room for, or any new one
-    /// while `hold`, is held off; a pending one keeps going downstream.
+    /// invisible to the ledger. An address the ledger has no room for,
+    /// or any new one while `hold`, is held off; a pending one keeps
+    /// going downstream.
     #[inline]
     fn forward_addr<B: AddrBeat>(
-        &mut self,
+        &self,
         budget: &BudgetUnit,
-        severed: bool,
         hold: bool,
         mgr: &Channel<B>,
         out: &mut Channel<B>,
     ) {
-        if severed {
-            // No credit decision, and the address stays off the
-            // downstream wires: the sever waited until no address was
-            // pending there, so nothing offered is retracted.
-            self.deny = false;
-            return;
-        }
-        let id = mgr.beat().map(|b| b.id().0);
-        self.deny = id.is_some() && !budget.may_grant(self.dir);
-        if self.deny {
-            self.denied_id = id.unwrap_or(0);
+        if self.denies(budget, mgr) {
             out.suppress_valid();
-        } else if !self.ledger.decide_stall(id, hold) {
+        } else if !self.ledger.decide_stall(mgr.beat().map(|b| b.id().0), hold) {
             out.forward_driver_from(mgr);
         }
     }
 
-    /// Pass 2: the manager's address `ready`, held low on a denial or an
-    /// admission stall.
-    #[inline]
-    fn forward_addr_ready<B: AddrBeat>(&self, out: &Channel<B>, mgr: &mut Channel<B>) {
-        if self.deny {
-            mgr.set_ready(false);
-        } else if !self.ledger.stalled() {
-            mgr.forward_ready_from(out);
-        }
-    }
-
     /// This direction's share of the commit's work on its settled address
-    /// channel `addr` and a `response` beat reaching the manager: the
-    /// ledger's, which covers a grant, or a denial opening a wait episode.
+    /// channel `addr` and a `response` beat reaching the manager, on an
+    /// open port: the ledger's (a fired grant, a response, or an address
+    /// it [admits](Ledger::admits)), or a denial opening a wait episode.
     #[inline]
-    fn has_work<B: AddrBeat>(&self, addr: &Channel<B>, response: bool) -> bool {
-        let offered = addr.valid() && !self.deny;
-        self.ledger
-            .has_work(offered, offered && addr.fires(), response)
-            || (self.deny && self.q_wait_since.is_none())
+    fn has_work<B: AddrBeat>(
+        &self,
+        budget: &BudgetUnit,
+        hold: bool,
+        addr: &Channel<B>,
+        response: bool,
+    ) -> bool {
+        let Some(beat) = addr.beat() else {
+            return response;
+        };
+        if self.denies(budget, addr) {
+            return response || self.q_wait_since.is_none();
+        }
+        response || addr.fires() || self.ledger.admits(beat.id().0, hold)
     }
 
     /// Clock commit on the settled address channel `addr` and
     /// `response` (the ID of a response beat the manager took, and
     /// whether it closes its transaction): charges a grant to `spend`
     /// and closes the wait episode, latches a denial and opens one, and
-    /// commits the ledger. Returns the granted burst's beats (0 without
-    /// a grant).
+    /// commits the ledger, which admits no new address while `hold`.
+    /// Returns the granted burst's beats (0 without a grant).
+    #[allow(clippy::too_many_arguments)]
     fn commit<B: AddrBeat>(
         &mut self,
+        budget: &BudgetUnit,
+        hold: bool,
         addr: &Channel<B>,
         response: Option<(u16, bool)>,
         cycle: u64,
         spend: &mut CycleSpend,
         telemetry: &mut TelemetryHub,
     ) -> u64 {
-        let offered = addr.beat().filter(|_| !self.deny).map(|b| {
+        let deny = self.denies(budget, addr);
+        let offered = addr.beat().filter(|_| !deny).map(|b| {
             let txn = Open {
                 id: b.id().0,
                 beats: b.burst_len().beats(),
@@ -210,7 +213,7 @@ impl Lane {
                 telemetry.metrics_mut().observe(histogram, waited);
             }
         }
-        if self.deny {
+        if deny {
             spend.denied = true;
             if self.q_wait_since.is_none() {
                 self.q_wait_since = Some(cycle);
@@ -220,20 +223,20 @@ impl Lane {
                     "regulate",
                     TraceEvent::CreditDeny {
                         dir: self.dir,
-                        id: self.denied_id,
+                        id: addr.beat().map_or(0, |b| b.id().0),
                     },
                 );
             }
         }
         self.ledger
-            .commit(offered.map(|(txn, _)| txn), fired, response);
+            .commit(offered.map(|(txn, _)| txn), hold, fired, response);
         beats
     }
 
-    /// While severed: retires the stale response absorbed this cycle, if
-    /// any.
-    fn retire_absorbed(&mut self) {
-        if std::mem::take(&mut self.absorbed) {
+    /// While severed: retires a stale response when one was `absorbed`
+    /// this cycle (a B, or an `RLAST`, closing an aborted transaction).
+    fn retire_absorbed(&mut self, absorbed: bool) {
+        if absorbed {
             self.q_stale = self.q_stale.saturating_sub(1);
         }
     }
@@ -256,6 +259,19 @@ impl Lane {
     }
 }
 
+/// Pass 2 of one address channel: the manager's `ready`, held low while
+/// the forward pass holds the address off (a credit denial or an
+/// admission stall), which shows on the wires as an address valid from
+/// the manager but not forwarded downstream.
+#[inline]
+fn forward_addr_ready<B: Clone>(out: &Channel<B>, mgr: &mut Channel<B>) {
+    if mgr.valid() && !out.valid() {
+        mgr.set_ready(false);
+    } else {
+        mgr.forward_ready_from(out);
+    }
+}
+
 /// Credit-based traffic regulator for one manager port. See the
 /// [module docs](self) for the wiring protocol and the crate docs for
 /// the credit model.
@@ -271,8 +287,14 @@ pub struct Regulator {
     /// with `SLVERR` aborts until [`Regulator::release`].
     term: Terminator,
     telemetry: TelemetryHub,
-    /// The wires latched by the [`Regulator::observe`] adapter.
+    /// The manager-side wires latched by the [`Regulator::observe`]
+    /// adapter.
     tap: AxiPort,
+    /// The downstream B and R latched by the adapter's
+    /// [`Regulator::forward_response`]: what [`Regulator::commit_port`]
+    /// reads from the downstream side. Both latches go once the last
+    /// component loop commits through `commit_port`.
+    tap_out: AxiPort,
     /// Test-only reference: commit in full on every cycle.
     #[cfg(test)]
     ungated: bool,
@@ -306,6 +328,7 @@ impl Regulator {
             telemetry: TelemetryHub::default(),
             cfg,
             tap: AxiPort::new(),
+            tap_out: AxiPort::new(),
             #[cfg(test)]
             ungated: false,
             q_w_owed: 0,
@@ -322,7 +345,7 @@ impl Regulator {
     /// response-ready and forward only the residual W beats the
     /// subordinate is still owed.
     #[inline]
-    pub fn forward_request(&mut self, mgr: &AxiPort, out: &mut AxiPort) {
+    pub fn forward_request(&self, mgr: &AxiPort, out: &mut AxiPort) {
         if !self.cfg.enabled() {
             out.forward_request_from(mgr);
             return;
@@ -330,15 +353,11 @@ impl Regulator {
         self.forward_request_enabled(mgr, out);
     }
 
-    fn forward_request_enabled(&mut self, mgr: &AxiPort, out: &mut AxiPort) {
-        let severed = self.term.is_severed();
-        // An isolation verdict awaiting its sever admits no new address.
-        let hold = self.q_isolated;
-        self.write
-            .forward_addr(&self.budget, severed, hold, &mgr.aw, &mut out.aw);
-        self.read
-            .forward_addr(&self.budget, severed, hold, &mgr.ar, &mut out.ar);
-        if severed {
+    fn forward_request_enabled(&self, mgr: &AxiPort, out: &mut AxiPort) {
+        if self.term.is_severed() {
+            // No credit decision, and the addresses stay off the
+            // downstream wires: the sever waited until no address was
+            // pending there, so nothing offered is retracted.
             // The terminator drives the manager side only; stray
             // responses still in flight from the shared subordinate must
             // not back up the interconnect, so absorb them here (the
@@ -350,6 +369,12 @@ impl Regulator {
             }
             return;
         }
+        // An isolation verdict awaiting its sever admits no new address.
+        let hold = self.q_isolated;
+        self.write
+            .forward_addr(&self.budget, hold, &mgr.aw, &mut out.aw);
+        self.read
+            .forward_addr(&self.budget, hold, &mgr.ar, &mut out.ar);
         self.term.forward_w(mgr, out);
         out.b.forward_ready_from(&mgr.b);
         out.r.forward_ready_from(&mgr.r);
@@ -359,20 +384,31 @@ impl Regulator {
     /// the terminator's abort responses while severed), and hold the
     /// address `ready` low on a credit denial or an admission stall.
     #[inline]
-    pub fn forward_response(&mut self, out: &AxiPort, mgr: &mut AxiPort) {
+    pub fn drive_response(&self, out: &AxiPort, mgr: &mut AxiPort) {
         if !self.cfg.enabled() {
             mgr.forward_response_from(out);
             return;
         }
-        self.forward_response_enabled(out, mgr);
+        self.drive_response_enabled(out, mgr);
     }
 
-    fn forward_response_enabled(&mut self, out: &AxiPort, mgr: &mut AxiPort) {
+    /// Adapter for busybench's component loops, which commit through
+    /// [`Regulator::commit`]: latches the downstream B and R that the
+    /// commit reads, then runs [`Regulator::drive_response`]. Where
+    /// `soc::stage::LinkStage` is in scope, `reg.forward_response(..)`
+    /// resolves to that trait's `&self` pass, which latches nothing.
+    #[inline]
+    pub fn forward_response(&mut self, out: &AxiPort, mgr: &mut AxiPort) {
+        self.tap_out.b.clone_from(&out.b);
+        self.tap_out.r.clone_from(&out.r);
+        self.drive_response(out, mgr);
+    }
+
+    fn drive_response_enabled(&self, out: &AxiPort, mgr: &mut AxiPort) {
         if self.term.is_severed() {
             // Pass 1 holds the downstream response `ready`s high, so a
-            // valid response is absorbed this cycle.
-            self.write.absorbed = out.b.fires();
-            self.read.absorbed = out.r.fired_beat().is_some_and(|r| r.last);
+            // valid response is absorbed this cycle; the commit reads it
+            // off `out`.
             self.term.drive_severed(mgr);
             if self.q_w_owed > 0 {
                 // Owed beats must genuinely transfer downstream: gate
@@ -384,15 +420,15 @@ impl Regulator {
         }
         mgr.b.forward_driver_from(&out.b);
         mgr.r.forward_driver_from(&out.r);
-        self.write.forward_addr_ready(&out.aw, &mut mgr.aw);
+        forward_addr_ready(&out.aw, &mut mgr.aw);
         self.term.forward_w_ready(out, mgr);
-        self.read.forward_addr_ready(&out.ar, &mut mgr.ar);
+        forward_addr_ready(&out.ar, &mut mgr.ar);
     }
 
     /// Optional pass between 2 and 3 for harnesses where the manager
     /// side's B/R `ready` settles late (below an interconnect mux).
     #[inline]
-    pub fn backprop_response_ready(&mut self, mgr: &AxiPort, out: &mut AxiPort) {
+    pub fn backprop_response_ready(&self, mgr: &AxiPort, out: &mut AxiPort) {
         // While severed this is a no-op, which preserves the absorbing
         // readys driven in pass 1.
         if !self.cfg.enabled() || !self.term.is_severed() {
@@ -415,13 +451,13 @@ impl Regulator {
     }
 
     /// Pass 4: clock commit for `cycle` on the settled manager-side
-    /// wires `mgr` — charges the budget with the cycle's grants, latches
-    /// denial episodes, rolls the window, escalates to isolation when
-    /// the overrun streak crosses the configured threshold, and commits
-    /// the ledgers and the terminator. Returns at once on a
-    /// [quiet cycle](self#quiet-cycles).
+    /// wires `mgr` and downstream wires `out` — charges the budget with
+    /// the cycle's grants, latches denial episodes, rolls the window,
+    /// escalates to isolation when the overrun streak crosses the
+    /// configured threshold, and commits the ledgers and the terminator.
+    /// Returns at once on a [quiet cycle](self#quiet-cycles).
     #[inline]
-    pub fn commit_port(&mut self, mgr: &AxiPort, cycle: u64) {
+    pub fn commit_port(&mut self, mgr: &AxiPort, out: &AxiPort, cycle: u64) {
         debug_assert!(
             !self.cfg.enabled() || self.q_cycles != cycle || cycle <= self.budget.next_rollover(),
             "the gate skipped the commit of rollover cycle {}",
@@ -432,26 +468,32 @@ impl Regulator {
         // window rolls the bucket refills, so the next denial in that
         // direction needs a grant, which closes the episode.
         debug_assert!(
-            [&self.write, &self.read]
-                .iter()
-                .all(|lane| !lane.deny || lane.q_wait_since.is_none())
+            !self.cfg.enabled()
+                || self.term.is_severed()
+                || !(self.write.denied_while_waiting(&self.budget, &mgr.aw)
+                    || self.read.denied_while_waiting(&self.budget, &mgr.ar))
                 || self.budget.window_denied(),
             "a denial inside a wait episode finds the window's denial latched"
         );
         self.q_cycles = cycle + 1;
+        let hold = self.q_isolated;
         // A W beat with nothing owed changes the owed count only when
         // its burst's AW fires in the same cycle, a grant the write
         // lane's work already covers.
         if self.cfg.enabled()
             && (!self.term.is_idle()
                 || (self.q_w_owed > 0 && mgr.w.fires())
-                || self.write.has_work(&mgr.aw, mgr.b.fires())
-                || self.read.has_work(&mgr.ar, mgr.r.fires())
+                || self
+                    .write
+                    .has_work(&self.budget, hold, &mgr.aw, mgr.b.fires())
+                || self
+                    .read
+                    .has_work(&self.budget, hold, &mgr.ar, mgr.r.fires())
                 || cycle >= self.budget.next_rollover()
                 || self.telemetry.should_sample(cycle)
                 || self.ungated())
         {
-            self.commit_enabled(mgr, cycle);
+            self.commit_enabled(mgr, out, cycle);
         }
     }
 
@@ -465,22 +507,28 @@ impl Regulator {
     /// when none were latched since the last commit).
     pub fn commit(&mut self, cycle: u64) {
         let tap = std::mem::take(&mut self.tap);
-        self.commit_port(&tap, cycle);
+        let tap_out = std::mem::take(&mut self.tap_out);
+        self.commit_port(&tap, &tap_out, cycle);
     }
 
     /// The enabled-path body of [`Self::commit_port`], split out so the
     /// disabled pass-through and the quiet gate stay cross-crate
     /// inlinable.
-    fn commit_enabled(&mut self, mgr: &AxiPort, cycle: u64) {
+    fn commit_enabled(&mut self, mgr: &AxiPort, out: &AxiPort, cycle: u64) {
         let mut spend = CycleSpend::default();
         let severed = self.term.is_severed();
+        let hold = self.q_isolated;
         if severed {
-            // The lanes' ledgers see no handshakes; stale responses are
-            // absorbed.
-            self.write.retire_absorbed();
-            self.read.retire_absorbed();
+            // The lanes' ledgers see no handshakes. The forward pass held
+            // the downstream response `ready`s high, so a valid response
+            // closing an aborted transaction was absorbed.
+            self.write.retire_absorbed(out.b.fires());
+            self.read
+                .retire_absorbed(out.r.fired_beat().is_some_and(|r| r.last));
         } else {
             self.q_w_owed += self.write.commit(
+                &self.budget,
+                hold,
                 &mgr.aw,
                 mgr.b.fired_beat().map(|b| (b.id.0, true)),
                 cycle,
@@ -488,6 +536,8 @@ impl Regulator {
                 &mut self.telemetry,
             );
             self.read.commit(
+                &self.budget,
+                hold,
                 &mgr.ar,
                 mgr.r.fired_beat().map(|r| (r.id.0, r.last)),
                 cycle,
@@ -694,8 +744,7 @@ impl Regulator {
     }
 
     /// Every piece of committed state, formatted for a lockstep
-    /// comparison. Per-cycle wire state is left out: the drive passes
-    /// rewrite it before anything reads it.
+    /// comparison.
     pub(crate) fn committed_state(&self) -> String {
         let lane = |l: &Lane| {
             let (grants, denies) = (l.q_grants, l.q_denies);
@@ -766,7 +815,7 @@ mod tests {
         if out.w.fired_beat().is_some_and(|w| w.last) {
             b_queue.push(BBeat::new(AxiId(1), Resp::Okay));
         }
-        reg.commit_port(mgr, cycle);
+        reg.commit_port(mgr, out, cycle);
     }
 
     fn tight_cfg(mode: RegulationMode) -> RegulatorConfig {
@@ -800,7 +849,7 @@ mod tests {
         out.b.drive(BBeat::new(AxiId(1), Resp::Okay));
         reg.forward_response(&out, &mut mgr);
         assert!(mgr.aw.fires() && mgr.b.fires());
-        reg.commit_port(&mgr, 0);
+        reg.commit_port(&mgr, &out, 0);
         assert_eq!((reg.grants(), reg.denies()), (0, 0));
     }
 
@@ -1055,7 +1104,7 @@ mod tests {
             if mgr.r.fired_beat().is_some_and(|r| r.resp == Resp::SlvErr) {
                 slverr_r += 1;
             }
-            reg.commit_port(&mgr, cycle);
+            reg.commit_port(&mgr, &out, cycle);
             if reg.state() != TmuState::Monitoring {
                 severed_at.get_or_insert(cycle);
             }

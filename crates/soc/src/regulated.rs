@@ -166,15 +166,20 @@ impl<S: AxiSubordinate> RegulatedLink<S> {
         // aborts) and the granted request readys to the managers.
         self.fabric
             .forward_responses(&self.reg_ports, &mut self.mgr_ports);
-        // Clock commit: the stages read their settled manager-side wires.
+        // Clock commit: the stages read their settled wires.
         for (mgr, port) in self.mgrs.iter_mut().zip(&self.mgr_ports) {
             mgr.commit(port, cycle);
         }
         self.mux.commit(&self.trunk);
         self.sub.commit(&self.sub_port);
-        self.fabric.commit(&self.mgr_ports, cycle, |_| {});
-        self.guard
-            .commit(from_ref(&self.trunk), cycle, |_| self.sub.reset());
+        self.fabric
+            .commit(&self.mgr_ports, &self.reg_ports, cycle, |_| {});
+        self.guard.commit(
+            from_ref(&self.trunk),
+            from_ref(&self.sub_port),
+            cycle,
+            |_| self.sub.reset(),
+        );
         self.cycle += 1;
     }
 

@@ -10,8 +10,16 @@
 //! 3. [`LinkStage::backprop_response_ready`] when the manager side's B/R
 //!    `ready` settles late (below a mux or demux);
 //! 4. [`LinkStage::commit`] at the clock edge, reading the settled
-//!    manager-side wires: like the paper's TMU, a stage samples the link
-//!    at the edge instead of copying it in a pass of its own.
+//!    wires of both sides: like the paper's TMU, a stage samples the
+//!    link at the edge instead of copying it in a pass of its own.
+//!
+//! The three forwarding passes take `&self` and the commit alone takes
+//! `&mut self`, the Rust form of the RTL's split between `always_comb`
+//! and `always_ff`: rustc rejects a stage that writes its state outside
+//! the clock edge. A decision a forward pass drives onto the wires (a
+//! stall, a credit denial) is a function of committed state and the
+//! wires, which the commit recomputes or reads back from the settled
+//! wires.
 //!
 //! Two stages implement it: [`TmuStage`] (a [`Tmu`] plus the dedicated
 //! reset line of the subordinate it guards) and [`Regulator`].
@@ -36,18 +44,70 @@ use tmu_telemetry::TelemetryConfig;
 /// The four per-cycle passes of a unit sitting on one AXI link between
 /// a manager-side port (`mgr`) and a subordinate-side port (`sub`). See
 /// the [module docs](self) for the pass order.
+///
+/// Only the commit may change a stage's state. A stage that counts
+/// address handshakes counts them at the clock edge:
+///
+/// ```
+/// use axi4::channel::AxiPort;
+/// use soc::stage::LinkStage;
+///
+/// struct Counting {
+///     count: u64,
+/// }
+///
+/// impl LinkStage for Counting {
+///     fn forward_request(&self, mgr: &AxiPort, sub: &mut AxiPort) {
+///         sub.forward_request_from(mgr);
+///     }
+///     fn forward_response(&self, sub: &AxiPort, mgr: &mut AxiPort) {
+///         mgr.forward_response_from(sub);
+///     }
+///     fn backprop_response_ready(&self, _mgr: &AxiPort, _sub: &mut AxiPort) {}
+///     fn commit(&mut self, mgr: &AxiPort, _sub: &AxiPort, _cycle: u64) -> bool {
+///         self.count += u64::from(mgr.aw.fires());
+///         false
+///     }
+/// }
+/// ```
+///
+/// The same write in a forward pass does not compile (rustc: "cannot
+/// assign to `self.count`, which is behind a `&` reference"):
+///
+/// ```compile_fail,E0594
+/// use axi4::channel::AxiPort;
+/// use soc::stage::LinkStage;
+///
+/// struct Counting {
+///     count: u64,
+/// }
+///
+/// impl LinkStage for Counting {
+///     fn forward_request(&self, mgr: &AxiPort, sub: &mut AxiPort) {
+///         self.count += u64::from(mgr.aw.valid());
+///         sub.forward_request_from(mgr);
+///     }
+///     fn forward_response(&self, sub: &AxiPort, mgr: &mut AxiPort) {
+///         mgr.forward_response_from(sub);
+///     }
+///     fn backprop_response_ready(&self, _mgr: &AxiPort, _sub: &mut AxiPort) {}
+///     fn commit(&mut self, _mgr: &AxiPort, _sub: &AxiPort, _cycle: u64) -> bool {
+///         false
+///     }
+/// }
+/// ```
 pub trait LinkStage {
     /// Pass 1: forward the manager-driven wires to the subordinate side.
-    fn forward_request(&mut self, mgr: &AxiPort, sub: &mut AxiPort);
+    fn forward_request(&self, mgr: &AxiPort, sub: &mut AxiPort);
     /// Pass 2: forward the subordinate-driven wires to the manager side.
-    fn forward_response(&mut self, sub: &AxiPort, mgr: &mut AxiPort);
+    fn forward_response(&self, sub: &AxiPort, mgr: &mut AxiPort);
     /// Pass 3: late-settling B/R `ready` back-propagation to the
     /// subordinate side.
-    fn backprop_response_ready(&mut self, mgr: &AxiPort, sub: &mut AxiPort);
-    /// Pass 4: clock commit for `cycle` on the settled manager-side
-    /// wires `mgr`. Returns `true` when the subordinate behind the stage
-    /// must be reset now.
-    fn commit(&mut self, mgr: &AxiPort, cycle: u64) -> bool;
+    fn backprop_response_ready(&self, mgr: &AxiPort, sub: &mut AxiPort);
+    /// Pass 4: clock commit for `cycle` on the settled wires of both
+    /// sides, `mgr` and `sub`. Returns `true` when the subordinate
+    /// behind the stage must be reset now.
+    fn commit(&mut self, mgr: &AxiPort, sub: &AxiPort, cycle: u64) -> bool;
     /// True when every pass is a plain wire copy and the commit does
     /// nothing; a [`StageBank`] then skips the stage altogether.
     fn is_transparent(&self) -> bool {
@@ -100,22 +160,23 @@ impl TmuStage {
 #[warn(clippy::missing_inline_in_public_items)]
 impl LinkStage for TmuStage {
     #[inline]
-    fn forward_request(&mut self, mgr: &AxiPort, sub: &mut AxiPort) {
+    fn forward_request(&self, mgr: &AxiPort, sub: &mut AxiPort) {
         self.tmu.forward_request(mgr, sub);
     }
 
     #[inline]
-    fn forward_response(&mut self, sub: &AxiPort, mgr: &mut AxiPort) {
+    fn forward_response(&self, sub: &AxiPort, mgr: &mut AxiPort) {
         self.tmu.forward_response(sub, mgr);
     }
 
     #[inline]
-    fn backprop_response_ready(&mut self, mgr: &AxiPort, sub: &mut AxiPort) {
+    fn backprop_response_ready(&self, mgr: &AxiPort, sub: &mut AxiPort) {
         self.tmu.backprop_response_ready(mgr, sub);
     }
 
+    /// The TMU listens on the manager side only.
     #[inline]
-    fn commit(&mut self, mgr: &AxiPort, cycle: u64) -> bool {
+    fn commit(&mut self, mgr: &AxiPort, _sub: &AxiPort, cycle: u64) -> bool {
         commit_guarded(&mut self.tmu, &mut self.reset, mgr, cycle)
     }
 }
@@ -124,23 +185,25 @@ impl LinkStage for TmuStage {
 #[warn(clippy::missing_inline_in_public_items)]
 impl LinkStage for Regulator {
     #[inline]
-    fn forward_request(&mut self, mgr: &AxiPort, sub: &mut AxiPort) {
+    fn forward_request(&self, mgr: &AxiPort, sub: &mut AxiPort) {
         Regulator::forward_request(self, mgr, sub);
     }
 
     #[inline]
-    fn forward_response(&mut self, sub: &AxiPort, mgr: &mut AxiPort) {
-        Regulator::forward_response(self, sub, mgr);
+    fn forward_response(&self, sub: &AxiPort, mgr: &mut AxiPort) {
+        Regulator::drive_response(self, sub, mgr);
     }
 
     #[inline]
-    fn backprop_response_ready(&mut self, mgr: &AxiPort, sub: &mut AxiPort) {
+    fn backprop_response_ready(&self, mgr: &AxiPort, sub: &mut AxiPort) {
         Regulator::backprop_response_ready(self, mgr, sub);
     }
 
+    /// The downstream side shows the stale responses the regulator
+    /// absorbs while severed.
     #[inline]
-    fn commit(&mut self, mgr: &AxiPort, cycle: u64) -> bool {
-        Regulator::commit_port(self, mgr, cycle);
+    fn commit(&mut self, mgr: &AxiPort, sub: &AxiPort, cycle: u64) -> bool {
+        Regulator::commit_port(self, mgr, sub, cycle);
         false
     }
 
@@ -206,22 +269,22 @@ impl<S: LinkStage> StageBank<S> {
 
     /// The stages of the active ports, with their port's wires.
     fn active_with<'a, A, B>(
-        &'a mut self,
+        &'a self,
         a: &'a [A],
         b: &'a mut [B],
-    ) -> impl Iterator<Item = (Option<&'a mut S>, &'a A, &'a mut B)> {
+    ) -> impl Iterator<Item = (Option<&'a S>, &'a A, &'a mut B)> {
         debug_assert_eq!(a.len(), self.slots.len(), "one port per slot");
         debug_assert_eq!(b.len(), self.slots.len(), "one port per slot");
         self.slots
-            .iter_mut()
+            .iter()
             .zip(&self.active)
             .zip(a.iter().zip(b))
-            .map(|((slot, &active), (a, b))| (slot.as_mut().filter(|_| active), a, b))
+            .map(|((slot, &active), (a, b))| (slot.as_ref().filter(|_| active), a, b))
     }
 
     /// Pass 1 on every port: `subs[i]` receives `mgrs[i]`'s request
     /// wires, through the stage when one is active.
-    pub fn forward_requests(&mut self, mgrs: &[AxiPort], subs: &mut [AxiPort]) {
+    pub fn forward_requests(&self, mgrs: &[AxiPort], subs: &mut [AxiPort]) {
         for (stage, mgr, sub) in self.active_with(mgrs, subs) {
             match stage {
                 Some(stage) => stage.forward_request(mgr, sub),
@@ -232,7 +295,7 @@ impl<S: LinkStage> StageBank<S> {
 
     /// Pass 2 on every port: `mgrs[i]` receives `subs[i]`'s response
     /// wires, through the stage when one is active.
-    pub fn forward_responses(&mut self, subs: &[AxiPort], mgrs: &mut [AxiPort]) {
+    pub fn forward_responses(&self, subs: &[AxiPort], mgrs: &mut [AxiPort]) {
         for (stage, sub, mgr) in self.active_with(subs, mgrs) {
             match stage {
                 Some(stage) => stage.forward_response(sub, mgr),
@@ -243,7 +306,7 @@ impl<S: LinkStage> StageBank<S> {
 
     /// Late B/R `ready` back-propagation on every port (see
     /// [`LinkStage::backprop_response_ready`]).
-    pub fn backprop_response_ready(&mut self, mgrs: &[AxiPort], subs: &mut [AxiPort]) {
+    pub fn backprop_response_ready(&self, mgrs: &[AxiPort], subs: &mut [AxiPort]) {
         for (stage, mgr, sub) in self.active_with(mgrs, subs) {
             match stage {
                 Some(stage) => stage.backprop_response_ready(mgr, sub),
@@ -256,19 +319,26 @@ impl<S: LinkStage> StageBank<S> {
     }
 
     /// Clock commit for every active stage, in port order, on its
-    /// settled manager-side wires `mgrs[i]`. Calls `reset_sub(port)` for
+    /// settled wires `mgrs[i]` and `subs[i]`. Calls `reset_sub(port)` for
     /// each port whose subordinate must be reset now.
-    pub fn commit(&mut self, mgrs: &[AxiPort], cycle: u64, mut reset_sub: impl FnMut(usize)) {
+    pub fn commit(
+        &mut self,
+        mgrs: &[AxiPort],
+        subs: &[AxiPort],
+        cycle: u64,
+        mut reset_sub: impl FnMut(usize),
+    ) {
         debug_assert_eq!(mgrs.len(), self.slots.len(), "one port per slot");
-        for (port, ((slot, &active), mgr)) in self
+        debug_assert_eq!(subs.len(), self.slots.len(), "one port per slot");
+        for (port, ((slot, &active), (mgr, sub))) in self
             .slots
             .iter_mut()
             .zip(&self.active)
-            .zip(mgrs)
+            .zip(mgrs.iter().zip(subs))
             .enumerate()
         {
             if let Some(stage) = slot.as_mut().filter(|_| active) {
-                if stage.commit(mgr, cycle) {
+                if stage.commit(mgr, sub, cycle) {
                     reset_sub(port);
                 }
             }
@@ -383,7 +453,7 @@ mod tests {
     /// SLVERR aborts can be delivered). Returns which AWs fired. The
     /// caller commits the bank on `mgrs` once per cycle.
     fn drive_stalled(
-        bank: &mut StageBank<TmuStage>,
+        bank: &StageBank<TmuStage>,
         mgrs: &mut [AxiPort],
         subs: &mut [AxiPort],
         offer: &[bool],
@@ -411,7 +481,7 @@ mod tests {
         bank.forward_requests(&mgrs, &mut subs);
         assert!(subs[0].aw.valid(), "pass-through must copy the AW");
         let mut resets = Vec::new();
-        bank.commit(&mgrs, 0, |port| resets.push(port));
+        bank.commit(&mgrs, &subs, 0, |port| resets.push(port));
         assert!(resets.is_empty());
         assert!(!bank.irq_pending());
         assert_eq!(bank.faults_detected(), 0);
@@ -457,7 +527,12 @@ mod tests {
         assert_eq!(wires(&bank_mgr, &bank_sub), wires(&bare_mgr, &bare_sub));
 
         let mut resets = 0;
-        bank.commit(std::slice::from_ref(&bank_mgr), 0, |_| resets += 1);
+        bank.commit(
+            std::slice::from_ref(&bank_mgr),
+            std::slice::from_ref(&bank_sub),
+            0,
+            |_| resets += 1,
+        );
         assert_eq!(wires(&bank_mgr, &bank_sub), wires(&bare_mgr, &bare_sub));
         assert_eq!(resets, 0, "a bare port never resets its subordinate");
     }
@@ -478,11 +553,11 @@ mod tests {
         let mut resets = Vec::new();
         for cycle in 0..200 {
             let offer = [!aw_done[0], !aw_done[1]];
-            let fired = drive_stalled(&mut bank, &mut mgrs, &mut subs, &offer);
+            let fired = drive_stalled(&bank, &mut mgrs, &mut subs, &offer);
             for (done, fired) in aw_done.iter_mut().zip(fired) {
                 *done |= fired;
             }
-            bank.commit(&mgrs, cycle, |port| resets.push(port));
+            bank.commit(&mgrs, &subs, cycle, |port| resets.push(port));
             if faulted_at.is_none() && bank.faults_detected() > 0 {
                 faulted_at = Some(cycle);
             }
@@ -512,8 +587,8 @@ mod tests {
         bank.attach(2, TmuStage::new(tiny_cfg(90), 4));
         let (mut mgrs, mut subs) = (ports(3), ports(3));
         for cycle in 0..5 {
-            drive_stalled(&mut bank, &mut mgrs, &mut subs, &[true, false, true]);
-            bank.commit(&mgrs, cycle, |_| {});
+            drive_stalled(&bank, &mut mgrs, &mut subs, &[true, false, true]);
+            bank.commit(&mgrs, &subs, cycle, |_| {});
         }
         // Both slots armed a deadline; the merged bound is the earlier.
         let merged = bank.next_deadline().expect("deadlines armed");
@@ -541,7 +616,7 @@ mod tests {
             subs[0].aw.set_ready(true);
             bank.forward_responses(&subs, &mut mgrs);
             assert!(mgrs[0].aw.fires());
-            bank.commit(&mgrs, cycle, |_| {});
+            bank.commit(&mgrs, &subs, cycle, |_| {});
         };
         for cycle in 0..40 {
             step(&mut bank, cycle);

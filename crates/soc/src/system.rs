@@ -315,15 +315,16 @@ impl System {
         // Note: no demux route flush is needed on a fault — the TMU
         // drains the remaining W beats of aborted bursts through the
         // normal path, so every route entry retires on its own WLAST.
-        self.fabric.commit(&self.sub_ports, cycle, |port| {
-            if port == ETH_IDX {
-                self.eth.reset();
-                self.injector.disarm();
-            } else {
-                self.mem.reset();
-                self.mem_injector.disarm();
-            }
-        });
+        self.fabric
+            .commit(&self.sub_ports, &self.dev_ports, cycle, |port| {
+                if port == ETH_IDX {
+                    self.eth.reset();
+                    self.injector.disarm();
+                } else {
+                    self.mem.reset();
+                    self.mem_injector.disarm();
+                }
+            });
 
         // Interrupt-line edge bookkeeping (the lines are ORed towards
         // the CPU, like a shared interrupt controller input).

@@ -1,18 +1,25 @@
 //! The observe/commit adapter is the port-taking commit.
 //!
-//! `Tmu` and `Regulator` commit from the settled manager-side port
-//! (`commit_port(mgr, cycle)`); `observe(mgr)` followed by
-//! `commit(cycle)` latches the port and commits from the latch, for
-//! component loops written against a separate observe pass. Two copies
-//! of each unit, driven by identical arbitrary wires, one per commit
-//! form, must drive identical wires after every pass and hold identical
-//! state after every commit. The wires sever the TMU (tight budgets),
-//! drain the W beats of aborted bursts, and isolate and release the
-//! regulator. Case counts follow `PROPTEST_CASES` when set.
+//! `Tmu` commits from the settled manager-side port
+//! (`commit_port(mgr, cycle)`), `Regulator` from both settled sides
+//! (`commit_port(mgr, out, cycle)`), after `&self` forward passes. The
+//! adapter serves component loops written against a separate observe
+//! pass: `Regulator::forward_response(&mut self, ..)` latches the
+//! downstream B and R the commit reads, `observe(mgr)` latches the
+//! manager side, and `commit(cycle)` commits from the latches. Two
+//! copies of each unit, driven by identical arbitrary wires, one per
+//! commit form, must drive identical wires after every pass and hold
+//! identical state after every commit. The wires sever the TMU (tight
+//! budgets), drain the W beats of aborted bursts, and isolate and
+//! release the regulator, which absorbs the stale responses of its
+//! aborted transactions meanwhile. Case counts follow `PROPTEST_CASES`
+//! when set.
 
 use axi_tmu::axi4::prelude::*;
 use axi_tmu::sim::SimRng;
-use axi_tmu::tmu::{BudgetConfig, CounterEngine, TelemetryConfig, Tmu, TmuConfig, TmuVariant};
+use axi_tmu::tmu::{
+    BudgetConfig, CounterEngine, TelemetryConfig, Tmu, TmuConfig, TmuState, TmuVariant,
+};
 use axi_tmu::tmu_regulate::{DirBudget, RegulationMode, Regulator, RegulatorConfig};
 use proptest::prelude::*;
 
@@ -21,25 +28,31 @@ use common::{cases, ArbitraryWires};
 
 /// The two commit forms under comparison.
 trait Unit {
-    fn forward_request(&mut self, mgr: &AxiPort, sub: &mut AxiPort);
-    fn forward_response(&mut self, sub: &AxiPort, mgr: &mut AxiPort);
-    fn backprop_response_ready(&mut self, mgr: &AxiPort, sub: &mut AxiPort);
-    fn commit_port(&mut self, mgr: &AxiPort, cycle: u64);
+    fn forward_request(&self, mgr: &AxiPort, sub: &mut AxiPort);
+    /// The response pass of the port-taking form.
+    fn forward_response(&self, sub: &AxiPort, mgr: &mut AxiPort);
+    /// The response pass of the adapter.
+    fn latch_response(&mut self, sub: &AxiPort, mgr: &mut AxiPort);
+    fn backprop_response_ready(&self, mgr: &AxiPort, sub: &mut AxiPort);
+    fn commit_port(&mut self, mgr: &AxiPort, sub: &AxiPort, cycle: u64);
     fn observe(&mut self, mgr: &AxiPort);
     fn commit(&mut self, cycle: u64);
 }
 
 impl Unit for Tmu {
-    fn forward_request(&mut self, mgr: &AxiPort, sub: &mut AxiPort) {
+    fn forward_request(&self, mgr: &AxiPort, sub: &mut AxiPort) {
         Tmu::forward_request(self, mgr, sub);
     }
-    fn forward_response(&mut self, sub: &AxiPort, mgr: &mut AxiPort) {
+    fn forward_response(&self, sub: &AxiPort, mgr: &mut AxiPort) {
         Tmu::forward_response(self, sub, mgr);
     }
-    fn backprop_response_ready(&mut self, mgr: &AxiPort, sub: &mut AxiPort) {
+    fn latch_response(&mut self, sub: &AxiPort, mgr: &mut AxiPort) {
+        Tmu::forward_response(self, sub, mgr);
+    }
+    fn backprop_response_ready(&self, mgr: &AxiPort, sub: &mut AxiPort) {
         Tmu::backprop_response_ready(self, mgr, sub);
     }
-    fn commit_port(&mut self, mgr: &AxiPort, cycle: u64) {
+    fn commit_port(&mut self, mgr: &AxiPort, _sub: &AxiPort, cycle: u64) {
         Tmu::commit_port(self, mgr, cycle);
     }
     fn observe(&mut self, mgr: &AxiPort) {
@@ -51,17 +64,20 @@ impl Unit for Tmu {
 }
 
 impl Unit for Regulator {
-    fn forward_request(&mut self, mgr: &AxiPort, sub: &mut AxiPort) {
+    fn forward_request(&self, mgr: &AxiPort, sub: &mut AxiPort) {
         Regulator::forward_request(self, mgr, sub);
     }
-    fn forward_response(&mut self, sub: &AxiPort, mgr: &mut AxiPort) {
+    fn forward_response(&self, sub: &AxiPort, mgr: &mut AxiPort) {
+        Regulator::drive_response(self, sub, mgr);
+    }
+    fn latch_response(&mut self, sub: &AxiPort, mgr: &mut AxiPort) {
         Regulator::forward_response(self, sub, mgr);
     }
-    fn backprop_response_ready(&mut self, mgr: &AxiPort, sub: &mut AxiPort) {
+    fn backprop_response_ready(&self, mgr: &AxiPort, sub: &mut AxiPort) {
         Regulator::backprop_response_ready(self, mgr, sub);
     }
-    fn commit_port(&mut self, mgr: &AxiPort, cycle: u64) {
-        Regulator::commit_port(self, mgr, cycle);
+    fn commit_port(&mut self, mgr: &AxiPort, sub: &AxiPort, cycle: u64) {
+        Regulator::commit_port(self, mgr, sub, cycle);
     }
     fn observe(&mut self, mgr: &AxiPort) {
         Regulator::observe(self, mgr);
@@ -79,8 +95,9 @@ struct Side<U> {
 }
 
 /// Runs one cycle of `wires` through both sides, side 0 committing with
-/// `commit_port` and side 1 through the adapter, and requires identical
-/// wires after every pass and identical state after the commit.
+/// `commit_port` and side 1 through the adapter (its response pass
+/// latching), and requires identical wires after every pass and
+/// identical state after the commit.
 fn lockstep_cycle<U: Unit + std::fmt::Debug>(
     sides: &mut [Side<U>; 2],
     wires: &mut ArbitraryWires,
@@ -111,10 +128,11 @@ fn lockstep_cycle<U: Unit + std::fmt::Debug>(
         ports(sides, 1),
         "forward_request, cycle {cycle}"
     );
-    for s in sides.iter_mut() {
-        s.sub.forward_response_from(&sub);
-        s.unit.forward_response(&s.sub, &mut s.mgr);
-    }
+    let [direct, adapted] = &mut *sides;
+    direct.sub.forward_response_from(&sub);
+    direct.unit.forward_response(&direct.sub, &mut direct.mgr);
+    adapted.sub.forward_response_from(&sub);
+    adapted.unit.latch_response(&adapted.sub, &mut adapted.mgr);
     assert_eq!(
         ports(sides, 0),
         ports(sides, 1),
@@ -130,7 +148,7 @@ fn lockstep_cycle<U: Unit + std::fmt::Debug>(
     assert_eq!(ports(sides, 0), ports(sides, 1), "backprop, cycle {cycle}");
     wires.settle(&sides[0].mgr);
     let [direct, adapted] = sides;
-    direct.unit.commit_port(&direct.mgr, cycle);
+    direct.unit.commit_port(&direct.mgr, &direct.sub, cycle);
     adapted.unit.observe(&adapted.mgr);
     adapted.unit.commit(cycle);
     assert_eq!(
@@ -238,35 +256,73 @@ proptest! {
             }
         }
     }
+}
 
-    /// A regulator under arbitrary wires and tight budgets denies,
-    /// isolates, aborts, drains its owed W beats and is released; both
-    /// commit forms agree throughout.
-    #[test]
-    fn regulator_adapter_is_the_port_commit(
-        seed in 0u64..1_000_000,
-        bytes in 8u64..=64,
-        txns in 1u64..=3,
-        window in 1u64..=8,
-        overrun_windows in 1u32..=3,
-        sample_every in (any::<bool>(), 1u64..=8).prop_map(|(on, n)| on.then_some(n)),
-    ) {
-        let cfg = regulator_config(bytes, txns, window, overrun_windows);
-        let mut sides = [0, 1].map(|_| {
-            let mut unit = Regulator::new(cfg);
-            if let Some(sample_every) = sample_every {
-                unit.enable_telemetry(small_telemetry(sample_every));
-            }
-            Side { unit, mgr: AxiPort::new(), sub: AxiPort::new() }
-        });
-        let mut wires = ArbitraryWires::new(seed);
-        let mut rng = SimRng::seed(seed).split("adapter");
-        for cycle in 0..150 {
-            if rng.chance(0.25) {
-                let released = sides.each_mut().map(|s| s.unit.release());
-                prop_assert_eq!(released[0], released[1], "release at cycle {}", cycle);
-            }
-            lockstep_cycle(&mut sides, &mut wires, &mut rng, cycle);
+/// Responses the regulator absorbed from downstream while severed.
+#[derive(Debug, Default)]
+struct Absorbed {
+    b: u64,
+    rlast: u64,
+}
+
+/// One regulator case: two regulators, one per commit form, under 150
+/// cycles of arbitrary wires and random releases. Counts the responses
+/// absorbed while severed into `absorbed`.
+fn regulator_case(
+    cfg: RegulatorConfig,
+    sample_every: Option<u64>,
+    seed: u64,
+    absorbed: &mut Absorbed,
+) {
+    let mut sides = [0, 1].map(|_| {
+        let mut unit = Regulator::new(cfg);
+        if let Some(sample_every) = sample_every {
+            unit.enable_telemetry(small_telemetry(sample_every));
+        }
+        Side {
+            unit,
+            mgr: AxiPort::new(),
+            sub: AxiPort::new(),
+        }
+    });
+    let mut wires = ArbitraryWires::new(seed);
+    let mut rng = SimRng::seed(seed).split("adapter");
+    for cycle in 0..150 {
+        if rng.chance(0.25) {
+            let released = sides.each_mut().map(|s| s.unit.release());
+            assert_eq!(released[0], released[1], "release at cycle {cycle}");
+        }
+        let severed = sides[0].unit.state() != TmuState::Monitoring;
+        lockstep_cycle(&mut sides, &mut wires, &mut rng, cycle);
+        if severed {
+            let out = &sides[0].sub;
+            absorbed.b += u64::from(out.b.fires());
+            absorbed.rlast += u64::from(out.r.fired_beat().is_some_and(|r| r.last));
         }
     }
+}
+
+/// A regulator under arbitrary wires and tight budgets denies,
+/// isolates, aborts, drains its owed W beats, absorbs stale responses
+/// and is released; both commit forms agree throughout. The default
+/// case count must absorb both a stale B and a stale `RLAST`, so the
+/// adapter's latch of each is compared against the downstream port.
+#[test]
+fn regulator_adapter_is_the_port_commit() {
+    let mut draw = SimRng::seed(0x5eed).split("regulator_adapter_is_the_port_commit");
+    let mut absorbed = Absorbed::default();
+    for _ in 0..cases(32).cases {
+        let cfg = regulator_config(
+            draw.between(8, 64),
+            draw.between(1, 3),
+            draw.between(1, 8),
+            draw.between(1, 3) as u32,
+        );
+        let sample_every = draw.chance(0.5).then(|| draw.between(1, 8));
+        regulator_case(cfg, sample_every, draw.below(1_000_000), &mut absorbed);
+    }
+    assert!(
+        absorbed.b > 0 && absorbed.rlast > 0,
+        "no stale response absorbed while severed: {absorbed:?}"
+    );
 }

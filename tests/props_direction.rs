@@ -209,8 +209,6 @@ fn run_lockstep(script: &[Op], cfg: &TmuConfig) -> (Vec<u64>, Vec<u64>) {
         drive_write(&mut wp, op);
         drive_read(&mut rp, op);
 
-        wg.decide_stall(wp.aw.beat());
-        rg.decide_stall(rp.ar.beat());
         let mut w_faults = Vec::new();
         let mut r_faults = Vec::new();
         wg.commit(&wp, cycle, &mut w_perf, &mut w_hub, &mut w_faults);

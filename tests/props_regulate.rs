@@ -493,8 +493,6 @@ impl StubSub {
 struct TrackerRegulator {
     budget: BudgetUnit,
     tracker: Tmu,
-    deny_aw: bool,
-    deny_ar: bool,
     grants: u64,
 }
 
@@ -515,18 +513,25 @@ impl TrackerRegulator {
         TrackerRegulator {
             budget: BudgetUnit::new(cfg),
             tracker: Tmu::new(tracker),
-            deny_aw: false,
-            deny_ar: false,
             grants: 0,
         }
     }
 
+    /// Whether the manager's AW and AR are credit-denied.
+    fn denies(&self, mgr: &AxiPort) -> (bool, bool) {
+        (
+            mgr.aw.valid() && !self.budget.may_grant(Dir::Write),
+            mgr.ar.valid() && !self.budget.may_grant(Dir::Read),
+        )
+    }
+
     fn masked(&self, mgr: &AxiPort) -> AxiPort {
+        let (deny_aw, deny_ar) = self.denies(mgr);
         let mut masked = mgr.clone();
-        if self.deny_aw {
+        if deny_aw {
             masked.aw.suppress_valid();
         }
-        if self.deny_ar {
+        if deny_ar {
             masked.ar.suppress_valid();
         }
         masked
@@ -534,28 +539,28 @@ impl TrackerRegulator {
 }
 
 impl LinkStage for TrackerRegulator {
-    fn forward_request(&mut self, mgr: &AxiPort, out: &mut AxiPort) {
-        self.deny_aw = mgr.aw.valid() && !self.budget.may_grant(Dir::Write);
-        self.deny_ar = mgr.ar.valid() && !self.budget.may_grant(Dir::Read);
+    fn forward_request(&self, mgr: &AxiPort, out: &mut AxiPort) {
         let masked = self.masked(mgr);
         self.tracker.forward_request(&masked, out);
     }
-    fn forward_response(&mut self, out: &AxiPort, mgr: &mut AxiPort) {
+    fn forward_response(&self, out: &AxiPort, mgr: &mut AxiPort) {
+        let (deny_aw, deny_ar) = self.denies(mgr);
         self.tracker.forward_response(out, mgr);
-        if self.deny_aw {
+        if deny_aw {
             mgr.aw.set_ready(false);
         }
-        if self.deny_ar {
+        if deny_ar {
             mgr.ar.set_ready(false);
         }
     }
-    fn backprop_response_ready(&mut self, mgr: &AxiPort, out: &mut AxiPort) {
+    fn backprop_response_ready(&self, mgr: &AxiPort, out: &mut AxiPort) {
         self.tracker.backprop_response_ready(mgr, out);
     }
-    fn commit(&mut self, mgr: &AxiPort, cycle: u64) -> bool {
+    fn commit(&mut self, mgr: &AxiPort, _out: &AxiPort, cycle: u64) -> bool {
+        let (deny_aw, deny_ar) = self.denies(mgr);
         let masked = self.masked(mgr);
         let mut spend = CycleSpend {
-            denied: self.deny_aw || self.deny_ar,
+            denied: deny_aw || deny_ar,
             ..CycleSpend::default()
         };
         if let Some(aw) = masked.aw.fired_beat() {
@@ -594,7 +599,7 @@ impl LegalRig {
         stage.backprop_response_ready(&self.mgr, &mut self.out);
         self.manager.commit(&self.mgr);
         self.sub.commit(&self.out);
-        stage.commit(&self.mgr, cycle);
+        stage.commit(&self.mgr, &self.out, cycle);
     }
 }
 
@@ -631,7 +636,7 @@ proptest! {
                 resp_state(&mgr_a), resp_state(&mgr_b),
                 "cycle {}: manager response wires diverged", cycle
             );
-            reg.commit_port(&mgr_a, cycle as u64);
+            reg.commit_port(&mgr_a, &out_a, cycle as u64);
         }
         prop_assert_eq!((reg.grants(), reg.denies()), (0, 0));
     }
@@ -710,7 +715,7 @@ proptest! {
                     b_queue.push(BBeat::new(AxiId(id), Resp::Okay));
                 }
             }
-            reg.commit_port(&mgr, cycle);
+            reg.commit_port(&mgr, &out, cycle);
         }
         prop_assert_eq!(reg.grants(), total);
         prop_assert_eq!(reg.denies(), 0, "a compliant manager is never denied");
@@ -789,7 +794,7 @@ proptest! {
                     b_queue.push(BBeat::new(AxiId(id), Resp::Okay));
                 }
             }
-            reg.commit_port(&mgr, cycle);
+            reg.commit_port(&mgr, &out, cycle);
             if (cycle + 1).is_multiple_of(window) {
                 prop_assert!(
                     window_bytes <= budget_bytes + MAX_BURST_BYTES,
@@ -947,7 +952,7 @@ proptest! {
             drive_out(stim, &mut out);
             reg.forward_response(&out, &mut mgr);
             reg.backprop_response_ready(&mgr, &mut out);
-            reg.commit_port(&mgr, cycle as u64);
+            reg.commit_port(&mgr, &out, cycle as u64);
             prop_assert!(
                 reg.outstanding() <= 2 * ids * per_id as usize,
                 "cycle {}: {} open transactions exceed the ledger capacity",

@@ -196,7 +196,7 @@ proptest! {
             for (w, mgr) in wires.iter_mut().zip(&mgrs) {
                 w.settle(mgr);
             }
-            bank.commit(&mgrs, cycle, |port| {
+            bank.commit(&mgrs, &subs, cycle, |port| {
                 assert!(ports[port].0, "reset_sub fired for bare port {port}");
             });
             for tmu in (0..n).filter_map(|p| bank.tmu(p)) {
